@@ -38,7 +38,6 @@ class ConfigError(ValueError):
 _PARAM_KEYS = ("alpha", "beta", "gamma", "kappa", "xi", "m0", "omega0", "phi")
 
 # per-subcommand option tables: name -> (type, default)
-_COMMON_OPTS = {"seed": (int, 0), "jobs": (int, 1)}
 _GRID_OPTS = {
     "theta_min": (float, -math.pi),
     "theta_max": (float, math.pi),
@@ -115,8 +114,7 @@ def _nearest(key: str, valid) -> str:
 
 def parse_config(command: str, args) -> dict:
     """Resolved configuration: file values overridden by flags, then defaults."""
-    valid_opts = dict(_OPTIONS[command])
-    valid_opts.update(_COMMON_OPTS)
+    valid_opts = _OPTIONS[command]
     file_params: dict = {}
     file_opts: dict = {}
     if args.config:
@@ -194,41 +192,53 @@ def _run_stiffness(p: Params, opts) -> list[Dataset]:
     return [Dataset("stiffness", ("theta", "stiffness"), rows)]
 
 
-def _marching_squares(xg, yg, z, level):
-    """Line segments of the z = level contour on a rectilinear grid."""
-    segs = []
-    for i in range(len(xg) - 1):
-        for j in range(len(yg) - 1):
-            corners = (
-                (xg[i], yg[j], z[j, i]),
-                (xg[i + 1], yg[j], z[j, i + 1]),
-                (xg[i + 1], yg[j + 1], z[j + 1, i + 1]),
-                (xg[i], yg[j + 1], z[j + 1, i]),
-            )
-            pts = []
-            for a in range(4):
-                x0, y0, v0 = corners[a]
-                x1, y1, v1 = corners[(a + 1) % 4]
-                if (v0 - level) * (v1 - level) < 0.0:
-                    f = (level - v0) / (v1 - v0)
-                    pts.append((x0 + f * (x1 - x0), y0 + f * (y1 - y0)))
-                elif v0 == level:
-                    pts.append((x0, y0))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segs.append((pts[2], pts[3]))
-    return segs
+def _float_list(text: str, name: str) -> list[float]:
+    """Comma-separated finite floats, e.g. ``0.1,0.2``."""
+    values = []
+    for tok in text.split(","):
+        try:
+            v = float(tok)
+        except ValueError:
+            raise ConfigError(f"{name}: {tok!r} is not a number") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"{name}: {tok!r} is not finite")
+        values.append(v)
+    return values
+
+
+def _bisect_potential(p: Params, lo, hi, target):
+    """Angles in [lo, hi] where potential = target; each bracket straddles it.
+
+    Halves every bracket until its ends are adjacent floats.
+    """
+    lo_above = np.asarray(potential(p, lo)) > target
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid
+        same = (np.asarray(potential(p, mid)) > target) == lo_above
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
 
 
 def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
-    n = opts["n"]
-    thetas = np.linspace(-math.pi, math.pi, n)
-    omegas = np.linspace(-opts["omega_max"], opts["omega_max"], n)
-    tt, ww = np.meshgrid(thetas, omegas)
-    h = 0.5 * p.kappa * ww**2 + np.asarray(potential(p, tt))
+    """Level sets of H = kappa*omega^2/2 + V(theta) in |omega| <= omega_max.
+
+    Each level is the pair of curves omega = +-sqrt(2*(h - V(theta))/kappa)
+    over {theta : h - kappa*omega_max^2/2 <= V(theta) <= h}, sampled on the
+    theta grid plus the critical points of V and the exact angles where V
+    reaches either bound (turning points and window exits), so separatrix
+    levels pass through the saddles.
+    """
+    n, omega_max = opts["n"], opts["omega_max"]
+    if n < 2:
+        raise ConfigError(f"n must be >= 2, got {n}")
+    if opts["n_levels"] < 1:
+        raise ConfigError(f"n_levels must be >= 1, got {opts['n_levels']}")
+    if not omega_max > 0.0:
+        raise ConfigError(f"omega_max must be positive, got {omega_max}")
     if opts["levels"]:
-        levels = [float(tok) for tok in opts["levels"].split(",")]
+        levels = _float_list(opts["levels"], "levels")
     else:
         h1 = float(potential(p, 0.0))
         h2 = float(potential(p, math.pi))
@@ -239,12 +249,39 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
             if barrier > 0.0:
                 levels.append(barrier)      # separatrix level sets
         levels = sorted(set(levels))
+    # V is monotone between its critical points: the poles and the interior
+    # moment roots +-theta_c, where D(theta_c) = alpha*beta/(alpha*beta +
+    # gamma).  With them on the grid every crossing is a sign change there.
+    ab = p.alpha * p.beta
+    cos_c = (p.alpha**2 + p.beta**2 - (ab / (ab + p.gamma))**2) / (2.0 * ab)
+    extrema = [0.0]
+    if -1.0 < cos_c < 1.0:
+        extrema += [-math.acos(cos_c), math.acos(cos_c)]
+    grid = np.union1d(np.linspace(-math.pi, math.pi, n), extrema)
+    v = np.asarray(potential(p, grid))
+    tops = np.asarray(levels, dtype=float)
+    floors = tops - 0.5 * p.kappa * omega_max**2
+    bounds = np.concatenate([tops, floors])
+    gap = v - bounds[:, None]
+    which, cell = np.nonzero(gap[:, :-1] * gap[:, 1:] < 0.0)
+    crossings = _bisect_potential(p, grid[cell], grid[cell + 1],
+                                  bounds[which])
     rows = []
-    for level in levels:
-        for k, ((x0, y0), (x1, y1)) in enumerate(
-                _marching_squares(thetas, omegas, h, level)):
-            rows.append((float(level), k, float(x0), float(y0),
-                         float(x1), float(y1)))
+    for i, (top, floor) in enumerate(zip(tops, floors)):
+        mine = (which == i) | (which == i + len(tops))
+        theta = np.concatenate([grid, crossings[mine]])
+        v_all = np.concatenate([v, bounds[which[mine]]])
+        inside = (v_all <= top) & (v_all >= floor)
+        omega = np.minimum(np.sqrt(2.0 * np.maximum(top - v_all, 0.0)
+                                   / p.kappa), omega_max)
+        order = np.argsort(theta, kind="stable")
+        theta, omega, inside = theta[order], omega[order], inside[order]
+        k = np.nonzero(inside[:-1] & inside[1:])[0]
+        # upper branch, then lower; 0.0 - omega keeps omega = 0 unsigned
+        segs = [seg for w in (omega, 0.0 - omega)
+                for seg in zip(theta[k].tolist(), w[k].tolist(),
+                               theta[k + 1].tolist(), w[k + 1].tolist())]
+        rows += [(float(top), j, *seg) for j, seg in enumerate(segs)]
     return [Dataset("phase_portrait",
                     ("level", "segment", "theta0", "omega0_v",
                      "theta1", "omega1_v"), rows)]
@@ -332,8 +369,7 @@ def _run_melnikov(p: Params, opts) -> list[Dataset]:
     reduced = melnikov.reduce_system(p, opts["variant"])
     omega_grid = np.linspace(opts["omega_min"], opts["omega_max"],
                              opts["n_omega"])
-    xi_grid = np.asarray([float(tok)
-                          for tok in opts["xi_values"].split(",")])
+    xi_grid = np.asarray(_float_list(opts["xi_values"], "xi_values"))
     grid = melnikov.threshold_grid(reduced, omega_grid, xi_grid,
                                    opts["method"])
     rows = []
@@ -354,8 +390,7 @@ def _run_simulate(p: Params, opts) -> list[Dataset]:
     spec = IntegratorSpec(rel_tol=opts["rel_tol"], abs_tol=opts["abs_tol"],
                           t_end=opts["t_end"])
     traj = integrate(p, (opts["theta0"], opts["omega0_state"]), spec)
-    rows = [(float(t), float(th), float(om))
-            for t, (th, om) in zip(traj.times, traj.states)]
+    rows = list(zip(traj.times.tolist(), *traj.states.T.tolist()))
     meta = {"accepted": traj.step_stats.accepted,
             "rejected": traj.step_stats.rejected}
     if traj.energy_drift is not None:
@@ -436,9 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--keep-partial", action="store_true")
         for key in _PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
-        all_opts = dict(opts)
-        all_opts.update(_COMMON_OPTS)
-        for key, (typ, _default) in all_opts.items():
+        for key, (typ, _default) in opts.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             type=typ, default=None)
     return parser

@@ -46,8 +46,7 @@ def format_value(v) -> str:
 
 def emit_dataset(ds: Dataset, path: Path) -> Path:
     lines = [",".join(ds.columns)]
-    for row in ds.rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines += [",".join(map(format_value, row)) for row in ds.rows]
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path

@@ -163,7 +163,7 @@ def _dp45(f, t0, y0, spec, step_cb=None):
         sc_t = spec.abs_tol + spec.rel_tol * max(abs(th), abs(th_new))
         sc_o = spec.abs_tol + spec.rel_tol * max(abs(om), abs(om_new))
         err = math.sqrt(0.5 * ((et / sc_t) ** 2 + (eo / sc_o) ** 2))
-        if err <= 1.0 or h <= spec.h_min:
+        if err <= 1.0:
             stats.accepted += 1
             stats.h_min_used = min(stats.h_min_used, h)
             stats.h_max_used = max(stats.h_max_used, h)
@@ -181,12 +181,14 @@ def _dp45(f, t0, y0, spec, step_cb=None):
                 break
         else:
             stats.rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
+        # a NaN error (the trial step overflowed) shrinks the step like a
+        # large one: max(0.2, nan) is 0.2
+        factor = 0.9 * err ** -0.2 if err != 0.0 else 5.0
         h_next = h * min(5.0, max(0.2, factor))
-        if h_next < spec.h_min and t < t_end and err > 1.0:
+        if h_next < spec.h_min and t < t_end and not err <= 1.0:
             traj = _pack(times, thetas, omegas, stats, complete=False)
             raise StepUnderflow(traj)
-        h = max(h_next, spec.h_min)
+        h = min(max(h_next, spec.h_min), spec.h_max)
     return times, thetas, omegas, stats, True
 
 

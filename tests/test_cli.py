@@ -1,11 +1,16 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, read_csv
+from clickdyn.model import Params, potential
 
 
 def run_cli(*argv):
@@ -58,6 +63,81 @@ def test_phase_portrait_emits_separatrix_level(tmp_path):
     cols, rows = read_csv(out / "phase_portrait.csv")
     levels = {r[0] for r in rows}
     assert any(abs(lv - 0.125) < 1e-12 for lv in levels)
+
+
+@st.composite
+def _portrait_case(draw):
+    """A parameter point in one of the four statics regions, plus options."""
+    region = draw(st.sampled_from(["double_well", "hard_single",
+                                   "soft_single", "cusp"]))
+    gamma = draw(st.just(0.0) | st.floats(0.0, 0.1))
+    if region == "double_well":
+        alpha, beta = draw(st.floats(1.2, 1.8)), draw(st.floats(0.9, 1.1))
+    elif region == "hard_single":
+        alpha, beta = draw(st.floats(2.3, 2.8)), 1.0
+    elif region == "soft_single":
+        alpha, beta = draw(st.floats(0.25, 0.35)), draw(st.floats(0.45, 0.55))
+        gamma = 0.0
+    else:
+        alpha = beta = draw(st.floats(0.8, 1.2))
+    return dict(alpha=alpha, beta=beta, gamma=gamma,
+                kappa=draw(st.floats(0.5, 2.0)), n=draw(st.integers(2, 60)),
+                omega_max=draw(st.floats(0.2, 3.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_portrait_case())
+def test_phase_portrait_points_lie_on_their_levels(case):
+    p = Params(alpha=case["alpha"], beta=case["beta"], gamma=case["gamma"],
+               kappa=case["kappa"])
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_cli("phase-portrait", "--out", tmp,
+                       *(f"--{k.replace('_', '-')}={v!r}"
+                         for k, v in case.items())) == 0
+        _cols, rows = read_csv(Path(tmp) / "phase_portrait.csv")
+    assert rows
+    data = np.asarray(rows)
+    level = np.concatenate([data[:, 0], data[:, 0]])
+    theta = np.concatenate([data[:, 2], data[:, 4]])
+    omega = np.concatenate([data[:, 3], data[:, 5]])
+    energy = 0.5 * p.kappa * omega**2 + np.asarray(potential(p, theta))
+    assert np.all(np.abs(energy - level)
+                  <= 1e-12 * np.maximum(1.0, level))
+    assert np.all(np.abs(theta) <= math.pi)
+    assert np.all(np.abs(omega) <= case["omega_max"])
+    if p.gamma == 0.0 and abs(p.alpha - p.beta) < 1.0 < p.alpha + p.beta:
+        # double well: the barrier levels pass exactly through the saddles
+        for barrier, saddles in ((float(potential(p, 0.0)), [(0.0, 0.0)]),
+                                 (float(potential(p, math.pi)),
+                                  [(-math.pi, 0.0), (math.pi, 0.0)])):
+            on_level = level == barrier
+            points = set(zip(theta[on_level].tolist(),
+                             omega[on_level].tolist()))
+            assert set(saddles) <= points
+
+
+@pytest.mark.parametrize("argv", [
+    ("phase-portrait", "--n", "1"),
+    ("phase-portrait", "--n-levels", "0"),
+    ("phase-portrait", "--omega-max", "0"),
+    ("phase-portrait", "--omega-max", "nan"),
+    ("phase-portrait", "--levels", "x"),
+    ("phase-portrait", "--levels", "0.1,,0.2"),
+    ("phase-portrait", "--levels", "0.1,inf"),
+    ("melnikov", "--xi-values", ","),
+    ("melnikov", "--xi-values", "0.1,nan"),
+])
+def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
+                                                        argv):
+    assert run_cli(*argv, "--alpha", "1.5", "--beta", "1",
+                   "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+def test_seed_and_jobs_are_not_options(tmp_path, flag):
+    assert run_cli("energy", "--alpha", "1.5", flag, "8",
+                   "--out", str(tmp_path / "o")) == 2
 
 
 def test_energy_and_moment(tmp_path):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from clickdyn.integrate import (IntegratorSpec, integrate, integrate_rhs,
-                                largest_lyapunov, measure_free_oscillation,
-                                poincare_section)
+from clickdyn.integrate import (IntegratorSpec, StepUnderflow, integrate,
+                                integrate_rhs, largest_lyapunov,
+                                measure_free_oscillation, poincare_section)
 from clickdyn.model import Params, hamiltonian
 
 
@@ -16,6 +16,35 @@ def test_spec_validation():
         IntegratorSpec(h_init=2.0, h_max=1.0)
     with pytest.raises(ValueError):
         IntegratorSpec(method="euler")
+
+
+def test_h_max_is_honoured():
+    p = Params(alpha=1.5, beta=1.0)
+    traj = integrate(p, (0.9, 0.0), IntegratorSpec(h_max=0.01, t_end=5.0))
+    assert traj.step_stats.h_max_used <= 0.01
+    # differences of accumulated times carry rounding of order 1e-16
+    assert np.diff(traj.times).max() <= 0.01 + 1e-12
+
+
+def test_underflow_keeps_only_accurate_steps():
+    spec = IntegratorSpec(h_init=0.5, h_min=0.5, rel_tol=1e-12,
+                          abs_tol=1e-14, t_end=2.0)
+    with pytest.raises(StepUnderflow) as info:
+        integrate_rhs(lambda t, x, v: (v, -x), (1.0, 0.0), spec)
+    traj = info.value.trajectory
+    assert not traj.complete
+    assert traj.times.tolist() == [0.0]
+
+
+def test_nan_rhs_raises_underflow():
+    # a step whose error is NaN shrinks until it underflows
+    def f(t, x, v):
+        return v, (math.nan if t > 0.5 else -x)
+
+    with pytest.raises(StepUnderflow) as info:
+        integrate_rhs(f, (1.0, 0.0), IntegratorSpec(t_end=2.0))
+    assert np.all(np.isfinite(info.value.trajectory.states))
+    assert info.value.trajectory.times[-1] <= 0.5
 
 
 def test_energy_conservation():
