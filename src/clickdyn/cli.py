@@ -112,6 +112,14 @@ def _nearest(key: str, valid) -> str:
     return f"unknown key {key!r}{hint}"
 
 
+def _ini_value(kind, section: str, key: str, val: str):
+    try:
+        return kind(val)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {val!r}: "
+                          f"not a valid {kind.__name__}") from None
+
+
 def parse_config(command: str, args) -> dict:
     """Resolved configuration: file values overridden by flags, then defaults."""
     valid_opts = _OPTIONS[command]
@@ -132,13 +140,14 @@ def parse_config(command: str, args) -> dict:
                     if key not in _PARAM_KEYS:
                         raise ConfigError(
                             f"[params]: {_nearest(key, _PARAM_KEYS)}")
-                    file_params[key] = float(val)
+                    file_params[key] = _ini_value(float, section, key, val)
             elif section == command:
                 for key, val in ini.items(section):
                     if key not in valid_opts:
                         raise ConfigError(
                             f"[{section}]: {_nearest(key, valid_opts)}")
-                    file_opts[key] = valid_opts[key][0](val)
+                    file_opts[key] = _ini_value(valid_opts[key][0], section,
+                                                key, val)
             elif section not in _OPTIONS:
                 raise ConfigError(
                     f"{_nearest(section, list(_OPTIONS) + ['params'])}")

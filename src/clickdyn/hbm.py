@@ -17,7 +17,7 @@ moment; the quadratic (asymmetry) coefficient is reported alongside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -181,12 +181,14 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
                      n_scan: int = 2000) -> list[float]:
     """Frequencies where the HBM root count changes (fold points)."""
     s_grid = np.linspace(s_lo, s_hi, n_scan + 1)
-    counts = [_root_count(cubic, kappa, xi, b_amp, s) for s in s_grid]
+    # Off a fold the count is 1 or 3.  A scan point on a fold can see the
+    # double root split into an even count, which would bracket that fold
+    # twice (1 -> 2 -> 3), so such points are skipped.
+    scan = [(s, c) for s in s_grid
+            if (c := _root_count(cubic, kappa, xi, b_amp, s)) % 2]
     folds = []
-    for i in range(n_scan):
-        if counts[i] != counts[i + 1]:
-            lo, hi = s_grid[i], s_grid[i + 1]
-            c_lo = counts[i]
+    for (lo, c_lo), (hi, c_hi) in zip(scan, scan[1:]):
+        if c_lo != c_hi:
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 if _root_count(cubic, kappa, xi, b_amp, mid) == c_lo:
@@ -240,10 +242,8 @@ def _steady_amplitude(f, state, t0, t_drive, spec):
     for _ in range(60):          # at most 1200 drive periods
         block_peaks = []
         for _ in range(20):
-            seg = IntegratorSpec(rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                                 h_init=spec.h_init, h_min=spec.h_min,
-                                 h_max=spec.h_max, t_end=t + t_drive)
-            traj = integrate_rhs(f, state, seg, t0=t)
+            traj = integrate_rhs(f, state, replace(spec, t_end=t + t_drive),
+                                 t0=t)
             block_peaks.append(0.5 * (traj.states[:, 0].max()
                                       - traj.states[:, 0].min()))
             state = tuple(traj.states[-1])
@@ -323,8 +323,6 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
 
 
 def _full_system_sweep_setup(p: Params):
-    from dataclasses import replace
-
     from .equilibria import equilibria_in_period
 
     centers = [e for e in equilibria_in_period(p) if e.kind == CENTER]

@@ -10,7 +10,7 @@ refined with a secant iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,38 +119,47 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 def _dp45(f, t0, y0, spec, step_cb=None):
     """Adaptive DP5(4) from t0 to spec.t_end.
 
+    The state is carried as two Python floats: ``y0`` is converted once
+    here, so a caller may resume from a row of ``Trajectory.states``
+    (``numpy.float64`` scalars) without the whole loop running in the much
+    slower numpy-scalar arithmetic.  ``f(t, theta, omega)`` receives floats;
+    it should return floats too, or the state turns into numpy scalars
+    after the first step.
+
     ``step_cb(ta, ya, fa, tb, yb, fb) -> bool`` runs on every accepted step;
     returning True stops the integration.  Returns (times, states, stats,
     complete).
     """
     t = t0
-    th, om = y0
-    f1 = f(t, th, om)
+    th, om = float(y0[0]), float(y0[1])
+    k1t, k1o = f(t, th, om)
+    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
+    h_min, h_max, t_end = spec.h_min, spec.h_max, spec.t_end
     h = spec.h_init
-    stats = StepStats()
+    accepted = rejected = 0
+    h_lo, h_hi = math.inf, 0.0
     times = [t]
     thetas = [th]
     omegas = [om]
-    t_end = spec.t_end
     while t < t_end:
         h = min(h, t_end - t)
-        k1t, k1o = f1
-        y2 = (th + h * _A21 * k1t, om + h * _A21 * k1o)
-        k2t, k2o = f(t + _C2 * h, *y2)
-        y3 = (th + h * (_A31 * k1t + _A32 * k2t),
-              om + h * (_A31 * k1o + _A32 * k2o))
-        k3t, k3o = f(t + _C3 * h, *y3)
-        y4 = (th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t),
-              om + h * (_A41 * k1o + _A42 * k2o + _A43 * k3o))
-        k4t, k4o = f(t + _C4 * h, *y4)
-        y5 = (th + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t + _A54 * k4t),
-              om + h * (_A51 * k1o + _A52 * k2o + _A53 * k3o + _A54 * k4o))
-        k5t, k5o = f(t + _C5 * h, *y5)
-        y6 = (th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t + _A64 * k4t
-                        + _A65 * k5t),
-              om + h * (_A61 * k1o + _A62 * k2o + _A63 * k3o + _A64 * k4o
-                        + _A65 * k5o))
-        k6t, k6o = f(t + h, *y6)
+        k2t, k2o = f(t + _C2 * h, th + h * _A21 * k1t, om + h * _A21 * k1o)
+        k3t, k3o = f(t + _C3 * h,
+                     th + h * (_A31 * k1t + _A32 * k2t),
+                     om + h * (_A31 * k1o + _A32 * k2o))
+        k4t, k4o = f(t + _C4 * h,
+                     th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t),
+                     om + h * (_A41 * k1o + _A42 * k2o + _A43 * k3o))
+        k5t, k5o = f(t + _C5 * h,
+                     th + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t
+                               + _A54 * k4t),
+                     om + h * (_A51 * k1o + _A52 * k2o + _A53 * k3o
+                               + _A54 * k4o))
+        k6t, k6o = f(t + h,
+                     th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t
+                               + _A64 * k4t + _A65 * k5t),
+                     om + h * (_A61 * k1o + _A62 * k2o + _A63 * k3o
+                               + _A64 * k4o + _A65 * k5o))
         th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t
                            + _B6 * k6t)
         om_new = om + h * (_B1 * k1o + _B3 * k3o + _B4 * k4o + _B5 * k5o
@@ -160,41 +169,45 @@ def _dp45(f, t0, y0, spec, step_cb=None):
                   + _E7 * k7t)
         eo = h * (_E1 * k1o + _E3 * k3o + _E4 * k4o + _E5 * k5o + _E6 * k6o
                   + _E7 * k7o)
-        sc_t = spec.abs_tol + spec.rel_tol * max(abs(th), abs(th_new))
-        sc_o = spec.abs_tol + spec.rel_tol * max(abs(om), abs(om_new))
+        sc_t = abs_tol + rel_tol * max(abs(th), abs(th_new))
+        sc_o = abs_tol + rel_tol * max(abs(om), abs(om_new))
         err = math.sqrt(0.5 * ((et / sc_t) ** 2 + (eo / sc_o) ** 2))
         if err <= 1.0:
-            stats.accepted += 1
-            stats.h_min_used = min(stats.h_min_used, h)
-            stats.h_max_used = max(stats.h_max_used, h)
+            accepted += 1
+            if h < h_lo:
+                h_lo = h
+            if h > h_hi:
+                h_hi = h
             stop = False
             if step_cb is not None:
-                stop = bool(step_cb(t, (th, om), f1, t + h, (th_new, om_new),
-                                    (k7t, k7o)))
+                stop = bool(step_cb(t, (th, om), (k1t, k1o), t + h,
+                                    (th_new, om_new), (k7t, k7o)))
             t += h
             th, om = th_new, om_new
-            f1 = (k7t, k7o)
+            k1t, k1o = k7t, k7o
             times.append(t)
             thetas.append(th)
             omegas.append(om)
             if stop:
                 break
         else:
-            stats.rejected += 1
+            rejected += 1
         # a NaN error (the trial step overflowed) shrinks the step like a
         # large one: max(0.2, nan) is 0.2
         factor = 0.9 * err ** -0.2 if err != 0.0 else 5.0
         h_next = h * min(5.0, max(0.2, factor))
-        if h_next < spec.h_min and t < t_end and not err <= 1.0:
-            traj = _pack(times, thetas, omegas, stats, complete=False)
-            raise StepUnderflow(traj)
-        h = min(max(h_next, spec.h_min), spec.h_max)
+        if h_next < h_min and t < t_end and not err <= 1.0:
+            stats = StepStats(accepted, rejected, h_lo, h_hi)
+            raise StepUnderflow(_pack(times, thetas, omegas, stats,
+                                      complete=False))
+        h = min(max(h_next, h_min), h_max)
+    stats = StepStats(accepted, rejected, h_lo, h_hi)
     return times, thetas, omegas, stats, True
 
 
 def _rk4_fixed(f, t0, y0, spec, step_cb=None):
     t = t0
-    th, om = y0
+    th, om = float(y0[0]), float(y0[1])
     h = spec.h_init
     stats = StepStats(h_min_used=h, h_max_used=h)
     times = [t]
@@ -303,7 +316,7 @@ def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
                   step_cb=None) -> Trajectory:
     """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``."""
     runner = _rk4_fixed if spec.method == "rk4" else _dp45
-    times, thetas, omegas, stats, complete = runner(f, t0, tuple(state0), spec,
+    times, thetas, omegas, stats, complete = runner(f, t0, state0, spec,
                                                     step_cb)
     return _pack(times, thetas, omegas, stats, complete)
 
@@ -337,10 +350,8 @@ def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
     """
     if p.xi != 0.0 or p.m_big0 != 0.0:
         raise ValueError("free oscillation requires xi = 0 and M0 = 0")
-    spec = spec or IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13)
-    spec = IntegratorSpec(method=spec.method, rel_tol=spec.rel_tol,
-                          abs_tol=spec.abs_tol, h_init=spec.h_init,
-                          h_min=spec.h_min, h_max=spec.h_max, t_end=t_max)
+    spec = replace(spec or IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13),
+                   t_end=t_max)
     f = _scalar_rhs(p)
     crossings: list[tuple[float, float, int]] = []   # (time, theta, direction)
     theta0 = state0[0]
@@ -392,11 +403,7 @@ def poincare_section(p: Params, state0, n_points: int,
     t = 0.0
     points = []
     for n in range(discard + n_points):
-        seg = IntegratorSpec(method=base.method, rel_tol=base.rel_tol,
-                             abs_tol=base.abs_tol, h_init=base.h_init,
-                             h_min=base.h_min, h_max=base.h_max,
-                             t_end=t + t_drive)
-        traj = integrate_rhs(f, state, seg, t0=t)
+        traj = integrate_rhs(f, state, replace(base, t_end=t + t_drive), t0=t)
         state = tuple(traj.states[-1])
         t = float(traj.times[-1])
         if n >= discard:
@@ -431,10 +438,7 @@ def _benettin(f, state0, horizon, interval, d0, base):
     t = 0.0
     rates = []
     for _ in range(n_seg):
-        seg = IntegratorSpec(method=base.method, rel_tol=base.rel_tol,
-                             abs_tol=base.abs_tol, h_init=base.h_init,
-                             h_min=base.h_min, h_max=base.h_max,
-                             t_end=t + interval)
+        seg = replace(base, t_end=t + interval)
         ya = tuple(integrate_rhs(f, ya, seg, t0=t).states[-1])
         yb = tuple(integrate_rhs(f, yb, seg, t0=t).states[-1])
         t += interval

@@ -266,8 +266,11 @@ def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbi
     offset = 1e-8
     state = (saddle + offset, offset * lam)
     f = r.rhs()
+    # the shot leaves the saddle and returns to within the offset of it in
+    # about 2*log(1/offset)/lam; cutting it off earlier misses the saddle
+    t_end = max(_CONNECT_TMAX, 2.5 * math.log(1.0 / offset) / lam)
     spec = IntegratorSpec(rel_tol=1e-13, abs_tol=1e-15, h_max=0.05,
-                          t_end=_CONNECT_TMAX)
+                          t_end=t_end)
     traj = integrate_rhs(f, state, spec)
     th = traj.states[:, 0]
     om = traj.states[:, 1]

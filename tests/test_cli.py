@@ -171,6 +171,16 @@ def test_unknown_config_key_nearest_match(tmp_path, capsys):
     assert "alpha" in err      # nearest-match hint
 
 
+@pytest.mark.parametrize("ini", ["[params]\nalpha = x\n",
+                                 "[params]\nalpha = 1.5\n[energy]\nn = x\n"])
+def test_bad_config_file_values_are_config_errors(tmp_path, capsys, ini):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    assert run_cli("energy", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err.startswith("error:config:")
+
+
 def test_missing_alpha_is_config_error(capsys):
     assert run_cli("energy") == 2
     assert capsys.readouterr().err.startswith("error:config:")

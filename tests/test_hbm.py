@@ -157,6 +157,22 @@ def test_fold_frequencies_bound_three_root_band():
     assert len(frf_amplitudes(cubic, 1.0, 0.015, 0.1, hi + 0.01)) == 1
 
 
+def test_fold_on_a_scan_point_is_reported_once():
+    # point 500 of the default 2001-point scan lands on the lower fold,
+    # where the double root splits and the root count reads 2 between the
+    # 1- and 3-root branches
+    cubic = CubicApprox(omega_n=1.0, epsilon=-0.010632020785712019,
+                        origin_theta=0.0)
+    args = (cubic, 1.0, 0.010880235353209176, 0.05497346246006739)
+    s_lo, s_hi = 0.9693228975247328, 0.9782562734510281
+    on_fold = float(np.linspace(s_lo, s_hi, 2001)[500])
+    assert len(frf_amplitudes(*args, on_fold)) == 2
+    folds = fold_frequencies(*args, s_lo, s_hi)
+    assert len(folds) == 2
+    lo, hi = folds
+    assert len(frf_amplitudes(*args, 0.5 * (lo + hi))) == 3
+
+
 def test_frf_curve_bundles_everything():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
     branch = frf_curve(cubic, 1.0, 0.015, 0.1, np.linspace(0.9, 1.0, 21))

@@ -139,3 +139,46 @@ def test_lyapunov_negative_for_damped_periodic():
     est = largest_lyapunov(p, (0.7227, 0.0), horizon=400.0)
     assert est.exponent < 0.0
     assert est.segment_rates.size >= 4
+
+
+def _recording(make_rhs, seen):
+    """Wrap an rhs factory so every call records its state's types."""
+
+    def make(*args, **kwargs):
+        f = make_rhs(*args, **kwargs)
+
+        def g(t, theta, omega):
+            seen.add((type(theta), type(omega)))
+            return f(t, theta, omega)
+
+        return g
+
+    return make
+
+
+def test_segmented_runs_keep_the_state_in_python_floats(monkeypatch):
+    # Segments resume from rows of Trajectory.states (numpy.float64).  The
+    # integrator must hand the rhs Python floats all the same: numpy
+    # scalars make the stepping loop several times slower.  np.float64
+    # subclasses float, so only an exact type check catches the leak.
+    import clickdyn.hbm as hbm
+    import clickdyn.integrate as integ
+    from clickdyn.hbm import CubicApprox, sweep_hysteresis
+
+    seen = set()
+    monkeypatch.setattr(integ, "_scalar_rhs",
+                        _recording(integ._scalar_rhs, seen))
+    monkeypatch.setattr(hbm, "_cubic_rhs", _recording(hbm._cubic_rhs, seen))
+    p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
+    cubic = CubicApprox(omega_n=1.0, epsilon=0.1, origin_theta=0.0)
+    runs = [
+        lambda: poincare_section(p, (0.7227, 0.0), 3, discard=2),
+        lambda: largest_lyapunov(p, (0.7227, 0.0), horizon=20.0),
+        lambda: sweep_hysteresis(p, 0.8, 0.9, 2, direction_both=False),
+        lambda: sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 0.9, 2,
+                                 direction_both=False),
+    ]
+    for run in runs:
+        seen.clear()
+        run()
+        assert seen == {(float, float)}

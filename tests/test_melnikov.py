@@ -111,6 +111,18 @@ def test_continued_matches_closed_form():
         assert np.max(np.abs(cf.omegas - co.omegas)) <= 1e-6
 
 
+@pytest.mark.parametrize("variant, alpha", [(DUFFING, 1.7), (DUFFING, 1.8),
+                                            (PENDULUM, 1.8)])
+def test_continued_reconnects_at_slow_decay(variant, alpha):
+    # at a small decay rate the round trip out of and back into the saddle
+    # takes longer than the flat 50 time units the shot used to be given
+    r = reduce_system(Params(alpha=alpha, beta=1.0), variant)
+    cf = separatrix(r, "closed_form")
+    co = separatrix(r, "continued")
+    assert np.max(np.abs(cf.thetas - co.thetas)) <= 1e-6
+    assert np.max(np.abs(cf.omegas - co.omegas)) <= 1e-6
+
+
 def test_pendulum_forcing_kernel_quadrature():
     # |FT of 2 sech T at 1| = 2*pi*sech(pi/2)
     r = _unit_pendulum()
