@@ -23,7 +23,7 @@ from . import freevib, hbm, melnikov
 from .dataset import Dataset, emit_dataset, emit_manifest
 from .integrate import (IntegratorSpec, integrate, largest_lyapunov,
                         poincare_section)
-from .model import Params, moment, potential, stiffness
+from .model import Params, barrier_energies, moment, potential, stiffness
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -249,8 +249,7 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
     if opts["levels"]:
         levels = _float_list(opts["levels"], "levels")
     else:
-        h1 = float(potential(p, 0.0))
-        h2 = float(potential(p, math.pi))
+        h1, h2 = barrier_energies(p)
         top = max(h1, h2) * 2.0 if max(h1, h2) > 0 else 1.0
         levels = list(np.linspace(top / opts["n_levels"], top,
                                   opts["n_levels"]))
@@ -258,14 +257,10 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
             if barrier > 0.0:
                 levels.append(barrier)      # separatrix level sets
         levels = sorted(set(levels))
-    # V is monotone between its critical points: the poles and the interior
-    # moment roots +-theta_c, where D(theta_c) = alpha*beta/(alpha*beta +
-    # gamma).  With them on the grid every crossing is a sign change there.
-    ab = p.alpha * p.beta
-    cos_c = (p.alpha**2 + p.beta**2 - (ab / (ab + p.gamma))**2) / (2.0 * ab)
-    extrema = [0.0]
-    if -1.0 < cos_c < 1.0:
-        extrema += [-math.acos(cos_c), math.acos(cos_c)]
+    # V is monotone between its critical points, the poles and +-theta_c:
+    # with them on the grid every crossing is a sign change there.
+    theta_c = eq.interior_angle(p)
+    extrema = [0.0] if theta_c is None else [0.0, -theta_c, theta_c]
     grid = np.union1d(np.linspace(-math.pi, math.pi, n), extrema)
     v = np.asarray(potential(p, grid))
     tops = np.asarray(levels, dtype=float)
@@ -325,6 +320,8 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
 
 
 def _run_freevib(p: Params, opts) -> list[Dataset]:
+    if opts["n"] < 1:
+        raise ConfigError(f"n must be >= 1, got {opts['n']}")
     bands = freevib.energy_bands(p)
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
     out = []
@@ -352,7 +349,14 @@ def _working_center(p: Params):
     return max(centers, key=lambda e: e.theta)
 
 
+def _check_s_range(opts) -> None:
+    if not opts["s_min"] < opts["s_max"]:
+        raise ConfigError(f"need s_min < s_max, got {opts['s_min']} "
+                          f"and {opts['s_max']}")
+
+
 def _run_hbm(p: Params, opts) -> list[Dataset]:
+    _check_s_range(opts)
     center = _working_center(p)
     cubic = hbm.fit_cubic(p, center)
     b_amp = opts["drive"]
@@ -396,6 +400,8 @@ def _run_melnikov(p: Params, opts) -> list[Dataset]:
 
 
 def _run_simulate(p: Params, opts) -> list[Dataset]:
+    if not opts["t_end"] > 0.0:
+        raise ConfigError(f"t_end must be positive, got {opts['t_end']}")
     spec = IntegratorSpec(rel_tol=opts["rel_tol"], abs_tol=opts["abs_tol"],
                           t_end=opts["t_end"])
     traj = integrate(p, (opts["theta0"], opts["omega0_state"]), spec)
@@ -409,6 +415,7 @@ def _run_simulate(p: Params, opts) -> list[Dataset]:
 
 
 def _run_sweep(p: Params, opts) -> list[Dataset]:
+    _check_s_range(opts)
     if opts["epsilon"] != 0.0:
         cubic = hbm.CubicApprox(omega_n=1.0 / math.sqrt(p.kappa),
                                 epsilon=opts["epsilon"], origin_theta=0.0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["complete_k", "jacobi_sn_cn_dn", "freevib_waveform", "Waveform"]
+__all__ = ["complete_k", "jacobi_sn_cn_dn", "Waveform"]
 
 _AGM_TOL = 1e-15
 _AGM_MAXITER = 64
@@ -81,7 +81,3 @@ class Waveform:
         value = {"sn": sn, "cn": cn, "dn": dn}[self.branch]
         return self.theta0 * value
 
-
-def freevib_waveform(branch: str, theta0: float, k: float) -> Waveform:
-    """Waveform callable for one of the sn/cn/dn free-vibration branches."""
-    return Waveform(branch, theta0, k)

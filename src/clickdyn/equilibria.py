@@ -3,9 +3,7 @@
 Equilibria are defined as roots of the restoring moment on (-pi, pi]: the
 poles theta = 0 and theta = pi always qualify, and a symmetric pair of
 interior roots appears when the radical can reach ``alpha*beta/(alpha*beta +
-gamma)``.  Interior roots are located by bracketed root finding on the
-moment itself; the closed form ``cos(theta3) = (alpha^2 + beta^2 - 1) /
-(2*alpha*beta)`` is exact only for gamma = 0 and is used as a cross-check.
+gamma)``; their angle follows in closed form from that radical.
 
 Only saddles and centers occur: the conservative Jacobian is trace-free, so
 the generic node/focus classes of a full singular-point taxonomy have no
@@ -109,25 +107,16 @@ def _eigenpair(k_local: float, kappa: float) -> tuple[complex, complex]:
 def interior_angle(p: Params) -> float | None:
     """Positive interior root of the moment on (0, pi), or None.
 
-    The root solves ``alpha*beta*(1 - 1/D(theta)) + gamma = 0`` and is found
-    by bracketed root finding, not by the closed form.
+    The root solves ``alpha*beta*(1 - 1/D(theta)) + gamma = 0``, i.e.
+    ``D = D* = alpha*beta/(alpha*beta + gamma)``, so
+    ``cos(theta) = (alpha^2 + beta^2 - D*^2) / (2*alpha*beta)``.  This
+    holds for alpha == beta too, where D vanishes only at the cusp.
     """
-    a, b, g = p.alpha, p.beta, p.gamma
-
-    def radial(theta):
-        d = math.sqrt(a * a + b * b - 2.0 * a * b * math.cos(theta))
-        return a * b * (1.0 - 1.0 / d) + g
-
-    lo, hi = 1e-12, math.pi - 1e-12
-    try:
-        flo, fhi = radial(lo), radial(hi)
-    except (ValueError, ZeroDivisionError):
+    ab = p.alpha * p.beta
+    cos_c = (p.alpha**2 + p.beta**2 - (ab / (ab + p.gamma))**2) / (2.0 * ab)
+    if not -1.0 < cos_c < 1.0:
         return None
-    if flo == 0.0:
-        return lo
-    if flo * fhi > 0.0:
-        return None
-    return brentq(radial, lo, hi, xtol=_ROOT_XTOL, maxiter=_ROOT_MAXITER)
+    return math.acos(cos_c)
 
 
 def interior_angle_closed_form(p: Params) -> float | None:

@@ -21,7 +21,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
 from .equilibria import CENTER, Equilibrium, equilibria_in_period
-from .model import Params, potential
+from .model import Params, barrier_energies, potential, scalar_potential
 
 __all__ = [
     "FreeVibPoint",
@@ -106,11 +106,12 @@ def _potential_roots(p: Params, energy: float, n_scan: int = 2000) -> list[float
         n_scan *= 4
     else:
         return []
+    v = scalar_potential(p)
     roots = []
     for i in idx:
         roots.append(
-            brentq(lambda th: float(potential(p, th)) - energy,
-                   thetas[i], thetas[i + 1], xtol=1e-14)
+            brentq(lambda th: v(th) - energy, thetas[i], thetas[i + 1],
+                   xtol=1e-14)
         )
     return roots
 
@@ -119,8 +120,10 @@ def _quad_segment(p: Params, energy: float, a: float, b: float,
                   singular_a: bool, singular_b: bool) -> float:
     """integral of d(theta)/sqrt(H - PEN) over [a, b] with endpoint care."""
 
+    v = scalar_potential(p)
+
     def integrand(theta):
-        return 1.0 / math.sqrt(max(energy - float(potential(p, theta)), 1e-300))
+        return 1.0 / math.sqrt(max(energy - v(theta), 1e-300))
 
     total = 0.0
     if singular_a and singular_b:
@@ -156,8 +159,7 @@ def period_of_energy(p: Params, energy: float) -> float:
     """
     if energy <= 0.0:
         raise ValueError("energy must be positive")
-    h1 = float(potential(p, 0.0))
-    h2 = float(potential(p, math.pi))
+    h1, h2 = barrier_energies(p)
     for barrier in (h1, h2):
         if abs(energy - barrier) <= _BARRIER_TOL:
             raise ValueError("energy at a barrier: infinite period")
@@ -188,8 +190,7 @@ def energy_bands(p: Params) -> dict[str, tuple[float, float]]:
     (H1, H2), AF5 rotation (H2, inf).  Single-well parameters: AF1
     libration (well bottom, barrier), AF2 rotation (barrier, inf).
     """
-    h1 = float(potential(p, 0.0))
-    h2 = float(potential(p, math.pi))
+    h1, h2 = barrier_energies(p)
     eqs = equilibria_in_period(p)
     centers = [e for e in eqs if e.kind == CENTER]
     interior = [e for e in centers if e.branch_id in ("theta3", "theta4")]

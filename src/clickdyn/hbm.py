@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .equilibria import CENTER, Equilibrium
+from .equilibria import CENTER, Equilibrium, equilibria_in_period
 from .integrate import IntegratorSpec, integrate_rhs
-from .model import Params, moment
+from .model import Params, moment, scalar_rhs
 
 __all__ = [
     "CubicApprox",
@@ -172,31 +173,31 @@ def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
     return out
 
 
-def _root_count(cubic, kappa, xi, b_amp, s) -> int:
-    return len(frf_amplitudes(cubic, kappa, xi, b_amp, s))
-
-
 def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
                      b_amp: float, s_lo: float, s_hi: float,
                      n_scan: int = 2000) -> list[float]:
-    """Frequencies where the HBM root count changes (fold points)."""
-    s_grid = np.linspace(s_lo, s_hi, n_scan + 1)
-    # Off a fold the count is 1 or 3.  A scan point on a fold can see the
-    # double root split into an even count, which would bracket that fold
-    # twice (1 -> 2 -> 3), so such points are skipped.
-    scan = [(s, c) for s in s_grid
-            if (c := _root_count(cubic, kappa, xi, b_amp, s)) % 2]
-    folds = []
-    for (lo, c_lo), (hi, c_hi) in zip(scan, scan[1:]):
-        if c_lo != c_hi:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if _root_count(cubic, kappa, xi, b_amp, mid) == c_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            folds.append(0.5 * (lo + hi))
-    return folds
+    """Frequencies where the HBM root count changes (fold points).
+
+    The amplitude relation, a cubic in u = A^2 with no root u <= 0, has
+    three positive roots where its discriminant is positive and one where it
+    is negative.  Scan points on a fold (discriminant 0) are skipped.
+    """
+    eps = cubic.epsilon
+    c3 = 0.5625 * eps * eps
+    c0 = -(b_amp**2)
+
+    def disc(s):
+        lin = 1.0 - kappa * s * s
+        c2 = 1.5 * eps * lin
+        c1 = lin * lin + (2.0 * xi * s) ** 2
+        return (18.0 * c3 * c2 * c1 * c0 - 4.0 * c2**3 * c0 + c2 * c2 * c1 * c1
+                - 4.0 * c3 * c1**3 - 27.0 * c3 * c3 * c0 * c0)
+
+    scan = [(s, v > 0.0) for s in np.linspace(s_lo, s_hi, n_scan + 1).tolist()
+            if (v := disc(s)) != 0.0]
+    return [brentq(disc, lo, hi, xtol=1e-15)
+            for (lo, three_lo), (hi, three_hi) in zip(scan, scan[1:])
+            if three_lo != three_hi]
 
 
 def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:
@@ -323,19 +324,15 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
 
 
 def _full_system_sweep_setup(p: Params):
-    from .equilibria import equilibria_in_period
-
     centers = [e for e in equilibria_in_period(p) if e.kind == CENTER]
     if not centers:
         raise ValueError("no center equilibrium to sweep about")
     center = max(centers, key=lambda e: e.theta)
     omega_n = math.sqrt(center.k_local / p.kappa)
 
-    from .integrate import _scalar_rhs
-
     def rhs_for_s(s, phase0):
         drive = s * omega_n
-        return _scalar_rhs(replace(p, omega_big0=drive, phi=phase0)), drive
+        return scalar_rhs(replace(p, omega_big0=drive, phi=phase0)), drive
 
     return rhs_for_s, (center.theta, 0.0)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Params, hamiltonian
+from .model import Params, hamiltonian, potential, scalar_rhs
 
 __all__ = [
     "IntegratorSpec",
@@ -280,38 +280,6 @@ def _refine_crossing(ta, ya, fa, tb, yb, fb, comp, target=0.0, tol=1e-10):
     return t_cross, theta, omega
 
 
-def _scalar_rhs(p: Params):
-    """Fast scalar right-hand side closure for the full system."""
-    a, b, g = p.alpha, p.beta, p.gamma
-    kap, xi = p.kappa, p.xi
-    m0, om0, phi = p.m_big0, p.omega_big0, p.phi
-    ab = a * b
-    sq = a * a + b * b
-    equal = a == b
-
-    def f(t, theta, omega):
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        if equal:
-            half = 0.5 * theta
-            sh = math.sin(half)
-            ch = math.cos(half)
-            mom = (ab + g) * st - a * math.copysign(1.0, sh) * ch if sh != 0.0 \
-                else (ab + g) * st
-            damp = ab * ch * ch
-        else:
-            d2 = sq - 2.0 * ab * ct
-            d = math.sqrt(d2)
-            mom = (ab * (1.0 - 1.0 / d) + g) * st
-            damp = (ab * st) ** 2 / d2
-        torque = -2.0 * xi * damp * omega - mom
-        if m0:
-            torque += m0 * math.sin(om0 * t + phi)
-        return omega, torque / kap
-
-    return f
-
-
 def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
                   step_cb=None) -> Trajectory:
     """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``."""
@@ -324,19 +292,13 @@ def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
 def integrate(p: Params, state0, spec: IntegratorSpec | None = None) -> Trajectory:
     """Integrate the full system; reports energy drift on conservative runs."""
     spec = spec or IntegratorSpec()
-    traj = integrate_rhs(_scalar_rhs(p), state0, spec)
+    traj = integrate_rhs(scalar_rhs(p), state0, spec)
     if p.xi == 0.0 and p.m_big0 == 0.0:
         h0 = hamiltonian(p, traj.states[0])
         energies = (0.5 * p.kappa * traj.states[:, 1] ** 2
-                    + _potential_array(p, traj.states[:, 0]))
+                    + potential(p, traj.states[:, 0]))
         traj.energy_drift = float(np.max(np.abs(energies - h0)))
     return traj
-
-
-def _potential_array(p: Params, thetas):
-    from .model import potential
-
-    return np.asarray(potential(p, thetas))
 
 
 def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
@@ -352,7 +314,7 @@ def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
         raise ValueError("free oscillation requires xi = 0 and M0 = 0")
     spec = replace(spec or IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13),
                    t_end=t_max)
-    f = _scalar_rhs(p)
+    f = scalar_rhs(p)
     crossings: list[tuple[float, float, int]] = []   # (time, theta, direction)
     theta0 = state0[0]
     wrap: list[tuple[float, float]] = []             # rotation: 2*pi advance
@@ -397,7 +359,7 @@ def poincare_section(p: Params, state0, n_points: int,
     if discard < 0:
         raise ValueError("discard must be nonnegative")
     base = spec or IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
-    f = _scalar_rhs(p)
+    f = scalar_rhs(p)
     t_drive = 2.0 * math.pi / p.omega_big0
     state = tuple(state0)
     t = 0.0
@@ -421,7 +383,7 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
     run restarted, at most three times.
     """
     base = spec or IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
-    f = _scalar_rhs(p)
+    f = scalar_rhs(p)
     interval = renorm_interval
     for attempt in range(4):
         try:

@@ -145,10 +145,10 @@ def reduce_system(p: Params, variant: str) -> ReducedSystem:
     k1, _ = stiffness_at_poles(p)
     theta3 = interior_angle(p)
     if variant == PENDULUM:
-        if not k1 < 0.0:
-            raise ValueError(
-                "pendulum reduction requires negative stiffness at theta = 0"
-            )
+        # alpha == beta gives k1 = -inf: a cusp, not a pendulum saddle
+        if not -math.inf < k1 < 0.0:
+            raise ValueError("pendulum reduction requires a finite "
+                             "negative stiffness at theta = 0")
     elif theta3 is None or not k1 < 0.0:
         raise ValueError(
             f"{variant} reduction requires the double-well structure "

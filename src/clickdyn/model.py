@@ -19,7 +19,7 @@ near-zero quantities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,13 +35,19 @@ __all__ = [
     "stiffness",
     "damping_factor",
     "hamiltonian",
-    "rhs_perturbed",
-    "rhs_unperturbed",
+    "scalar_potential",
+    "scalar_rhs",
     "is_smooth_at",
 ]
 
 # Radicand values more negative than this are treated as floating noise.
 _RADICAND_GUARD = -1e-15
+
+
+def _check_finite(params) -> None:
+    for f in fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,7 @@ class PhysicalParams:
     g: float = 9.81       # gravity, m/s^2
 
     def __post_init__(self):
+        _check_finite(self)
         for name in ("m", "k", "a", "b", "l", "d"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -82,6 +89,7 @@ class Params:
     phi: float = 0.0      # drive phase, rad
 
     def __post_init__(self):
+        _check_finite(self)
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ValueError("alpha and beta must be positive")
         if self.kappa <= 0.0:
@@ -211,19 +219,57 @@ def hamiltonian(p: Params, state) -> float:
     return 0.5 * p.kappa * omega**2 + float(potential(p, theta))
 
 
-def rhs_perturbed(p: Params, t: float, state) -> tuple[float, float]:
-    """Right-hand side of the forced damped first-order system."""
-    theta, omega = state
-    forcing = p.m_big0 * math.sin(p.omega_big0 * t + p.phi) if p.m_big0 else 0.0
-    domega = (
-        -2.0 * p.xi * float(damping_factor(p, theta)) * omega
-        - float(moment(p, theta))
-        + forcing
-    ) / p.kappa
-    return omega, domega
+def scalar_potential(p: Params):
+    """Closure ``V(theta)`` of :func:`potential` for one Python float.
+
+    Same operations in the same order as :func:`potential`, so it returns
+    the same bits, without the cost of numpy-scalar arithmetic.
+    """
+    g = p.gamma
+    sq = p.alpha**2 + p.beta**2
+    two_ab = 2.0 * p.alpha * p.beta
+
+    def v(theta):
+        ct = math.cos(theta)
+        r = sq - two_ab * ct
+        if r < 0.0:
+            r = 0.0 if r > _RADICAND_GUARD else math.nan
+        return 0.5 * (math.sqrt(r) - 1.0) ** 2 + g * (1.0 - ct)
+
+    return v
 
 
-def rhs_unperturbed(p: Params, state) -> tuple[float, float]:
-    """Right-hand side of the conservative system (xi = 0, M0 = 0)."""
-    theta, omega = state
-    return omega, -float(moment(p, theta)) / p.kappa
+def scalar_rhs(p: Params):
+    """Closure ``f(t, theta, omega) -> (theta', omega')`` of the full system.
+
+    The float-arithmetic form of :func:`moment`, :func:`damping_factor` and
+    the drive, for the integrator's inner loop.
+    """
+    a, b, g = p.alpha, p.beta, p.gamma
+    kap, xi = p.kappa, p.xi
+    m0, om0, phi = p.m_big0, p.omega_big0, p.phi
+    ab = a * b
+    sq = a * a + b * b
+    equal = a == b
+
+    def f(t, theta, omega):
+        ct = math.cos(theta)
+        st = math.sin(theta)
+        if equal:
+            half = 0.5 * theta
+            sh = math.sin(half)
+            ch = math.cos(half)
+            mom = (ab + g) * st - a * math.copysign(1.0, sh) * ch if sh != 0.0 \
+                else (ab + g) * st
+            damp = ab * ch * ch
+        else:
+            d2 = sq - 2.0 * ab * ct
+            d = math.sqrt(d2)
+            mom = (ab * (1.0 - 1.0 / d) + g) * st
+            damp = (ab * st) ** 2 / d2
+        torque = -2.0 * xi * damp * omega - mom
+        if m0:
+            torque += m0 * math.sin(om0 * t + phi)
+        return omega, torque / kap
+
+    return f

@@ -126,6 +126,14 @@ def test_phase_portrait_points_lie_on_their_levels(case):
     ("phase-portrait", "--levels", "0.1,inf"),
     ("melnikov", "--xi-values", ","),
     ("melnikov", "--xi-values", "0.1,nan"),
+    ("energy", "--gamma", "nan"),
+    ("equilibria", "--kappa", "inf"),
+    ("simulate", "--phi", "nan"),
+    ("simulate", "--t-end", "-1"),
+    ("simulate", "--t-end", "0"),
+    ("hbm", "--s-min", "2", "--s-max", "1"),
+    ("sweep", "--s-min", "1", "--s-max", "1"),
+    ("freevib", "--n", "0"),
 ])
 def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
                                                         argv):

@@ -5,8 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from clickdyn.elliptic import Waveform, complete_k, freevib_waveform, \
-    jacobi_sn_cn_dn
+from clickdyn.elliptic import Waveform, complete_k, jacobi_sn_cn_dn
 
 
 def test_complete_k_special_values():
@@ -87,7 +86,7 @@ def test_waveform_periods():
     quarter = complete_k(k)
     for branch, period in (("sn", 4 * quarter), ("cn", 4 * quarter),
                            ("dn", 2 * quarter)):
-        w = freevib_waveform(branch, 0.7, k)
+        w = Waveform(branch, 0.7, k)
         assert w.period == pytest.approx(period, rel=1e-14)
         for u in (0.3, 1.1, 2.9):
             assert w(u + w.period) == pytest.approx(w(u), abs=1e-10)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clickdyn.equilibria import (CENTER, SADDLE, bifurcation_set,
                                  classify_region, eigenvalues_at,
@@ -41,6 +43,24 @@ def test_interior_root_is_moment_zero():
     th = interior_angle(p)
     assert th is not None
     assert abs(float(moment(p, th))) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.booleans(),
+       st.floats(0.0, 0.5))
+def test_interior_angle_is_a_moment_root_and_a_center(a, b, cusp, gamma):
+    p = Params(alpha=a, beta=a if cusp else b, gamma=gamma)
+    k1, k2 = stiffness_at_poles(p)
+    # on the bifurcation sets the interior pair merges into a pole
+    assume(min(abs(k1), abs(k2)) > 1e-9)
+    th = interior_angle(p)
+    # the moment has a root between the poles when both are saddles
+    assert (th is not None) == (k1 < 0.0 and k2 < 0.0)
+    if th is None:
+        return
+    assert 0.0 < th < math.pi
+    assert abs(float(moment(p, th))) <= 1e-12
+    assert float(stiffness(p, th)) > 0.0
 
 
 def test_interior_angle_alpha_beta_symmetry():

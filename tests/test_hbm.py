@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clickdyn.equilibria import CENTER, equilibria_in_period
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic,
@@ -171,6 +173,23 @@ def test_fold_on_a_scan_point_is_reported_once():
     assert len(folds) == 2
     lo, hi = folds
     assert len(frf_amplitudes(*args, 0.5 * (lo + hi))) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.floats(0.005, 0.5),
+       st.floats(0.005, 0.05), st.floats(2.0, 6.0), st.floats(0.5, 2.0))
+def test_folds_separate_one_and_three_roots(sign, eps, xi, q, kappa):
+    # drive from the bistability measure q = 0.75*|eps|*a_pk^2/(2*xi),
+    # a_pk = B/(2*xi), so that most draws have folds in the scanned range
+    b = 2.0 * xi * math.sqrt(q * 2.0 * xi / (0.75 * eps))
+    cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
+    s_lo, s_hi = 0.5 / math.sqrt(kappa), 1.5 / math.sqrt(kappa)
+    folds = fold_frequencies(cubic, kappa, xi, b, s_lo, s_hi)
+    for fold in folds:
+        ds = 1e-7 * fold
+        counts = [len(frf_amplitudes(cubic, kappa, xi, b, s))
+                  for s in (fold - ds, fold + ds)]
+        assert sorted(counts) == [1, 3]
 
 
 def test_frf_curve_bundles_everything():

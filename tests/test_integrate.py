@@ -166,8 +166,9 @@ def test_segmented_runs_keep_the_state_in_python_floats(monkeypatch):
     from clickdyn.hbm import CubicApprox, sweep_hysteresis
 
     seen = set()
-    monkeypatch.setattr(integ, "_scalar_rhs",
-                        _recording(integ._scalar_rhs, seen))
+    monkeypatch.setattr(integ, "scalar_rhs",
+                        _recording(integ.scalar_rhs, seen))
+    monkeypatch.setattr(hbm, "scalar_rhs", _recording(hbm.scalar_rhs, seen))
     monkeypatch.setattr(hbm, "_cubic_rhs", _recording(hbm._cubic_rhs, seen))
     p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
     cubic = CubicApprox(omega_n=1.0, epsilon=0.1, origin_theta=0.0)

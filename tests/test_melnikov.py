@@ -56,6 +56,12 @@ def test_reduce_rejects_single_well():
         reduce_system(P_IV, "quintic")
 
 
+def test_pendulum_reduction_rejects_the_cusp():
+    # alpha == beta: k1 = -inf, so there is no pendulum stiffness
+    with pytest.raises(ValueError, match="finite"):
+        reduce_system(Params(alpha=1.0, beta=1.0), PENDULUM)
+
+
 def test_pendulum_closed_form_orbit_exact():
     # theta = 2*arctan(sinh T), omega = 2*sech T solves the unit pendulum
     r = _unit_pendulum()

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clickdyn.model import (Params, PhysicalParams, barrier_energies,
                             damping_factor, hamiltonian, is_smooth_at, moment,
-                            nondimensionalize, potential, rhs_perturbed,
-                            rhs_unperturbed, stiffness)
+                            nondimensionalize, potential, scalar_potential,
+                            scalar_rhs, stiffness)
 
 
 def _central(f, x, h=1e-5):
@@ -123,18 +126,57 @@ def test_hamiltonian():
                               abs=1e-15)
 
 
-def test_rhs_consistency():
-    p = Params(alpha=1.5, beta=1.0, gamma=0.1, kappa=1.3, xi=0.2,
-               m_big0=0.3, omega_big0=1.1, phi=0.4)
-    th, om = 0.6, -0.4
-    dth, dom = rhs_perturbed(p, 2.0, (th, om))
-    assert dth == om
-    expect = (-2.0 * p.xi * float(damping_factor(p, th)) * om
-              - float(moment(p, th))
-              + p.m_big0 * math.sin(p.omega_big0 * 2.0 + p.phi)) / p.kappa
-    assert dom == pytest.approx(expect, rel=1e-15)
-    dth0, dom0 = rhs_unperturbed(p, (th, om))
-    assert dom0 == pytest.approx(-float(moment(p, th)) / p.kappa, rel=1e-15)
+@st.composite
+def _field_point(draw):
+    """(alpha, beta, gamma, theta): a smooth point or one on the cusp line.
+
+    Smooth points keep |alpha - beta| >= 1e-3: closer to the cusp line the
+    radicand near theta = 0 is all rounding noise, which is why alpha ==
+    beta has its own half-angle form.
+    """
+    a = draw(st.floats(0.1, 3.0))
+    b = a if draw(st.booleans()) else draw(st.floats(0.1, 3.0))
+    assume(a == b or abs(a - b) >= 1e-3)
+    return (a, b, draw(st.floats(0.0, 0.5)),
+            draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_point(), st.floats(-1e3, 1e3))
+def test_scalar_kernels_match_the_fields(point, t):
+    a, b, g, theta = point
+    p = Params(alpha=a, beta=b, gamma=g, kappa=1.0)
+    ref_m = float(moment(p, theta))
+    ref_c = float(damping_factor(p, theta))
+    # xi = 0 leaves omega' = -M exactly.  At omega = 2**600 the xi = 1/2
+    # rhs is -c(theta) * 2**600 exactly: the moment lies below its last bit.
+    mom = -scalar_rhs(p)(t, theta, 0.0)[1]
+    damp = -scalar_rhs(replace(p, xi=0.5))(t, theta, 2.0**600)[1] * 2.0**-600
+    ref_v = float(potential(p, theta))
+    assert abs(scalar_potential(p)(theta) - ref_v) <= 2 * math.ulp(ref_v)
+    if a == b:
+        # the same operations, except that c(theta) rounds
+        # alpha^2 * cos(theta/2)^2 with libm squares against three products
+        assert abs(mom - ref_m) <= 2 * math.ulp(ref_m)
+        assert abs(damp - ref_c) <= 4 * math.ulp(ref_c)
+    else:
+        # the same operations, except that the radicand squares alpha and
+        # beta as alpha * alpha where the fields call libm's pow, which is
+        # an ulp off for about 0.1 % of inputs; that ulp of the radicand D^2
+        # enters M through 1/D and c through 1/D^2
+        sq = a * a + b * b
+        d2 = sq - 2.0 * a * b * math.cos(theta)
+        slack = 2.0 * math.ulp(sq) / d2
+        assert abs(mom - ref_m) <= 2 * math.ulp(ref_m) + 0.5 * slack * abs(
+            a * b * math.sin(theta)) / math.sqrt(d2)
+        assert abs(damp - ref_c) <= 2 * math.ulp(ref_c) + slack * ref_c
+    # the drive adds M0*sin(Omega0*t + phi) to the torque
+    forced = replace(p, xi=0.3, kappa=1.7, m_big0=0.2, omega_big0=1.3,
+                     phi=0.4)
+    free_torque = scalar_rhs(replace(forced, m_big0=0.0, kappa=1.0))(
+        t, theta, -0.7)[1]
+    assert scalar_rhs(forced)(t, theta, -0.7) == (
+        -0.7, (free_torque + 0.2 * math.sin(1.3 * t + 0.4)) / 1.7)
 
 
 def test_nondimensionalize():
@@ -160,3 +202,11 @@ def test_param_validation():
         Params(alpha=1.0, xi=-0.1)
     with pytest.raises(ValueError):
         PhysicalParams(m=0.0, k=1.0, c=0.0, a=1.0, b=1.0, l=1.0, d=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Params(alpha=bad)
+        with pytest.raises(ValueError, match="finite"):
+            Params(alpha=1.0, phi=bad)
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalParams(m=1.0, k=1.0, c=0.0, a=1.0, b=1.0, l=1.0, d=1.0,
+                           omega0=bad)
