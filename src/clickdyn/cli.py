@@ -37,71 +37,126 @@ class ConfigError(ValueError):
 
 _PARAM_KEYS = ("alpha", "beta", "gamma", "kappa", "xi", "m0", "omega0", "phi")
 
-# per-subcommand option tables: name -> (type, default)
+def _float_list(text: str) -> list[float]:
+    """Comma-separated finite floats, e.g. ``0.1,0.2``; ValueError if not."""
+    values = [float(tok) for tok in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{text!r} holds a non-finite value")
+    return values
+
+
+# Option validators: check(value, options) -> None, or what is wrong.  They
+# see the resolved options, so a range end can be checked against its start.
+def _finite(v, o):
+    return None if math.isfinite(v) else "must be finite"
+
+
+def _positive(v, o):
+    return None if 0.0 < v < math.inf else "must be positive and finite"
+
+
+def _nonnegative(v, o):
+    return None if 0.0 <= v < math.inf else "must be nonnegative and finite"
+
+
+def _at_least(lo):
+    return lambda v, o: None if v >= lo else f"must be >= {lo}"
+
+
+def _above(key):
+    return lambda v, o: (None if o[key] < v < math.inf
+                         else f"must be finite and > {key}")
+
+
+def _one_of(*choices):
+    return lambda v, o: (None if v in choices
+                         else f"must be one of {', '.join(choices)}")
+
+
+def _numbers(v, o):
+    try:
+        _float_list(v)
+    except ValueError:
+        return "must be comma-separated finite numbers"
+    return None
+
+
+def _numbers_or_empty(v, o):
+    return None if v == "" else _numbers(v, o)
+
+
+def _any(v, o):
+    return None
+
+
+# per-subcommand option tables: name -> (type, default, validator)
 _GRID_OPTS = {
-    "theta_min": (float, -math.pi),
-    "theta_max": (float, math.pi),
-    "n": (int, 401),
+    "theta_min": (float, -math.pi, _finite),
+    "theta_max": (float, math.pi, _above("theta_min")),
+    "n": (int, 401, _at_least(1)),
+}
+_STATE_OPTS = {
+    "theta0": (float, 0.1, _finite),
+    "omega0_state": (float, 0.0, _finite),
 }
 _OPTIONS: dict[str, dict] = {
     "energy": dict(_GRID_OPTS),
     "moment": dict(_GRID_OPTS),
     "stiffness": dict(_GRID_OPTS),
     "phase-portrait": {
-        "n": (int, 401),
-        "omega_max": (float, 2.0),
-        "n_levels": (int, 12),
-        "levels": (str, ""),
+        "n": (int, 401, _at_least(2)),
+        "omega_max": (float, 2.0, _positive),
+        "n_levels": (int, 12, _at_least(1)),
+        "levels": (str, "", _numbers_or_empty),
     },
     "equilibria": {},
     "bifurcation-set": {
-        "variant": (str, "B1"),
-        "alpha_min": (float, 0.05),
-        "alpha_max": (float, 3.0),
-        "beta_min": (float, 0.05),
-        "beta_max": (float, 3.0),
-        "n": (int, 201),
+        "variant": (str, "B1", _one_of("B0", "B1", "B2")),
+        "alpha_min": (float, 0.05, _positive),
+        "alpha_max": (float, 3.0, _above("alpha_min")),
+        "beta_min": (float, 0.05, _positive),
+        "beta_max": (float, 3.0, _above("beta_min")),
+        "n": (int, 201, _at_least(1)),
     },
-    "freevib": {"branch": (str, "all"), "n": (int, 30)},
+    "freevib": {"branch": (str, "all", _any), "n": (int, 30, _at_least(1))},
     "hbm": {
-        "s_min": (float, 0.1),
-        "s_max": (float, 2.0),
-        "n": (int, 400),
-        "drive": (float, 0.05),
+        "s_min": (float, 0.1, _positive),
+        "s_max": (float, 2.0, _above("s_min")),
+        "n": (int, 400, _at_least(1)),
+        "drive": (float, 0.05, _nonnegative),
     },
     "melnikov": {
-        "variant": (str, "duffing"),
-        "omega_min": (float, 0.2),
-        "omega_max": (float, 3.0),
-        "n_omega": (int, 30),
-        "xi_values": (str, "0.1,0.2,0.4"),
-        "method": (str, "numeric"),
+        "variant": (str, "duffing",
+                    _one_of(melnikov.DUFFING, melnikov.PENDULUM,
+                            melnikov.SOFT_CUBIC)),
+        "omega_min": (float, 0.2, _positive),
+        "omega_max": (float, 3.0, _above("omega_min")),
+        "n_omega": (int, 30, _at_least(1)),
+        "xi_values": (str, "0.1,0.2,0.4", _numbers),
+        "method": (str, "numeric", _one_of("numeric", "printed")),
     },
     "simulate": {
-        "theta0": (float, 0.1),
-        "omega0_state": (float, 0.0),
-        "t_end": (float, 100.0),
-        "rel_tol": (float, 1e-10),
-        "abs_tol": (float, 1e-12),
+        **_STATE_OPTS,
+        "t_end": (float, 100.0, _positive),
+        "rel_tol": (float, 1e-10, _positive),
+        "abs_tol": (float, 1e-12, _positive),
     },
     "sweep": {
-        "s_min": (float, 0.5),
-        "s_max": (float, 1.5),
-        "n": (int, 60),
-        "drive": (float, 0.05),
-        "epsilon": (float, 0.0),
+        "s_min": (float, 0.5, _positive),
+        "s_max": (float, 1.5, _above("s_min")),
+        "n": (int, 60, _at_least(1)),
+        "drive": (float, 0.05, _nonnegative),
+        "epsilon": (float, 0.0, _finite),
     },
     "lyapunov": {
-        "theta0": (float, 0.1),
-        "omega0_state": (float, 0.0),
-        "horizon": (float, 2000.0),
-        "interval": (float, 5.0),
+        **_STATE_OPTS,
+        "horizon": (float, 2000.0, _positive),
+        "interval": (float, 5.0, _positive),
     },
     "poincare": {
-        "theta0": (float, 0.1),
-        "omega0_state": (float, 0.0),
-        "n_points": (int, 200),
-        "discard": (int, 200),
+        **_STATE_OPTS,
+        "n_points": (int, 200, _at_least(1)),
+        "discard": (int, 200, _at_least(0)),
     },
 }
 
@@ -169,6 +224,10 @@ def parse_config(command: str, args) -> dict:
         flag = getattr(args, f"opt_{key}", None)
         if flag is not None:
             opts[key] = flag
+    for key, (_kind, _default, check) in valid_opts.items():
+        problem = check(opts[key], opts)
+        if problem:
+            raise ConfigError(f"{key} {problem}, got {opts[key]!r}")
     return {"command": command, "params": params_kw, "options": opts,
             "_params_obj": params}
 
@@ -201,20 +260,6 @@ def _run_stiffness(p: Params, opts) -> list[Dataset]:
     return [Dataset("stiffness", ("theta", "stiffness"), rows)]
 
 
-def _float_list(text: str, name: str) -> list[float]:
-    """Comma-separated finite floats, e.g. ``0.1,0.2``."""
-    values = []
-    for tok in text.split(","):
-        try:
-            v = float(tok)
-        except ValueError:
-            raise ConfigError(f"{name}: {tok!r} is not a number") from None
-        if not math.isfinite(v):
-            raise ConfigError(f"{name}: {tok!r} is not finite")
-        values.append(v)
-    return values
-
-
 def _bisect_potential(p: Params, lo, hi, target):
     """Angles in [lo, hi] where potential = target; each bracket straddles it.
 
@@ -240,14 +285,8 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
     levels pass through the saddles.
     """
     n, omega_max = opts["n"], opts["omega_max"]
-    if n < 2:
-        raise ConfigError(f"n must be >= 2, got {n}")
-    if opts["n_levels"] < 1:
-        raise ConfigError(f"n_levels must be >= 1, got {opts['n_levels']}")
-    if not omega_max > 0.0:
-        raise ConfigError(f"omega_max must be positive, got {omega_max}")
     if opts["levels"]:
-        levels = _float_list(opts["levels"], "levels")
+        levels = _float_list(opts["levels"])
     else:
         h1, h2 = barrier_energies(p)
         top = max(h1, h2) * 2.0 if max(h1, h2) > 0 else 1.0
@@ -308,20 +347,16 @@ def _run_equilibria(p: Params, opts) -> list[Dataset]:
 def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
     variant = opts["variant"]
     a_grid = np.linspace(opts["alpha_min"], opts["alpha_max"], opts["n"])
-    if variant in ("B1", "B2"):
-        b_grid = np.linspace(opts["beta_min"], opts["beta_max"], opts["n"])
-        curve = eq.bifurcation_set(variant, p.gamma, a_grid, b_grid)
-    elif variant == "B0":
+    if variant == "B0":
         curve = eq.zero_stiffness_set(p.beta, p.gamma, a_grid)
     else:
-        raise ConfigError(f"variant must be B0, B1 or B2, got {variant!r}")
+        b_grid = np.linspace(opts["beta_min"], opts["beta_max"], opts["n"])
+        curve = eq.bifurcation_set(variant, p.gamma, a_grid, b_grid)
     rows = [tuple(float(v) for v in row) for row in curve.samples]
     return [Dataset(f"bifurcation_{variant}", curve.columns, rows)]
 
 
 def _run_freevib(p: Params, opts) -> list[Dataset]:
-    if opts["n"] < 1:
-        raise ConfigError(f"n must be >= 1, got {opts['n']}")
     bands = freevib.energy_bands(p)
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
     out = []
@@ -349,14 +384,7 @@ def _working_center(p: Params):
     return max(centers, key=lambda e: e.theta)
 
 
-def _check_s_range(opts) -> None:
-    if not opts["s_min"] < opts["s_max"]:
-        raise ConfigError(f"need s_min < s_max, got {opts['s_min']} "
-                          f"and {opts['s_max']}")
-
-
 def _run_hbm(p: Params, opts) -> list[Dataset]:
-    _check_s_range(opts)
     center = _working_center(p)
     cubic = hbm.fit_cubic(p, center)
     b_amp = opts["drive"]
@@ -382,7 +410,7 @@ def _run_melnikov(p: Params, opts) -> list[Dataset]:
     reduced = melnikov.reduce_system(p, opts["variant"])
     omega_grid = np.linspace(opts["omega_min"], opts["omega_max"],
                              opts["n_omega"])
-    xi_grid = np.asarray(_float_list(opts["xi_values"], "xi_values"))
+    xi_grid = np.asarray(_float_list(opts["xi_values"]))
     grid = melnikov.threshold_grid(reduced, omega_grid, xi_grid,
                                    opts["method"])
     rows = []
@@ -400,8 +428,6 @@ def _run_melnikov(p: Params, opts) -> list[Dataset]:
 
 
 def _run_simulate(p: Params, opts) -> list[Dataset]:
-    if not opts["t_end"] > 0.0:
-        raise ConfigError(f"t_end must be positive, got {opts['t_end']}")
     spec = IntegratorSpec(rel_tol=opts["rel_tol"], abs_tol=opts["abs_tol"],
                           t_end=opts["t_end"])
     traj = integrate(p, (opts["theta0"], opts["omega0_state"]), spec)
@@ -415,7 +441,6 @@ def _run_simulate(p: Params, opts) -> list[Dataset]:
 
 
 def _run_sweep(p: Params, opts) -> list[Dataset]:
-    _check_s_range(opts)
     if opts["epsilon"] != 0.0:
         cubic = hbm.CubicApprox(omega_n=1.0 / math.sqrt(p.kappa),
                                 epsilon=opts["epsilon"], origin_theta=0.0)
@@ -431,8 +456,10 @@ def _run_sweep(p: Params, opts) -> list[Dataset]:
     jumps = [("up", float(s)) for s in result.up_jumps] + \
             [("down", float(s)) for s in result.down_jumps]
     return [
-        Dataset("sweep_up", ("s", "amplitude"), up),
-        Dataset("sweep_down", ("s", "amplitude"), down),
+        Dataset("sweep_up", ("s", "amplitude"), up,
+                metadata={"unsettled": len(result.up_unsettled)}),
+        Dataset("sweep_down", ("s", "amplitude"), down,
+                metadata={"unsettled": len(result.down_unsettled)}),
         Dataset("sweep_jumps", ("direction", "s"), jumps),
     ]
 
@@ -487,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--keep-partial", action="store_true")
         for key in _PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
-        for key, (typ, _default) in opts.items():
+        for key, (typ, _default, _check) in opts.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             type=typ, default=None)
     return parser

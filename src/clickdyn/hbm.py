@@ -23,7 +23,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .equilibria import CENTER, Equilibrium, equilibria_in_period
-from .integrate import IntegratorSpec, integrate_rhs
+from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
+                        integrate_rhs)
 from .model import Params, moment, scalar_rhs
 
 __all__ = [
@@ -70,6 +71,8 @@ class SweepResult:
     down_amplitude: np.ndarray
     up_jumps: list[float]
     down_jumps: list[float]
+    up_unsettled: list[float]      # s where no stable period-1 orbit was
+    down_unsettled: list[float]    # found within the transient cap
 
 
 def _derivatives(mfun, x0: float, step: float) -> tuple[float, float, float]:
@@ -235,40 +238,123 @@ def frf_curve(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
     return FrfBranch(s_values, amps, phases, folds, bb)
 
 
-def _steady_amplitude(f, state, t0, t_drive, spec):
-    """Integrate until the per-20-period amplitude settles within 0.1%."""
-    amp_prev = None
-    settled = 0
-    t = t0
-    for _ in range(60):          # at most 1200 drive periods
-        block_peaks = []
-        for _ in range(20):
-            traj = integrate_rhs(f, state, replace(spec, t_end=t + t_drive),
-                                 t0=t)
-            block_peaks.append(0.5 * (traj.states[:, 0].max()
-                                      - traj.states[:, 0].min()))
-            state = tuple(traj.states[-1])
-            t = float(traj.times[-1])
-        amp = max(block_peaks)
-        if amp_prev is not None and abs(amp - amp_prev) <= 1e-3 * max(amp, 1e-12):
-            # one agreeing block can be a slow fly-by of a vanished branch;
-            # ask for two in a row before declaring steady state
-            settled += 1
-            if settled >= 2:
-                return amp, state, t
-        else:
-            settled = 0
-        amp_prev = amp
-    return amp_prev, state, t
+# Newton shooting on the period map: at most _NEWTON_ITER iterates per
+# attempt, a transient of _BLOCK periods between attempts, and at most about
+# _MAX_PERIODS periods integrated per sweep point, shots included.
+_NEWTON_ITER = 8
+_BLOCK = 20
+_MAX_PERIODS = 1200
+
+
+def _period(f, x, one_period):
+    """The period map: ``(P(x), trajectory over that period)``."""
+    traj = integrate_rhs(f, x, one_period)
+    return tuple(traj.states[-1].tolist()), traj
+
+
+def _monodromy(period, x, px, delta):
+    """Finite-difference Jacobian of P at x, row-major (a, b, c, d)."""
+    pt = period((x[0] + delta, x[1]))[0]
+    po = period((x[0], x[1] + delta))[0]
+    return ((pt[0] - px[0]) / delta, (po[0] - px[0]) / delta,
+            (pt[1] - px[1]) / delta, (po[1] - px[1]) / delta)
+
+
+def _stable(m):
+    """Both eigenvalues of the 2x2 matrix m inside the unit circle (Jury)."""
+    det = m[0] * m[3] - m[1] * m[2]
+    return abs(det) < 1.0 and abs(m[0] + m[3]) < 1.0 + det
+
+
+def _shoot(period, x, px, traj, rel_tol):
+    """Stable period-1 orbit near x, as ``(x*, its trajectory)``, or None.
+
+    Newton on P(x) = x from x and ``px, traj = period(x)``, with a
+    finite-difference monodromy; the tolerance and the difference step
+    scale with the integrator's rel_tol.  An attempt is abandoned as
+    soon as the residual fails to halve.  A converged orbit is accepted
+    only if its Floquet multipliers (the eigenvalues of the monodromy at
+    the last iterate) lie inside the unit circle, which rejects the
+    unstable middle branch.
+    """
+    m = None
+    res_prev = math.inf
+    try:
+        for _ in range(_NEWTON_ITER):
+            scale = 1.0 + math.hypot(x[0], x[1])
+            rt, ro = px[0] - x[0], px[1] - x[1]
+            res = math.hypot(rt, ro)
+            if res <= rel_tol * scale:
+                if m is None:
+                    m = _monodromy(period, x, px, math.sqrt(rel_tol) * scale)
+                return (x, traj) if _stable(m) else None
+            if not res <= 0.5 * res_prev:
+                return None
+            res_prev = res
+            m = _monodromy(period, x, px, math.sqrt(rel_tol) * scale)
+            a, b, c, d = m[0] - 1.0, m[1], m[2], m[3] - 1.0
+            det = a * d - b * c
+            if det == 0.0:
+                return None
+            x = (x[0] - (d * rt - b * ro) / det,
+                 x[1] - (a * ro - c * rt) / det)
+            px, traj = period(x)
+    except (ArithmeticError, StepUnderflow):
+        pass    # a Newton step far off the attractor escaped to infinity
+    return None
+
+
+def _orbit_amplitude(f, traj):
+    """Half the spread of theta over a trajectory.
+
+    The extremes are the turning points (zeros of omega) refined on the
+    accepted steps, so they do not depend on where the steps land.
+    """
+    times = traj.times.tolist()
+    states = traj.states.tolist()
+    thetas = [th for th, _ in states]
+    for ta, tb, ya, yb in zip(times, times[1:], states, states[1:]):
+        if ya[1] * yb[1] < 0.0:
+            thetas.append(_refine_crossing(ta, ya, f(ta, *ya), tb, yb,
+                                           f(tb, *yb), comp=1)[1])
+    return 0.5 * (max(thetas) - min(thetas))
+
+
+def _steady_amplitude(f, state, t_drive, spec):
+    """Amplitude and state of the stable period-1 orbit reached from state.
+
+    Shoots from the carried state; when that fails (past a fold the carried
+    branch has vanished) it integrates a transient of _BLOCK periods and
+    shoots again, until _MAX_PERIODS periods are spent.  Returns
+    ``(amplitude, state, settled)``; ``settled`` is False when no stable
+    orbit was found within the cap.
+    """
+    one_period = replace(spec, t_end=t_drive)
+    spent = 0
+
+    def period(x):
+        nonlocal spent
+        spent += 1
+        return _period(f, x, one_period)
+
+    px, traj = period(state)
+    while spent < _MAX_PERIODS:
+        orbit = _shoot(period, state, px, traj, spec.rel_tol)
+        if orbit is not None:
+            return _orbit_amplitude(f, orbit[1]), orbit[0], True
+        for _ in range(_BLOCK):
+            state = px
+            px, traj = period(state)
+    return _orbit_amplitude(f, traj), px, False
 
 
 def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
-               s: float, phase0: float = 0.0):
+               s: float):
     eps = cubic.epsilon
 
     def f(t, x, v):
         return v, (-2.0 * xi * v - x - eps * x**3
-                   + b_amp * math.sin(s * t + phase0)) / kappa
+                   + b_amp * math.sin(s * t)) / kappa
 
     return f
 
@@ -281,6 +367,11 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
     ``system`` is either a full :class:`~clickdyn.model.Params` (swept in
     the ratio s = Omega0 / Omega_n about its interior center) or a tuple
     ``(CubicApprox, kappa, xi, B)`` for the canonical cubic oscillator.
+    The response at each s is the stable period-1 orbit found by Newton
+    shooting from the previous one, with a transient fallback past a fold
+    (:func:`_steady_amplitude`); its amplitude is half the spread of the
+    refined turning angles.  Points where no stable orbit was found within
+    the transient cap are listed in ``up_unsettled``/``down_unsettled``.
     Jumps are flagged where the amplitude increment exceeds 5x the sweep's
     median increment.
     """
@@ -290,37 +381,32 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
     else:
         cubic, kappa, xi, b_amp = system
 
-        def rhs_for_s(s, phase0):
-            return _cubic_rhs(cubic, kappa, xi, b_amp, s, phase0), s
+        def rhs_for_s(s):
+            return _cubic_rhs(cubic, kappa, xi, b_amp, s), s
 
         x0 = (0.0, 0.0)
 
     def run(s_values):
+        # every s starts at drive phase 0, where the last one ended
         state = x0
-        phase0 = 0.0     # drive phase carried continuously across s steps
-        amps = []
-        for s in s_values:
-            f, drive_freq = rhs_for_s(float(s), phase0)
-            t_drive = 2.0 * math.pi / drive_freq
-            amp, state, elapsed = _steady_amplitude(f, state, 0.0, t_drive,
-                                                    spec)
-            phase0 = math.fmod(phase0 + drive_freq * elapsed,
-                               2.0 * math.pi)
+        amps, unsettled = [], []
+        for s in s_values.tolist():
+            f, drive_freq = rhs_for_s(s)
+            amp, state, settled = _steady_amplitude(
+                f, state, 2.0 * math.pi / drive_freq, spec)
             amps.append(amp)
-        return np.asarray(amps)
+            if not settled:
+                unsettled.append(s)
+        return np.asarray(amps), unsettled
 
     s_up = np.linspace(s_lo, s_hi, n_steps)
-    up_amps = run(s_up)
-    up_jumps = _detect_jumps(s_up, up_amps)
-    if direction_both:
-        s_down = s_up[::-1]
-        down_amps = run(s_down)
-        down_jumps = _detect_jumps(s_down, down_amps)
-    else:
-        s_down = np.empty(0)
-        down_amps = np.empty(0)
-        down_jumps = []
-    return SweepResult(s_up, up_amps, s_down, down_amps, up_jumps, down_jumps)
+    up_amps, up_unsettled = run(s_up)
+    s_down = s_up[::-1] if direction_both else np.empty(0)
+    down_amps, down_unsettled = run(s_down)
+    return SweepResult(s_up, up_amps, s_down, down_amps,
+                       _detect_jumps(s_up, up_amps),
+                       _detect_jumps(s_down, down_amps),
+                       up_unsettled, down_unsettled)
 
 
 def _full_system_sweep_setup(p: Params):
@@ -330,9 +416,9 @@ def _full_system_sweep_setup(p: Params):
     center = max(centers, key=lambda e: e.theta)
     omega_n = math.sqrt(center.k_local / p.kappa)
 
-    def rhs_for_s(s, phase0):
+    def rhs_for_s(s):
         drive = s * omega_n
-        return scalar_rhs(replace(p, omega_big0=drive, phi=phase0)), drive
+        return scalar_rhs(replace(p, omega_big0=drive, phi=0.0)), drive
 
     return rhs_for_s, (center.theta, 0.0)
 

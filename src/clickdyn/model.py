@@ -139,9 +139,13 @@ def _radical(p: Params, theta):
 
 
 def potential(p: Params, theta):
-    """Dimensionless potential energy; even and 2*pi-periodic in theta."""
-    d = _radical(p, theta)
-    return 0.5 * (d - 1.0) ** 2 + p.gamma * (1.0 - np.cos(theta))
+    """Dimensionless potential energy; even and 2*pi-periodic in theta.
+
+    The square is a product: ``** 2`` squares arrays exactly but calls
+    libm's pow on scalars, which can be an ulp off.
+    """
+    e = _radical(p, theta) - 1.0
+    return 0.5 * (e * e) + p.gamma * (1.0 - np.cos(theta))
 
 
 def barrier_energies(p: Params) -> tuple[float, float]:
@@ -234,7 +238,8 @@ def scalar_potential(p: Params):
         r = sq - two_ab * ct
         if r < 0.0:
             r = 0.0 if r > _RADICAND_GUARD else math.nan
-        return 0.5 * (math.sqrt(r) - 1.0) ** 2 + g * (1.0 - ct)
+        e = math.sqrt(r) - 1.0
+        return 0.5 * (e * e) + g * (1.0 - ct)
 
     return v
 

@@ -1,14 +1,19 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clickdyn.hbm as hbm
+from clickdyn.cli import main
 from clickdyn.equilibria import CENTER, equilibria_in_period
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic,
                           fit_cubic_from_function, fold_frequencies,
                           frf_amplitudes, frf_curve, sweep_hysteresis)
+from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
 from clickdyn.model import Params
 
 
@@ -218,3 +223,142 @@ def test_linear_sweep_no_hysteresis():
     assert res.down_jumps == []
     np.testing.assert_allclose(res.up_amplitude, res.down_amplitude[::-1],
                                rtol=1e-2)
+
+
+# Newton shooting on the period map (hbm._steady_amplitude).  The cubic of
+# acceptance check 08: folds at s = 0.97395 and 0.97798.
+CUBIC08 = (CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0),
+           1.0, 0.01, 0.05)
+SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
+
+
+def _period_map(s):
+    f = hbm._cubic_rhs(*CUBIC08, s)
+    one = replace(SPEC, t_end=2.0 * math.pi / s)
+    return f, one, (lambda x: hbm._period(f, x, one))
+
+
+def _hbm_state(s, root):
+    """State at t = 0 of the HBM orbit A*sin(s*t - phi) of the given root."""
+    a, phi = frf_amplitudes(*CUBIC08, s)[root]
+    return (-a * math.sin(phi), a * s * math.cos(phi))
+
+
+@pytest.fixture(scope="module")
+def sweep08():
+    return sweep_hysteresis(CUBIC08, 0.960, 0.990, 7)
+
+
+@pytest.mark.parametrize("s, root", [(0.968, 0), (0.976, 0), (0.976, 2)])
+def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
+    f, one, period = _period_map(s)
+    amp, x, settled = hbm._steady_amplitude(f, _hbm_state(s, root),
+                                            one.t_end, SPEC)
+    assert settled
+    px = period(x)[0]
+    scale = 1.0 + math.hypot(*x)
+    assert math.hypot(px[0] - x[0], px[1] - x[1]) <= SPEC.rel_tol * scale
+    m = hbm._monodromy(period, x, px, math.sqrt(SPEC.rel_tol) * scale)
+    assert np.all(np.abs(np.linalg.eigvals(np.reshape(m, (2, 2)))) < 1.0)
+    # the low and the high branch of the three-root band
+    assert amp == pytest.approx(frf_amplitudes(*CUBIC08, s)[root][0],
+                                rel=0.05)
+
+
+def test_unstable_middle_branch_is_rejected(monkeypatch):
+    s = 0.976
+    f, one, period = _period_map(s)
+    x = _hbm_state(s, 1)
+    # Newton converges on the middle branch, a saddle of P ...
+    verdicts = []
+    stable = hbm._stable
+    monkeypatch.setattr(hbm, "_stable",
+                        lambda m: verdicts.append(stable(m)) or verdicts[-1])
+    assert hbm._shoot(period, x, *period(x), SPEC.rel_tol) is None
+    assert verdicts == [False]
+    monkeypatch.undo()
+    # ... so the sweep leaves it for one of the stable branches
+    amp, _, settled = hbm._steady_amplitude(f, x, one.t_end, SPEC)
+    low, mid, high = (a for a, _ in frf_amplitudes(*CUBIC08, s))
+    assert settled
+    assert min(abs(amp - low), abs(amp - high)) < 0.05 * mid
+
+
+def _transient_amplitude(s, periods=1000):
+    """Half-spread of the refined turning angles over the last period of
+    one uninterrupted run of ``periods`` drive periods from rest."""
+    f = hbm._cubic_rhs(*CUBIC08, s)
+    t_drive = 2.0 * math.pi / s
+    turns = []
+
+    def cb(ta, ya, fa, tb, yb, fb):
+        if ta >= (periods - 1) * t_drive and ya[1] * yb[1] < 0.0:
+            turns.append(_refine_crossing(ta, ya, fa, tb, yb, fb, comp=1)[1])
+
+    integrate_rhs(f, (0.0, 0.0),
+                  IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11,
+                                 t_end=periods * t_drive), step_cb=cb)
+    return 0.5 * (max(turns) - min(turns))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_sweep_amplitude_matches_a_long_transient(sweep08, k):
+    # off the folds; the parent's 0.1 % settle rule missed this by ~1e-4
+    s = float(sweep08.up_s[k])
+    assert sweep08.up_amplitude[k] == pytest.approx(_transient_amplitude(s),
+                                                    rel=1e-6)
+
+
+def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
+    # the high branch at s = 0.9745 ends at the lower fold 0.97395; the
+    # first grid point past it has only the low branch
+    f, one, _ = _period_map(0.9745)
+    high, x, _ = hbm._steady_amplitude(f, _hbm_state(0.9745, 2), one.t_end,
+                                       SPEC)
+    s = 0.9735
+    f, one, period = _period_map(s)
+    px, traj = period(x)
+    calls = []
+    assert hbm._shoot(lambda y: calls.append(y) or period(y), x, px, traj,
+                      SPEC.rel_tol) is None
+    # the first Newton step does not halve the residual: the attempt ends
+    # there, after the two monodromy columns and one period map
+    assert len(calls) == 3
+    shots = []
+    shoot = hbm._shoot
+    monkeypatch.setattr(hbm, "_shoot",
+                        lambda *a: shots.append(shoot(*a)) or shots[-1])
+    amp, _, settled = hbm._steady_amplitude(f, x, one.t_end, SPEC)
+    assert settled and len(shots) > 1 and shots[0] is None
+    (low, _), = frf_amplitudes(*CUBIC08, s)
+    assert amp == pytest.approx(low, rel=0.05)
+    assert amp < 0.5 * high
+
+
+def test_up_and_down_sweeps_agree_outside_the_hysteresis_band(sweep08):
+    lo, hi = fold_frequencies(*CUBIC08, 0.960, 0.990)
+    down = dict(zip(sweep08.down_s.tolist(),
+                    sweep08.down_amplitude.tolist()))
+    outside = [(s, a) for s, a in zip(sweep08.up_s.tolist(),
+                                      sweep08.up_amplitude.tolist())
+               if not lo <= s <= hi]
+    assert len(outside) == 6
+    for s, a in outside:
+        assert a == pytest.approx(down[s], rel=1e-6)
+    assert sweep08.up_unsettled == [] and sweep08.down_unsettled == []
+
+
+def test_unsettled_points_are_flagged(monkeypatch, tmp_path):
+    # Cross-well chaos (largest Lyapunov exponent about +0.08): no stable
+    # period-1 orbit, so no shot is accepted however long the transient.
+    monkeypatch.setattr(hbm, "_MAX_PERIODS", 60)
+    p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.25)
+    res = sweep_hysteresis(p, 0.8, 0.81, 2, direction_both=False)
+    assert res.up_unsettled == res.up_s.tolist()
+    assert np.all(np.isfinite(res.up_amplitude))
+    assert main(["sweep", "--alpha", "1.5", "--beta", "1", "--xi", "0.1",
+                 "--m0", "0.25", "--s-min", "0.8", "--s-max", "0.81",
+                 "--n", "2", "--out", str(tmp_path)]) == 0
+    files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert files["sweep_up"]["metadata"] == {"unsettled": 2}
+    assert files["sweep_down"]["metadata"] == {"unsettled": 2}
