@@ -260,21 +260,6 @@ def _run_stiffness(p: Params, opts) -> list[Dataset]:
     return [Dataset("stiffness", ("theta", "stiffness"), rows)]
 
 
-def _bisect_potential(p: Params, lo, hi, target):
-    """Angles in [lo, hi] where potential = target; each bracket straddles it.
-
-    Halves every bracket until its ends are adjacent floats.
-    """
-    lo_above = np.asarray(potential(p, lo)) > target
-    while True:
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            return mid
-        same = (np.asarray(potential(p, mid)) > target) == lo_above
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-
-
 def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
     """Level sets of H = kappa*omega^2/2 + V(theta) in |omega| <= omega_max.
 
@@ -296,24 +281,22 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
             if barrier > 0.0:
                 levels.append(barrier)      # separatrix level sets
         levels = sorted(set(levels))
-    # V is monotone between its critical points, the poles and +-theta_c:
-    # with them on the grid every crossing is a sign change there.
+    # the critical points of V on the grid put separatrix levels through
+    # the saddles
     theta_c = eq.interior_angle(p)
     extrema = [0.0] if theta_c is None else [0.0, -theta_c, theta_c]
     grid = np.union1d(np.linspace(-math.pi, math.pi, n), extrema)
     v = np.asarray(potential(p, grid))
-    tops = np.asarray(levels, dtype=float)
-    floors = tops - 0.5 * p.kappa * omega_max**2
-    bounds = np.concatenate([tops, floors])
-    gap = v - bounds[:, None]
-    which, cell = np.nonzero(gap[:, :-1] * gap[:, 1:] < 0.0)
-    crossings = _bisect_potential(p, grid[cell], grid[cell + 1],
-                                  bounds[which])
     rows = []
-    for i, (top, floor) in enumerate(zip(tops, floors)):
-        mine = (which == i) | (which == i + len(tops))
-        theta = np.concatenate([grid, crossings[mine]])
-        v_all = np.concatenate([v, bounds[which[mine]]])
+    for top in map(float, levels):
+        floor = top - 0.5 * p.kappa * omega_max**2
+        crossings, v_cross = [], []
+        for bound in (top, floor):
+            roots = freevib.level_angles(p, bound)
+            crossings += [-r for r in reversed(roots)] + roots
+            v_cross += [bound] * (2 * len(roots))
+        theta = np.concatenate([grid, crossings])
+        v_all = np.concatenate([v, v_cross])
         inside = (v_all <= top) & (v_all >= floor)
         omega = np.minimum(np.sqrt(2.0 * np.maximum(top - v_all, 0.0)
                                    / p.kappa), omega_max)
@@ -324,7 +307,7 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
         segs = [seg for w in (omega, 0.0 - omega)
                 for seg in zip(theta[k].tolist(), w[k].tolist(),
                                theta[k + 1].tolist(), w[k + 1].tolist())]
-        rows += [(float(top), j, *seg) for j, seg in enumerate(segs)]
+        rows += [(top, j, *seg) for j, seg in enumerate(segs)]
     return [Dataset("phase_portrait",
                     ("level", "segment", "theta0", "omega0_v",
                      "theta1", "omega1_v"), rows)]

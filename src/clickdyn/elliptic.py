@@ -1,16 +1,15 @@
 """Jacobi elliptic functions sn/cn/dn and the complete integral K(k).
 
 Self-contained arithmetic-geometric-mean (AGM) evaluation, parameterized by
-the modulus k (NOT the parameter m = k^2).  The free-vibration closed forms
-attach moduli of the form 2H/(1 - |alpha-beta|)^2 which can leave [0, 1);
-such values are rejected here and the caller decides how to report it.
+the modulus k (NOT the parameter m = k^2).  Moduli outside [0, 1) are
+rejected here and the caller decides how to report it.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["complete_k", "jacobi_sn_cn_dn", "Waveform"]
+__all__ = ["complete_k", "jacobi_sn_cn_dn"]
 
 _AGM_TOL = 1e-15
 _AGM_MAXITER = 64
@@ -61,23 +60,3 @@ def jacobi_sn_cn_dn(u: float, k: float) -> tuple[float, float, float]:
     cn = math.cos(phi)
     dn = math.sqrt(max(0.0, 1.0 - (k * sn) ** 2))
     return sn, cn, dn
-
-
-class Waveform:
-    """Closed-form free-vibration waveform theta(T) = theta0 * fn(T, k)."""
-
-    def __init__(self, branch: str, theta0: float, k: float):
-        if branch not in ("sn", "cn", "dn"):
-            raise ValueError("branch must be 'sn', 'cn' or 'dn'")
-        _check_modulus(k)
-        self.branch = branch
-        self.theta0 = theta0
-        self.k = k
-        quarter = complete_k(k)
-        self.period = 2.0 * quarter if branch == "dn" else 4.0 * quarter
-
-    def __call__(self, t: float) -> float:
-        sn, cn, dn = jacobi_sn_cn_dn(t, self.k)
-        value = {"sn": sn, "cn": cn, "dn": dn}[self.branch]
-        return self.theta0 * value
-

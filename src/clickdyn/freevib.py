@@ -1,7 +1,9 @@
 """Exact free-vibration analysis of the conservative system.
 
 Turning angles, period quadrature and the amplitude-frequency branches
-AF1..AF5.  The period follows from the Hamiltonian,
+AF1..AF5.  The turning angles, roots of potential(theta) = H, are bisected
+between the critical points of the potential.  The period follows from the
+Hamiltonian,
 
     T = sqrt(kappa/2) * closed-loop integral of d(theta)/sqrt(H - PEN(theta)),
 
@@ -18,14 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
-from .equilibria import CENTER, Equilibrium, equilibria_in_period
+from .equilibria import (CENTER, Equilibrium, equilibria_in_period,
+                         interior_angle)
 from .model import Params, barrier_energies, potential, scalar_potential
 
 __all__ = [
     "FreeVibPoint",
     "natural_frequency",
+    "level_angles",
     "turning_angles",
     "period_of_energy",
     "amplitude_frequency_curve",
@@ -54,66 +57,46 @@ def natural_frequency(p: Params, eq: Equilibrium) -> float:
     return math.sqrt(eq.k_local / p.kappa)
 
 
-def turning_angles(p: Params, energy: float) -> tuple[float, float]:
-    """Intra-well turning angles, roots of potential(theta) = H on (0, pi).
+def level_angles(p: Params, h: float) -> list[float]:
+    """Roots of potential(theta) = h on (0, pi), ascending.
 
-    Uses the gamma = 0 closed form
-    ``arccos((alpha^2 + beta^2 - (sqrt(2H) -+ 1)^2) / (2*alpha*beta))``;
-    for gamma > 0 the roots are bracketed numerically.  Raises when a root
-    leaves the admissible range, which signals a barrier crossing.
+    On (0, pi) the moment vanishes only at the interior angle theta_c, so
+    V is monotone on [0, theta_c] and [theta_c, pi] (on [0, pi] without
+    theta_c) and each piece holds at most one root.  A piece whose ends
+    straddle h strictly is bisected until its ends are adjacent floats.
     """
-    if energy <= 0.0:
-        raise ValueError("energy must be positive")
-    if p.gamma == 0.0:
-        root = math.sqrt(2.0 * energy)
-        angles = []
-        for sgn in (-1.0, 1.0):
-            arg = (p.alpha**2 + p.beta**2 - (root + sgn) ** 2) / (
-                2.0 * p.alpha * p.beta
-            )
-            if not -1.0 <= arg <= 1.0:
-                raise ValueError(
-                    "no intra-well turning pair at this energy (barrier crossed)"
-                )
-            angles.append(math.acos(arg))
-        lo, hi = sorted(angles)
-        return lo, hi
-    roots = _potential_roots(p, energy)
+    v = scalar_potential(p)
+    theta_c = interior_angle(p)
+    ends = [0.0, math.pi] if theta_c is None else [0.0, theta_c, math.pi]
+    roots = []
+    for lo, hi in zip(ends, ends[1:]):
+        gap_lo = v(lo) - h
+        if not gap_lo * (v(hi) - h) < 0.0:
+            continue
+        lo_above = gap_lo > 0.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if (v(mid) > h) == lo_above:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(mid)
+    return roots
+
+
+def turning_angles(p: Params, energy: float) -> tuple[float, float]:
+    """Intra-well turning angles, the two roots of potential = H on (0, pi).
+
+    Raises when there is no such pair, which signals a barrier crossing.
+    """
+    roots = level_angles(p, energy)
     if len(roots) != 2:
         raise ValueError(
             "no intra-well turning pair at this energy (barrier crossed)"
         )
     return roots[0], roots[1]
-
-
-def _potential_roots(p: Params, energy: float, n_scan: int = 2000) -> list[float]:
-    """Roots of potential(theta) - H on (0, pi), ascending.
-
-    Close above a well bottom the level set is a tiny interval, so the scan
-    is refined until it resolves a sign change (or provably cannot: H below
-    the global minimum).
-    """
-    while n_scan <= 2_048_000:
-        thetas = np.linspace(0.0, math.pi, n_scan + 1)
-        vals = np.asarray(potential(p, thetas)) - energy
-        idx = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        if idx.size > 0:
-            break
-        if float(np.max(vals)) < 0.0:
-            return []      # H above the potential everywhere on (0, pi)
-        if float(np.min(vals)) > 0.0 and n_scan >= 128_000:
-            return []      # H below the potential everywhere on (0, pi)
-        n_scan *= 4
-    else:
-        return []
-    v = scalar_potential(p)
-    roots = []
-    for i in idx:
-        roots.append(
-            brentq(lambda th: v(th) - energy, thetas[i], thetas[i + 1],
-                   xtol=1e-14)
-        )
-    return roots
 
 
 def _quad_segment(p: Params, energy: float, a: float, b: float,
@@ -123,7 +106,10 @@ def _quad_segment(p: Params, energy: float, a: float, b: float,
     v = scalar_potential(p)
 
     def integrand(theta):
-        return 1.0 / math.sqrt(max(energy - v(theta), 1e-300))
+        # rounding can put V at or above H right beside a turning angle,
+        # where the exact integrand is finite after the substitution
+        gap = energy - v(theta)
+        return 1.0 / math.sqrt(gap) if gap > 0.0 else 0.0
 
     total = 0.0
     if singular_a and singular_b:
@@ -164,7 +150,7 @@ def period_of_energy(p: Params, energy: float) -> float:
         if abs(energy - barrier) <= _BARRIER_TOL:
             raise ValueError("energy at a barrier: infinite period")
     scale = math.sqrt(0.5 * p.kappa)
-    roots = _potential_roots(p, energy)
+    roots = level_angles(p, energy)
     if len(roots) == 2:
         # libration inside one well on (0, pi)
         return 2.0 * scale * _quad_segment(p, energy, roots[0], roots[1],
@@ -234,7 +220,7 @@ def amplitude_frequency_curve(p: Params, branch: str,
             period = period_of_energy(p, float(h))
         except ValueError:
             continue
-        roots = _potential_roots(p, float(h))
+        roots = level_angles(p, float(h))
         if len(roots) == 2:
             t_ini, t_fin = roots
         elif len(roots) == 1:

@@ -372,8 +372,8 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
     (:func:`_steady_amplitude`); its amplitude is half the spread of the
     refined turning angles.  Points where no stable orbit was found within
     the transient cap are listed in ``up_unsettled``/``down_unsettled``.
-    Jumps are flagged where the amplitude increment exceeds 5x the sweep's
-    median increment.
+    Jumps are flagged where the amplitude increment between settled points
+    exceeds 5x the sweep's median increment.
     """
     spec = IntegratorSpec(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
     if isinstance(system, Params):
@@ -404,8 +404,8 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
     s_down = s_up[::-1] if direction_both else np.empty(0)
     down_amps, down_unsettled = run(s_down)
     return SweepResult(s_up, up_amps, s_down, down_amps,
-                       _detect_jumps(s_up, up_amps),
-                       _detect_jumps(s_down, down_amps),
+                       _detect_jumps(s_up, up_amps, up_unsettled),
+                       _detect_jumps(s_down, down_amps, down_unsettled),
                        up_unsettled, down_unsettled)
 
 
@@ -423,7 +423,15 @@ def _full_system_sweep_setup(p: Params):
     return rhs_for_s, (center.theta, 0.0)
 
 
-def _detect_jumps(s_values, amps) -> list[float]:
+def _detect_jumps(s_values, amps, unsettled) -> list[float]:
+    """Midpoints of the amplitude jumps of a sweep.
+
+    An unsettled point holds no steady amplitude, so increments are taken
+    between consecutive settled points; a jump is one above 5x their
+    median (and 1e-6), placed midway between its two settled points.
+    """
+    settled = ~np.isin(s_values, unsettled)
+    s_values, amps = s_values[settled], amps[settled]
     increments = np.abs(np.diff(amps))
     if increments.size == 0:
         return []

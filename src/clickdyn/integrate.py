@@ -1,10 +1,9 @@
 """Time integration, event detection, Poincare sections, Lyapunov estimates.
 
 A self-contained Dormand-Prince 5(4) adaptive integrator specialized to the
-planar systems of this package, plus a fixed-step RK4 for convergence
-checks.  Events (zero crossings of the angular velocity, stroboscopic
-samples) are located on the accepted steps by cubic Hermite interpolation
-refined with a secant iteration.
+planar systems of this package.  Events (zero crossings of the angular
+velocity, stroboscopic samples) are located on the accepted steps by cubic
+Hermite interpolation refined with a secant iteration.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorSpec:
-    method: str = "rk45"          # "rk45" adaptive or "rk4" fixed step
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     h_init: float = 1e-3
@@ -46,8 +44,6 @@ class IntegratorSpec:
             raise ValueError("tolerances must be positive")
         if not self.h_min <= self.h_init <= self.h_max:
             raise ValueError("need h_min <= h_init <= h_max")
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError("method must be 'rk45' or 'rk4'")
 
 
 @dataclass
@@ -205,38 +201,6 @@ def _dp45(f, t0, y0, spec, step_cb=None):
     return times, thetas, omegas, stats, True
 
 
-def _rk4_fixed(f, t0, y0, spec, step_cb=None):
-    t = t0
-    th, om = float(y0[0]), float(y0[1])
-    h = spec.h_init
-    stats = StepStats(h_min_used=h, h_max_used=h)
-    times = [t]
-    thetas = [th]
-    omegas = [om]
-    while t < spec.t_end - 1e-15:
-        step = min(h, spec.t_end - t)
-        f1 = f(t, th, om)
-        k1t, k1o = f1
-        k2t, k2o = f(t + 0.5 * step, th + 0.5 * step * k1t, om + 0.5 * step * k1o)
-        k3t, k3o = f(t + 0.5 * step, th + 0.5 * step * k2t, om + 0.5 * step * k2o)
-        k4t, k4o = f(t + step, th + step * k3t, om + step * k3o)
-        th_new = th + step / 6.0 * (k1t + 2 * k2t + 2 * k3t + k4t)
-        om_new = om + step / 6.0 * (k1o + 2 * k2o + 2 * k3o + k4o)
-        stats.accepted += 1
-        stop = False
-        if step_cb is not None:
-            fb = f(t + step, th_new, om_new)
-            stop = bool(step_cb(t, (th, om), f1, t + step, (th_new, om_new), fb))
-        t += step
-        th, om = th_new, om_new
-        times.append(t)
-        thetas.append(th)
-        omegas.append(om)
-        if stop:
-            break
-    return times, thetas, omegas, stats, True
-
-
 def _pack(times, thetas, omegas, stats, complete=True):
     return Trajectory(
         times=np.asarray(times),
@@ -283,9 +247,8 @@ def _refine_crossing(ta, ya, fa, tb, yb, fb, comp, target=0.0, tol=1e-10):
 def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
                   step_cb=None) -> Trajectory:
     """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``."""
-    runner = _rk4_fixed if spec.method == "rk4" else _dp45
-    times, thetas, omegas, stats, complete = runner(f, t0, state0, spec,
-                                                    step_cb)
+    times, thetas, omegas, stats, complete = _dp45(f, t0, state0, spec,
+                                                   step_cb)
     return _pack(times, thetas, omegas, stats, complete)
 
 

@@ -40,7 +40,10 @@ __all__ = [
     "is_smooth_at",
 ]
 
-# Radicand values more negative than this are treated as floating noise.
+# Radicand values more negative than this, times alpha^2 + beta^2 where
+# that exceeds 1, are treated as floating noise: the radicand rounds by a
+# few ulps of alpha^2 + beta^2, so at alpha == beta >= sqrt(2) it can
+# reach -2e-15 on the cusp when alpha**2 (libm pow) is an ulp low.
 _RADICAND_GUARD = -1e-15
 
 
@@ -133,8 +136,10 @@ def nondimensionalize(p: PhysicalParams) -> tuple[Params, float]:
 
 def _radical(p: Params, theta):
     """sqrt(alpha^2 + beta^2 - 2*alpha*beta*cos(theta)), noise-guarded."""
-    r = p.alpha**2 + p.beta**2 - 2.0 * p.alpha * p.beta * np.cos(theta)
-    r = np.where(r < 0.0, np.where(r > _RADICAND_GUARD, 0.0, r), r)
+    sq = p.alpha**2 + p.beta**2
+    r = sq - 2.0 * p.alpha * p.beta * np.cos(theta)
+    guard = _RADICAND_GUARD * max(1.0, sq)
+    r = np.where(r < 0.0, np.where(r > guard, 0.0, r), r)
     return np.sqrt(r)
 
 
@@ -232,12 +237,13 @@ def scalar_potential(p: Params):
     g = p.gamma
     sq = p.alpha**2 + p.beta**2
     two_ab = 2.0 * p.alpha * p.beta
+    guard = _RADICAND_GUARD * max(1.0, sq)
 
     def v(theta):
         ct = math.cos(theta)
         r = sq - two_ab * ct
         if r < 0.0:
-            r = 0.0 if r > _RADICAND_GUARD else math.nan
+            r = 0.0 if r > guard else math.nan
         e = math.sqrt(r) - 1.0
         return 0.5 * (e * e) + g * (1.0 - ct)
 
@@ -269,9 +275,16 @@ def scalar_rhs(p: Params):
             damp = ab * ch * ch
         else:
             d2 = sq - 2.0 * ab * ct
-            d = math.sqrt(d2)
-            mom = (ab * (1.0 - 1.0 / d) + g) * st
-            damp = (ab * st) ** 2 / d2
+            try:
+                d = math.sqrt(d2)
+                mom = (ab * (1.0 - 1.0 / d) + g) * st
+                damp = (ab * st) ** 2 / d2
+            except (ValueError, ZeroDivisionError):
+                # beside the cusp line, near theta = 0, the radicand
+                # rounds to 0 or below: take the fields' guarded values
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mom = float(moment(p, theta))
+                    damp = float(damping_factor(p, theta))
         torque = -2.0 * xi * damp * omega - mom
         if m0:
             torque += m0 * math.sin(om0 * t + phi)

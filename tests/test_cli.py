@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from clickdyn import cli
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, read_csv
 from clickdyn.model import Params, potential
@@ -163,6 +166,65 @@ def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
     assert run_cli(*argv, "--alpha", "1.5", "--beta", "1",
                    "--out", str(tmp_path / "o")) == 2
     assert capsys.readouterr().err.startswith("error:config:")
+
+
+def _bad_value(check, opts):
+    """Strategy of values the validator ``check`` of an ``opts`` table
+    rejects, as flag text.
+
+    The kind of validator is read from its name and closure: the bound of
+    ``_at_least``, the start key of ``_above``, the names of ``_one_of``.
+    Each strategy's simplest value, drawn first, is the boundary case.
+    """
+    kind = check.__qualname__.split(".")[0]
+    cell = check.__closure__[0].cell_contents if check.__closure__ else None
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    below = st.floats(0.0, 1e300)
+    if kind == "_at_least":
+        return st.integers(1, 10**6).map(lambda d: str(cell - d))
+    if kind == "_one_of":
+        return st.text(st.characters(codec="ascii",
+                                     exclude_categories=["Cc"])).filter(
+            lambda v: v not in cell)
+    if kind in ("_numbers", "_numbers_or_empty"):   # one bad entry
+        return st.tuples(
+            st.lists(st.floats(-1e3, 1e3).map(repr), max_size=3),
+            st.sampled_from(["nan", "inf", "-inf", "x", "", "1e"]),
+            st.integers(0, 3),
+        ).map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+              ).filter(lambda v: v != "")
+    if kind == "_positive":
+        values = st.one_of(below.map(lambda d: -d), non_finite)
+    elif kind == "_nonnegative":
+        values = st.one_of(below.map(lambda d: -math.ulp(0.0) - d),
+                           non_finite)
+    elif kind == "_finite":
+        values = non_finite
+    else:   # _above: an end at or below its start
+        values = st.one_of(below.map(lambda d: opts[cell][1] - d),
+                           st.sampled_from([math.nan, math.inf]))
+    return values.map(repr)
+
+
+_REJECTING = [(command, key) for command, opts in cli._OPTIONS.items()
+              for key, (_kind, _default, check) in opts.items()
+              if check is not cli._any]
+
+
+@pytest.mark.parametrize("command, key", _REJECTING,
+                         ids=[f"{c}-{k}" for c, k in _REJECTING])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_every_rejected_option_value_exits_2(command, key, data):
+    opts = cli._OPTIONS[command]
+    value = data.draw(_bad_value(opts[key][2], opts))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(err):
+        code = main([command, "--alpha", "1.5", "--beta", "1", "--out", tmp,
+                     f"--{key.replace('_', '-')}={value}"])
+    assert code == 2
+    assert err.getvalue().startswith("error:config:")
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--jobs"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipk
 
-from clickdyn.elliptic import Waveform, complete_k, jacobi_sn_cn_dn
+from clickdyn.elliptic import complete_k, jacobi_sn_cn_dn
 
 
 def test_complete_k_special_values():
@@ -79,21 +79,3 @@ def test_derivative_identity():
                - jacobi_sn_cn_dn(u - h, k)[0]) / (2.0 * h)
         _, cn, dn = jacobi_sn_cn_dn(float(u), k)
         assert snp == pytest.approx(cn * dn, abs=1e-6)
-
-
-def test_waveform_periods():
-    k = 0.5
-    quarter = complete_k(k)
-    for branch, period in (("sn", 4 * quarter), ("cn", 4 * quarter),
-                           ("dn", 2 * quarter)):
-        w = Waveform(branch, 0.7, k)
-        assert w.period == pytest.approx(period, rel=1e-14)
-        for u in (0.3, 1.1, 2.9):
-            assert w(u + w.period) == pytest.approx(w(u), abs=1e-10)
-
-
-def test_waveform_validation():
-    with pytest.raises(ValueError):
-        Waveform("nd", 1.0, 0.5)
-    with pytest.raises(ValueError):
-        Waveform("sn", 1.0, 1.5)

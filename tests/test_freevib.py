@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from clickdyn.equilibria import CENTER, equilibria_in_period
+from clickdyn.equilibria import (CENTER, REGION_DEGENERATE,
+                                 REGION_DOUBLE_WELL, REGION_SINGLE_WELL_HARD,
+                                 REGION_SINGLE_WELL_SOFT, classify_region,
+                                 equilibria_in_period, interior_angle)
 from clickdyn.freevib import (amplitude_frequency_curve, energy_bands,
-                              natural_frequency, period_of_energy,
-                              turning_angles)
+                              level_angles, natural_frequency,
+                              period_of_energy, turning_angles)
 from clickdyn.integrate import measure_free_oscillation
 from clickdyn.model import Params, potential
 
@@ -120,6 +125,20 @@ def test_period_monotone_toward_separatrix():
     assert all(t1 < t2 for t1, t2 in zip(ts, ts[1:]))
 
 
+@pytest.mark.parametrize("a, b, g", [
+    (0.2573830370747897, 0.5821867643481072, 0.1611860110213216),
+    (2.3049477567586685, 1.4890532884643026, 0.26000887867925593),
+])
+def test_periods_near_a_well_bottom_stay_finite(a, b, g):
+    # rounding puts V at or above H at quadrature nodes right beside a
+    # turning angle; an integrand clamped to 1/sqrt(1e-300) there once gave
+    # periods of 1e136
+    p = Params(alpha=a, beta=b, gamma=g)
+    t_lin = 2.0 * math.pi / natural_frequency(p, _center(p))
+    for pt in amplitude_frequency_curve(p, "AF3")[:10]:
+        assert pt.period == pytest.approx(t_lin, rel=1e-3)
+
+
 def test_kappa_scaling():
     p2 = Params(alpha=1.5, beta=1.0, kappa=4.0)
     assert period_of_energy(p2, 0.05) == pytest.approx(
@@ -140,3 +159,54 @@ def test_amplitude_frequency_curve():
                for pt in rot)
     # absent branch yields empty list
     assert amplitude_frequency_curve(P_IV, "AF1") == []
+
+
+# (alpha, beta, gamma) ranges inside each statics region; beta None means
+# beta = alpha
+_REGION_DRAWS = {
+    REGION_DOUBLE_WELL: ((1.2, 1.8), (0.9, 1.1), (0.0, 0.05)),
+    REGION_SINGLE_WELL_HARD: ((2.3, 2.8), (0.9, 1.1), (0.0, 0.1)),
+    REGION_SINGLE_WELL_SOFT: ((0.2, 0.4), (0.4, 0.6), (0.0, 0.05)),
+    REGION_DEGENERATE: ((0.5, 1.5), None, (0.0, 0.1)),
+}
+_SCAN = 20_000
+
+
+@st.composite
+def _level_case(draw):
+    """(params, h, potential on a dense grid of [0, pi]), h in [min, max]."""
+    region = draw(st.sampled_from(sorted(_REGION_DRAWS)))
+    alphas, betas, gammas = _REGION_DRAWS[region]
+    a = draw(st.floats(*alphas))
+    b = a if betas is None else draw(st.floats(*betas))
+    p = Params(alpha=a, beta=b, gamma=draw(st.floats(*gammas)))
+    assume(classify_region(p) == region)
+    v = np.asarray(potential(p, np.linspace(0.0, math.pi, _SCAN + 1)))
+    return p, draw(st.floats(float(v.min()), float(v.max()))), v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_level_case())
+def test_level_angles_are_every_crossing(case):
+    p, h, v = case
+    roots = level_angles(p, h)
+    assert roots == sorted(roots)
+    assert all(0.0 < r < math.pi for r in roots)
+
+    def above(theta):
+        return float(potential(p, theta)) > h
+
+    for r in roots:
+        # V - h changes sign between r and a neighbouring float
+        assert (above(r) != above(math.nextafter(r, 0.0))
+                or above(r) != above(math.nextafter(r, math.pi)))
+    # a dense scan counts the same crossings, unless one lies within a
+    # scan step of a critical point, where it can miss or add a pair
+    scan_above = v > h
+    cells = np.nonzero(scan_above[1:] != scan_above[:-1])[0]
+    step = math.pi / _SCAN
+    theta_c = interior_angle(p)
+    critical = [0.0, math.pi] + ([] if theta_c is None else [theta_c])
+    assume(all(abs(x - c) > step for x in [*roots, *(cells * step)]
+               for c in critical))
+    assert len(roots) == cells.size

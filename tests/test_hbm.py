@@ -362,3 +362,15 @@ def test_unsettled_points_are_flagged(monkeypatch, tmp_path):
     files = json.loads((tmp_path / "manifest.json").read_text())["files"]
     assert files["sweep_up"]["metadata"] == {"unsettled": 2}
     assert files["sweep_down"]["metadata"] == {"unsettled": 2}
+
+
+def test_an_unsettled_point_does_not_split_a_jump():
+    # one fold between s = 0.94 and 0.96; the unsettled point 0.95 holds a
+    # halfway amplitude, which once counted as two jumps
+    s = np.linspace(0.9, 1.0, 11)
+    amps = np.array([1.0, 1.01, 1.02, 1.03, 1.04, 2.0,
+                     3.05, 3.06, 3.07, 3.08, 3.09])
+    assert hbm._detect_jumps(s, amps, [s.tolist()[5]]) == [
+        0.5 * (s[4] + s[6])]
+    assert len(hbm._detect_jumps(s, amps, [])) == 2
+    assert hbm._detect_jumps(s, amps, s.tolist()) == []
