@@ -133,7 +133,6 @@ _OPTIONS: dict[str, dict] = {
         "omega_max": (float, 3.0, _above("omega_min")),
         "n_omega": (int, 30, _at_least(1)),
         "xi_values": (str, "0.1,0.2,0.4", _numbers),
-        "method": (str, "numeric", _one_of("numeric", "printed")),
     },
     "simulate": {
         **_STATE_OPTS,
@@ -245,7 +244,8 @@ def _run_energy(p: Params, opts) -> list[Dataset]:
 
 def _run_moment(p: Params, opts) -> list[Dataset]:
     thetas = _theta_grid(opts)
-    rows = [(float(t), float(moment(p, float(t)))) for t in thetas]
+    vals = np.asarray(moment(p, thetas))
+    rows = [(float(t), float(v)) for t, v in zip(thetas, vals)]
     return [Dataset("moment", ("theta", "moment"), rows)]
 
 
@@ -394,20 +394,17 @@ def _run_melnikov(p: Params, opts) -> list[Dataset]:
     omega_grid = np.linspace(opts["omega_min"], opts["omega_max"],
                              opts["n_omega"])
     xi_grid = np.asarray(_float_list(opts["xi_values"]))
-    grid = melnikov.threshold_grid(reduced, omega_grid, xi_grid,
-                                   opts["method"])
+    grid = melnikov.threshold_grid(reduced, omega_grid, xi_grid)
     rows = []
-    for i, xi0 in enumerate(grid.xi_grid):
-        for j, om in enumerate(grid.omega_grid):
-            printed = melnikov.threshold_closed_form(reduced, float(xi0),
-                                                     float(om))
-            rows.append((float(xi0), float(om), float(grid.m0_crit[i, j]),
-                         printed.value, printed.label, printed.agrees))
+    for i, xi0 in enumerate(grid.xi_grid.tolist()):
+        for j, om in enumerate(grid.omega_grid.tolist()):
+            rows.append((xi0, om, float(grid.m0_crit[i, j]),
+                         float(grid.m0_printed[i, j]), grid.printed_form,
+                         bool(grid.printed_agrees[i, j])))
     return [Dataset("melnikov_threshold",
                     ("xi0", "omega0", "m0_crit", "m0_printed",
                      "printed_form", "printed_agrees"), rows,
-                    metadata={"variant": grid.variant,
-                              "method": grid.method})]
+                    metadata={"variant": grid.variant})]
 
 
 def _run_simulate(p: Params, opts) -> list[Dataset]:

@@ -143,6 +143,16 @@ def period_of_energy(p: Params, energy: float) -> float:
     rotation.  Raises for energies within 1e-12 of a barrier, where the
     period diverges.
     """
+    return _orbit(p, energy)[0]
+
+
+def _orbit(p: Params,
+           energy: float) -> tuple[float, float | None, float | None]:
+    """``(period, theta_ini, theta_fin)`` of the closed orbit at energy H.
+
+    The turning angles come from one :func:`level_angles` solve; they are
+    None for a rotation.  Raises as :func:`period_of_energy` does.
+    """
     if energy <= 0.0:
         raise ValueError("energy must be positive")
     h1, h2 = barrier_energies(p)
@@ -154,18 +164,20 @@ def period_of_energy(p: Params, energy: float) -> float:
     if len(roots) == 2:
         # libration inside one well on (0, pi)
         return 2.0 * scale * _quad_segment(p, energy, roots[0], roots[1],
-                                           True, True)
+                                           True, True), roots[0], roots[1]
     if len(roots) == 1:
         r = roots[0]
         if energy > h1:
             # symmetric orbit across theta = 0: (-r, r)
-            return 4.0 * scale * _quad_segment(p, energy, 0.0, r, False, True)
+            return 4.0 * scale * _quad_segment(p, energy, 0.0, r,
+                                               False, True), -r, r
         # orbit around theta = pi: (r, 2*pi - r), symmetric about pi
-        return 4.0 * scale * _quad_segment(p, energy, r, math.pi, True, False)
+        return 4.0 * scale * _quad_segment(p, energy, r, math.pi,
+                                           True, False), r, 2.0 * math.pi - r
     if energy > max(h1, h2):
         # rotation: one full revolution
         return 2.0 * scale * _quad_segment(p, energy, 0.0, math.pi,
-                                           False, False)
+                                           False, False), None, None
     raise ValueError("no closed orbit at this energy")
 
 
@@ -217,23 +229,10 @@ def amplitude_frequency_curve(p: Params, branch: str,
     points = []
     for h in energies:
         try:
-            period = period_of_energy(p, float(h))
+            period, t_ini, t_fin = _orbit(p, float(h))
         except ValueError:
             continue
-        roots = level_angles(p, float(h))
-        if len(roots) == 2:
-            t_ini, t_fin = roots
-        elif len(roots) == 1:
-            if h > float(potential(p, 0.0)):
-                t_ini, t_fin = -roots[0], roots[0]
-            else:
-                t_ini, t_fin = roots[0], 2.0 * math.pi - roots[0]
-        else:
-            t_ini = t_fin = None
-        if t_ini is not None:
-            amplitude = 0.5 * abs(t_fin - t_ini)
-        else:
-            amplitude = math.pi
+        amplitude = math.pi if t_ini is None else 0.5 * abs(t_fin - t_ini)
         points.append(
             FreeVibPoint(
                 energy=float(h),

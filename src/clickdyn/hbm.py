@@ -387,7 +387,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
         x0 = (0.0, 0.0)
 
     def run(s_values):
-        # every s starts at drive phase 0, where the last one ended
+        # every s starts its drive at t = 0, in the state the last one ended
         state = x0
         amps, unsettled = [], []
         for s in s_values.tolist():
@@ -418,7 +418,7 @@ def _full_system_sweep_setup(p: Params):
 
     def rhs_for_s(s):
         drive = s * omega_n
-        return scalar_rhs(replace(p, omega_big0=drive, phi=0.0)), drive
+        return scalar_rhs(replace(p, omega_big0=drive)), drive
 
     return rhs_for_s, (center.theta, 0.0)
 

@@ -26,7 +26,7 @@ with an agreement report; they are not used as the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,8 @@ PENDULUM = "pendulum"
 SOFT_CUBIC = "soft_cubic"
 
 _VARIANTS = (DUFFING, PENDULUM, SOFT_CUBIC)
+# shape of each variant's printed closed-form threshold
+_PRINTED_FORM = {DUFFING: "cosh", PENDULUM: "coth", SOFT_CUBIC: "csch"}
 _TAIL_TOL = 1e-12
 _CONNECT_TOL = 1e-6
 _CONNECT_TMAX = 50.0
@@ -64,14 +66,10 @@ _CONNECT_TMAX = 50.0
 class ReducedSystem:
     variant: str
     kappa: float
-    xi0: float
-    m_big0: float
-    omega_big0: float
     theta3: float = 0.0      # duffing interior root magnitude
     k1: float = 0.0          # pendulum stiffness (negative in the source)
     k_center: float = 0.0    # soft_cubic linear stiffness at the center
     char_angle: float = 0.0  # angle used by the printed reference forms
-    saddles: tuple[float, ...] = ()
     decay_rate: float = 0.0  # exponential decay rate of the separatrix velocity
 
     def moment(self, theta):
@@ -118,19 +116,24 @@ class SeparatrixOrbit:
 class PrintedThreshold:
     label: str
     value: float
-    numeric_value: float
     rel_deviation: float
     agrees: bool
 
 
 @dataclass
 class ThresholdGrid:
+    """Thresholds over (xi0, omega0); rows follow xi_grid, columns omega_grid.
+
+    ``m0_crit`` is the numeric quadrature; ``m0_printed``, ``printed_form``
+    and ``printed_agrees`` are what :func:`threshold_closed_form` reports.
+    """
     variant: str
-    method: str                   # "numeric" or "printed"
     omega_grid: np.ndarray
     xi_grid: np.ndarray
-    m0_crit: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    # rows follow xi_grid, columns follow omega_grid
+    m0_crit: np.ndarray
+    m0_printed: np.ndarray
+    printed_form: str
+    printed_agrees: np.ndarray
 
 
 def reduce_system(p: Params, variant: str) -> ReducedSystem:
@@ -154,25 +157,21 @@ def reduce_system(p: Params, variant: str) -> ReducedSystem:
             f"{variant} reduction requires the double-well structure "
             "(interior center pair and a saddle at theta = 0)"
         )
-    common = dict(kappa=p.kappa, xi0=p.xi, m_big0=p.m_big0,
-                  omega_big0=p.omega_big0)
     if variant == DUFFING:
         rate = theta3 / math.sqrt(p.kappa)
-        return ReducedSystem(DUFFING, theta3=theta3, char_angle=theta3,
-                             saddles=(0.0,), decay_rate=rate, **common)
+        return ReducedSystem(DUFFING, p.kappa, theta3=theta3,
+                             char_angle=theta3, decay_rate=rate)
     if variant == PENDULUM:
         rate = math.sqrt(-k1 / p.kappa)
         char = theta3 if theta3 is not None else math.pi
-        return ReducedSystem(PENDULUM, k1=k1, char_angle=char,
-                             saddles=(-math.pi, math.pi), decay_rate=rate,
-                             **common)
+        return ReducedSystem(PENDULUM, p.kappa, k1=k1, char_angle=char,
+                             decay_rate=rate)
     k_center = float(stiffness(p, theta3))
     if k_center <= 0.0:
         raise ValueError("soft_cubic reduction requires a center at theta3")
     rate = 2.0 * math.sqrt(k_center / (2.0 * p.kappa))
-    return ReducedSystem(SOFT_CUBIC, k_center=k_center, char_angle=math.pi,
-                         saddles=(-math.pi, math.pi), decay_rate=rate,
-                         **common)
+    return ReducedSystem(SOFT_CUBIC, p.kappa, k_center=k_center,
+                         char_angle=math.pi, decay_rate=rate)
 
 
 def _closed_form(r: ReducedSystem):
@@ -220,16 +219,8 @@ def _closed_form(r: ReducedSystem):
     return "heteroclinic", theta, omega, domega
 
 
-def _default_span(r: ReducedSystem, t_max: float | None) -> float:
-    # e^{-rate*T} must reach ~1e-14 at the truncation boundary.
-    if t_max is not None:
-        return t_max
-    return max(40.0, 33.0 / r.decay_rate)
-
-
-def separatrix(r: ReducedSystem, source: str = "closed_form",
-               t_max: float | None = None,
-               n_samples: int | None = None) -> SeparatrixOrbit:
+def separatrix(r: ReducedSystem,
+               source: str = "closed_form") -> SeparatrixOrbit:
     """Separatrix orbit of a reduced system on a symmetric time grid.
 
     ``closed_form`` evaluates the analytic orbit, with amplitudes fixed by
@@ -239,10 +230,9 @@ def separatrix(r: ReducedSystem, source: str = "closed_form",
     """
     if source not in ("closed_form", "continued"):
         raise ValueError("source must be 'closed_form' or 'continued'")
-    span = _default_span(r, t_max)
-    if n_samples is None:
-        n_samples = 2 * int(math.ceil(span / 0.005)) + 1
-    times = np.linspace(-span, span, n_samples)
+    # e^{-rate*T} must reach ~1e-14 at the truncation boundary
+    span = max(40.0, 33.0 / r.decay_rate)
+    times = np.linspace(-span, span, 2 * int(math.ceil(span / 0.005)) + 1)
     kind, theta_fn, omega_fn, domega_fn = _closed_form(r)
     if source == "closed_form":
         return SeparatrixOrbit(kind, source, times, theta_fn(times),
@@ -346,15 +336,33 @@ def melnikov_numeric(r: ReducedSystem, orbit: SeparatrixOrbit,
     return damping, float(forcing)
 
 
-def threshold_numeric(r: ReducedSystem, xi0: float, omega0: float,
-                      orbit: SeparatrixOrbit | None = None) -> float:
+def threshold_numeric(r: ReducedSystem, xi0: float, omega0: float) -> float:
     """Critical forcing amplitude from the numerical Melnikov quadrature."""
     if xi0 < 0.0:
         raise ValueError("xi0 must be nonnegative")
-    if orbit is None:
-        orbit = separatrix(r, "closed_form")
-    damping, forcing = melnikov_numeric(r, orbit, omega0)
+    damping, forcing = melnikov_numeric(r, separatrix(r, "closed_form"),
+                                        omega0)
     return xi0 * damping / forcing
+
+
+def _printed(r: ReducedSystem, xi0: float, omega0: float) -> float:
+    """Printed closed-form threshold of ``r``, of shape _PRINTED_FORM."""
+    a = r.char_angle
+    if r.variant == DUFFING:
+        return (4.0 * a**3 * xi0 / (3.0 * math.sqrt(2.0) * math.pi * omega0)) \
+            * math.cosh(math.pi * omega0 / (2.0 * a))
+    if r.variant == PENDULUM:
+        return (2.0 * a * xi0 / (3.0 * math.pi)) \
+            / math.tanh(math.pi * omega0 / 2.0)
+    return (2.0 * a**3 * xi0 / (3.0 * math.pi)) \
+        / math.sinh(math.pi * omega0 / 2.0)
+
+
+def _agreement(value: float, numeric: float, xi0: float) -> tuple[float, bool]:
+    """Relative deviation of a printed value from the numeric threshold,
+    and whether it is within 5 %."""
+    dev = 0.0 if xi0 == 0.0 else abs(value - numeric) / numeric
+    return dev, dev <= 0.05
 
 
 def threshold_closed_form(r: ReducedSystem, xi0: float,
@@ -368,50 +376,36 @@ def threshold_closed_form(r: ReducedSystem, xi0: float,
     """
     if xi0 < 0.0 or omega0 <= 0.0:
         raise ValueError("need xi0 >= 0 and omega0 > 0")
-    a = r.char_angle
-    if r.variant == DUFFING:
-        label = "cosh"
-        value = (4.0 * a**3 * xi0 / (3.0 * math.sqrt(2.0) * math.pi * omega0)) \
-            * math.cosh(math.pi * omega0 / (2.0 * a))
-    elif r.variant == PENDULUM:
-        label = "coth"
-        value = (2.0 * a * xi0 / (3.0 * math.pi)) \
-            / math.tanh(math.pi * omega0 / 2.0)
-    else:
-        label = "csch"
-        value = (2.0 * a**3 * xi0 / (3.0 * math.pi)) \
-            / math.sinh(math.pi * omega0 / 2.0)
-    numeric = threshold_numeric(r, xi0, omega0)
-    if xi0 == 0.0:
-        dev = 0.0
-    else:
-        dev = abs(value - numeric) / numeric
-    return PrintedThreshold(label, value, numeric, dev, dev <= 0.05)
+    value = _printed(r, xi0, omega0)
+    dev, agrees = _agreement(value, threshold_numeric(r, xi0, omega0), xi0)
+    return PrintedThreshold(_PRINTED_FORM[r.variant], value, dev, agrees)
 
 
-def threshold_grid(r: ReducedSystem, omega_grid, xi_grid,
-                   method: str = "numeric") -> ThresholdGrid:
-    """Critical-forcing matrix over (xi0, omega0) grids.
+def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
+    """Numeric and printed thresholds over (xi0, omega0) grids.
 
-    Rows follow ``xi_grid``, columns follow ``omega_grid``.  The orbit is
-    computed once and shared across the grid.
+    Rows follow ``xi_grid``, columns follow ``omega_grid``.  One orbit is
+    built and the quadrature runs once per omega0; each cell equals
+    :func:`threshold_numeric` and :func:`threshold_closed_form` at it.
     """
-    if method not in ("numeric", "printed"):
-        raise ValueError("method must be 'numeric' or 'printed'")
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
     if omega_grid.size == 0 or xi_grid.size == 0:
         raise ValueError("grids must be nonempty")
     if np.any(omega_grid <= 0.0) or np.any(xi_grid < 0.0):
         raise ValueError("grids must be positive (xi0 may be zero)")
-    m = np.empty((xi_grid.size, omega_grid.size))
-    if method == "numeric":
-        orbit = separatrix(r, "closed_form")
-        for j, om in enumerate(omega_grid):
-            damping, forcing = melnikov_numeric(r, orbit, float(om))
-            m[:, j] = xi_grid * damping / forcing
-    else:
-        for j, om in enumerate(omega_grid):
-            for i, xi in enumerate(xi_grid):
-                m[i, j] = threshold_closed_form(r, float(xi), float(om)).value
-    return ThresholdGrid(r.variant, method, omega_grid, xi_grid, m)
+    shape = (xi_grid.size, omega_grid.size)
+    m0 = np.empty(shape)
+    orbit = separatrix(r, "closed_form")
+    for j, om in enumerate(omega_grid.tolist()):
+        damping, forcing = melnikov_numeric(r, orbit, om)
+        m0[:, j] = xi_grid * damping / forcing
+    printed = np.empty(shape)
+    agrees = np.empty(shape, dtype=bool)
+    for i, xi in enumerate(xi_grid.tolist()):
+        for j, om in enumerate(omega_grid.tolist()):
+            value = _printed(r, xi, om)
+            printed[i, j] = value
+            agrees[i, j] = _agreement(value, float(m0[i, j]), xi)[1]
+    return ThresholdGrid(r.variant, omega_grid, xi_grid, m0, printed,
+                         _PRINTED_FORM[r.variant], agrees)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from clickdyn import cli
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, read_csv
-from clickdyn.model import Params, potential
+from clickdyn.model import Params, moment, potential
 
 
 def run_cli(*argv):
@@ -152,7 +152,6 @@ def test_phase_portrait_points_lie_on_their_levels(case):
     ("bifurcation-set", "--variant", "B3"),
     ("bifurcation-set", "--alpha-min", "2", "--alpha-max", "1"),
     ("melnikov", "--n-omega", "0"),
-    ("melnikov", "--method", "exact"),
     ("simulate", "--rel-tol", "0"),
     ("poincare", "--n-points", "0"),
     ("poincare", "--discard", "-1"),
@@ -241,6 +240,21 @@ def test_energy_and_moment(tmp_path):
     assert len(rows) == 51
     assert run_cli("moment", "--alpha", "1.2", "--beta", "1.2", "--n", "51",
                    "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    (1.5, 1.0, 0.0), (0.37, 0.81, 0.23), (1.2, 1.2, 0.1), (2.6, 2.6, 0.0)])
+def test_moment_rows_equal_pointwise_moments(tmp_path, alpha, beta, gamma):
+    # the grid is evaluated as one array; each row is the scalar moment
+    out = tmp_path / "m"
+    assert run_cli("moment", "--alpha", str(alpha), "--beta", str(beta),
+                   "--gamma", str(gamma), "--n", "401",
+                   "--out", str(out)) == 0
+    p = Params(alpha=alpha, beta=beta, gamma=gamma)
+    _, rows = read_csv(out / "moment.csv")
+    assert len(rows) == 401
+    for theta, m in rows:
+        assert m == float(moment(p, theta))
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -374,3 +374,28 @@ def test_an_unsettled_point_does_not_split_a_jump():
         0.5 * (s[4] + s[6])]
     assert len(hbm._detect_jumps(s, amps, [])) == 2
     assert hbm._detect_jumps(s, amps, s.tolist()) == []
+
+
+def test_full_system_sweep_drives_with_the_configured_phase(tmp_path):
+    # The drive phase enters the rhs; it moves only the stroboscopic
+    # section, so the settled amplitudes keep to the shooting tolerance.
+    p = Params(alpha=1.5, beta=1.0, xi=0.05, m_big0=0.015)
+
+    def accel_at_t0(phi):
+        f, _ = hbm._full_system_sweep_setup(replace(p, phi=phi))[0](0.9)
+        return f(0.0, 0.5, 0.0)[1]
+
+    assert accel_at_t0(1.3) - accel_at_t0(0.0) == pytest.approx(
+        0.015 * math.sin(1.3), rel=1e-12)
+    tables = []
+    for phi in ("0", "1.3"):
+        out = tmp_path / phi
+        assert main(["sweep", "--alpha", "1.5", "--beta", "1", "--xi", "0.05",
+                     "--m0", "0.015", "--s-min", "0.8", "--s-max", "1.05",
+                     "--n", "4", "--phi", phi, "--out", str(out)]) == 0
+        tables.append([np.loadtxt(out / f"sweep_{d}.csv", delimiter=",",
+                                  skiprows=1) for d in ("up", "down")])
+    for base, moved in zip(*tables):
+        assert not np.array_equal(moved, base)
+        np.testing.assert_array_equal(moved[:, 0], base[:, 0])
+        np.testing.assert_allclose(moved[:, 1], base[:, 1], rtol=1e-6)

@@ -16,9 +16,8 @@ P_IV = Params(alpha=1.5, beta=1.0, xi=0.1)
 
 def _unit_pendulum():
     # kappa = 1, |K1| = 1 reference pendulum
-    return ReducedSystem(PENDULUM, kappa=1.0, xi0=0.1, m_big0=0.0,
-                         omega_big0=1.0, k1=-1.0, char_angle=math.pi,
-                         saddles=(-math.pi, math.pi), decay_rate=1.0)
+    return ReducedSystem(PENDULUM, kappa=1.0, k1=-1.0, char_angle=math.pi,
+                         decay_rate=1.0)
 
 
 def test_reduce_duffing_roots():
@@ -214,17 +213,39 @@ def test_threshold_grid():
     r = reduce_system(P_IV, DUFFING)
     omega_grid = np.linspace(0.5, 2.0, 5)
     xi_grid = np.asarray([0.1, 0.2, 0.4])
-    grid = threshold_grid(r, omega_grid, xi_grid, "numeric")
-    assert grid.m0_crit.shape == (3, 5)
+    grid = threshold_grid(r, omega_grid, xi_grid)
+    for table in (grid.m0_crit, grid.m0_printed, grid.printed_agrees):
+        assert table.shape == (3, 5)
     assert np.all(grid.m0_crit >= 0.0)
+    assert grid.printed_form == "cosh"
     # rows scale linearly in xi0
     np.testing.assert_allclose(grid.m0_crit[1], 2.0 * grid.m0_crit[0],
                                rtol=1e-12)
     np.testing.assert_allclose(grid.m0_crit[2], 4.0 * grid.m0_crit[0],
                                rtol=1e-12)
-    printed = threshold_grid(r, omega_grid, xi_grid, "printed")
-    assert printed.m0_crit.shape == (3, 5)
     with pytest.raises(ValueError):
-        threshold_grid(r, [], xi_grid, "numeric")
+        threshold_grid(r, [], xi_grid)
     with pytest.raises(ValueError):
-        threshold_grid(r, omega_grid, xi_grid, "exact")
+        threshold_grid(r, omega_grid, [-0.1])
+
+
+@pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
+def test_grid_cells_equal_the_single_point_thresholds(variant):
+    # One quadrature per omega0 gives, bit for bit, what the single-point
+    # functions give.  xi0 = 0 takes the zero-deviation branch of the
+    # agreement rule; soft_cubic's printed form is within 5 % only for
+    # omega0 in about (0.7296, 0.7634), so 0.728 and 0.765 sit just outside.
+    r = reduce_system(P_IV, variant)
+    omega_grid = [0.2, 0.728, 0.745, 0.765, 1.6, 3.0]
+    xi_grid = [0.0, 0.1, 0.37]
+    grid = threshold_grid(r, omega_grid, xi_grid)
+    for i, xi0 in enumerate(xi_grid):
+        for j, om in enumerate(omega_grid):
+            printed = threshold_closed_form(r, xi0, om)
+            assert grid.m0_crit[i, j] == threshold_numeric(r, xi0, om)
+            assert grid.m0_printed[i, j] == printed.value
+            assert grid.printed_agrees[i, j] == printed.agrees
+            assert grid.printed_form == printed.label
+    if variant == SOFT_CUBIC:
+        assert grid.printed_agrees[1:].tolist() == [
+            [False, False, True, False, False, False]] * 2
