@@ -23,7 +23,8 @@ from . import freevib, hbm, melnikov
 from .dataset import Dataset, emit_dataset, emit_manifest
 from .integrate import (IntegratorSpec, integrate, largest_lyapunov,
                         poincare_section)
-from .model import Params, barrier_energies, moment, potential, stiffness
+from .model import (Params, barrier_energies, is_smooth_at, moment, potential,
+                    stiffness)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -237,27 +238,24 @@ def _theta_grid(opts) -> np.ndarray:
 
 def _run_energy(p: Params, opts) -> list[Dataset]:
     thetas = _theta_grid(opts)
-    vals = np.asarray(potential(p, thetas))
-    rows = [(float(t), float(v)) for t, v in zip(thetas, vals)]
-    return [Dataset("energy", ("theta", "potential"), rows)]
+    rows = zip(thetas.tolist(), potential(p, thetas).tolist())
+    return [Dataset("energy", ("theta", "potential"), list(rows))]
 
 
 def _run_moment(p: Params, opts) -> list[Dataset]:
     thetas = _theta_grid(opts)
-    vals = np.asarray(moment(p, thetas))
-    rows = [(float(t), float(v)) for t, v in zip(thetas, vals)]
-    return [Dataset("moment", ("theta", "moment"), rows)]
+    rows = zip(thetas.tolist(), moment(p, thetas).tolist())
+    return [Dataset("moment", ("theta", "moment"), list(rows))]
 
 
 def _run_stiffness(p: Params, opts) -> list[Dataset]:
-    rows = []
-    for t in _theta_grid(opts):
-        try:
-            k = float(stiffness(p, float(t)))
-        except ValueError:
-            k = math.nan
-        rows.append((float(t), k))
-    return [Dataset("stiffness", ("theta", "stiffness"), rows)]
+    """Stiffness on the grid, NaN on the alpha == beta cusps theta = 2*n*pi."""
+    thetas = _theta_grid(opts)
+    smooth = is_smooth_at(p, thetas)
+    vals = np.full(thetas.shape, math.nan)
+    vals[smooth] = stiffness(p, thetas[smooth])
+    rows = zip(thetas.tolist(), vals.tolist())
+    return [Dataset("stiffness", ("theta", "stiffness"), list(rows))]
 
 
 def _run_phase_portrait(p: Params, opts) -> list[Dataset]:

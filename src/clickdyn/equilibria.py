@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .model import Params, moment, stiffness
+from .model import Params, _stiffness_field, stiffness
 
 __all__ = [
     "Equilibrium",
@@ -53,8 +52,6 @@ REGION_DEGENERATE = "degenerate"
 _KIND_TOL = 1e-9
 # Residual tolerance that puts a parameter point on a bifurcation set.
 _BOUNDARY_TOL = 1e-9
-_ROOT_XTOL = 1e-14
-_ROOT_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -170,7 +167,9 @@ def eigenvectors_at(eq: Equilibrium, p: Params) -> np.ndarray:
 
 
 def _b1_residual(alpha, beta, gamma):
-    return alpha * beta + gamma - alpha * beta / abs(alpha - beta)
+    """NaN on the cusp line alpha == beta, where B1 is undefined."""
+    return np.where(alpha == beta, math.nan,
+                    alpha * beta + gamma - alpha * beta / np.abs(alpha - beta))
 
 
 def _b2_residual(alpha, beta, gamma):
@@ -199,75 +198,64 @@ def classify_region(p: Params) -> str:
     return REGION_SINGLE_WELL_SOFT
 
 
-def bifurcation_set(
-    variant: str,
-    gamma: float,
-    alpha_grid,
-    beta_grid,
-) -> BifurcationCurve:
+def _grid_zeros(f, x, r):
+    """Zeros of ``f(x, r)`` along the grid x, for each r in order.
+
+    f is sampled on the whole (r, x) mesh at once.  A sample that is 0 is
+    a zero; all intervals whose ends have strictly opposite signs (NaN has
+    none) are bisected together to adjacent floats, as in
+    ``freevib.level_angles``.  Returns (r, zero) pairs as two arrays.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = f(x, r[:, None])
+        sign = np.sign(vals)
+        zero_j, zero_i = np.nonzero(vals == 0.0)
+        j, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+        lo, hi = x[i], x[i + 1]
+        lo_above = sign[j, i] > 0.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            open_ = (mid != lo) & (mid != hi)
+            if not open_.any():
+                break
+            to_lo = open_ & ((f(mid, r[j]) > 0.0) == lo_above)
+            lo = np.where(to_lo, mid, lo)
+            hi = np.where(open_ & ~to_lo, mid, hi)
+    # an exact zero at grid point i comes before the interval (i, i+1)
+    rows = np.concatenate([zero_j, j])
+    order = np.lexsort((np.concatenate([2 * zero_i, 2 * i + 1]), rows))
+    return r[rows[order]], np.concatenate([x[zero_i], mid])[order]
+
+
+def bifurcation_set(variant: str, gamma: float, alpha_grid,
+                    beta_grid) -> BifurcationCurve:
     """Sampled zero set of the B1 or B2 residual over an (alpha, beta) grid.
 
     For each beta the residual is sign-scanned over alpha_grid and every
-    bracket is refined; a curve may contribute several alpha roots per beta.
+    bracket bisected to adjacent floats; a curve may contribute several
+    alpha roots per beta.
     """
     if variant not in ("B1", "B2"):
         raise ValueError("variant must be 'B1' or 'B2'")
     residual = _b1_residual if variant == "B1" else _b2_residual
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    rows = []
-    for beta in np.asarray(beta_grid, dtype=float):
-        vals = []
-        for a in alpha_grid:
-            if variant == "B1" and a == beta:
-                vals.append(math.nan)
-            else:
-                vals.append(residual(a, beta, gamma))
-        vals = np.asarray(vals)
-        for i in range(len(alpha_grid) - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if math.isnan(v0) or math.isnan(v1) or v0 * v1 > 0.0:
-                continue
-            if v0 == 0.0:
-                rows.append((alpha_grid[i], beta, gamma))
-                continue
-            root = brentq(
-                lambda a: residual(a, beta, gamma),
-                alpha_grid[i],
-                alpha_grid[i + 1],
-                xtol=_ROOT_XTOL,
-                maxiter=_ROOT_MAXITER,
-            )
-            rows.append((root, beta, gamma))
-    samples = np.asarray(rows, dtype=float).reshape(-1, 3)
+    betas, roots = _grid_zeros(lambda a, b: residual(a, b, gamma),
+                               np.asarray(alpha_grid, dtype=float),
+                               np.asarray(beta_grid, dtype=float))
+    samples = np.column_stack(np.broadcast_arrays(roots, betas, gamma))
     return BifurcationCurve(variant, ("alpha", "beta", "gamma"), samples)
 
 
-def zero_stiffness_set(
-    beta: float,
-    gamma: float,
-    alpha_grid,
-    n_theta: int = 400,
-) -> BifurcationCurve:
+def zero_stiffness_set(beta: float, gamma: float,
+                       alpha_grid) -> BifurcationCurve:
     """Numerically continued zero set of the stiffness over (theta, alpha).
 
     No closed form exists; for each alpha the stiffness is sign-scanned on
-    (0, pi) and each bracket refined.  The set is symmetric under
-    theta -> -theta, so only the positive half is emitted.
+    400 angles of (0, pi) and each bracket bisected to adjacent floats.  The
+    set is symmetric under theta -> -theta: only the positive half is emitted.
     """
-    rows = []
-    thetas = np.linspace(1e-9, math.pi - 1e-9, n_theta)
-    for a in np.asarray(alpha_grid, dtype=float):
-        p = Params(alpha=a, beta=beta, gamma=gamma)
-        vals = np.asarray(stiffness(p, thetas))
-        sign_change = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-        for i in sign_change:
-            root = brentq(
-                lambda th: float(stiffness(p, th)),
-                thetas[i],
-                thetas[i + 1],
-                xtol=_ROOT_XTOL,
-                maxiter=_ROOT_MAXITER,
-            )
-            rows.append((root, a, beta, gamma))
-    samples = np.asarray(rows, dtype=float).reshape(-1, 4)
+    alphas, roots = _grid_zeros(
+        lambda th, a: _stiffness_field(a, beta, gamma, th),
+        np.linspace(1e-9, math.pi - 1e-9, 400),
+        np.asarray(alpha_grid, dtype=float))
+    samples = np.column_stack(np.broadcast_arrays(roots, alphas, beta, gamma))
     return BifurcationCurve("B0", ("theta", "alpha", "beta", "gamma"), samples)

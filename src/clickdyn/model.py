@@ -134,13 +134,14 @@ def nondimensionalize(p: PhysicalParams) -> tuple[Params, float]:
     )
 
 
-def _radical(p: Params, theta):
-    """sqrt(alpha^2 + beta^2 - 2*alpha*beta*cos(theta)), noise-guarded."""
-    sq = p.alpha**2 + p.beta**2
-    r = sq - 2.0 * p.alpha * p.beta * np.cos(theta)
-    guard = _RADICAND_GUARD * max(1.0, sq)
-    r = np.where(r < 0.0, np.where(r > guard, 0.0, r), r)
-    return np.sqrt(r)
+def _radical(sq, ab, theta):
+    """sqrt(sq - 2*ab*cos(theta)) for sq = alpha^2 + beta^2, ab = alpha*beta.
+
+    Noise-guarded; the arguments broadcast.
+    """
+    r = sq - 2.0 * ab * np.cos(theta)
+    guard = _RADICAND_GUARD * np.maximum(1.0, sq)
+    return np.sqrt(np.where(r < 0.0, np.where(r > guard, 0.0, r), r))
 
 
 def potential(p: Params, theta):
@@ -149,7 +150,7 @@ def potential(p: Params, theta):
     The square is a product: ``** 2`` squares arrays exactly but calls
     libm's pow on scalars, which can be an ulp off.
     """
-    e = _radical(p, theta) - 1.0
+    e = _radical(p.alpha**2 + p.beta**2, p.alpha * p.beta, theta) - 1.0
     return 0.5 * (e * e) + p.gamma * (1.0 - np.cos(theta))
 
 
@@ -163,11 +164,12 @@ def barrier_energies(p: Params) -> tuple[float, float]:
     return float(potential(p, 0.0)), float(potential(p, math.pi))
 
 
-def is_smooth_at(p: Params, theta: float) -> bool:
-    """Whether the moment is smooth at theta (False only on alpha==beta cusps)."""
-    if p.smooth:
-        return True
-    return math.sin(0.5 * theta) != 0.0
+def is_smooth_at(p: Params, theta):
+    """Whether the moment is smooth at theta, elementwise.
+
+    False only on the alpha == beta cusps ``theta = 2*n*pi``.
+    """
+    return p.smooth | (np.sin(0.5 * np.asarray(theta, dtype=float)) != 0.0)
 
 
 def moment(p: Params, theta):
@@ -179,7 +181,7 @@ def moment(p: Params, theta):
     :func:`is_smooth_at` when that matters.
     """
     if p.smooth:
-        d = _radical(p, theta)
+        d = _radical(p.alpha**2 + p.beta**2, p.alpha * p.beta, theta)
         return (p.alpha * p.beta * (1.0 - 1.0 / d) + p.gamma) * np.sin(theta)
     # alpha == beta: D = 2*alpha*|sin(theta/2)|, and
     # alpha*beta*sin(theta)/D reduces to alpha*sign(sin(theta/2))*cos(theta/2).
@@ -199,15 +201,24 @@ def stiffness(p: Params, theta):
     Raises ValueError on the nonsmooth points ``theta = 2*n*pi`` when
     ``alpha == beta``; the stiffness is not defined there.
     """
-    if not p.smooth:
-        half_sin = np.sin(0.5 * np.asarray(theta, dtype=float))
-        if np.any(half_sin == 0.0):
-            raise ValueError(
-                "stiffness undefined at theta = 2*n*pi for alpha == beta"
-            )
-    d = _radical(p, theta)
-    ab = p.alpha * p.beta
-    return (ab + p.gamma - ab / d) * np.cos(theta) + (ab * np.sin(theta)) ** 2 / d**3
+    if not (p.smooth or np.all(is_smooth_at(p, theta))):
+        raise ValueError(
+            "stiffness undefined at theta = 2*n*pi for alpha == beta")
+    return _stiffness_field(p.alpha, p.beta, p.gamma, theta)
+
+
+def _stiffness_field(alpha, beta, gamma, theta):
+    """:func:`stiffness` over broadcastable arrays of its four arguments.
+
+    Squares and the cube are products: numpy squares arrays exactly but
+    calls libm's pow on scalars, so products give the same bits for one
+    point and for a whole parameter mesh.  No cusp check: at ``alpha ==
+    beta``, ``theta = 2*n*pi`` the value is inf or nan.
+    """
+    ab = alpha * beta
+    d = _radical(alpha * alpha + beta * beta, ab, theta)
+    s = ab * np.sin(theta)
+    return (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
 
 
 def damping_factor(p: Params, theta):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from clickdyn import cli
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, read_csv
-from clickdyn.model import Params, moment, potential
+from clickdyn.model import Params, moment, potential, stiffness
 
 
 def run_cli(*argv):
@@ -255,6 +255,28 @@ def test_moment_rows_equal_pointwise_moments(tmp_path, alpha, beta, gamma):
     assert len(rows) == 401
     for theta, m in rows:
         assert m == float(moment(p, theta))
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    (1.5, 1.0, 0.0), (0.37, 0.81, 0.23), (1.2, 1.2, 0.1), (2.6, 2.6, 0.0)])
+def test_stiffness_rows_equal_pointwise_stiffness(tmp_path, alpha, beta,
+                                                  gamma):
+    # the grid is evaluated as one array; each row is the scalar stiffness,
+    # and NaN on the alpha == beta cusp theta = 0, which this grid holds
+    out = tmp_path / "k"
+    assert run_cli("stiffness", "--alpha", str(alpha), "--beta", str(beta),
+                   "--gamma", str(gamma), "--theta-min", "-4",
+                   "--theta-max", "4", "--n", "401",
+                   "--out", str(out)) == 0
+    p = Params(alpha=alpha, beta=beta, gamma=gamma)
+    _, rows = read_csv(out / "stiffness.csv")
+    assert len(rows) == 401
+    for theta, k in rows:
+        if alpha == beta and theta == 0.0:
+            assert math.isnan(k)
+        else:
+            assert k == float(stiffness(p, theta))
+    assert sum(math.isnan(k) for _, k in rows) == (alpha == beta)
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from clickdyn.equilibria import (CENTER, SADDLE, bifurcation_set,
                                  classify_region, eigenvalues_at,
@@ -152,3 +153,116 @@ def test_zero_stiffness_set():
     for th, a, b, g in curve.samples:
         p = Params(alpha=a, beta=b, gamma=g)
         assert abs(float(stiffness(p, th))) <= 1e-10
+
+
+# The bifurcation-set subcommand's default alpha and beta grids, and the
+# angles zero_stiffness_set scans.
+_CLI_GRID = np.linspace(0.05, 3.0, 201)
+_B0_THETAS = np.linspace(1e-9, math.pi - 1e-9, 400)
+
+
+def _residual(variant, gamma, other):
+    """The variant's residual along its grid at one beta (B1, B2) or alpha
+    (B0), one scalar point at a time."""
+    if variant == "B0":
+        p = Params(alpha=other, beta=1.0, gamma=gamma)
+        return lambda th: float(stiffness(p, th))
+    if variant == "B1":
+        return lambda a: a * other + gamma - a * other / abs(a - other)
+    return lambda a: a * other - a * other / (a + other) - gamma
+
+
+def _curve(variant, gamma):
+    if variant == "B0":
+        return zero_stiffness_set(1.0, gamma, _CLI_GRID)
+    return bifurcation_set(variant, gamma, _CLI_GRID, _CLI_GRID)
+
+
+_VARIANT_GAMMAS = [("B0", 0.0), ("B0", 0.0627), ("B1", 0.0), ("B1", 0.1),
+                   ("B2", 0.0), ("B2", 0.1)]
+
+
+def _exact_b0_zero():
+    """(theta, alpha) with theta on the scan grid and stiffness exactly 0.
+
+    At each grid angle alpha is bisected to adjacent floats between 1.05
+    and 3, where the stiffness at beta = 1 changes sign; some of those
+    ends give 0 exactly.
+    """
+    for th in _B0_THETAS:
+        k = lambda a: float(stiffness(Params(alpha=a, beta=1.0), th))
+        lo, hi = 1.05, 3.0
+        if not k(lo) * k(hi) < 0.0:
+            continue
+        lo_above = k(lo) > 0.0
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            if (k(mid) > 0.0) == lo_above:
+                lo = mid
+            else:
+                hi = mid
+        for a in (lo, hi):
+            if k(a) == 0.0:
+                return float(th), a
+    raise AssertionError("no exact zero of the stiffness on the scan grid")
+
+
+@pytest.mark.parametrize("variant", ["B0", "B1", "B2"])
+def test_exact_grid_zero_is_emitted_once(variant):
+    # a root on a grid point ends both intervals beside it; it is one root
+    if variant == "B0":
+        th, a = _exact_b0_zero()
+        samples = zero_stiffness_set(1.0, 0.0, [a]).samples
+        assert samples[:, 0].tolist().count(th) == 1
+        assert np.unique(samples[:, 0]).size == len(samples)
+        return
+    # at gamma = 0, B1 is |alpha - beta| = 1 and B2 is alpha + beta = 1
+    grid, beta, root = (([1.5, 2.0, 2.5], 1.0, 2.0) if variant == "B1"
+                        else ([0.25, 0.5, 0.75], 0.5, 0.5))
+    samples = bifurcation_set(variant, 0.0, grid, [beta]).samples
+    assert samples.tolist() == [[root, beta, 0.0]]
+
+
+@pytest.mark.parametrize("variant, gamma", _VARIANT_GAMMAS)
+def test_bifurcation_roots_are_sign_changes_at_adjacent_floats(variant,
+                                                               gamma):
+    samples = _curve(variant, gamma).samples
+    assert len(samples) > 0
+    for row in samples:
+        f = _residual(variant, gamma, row[1])
+        x = row[0]
+        # f(x) is 0, or one neighbouring float has the other sign or 0
+        sign = np.sign(f(x))
+        assert sign == 0.0 or any(
+            sign * np.sign(f(np.nextafter(x, to))) <= 0.0
+            for to in (-math.inf, math.inf))
+
+
+def _brentq_rows(variant, gamma):
+    """The scan-and-brentq reference: an exact grid zero once, each strict
+    sign change of the sampled residual refined by brentq to xtol 1e-14."""
+    grid = _B0_THETAS if variant == "B0" else _CLI_GRID
+    rows = []
+    for other in _CLI_GRID.tolist():
+        f = _residual(variant, gamma, other)
+        if variant == "B0":   # the stiffness scan is one array call
+            vals = stiffness(Params(alpha=other, beta=1.0, gamma=gamma),
+                             grid).tolist()
+        else:
+            vals = [math.nan if variant == "B1" and x == other else f(x)
+                    for x in grid.tolist()]
+        for i, x in enumerate(grid.tolist()):
+            if vals[i] == 0.0:
+                rows.append((x, other))
+            elif i + 1 < len(grid) and vals[i] * vals[i + 1] < 0.0:
+                root = brentq(f, x, grid[i + 1], xtol=1e-14, maxiter=200)
+                rows.append((root, other))
+    return rows
+
+
+@pytest.mark.parametrize("variant, gamma", _VARIANT_GAMMAS)
+def test_bifurcation_rows_match_per_bracket_brentq(variant, gamma):
+    samples = _curve(variant, gamma).samples
+    ref = np.array(_brentq_rows(variant, gamma))
+    assert samples.shape[0] == ref.shape[0]
+    np.testing.assert_array_equal(samples[:, 1], ref[:, 1])
+    assert np.max(np.abs(samples[:, 0] - ref[:, 0])) <= 1e-10

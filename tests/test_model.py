@@ -207,6 +207,19 @@ def test_scalar_kernels_match_the_fields(point, t):
         -0.7, (free_torque + 0.2 * math.sin(1.3 * t + 0.4)) / 1.7)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_field_point(),
+       st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), max_size=7))
+def test_scalar_and_array_stiffness_are_bit_equal(point, more):
+    a, b, g, theta = point
+    p = Params(alpha=a, beta=b, gamma=g)
+    thetas = [t for t in [theta, *more] if is_smooth_at(p, t)]
+    with np.errstate(divide="ignore", invalid="ignore"):   # beside the cusp
+        array = stiffness(p, np.array(thetas, dtype=float))
+        scalar = [float(stiffness(p, t)) for t in thetas]
+    np.testing.assert_array_equal(array, scalar)   # NaN matches NaN
+
+
 def test_nondimensionalize():
     phys = PhysicalParams(m=0.01, k=100.0, c=0.2, a=0.015, b=0.01, l=0.01,
                           d=0.005, m0=0.001, omega0=50.0)
