@@ -167,8 +167,8 @@ def eigenvectors_at(eq: Equilibrium, p: Params) -> np.ndarray:
 
 
 def _b1_residual(alpha, beta, gamma):
-    """NaN on the cusp line alpha == beta, where B1 is undefined."""
-    return np.where(alpha == beta, math.nan,
+    """-inf on the cusp line alpha == beta, its limit from both sides."""
+    return np.where(alpha == beta, -math.inf,
                     alpha * beta + gamma - alpha * beta / np.abs(alpha - beta))
 
 

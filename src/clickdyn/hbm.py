@@ -351,10 +351,11 @@ def _steady_amplitude(f, state, t_drive, spec):
 def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
                s: float):
     eps = cubic.epsilon
+    neg_two_xi, sin = -2.0 * xi, math.sin
 
     def f(t, x, v):
-        return v, (-2.0 * xi * v - x - eps * x**3
-                   + b_amp * math.sin(s * t)) / kappa
+        return v, (neg_two_xi * v - x - eps * x**3
+                   + b_amp * sin(s * t)) / kappa
 
     return f
 

@@ -40,8 +40,12 @@ class IntegratorSpec:
     t_end: float = 100.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # h_max may be inf; a NaN h_max fails the ordering below
+        for name in ("rel_tol", "abs_tol", "h_min", "h_init", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0 or self.h_min <= 0.0:
+            raise ValueError("tolerances and h_min must be positive")
         if not self.h_min <= self.h_init <= self.h_max:
             raise ValueError("need h_min <= h_init <= h_max")
 
@@ -92,26 +96,6 @@ class StepUnderflow(RuntimeError):
         self.trajectory = trajectory
 
 
-# Dormand-Prince 5(4) coefficients.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (
-    9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    35 / 384 - 5179 / 57600,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-)
-
-
 def _dp45(f, t0, y0, spec, step_cb=None):
     """Adaptive DP5(4) from t0 to spec.t_end.
 
@@ -125,7 +109,29 @@ def _dp45(f, t0, y0, spec, step_cb=None):
     ``step_cb(ta, ya, fa, tb, yb, fb) -> bool`` runs on every accepted step;
     returning True stops the integration.  Returns (times, states, stats,
     complete).
+
+    The textbook loop's float operations, in its order, to the bit; its
+    ``min``/``max``/``abs`` are comparisons that pick the same operands.
     """
+    # Dormand-Prince 5(4) coefficients, folded to constants when compiled
+    c2, c3, c4, c5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+    a21 = 1 / 5
+    a31, a32 = 3 / 40, 9 / 40
+    a41, a42, a43 = 44 / 45, -56 / 15, 32 / 9
+    a51, a52, a53, a54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+    a61, a62, a63, a64, a65 = (
+        9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
+    )
+    b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+    e1, e3, e4, e5, e6, e7 = (
+        35 / 384 - 5179 / 57600,
+        500 / 1113 - 7571 / 16695,
+        125 / 192 - 393 / 640,
+        -2187 / 6784 + 92097 / 339200,
+        11 / 84 - 187 / 2100,
+        -1 / 40,
+    )
+    sqrt = math.sqrt
     t = t0
     th, om = float(y0[0]), float(y0[1])
     k1t, k1o = f(t, th, om)
@@ -137,37 +143,45 @@ def _dp45(f, t0, y0, spec, step_cb=None):
     times = [t]
     thetas = [th]
     omegas = [om]
+    append_t, append_th = times.append, thetas.append
+    append_om = omegas.append
     while t < t_end:
-        h = min(h, t_end - t)
-        k2t, k2o = f(t + _C2 * h, th + h * _A21 * k1t, om + h * _A21 * k1o)
-        k3t, k3o = f(t + _C3 * h,
-                     th + h * (_A31 * k1t + _A32 * k2t),
-                     om + h * (_A31 * k1o + _A32 * k2o))
-        k4t, k4o = f(t + _C4 * h,
-                     th + h * (_A41 * k1t + _A42 * k2t + _A43 * k3t),
-                     om + h * (_A41 * k1o + _A42 * k2o + _A43 * k3o))
-        k5t, k5o = f(t + _C5 * h,
-                     th + h * (_A51 * k1t + _A52 * k2t + _A53 * k3t
-                               + _A54 * k4t),
-                     om + h * (_A51 * k1o + _A52 * k2o + _A53 * k3o
-                               + _A54 * k4o))
+        rest = t_end - t
+        if rest < h:
+            h = rest
+        ha = h * a21
+        k2t, k2o = f(t + c2 * h, th + ha * k1t, om + ha * k1o)
+        k3t, k3o = f(t + c3 * h,
+                     th + h * (a31 * k1t + a32 * k2t),
+                     om + h * (a31 * k1o + a32 * k2o))
+        k4t, k4o = f(t + c4 * h,
+                     th + h * (a41 * k1t + a42 * k2t + a43 * k3t),
+                     om + h * (a41 * k1o + a42 * k2o + a43 * k3o))
+        k5t, k5o = f(t + c5 * h,
+                     th + h * (a51 * k1t + a52 * k2t + a53 * k3t + a54 * k4t),
+                     om + h * (a51 * k1o + a52 * k2o + a53 * k3o + a54 * k4o))
         k6t, k6o = f(t + h,
-                     th + h * (_A61 * k1t + _A62 * k2t + _A63 * k3t
-                               + _A64 * k4t + _A65 * k5t),
-                     om + h * (_A61 * k1o + _A62 * k2o + _A63 * k3o
-                               + _A64 * k4o + _A65 * k5o))
-        th_new = th + h * (_B1 * k1t + _B3 * k3t + _B4 * k4t + _B5 * k5t
-                           + _B6 * k6t)
-        om_new = om + h * (_B1 * k1o + _B3 * k3o + _B4 * k4o + _B5 * k5o
-                           + _B6 * k6o)
+                     th + h * (a61 * k1t + a62 * k2t + a63 * k3t + a64 * k4t
+                               + a65 * k5t),
+                     om + h * (a61 * k1o + a62 * k2o + a63 * k3o + a64 * k4o
+                               + a65 * k5o))
+        th_new = th + h * (b1 * k1t + b3 * k3t + b4 * k4t + b5 * k5t
+                           + b6 * k6t)
+        om_new = om + h * (b1 * k1o + b3 * k3o + b4 * k4o + b5 * k5o
+                           + b6 * k6o)
         k7t, k7o = f(t + h, th_new, om_new)
-        et = h * (_E1 * k1t + _E3 * k3t + _E4 * k4t + _E5 * k5t + _E6 * k6t
-                  + _E7 * k7t)
-        eo = h * (_E1 * k1o + _E3 * k3o + _E4 * k4o + _E5 * k5o + _E6 * k6o
-                  + _E7 * k7o)
-        sc_t = abs_tol + rel_tol * max(abs(th), abs(th_new))
-        sc_o = abs_tol + rel_tol * max(abs(om), abs(om_new))
-        err = math.sqrt(0.5 * ((et / sc_t) ** 2 + (eo / sc_o) ** 2))
+        et = h * (e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t
+                  + e7 * k7t)
+        eo = h * (e1 * k1o + e3 * k3o + e4 * k4o + e5 * k5o + e6 * k6o
+                  + e7 * k7o)
+        # max(|y|, |y_new|) but for the sign of a zero or NaN, unseen here
+        y_old = th if th >= 0.0 else -th
+        y_new = th_new if th_new >= 0.0 else -th_new
+        sc_t = abs_tol + rel_tol * (y_new if y_new > y_old else y_old)
+        y_old = om if om >= 0.0 else -om
+        y_new = om_new if om_new >= 0.0 else -om_new
+        sc_o = abs_tol + rel_tol * (y_new if y_new > y_old else y_old)
+        err = sqrt(0.5 * ((et / sc_t) ** 2 + (eo / sc_o) ** 2))
         if err <= 1.0:
             accepted += 1
             if h < h_lo:
@@ -181,22 +195,27 @@ def _dp45(f, t0, y0, spec, step_cb=None):
             t += h
             th, om = th_new, om_new
             k1t, k1o = k7t, k7o
-            times.append(t)
-            thetas.append(th)
-            omegas.append(om)
+            append_t(t)
+            append_th(th)
+            append_om(om)
             if stop:
                 break
+            # err <= 1: factor >= 0.9, only the cap of 5 can apply
+            factor = 0.9 * err ** -0.2 if err != 0.0 else 5.0
+            h_next = h * (factor if factor < 5.0 else 5.0)
         else:
             rejected += 1
-        # a NaN error (the trial step overflowed) shrinks the step like a
-        # large one: max(0.2, nan) is 0.2
-        factor = 0.9 * err ** -0.2 if err != 0.0 else 5.0
-        h_next = h * min(5.0, max(0.2, factor))
-        if h_next < h_min and t < t_end and not err <= 1.0:
-            stats = StepStats(accepted, rejected, h_lo, h_hi)
-            raise StepUnderflow(_pack(times, thetas, omegas, stats,
-                                      complete=False))
-        h = min(max(h_next, h_min), h_max)
+            # err > 1: factor < 0.9, only the floor of 0.2 can apply; a NaN
+            # error (the trial step overflowed) takes the floor too
+            factor = 0.9 * err ** -0.2
+            h_next = h * (factor if factor > 0.2 else 0.2)
+            if h_next < h_min:
+                stats = StepStats(accepted, rejected, h_lo, h_hi)
+                raise StepUnderflow(_pack(times, thetas, omegas, stats,
+                                          complete=False))
+        h = h_min if h_min > h_next else h_next
+        if h_max < h:
+            h = h_max
     stats = StepStats(accepted, rejected, h_lo, h_hi)
     return times, thetas, omegas, stats, True
 

@@ -91,13 +91,16 @@ class ReducedSystem:
         return c * (0.5 * math.pi**2 * th**2 - 0.25 * th**4)
 
     def rhs(self):
+        """Float closure ``f(t, theta, omega)``; :meth:`moment` to the bit."""
         kap = self.kappa
-        mom = self.moment
-
-        def f(t, theta, omega):
-            return omega, -float(mom(theta)) / kap
-
-        return f
+        if self.variant == DUFFING:
+            t3sq = self.theta3**2
+            return lambda t, th, om: (om, -(th * (th * th - t3sq)) / kap)
+        if self.variant == PENDULUM:
+            k, sin = abs(self.k1), math.sin
+            return lambda t, th, om: (om, -(k * sin(th)) / kap)
+        c, pi2 = self.k_center / math.pi**2, math.pi**2
+        return lambda t, th, om: (om, -(c * th * (pi2 - th * th)) / kap)
 
 
 @dataclass

@@ -212,13 +212,20 @@ def _stiffness_field(alpha, beta, gamma, theta):
 
     Squares and the cube are products: numpy squares arrays exactly but
     calls libm's pow on scalars, so products give the same bits for one
-    point and for a whole parameter mesh.  No cusp check: at ``alpha ==
-    beta``, ``theta = 2*n*pi`` the value is inf or nan.
+    point and for a whole parameter mesh.  On the cusp line ``alpha ==
+    beta``, where the two ~1/D terms cancel beside theta = 0, it is the
+    half-angle form, as in :func:`moment`.  No cusp check.
     """
     ab = alpha * beta
     d = _radical(alpha * alpha + beta * beta, ab, theta)
     s = ab * np.sin(theta)
-    return (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
+    out = (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
+    cusp = alpha == beta
+    if np.any(cusp):
+        half = ((alpha * alpha + gamma) * np.cos(theta)
+                + 0.5 * alpha * np.abs(np.sin(0.5 * theta)))
+        out = np.where(cusp, half, out)[()]
+    return out
 
 
 def damping_factor(p: Params, theta):
@@ -265,40 +272,47 @@ def scalar_rhs(p: Params):
     """Closure ``f(t, theta, omega) -> (theta', omega')`` of the full system.
 
     The float-arithmetic form of :func:`moment`, :func:`damping_factor` and
-    the drive, for the integrator's inner loop.
+    the drive, for the integrator's inner loop; one closure on the cusp
+    line alpha == beta, one off it, each with only float operations.
     """
     a, b, g = p.alpha, p.beta, p.gamma
-    kap, xi = p.kappa, p.xi
-    m0, om0, phi = p.m_big0, p.omega_big0, p.phi
+    kap, m0, om0, phi = p.kappa, p.m_big0, p.omega_big0, p.phi
     ab = a * b
+    abg = ab + g
     sq = a * a + b * b
-    equal = a == b
+    two_ab = 2.0 * ab
+    neg_two_xi = -2.0 * p.xi
+    cos, sin, sqrt, copysign = math.cos, math.sin, math.sqrt, math.copysign
+
+    if a == b:
+        def f(t, theta, omega):
+            st = sin(theta)
+            half = 0.5 * theta
+            sh, ch = sin(half), cos(half)
+            mom = abg * st - a * copysign(1.0, sh) * ch if sh != 0.0 \
+                else abg * st
+            torque = neg_two_xi * (ab * ch * ch) * omega - mom
+            if m0:
+                torque += m0 * sin(om0 * t + phi)
+            return omega, torque / kap
+
+        return f
 
     def f(t, theta, omega):
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        if equal:
-            half = 0.5 * theta
-            sh = math.sin(half)
-            ch = math.cos(half)
-            mom = (ab + g) * st - a * math.copysign(1.0, sh) * ch if sh != 0.0 \
-                else (ab + g) * st
-            damp = ab * ch * ch
-        else:
-            d2 = sq - 2.0 * ab * ct
-            try:
-                d = math.sqrt(d2)
-                mom = (ab * (1.0 - 1.0 / d) + g) * st
-                damp = (ab * st) ** 2 / d2
-            except (ValueError, ZeroDivisionError):
-                # beside the cusp line, near theta = 0, the radicand
-                # rounds to 0 or below: take the fields' guarded values
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    mom = float(moment(p, theta))
-                    damp = float(damping_factor(p, theta))
-        torque = -2.0 * xi * damp * omega - mom
+        st = sin(theta)
+        d2 = sq - two_ab * cos(theta)
+        try:
+            mom = (ab * (1.0 - 1.0 / sqrt(d2)) + g) * st
+            damp = (ab * st) ** 2 / d2
+        except (ValueError, ZeroDivisionError):
+            # beside the cusp line, near theta = 0, the radicand rounds to
+            # 0 or below: take the fields' guarded values
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mom = float(moment(p, theta))
+                damp = float(damping_factor(p, theta))
+        torque = neg_two_xi * damp * omega - mom
         if m0:
-            torque += m0 * math.sin(om0 * t + phi)
+            torque += m0 * sin(om0 * t + phi)
         return omega, torque / kap
 
     return f

@@ -167,8 +167,9 @@ def _residual(variant, gamma, other):
     if variant == "B0":
         p = Params(alpha=other, beta=1.0, gamma=gamma)
         return lambda th: float(stiffness(p, th))
-    if variant == "B1":
-        return lambda a: a * other + gamma - a * other / abs(a - other)
+    if variant == "B1":   # -inf on alpha == beta, its limit from both sides
+        return lambda a: (-math.inf if a == other
+                          else a * other + gamma - a * other / abs(a - other))
     return lambda a: a * other - a * other / (a + other) - gamma
 
 
@@ -179,7 +180,7 @@ def _curve(variant, gamma):
 
 
 _VARIANT_GAMMAS = [("B0", 0.0), ("B0", 0.0627), ("B1", 0.0), ("B1", 0.1),
-                   ("B2", 0.0), ("B2", 0.1)]
+                   ("B1", 0.3), ("B2", 0.0), ("B2", 0.1)]
 
 
 def _exact_b0_zero():
@@ -237,6 +238,19 @@ def test_bifurcation_roots_are_sign_changes_at_adjacent_floats(variant,
             for to in (-math.inf, math.inf))
 
 
+def test_b1_roots_beside_the_cusp_line_are_kept():
+    # the residual tends to -inf on alpha == beta: at beta = 0.06475, a
+    # grid point, the interval below it holds a root a NaN sample hid
+    beta = _CLI_GRID[1]
+    roots = bifurcation_set("B1", 0.3, _CLI_GRID, [beta]).samples[:, 0]
+    a = np.linspace(0.05, 3.0, 200_001)
+    a = a[a != beta]
+    vals = a * beta + 0.3 - a * beta / np.abs(a - beta)
+    i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)[0]
+    assert len(roots) == len(i) == 2
+    assert np.all((a[i] <= roots) & (roots <= a[i + 1]))
+
+
 def _brentq_rows(variant, gamma):
     """The scan-and-brentq reference: an exact grid zero once, each strict
     sign change of the sampled residual refined by brentq to xtol 1e-14."""
@@ -248,8 +262,7 @@ def _brentq_rows(variant, gamma):
             vals = stiffness(Params(alpha=other, beta=1.0, gamma=gamma),
                              grid).tolist()
         else:
-            vals = [math.nan if variant == "B1" and x == other else f(x)
-                    for x in grid.tolist()]
+            vals = [f(x) for x in grid.tolist()]
         for i, x in enumerate(grid.tolist()):
             if vals[i] == 0.0:
                 rows.append((x, other))

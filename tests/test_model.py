@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clickdyn.model import (Params, PhysicalParams, barrier_energies,
                             damping_factor, hamiltonian, is_smooth_at, moment,
                             nondimensionalize, potential, scalar_potential,
                             scalar_rhs, stiffness)
+from clickdyn.model import _stiffness_field
 
 
 def _central(f, x, h=1e-5):
@@ -107,6 +108,18 @@ def test_stiffness_raises_on_cusp():
     assert math.isfinite(float(stiffness(p, 1.0)))
 
 
+def test_cusp_line_stiffness_beside_theta_zero():
+    # the general formula's two ~1/D terms cancel here: it was 1.1e-9 off
+    p = Params(alpha=0.99918, beta=0.99918, gamma=0.00157)
+    th = 1.57e-3
+    dmom = _central(lambda x: float(moment(p, x)), th)
+    assert abs(float(stiffness(p, th)) - dmom) <= 1e-10 * abs(dmom)
+    # a mesh that crosses the cusp line takes the half-angle form on it
+    field = _stiffness_field(np.array([0.99918, 1.2]), 0.99918, 0.00157, th)
+    assert field[0] == stiffness(p, th)
+    assert field[1] == stiffness(replace(p, alpha=1.2), th)
+
+
 def test_damping_factor_limit_at_cusp():
     # smooth formula tends to alpha^2 * cos(theta/2)^2 as theta -> 0
     p = Params(alpha=1.3, beta=1.3)
@@ -157,6 +170,9 @@ def _field_point(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_field_point(), st.floats(-1e3, 1e3))
+# one closure for alpha == beta and one off it; each is also run forced below
+@example((1.3, 1.3, 0.1, 0.7), 2.5)
+@example((1.5, 1.0, 0.1, -0.7), 2.5)
 def test_scalar_kernels_match_the_fields(point, t):
     a, b, g, theta = point
     p = Params(alpha=a, beta=b, gamma=g, kappa=1.0)
