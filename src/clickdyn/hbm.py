@@ -247,15 +247,14 @@ _MAX_PERIODS = 1200
 
 
 def _period(f, x, one_period):
-    """The period map: ``(P(x), trajectory over that period)``."""
-    traj = integrate_rhs(f, x, one_period)
-    return tuple(traj.states[-1].tolist()), traj
+    """The period map P(x)."""
+    return tuple(integrate_rhs(f, x, one_period).states[-1].tolist())
 
 
 def _monodromy(period, x, px, delta):
     """Finite-difference Jacobian of P at x, row-major (a, b, c, d)."""
-    pt = period((x[0] + delta, x[1]))[0]
-    po = period((x[0], x[1] + delta))[0]
+    pt = period((x[0] + delta, x[1]))
+    po = period((x[0], x[1] + delta))
     return ((pt[0] - px[0]) / delta, (po[0] - px[0]) / delta,
             (pt[1] - px[1]) / delta, (po[1] - px[1]) / delta)
 
@@ -266,10 +265,10 @@ def _stable(m):
     return abs(det) < 1.0 and abs(m[0] + m[3]) < 1.0 + det
 
 
-def _shoot(period, x, px, traj, rel_tol):
-    """Stable period-1 orbit near x, as ``(x*, its trajectory)``, or None.
+def _shoot(period, x, px, rel_tol):
+    """A point x* of the stable period-1 orbit near x, or None.
 
-    Newton on P(x) = x from x and ``px, traj = period(x)``, with a
+    Newton on P(x) = x from x and ``px = period(x)``, with a
     finite-difference monodromy; the tolerance and the difference step
     scale with the integrator's rel_tol.  An attempt is abandoned as
     soon as the residual fails to halve.  A converged orbit is accepted
@@ -287,7 +286,7 @@ def _shoot(period, x, px, traj, rel_tol):
             if res <= rel_tol * scale:
                 if m is None:
                     m = _monodromy(period, x, px, math.sqrt(rel_tol) * scale)
-                return (x, traj) if _stable(m) else None
+                return x if _stable(m) else None
             if not res <= 0.5 * res_prev:
                 return None
             res_prev = res
@@ -298,25 +297,27 @@ def _shoot(period, x, px, traj, rel_tol):
                 return None
             x = (x[0] - (d * rt - b * ro) / det,
                  x[1] - (a * ro - c * rt) / det)
-            px, traj = period(x)
+            px = period(x)
     except (ArithmeticError, StepUnderflow):
         pass    # a Newton step far off the attractor escaped to infinity
     return None
 
 
-def _orbit_amplitude(f, traj):
-    """Half the spread of theta over a trajectory.
+def _orbit_amplitude(f, x, one_period):
+    """Half the spread of theta over one period from x.
 
-    The extremes are the turning points (zeros of omega) refined on the
-    accepted steps, so they do not depend on where the steps land.
+    The extremes are the turning points (zeros of omega), located on the
+    dense output of the steps that hold them, so they do not depend on
+    where the steps land.
     """
-    times = traj.times.tolist()
-    states = traj.states.tolist()
-    thetas = [th for th, _ in states]
-    for ta, tb, ya, yb in zip(times, times[1:], states, states[1:]):
+    turns = []
+
+    def cb(ta, ya, tb, yb, dense):
         if ya[1] * yb[1] < 0.0:
-            thetas.append(_refine_crossing(ta, ya, f(ta, *ya), tb, yb,
-                                           f(tb, *yb), comp=1)[1])
+            turns.append(_refine_crossing(dense, comp=1)[1])
+
+    traj = integrate_rhs(f, x, one_period, step_cb=cb)
+    thetas = traj.states[:, 0].tolist() + turns
     return 0.5 * (max(thetas) - min(thetas))
 
 
@@ -337,15 +338,15 @@ def _steady_amplitude(f, state, t_drive, spec):
         spent += 1
         return _period(f, x, one_period)
 
-    px, traj = period(state)
+    px = period(state)
     while spent < _MAX_PERIODS:
-        orbit = _shoot(period, state, px, traj, spec.rel_tol)
-        if orbit is not None:
-            return _orbit_amplitude(f, orbit[1]), orbit[0], True
+        x = _shoot(period, state, px, spec.rel_tol)
+        if x is not None:
+            return _orbit_amplitude(f, x, one_period), x, True
         for _ in range(_BLOCK):
             state = px
-            px, traj = period(state)
-    return _orbit_amplitude(f, traj), px, False
+            px = period(state)
+    return _orbit_amplitude(f, state, one_period), px, False
 
 
 def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,

@@ -1,17 +1,22 @@
 """Time integration, event detection, Poincare sections, Lyapunov estimates.
 
-A self-contained Dormand-Prince 5(4) adaptive integrator specialized to the
-planar systems of this package.  Events (zero crossings of the angular
-velocity, stroboscopic samples) are located on the accepted steps by cubic
-Hermite interpolation refined with a secant iteration.
+One adaptive step loop for the planar systems of this package: the
+Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+Secs. II.5-II.6), with the state in two Python floats and scipy's step
+controller, so ``scipy.integrate.solve_ivp(method="DOP853")`` takes as many
+steps, of the same sizes up to rounding.  Events (zero crossings of the angular velocity, of an angle)
+are located inside an accepted step on the pair's 7th-order dense output,
+built only for the steps a callback asks it of, by Brent's method.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .model import Params, hamiltonian, potential, scalar_rhs
 
@@ -96,8 +101,8 @@ class StepUnderflow(RuntimeError):
         self.trajectory = trajectory
 
 
-def _dp45(f, t0, y0, spec, step_cb=None):
-    """Adaptive DP5(4) from t0 to spec.t_end.
+def _dop853(f, t0, y0, spec, step_cb=None):
+    """Adaptive DOP853 from t0 to spec.t_end.
 
     The state is carried as two Python floats: ``y0`` is converted once
     here, so a caller may resume from a row of ``Trajectory.states``
@@ -106,39 +111,71 @@ def _dp45(f, t0, y0, spec, step_cb=None):
     it should return floats too, or the state turns into numpy scalars
     after the first step.
 
-    ``step_cb(ta, ya, fa, tb, yb, fb) -> bool`` runs on every accepted step;
-    returning True stops the integration.  Returns (times, states, stats,
-    complete).
+    ``step_cb(ta, ya, tb, yb, dense) -> bool`` runs on every accepted step,
+    with ``dense`` the step's :class:`_DenseStep`; returning True stops the
+    integration.  Returns (times, thetas, omegas, stats); a rejected step
+    below ``h_min`` raises :class:`StepUnderflow`.
 
-    The textbook loop's float operations, in its order, to the bit; its
-    ``min``/``max``/``abs`` are comparisons that pick the same operands.
+    Stage j of the tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+    Sec. II.5, counted from 0 as in scipy's ``dop853_coefficients``) is
+    ``kj``; ``ai_j`` is its row i, column j.  The controller is scipy's:
+    the error norm mixes the 5th- and 3rd-order estimates, the step factor
+    0.9 * err**(-1/8) is clipped to [0.2, 10], and a step accepted after a
+    rejection does not grow.
     """
-    # Dormand-Prince 5(4) coefficients, folded to constants when compiled
-    c2, c3, c4, c5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-    a21 = 1 / 5
-    a31, a32 = 3 / 40, 9 / 40
-    a41, a42, a43 = 44 / 45, -56 / 15, 32 / 9
-    a51, a52, a53, a54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-    a61, a62, a63, a64, a65 = (
-        9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656,
-    )
-    b1, b3, b4, b5, b6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-    e1, e3, e4, e5, e6, e7 = (
-        35 / 384 - 5179 / 57600,
-        500 / 1113 - 7571 / 16695,
-        125 / 192 - 393 / 640,
-        -2187 / 6784 + 92097 / 339200,
-        11 / 84 - 187 / 2100,
-        -1 / 40,
-    )
+    c1, c2, c3, c4, c5 = (0.05260015195876773, 0.0789002279381516,
+                          0.1183503419072274, 0.2816496580927726,
+                          0.3333333333333333)
+    c6, c7, c8, c9, c10 = (0.25, 0.3076923076923077, 0.6512820512820513,
+                           0.6, 0.8571428571428571)
+    a1_0 = 0.05260015195876773
+    a2_0, a2_1 = 0.0197250569845379, 0.0591751709536137
+    a3_0, a3_2 = 0.02958758547680685, 0.08876275643042054
+    a4_0, a4_2, a4_3 = (0.2413651341592667, -0.8845494793282861,
+                        0.924834003261792)
+    a5_0, a5_3, a5_4 = (0.037037037037037035, 0.17082860872947386,
+                        0.12546768756682242)
+    a6_0, a6_3, a6_4, a6_5 = (0.037109375, 0.17025221101954405,
+                              0.06021653898045596, -0.017578125)
+    a7_0, a7_3, a7_4, a7_5, a7_6 = (
+        0.03709200011850479, 0.17038392571223998, 0.10726203044637328,
+        -0.015319437748624402, 0.008273789163814023)
+    a8_0, a8_3, a8_4, a8_5, a8_6, a8_7 = (
+        0.6241109587160757, -3.3608926294469414, -0.868219346841726,
+        27.59209969944671, 20.154067550477894, -43.48988418106996)
+    a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8 = (
+        0.47766253643826434, -2.4881146199716677, -0.590290826836843,
+        21.230051448181193, 15.279233632882423, -33.28821096898486,
+        -0.020331201708508627)
+    a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9 = (
+        -0.9371424300859873, 5.186372428844064, 1.0914373489967295,
+        -8.149787010746927, -18.52006565999696, 22.739487099350505,
+        2.4936055526796523, -3.0467644718982196)
+    a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10 = (
+        2.273310147516538, -10.53449546673725, -2.0008720582248625,
+        -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+        -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+    # the 8th-order weights (row 12) and the 5th-order error row
+    b0, b5, b6, b7, b8, b9, b10, b11 = (
+        0.054293734116568765, 4.450312892752409, 1.8915178993145003,
+        -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+        0.20136540080403034, 0.04471061572777259)
+    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = (
+        0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
+        1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+        0.08192320648511571, -0.022355307863886294)
+    # the 3rd-order error row equals b but at stages 0, 8 and 11
+    e3_0, e3_8, e3_11 = (-0.18980075407240762, -0.4226823213237919,
+                         0.02265179219836082)
     sqrt = math.sqrt
     t = t0
     th, om = float(y0[0]), float(y0[1])
-    k1t, k1o = f(t, th, om)
+    k0t, k0o = f(t, th, om)
     abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
     h_min, h_max, t_end = spec.h_min, spec.h_max, spec.t_end
     h = spec.h_init
     accepted = rejected = 0
+    after_reject = False
     h_lo, h_hi = math.inf, 0.0
     times = [t]
     thetas = [th]
@@ -146,34 +183,65 @@ def _dp45(f, t0, y0, spec, step_cb=None):
     append_t, append_th = times.append, thetas.append
     append_om = omegas.append
     while t < t_end:
-        rest = t_end - t
-        if rest < h:
-            h = rest
-        ha = h * a21
-        k2t, k2o = f(t + c2 * h, th + ha * k1t, om + ha * k1o)
+        t_new = t + h
+        if t_new > t_end:
+            t_new = t_end
+            h = t_new - t
+        k1t, k1o = f(t + c1 * h, th + h * a1_0 * k0t, om + h * a1_0 * k0o)
+        k2t, k2o = f(t + c2 * h,
+                     th + h * (a2_0 * k0t + a2_1 * k1t),
+                     om + h * (a2_0 * k0o + a2_1 * k1o))
         k3t, k3o = f(t + c3 * h,
-                     th + h * (a31 * k1t + a32 * k2t),
-                     om + h * (a31 * k1o + a32 * k2o))
+                     th + h * (a3_0 * k0t + a3_2 * k2t),
+                     om + h * (a3_0 * k0o + a3_2 * k2o))
         k4t, k4o = f(t + c4 * h,
-                     th + h * (a41 * k1t + a42 * k2t + a43 * k3t),
-                     om + h * (a41 * k1o + a42 * k2o + a43 * k3o))
+                     th + h * (a4_0 * k0t + a4_2 * k2t + a4_3 * k3t),
+                     om + h * (a4_0 * k0o + a4_2 * k2o + a4_3 * k3o))
         k5t, k5o = f(t + c5 * h,
-                     th + h * (a51 * k1t + a52 * k2t + a53 * k3t + a54 * k4t),
-                     om + h * (a51 * k1o + a52 * k2o + a53 * k3o + a54 * k4o))
-        k6t, k6o = f(t + h,
-                     th + h * (a61 * k1t + a62 * k2t + a63 * k3t + a64 * k4t
-                               + a65 * k5t),
-                     om + h * (a61 * k1o + a62 * k2o + a63 * k3o + a64 * k4o
-                               + a65 * k5o))
-        th_new = th + h * (b1 * k1t + b3 * k3t + b4 * k4t + b5 * k5t
-                           + b6 * k6t)
-        om_new = om + h * (b1 * k1o + b3 * k3o + b4 * k4o + b5 * k5o
-                           + b6 * k6o)
-        k7t, k7o = f(t + h, th_new, om_new)
-        et = h * (e1 * k1t + e3 * k3t + e4 * k4t + e5 * k5t + e6 * k6t
-                  + e7 * k7t)
-        eo = h * (e1 * k1o + e3 * k3o + e4 * k4o + e5 * k5o + e6 * k6o
-                  + e7 * k7o)
+                     th + h * (a5_0 * k0t + a5_3 * k3t + a5_4 * k4t),
+                     om + h * (a5_0 * k0o + a5_3 * k3o + a5_4 * k4o))
+        k6t, k6o = f(t + c6 * h,
+                     th + h * (a6_0 * k0t + a6_3 * k3t + a6_4 * k4t
+                               + a6_5 * k5t),
+                     om + h * (a6_0 * k0o + a6_3 * k3o + a6_4 * k4o
+                               + a6_5 * k5o))
+        k7t, k7o = f(t + c7 * h,
+                     th + h * (a7_0 * k0t + a7_3 * k3t + a7_4 * k4t
+                               + a7_5 * k5t + a7_6 * k6t),
+                     om + h * (a7_0 * k0o + a7_3 * k3o + a7_4 * k4o
+                               + a7_5 * k5o + a7_6 * k6o))
+        k8t, k8o = f(t + c8 * h,
+                     th + h * (a8_0 * k0t + a8_3 * k3t + a8_4 * k4t
+                               + a8_5 * k5t + a8_6 * k6t + a8_7 * k7t),
+                     om + h * (a8_0 * k0o + a8_3 * k3o + a8_4 * k4o
+                               + a8_5 * k5o + a8_6 * k6o + a8_7 * k7o))
+        k9t, k9o = f(t + c9 * h,
+                     th + h * (a9_0 * k0t + a9_3 * k3t + a9_4 * k4t
+                               + a9_5 * k5t + a9_6 * k6t + a9_7 * k7t
+                               + a9_8 * k8t),
+                     om + h * (a9_0 * k0o + a9_3 * k3o + a9_4 * k4o
+                               + a9_5 * k5o + a9_6 * k6o + a9_7 * k7o
+                               + a9_8 * k8o))
+        k10t, k10o = f(t + c10 * h,
+                       th + h * (a10_0 * k0t + a10_3 * k3t + a10_4 * k4t
+                                 + a10_5 * k5t + a10_6 * k6t + a10_7 * k7t
+                                 + a10_8 * k8t + a10_9 * k9t),
+                       om + h * (a10_0 * k0o + a10_3 * k3o + a10_4 * k4o
+                                 + a10_5 * k5o + a10_6 * k6o + a10_7 * k7o
+                                 + a10_8 * k8o + a10_9 * k9o))
+        k11t, k11o = f(t + h,
+                       th + h * (a11_0 * k0t + a11_3 * k3t + a11_4 * k4t
+                                 + a11_5 * k5t + a11_6 * k6t + a11_7 * k7t
+                                 + a11_8 * k8t + a11_9 * k9t
+                                 + a11_10 * k10t),
+                       om + h * (a11_0 * k0o + a11_3 * k3o + a11_4 * k4o
+                                 + a11_5 * k5o + a11_6 * k6o + a11_7 * k7o
+                                 + a11_8 * k8o + a11_9 * k9o
+                                 + a11_10 * k10o))
+        th_new = th + h * (b0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t
+                           + b8 * k8t + b9 * k9t + b10 * k10t + b11 * k11t)
+        om_new = om + h * (b0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o
+                           + b8 * k8o + b9 * k9o + b10 * k10o + b11 * k11o)
         # max(|y|, |y_new|) but for the sign of a zero or NaN, unseen here
         y_old = th if th >= 0.0 else -th
         y_new = th_new if th_new >= 0.0 else -th_new
@@ -181,8 +249,19 @@ def _dp45(f, t0, y0, spec, step_cb=None):
         y_old = om if om >= 0.0 else -om
         y_new = om_new if om_new >= 0.0 else -om_new
         sc_o = abs_tol + rel_tol * (y_new if y_new > y_old else y_old)
-        err = sqrt(0.5 * ((et / sc_t) ** 2 + (eo / sc_o) ** 2))
-        if err <= 1.0:
+        e5t = (e5_0 * k0t + e5_5 * k5t + e5_6 * k6t + e5_7 * k7t + e5_8 * k8t
+               + e5_9 * k9t + e5_10 * k10t + e5_11 * k11t) / sc_t
+        e5o = (e5_0 * k0o + e5_5 * k5o + e5_6 * k6o + e5_7 * k7o + e5_8 * k8o
+               + e5_9 * k9o + e5_10 * k10o + e5_11 * k11o) / sc_o
+        e3t = (e3_0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t + e3_8 * k8t
+               + b9 * k9t + b10 * k10t + e3_11 * k11t) / sc_t
+        e3o = (e3_0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o + e3_8 * k8o
+               + b9 * k9o + b10 * k10o + e3_11 * k11o) / sc_o
+        n5 = e5t * e5t + e5o * e5o
+        n3 = e3t * e3t + e3o * e3o
+        err = h * n5 / sqrt(2.0 * (n5 + 0.01 * n3)) if n5 or n3 else 0.0
+        if err < 1.0:
+            k12t, k12o = f(t + h, th_new, om_new)
             accepted += 1
             if h < h_lo:
                 h_lo = h
@@ -190,34 +269,41 @@ def _dp45(f, t0, y0, spec, step_cb=None):
                 h_hi = h
             stop = False
             if step_cb is not None:
-                stop = bool(step_cb(t, (th, om), (k1t, k1o), t + h,
-                                    (th_new, om_new), (k7t, k7o)))
-            t += h
+                ya, yb = (th, om), (th_new, om_new)
+                stop = bool(step_cb(t, ya, t_new, yb, _DenseStep(
+                    f, t, h, t_new, ya, yb,
+                    (k0t, k0o, k5t, k5o, k6t, k6o, k7t, k7o, k8t, k8o, k9t,
+                     k9o, k10t, k10o, k11t, k11o, k12t, k12o))))
+            t = t_new
             th, om = th_new, om_new
-            k1t, k1o = k7t, k7o
+            k0t, k0o = k12t, k12o
             append_t(t)
             append_th(th)
             append_om(om)
             if stop:
                 break
-            # err <= 1: factor >= 0.9, only the cap of 5 can apply
-            factor = 0.9 * err ** -0.2 if err != 0.0 else 5.0
-            h_next = h * (factor if factor < 5.0 else 5.0)
+            # err < 1: factor > 0.9, only the cap of 10 can apply
+            factor = 0.9 * err ** -0.125 if err != 0.0 else 10.0
+            if after_reject:
+                factor = 1.0 if factor > 1.0 else factor
+                after_reject = False
+            h = h * (factor if factor < 10.0 else 10.0)
+            if h < h_min:
+                h = h_min
         else:
             rejected += 1
-            # err > 1: factor < 0.9, only the floor of 0.2 can apply; a NaN
+            after_reject = True
+            # err >= 1: factor <= 0.9, only the floor of 0.2 can apply; a NaN
             # error (the trial step overflowed) takes the floor too
-            factor = 0.9 * err ** -0.2
-            h_next = h * (factor if factor > 0.2 else 0.2)
-            if h_next < h_min:
+            factor = 0.9 * err ** -0.125
+            h = h * (factor if factor > 0.2 else 0.2)
+            if h < h_min:
                 stats = StepStats(accepted, rejected, h_lo, h_hi)
                 raise StepUnderflow(_pack(times, thetas, omegas, stats,
                                           complete=False))
-        h = h_min if h_min > h_next else h_next
         if h_max < h:
             h = h_max
-    stats = StepStats(accepted, rejected, h_lo, h_hi)
-    return times, thetas, omegas, stats, True
+    return times, thetas, omegas, StepStats(accepted, rejected, h_lo, h_hi)
 
 
 def _pack(times, thetas, omegas, stats, complete=True):
@@ -229,46 +315,106 @@ def _pack(times, thetas, omegas, stats, complete=True):
     )
 
 
-def _hermite(ya, fa, yb, fb, h, s):
-    """Cubic Hermite value at fraction s of a step of width h."""
-    d = yb - ya
-    return (
-        (1.0 - s) * ya + s * yb
-        + s * (1.0 - s) * ((1.0 - s) * (h * fa - d) + s * (d - h * fb))
-    )
+def _dot(coeffs, values):
+    return sum(map(mul, coeffs, values))
 
 
-def _refine_crossing(ta, ya, fa, tb, yb, fb, comp, target=0.0, tol=1e-10):
-    """Time of g(t) = y[comp](t) - target = 0 inside an accepted step."""
-    h = tb - ta
+class _DenseStep:
+    """DOP853's 7th-order continuous extension of one accepted step.
 
-    def g(s):
-        return _hermite(ya[comp], fa[comp], yb[comp], fb[comp], h, s) - target
+    ``dense(t) -> (theta, omega)`` for ta <= t <= tb, where t is a float or
+    an array of them.  The three extra stages and the polynomial are built
+    on the first call only, so a step that holds no event costs one small
+    object.  ``k`` holds the stages 0, 5-11 and 12 (the rhs at tb), each as
+    (theta', omega'); ``h`` is the width the stages were taken with.
+    """
 
-    s0, s1 = 0.0, 1.0
-    g0, g1 = g(s0), g(s1)
-    for _ in range(80):
-        if g1 == g0:
-            break
-        s2 = s1 - g1 * (s1 - s0) / (g1 - g0)
-        s2 = min(1.0, max(0.0, s2))
-        if abs(s2 - s1) * h < tol:
-            s1 = s2
-            break
-        s0, g0 = s1, g1
-        s1, g1 = s2, g(s2)
-    t_cross = ta + s1 * h
-    theta = _hermite(ya[0], fa[0], yb[0], fb[0], h, s1)
-    omega = _hermite(ya[1], fa[1], yb[1], fb[1], h, s1)
-    return t_cross, theta, omega
+    __slots__ = ("f", "ta", "h", "tb", "ya", "yb", "k", "_poly")
+
+    def __init__(self, f, ta, h, tb, ya, yb, k):
+        self.f, self.ta, self.h, self.tb = f, ta, h, tb
+        self.ya, self.yb, self.k = ya, yb, k
+        self._poly = None
+
+    def _build(self):
+        # rows 13-15 of the extended tableau and the rows of D, over the
+        # stages 0, 5-12 and the extra ones, in that order
+        extra = (
+            (0.1, (0.056167502283047954, 0.0, 0.25350021021662483,
+                   -0.2462390374708025, -0.12419142326381637,
+                   0.15329179827876568, 0.00820105229563469,
+                   0.007567897660545699, -0.008298)),
+            (0.2, (0.03183464816350214, 0.028300909672366776,
+                   0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+                   -0.00010834732869724932, 0.0003825710908356584,
+                   -0.00034046500868740456, 0.1413124436746325)),
+            (0.7777777777777778, (
+                -0.42889630158379194, -4.697621415361164, 7.683421196062599,
+                4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+                -0.0013990241651590145, 2.9475147891527724,
+                -9.15095847217987)),
+        )
+        d_rows = (
+            (-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+             2.38466765651207, 2.117034582445028, -0.871391583777973,
+             2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+             18.148505520854727, -9.194632392478356, -4.436036387594894),
+            (10.427508642579134, 242.28349177525817, 165.20045171727028,
+             -374.5467547226902, -22.113666853125306, 7.733432668472264,
+             -30.674084731089398, -9.332130526430229, 15.697238121770845,
+             -31.139403219565178, -9.35292435884448, 35.81684148639408),
+            (19.985053242002433, -387.0373087493518, -189.17813819516758,
+             527.8081592054236, -11.57390253995963, 6.8812326946963,
+             -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+             -60.19669523126412, 84.32040550667716, 11.99229113618279),
+            (-25.69393346270375, -154.18974869023643, -231.5293791760455,
+             357.6391179106141, 93.40532418362432, -37.45832313645163,
+             104.0996495089623, 29.8402934266605, -43.53345659001114,
+             96.32455395918828, -39.17726167561544, -149.72683625798564),
+        )
+        f, t, h = self.f, self.ta, self.h
+        (th, om), (th_b, om_b) = self.ya, self.yb
+        kt, ko = list(self.k[0::2]), list(self.k[1::2])
+        for c, row in extra:
+            st, so = f(t + c * h, th + h * _dot(row, kt),
+                       om + h * _dot(row, ko))
+            kt.append(st)
+            ko.append(so)
+        poly = []
+        for y, y_b, k in ((th, th_b, kt), (om, om_b, ko)):
+            dy = y_b - y
+            poly.append((dy, h * k[0] - dy, 2.0 * dy - h * (k[8] + k[0]),
+                         *(h * _dot(row, k) for row in d_rows)))
+        return poly
+
+    def __call__(self, t):
+        if self._poly is None:
+            self._poly = self._build()
+        x = (t - self.ta) / (self.tb - self.ta)
+        u = 1.0 - x
+        return tuple(
+            y + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (
+                f5 + x * f6))))))
+            for y, (f0, f1, f2, f3, f4, f5, f6) in zip(self.ya, self._poly))
+
+
+def _refine_crossing(dense, comp, target=0.0, tol=1e-10):
+    """(t, theta, omega) where y[comp] = target inside a step of ``dense``.
+
+    The step's ends must bracket the crossing.  The search takes the end
+    states as they are, which the polynomial meets only to rounding.
+    """
+    def g(t):
+        return (dense.yb if t == dense.tb else dense(t))[comp] - target
+
+    t_cross = brentq(g, dense.ta, dense.tb, xtol=tol)
+    return (t_cross, *dense(t_cross))
 
 
 def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
                   step_cb=None) -> Trajectory:
     """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``."""
-    times, thetas, omegas, stats, complete = _dp45(f, t0, state0, spec,
-                                                   step_cb)
-    return _pack(times, thetas, omegas, stats, complete)
+    return _pack(*_dop853(f, t0, state0, spec, step_cb))
 
 
 def integrate(p: Params, state0, spec: IntegratorSpec | None = None) -> Trajectory:
@@ -297,38 +443,31 @@ def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
     spec = replace(spec or IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13),
                    t_end=t_max)
     f = scalar_rhs(p)
-    crossings: list[tuple[float, float, int]] = []   # (time, theta, direction)
+    crossings: list[tuple[float, float]] = []        # (time, theta)
     theta0 = state0[0]
-    wrap: list[tuple[float, float]] = []             # rotation: 2*pi advance
+    wrap: list[float] = []                           # rotation: 2*pi advance
 
-    def cb(ta, ya, fa, tb, yb, fb):
+    def cb(ta, ya, tb, yb, dense):
         if ya[1] == 0.0 and ta == 0.0:
-            crossings.append((0.0, ya[0], 1 if fb[1] > 0 else -1))
+            crossings.append((0.0, ya[0]))
         if ya[1] * yb[1] < 0.0:
-            t_c, th_c, _ = _refine_crossing(ta, ya, fa, tb, yb, fb, comp=1)
-            crossings.append((t_c, th_c, 1 if yb[1] > ya[1] else -1))
-            if len(crossings) >= 4:
+            crossings.append(_refine_crossing(dense, comp=1)[:2])
+            if len(crossings) == 3:
                 return True
         for sign in (1.0, -1.0):
             target = theta0 + sign * 2.0 * math.pi
             if (ya[0] - target) * (yb[0] - target) < 0.0:
-                t_c, _, om_c = _refine_crossing(ta, ya, fa, tb, yb, fb,
-                                                comp=0, target=target)
-                wrap.append((t_c, om_c))
+                wrap.append(_refine_crossing(dense, comp=0, target=target)[0])
                 return True
         return False
 
     integrate_rhs(f, state0, spec, step_cb=cb)
     if len(crossings) >= 3:
-        # same-direction crossings are two apart
-        t1, th1, _ = crossings[0]
-        t2, th2, _ = crossings[1]
-        t3, _, _ = crossings[2]
-        period = t3 - t1
-        amplitude = 0.5 * abs(th2 - th1)
-        return FreeOscillation(amplitude, period, rotating=False)
+        # crossings alternate in direction: same-direction ones are two apart
+        (t1, th1), (_, th2), (t3, _) = crossings[:3]
+        return FreeOscillation(0.5 * abs(th2 - th1), t3 - t1, rotating=False)
     if wrap:
-        return FreeOscillation(math.pi, wrap[0][0], rotating=True)
+        return FreeOscillation(math.pi, wrap[0], rotating=True)
     raise ValueError("no oscillation detected within t_max")
 
 

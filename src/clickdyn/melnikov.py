@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import interior_angle, stiffness_at_poles
-from .integrate import IntegratorSpec, integrate_rhs
+from .integrate import IntegratorSpec, _refine_crossing, integrate_rhs
 from .model import Params, stiffness
 
 __all__ = [
@@ -228,8 +228,9 @@ def separatrix(r: ReducedSystem,
 
     ``closed_form`` evaluates the analytic orbit, with amplitudes fixed by
     energy matching to the reduced Hamiltonian.  ``continued`` shoots from
-    the saddle along the unstable eigenvector (offset 1e-8) and errors out
-    if the orbit misses the target saddle by more than 1e-6.
+    the saddle along the unstable eigenvector (offset 1e-8), stops past
+    the closest approach to the target saddle, samples the shot's dense
+    output and errors out if it missed that saddle by more than 1e-6.
     """
     if source not in ("closed_form", "continued"):
         raise ValueError("source must be 'closed_form' or 'continued'")
@@ -244,9 +245,6 @@ def separatrix(r: ReducedSystem,
 
 
 def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbit:
-    from scipy.interpolate import CubicHermiteSpline
-    from scipy.optimize import brentq
-
     if kind == "homoclinic":
         saddle = 0.0
         target = 0.0
@@ -258,50 +256,50 @@ def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbi
         math.sqrt(2.0 * r.k_center / r.kappa)
     offset = 1e-8
     state = (saddle + offset, offset * lam)
-    f = r.rhs()
     # the shot leaves the saddle and returns to within the offset of it in
     # about 2*log(1/offset)/lam; cutting it off earlier misses the saddle
     t_end = max(_CONNECT_TMAX, 2.5 * math.log(1.0 / offset) / lam)
-    spec = IntegratorSpec(rel_tol=1e-13, abs_tol=1e-15, h_max=0.05,
-                          t_end=t_end)
-    traj = integrate_rhs(f, state, spec)
-    th = traj.states[:, 0]
-    om = traj.states[:, 1]
-    dom = np.asarray([-float(r.moment(x)) / r.kappa for x in th])
-    th_s = CubicHermiteSpline(traj.times, th, om)
-    om_s = CubicHermiteSpline(traj.times, om, dom)
-    if kind == "homoclinic":
-        # follow the loop out and back to the saddle it left
-        apex_i = int(np.argmax(np.abs(th)))
-        resid = np.min(np.abs(th[apex_i:] - target))
-        if resid > _CONNECT_TOL:
-            raise ValueError(
-                "continued orbit failed to reconnect with the saddle "
-                f"(residual {resid:.2e})"
-            )
-        # apex: the velocity zero at the orbit's widest point
-        apex_t = brentq(om_s, traj.times[max(apex_i - 1, 0)],
-                        traj.times[min(apex_i + 1, len(th) - 1)], xtol=1e-13)
-        end_i = apex_i + int(np.argmin(np.abs(th[apex_i:] - target)))
-    else:
-        resid = np.min(np.abs(th - target))
-        if resid > _CONNECT_TOL:
-            raise ValueError(
-                "continued orbit failed to connect to the target saddle "
-                f"(residual {resid:.2e})"
-            )
-        # apex: crossing of the midpoint theta = 0 (maximal speed)
-        cross = np.nonzero(th[:-1] * th[1:] <= 0.0)[0]
-        i = int(cross[0])
-        apex_t = brentq(th_s, traj.times[i], traj.times[i + 1], xtol=1e-13)
-        end_i = int(np.argmin(np.abs(th - target)))
-    # past the closest approach the shot peels off the saddle exponentially;
-    # clamp the tail onto the saddle it has effectively reached
-    end_t = traj.times[end_i]
-    shifted = np.clip(times + apex_t, traj.times[0], end_t)
-    thetas = th_s(shifted)
-    omegas = om_s(shifted)
-    before = times + apex_t < traj.times[0]
+    spec = IntegratorSpec(rel_tol=1e-13, abs_tol=1e-15, t_end=t_end)
+    # The apex is the velocity zero at the widest point of a homoclinic loop,
+    # or the crossing of theta = 0 (maximal speed) of a heteroclinic orbit.
+    # After it the shot approaches the target saddle; it stops once past
+    # the closest approach, where it peels off the saddle and may escape to
+    # infinity before t_end.
+    apex_comp = 1 if kind == "homoclinic" else 0
+    steps = []
+    apex = None         # the step that holds the apex
+    closest, end_t = math.inf, 0.0
+
+    def on_step(ta, ya, tb, yb, dense):
+        nonlocal apex, closest, end_t
+        steps.append(dense)
+        if apex is None:
+            if ya[apex_comp] * yb[apex_comp] > 0.0:
+                return False
+            apex = dense
+        dist = abs(yb[0] - target)
+        if dist > closest:
+            return True
+        closest, end_t = dist, tb
+        return False
+
+    integrate_rhs(r.rhs(), state, spec, step_cb=on_step)
+    if closest > _CONNECT_TOL:
+        raise ValueError("continued orbit failed to connect to the target "
+                         f"saddle (residual {closest:.2e})")
+    apex_t = _refine_crossing(apex, comp=apex_comp)[0]
+    # sample the dense output; past the closest approach the shot peels off
+    # the saddle exponentially, so the tail is clamped onto the saddle
+    shifted = np.clip(times + apex_t, 0.0, end_t)
+    thetas = np.empty_like(shifted)
+    omegas = np.empty_like(shifted)
+    lo = 0
+    for step, hi in zip(steps, np.searchsorted(
+            shifted, [s.tb for s in steps], side="right").tolist()):
+        if hi > lo:
+            thetas[lo:hi], omegas[lo:hi] = step(shifted[lo:hi])
+            lo = hi
+    before = times + apex_t < 0.0
     after = times + apex_t > end_t
     thetas[before] = saddle
     omegas[before] = 0.0

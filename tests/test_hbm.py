@@ -255,7 +255,7 @@ def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
     amp, x, settled = hbm._steady_amplitude(f, _hbm_state(s, root),
                                             one.t_end, SPEC)
     assert settled
-    px = period(x)[0]
+    px = period(x)
     scale = 1.0 + math.hypot(*x)
     assert math.hypot(px[0] - x[0], px[1] - x[1]) <= SPEC.rel_tol * scale
     m = hbm._monodromy(period, x, px, math.sqrt(SPEC.rel_tol) * scale)
@@ -274,7 +274,7 @@ def test_unstable_middle_branch_is_rejected(monkeypatch):
     stable = hbm._stable
     monkeypatch.setattr(hbm, "_stable",
                         lambda m: verdicts.append(stable(m)) or verdicts[-1])
-    assert hbm._shoot(period, x, *period(x), SPEC.rel_tol) is None
+    assert hbm._shoot(period, x, period(x), SPEC.rel_tol) is None
     assert verdicts == [False]
     monkeypatch.undo()
     # ... so the sweep leaves it for one of the stable branches
@@ -291,9 +291,9 @@ def _transient_amplitude(s, periods=1000):
     t_drive = 2.0 * math.pi / s
     turns = []
 
-    def cb(ta, ya, fa, tb, yb, fb):
+    def cb(ta, ya, tb, yb, dense):
         if ta >= (periods - 1) * t_drive and ya[1] * yb[1] < 0.0:
-            turns.append(_refine_crossing(ta, ya, fa, tb, yb, fb, comp=1)[1])
+            turns.append(_refine_crossing(dense, comp=1)[1])
 
     integrate_rhs(f, (0.0, 0.0),
                   IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11,
@@ -317,9 +317,9 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
                                        SPEC)
     s = 0.9735
     f, one, period = _period_map(s)
-    px, traj = period(x)
+    px = period(x)
     calls = []
-    assert hbm._shoot(lambda y: calls.append(y) or period(y), x, px, traj,
+    assert hbm._shoot(lambda y: calls.append(y) or period(y), x, px,
                       SPEC.rel_tol) is None
     # the first Newton step does not halve the residual: the attempt ends
     # there, after the two monodromy columns and one period map

@@ -128,6 +128,32 @@ def test_continued_reconnects_at_slow_decay(variant, alpha):
     assert np.max(np.abs(cf.omegas - co.omegas)) <= 1e-6
 
 
+@pytest.mark.parametrize("variant, alpha", [(SOFT_CUBIC, 1.6),
+                                            (SOFT_CUBIC, 1.62),
+                                            (DUFFING, 1.5), (PENDULUM, 1.5)])
+def test_continued_shot_stops_at_the_target_saddle(monkeypatch, variant,
+                                                   alpha):
+    # Past its closest approach the shot peels off the target saddle, to
+    # either side; beyond pi the soft cubic's moment drives it to infinity,
+    # which can raise StepUnderflow before t_end.  The shot must end at the
+    # saddle, however late an escape would come.
+    import clickdyn.melnikov as mk
+
+    shots = []
+    integrate = mk.integrate_rhs
+    monkeypatch.setattr(mk, "integrate_rhs",
+                        lambda *a, **k: shots.append(integrate(*a, **k))
+                        or shots[-1])
+    r = reduce_system(Params(alpha=alpha, beta=1.0), variant)
+    co = separatrix(r, "continued")
+    cf = separatrix(r, "closed_form")
+    assert np.max(np.abs(cf.thetas - co.thetas)) <= 1e-6
+    assert np.max(np.abs(cf.omegas - co.omegas)) <= 1e-6
+    target = 0.0 if variant == DUFFING else math.pi
+    (shot,) = shots
+    assert abs(shot.states[-1, 0] - target) <= 1e-6
+
+
 def test_pendulum_forcing_kernel_quadrature():
     # |FT of 2 sech T at 1| = 2*pi*sech(pi/2)
     r = _unit_pendulum()
