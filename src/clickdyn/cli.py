@@ -358,16 +358,8 @@ def _run_freevib(p: Params, opts) -> list[Dataset]:
     return out
 
 
-def _working_center(p: Params):
-    centers = [e for e in eq.equilibria_in_period(p) if e.kind == eq.CENTER]
-    if not centers:
-        raise ValueError("no center equilibrium for this parameter point")
-    return max(centers, key=lambda e: e.theta)
-
-
 def _run_hbm(p: Params, opts) -> list[Dataset]:
-    center = _working_center(p)
-    cubic = hbm.fit_cubic(p, center)
+    cubic = hbm.fit_cubic(p, eq.working_center(p))
     b_amp = opts["drive"]
     s_values = np.linspace(opts["s_min"], opts["s_max"], opts["n"])
     branch = hbm.frf_curve(cubic, p.kappa, p.xi, b_amp, s_values)
@@ -376,8 +368,8 @@ def _run_hbm(p: Params, opts) -> list[Dataset]:
                                branch.phases):
         for i, (a, ph) in enumerate(zip(amps, phases)):
             frf_rows.append((float(s), i, float(a), float(ph)))
-    meta = {"epsilon": cubic.epsilon, "omega_n": cubic.omega_n,
-            "origin_theta": cubic.origin_theta}
+    meta = {"epsilon": cubic.epsilon, "quad_coeff": cubic.quad_coeff,
+            "omega_n": cubic.omega_n, "origin_theta": cubic.origin_theta}
     return [
         Dataset("hbm_frf", ("s", "root", "amplitude", "phase"), frf_rows,
                 metadata=meta),

@@ -26,6 +26,7 @@ __all__ = [
     "CENTER",
     "DEGENERATE",
     "equilibria_in_period",
+    "working_center",
     "stiffness_at_poles",
     "eigenvalues_at",
     "classify_region",
@@ -137,6 +138,15 @@ def equilibria_in_period(p: Params) -> list[Equilibrium]:
         out.append(_make_equilibrium(p, theta_star, "theta3"))
         out.append(_make_equilibrium(p, -theta_star, "theta4"))
     return out
+
+
+def working_center(p: Params) -> Equilibrium:
+    """The center with the largest theta, about which the forced response
+    (cubic fit and full-system sweep) is taken."""
+    centers = [e for e in equilibria_in_period(p) if e.kind == CENTER]
+    if not centers:
+        raise ValueError("no center equilibrium for this parameter point")
+    return max(centers, key=lambda e: e.theta)
 
 
 def stiffness_at_poles(p: Params) -> tuple[float, float]:

@@ -10,29 +10,30 @@ whose single-harmonic balance gives the amplitude relationship
 
 The drive amplitude is normalized so that the static (s -> 0, eps = 0)
 response equals B, i.e. B = M0 / K in physical terms.  The cubic fit about
-a center uses Richardson-extrapolated central differences of the restoring
-moment; the quadratic (asymmetry) coefficient is reported alongside.
+a center takes the moment's Taylor coefficients in closed form; about an
+asymmetric center its quadratic term enters eps as the effective cubic
+coefficient, and is reported alongside.  The relation is a cubic in
+u = A^2 whose discriminant gives both the root count and the folds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .equilibria import CENTER, Equilibrium, equilibria_in_period
+from .equilibria import CENTER, Equilibrium, working_center
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
                         integrate_rhs)
-from .model import Params, moment, scalar_rhs
+from .model import Params, _moment_curvature, scalar_rhs, stiffness
 
 __all__ = [
     "CubicApprox",
     "FrfBranch",
     "SweepResult",
     "fit_cubic",
-    "fit_cubic_from_function",
     "frf_amplitudes",
     "frf_curve",
     "fold_frequencies",
@@ -44,7 +45,7 @@ __all__ = [
 @dataclass(frozen=True)
 class CubicApprox:
     omega_n: float        # linearized frequency at the expansion center
-    epsilon: float        # cubic coefficient of the normalized restoring term
+    epsilon: float        # effective cubic coefficient, normalized by k
     origin_theta: float   # expansion center
     k_linear: float = 1.0       # stiffness at the center
     quad_coeff: float = 0.0     # quadratic Taylor coefficient of the moment
@@ -75,130 +76,111 @@ class SweepResult:
     down_unsettled: list[float]    # found within the transient cap
 
 
-def _derivatives(mfun, x0: float, step: float) -> tuple[float, float, float]:
-    """(M', M'', M''') at x0 by Richardson-extrapolated central differences."""
+def fit_cubic(p: Params, eq: Equilibrium) -> CubicApprox:
+    """Cubic approximation of the system moment about a center equilibrium.
 
-    def d1(h):
-        return (mfun(x0 + h) - mfun(x0 - h)) / (2.0 * h)
-
-    def d2(h):
-        return (mfun(x0 + h) - 2.0 * mfun(x0) + mfun(x0 - h)) / h**2
-
-    def d3(h):
-        return (mfun(x0 + 2 * h) - 2.0 * mfun(x0 + h) + 2.0 * mfun(x0 - h)
-                - mfun(x0 - 2 * h)) / (2.0 * h**3)
-
-    out = []
-    for d in (d1, d2, d3):
-        coarse = d(2.0 * step)
-        fine = d(step)
-        out.append((4.0 * fine - coarse) / 3.0)
-    return out[0], out[1], out[2]
-
-
-def fit_cubic_from_function(mfun, theta_eq: float, kappa: float,
-                            step: float = 1e-3) -> CubicApprox:
-    """Cubic approximation of an arbitrary restoring moment about a center.
-
-    epsilon is the cubic Taylor coefficient of the moment normalized by the
-    local stiffness, so a linear moment gives epsilon = 0 exactly (to
-    finite-difference accuracy).
+    The Taylor coefficients are closed form, k with ``eq.k_local``'s bits.
+    The quadratic term q = M''/(2k) of an asymmetric well shifts the
+    frequency at the order of the cubic one, so ``epsilon`` is the
+    effective M'''/(6k) - (10/9)*q^2 (Nayfeh & Mook, *Nonlinear
+    Oscillations*, sec. 4.1).
     """
-    k, m2, m3 = _derivatives(mfun, theta_eq, step)
-    if k <= 0.0:
-        raise ValueError("expansion point is not a center (nonpositive stiffness)")
-    cubic = m3 / 6.0
-    return CubicApprox(
-        omega_n=math.sqrt(k / kappa),
-        epsilon=cubic / k,
-        origin_theta=theta_eq,
-        k_linear=k,
-        quad_coeff=m2 / 2.0,
-    )
-
-
-def fit_cubic(p: Params, eq: Equilibrium, step: float = 1e-3) -> CubicApprox:
-    """Cubic approximation of the system moment about a center equilibrium."""
     if eq.kind != CENTER:
         raise ValueError(f"cubic fit requires a center, got {eq.kind}")
-    return fit_cubic_from_function(
-        lambda th: float(moment(p, th)), eq.theta, p.kappa, step
-    )
+    k = float(stiffness(p, eq.theta))
+    m2, m3 = _moment_curvature(p, eq.theta)
+    q = m2 / (2.0 * k)
+    return CubicApprox(omega_n=math.sqrt(k / p.kappa),
+                       epsilon=m3 / (6.0 * k) - (10.0 / 9.0) * q * q,
+                       origin_theta=eq.theta, k_linear=k, quad_coeff=0.5 * m2)
+
+
+def _discriminant(s, eps, kappa, xi, b_amp):
+    """Discriminant of the amplitude cubic c3*u^3 + c2*u^2 + c1*u + c0.
+
+    The cubic in u = A^2 has no root u <= 0: three positive roots where
+    this is positive, one where it is negative.  s may be an array.
+    """
+    lin = 1.0 - kappa * s * s
+    c3 = 0.5625 * eps * eps
+    c2 = 1.5 * eps * lin
+    c1 = lin * lin + (2.0 * xi * s) ** 2
+    c0 = -(b_amp**2)
+    return (18.0 * c3 * c2 * c1 * c0 - 4.0 * c2**3 * c0 + c2 * c2 * c1 * c1
+            - 4.0 * c3 * c1**3 - 27.0 * c3 * c3 * c0 * c0)
 
 
 def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
-                   b_amp: float, s: float) -> list[tuple[float, float]]:
+                   b_amp: float, s: float | np.ndarray) -> list:
     """All positive-amplitude HBM roots (A, phi) at frequency ratio s.
 
-    Roots of the cubic in u = A^2 are classified in closed form and polished
-    with a Newton step on the residual of the amplitude relationship.
+    A list of (A, phi) pairs ascending in A; for an array of s, one such
+    list per entry.  In w = 0.75*eps*u, u = A^2, the amplitude relation is
+    the monic cubic w^3 + 2*lin*w^2 + (lin^2 + d2)*w = 0.75*eps*B^2.  After
+    the shift w = t - 2*lin/3 it has three roots in trigonometric form
+    where :func:`_discriminant` is positive, one by Cardano where it is
+    negative.  A Newton step on the residual polishes each root; it is
+    kept only where it lowers the residual, which beside a double root it
+    need not.
     """
-    if s <= 0.0:
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if np.any(s_arr <= 0.0):
         raise ValueError("frequency ratio s must be positive")
     if b_amp < 0.0:
         raise ValueError("drive amplitude must be nonnegative")
     eps = cubic.epsilon
-    lin = 1.0 - kappa * s * s
-    damp2 = (2.0 * xi * s) ** 2
-    if eps == 0.0:
+    lin = (1.0 - kappa * s_arr * s_arr)[:, None]
+    damp2 = ((2.0 * xi * s_arr) ** 2)[:, None]
+
+    def residual(u):
+        g = lin + 0.75 * eps * u
+        return (g * g + damp2) * u - b_amp**2
+
+    if eps == 0.0 or b_amp == 0.0:
         u = b_amp**2 / (lin * lin + damp2)
-        roots = [u]
     else:
-        c3 = 0.5625 * eps * eps
-        c2 = 1.5 * eps * lin
-        c1 = lin * lin + damp2
-        c0 = -(b_amp**2)
-        raw = np.roots([c3, c2, c1, c0])
-        roots = [float(r.real) for r in raw
-                 if abs(r.imag) <= 1e-9 * max(1.0, abs(r.real)) and r.real > 0.0]
-
-        def residual(u):
+        p = damp2 - lin * lin / 3.0
+        q = (-(2.0 / 27.0) * lin * lin * lin - (2.0 / 3.0) * lin * damp2
+             - 0.75 * eps * b_amp**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # three: 2m*cos(angle/3 - 2*pi*k/3), k = 0, 1, 2 (p < 0 there)
+            m = np.sqrt(np.maximum(-p / 3.0, 0.0))
+            angle = np.arccos(np.clip(-q / (2.0 * m * m * m), -1.0, 1.0))
+            trig = 2.0 * m * np.cos(angle / 3.0 - (2.0 * math.pi / 3.0)
+                                    * np.arange(3))
+            # one: Cardano, its cube root taken without cancellation
+            c = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(
+                np.maximum(0.25 * q * q + p * p * p / 27.0, 0.0))), q)
+            one = np.where(c == 0.0, 0.0, c - p / (3.0 * c))
+            three = _discriminant(s_arr, eps, kappa, xi, b_amp) > 0.0
+            t = np.where(three[:, None], trig,
+                         np.where(np.arange(3) == 0, one, np.nan))
+            u = (t - (2.0 / 3.0) * lin) / (0.75 * eps)
             g = lin + 0.75 * eps * u
-            return (g * g + damp2) * u - b_amp**2
-
-        def dresidual(u):
-            g = lin + 0.75 * eps * u
-            return g * g + damp2 + 1.5 * eps * g * u
-
-        polished = []
-        for u in roots:
-            du = dresidual(u)
-            if du != 0.0:
-                u = u - residual(u) / du
-            if u > 0.0:
-                polished.append(u)
-        roots = sorted(set(polished))
-    out = []
-    for u in roots:
-        amp = math.sqrt(u)
-        phase = math.atan2(2.0 * xi * s, lin + 0.75 * eps * u)
-        out.append((amp, phase))
-    return out
+            newton = u - residual(u) / (g * g + damp2 + 1.5 * eps * g * u)
+            u = np.where(np.abs(residual(newton)) < np.abs(residual(u)),
+                         newton, u)
+    u = np.sort(np.where(u > 0.0, u, np.nan), axis=1)
+    phase = np.arctan2(2.0 * xi * s_arr[:, None], lin + 0.75 * eps * u)
+    rows = [[(a, ph) for a, ph in zip(ar, pr) if a == a]
+            for ar, pr in zip(np.sqrt(u).tolist(), phase.tolist())]
+    return rows if np.ndim(s) else rows[0]
 
 
 def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
-                     b_amp: float, s_lo: float, s_hi: float,
-                     n_scan: int = 2000) -> list[float]:
+                     b_amp: float, s_lo: float, s_hi: float) -> list[float]:
     """Frequencies where the HBM root count changes (fold points).
 
-    The amplitude relation, a cubic in u = A^2 with no root u <= 0, has
-    three positive roots where its discriminant is positive and one where it
-    is negative.  Scan points on a fold (discriminant 0) are skipped.
+    The zeros of :func:`_discriminant`, bracketed on a 2001-point scan of
+    [s_lo, s_hi]; scan points on a fold (discriminant 0) are skipped.  The
+    scan takes Python floats, as brentq does: numpy's array cube can differ
+    from libm's in the last bit, and then a scan point that lies on a fold
+    gets the other sign than brentq gives it at the same bracket end.
     """
-    eps = cubic.epsilon
-    c3 = 0.5625 * eps * eps
-    c0 = -(b_amp**2)
-
-    def disc(s):
-        lin = 1.0 - kappa * s * s
-        c2 = 1.5 * eps * lin
-        c1 = lin * lin + (2.0 * xi * s) ** 2
-        return (18.0 * c3 * c2 * c1 * c0 - 4.0 * c2**3 * c0 + c2 * c2 * c1 * c1
-                - 4.0 * c3 * c1**3 - 27.0 * c3 * c3 * c0 * c0)
-
-    scan = [(s, v > 0.0) for s in np.linspace(s_lo, s_hi, n_scan + 1).tolist()
-            if (v := disc(s)) != 0.0]
-    return [brentq(disc, lo, hi, xtol=1e-15)
+    args = (cubic.epsilon, kappa, xi, b_amp)
+    scan = [(s, v > 0.0) for s in np.linspace(s_lo, s_hi, 2001).tolist()
+            if (v := _discriminant(s, *args)) != 0.0]
+    return [brentq(_discriminant, lo, hi, args, xtol=1e-15)
             for (lo, three_lo), (hi, three_hi) in zip(scan, scan[1:])
             if three_lo != three_hi]
 
@@ -211,26 +193,21 @@ def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:
     commonly plotted kappa = 1 form.  Entries with negative radicand are
     dropped.
     """
-    rows = []
-    for a in np.asarray(a_grid, dtype=float):
-        if a <= 0.0:
-            raise ValueError("backbone amplitudes must be positive")
-        val = 1.0 + 0.75 * cubic.epsilon * a * a
-        if val < 0.0:
-            continue
-        rows.append((a, math.sqrt(val / kappa), val))
-    return np.asarray(rows, dtype=float).reshape(-1, 3)
+    a = np.asarray(a_grid, dtype=float).reshape(-1)
+    if np.any(a <= 0.0):
+        raise ValueError("backbone amplitudes must be positive")
+    val = 1.0 + 0.75 * cubic.epsilon * a * a
+    a, val = a[~(val < 0.0)], val[~(val < 0.0)]
+    return np.column_stack((a, np.sqrt(val / kappa), val))
 
 
 def frf_curve(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
               s_values) -> FrfBranch:
     """Full frequency-response branch data over a frequency grid."""
     s_values = np.asarray(s_values, dtype=float)
-    amps, phases = [], []
-    for s in s_values:
-        pairs = frf_amplitudes(cubic, kappa, xi, b_amp, float(s))
-        amps.append(np.asarray([a for a, _ in pairs]))
-        phases.append(np.asarray([ph for _, ph in pairs]))
+    rows = frf_amplitudes(cubic, kappa, xi, b_amp, s_values)
+    amps = [np.asarray([a for a, _ in pairs]) for pairs in rows]
+    phases = [np.asarray([ph for _, ph in pairs]) for pairs in rows]
     folds = fold_frequencies(cubic, kappa, xi, b_amp,
                              float(s_values[0]), float(s_values[-1]))
     a_max = max((a.max() for a in amps if a.size), default=1.0)
@@ -412,10 +389,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
 
 
 def _full_system_sweep_setup(p: Params):
-    centers = [e for e in equilibria_in_period(p) if e.kind == CENTER]
-    if not centers:
-        raise ValueError("no center equilibrium to sweep about")
-    center = max(centers, key=lambda e: e.theta)
+    center = working_center(p)
     omega_n = math.sqrt(center.k_local / p.kappa)
 
     def rhs_for_s(s):

@@ -228,6 +228,28 @@ def _stiffness_field(alpha, beta, gamma, theta):
     return out
 
 
+def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
+    """(M'', M''') at one float theta, closed form.
+
+    With P = alpha*beta, c, s = cos, sin(theta), f = P + gamma - P/D,
+    k3 = P^2/D^3 and x = P*s^2/D^2, differentiating M = f*s gives
+    M'' = s*(3*k3*(c - x) - f) and
+    M''' = k3*(3*c^2 - 4*s^2 - 18*c*x + 15*x^2) - f*c.  D^2 is taken as
+    (alpha - beta)^2 + 4*P*sin(theta/2)^2, which does not cancel beside
+    theta = 0.  The terms cancel only where D is small and x is not, beside
+    the cusp; at a center x = 0 (a pole) or D = P/(P + gamma) (a well).
+    """
+    ab = p.alpha * p.beta
+    c, s, sh = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
+    d2 = (p.alpha - p.beta) ** 2 + 4.0 * ab * sh * sh
+    f = ab + p.gamma - ab / math.sqrt(d2)
+    k3 = ab * ab / (d2 * math.sqrt(d2))
+    x = ab * s * s / d2
+    return (s * (3.0 * k3 * (c - x) - f),
+            k3 * (3.0 * c * c - 4.0 * s * s - 18.0 * c * x + 15.0 * x * x)
+            - f * c)
+
+
 def damping_factor(p: Params, theta):
     """Geometry factor (alpha*beta*sin(theta))^2 / D^2 of the damping term.
 

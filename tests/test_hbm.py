@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import clickdyn.hbm as hbm
 from clickdyn.cli import main
-from clickdyn.equilibria import CENTER, equilibria_in_period
-from clickdyn.hbm import (CubicApprox, backbone, fit_cubic,
-                          fit_cubic_from_function, fold_frequencies,
+from clickdyn.equilibria import (CENTER, equilibria_in_period,
+                                 working_center)
+from clickdyn.freevib import _orbit, natural_frequency
+from clickdyn.hbm import (CubicApprox, backbone, fit_cubic, fold_frequencies,
                           frf_amplitudes, frf_curve, sweep_hysteresis)
 from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
-from clickdyn.model import Params
+from clickdyn.model import Params, potential
 
 
 P_IV = Params(alpha=1.5, beta=1.0)
@@ -30,27 +31,34 @@ def _residual(cubic, kappa, xi, b, s, a):
     return (g * g + (2.0 * xi * s) ** 2) * a * a - b * b
 
 
-def test_fit_cubic_polynomial_oracle():
-    # exactly cubic moment: coefficients recovered to FD accuracy
-    k, c2, c3 = 1.7, 0.4, -0.9
-    cubic = fit_cubic_from_function(
-        lambda x: k * x + c2 * x * x + c3 * x**3, 0.0, kappa=2.0)
-    assert cubic.epsilon == pytest.approx(c3 / k, abs=1e-6)
-    assert cubic.k_linear == pytest.approx(k, abs=1e-8)
-    assert cubic.quad_coeff == pytest.approx(c2, abs=1e-6)
-    assert cubic.omega_n == pytest.approx(math.sqrt(k / 2.0), rel=1e-8)
-
-
-def test_fit_cubic_linear_moment_gives_zero_epsilon():
-    cubic = fit_cubic_from_function(lambda x: 2.0 * x, 0.0, kappa=1.0)
-    assert abs(cubic.epsilon) <= 1e-9
-
-
 def test_fit_cubic_softening_well():
-    cubic = fit_cubic(P_IV, _center(P_IV))
+    center = _center(P_IV)
+    cubic = fit_cubic(P_IV, center)
     assert cubic.epsilon < 0.0
-    assert cubic.omega_n == pytest.approx(
-        math.sqrt(_center(P_IV).k_local), rel=1e-6)
+    assert cubic.k_linear == center.k_local
+    assert cubic.omega_n == natural_frequency(P_IV, center)
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    (1.5, 1.0, 0.0),            # double well
+    (1.5, 1.0, 0.2),            # double well, gravity
+    (1.789, 0.848, 0.0627),     # the cubic term alone has the wrong sign
+    (1.0, 1.0, 0.02),           # cusp line alpha == beta
+])
+def test_backbone_matches_the_exact_free_vibration(alpha, beta, gamma):
+    # omega/omega_n - 1 = (3/8)*eps*A^2 + O(A^4) with the effective eps;
+    # the exact period is taken at A = 0.01, half the turning-angle spread
+    p = Params(alpha=alpha, beta=beta, gamma=gamma)
+    center = working_center(p)
+    cubic = fit_cubic(p, center)
+    assert cubic.quad_coeff != 0.0
+    energy = float(potential(p, center.theta)) + 0.5 * center.k_local * 1e-4
+    period, lo, hi = _orbit(p, energy)
+    amp = 0.5 * (hi - lo)
+    exact = (2.0 * math.pi / period / cubic.omega_n - 1.0) / amp**2
+    (_a, _s, s2), = backbone(cubic, p.kappa, [amp])
+    assert (s2 - 1.0) / amp**2 == pytest.approx(0.75 * cubic.epsilon)
+    assert 0.375 * cubic.epsilon == pytest.approx(exact, rel=0.01)
 
 
 def test_fit_cubic_rejects_saddle():
@@ -102,7 +110,7 @@ def test_root_count_parity():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
     for s in np.linspace(0.2, 1.5, 200):
         n = len(frf_amplitudes(cubic, 1.0, 0.05, 0.3, float(s)))
-        assert n in (1, 2, 3)   # 2 only exactly at a fold
+        assert n in (1, 3)
 
 
 def test_softening_three_root_band_below_linear_resonance():
@@ -165,19 +173,28 @@ def test_fold_frequencies_bound_three_root_band():
 
 
 def test_fold_on_a_scan_point_is_reported_once():
-    # point 500 of the default 2001-point scan lands on the lower fold,
-    # where the double root splits and the root count reads 2 between the
-    # 1- and 3-root branches
+    # point 500 of the 2001-point scan lands on the lower fold; the
+    # discriminant there is +6.1e-28, so the count is 3, with a double root
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.010632020785712019,
                         origin_theta=0.0)
     args = (cubic, 1.0, 0.010880235353209176, 0.05497346246006739)
     s_lo, s_hi = 0.9693228975247328, 0.9782562734510281
     on_fold = float(np.linspace(s_lo, s_hi, 2001)[500])
-    assert len(frf_amplitudes(*args, on_fold)) == 2
+    assert len(frf_amplitudes(*args, on_fold)) == 3
     folds = fold_frequencies(*args, s_lo, s_hi)
     assert len(folds) == 2
     lo, hi = folds
     assert len(frf_amplitudes(*args, 0.5 * (lo + hi))) == 3
+
+
+def _check_folds_separate(cubic, kappa, xi, b, s_lo, s_hi):
+    folds = fold_frequencies(cubic, kappa, xi, b, s_lo, s_hi)
+    for fold in folds:
+        for ds in (1e-7 * fold, 1e-10 * fold):
+            counts = [len(frf_amplitudes(cubic, kappa, xi, b, s))
+                      for s in (fold - ds, fold + ds)]
+            assert sorted(counts) == [1, 3]
+    return folds
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,13 +205,40 @@ def test_folds_separate_one_and_three_roots(sign, eps, xi, q, kappa):
     # a_pk = B/(2*xi), so that most draws have folds in the scanned range
     b = 2.0 * xi * math.sqrt(q * 2.0 * xi / (0.75 * eps))
     cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
-    s_lo, s_hi = 0.5 / math.sqrt(kappa), 1.5 / math.sqrt(kappa)
-    folds = fold_frequencies(cubic, kappa, xi, b, s_lo, s_hi)
-    for fold in folds:
-        ds = 1e-7 * fold
-        counts = [len(frf_amplitudes(cubic, kappa, xi, b, s))
-                  for s in (fold - ds, fold + ds)]
-        assert sorted(counts) == [1, 3]
+    _check_folds_separate(cubic, kappa, xi, b, 0.5 / math.sqrt(kappa),
+                          1.5 / math.sqrt(kappa))
+
+
+def test_root_count_beside_a_fold_follows_the_discriminant():
+    # 1e-10 below the lowest fold there are 3 roots; np.roots with a 1e-9
+    # cut on the imaginary part counted 1 on both sides
+    cubic = CubicApprox(omega_n=1.0, epsilon=-0.014884142476537928,
+                        origin_theta=0.0)
+    folds = _check_folds_separate(
+        cubic, 1.4529764684064155, 0.002380237425780928,
+        0.011983769044454876, 0.24888112678865743, 1.6592075119243828)
+    assert len(folds) == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.01, 0.5), st.sampled_from([-1.0, 1.0]),
+       st.floats(0.005, 0.1), st.floats(0.01, 0.5), st.floats(0.5, 2.0))
+def test_array_call_matches_the_companion_matrix_roots(eps, sign, xi, b,
+                                                       kappa):
+    cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
+    s_values = np.linspace(0.3, 1.7, 57) / math.sqrt(kappa)
+    rows = frf_amplitudes(cubic, kappa, xi, b, s_values)
+    assert len(rows) == s_values.size
+    for s, pairs in zip(s_values.tolist(), rows):
+        assert pairs == frf_amplitudes(cubic, kappa, xi, b, s)
+        lin = 1.0 - kappa * s * s
+        ref = np.roots([0.5625 * eps * eps, 1.5 * sign * eps * lin,
+                        lin * lin + (2.0 * xi * s) ** 2, -b * b])
+        real = np.sort(ref.real[np.abs(ref.imag) <= 1e-6 * np.abs(ref)])
+        if len(real) != len(pairs):
+            continue    # a near-double root: the reference cannot tell
+        np.testing.assert_allclose([a * a for a, _ in pairs], real,
+                                   rtol=1e-9)
 
 
 def test_frf_curve_bundles_everything():
@@ -213,6 +257,10 @@ def test_frf_input_validation():
         frf_amplitudes(cubic, 1.0, 0.1, -0.3, 1.0)
     with pytest.raises(ValueError):
         CubicApprox(omega_n=0.0, epsilon=0.0, origin_theta=0.0)
+    # no drive, no positive amplitude
+    for eps in (0.0, -0.3):
+        assert frf_amplitudes(replace(cubic, epsilon=eps), 1.0, 0.1, 0.0,
+                              [0.5, 1.0]) == [[], []]
 
 
 def test_linear_sweep_no_hysteresis():

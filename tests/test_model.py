@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +11,11 @@ from clickdyn.model import (Params, PhysicalParams, barrier_energies,
                             damping_factor, hamiltonian, is_smooth_at, moment,
                             nondimensionalize, potential, scalar_potential,
                             scalar_rhs, stiffness)
-from clickdyn.model import _stiffness_field
+from clickdyn.equilibria import (REGION_DEGENERATE, REGION_DOUBLE_WELL,
+                                 REGION_SINGLE_WELL_HARD,
+                                 REGION_SINGLE_WELL_SOFT, classify_region,
+                                 working_center)
+from clickdyn.model import _moment_curvature, _stiffness_field
 
 
 def _central(f, x, h=1e-5):
@@ -234,6 +239,54 @@ def test_scalar_and_array_stiffness_are_bit_equal(point, more):
         array = stiffness(p, np.array(thetas, dtype=float))
         scalar = [float(stiffness(p, t)) for t in thetas]
     np.testing.assert_array_equal(array, scalar)   # NaN matches NaN
+
+
+# (alpha, beta, gamma) ranges inside each statics region with a center;
+# beta None means beta = alpha
+_REGIONS = {
+    REGION_DOUBLE_WELL: ((1.2, 1.8), (0.9, 1.1), (0.0, 0.05)),
+    REGION_SINGLE_WELL_HARD: ((2.3, 2.8), (0.9, 1.1), (0.0, 0.1)),
+    REGION_SINGLE_WELL_SOFT: ((0.2, 0.4), (0.4, 0.6), (0.0, 0.05)),
+    REGION_DEGENERATE: ((0.7, 1.5), None, (0.0, 0.1)),
+}
+
+
+@st.composite
+def _taylor_point(draw):
+    """(params, theta): the working center of a statics region, or a
+    random smooth point with |alpha - beta| >= 0.05."""
+    region = draw(st.sampled_from([None, *sorted(_REGIONS)]))
+    if region is None:
+        a, b = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+        assume(abs(a - b) >= 0.05)
+        return (Params(alpha=a, beta=b, gamma=draw(st.floats(0.0, 0.5))),
+                draw(st.floats(-math.pi, math.pi)))
+    alphas, betas, gammas = _REGIONS[region]
+    a = draw(st.floats(*alphas))
+    b = a if betas is None else draw(st.floats(*betas))
+    p = Params(alpha=a, beta=b, gamma=draw(st.floats(*gammas)))
+    assume(classify_region(p) == region)
+    return p, working_center(p).theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(_taylor_point())
+def test_closed_form_taylor_coefficients_match_mpmath(point):
+    p, theta = point
+    a, b, g = (mpmath.mpf(v) for v in (p.alpha, p.beta, p.gamma))
+
+    def m(t):
+        if p.smooth:
+            d = mpmath.sqrt(a * a + b * b - 2 * a * b * mpmath.cos(t))
+            return (a * b * (1 - 1 / d) + g) * mpmath.sin(t)
+        return ((a * a + g) * mpmath.sin(t)
+                - a * mpmath.sign(mpmath.sin(t / 2)) * mpmath.cos(t / 2))
+
+    got = (float(stiffness(p, theta)), *_moment_curvature(p, theta))
+    with mpmath.workdps(40):
+        ref = [float(mpmath.diff(m, mpmath.mpf(theta), n)) for n in (1, 2, 3)]
+    for value, want in zip(got, ref):
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_nondimensionalize():
