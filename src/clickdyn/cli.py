@@ -38,6 +38,7 @@ class ConfigError(ValueError):
 
 _PARAM_KEYS = ("alpha", "beta", "gamma", "kappa", "xi", "m0", "omega0", "phi")
 
+
 def _float_list(text: str) -> list[float]:
     """Comma-separated finite floats, e.g. ``0.1,0.2``; ValueError if not."""
     values = [float(tok) for tok in text.split(",")]
@@ -470,21 +471,30 @@ _RUNNERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=tuple(_OPTIONS)) -> argparse.ArgumentParser:
+    """The parser with the subparsers of ``commands`` (default: all).
+
+    A subset keeps the usage line of the full parser, which argparse also
+    prints for an unrecognized argument after a subcommand.  The full parser
+    sets no metavar, so its errors still name ``argument command``.
+    """
     parser = argparse.ArgumentParser(
         prog="clickdyn",
         description="Static and dynamic analysis of the bistable "
                     "click-mechanism rotational oscillator.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _OPTIONS.items():
+    metavar = (None if len(commands) == len(_OPTIONS)
+               else "{%s}" % ",".join(_OPTIONS))
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=metavar)
+    for command in commands:
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=".")
         sp.add_argument("--keep-partial", action="store_true")
         for key in _PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
-        for key, (typ, _default, _check) in opts.items():
+        for key, (typ, _default, _check) in _OPTIONS[command].items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             type=typ, default=None)
     return parser
@@ -513,7 +523,11 @@ def run(command: str, config: dict, out_dir: Path,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # Build only the named subcommand's parser; help, a missing or unknown
+    # subcommand and an option before the subcommand get all of them.
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[:1] if argv and argv[0] in _OPTIONS
+                           else tuple(_OPTIONS))
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

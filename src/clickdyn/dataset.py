@@ -3,6 +3,12 @@
 Every analysis writes one CSV per curve (or surface slice) plus a single
 JSON manifest per run.  CSV values use 17-significant-digit formatting so a
 round-trip read reproduces the floats bit-exactly; line endings are LF.
+``format_value`` defines how each value is written.  When every column of a
+dataset holds values of one exact type among float, int and str (and every
+row is a tuple), each row is written with one printf-style format built
+from those types, which gives the same text; other datasets, such as those
+with bool, complex or numpy scalar values, go through ``format_value``
+cell by cell.  ``read_csv`` is the round-trip reader of this format.
 The manifest echoes the fully-resolved configuration together with a
 content hash of it, so identical configurations produce byte-identical
 artifacts.
@@ -13,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 SCHEMA_VERSION = 1
@@ -44,9 +51,33 @@ def format_value(v) -> str:
     return str(v)
 
 
+# The printf conversion that writes a value of this exact type as
+# format_value does.
+_CONVERSIONS = {float: "%.17g", int: "%d", str: "%s"}
+
+
+def _row_format(ds: Dataset) -> str | None:
+    """One format for every row, if each column holds one type of
+    ``_CONVERSIONS`` throughout and every row is a tuple; else None."""
+    if set(map(type, ds.rows)) != {tuple}:
+        return None
+    parts = []
+    for j in range(len(ds.columns)):
+        kinds = set(map(type, map(itemgetter(j), ds.rows)))
+        conv = _CONVERSIONS.get(kinds.pop()) if len(kinds) == 1 else None
+        if conv is None:
+            return None
+        parts.append(conv)
+    return ",".join(parts)
+
+
 def emit_dataset(ds: Dataset, path: Path) -> Path:
     lines = [",".join(ds.columns)]
-    lines += [",".join(map(format_value, row)) for row in ds.rows]
+    fmt = _row_format(ds)
+    if fmt is None:
+        lines += [",".join(map(format_value, row)) for row in ds.rows]
+    else:
+        lines += map(fmt.__mod__, ds.rows)
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path

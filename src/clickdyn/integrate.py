@@ -4,9 +4,10 @@ One adaptive step loop for the planar systems of this package: the
 Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 Secs. II.5-II.6), with the state in two Python floats and scipy's step
 controller, so ``scipy.integrate.solve_ivp(method="DOP853")`` takes as many
-steps, of the same sizes up to rounding.  Events (zero crossings of the angular velocity, of an angle)
-are located inside an accepted step on the pair's 7th-order dense output,
-built only for the steps a callback asks it of, by Brent's method.
+steps, of the same sizes up to rounding.  Events (zero crossings of the
+angular velocity, of an angle) are located inside an accepted step on the
+pair's 7th-order dense output, built only for the steps a callback asks it
+of, by Brent's method.
 """
 
 from __future__ import annotations

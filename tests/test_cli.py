@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from clickdyn import cli
 from clickdyn.cli import main
-from clickdyn.dataset import Dataset, emit_dataset, read_csv
+from clickdyn.dataset import Dataset, emit_dataset, format_value, read_csv
 from clickdyn.model import Params, moment, potential, stiffness
 
 
@@ -29,6 +29,50 @@ def test_csv_round_trip(tmp_path):
     for row, orig in zip(back, rows):
         for a, b in zip(row, orig):
             assert a == b          # bit-exact
+
+
+# Cells of every kind format_value handles, with the edge values of each.
+_FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -2.2250738585072009e-308, 1e308,
+                     -1.7976931348623157e308]))
+_INT_CELLS = st.one_of(st.integers(-2**70, 2**70),
+                       st.sampled_from([10**17, -10**17, 2**53 + 1, -1, 0]))
+_STR_CELLS = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                     max_size=8)
+_BOOL_CELLS = st.booleans()
+_COMPLEX_CELLS = st.complex_numbers(allow_nan=True, allow_infinity=True)
+_NUMPY_CELLS = _FLOAT_CELLS.map(np.float64)
+_COLUMN_CELLS = st.sampled_from([
+    _FLOAT_CELLS, _INT_CELLS, _STR_CELLS,                   # one type each
+    _BOOL_CELLS, _COMPLEX_CELLS, _NUMPY_CELLS,
+    st.one_of(_FLOAT_CELLS, _INT_CELLS, _STR_CELLS,         # mixed
+              _BOOL_CELLS, _COMPLEX_CELLS, _NUMPY_CELLS)])
+
+
+@st.composite
+def _datasets(draw):
+    """Rows whose columns each hold one kind of cell, or a mix of kinds."""
+    cells = [draw(_COLUMN_CELLS) for _ in range(draw(st.integers(1, 4)))]
+    rows = draw(st.lists(st.tuples(*cells), max_size=12))
+    return Dataset("t", tuple(f"c{j}" for j in range(len(cells))), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=_datasets())
+@example(ds=Dataset("t", ("flag",), [(True,), (False,)]))
+@example(ds=Dataset("t", ("n", "x"), [(10**17, -0.0), (-2**60, math.nan)]))
+@example(ds=Dataset("t", ("z", "x", "y"),
+                    [(1 - 2j, np.float64(0.1), "a"),
+                     (3j, np.float64(-0.0), "b")]))
+def test_emitted_rows_are_format_value_joins(ds):
+    """Each CSV line is ``",".join(map(format_value, row))``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = emit_dataset(ds, Path(tmp) / "t.csv").read_bytes()
+    lines = [",".join(ds.columns)]
+    lines += [",".join(map(format_value, row)) for row in ds.rows]
+    assert data == ("\n".join(lines) + "\n").encode()
 
 
 def test_dataset_rejects_ragged_rows():
@@ -224,6 +268,49 @@ def test_every_rejected_option_value_exits_2(command, key, data):
                      f"--{key.replace('_', '-')}={value}"])
     assert code == 2
     assert err.getvalue().startswith("error:config:")
+
+
+def _full_parser_exit(argv):
+    """Exit code of ``main`` for what the parser of all subcommands prints."""
+    with pytest.raises(SystemExit) as stop:
+        cli._build_parser().parse_args(argv)
+    return 0 if stop.value.code in (0, None) else cli.EXIT_CONFIG
+
+
+_HELP_AND_PARSE_ERRORS = [
+    [], ["--help"], ["energy", "--help"], ["bogus"], ["energ"],
+    ["--alpha", "1.5", "energy"], ["energy", "--bogus", "1"],
+    ["energy", "--alpha"], ["energy", "--alpha", "x"]]
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_PARSE_ERRORS,
+                         ids=[" ".join(a) or "no-args"
+                              for a in _HELP_AND_PARSE_ERRORS])
+def test_help_and_parse_errors_are_those_of_the_full_parser(argv, capsys,
+                                                            monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    got = (main(argv), *capsys.readouterr())
+    assert got == (_full_parser_exit(argv), *capsys.readouterr())
+    assert got[0] == (0 if "--help" in argv else 2)
+    assert got[1 if "--help" in argv else 2].startswith("usage: clickdyn ")
+
+
+def test_parse_errors_name_the_command_argument(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")
+    assert main(["bogus"]) == 2
+    assert "error: argument command: invalid choice: 'bogus'" in \
+        capsys.readouterr().err
+
+
+def test_consecutive_calls_are_independent(tmp_path):
+    assert run_cli("energy", "--alpha", "1.5", "--n", "5",
+                   "--out", str(tmp_path / "a")) == 0
+    assert run_cli("energy", "--alpha", "1.5",
+                   "--out", str(tmp_path / "b")) == 0
+    assert len(read_csv(tmp_path / "a" / "energy.csv")[1]) == 5
+    assert len(read_csv(tmp_path / "b" / "energy.csv")[1]) == 401
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
