@@ -16,7 +16,7 @@ Submodules:
 * :mod:`clickdyn.cli` — command-line front end and dataset emission.
 """
 
-from .model import Params, PhysicalParams, State, nondimensionalize
+from .model import Params, PhysicalParams, nondimensionalize
 
-__all__ = ["Params", "PhysicalParams", "State", "nondimensionalize"]
+__all__ = ["Params", "PhysicalParams", "nondimensionalize"]
 __version__ = "0.1.0"

@@ -446,6 +446,8 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
 
 
 def _run_poincare(p: Params, opts) -> list[Dataset]:
+    if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
+        raise ConfigError("poincare requires a drive: m0 > 0 and omega0 > 0")
     pm = poincare_section(p, (opts["theta0"], opts["omega0_state"]),
                           opts["n_points"], opts["discard"])
     rows = [(float(th), float(om)) for th, om in pm.points]

@@ -28,7 +28,6 @@ __all__ = [
     "equilibria_in_period",
     "working_center",
     "stiffness_at_poles",
-    "eigenvalues_at",
     "classify_region",
     "bifurcation_set",
     "zero_stiffness_set",
@@ -161,19 +160,6 @@ def stiffness_at_poles(p: Params) -> tuple[float, float]:
         return -math.inf, k2
     k1 = ab + p.gamma - ab / abs(p.alpha - p.beta)
     return k1, k2
-
-
-def eigenvalues_at(eq: Equilibrium, p: Params) -> tuple[complex, complex]:
-    """Jacobian eigenvalues +-sqrt(-K/kappa) at a nondegenerate equilibrium."""
-    if eq.kind == DEGENERATE:
-        raise ValueError("degenerate equilibrium has no defined eigenpair")
-    return _eigenpair(eq.k_local, p.kappa)
-
-
-def eigenvectors_at(eq: Equilibrium, p: Params) -> np.ndarray:
-    """Columns are eigenvectors (1, lambda) matching :func:`eigenvalues_at`."""
-    l1, l2 = eigenvalues_at(eq, p)
-    return np.array([[1.0, 1.0], [l1, l2]])
 
 
 def _b1_residual(alpha, beta, gamma):

@@ -21,15 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .equilibria import (CENTER, Equilibrium, equilibria_in_period,
-                         interior_angle)
+from .equilibria import CENTER, equilibria_in_period, interior_angle
 from .model import Params, barrier_energies, potential, scalar_potential
 
 __all__ = [
     "FreeVibPoint",
-    "natural_frequency",
     "level_angles",
-    "turning_angles",
     "period_of_energy",
     "amplitude_frequency_curve",
     "energy_bands",
@@ -48,13 +45,6 @@ class FreeVibPoint:
     period: float
     frequency: float
     branch: str
-
-
-def natural_frequency(p: Params, eq: Equilibrium) -> float:
-    """Small-amplitude frequency sqrt(K/kappa) at a center equilibrium."""
-    if eq.kind != CENTER:
-        raise ValueError(f"natural frequency defined at centers only, got {eq.kind}")
-    return math.sqrt(eq.k_local / p.kappa)
 
 
 def level_angles(p: Params, h: float) -> list[float]:
@@ -84,19 +74,6 @@ def level_angles(p: Params, h: float) -> list[float]:
                 hi = mid
         roots.append(mid)
     return roots
-
-
-def turning_angles(p: Params, energy: float) -> tuple[float, float]:
-    """Intra-well turning angles, the two roots of potential = H on (0, pi).
-
-    Raises when there is no such pair, which signals a barrier crossing.
-    """
-    roots = level_angles(p, energy)
-    if len(roots) != 2:
-        raise ValueError(
-            "no intra-well turning pair at this energy (barrier crossed)"
-        )
-    return roots[0], roots[1]
 
 
 def _quad_segment(p: Params, energy: float, a: float, b: float,

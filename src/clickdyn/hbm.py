@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .equilibria import CENTER, Equilibrium, working_center
+from .equilibria import CENTER, Equilibrium, _grid_zeros, working_center
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
                         integrate_rhs)
 from .model import Params, _moment_curvature, scalar_rhs, stiffness
@@ -171,18 +170,15 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
                      b_amp: float, s_lo: float, s_hi: float) -> list[float]:
     """Frequencies where the HBM root count changes (fold points).
 
-    The zeros of :func:`_discriminant`, bracketed on a 2001-point scan of
-    [s_lo, s_hi]; scan points on a fold (discriminant 0) are skipped.  The
-    scan takes Python floats, as brentq does: numpy's array cube can differ
-    from libm's in the last bit, and then a scan point that lies on a fold
-    gets the other sign than brentq gives it at the same bracket end.
+    The zeros of :func:`_discriminant` on a 2001-point grid of
+    [s_lo, s_hi], each sign change bisected to adjacent floats by
+    :func:`~clickdyn.equilibria._grid_zeros`.
     """
-    args = (cubic.epsilon, kappa, xi, b_amp)
-    scan = [(s, v > 0.0) for s in np.linspace(s_lo, s_hi, 2001).tolist()
-            if (v := _discriminant(s, *args)) != 0.0]
-    return [brentq(_discriminant, lo, hi, args, xtol=1e-15)
-            for (lo, three_lo), (hi, three_hi) in zip(scan, scan[1:])
-            if three_lo != three_hi]
+    eps = cubic.epsilon
+    _, folds = _grid_zeros(
+        lambda s, b: _discriminant(s, eps, kappa, xi, b),
+        np.linspace(s_lo, s_hi, 2001), np.array([b_amp]))
+    return folds.tolist()
 
 
 def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:
@@ -338,9 +334,8 @@ def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
     return f
 
 
-def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
-                     direction_both: bool = True,
-                     rel_tol: float = 1e-8) -> SweepResult:
+def sweep_hysteresis(system, s_lo: float, s_hi: float,
+                     n_steps: int) -> SweepResult:
     """Quasi-static frequency sweep with the attractor carried between steps.
 
     ``system`` is either a full :class:`~clickdyn.model.Params` (swept in
@@ -354,7 +349,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
     Jumps are flagged where the amplitude increment between settled points
     exceeds 5x the sweep's median increment.
     """
-    spec = IntegratorSpec(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2)
+    spec = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
     if isinstance(system, Params):
         rhs_for_s, x0 = _full_system_sweep_setup(system)
     else:
@@ -380,7 +375,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float, n_steps: int,
 
     s_up = np.linspace(s_lo, s_hi, n_steps)
     up_amps, up_unsettled = run(s_up)
-    s_down = s_up[::-1] if direction_both else np.empty(0)
+    s_down = s_up[::-1]
     down_amps, down_unsettled = run(s_down)
     return SweepResult(s_up, up_amps, s_down, down_amps,
                        _detect_jumps(s_up, up_amps, up_unsettled),

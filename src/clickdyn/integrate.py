@@ -36,32 +36,34 @@ __all__ = [
 ]
 
 
+# Step bounds of every run.  A rejected step below _H_MIN raises
+# StepUnderflow; _H_MAX caps the steps of an orbit that settles in a well,
+# which would otherwise grow tenfold per step.
+_H_MIN = 1e-12
+_H_MAX = 1.0
+
+
 @dataclass(frozen=True)
 class IntegratorSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     h_init: float = 1e-3
-    h_min: float = 1e-12
-    h_max: float = 1.0
     t_end: float = 100.0
 
     def __post_init__(self):
-        # h_max may be inf; a NaN h_max fails the ordering below
-        for name in ("rel_tol", "abs_tol", "h_min", "h_init", "t_end"):
+        for name in ("rel_tol", "abs_tol", "h_init", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0 or self.h_min <= 0.0:
-            raise ValueError("tolerances and h_min must be positive")
-        if not self.h_min <= self.h_init <= self.h_max:
-            raise ValueError("need h_min <= h_init <= h_max")
+        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+            raise ValueError("tolerances must be positive")
+        if not _H_MIN <= self.h_init <= _H_MAX:
+            raise ValueError(f"need {_H_MIN:g} <= h_init <= {_H_MAX:g}")
 
 
 @dataclass
 class StepStats:
     accepted: int = 0
     rejected: int = 0
-    h_min_used: float = math.inf
-    h_max_used: float = 0.0
 
 
 @dataclass
@@ -95,7 +97,7 @@ class LyapunovEstimate:
 
 
 class StepUnderflow(RuntimeError):
-    """Adaptive step fell below h_min; a partial trajectory is attached."""
+    """Adaptive step fell below 1e-12; a partial trajectory is attached."""
 
     def __init__(self, trajectory):
         super().__init__("step-size underflow")
@@ -115,7 +117,7 @@ def _dop853(f, t0, y0, spec, step_cb=None):
     ``step_cb(ta, ya, tb, yb, dense) -> bool`` runs on every accepted step,
     with ``dense`` the step's :class:`_DenseStep`; returning True stops the
     integration.  Returns (times, thetas, omegas, stats); a rejected step
-    below ``h_min`` raises :class:`StepUnderflow`.
+    below ``_H_MIN`` (1e-12) raises :class:`StepUnderflow`.
 
     Stage j of the tableau (Hairer, Norsett & Wanner, Solving ODEs I,
     Sec. II.5, counted from 0 as in scipy's ``dop853_coefficients``) is
@@ -172,12 +174,11 @@ def _dop853(f, t0, y0, spec, step_cb=None):
     t = t0
     th, om = float(y0[0]), float(y0[1])
     k0t, k0o = f(t, th, om)
-    abs_tol, rel_tol = spec.abs_tol, spec.rel_tol
-    h_min, h_max, t_end = spec.h_min, spec.h_max, spec.t_end
+    abs_tol, rel_tol, t_end = spec.abs_tol, spec.rel_tol, spec.t_end
+    h_min, h_max = _H_MIN, _H_MAX
     h = spec.h_init
     accepted = rejected = 0
     after_reject = False
-    h_lo, h_hi = math.inf, 0.0
     times = [t]
     thetas = [th]
     omegas = [om]
@@ -260,14 +261,12 @@ def _dop853(f, t0, y0, spec, step_cb=None):
                + b9 * k9o + b10 * k10o + e3_11 * k11o) / sc_o
         n5 = e5t * e5t + e5o * e5o
         n3 = e3t * e3t + e3o * e3o
-        err = h * n5 / sqrt(2.0 * (n5 + 0.01 * n3)) if n5 or n3 else 0.0
+        # n5 = 0 makes the error 0 whatever n3 is; with n3 tiny too (the
+        # stages of a settled orbit underflow) the norm's sqrt would be 0
+        err = h * n5 / sqrt(2.0 * (n5 + 0.01 * n3)) if n5 else 0.0
         if err < 1.0:
             k12t, k12o = f(t + h, th_new, om_new)
             accepted += 1
-            if h < h_lo:
-                h_lo = h
-            if h > h_hi:
-                h_hi = h
             stop = False
             if step_cb is not None:
                 ya, yb = (th, om), (th_new, om_new)
@@ -299,12 +298,12 @@ def _dop853(f, t0, y0, spec, step_cb=None):
             factor = 0.9 * err ** -0.125
             h = h * (factor if factor > 0.2 else 0.2)
             if h < h_min:
-                stats = StepStats(accepted, rejected, h_lo, h_hi)
-                raise StepUnderflow(_pack(times, thetas, omegas, stats,
+                raise StepUnderflow(_pack(times, thetas, omegas,
+                                          StepStats(accepted, rejected),
                                           complete=False))
         if h_max < h:
             h = h_max
-    return times, thetas, omegas, StepStats(accepted, rejected, h_lo, h_hi)
+    return times, thetas, omegas, StepStats(accepted, rejected)
 
 
 def _pack(times, thetas, omegas, stats, complete=True):
@@ -399,7 +398,7 @@ class _DenseStep:
             for y, (f0, f1, f2, f3, f4, f5, f6) in zip(self.ya, self._poly))
 
 
-def _refine_crossing(dense, comp, target=0.0, tol=1e-10):
+def _refine_crossing(dense, comp, target=0.0):
     """(t, theta, omega) where y[comp] = target inside a step of ``dense``.
 
     The step's ends must bracket the crossing.  The search takes the end
@@ -408,7 +407,7 @@ def _refine_crossing(dense, comp, target=0.0, tol=1e-10):
     def g(t):
         return (dense.yb if t == dense.tb else dense(t))[comp] - target
 
-    t_cross = brentq(g, dense.ta, dense.tb, xtol=tol)
+    t_cross = brentq(g, dense.ta, dense.tb, xtol=1e-10)
     return (t_cross, *dense(t_cross))
 
 
@@ -430,8 +429,8 @@ def integrate(p: Params, state0, spec: IntegratorSpec | None = None) -> Trajecto
     return traj
 
 
-def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
-                             spec: IntegratorSpec | None = None) -> FreeOscillation:
+def measure_free_oscillation(p: Params, state0,
+                             t_max: float = 500.0) -> FreeOscillation:
     """Amplitude and period of a conservative free oscillation.
 
     The period is taken between successive same-direction zero crossings of
@@ -441,8 +440,7 @@ def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
     """
     if p.xi != 0.0 or p.m_big0 != 0.0:
         raise ValueError("free oscillation requires xi = 0 and M0 = 0")
-    spec = replace(spec or IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13),
-                   t_end=t_max)
+    spec = IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13, t_end=t_max)
     f = scalar_rhs(p)
     crossings: list[tuple[float, float]] = []        # (time, theta)
     theta0 = state0[0]
@@ -473,14 +471,13 @@ def measure_free_oscillation(p: Params, state0, t_max: float = 500.0,
 
 
 def poincare_section(p: Params, state0, n_points: int,
-                     discard: int = 200,
-                     spec: IntegratorSpec | None = None) -> PoincareMap:
+                     discard: int = 200) -> PoincareMap:
     """Stroboscopic samples at the drive period, after a transient discard."""
     if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
         raise ValueError("Poincare section requires M0 > 0 and Omega0 > 0")
     if discard < 0:
         raise ValueError("discard must be nonnegative")
-    base = spec or IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
+    base = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
     f = scalar_rhs(p)
     t_drive = 2.0 * math.pi / p.omega_big0
     state = tuple(state0)
@@ -496,26 +493,26 @@ def poincare_section(p: Params, state0, n_points: int,
 
 
 def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
-                     renorm_interval: float = 5.0,
-                     separation: float = 1e-8,
-                     spec: IntegratorSpec | None = None) -> LyapunovEstimate:
+                     renorm_interval: float = 5.0) -> LyapunovEstimate:
     """Benettin two-trajectory estimate of the largest Lyapunov exponent.
 
-    On divergence overflow the renormalization interval is halved and the
-    run restarted, at most three times.
+    The second trajectory starts 1e-8 off in theta.  On divergence
+    overflow the renormalization interval is halved and the run
+    restarted, at most three times.
     """
-    base = spec or IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
+    base = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
     f = scalar_rhs(p)
     interval = renorm_interval
     for attempt in range(4):
         try:
-            return _benettin(f, state0, horizon, interval, separation, base)
+            return _benettin(f, state0, horizon, interval, base)
         except OverflowError:
             interval *= 0.5
     raise RuntimeError("Lyapunov estimate failed after 3 retries")
 
 
-def _benettin(f, state0, horizon, interval, d0, base):
+def _benettin(f, state0, horizon, interval, base):
+    d0 = 1e-8
     n_seg = max(4, int(round(horizon / interval)))
     ya = tuple(state0)
     yb = (state0[0] + d0, state0[1])

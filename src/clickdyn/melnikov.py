@@ -40,13 +40,11 @@ __all__ = [
     "SOFT_CUBIC",
     "ReducedSystem",
     "SeparatrixOrbit",
-    "PrintedThreshold",
     "ThresholdGrid",
     "reduce_system",
     "separatrix",
     "melnikov_numeric",
     "threshold_numeric",
-    "threshold_closed_form",
     "threshold_grid",
 ]
 
@@ -115,20 +113,14 @@ class SeparatrixOrbit:
     domega_fn: object = None
 
 
-@dataclass(frozen=True)
-class PrintedThreshold:
-    label: str
-    value: float
-    rel_deviation: float
-    agrees: bool
-
-
 @dataclass
 class ThresholdGrid:
     """Thresholds over (xi0, omega0); rows follow xi_grid, columns omega_grid.
 
-    ``m0_crit`` is the numeric quadrature; ``m0_printed``, ``printed_form``
-    and ``printed_agrees`` are what :func:`threshold_closed_form` reports.
+    ``m0_crit`` is the numeric quadrature.  ``m0_printed`` is the printed
+    closed form of shape ``printed_form`` (cosh for duffing, coth for
+    pendulum, csch for soft cubic), and ``printed_agrees`` says whether it
+    is within 5 % of ``m0_crit``.
     """
     variant: str
     omega_grid: np.ndarray
@@ -359,35 +351,14 @@ def _printed(r: ReducedSystem, xi0: float, omega0: float) -> float:
         / math.sinh(math.pi * omega0 / 2.0)
 
 
-def _agreement(value: float, numeric: float, xi0: float) -> tuple[float, bool]:
-    """Relative deviation of a printed value from the numeric threshold,
-    and whether it is within 5 %."""
-    dev = 0.0 if xi0 == 0.0 else abs(value - numeric) / numeric
-    return dev, dev <= 0.05
-
-
-def threshold_closed_form(r: ReducedSystem, xi0: float,
-                          omega0: float) -> PrintedThreshold:
-    """Commonly quoted closed-form threshold for the reduction's variant.
-
-    These printed expressions are internally inconsistent reference shapes
-    (cosh for duffing, coth for pendulum, csch for soft cubic); the numeric
-    quadrature is normative.  The returned record carries the relative
-    deviation from the numeric threshold and an agreement flag (<= 5%).
-    """
-    if xi0 < 0.0 or omega0 <= 0.0:
-        raise ValueError("need xi0 >= 0 and omega0 > 0")
-    value = _printed(r, xi0, omega0)
-    dev, agrees = _agreement(value, threshold_numeric(r, xi0, omega0), xi0)
-    return PrintedThreshold(_PRINTED_FORM[r.variant], value, dev, agrees)
-
-
 def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
     """Numeric and printed thresholds over (xi0, omega0) grids.
 
     Rows follow ``xi_grid``, columns follow ``omega_grid``.  One orbit is
-    built and the quadrature runs once per omega0; each cell equals
-    :func:`threshold_numeric` and :func:`threshold_closed_form` at it.
+    built and the quadrature runs once per omega0; each ``m0_crit`` cell
+    equals :func:`threshold_numeric` at it.  The printed expressions are
+    internally inconsistent reference shapes, not thresholds; a cell's
+    deviation is |printed - m0_crit| / m0_crit, taken as 0 at xi0 = 0.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -404,9 +375,10 @@ def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
     printed = np.empty(shape)
     agrees = np.empty(shape, dtype=bool)
     for i, xi in enumerate(xi_grid.tolist()):
-        for j, om in enumerate(omega_grid.tolist()):
+        for j, (om, crit) in enumerate(zip(omega_grid.tolist(),
+                                           m0[i].tolist())):
             value = _printed(r, xi, om)
             printed[i, j] = value
-            agrees[i, j] = _agreement(value, float(m0[i, j]), xi)[1]
+            agrees[i, j] = xi == 0.0 or abs(value - crit) / crit <= 0.05
     return ThresholdGrid(r.variant, omega_grid, xi_grid, m0, printed,
                          _PRINTED_FORM[r.variant], agrees)

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PhysicalParams",
     "Params",
-    "State",
     "nondimensionalize",
     "potential",
     "barrier_energies",
@@ -105,11 +103,6 @@ class Params:
     def smooth(self) -> bool:
         """False when alpha == beta, where the moment has cusps at 2*n*pi."""
         return self.alpha != self.beta
-
-
-class State(NamedTuple):
-    theta: float
-    omega: float
 
 
 def nondimensionalize(p: PhysicalParams) -> tuple[Params, float]:

@@ -22,8 +22,8 @@ from clickdyn.hbm import (CubicApprox, fold_frequencies, frf_amplitudes,
 from clickdyn.integrate import (IntegratorSpec, integrate, largest_lyapunov,
                                 measure_free_oscillation, poincare_section)
 from clickdyn.melnikov import (DUFFING, PENDULUM, SOFT_CUBIC, reduce_system,
-                               threshold_closed_form, threshold_numeric)
-from clickdyn.model import Params, State, barrier_energies, moment, potential, stiffness
+                               threshold_grid, threshold_numeric)
+from clickdyn.model import Params, barrier_energies, moment, potential, stiffness
 
 P_IV = Params(alpha=1.5, beta=1.0)
 
@@ -98,8 +98,8 @@ def test_acceptance_04_conservative_energy_drift(capsys):
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
-        state0 = State(float(rng.uniform(-math.pi, math.pi)),
-                       float(rng.uniform(-1.5, 1.5)))
+        state0 = (float(rng.uniform(-math.pi, math.pi)),
+                  float(rng.uniform(-1.5, 1.5)))
         traj = integrate(P_IV, state0, IntegratorSpec(t_end=100.0))
         worst = max(worst, traj.energy_drift)
     elapsed = time.perf_counter() - t0
@@ -125,9 +125,9 @@ def test_acceptance_05_period_quadrature_vs_integration(capsys):
             h_level = float(h_level)
             period = period_of_energy(p, h_level)
             if branch == "AF4":
-                state0 = State(0.0, math.sqrt(2.0 * (h_level - h1) / p.kappa))
+                state0 = (0.0, math.sqrt(2.0 * (h_level - h1) / p.kappa))
             else:
-                state0 = State(th3, math.sqrt(2.0 * h_level / p.kappa))
+                state0 = (th3, math.sqrt(2.0 * h_level / p.kappa))
             osc = measure_free_oscillation(p, state0, t_max=8.0 * period)
             worst = max(worst, abs(osc.period - period) / period)
             n_checked += 1
@@ -229,8 +229,8 @@ def test_acceptance_09_melnikov_thresholds(capsys):
     linear = abs(t2 - 2.0 * t1) / t2
     agree = {}
     for variant in (DUFFING, PENDULUM, SOFT_CUBIC):
-        printed = threshold_closed_form(reduce_system(p, variant), 0.1, 1.0)
-        agree[variant] = "yes" if printed.agrees else "no"
+        grid = threshold_grid(reduce_system(p, variant), [1.0], [0.1])
+        agree[variant] = "yes" if grid.printed_agrees[0, 0] else "no"
     ok = worst <= 0.02 and linear <= 1e-12
     _report(capsys, 9, "chaos-threshold quadrature vs closed form", ok,
             f"worst rel={worst:.2e}, xi-linearity={linear:.1e}, "
@@ -246,7 +246,7 @@ def test_acceptance_10_threshold_separates_dynamics(capsys):
 
     def run(m0):
         pf = replace(p, m_big0=m0, omega_big0=0.8)
-        state0 = State(th3, 0.0)
+        state0 = (th3, 0.0)
         lam = largest_lyapunov(pf, state0, horizon=1000.0).exponent
         pm = poincare_section(pf, state0, n_points=200, discard=100)
         reps = []

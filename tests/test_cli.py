@@ -203,6 +203,8 @@ def test_phase_portrait_points_lie_on_their_levels(case):
     ("lyapunov", "--interval", "0"),
     ("lyapunov", "--interval", "-1"),
     ("lyapunov", "--theta0", "inf"),
+    ("poincare", "--xi", "0.1"),                  # no drive
+    ("poincare", "--m0", "0.02"),                 # no drive frequency
 ])
 def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
                                                         argv):
@@ -448,6 +450,19 @@ def test_simulate_conservative_reports_drift(tmp_path):
                    "--theta0", "0.9", "--t-end", "20", "--out", str(out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"]["trajectory"]["metadata"]["energy_drift"] <= 1e-8
+
+
+def test_simulate_runs_a_settled_damped_orbit_to_the_end(tmp_path):
+    # the stages underflow once the orbit has settled in its well; the
+    # step loop used to divide by zero there and exit 3
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--alpha", "1.5", "--xi", "0.5",
+                   "--theta0", "0.3", "--t-end", "1000",
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out / "trajectory.csv")
+    assert rows[-1][0] == 1000.0
+    assert rows[-1][1] == pytest.approx(0.72273424781, abs=1e-10)
+    assert abs(rows[-1][2]) < 1e-300
 
 
 def test_poincare_subcommand(tmp_path):

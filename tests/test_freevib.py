@@ -11,8 +11,8 @@ from clickdyn.equilibria import (CENTER, REGION_DEGENERATE,
                                  REGION_SINGLE_WELL_SOFT, classify_region,
                                  equilibria_in_period, interior_angle)
 from clickdyn.freevib import (amplitude_frequency_curve, energy_bands,
-                              level_angles, natural_frequency,
-                              period_of_energy, turning_angles)
+                              level_angles, period_of_energy)
+from clickdyn.hbm import fit_cubic
 from clickdyn.integrate import measure_free_oscillation
 from clickdyn.model import Params, potential
 
@@ -25,9 +25,13 @@ def _center(p):
                 if e.kind == CENTER and e.theta > 0)
 
 
+def _linear_period(p):
+    return 2.0 * math.pi / math.sqrt(_center(p).k_local / p.kappa)
+
+
 def test_turning_angles_match_root_finding():
     for h in (0.01, 0.05, 0.1, 0.12):
-        lo, hi = turning_angles(P_IV, h)
+        lo, hi = level_angles(P_IV, h)
         theta3 = _center(P_IV).theta
         lo_rf = brentq(lambda t: float(potential(P_IV, t)) - h, 1e-12, theta3,
                        xtol=1e-14)
@@ -41,28 +45,27 @@ def test_turning_angles_match_root_finding():
 
 
 def test_turning_angles_reference_point():
-    lo, hi = turning_angles(P_IV, 0.1)
+    lo, hi = level_angles(P_IV, 0.1)
     assert lo == pytest.approx(0.19277834578761, abs=1e-11)
     assert hi == pytest.approx(1.17538161167872, abs=1e-11)
 
 
 def test_turning_angle_approaches_saddle():
     h1 = float(potential(P_IV, 0.0))
-    lo, _ = turning_angles(P_IV, h1 - 1e-12)
+    lo, _ = level_angles(P_IV, h1 - 1e-12)
     assert lo <= 1e-5
 
 
 def test_turning_angles_barrier_crossed():
+    # above the barrier only the outer turning angle is left in (0, pi)
     h1 = float(potential(P_IV, 0.0))   # 0.125
-    with pytest.raises(ValueError):
-        turning_angles(P_IV, h1 + 0.01)
-    with pytest.raises(ValueError):
-        turning_angles(P_IV, -0.1)
+    assert len(level_angles(P_IV, h1 + 0.01)) == 1
+    assert level_angles(P_IV, -0.1) == []
 
 
 def test_turning_angles_gamma_positive():
     p = Params(alpha=1.5, beta=1.0, gamma=0.1)
-    lo, hi = turning_angles(p, 0.05)
+    lo, hi = level_angles(p, 0.05)
     assert float(potential(p, lo)) == pytest.approx(0.05, abs=1e-12)
     assert float(potential(p, hi)) == pytest.approx(0.05, abs=1e-12)
     assert lo < hi
@@ -83,18 +86,20 @@ def test_energy_bands_single_well():
 
 
 def test_natural_frequency():
-    center = _center(P_IV)
-    f = natural_frequency(P_IV, center)
-    assert f == pytest.approx(math.sqrt(center.k_local), rel=1e-12)
+    # the small-amplitude frequency sqrt(K/kappa), as the cubic fit has it
+    for p in (P_IV, Params(alpha=1.5, beta=1.0, kappa=4.0)):
+        center = _center(p)
+        f = fit_cubic(p, center).omega_n
+        assert f == pytest.approx(math.sqrt(center.k_local / p.kappa),
+                                  rel=1e-12)
     saddle = next(e for e in equilibria_in_period(P_IV) if e.kind != CENTER)
     with pytest.raises(ValueError):
-        natural_frequency(P_IV, saddle)
+        fit_cubic(P_IV, saddle)
 
 
 def test_small_amplitude_period_is_linear_limit():
-    center = _center(P_IV)
-    v_min = float(potential(P_IV, center.theta))
-    t_lin = 2.0 * math.pi / natural_frequency(P_IV, center)
+    v_min = float(potential(P_IV, _center(P_IV).theta))
+    t_lin = _linear_period(P_IV)
     t = period_of_energy(P_IV, v_min + 1e-10)
     assert t == pytest.approx(t_lin, rel=1e-4)
 
@@ -103,7 +108,7 @@ def test_period_matches_integration_all_bands():
     for h in (0.05, 0.5, 2.0):     # intra-well, inter-well, rotation
         t_quad = period_of_energy(P_IV, h)
         if h < 0.125:
-            _, theta0 = turning_angles(P_IV, h)
+            _, theta0 = level_angles(P_IV, h)
             state0 = (theta0, 0.0)
         else:
             omega0 = math.sqrt(2.0 * (h - float(potential(P_IV, 0.0))))
@@ -134,7 +139,7 @@ def test_periods_near_a_well_bottom_stay_finite(a, b, g):
     # turning angle; an integrand clamped to 1/sqrt(1e-300) there once gave
     # periods of 1e136
     p = Params(alpha=a, beta=b, gamma=g)
-    t_lin = 2.0 * math.pi / natural_frequency(p, _center(p))
+    t_lin = _linear_period(p)
     for pt in amplitude_frequency_curve(p, "AF3")[:10]:
         assert pt.period == pytest.approx(t_lin, rel=1e-3)
 

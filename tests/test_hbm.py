@@ -11,7 +11,7 @@ import clickdyn.hbm as hbm
 from clickdyn.cli import main
 from clickdyn.equilibria import (CENTER, equilibria_in_period,
                                  working_center)
-from clickdyn.freevib import _orbit, natural_frequency
+from clickdyn.freevib import _orbit
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic, fold_frequencies,
                           frf_amplitudes, frf_curve, sweep_hysteresis)
 from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
@@ -36,7 +36,7 @@ def test_fit_cubic_softening_well():
     cubic = fit_cubic(P_IV, center)
     assert cubic.epsilon < 0.0
     assert cubic.k_linear == center.k_local
-    assert cubic.omega_n == natural_frequency(P_IV, center)
+    assert cubic.omega_n == math.sqrt(center.k_local / P_IV.kappa)
 
 
 @pytest.mark.parametrize("alpha, beta, gamma", [
@@ -200,6 +200,24 @@ def _check_folds_separate(cubic, kappa, xi, b, s_lo, s_hi):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([-1.0, 1.0]), st.floats(0.005, 0.5),
        st.floats(0.005, 0.05), st.floats(2.0, 6.0), st.floats(0.5, 2.0))
+def test_each_fold_is_a_root_count_change_at_adjacent_floats(sign, eps, xi,
+                                                              q, kappa):
+    # a fold is bisected to adjacent floats: it and one of its float
+    # neighbours lie on the two sides of the root-count change
+    b = 2.0 * xi * math.sqrt(q * 2.0 * xi / (0.75 * eps))
+    cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
+    args = (cubic, kappa, xi, b)
+    for fold in fold_frequencies(*args, 0.5 / math.sqrt(kappa),
+                                 1.5 / math.sqrt(kappa)):
+        here = len(frf_amplitudes(*args, fold))
+        beside = {len(frf_amplitudes(*args, np.nextafter(fold, side)))
+                  for side in (-math.inf, math.inf)}
+        assert beside - {here}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.floats(0.005, 0.5),
+       st.floats(0.005, 0.05), st.floats(2.0, 6.0), st.floats(0.5, 2.0))
 def test_folds_separate_one_and_three_roots(sign, eps, xi, q, kappa):
     # drive from the bistability measure q = 0.75*|eps|*a_pk^2/(2*xi),
     # a_pk = B/(2*xi), so that most draws have folds in the scanned range
@@ -265,8 +283,7 @@ def test_frf_input_validation():
 
 def test_linear_sweep_no_hysteresis():
     cubic = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
-    res = sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 1.2, 9,
-                           rel_tol=1e-7)
+    res = sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 1.2, 9)
     assert res.up_jumps == []
     assert res.down_jumps == []
     np.testing.assert_allclose(res.up_amplitude, res.down_amplitude[::-1],
@@ -401,8 +418,9 @@ def test_unsettled_points_are_flagged(monkeypatch, tmp_path):
     # period-1 orbit, so no shot is accepted however long the transient.
     monkeypatch.setattr(hbm, "_MAX_PERIODS", 60)
     p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.25)
-    res = sweep_hysteresis(p, 0.8, 0.81, 2, direction_both=False)
+    res = sweep_hysteresis(p, 0.8, 0.81, 2)
     assert res.up_unsettled == res.up_s.tolist()
+    assert res.down_unsettled == res.down_s.tolist()
     assert np.all(np.isfinite(res.up_amplitude))
     assert main(["sweep", "--alpha", "1.5", "--beta", "1", "--xi", "0.1",
                  "--m0", "0.25", "--s-min", "0.8", "--s-max", "0.81",

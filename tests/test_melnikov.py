@@ -5,8 +5,7 @@ import pytest
 
 from clickdyn.melnikov import (DUFFING, PENDULUM, SOFT_CUBIC, ReducedSystem,
                                SeparatrixOrbit, melnikov_numeric,
-                               reduce_system, separatrix,
-                               threshold_closed_form, threshold_grid,
+                               reduce_system, separatrix, threshold_grid,
                                threshold_numeric)
 from clickdyn.model import Params
 
@@ -225,14 +224,15 @@ def test_printed_reference_forms():
     for variant, label in ((DUFFING, "cosh"), (PENDULUM, "coth"),
                            (SOFT_CUBIC, "csch")):
         r = reduce_system(P_IV, variant)
-        printed = threshold_closed_form(r, 0.1, 1.0)
-        assert printed.label == label
-        assert printed.value >= 0.0
+        grid = threshold_grid(r, [1.0], [0.0, 0.1, 0.2])
+        assert grid.printed_form == label
+        zero, printed, doubled = grid.m0_printed[:, 0]
+        assert printed >= 0.0
         # linear in xi0
-        doubled = threshold_closed_form(r, 0.2, 1.0)
-        assert doubled.value == pytest.approx(2.0 * printed.value, rel=1e-12)
-        assert threshold_closed_form(r, 0.0, 1.0).value == 0.0
-        assert printed.rel_deviation >= 0.0
+        assert doubled == pytest.approx(2.0 * printed, rel=1e-12)
+        assert zero == 0.0
+        # at xi0 = 0 both thresholds are 0 and agree
+        assert grid.printed_agrees[0, 0]
 
 
 def test_threshold_grid():
@@ -255,23 +255,38 @@ def test_threshold_grid():
         threshold_grid(r, omega_grid, [-0.1])
 
 
+def _printed_form(r, xi0, omega0):
+    """The printed closed-form threshold of each reduction, written out."""
+    a = r.char_angle
+    if r.variant == DUFFING:
+        return (4.0 * a**3 * xi0 / (3.0 * math.sqrt(2.0) * math.pi * omega0)
+                * math.cosh(math.pi * omega0 / (2.0 * a)))
+    if r.variant == PENDULUM:
+        return 2.0 * a * xi0 / (3.0 * math.pi * math.tanh(math.pi * omega0
+                                                          / 2.0))
+    return 2.0 * a**3 * xi0 / (3.0 * math.pi * math.sinh(math.pi * omega0
+                                                         / 2.0))
+
+
 @pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
 def test_grid_cells_equal_the_single_point_thresholds(variant):
     # One quadrature per omega0 gives, bit for bit, what the single-point
-    # functions give.  xi0 = 0 takes the zero-deviation branch of the
-    # agreement rule; soft_cubic's printed form is within 5 % only for
-    # omega0 in about (0.7296, 0.7634), so 0.728 and 0.765 sit just outside.
+    # threshold gives.  xi0 = 0 agrees by definition; soft_cubic's printed
+    # form is within 5 % only for omega0 in about (0.7296, 0.7634), so
+    # 0.728 and 0.765 sit just outside.
     r = reduce_system(P_IV, variant)
     omega_grid = [0.2, 0.728, 0.745, 0.765, 1.6, 3.0]
     xi_grid = [0.0, 0.1, 0.37]
     grid = threshold_grid(r, omega_grid, xi_grid)
     for i, xi0 in enumerate(xi_grid):
         for j, om in enumerate(omega_grid):
-            printed = threshold_closed_form(r, xi0, om)
-            assert grid.m0_crit[i, j] == threshold_numeric(r, xi0, om)
-            assert grid.m0_printed[i, j] == printed.value
-            assert grid.printed_agrees[i, j] == printed.agrees
-            assert grid.printed_form == printed.label
+            crit = threshold_numeric(r, xi0, om)
+            printed = _printed_form(r, xi0, om)
+            assert grid.m0_crit[i, j] == crit
+            assert grid.m0_printed[i, j] == pytest.approx(printed,
+                                                          rel=1e-14)
+            assert grid.printed_agrees[i, j] == (
+                xi0 == 0.0 or abs(printed - crit) <= 0.05 * crit)
     if variant == SOFT_CUBIC:
         assert grid.printed_agrees[1:].tolist() == [
             [False, False, True, False, False, False]] * 2
