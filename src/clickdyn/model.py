@@ -140,11 +140,19 @@ def _radical(sq, ab, theta):
 def potential(p: Params, theta):
     """Dimensionless potential energy; even and 2*pi-periodic in theta.
 
-    The square is a product: ``** 2`` squares arrays exactly but calls
-    libm's pow on scalars, which can be an ulp off.
+    With ``s = sin(theta/2)`` the radicand is ``(alpha - beta)**2 +
+    4*alpha*beta*s**2`` and the gravity term ``2*gamma*s**2``: sums of
+    nonnegative terms, so V keeps its relative accuracy near theta = 0,
+    where ``alpha**2 + beta**2 - 2*alpha*beta*cos(theta)`` cancels (to
+    about 1e-12 in V beside the alpha == beta cusp).  Squares are
+    products: ``** 2`` squares arrays exactly but calls libm's pow on
+    scalars, which can be an ulp off.
     """
-    e = _radical(p.alpha**2 + p.beta**2, p.alpha * p.beta, theta) - 1.0
-    return 0.5 * (e * e) + p.gamma * (1.0 - np.cos(theta))
+    d = p.alpha - p.beta
+    s = np.sin(0.5 * np.asarray(theta, dtype=float))
+    ss = s * s
+    e = np.sqrt(d * d + 4.0 * p.alpha * p.beta * ss) - 1.0
+    return 0.5 * (e * e) + 2.0 * p.gamma * ss
 
 
 def barrier_energies(p: Params) -> tuple[float, float]:
@@ -267,18 +275,17 @@ def scalar_potential(p: Params):
     Same operations in the same order as :func:`potential`, so it returns
     the same bits, without the cost of numpy-scalar arithmetic.
     """
-    g = p.gamma
-    sq = p.alpha**2 + p.beta**2
-    two_ab = 2.0 * p.alpha * p.beta
-    guard = _RADICAND_GUARD * max(1.0, sq)
+    d = p.alpha - p.beta
+    d2 = d * d
+    four_ab = 4.0 * p.alpha * p.beta
+    two_g = 2.0 * p.gamma
+    sin, sqrt = math.sin, math.sqrt
 
     def v(theta):
-        ct = math.cos(theta)
-        r = sq - two_ab * ct
-        if r < 0.0:
-            r = 0.0 if r > guard else math.nan
-        e = math.sqrt(r) - 1.0
-        return 0.5 * (e * e) + g * (1.0 - ct)
+        s = sin(0.5 * theta)
+        ss = s * s
+        e = sqrt(d2 + four_ab * ss) - 1.0
+        return 0.5 * (e * e) + two_g * ss
 
     return v
 

@@ -138,6 +138,10 @@ def _portrait_case(draw):
 # above the array value, so the pi barrier level missed the saddle
 @example(dict(alpha=1.412602848879522, beta=0.99999, gamma=0.0, kappa=1.0,
               n=2, omega_max=1.0))
+# on the cusp alpha == beta, alpha^2 + beta^2 - 2*alpha*beta*cos(theta)
+# cancelled beside theta = 0 and put the window exits 1.7e-12 off their level
+@example(dict(alpha=1.1462381422576038, beta=1.1462381422576038, gamma=0.0,
+              kappa=1.1462381422576038, n=2, omega_max=1.1462381422576038))
 def test_phase_portrait_points_lie_on_their_levels(case):
     p = Params(alpha=case["alpha"], beta=case["beta"], gamma=case["gamma"],
                kappa=case["kappa"])
