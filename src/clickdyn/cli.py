@@ -442,6 +442,7 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
     rows = [(i, float(r)) for i, r in enumerate(est.segment_rates)]
     return [Dataset("lyapunov", ("segment", "rate"), rows,
                     metadata={"exponent": est.exponent,
+                              "exponent_stderr": est.stderr,
                               "tail_exponent": est.tail_exponent})]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .equilibria import CENTER, Equilibrium, _grid_zeros, working_center
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
-                        integrate_rhs)
+                        _strobe, integrate_rhs)
 from .model import Params, _moment_curvature, scalar_rhs, stiffness
 
 __all__ = [
@@ -298,8 +298,9 @@ def _steady_amplitude(f, state, t_drive, spec):
     """Amplitude and state of the stable period-1 orbit reached from state.
 
     Shoots from the carried state; when that fails (past a fold the carried
-    branch has vanished) it integrates a transient of _BLOCK periods and
-    shoots again, until _MAX_PERIODS periods are spent.  Returns
+    branch has vanished) it integrates a transient of _BLOCK periods, which
+    carries its step from period to period, and shoots again, until
+    _MAX_PERIODS periods are spent.  Returns
     ``(amplitude, state, settled)``; ``settled`` is False when no stable
     orbit was found within the cap.
     """
@@ -316,9 +317,8 @@ def _steady_amplitude(f, state, t_drive, spec):
         x = _shoot(period, state, px, spec.rel_tol)
         if x is not None:
             return _orbit_amplitude(f, x, one_period), x, True
-        for _ in range(_BLOCK):
-            state = px
-            px = period(state)
+        *_, state, px = _strobe(f, px, t_drive, _BLOCK, spec)
+        spent += _BLOCK
     return _orbit_amplitude(f, state, one_period), px, False
 
 

@@ -91,8 +91,11 @@ class FreeOscillation:
 
 @dataclass
 class LyapunovEstimate:
+    """Benettin estimate; ``stderr`` = std(segment_rates, ddof=1)/sqrt(n),
+    the standard error of ``exponent`` if the segments are independent."""
     exponent: float               # mean over the whole horizon
     tail_exponent: float          # mean over the last quartile of segments
+    stderr: float                 # standard error of exponent
     segment_rates: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -116,8 +119,10 @@ def _dop853(f, t0, y0, spec, step_cb=None):
 
     ``step_cb(ta, ya, tb, yb, dense) -> bool`` runs on every accepted step,
     with ``dense`` the step's :class:`_DenseStep`; returning True stops the
-    integration.  Returns (times, thetas, omegas, stats); a rejected step
-    below ``_H_MIN`` (1e-12) raises :class:`StepUnderflow`.
+    integration.  Returns (times, thetas, omegas, stats, h_next), with
+    ``h_next`` the last proposed step before it was clipped to land on
+    ``t_end``; a rejected step below ``_H_MIN`` (1e-12) raises
+    :class:`StepUnderflow`.
 
     Stage j of the tableau (Hairer, Norsett & Wanner, Solving ODEs I,
     Sec. II.5, counted from 0 as in scipy's ``dop853_coefficients``) is
@@ -176,7 +181,7 @@ def _dop853(f, t0, y0, spec, step_cb=None):
     k0t, k0o = f(t, th, om)
     abs_tol, rel_tol, t_end = spec.abs_tol, spec.rel_tol, spec.t_end
     h_min, h_max = _H_MIN, _H_MAX
-    h = spec.h_init
+    h = h_next = spec.h_init
     accepted = rejected = 0
     after_reject = False
     times = [t]
@@ -186,6 +191,7 @@ def _dop853(f, t0, y0, spec, step_cb=None):
     append_om = omegas.append
     while t < t_end:
         t_new = t + h
+        h_next = h
         if t_new > t_end:
             t_new = t_end
             h = t_new - t
@@ -303,7 +309,7 @@ def _dop853(f, t0, y0, spec, step_cb=None):
                                           complete=False))
         if h_max < h:
             h = h_max
-    return times, thetas, omegas, StepStats(accepted, rejected)
+    return times, thetas, omegas, StepStats(accepted, rejected), h_next
 
 
 def _pack(times, thetas, omegas, stats, complete=True):
@@ -414,7 +420,7 @@ def _refine_crossing(dense, comp, target=0.0):
 def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
                   step_cb=None) -> Trajectory:
     """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``."""
-    return _pack(*_dop853(f, t0, state0, spec, step_cb))
+    return _pack(*_dop853(f, t0, state0, spec, step_cb)[:4])
 
 
 def integrate(p: Params, state0, spec: IntegratorSpec | None = None) -> Trajectory:
@@ -470,26 +476,31 @@ def measure_free_oscillation(p: Params, state0,
     raise ValueError("no oscillation detected within t_max")
 
 
+def _strobe(f, state, t_step, n, spec):
+    """Yield the states at t = k * t_step, k = 1..n, from ``state`` at t = 0.
+
+    Each segment starts with the step the last one would have taken next,
+    so only the first climbs from ``spec.h_init``."""
+    t, h = 0.0, spec.h_init
+    for k in range(1, n + 1):
+        t_end = k * t_step
+        _, ths, oms, _, h = _dop853(
+            f, t, state, replace(spec, h_init=h, t_end=t_end))
+        t, state = t_end, (ths[-1], oms[-1])
+        yield state
+
+
 def poincare_section(p: Params, state0, n_points: int,
                      discard: int = 200) -> PoincareMap:
     """Stroboscopic samples at the drive period, after a transient discard."""
     if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
         raise ValueError("Poincare section requires M0 > 0 and Omega0 > 0")
-    if discard < 0:
-        raise ValueError("discard must be nonnegative")
-    base = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
-    f = scalar_rhs(p)
-    t_drive = 2.0 * math.pi / p.omega_big0
-    state = tuple(state0)
-    t = 0.0
-    points = []
-    for n in range(discard + n_points):
-        traj = integrate_rhs(f, state, replace(base, t_end=t + t_drive), t0=t)
-        state = tuple(traj.states[-1])
-        t = float(traj.times[-1])
-        if n >= discard:
-            points.append(state)
-    return PoincareMap(p.omega_big0, np.asarray(points), discard)
+    if discard < 0 or n_points < 1:
+        raise ValueError("need discard >= 0 and n_points >= 1")
+    states = list(_strobe(scalar_rhs(p), tuple(state0),
+                          2.0 * math.pi / p.omega_big0, discard + n_points,
+                          IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)))
+    return PoincareMap(p.omega_big0, np.asarray(states[discard:]), discard)
 
 
 def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
@@ -500,6 +511,8 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
     overflow the renormalization interval is halved and the run
     restarted, at most three times.
     """
+    if not (0.0 < horizon < math.inf and 0.0 < renorm_interval < math.inf):
+        raise ValueError("horizon and renorm_interval must be finite and > 0")
     base = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
     f = scalar_rhs(p)
     interval = renorm_interval
@@ -512,19 +525,23 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
 
 
 def _benettin(f, state0, horizon, interval, base):
+    # each trajectory carries its step, the perturbed one across rescaling
     d0 = 1e-8
     n_seg = max(4, int(round(horizon / interval)))
     ya = tuple(state0)
     yb = (state0[0] + d0, state0[1])
+    ha = hb = base.h_init
     t = 0.0
     rates = []
-    for _ in range(n_seg):
-        seg = replace(base, t_end=t + interval)
-        ya = tuple(integrate_rhs(f, ya, seg, t0=t).states[-1])
-        yb = tuple(integrate_rhs(f, yb, seg, t0=t).states[-1])
-        t += interval
-        dth = yb[0] - ya[0]
-        dom = yb[1] - ya[1]
+    for k in range(1, n_seg + 1):
+        t_end = k * interval
+        _, tha, oma, _, ha = _dop853(f, t, ya, replace(base, h_init=ha,
+                                                       t_end=t_end))
+        _, thb, omb, _, hb = _dop853(f, t, yb, replace(base, h_init=hb,
+                                                       t_end=t_end))
+        t, ya = t_end, (tha[-1], oma[-1])
+        dth = thb[-1] - ya[0]
+        dom = omb[-1] - ya[1]
         dist = math.hypot(dth, dom)
         if not math.isfinite(dist) or dist == 0.0:
             raise OverflowError("separation overflow or collapse")
@@ -536,5 +553,6 @@ def _benettin(f, state0, horizon, interval, base):
     return LyapunovEstimate(
         exponent=float(rates.mean()),
         tail_exponent=float(rates[-n_tail:].mean()),
+        stderr=float(rates.std(ddof=1) / math.sqrt(rates.size)),
         segment_rates=rates,
     )

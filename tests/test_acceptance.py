@@ -247,7 +247,7 @@ def test_acceptance_10_threshold_separates_dynamics(capsys):
     def run(m0):
         pf = replace(p, m_big0=m0, omega_big0=0.8)
         state0 = (th3, 0.0)
-        lam = largest_lyapunov(pf, state0, horizon=1000.0).exponent
+        est = largest_lyapunov(pf, state0, horizon=1000.0)
         pm = poincare_section(pf, state0, n_points=200, discard=100)
         reps = []
         for th, om in pm.points:
@@ -257,17 +257,18 @@ def test_acceptance_10_threshold_separates_dynamics(capsys):
                     break
             else:
                 reps.append(q)
-        return lam, len(reps)
+        return est.exponent, est.stderr, len(reps)
 
-    lam_hi, n_hi = run(1.5 * thr)
-    lam_lo, n_lo = run(0.2 * thr)
+    lam_hi, err_hi, n_hi = run(1.5 * thr)
+    lam_lo, err_lo, n_lo = run(0.2 * thr)
     elapsed = time.perf_counter() - t0
     ok = (lam_hi > 0.01 and n_hi > 100
           and lam_lo <= 0.01 and n_lo <= 2
           and elapsed < 300.0)
     _report(capsys, 10, "forcing above/below threshold is chaotic/regular",
-            ok, f"thr={thr:.4f}, above: lam={lam_hi:+.3f} n={n_hi}; "
-            f"below: lam={lam_lo:+.3f} n={n_lo}; {elapsed:.0f}s")
+            ok, f"thr={thr:.4f}, above: lam={lam_hi:+.3f}+-{err_hi:.3f} "
+            f"n={n_hi}; below: lam={lam_lo:+.3f}+-{err_lo:.3f} n={n_lo}; "
+            f"{elapsed:.0f}s")
 
 
 def test_acceptance_11_cli_determinism(capsys, tmp_path):

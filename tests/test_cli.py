@@ -479,6 +479,21 @@ def test_poincare_subcommand(tmp_path):
     assert len(rows) == 5
 
 
+def test_lyapunov_manifest_carries_the_standard_error(tmp_path):
+    out = tmp_path / "lyap"
+    assert run_cli("lyapunov", "--alpha", "1.5", "--beta", "1",
+                   "--xi", "0.1", "--m0", "0.02", "--omega0", "0.8",
+                   "--theta0", "0.7", "--horizon", "40",
+                   "--out", str(out)) == 0
+    _, rows = read_csv(out / "lyapunov.csv")
+    meta = json.loads((out / "manifest.json").read_text())[
+        "files"]["lyapunov"]["metadata"]
+    rates = [r[1] for r in rows]
+    assert len(rates) == 8
+    assert meta["exponent_stderr"] == pytest.approx(
+        np.std(rates, ddof=1) / math.sqrt(len(rates)), rel=1e-12)
+
+
 def test_bifurcation_subcommand(tmp_path):
     out = tmp_path / "bif"
     assert run_cli("bifurcation-set", "--alpha", "1.0", "--gamma", "0",

@@ -5,10 +5,11 @@ import pytest
 
 from scipy.integrate import DOP853, solve_ivp
 
+import clickdyn.integrate as integ
 from clickdyn.integrate import (IntegratorSpec, StepUnderflow,
-                                _refine_crossing, integrate, integrate_rhs,
-                                largest_lyapunov, measure_free_oscillation,
-                                poincare_section)
+                                _refine_crossing, _strobe, integrate,
+                                integrate_rhs, largest_lyapunov,
+                                measure_free_oscillation, poincare_section)
 from clickdyn.model import Params, hamiltonian, scalar_rhs
 
 
@@ -161,6 +162,97 @@ def test_lyapunov_negative_for_damped_periodic():
     assert est.segment_rates.size >= 4
 
 
+_PERIODIC = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
+
+
+def test_section_matches_fresh_restarts_each_period():
+    # The carried step changes where the steps land, not the section: on a
+    # periodic attractor it agrees with a restart from h_init every period.
+    pm = poincare_section(_PERIODIC, (0.7227, 0.0), 20, discard=150)
+    f, t_drive = scalar_rhs(_PERIODIC), 2.0 * math.pi / _PERIODIC.omega_big0
+    state, ref = (0.7227, 0.0), []
+    for k in range(1, 171):
+        spec = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=k * t_drive)
+        state = integrate_rhs(f, state, spec, t0=(k - 1) * t_drive).states[-1]
+        if k > 150:
+            ref.append(state)
+    np.testing.assert_allclose(pm.points, ref, rtol=0.0, atol=1e-8)
+
+
+def _counting_dop853(monkeypatch):
+    """Wrap the step loop; returns the list of its (accepted, h_next)."""
+    calls, loop = [], integ._dop853
+
+    def counted(*args, **kwargs):
+        out = loop(*args, **kwargs)
+        calls.append((out[3].accepted, out[4]))
+        return out
+
+    monkeypatch.setattr(integ, "_dop853", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m0", [0.02, 0.125, 0.3])
+def test_segments_take_at_most_one_clipped_step_more(monkeypatch, m0):
+    # Without the carried step each of the n segments climbs from h_init
+    # by x10 steps again, about 3 extra steps per segment.
+    p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=m0, omega_big0=0.8)
+    n, t_drive = 50, 2.0 * math.pi / p.omega_big0
+    calls = _counting_dop853(monkeypatch)
+    poincare_section(p, (0.7227, 0.0), n, discard=0)
+    segmented = sum(a for a, _ in calls)
+    assert len(calls) == n
+    calls.clear()
+    integrate_rhs(scalar_rhs(p), (0.7227, 0.0),
+                  IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11,
+                                 t_end=n * t_drive))
+    assert segmented <= calls[0][0] + n
+
+
+def test_carried_step_is_a_valid_h_init(monkeypatch):
+    from clickdyn.hbm import CubicApprox, sweep_hysteresis
+    calls = _counting_dop853(monkeypatch)
+    damped = lambda t, x, v: (v, -x - 0.2 * v)      # noqa: E731
+    spec = IntegratorSpec()
+    list(_strobe(damped, (1.0, 0.0), 50.0, 4, spec))    # settles: h = 1.0
+    list(_strobe(damped, (1.0, 0.0), 1e-9, 3, spec))    # clipped to 1e-9
+    poincare_section(_PERIODIC, (0.7227, 0.0), 3, discard=2)
+    largest_lyapunov(_PERIODIC, (0.7227, 0.0), horizon=20.0)
+    sweep_hysteresis((CubicApprox(1.0, 0.1, 0.0), 1.0, 0.1, 0.1),
+                     0.8, 0.9, 2)
+    steps = [h for _, h in calls]
+    assert 1.0 in steps and spec.h_init in steps
+    for h in steps:
+        assert 1e-12 <= h <= 1.0
+        IntegratorSpec(h_init=h)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"renorm_interval": -5.0}, {"renorm_interval": 0.0},
+    {"renorm_interval": math.nan}, {"renorm_interval": math.inf},
+    {"horizon": 0.0}, {"horizon": -10.0}, {"horizon": math.nan},
+    {"horizon": math.inf},
+])
+def test_lyapunov_rejects_a_bad_run_length(kwargs):
+    with pytest.raises(ValueError):
+        largest_lyapunov(_PERIODIC, (0.7227, 0.0), **kwargs)
+
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_poincare_rejects_an_empty_section(n_points):
+    with pytest.raises(ValueError):
+        poincare_section(_PERIODIC, (0.7227, 0.0), n_points)
+
+
+def test_lyapunov_stderr_is_the_standard_error_of_the_segments():
+    est = largest_lyapunov(_PERIODIC, (0.7227, 0.0), horizon=100.0)
+    rates = est.segment_rates
+    assert rates.size == 20
+    assert est.stderr == pytest.approx(
+        np.std(rates, ddof=1) / math.sqrt(rates.size), rel=1e-12)
+    assert est.stderr > 0.0
+
+
 def _recording(make_rhs, seen):
     """Wrap an rhs factory so every call records its state's types."""
 
@@ -177,12 +269,13 @@ def _recording(make_rhs, seen):
 
 
 def test_segmented_runs_keep_the_state_in_python_floats(monkeypatch):
-    # Segments resume from rows of Trajectory.states (numpy.float64).  The
-    # integrator must hand the rhs Python floats all the same: numpy
-    # scalars make the stepping loop several times slower.  np.float64
-    # subclasses float, so only an exact type check catches the leak.
+    # Sections, Lyapunov segments and sweep transients resume from the step
+    # loop's states, Newton shots from rows of Trajectory.states
+    # (numpy.float64).  The integrator must hand the rhs Python floats all
+    # the same: numpy scalars make the stepping loop several times slower.
+    # np.float64 subclasses float, so only an exact type check catches the
+    # leak.
     import clickdyn.hbm as hbm
-    import clickdyn.integrate as integ
     from clickdyn.hbm import CubicApprox, sweep_hysteresis
 
     seen = set()
