@@ -35,6 +35,7 @@ __all__ = [
     "hamiltonian",
     "scalar_potential",
     "scalar_rhs",
+    "scalar_tangent_rhs",
     "is_smooth_at",
 ]
 
@@ -220,13 +221,16 @@ def _stiffness_field(alpha, beta, gamma, theta):
     ab = alpha * beta
     d = _radical(alpha * alpha + beta * beta, ab, theta)
     s = ab * np.sin(theta)
-    out = (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
     cusp = alpha == beta
-    if np.any(cusp):
-        half = ((alpha * alpha + gamma) * np.cos(theta)
-                + 0.5 * alpha * np.abs(np.sin(0.5 * theta)))
-        out = np.where(cusp, half, out)[()]
-    return out
+    if not np.any(cusp):
+        return (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
+    # the general form divides by D = 0 at the cusps theta = 2*n*pi, where
+    # the half-angle form replaces it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
+    half = ((alpha * alpha + gamma) * np.cos(theta)
+            + 0.5 * alpha * np.abs(np.sin(0.5 * theta)))
+    return np.where(cusp, half, out)[()]
 
 
 def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
@@ -336,5 +340,83 @@ def scalar_rhs(p: Params):
         if m0:
             torque += m0 * sin(om0 * t + phi)
         return omega, torque / kap
+
+    return f
+
+
+def scalar_tangent_rhs(p: Params):
+    """Closure ``f(t, theta, omega, v_theta, v_omega)`` of the system and
+    one tangent vector, returning the four derivatives.
+
+    The first two are :func:`scalar_rhs`'s, by the same operations (the
+    near-cusp guard included), so they have the same bits.  The tangent
+    obeys the linearised system v' = J v with the closed-form Jacobian
+    [[0, 1], [-(K + 2*xi*c'*omega)/kappa, -2*xi*c/kappa]]: K is the
+    :func:`stiffness`, c the :func:`damping_factor` and c' its derivative,
+    2*alpha*beta*(alpha*beta*sin(theta))*(cos(theta) - c/(alpha*beta))/D^2
+    off the cusp line and -alpha^2*cos(theta/2)*sin(theta/2) on it.  On the
+    cusp line J is continuous but the moment jumps by 2*alpha at
+    theta = 2*n*pi; the integrator adds that jump's saltation.
+    """
+    a, b, g = p.alpha, p.beta, p.gamma
+    kap, m0, om0, phi = p.kappa, p.m_big0, p.omega_big0, p.phi
+    ab = a * b
+    abg = ab + g
+    sq = a * a + b * b
+    two_ab = 2.0 * ab
+    neg_two_xi = -2.0 * p.xi
+    cos, sin, sqrt, copysign = math.cos, math.sin, math.sqrt, math.copysign
+    # slope = kappa * d(omega')/d(theta) = -(K + 2*xi*c'*omega) and
+    # damping = kappa * d(omega')/d(omega) = -2*xi*c
+
+    if a == b:
+        half_a = 0.5 * a
+        two_xi_ab = -neg_two_xi * ab
+
+        def f(t, theta, omega, v_theta, v_omega):
+            st = sin(theta)
+            half = 0.5 * theta
+            sh, ch = sin(half), cos(half)
+            mom = abg * st - a * copysign(1.0, sh) * ch if sh != 0.0 \
+                else abg * st
+            damping = neg_two_xi * (ab * ch * ch)
+            torque = damping * omega - mom
+            if m0:
+                torque += m0 * sin(om0 * t + phi)
+            slope = (two_xi_ab * ch * sh * omega - abg * cos(theta)
+                     - half_a * abs(sh))
+            return (omega, torque / kap, v_omega,
+                    (slope * v_theta + damping * v_omega) / kap)
+
+        return f
+
+    neg_four_xi = 2.0 * neg_two_xi
+
+    def f(t, theta, omega, v_theta, v_omega):
+        st = sin(theta)
+        ct = cos(theta)
+        d2 = sq - two_ab * ct
+        try:
+            inv_d = 1.0 / sqrt(d2)
+            spring = ab * (1.0 - inv_d) + g
+            abst = ab * st
+            damp = abst ** 2 / d2
+        except (ValueError, ZeroDivisionError):
+            # as in scalar_rhs; the 1/D terms of the Jacobian have no
+            # value where the radicand rounded to 0 or below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mom = float(moment(p, theta))
+                damp = float(damping_factor(p, theta))
+            slope = math.nan
+        else:
+            mom = spring * st
+            slope = (neg_four_xi * abst / d2 * (ab * ct - damp) * omega
+                     - spring * ct - damp * inv_d)
+        damping = neg_two_xi * damp
+        torque = damping * omega - mom
+        if m0:
+            torque += m0 * sin(om0 * t + phi)
+        return (omega, torque / kap, v_omega,
+                (slope * v_theta + damping * v_omega) / kap)
 
     return f

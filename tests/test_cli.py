@@ -494,6 +494,20 @@ def test_lyapunov_manifest_carries_the_standard_error(tmp_path):
         np.std(rates, ddof=1) / math.sqrt(len(rates)), rel=1e-12)
 
 
+def test_lyapunov_tangent_underflow_is_a_numeric_error(tmp_path, capsys):
+    # critically damped at a center: the tangent's norm would fall to
+    # about exp(-980) within one 1000-long interval; it sticks at the
+    # smallest subnormal, whose log gave a rate of -0.744 where the run
+    # decays at -0.98.  At the settled center the steps reach the 1.0 cap,
+    # so this is cheap.
+    out = tmp_path / "lyap"
+    assert run_cli("lyapunov", "--alpha", "1.5", "--beta", "1", "--xi", "1",
+                   "--theta0", "0.7227", "--interval", "1000",
+                   "--out", str(out)) == 3
+    assert capsys.readouterr().err.startswith("error:numeric: tangent norm")
+    assert not (out / "lyapunov.csv").exists()
+
+
 def test_bifurcation_subcommand(tmp_path):
     out = tmp_path / "bif"
     assert run_cli("bifurcation-set", "--alpha", "1.0", "--gamma", "0",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from clickdyn.integrate import (IntegratorSpec, StepUnderflow,
                                 _refine_crossing, _strobe, integrate,
                                 integrate_rhs, largest_lyapunov,
                                 measure_free_oscillation, poincare_section)
-from clickdyn.model import Params, hamiltonian, scalar_rhs
+from clickdyn.model import (Params, hamiltonian, scalar_rhs,
+                            scalar_tangent_rhs)
 
 
 def test_spec_validation():
@@ -259,9 +261,9 @@ def _recording(make_rhs, seen):
     def make(*args, **kwargs):
         f = make_rhs(*args, **kwargs)
 
-        def g(t, theta, omega):
-            seen.add((type(theta), type(omega)))
-            return f(t, theta, omega)
+        def g(t, *state):
+            seen.add(tuple(map(type, state)))
+            return f(t, *state)
 
         return g
 
@@ -279,22 +281,25 @@ def test_segmented_runs_keep_the_state_in_python_floats(monkeypatch):
     from clickdyn.hbm import CubicApprox, sweep_hysteresis
 
     seen = set()
-    monkeypatch.setattr(integ, "scalar_rhs",
-                        _recording(integ.scalar_rhs, seen))
-    monkeypatch.setattr(hbm, "scalar_rhs", _recording(hbm.scalar_rhs, seen))
-    monkeypatch.setattr(hbm, "_cubic_rhs", _recording(hbm._cubic_rhs, seen))
+    for mod, name in ((integ, "scalar_rhs"), (integ, "scalar_tangent_rhs"),
+                      (hbm, "scalar_rhs"), (hbm, "_cubic_rhs")):
+        monkeypatch.setattr(mod, name, _recording(getattr(mod, name), seen))
     p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
     cubic = CubicApprox(omega_n=1.0, epsilon=0.1, origin_theta=0.0)
+    state = (float, float)
     runs = [
-        lambda: poincare_section(p, (0.7227, 0.0), 3, discard=2),
-        lambda: largest_lyapunov(p, (0.7227, 0.0), horizon=20.0),
-        lambda: sweep_hysteresis(p, 0.8, 0.9, 2),
-        lambda: sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 0.9, 2),
+        (lambda: poincare_section(p, (0.7227, 0.0), 3, discard=2), state),
+        # the state and the tangent (v_theta, v_omega), from numpy floats
+        (lambda: largest_lyapunov(p, np.array([0.7227, 0.0]), horizon=20.0),
+         (float,) * 4),
+        (lambda: sweep_hysteresis(p, 0.8, 0.9, 2), state),
+        (lambda: sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 0.9, 2),
+         state),
     ]
-    for run in runs:
+    for run, types in runs:
         seen.clear()
         run()
-        assert seen == {(float, float)}
+        assert seen == {types}
 
 
 def _nan_after_half(t, x, v):
@@ -398,3 +403,102 @@ def test_turning_points_are_refined_on_the_dense_output():
         assert t == pytest.approx(k * math.pi, abs=1e-7)
         assert theta == pytest.approx((-1) ** k, abs=1e-7)
         assert abs(omega) <= 1e-10
+
+
+# Cusp-line cases (alpha == beta) whose runs cross theta = 0, where the
+# moment jumps by 2*alpha: the second is the Lyapunov case below.
+_CUSP = Params(alpha=1.3, beta=1.3, xi=0.05, m_big0=0.2, omega_big0=1.1)
+_CUSP_LYAP = Params(alpha=1.2, beta=1.2, xi=0.1, m_big0=0.5, omega_big0=1.0)
+
+
+def _kick(p):
+    return 0.0 if p.smooth else 2.0 * p.alpha / p.kappa
+
+
+def _cusp_crossings(thetas):
+    return sum((math.sin(0.5 * a) < 0.0) != (math.sin(0.5 * b) < 0.0)
+               for a, b in zip(thetas, thetas[1:]))
+
+
+@pytest.mark.parametrize("p, state0, spec", [
+    (Params(alpha=1.5, xi=0.1, m_big0=0.3, omega_big0=0.8), (0.7227, 0.0),
+     IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=60.0)),
+    (_CUSP, (0.4, 0.0), IntegratorSpec(t_end=60.0)),
+    (_CUSP_LYAP, (0.4, 0.0),
+     IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=200.0)),
+], ids=["forced", "cusp", "cusp_lyapunov"])
+def test_tangent_loop_takes_the_plain_loops_steps(p, state0, spec):
+    # The error norm covers (theta, omega) only and the tangent closure's
+    # state part is scalar_rhs's, so the state path is the same to the bit.
+    plain = integ._dop853(scalar_rhs(p), 0.0, state0, spec)
+    times, thetas, omegas, _, stats, h_next = integ._dop853_tangent(
+        scalar_tangent_rhs(p), 0.0, state0, (1.0, 0.0), spec, _kick(p))
+    assert (times, thetas, omegas, h_next) == (*plain[:3], plain[4])
+    assert stats == plain[3]
+    assert p.smooth or _cusp_crossings(thetas) >= 3
+
+
+@pytest.mark.parametrize("p, state0", [
+    (Params(alpha=1.5, xi=0.1, m_big0=0.3, omega_big0=0.8), (0.7227, 0.0)),
+    (_CUSP_LYAP, (0.4, -1.0)),     # crosses theta = 0 downwards
+    (_CUSP_LYAP, (-0.3, 0.8)),     # and upwards
+])
+@pytest.mark.parametrize("v0", [(1.0, 0.0), (0.0, 1.0)])
+def test_tangent_is_the_derivative_of_the_flow(p, state0, v0):
+    # Over one interval the tangent from v0 is the flow map's derivative
+    # along v0; on the cusp line only with the saltation of each crossing.
+    spec = IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0)
+    _, thetas, _, v, _, _ = integ._dop853_tangent(
+        scalar_tangent_rhs(p), 0.0, state0, v0, spec, _kick(p))
+    delta, ends = 1e-5, []
+    for sign in (1.0, -1.0):
+        y0 = (state0[0] + sign * delta * v0[0],
+              state0[1] + sign * delta * v0[1])
+        ends.append(integrate_rhs(scalar_rhs(p), y0, spec).states[-1])
+    fd = (ends[0] - ends[1]) / (2.0 * delta)
+    assert math.hypot(*(v - fd)) <= 1e-5 * math.hypot(*fd)
+    assert _cusp_crossings(thetas) == (0 if p.smooth else 1)
+
+
+def _two_trajectory_lyapunov(p, state0, horizon, interval, d0=1e-8):
+    """Rates of a partner orbit d0 off, rescaled to d0 after each interval;
+    each orbit carries its step across the intervals."""
+    f, rates = scalar_rhs(p), []
+    ya, yb = state0, (state0[0] + d0, state0[1])
+    ha = hb = 1e-3
+    for k in range(1, int(round(horizon / interval)) + 1):
+        spec = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=k * interval)
+        t = (k - 1) * interval
+        _, tha, oma, _, ha = integ._dop853(f, t, ya, replace(spec, h_init=ha))
+        _, thb, omb, _, hb = integ._dop853(f, t, yb, replace(spec, h_init=hb))
+        ya, dth, dom = (tha[-1], oma[-1]), thb[-1] - tha[-1], omb[-1] - oma[-1]
+        dist = math.hypot(dth, dom)
+        rates.append(math.log(dist / d0) / interval)
+        yb = (ya[0] + dth * d0 / dist, ya[1] + dom * d0 / dist)
+    return np.asarray(rates)
+
+
+@pytest.mark.parametrize("m0", [0.02, 0.125])
+def test_lyapunov_matches_two_nearby_trajectories(m0):
+    # periodic below the Melnikov threshold (about 0.083), chaotic above
+    p = replace(_PERIODIC, m_big0=m0)
+    est = largest_lyapunov(p, (0.7227, 0.0), horizon=200.0)
+    ref = _two_trajectory_lyapunov(p, (0.7227, 0.0), 200.0, 5.0)
+    assert abs(est.exponent - ref.mean()) <= 1e-5
+    np.testing.assert_allclose(est.segment_rates, ref, rtol=0.0, atol=1e-4)
+
+
+def test_lyapunov_on_the_cusp_line():
+    # Two trajectories 1e-8 apart at rel_tol 1e-9 gave -0.067 here: the
+    # separation was within about 10x of the local error at each theta = 0
+    # crossing.  The estimate converges to -0.1017 with tighter tolerances.
+    est = largest_lyapunov(_CUSP_LYAP, (0.4, 0.0), horizon=1000.0)
+    assert est.exponent == pytest.approx(-0.1017, abs=1e-3)
+
+
+def test_lyapunov_run_length_is_at_least_four_intervals():
+    # horizon 10 with interval 5 runs four intervals, 20 time units
+    est = largest_lyapunov(_PERIODIC, (0.7227, 0.0), horizon=10.0,
+                           renorm_interval=5.0)
+    assert est.segment_rates.size == 4
+

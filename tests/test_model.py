@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from clickdyn.model import (Params, PhysicalParams, barrier_energies,
                             damping_factor, hamiltonian, is_smooth_at, moment,
                             nondimensionalize, potential, scalar_potential,
-                            scalar_rhs, stiffness)
+                            scalar_rhs, scalar_tangent_rhs, stiffness)
 from clickdyn.equilibria import (REGION_DEGENERATE, REGION_DOUBLE_WELL,
                                  REGION_SINGLE_WELL_HARD,
                                  REGION_SINGLE_WELL_SOFT, classify_region,
@@ -123,6 +124,26 @@ def test_cusp_line_stiffness_beside_theta_zero():
     field = _stiffness_field(np.array([0.99918, 1.2]), 0.99918, 0.00157, th)
     assert field[0] == stiffness(p, th)
     assert field[1] == stiffness(replace(p, alpha=1.2), th)
+
+
+def test_cusp_line_stiffness_field_does_not_warn():
+    # The general form is evaluated beside the half-angle one and then
+    # discarded on the cusp line, where it divides by D = 0: no warning.
+    # Checked at a point whose radicand rounds to 0 and on the mesh of the
+    # zero-stiffness set (B0) over an alpha grid that crosses beta.
+    thetas = np.linspace(1e-9, math.pi - 1e-9, 400)
+    alphas = np.array([0.5, 0.99, 1.0, 1.01, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = _stiffness_field(1.0, 1.0, 0.0, np.array([1e-9, 0.5]))
+        mesh = _stiffness_field(alphas[:, None], 1.0, 0.1, thetas)
+        rows = [_stiffness_field(a, 1.0, 0.1, thetas) for a in alphas]
+    np.testing.assert_array_equal(
+        point, [float(stiffness(Params(alpha=1.0, beta=1.0), t))
+                for t in (1e-9, 0.5)])
+    # off the cusp line a mesh row has the bits of its own call
+    np.testing.assert_array_equal(mesh, rows)
+    assert np.all(np.isfinite(mesh))
 
 
 def test_damping_factor_limit_at_cusp():
@@ -239,6 +260,82 @@ def test_scalar_and_array_stiffness_are_bit_equal(point, more):
         array = stiffness(p, np.array(thetas, dtype=float))
         scalar = [float(stiffness(p, t)) for t in thetas]
     np.testing.assert_array_equal(array, scalar)   # NaN matches NaN
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_point(), st.floats(-1e3, 1e3), st.floats(-3.0, 3.0),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@example((1.3, 1.3, 0.1, 0.7), 2.5, -0.7, 1.0, 0.5)
+@example((1.5, 1.0, 0.1, -0.7), 2.5, -0.7, 1.0, 0.5)
+def test_tangent_kernel_state_part_is_scalar_rhs(point, t, omega, v_theta,
+                                                 v_omega):
+    a, b, g, theta = point
+    free = Params(alpha=a, beta=b, gamma=g)
+    forced = replace(free, xi=0.3, kappa=1.7, m_big0=0.2, omega_big0=1.3,
+                     phi=0.4)
+    for p in (free, forced):
+        with np.errstate(divide="ignore", invalid="ignore"):  # near cusp
+            got = scalar_tangent_rhs(p)(t, theta, omega, v_theta, v_omega)
+            want = scalar_rhs(p)(t, theta, omega)
+        # bit for bit, NaN payloads and the signs of zeros included
+        assert np.array(got[:2]).tobytes() == np.array(want).tobytes()
+        assert got[2] == v_omega
+
+
+def _kernel_radicand(a, b, theta):
+    return a * a + b * b - 2.0 * a * b * math.cos(theta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_point())
+@example((1.3, 1.3, 0.1, 0.7))
+@example((1.5, 1.0, 0.1, -0.7))
+def test_tangent_kernel_stiffness_is_the_fields(point):
+    a, b, g, theta = point
+    p = Params(alpha=a, beta=b, gamma=g, xi=0.3)
+    assume(is_smooth_at(p, theta))
+    # at omega = 0 and v = (1, 0), v_omega' = -K/kappa exactly
+    k = -scalar_tangent_rhs(p)(0.0, theta, 0.0, 1.0, 0.0)[3]
+    with np.errstate(divide="ignore", invalid="ignore"):   # near cusp
+        ref = float(stiffness(p, theta))
+    if a == b:
+        scale = (a * a + g) + 0.5 * a
+        assert abs(k - ref) <= 4 * math.ulp(scale)
+        return
+    d2 = _kernel_radicand(a, b, theta)
+    if d2 <= 0.0:
+        # the radicand rounded to 0 or below: the Jacobian's 1/D terms
+        # have no value
+        assert math.isnan(k)
+        return
+    assume(math.isfinite(ref))
+    # K = f*cos(theta) + c/D with f = alpha*beta + gamma - alpha*beta/D;
+    # both sides round each term, and their radicands may differ by the
+    # last bits of cos(theta), which move 1/D and 1/D^3
+    ab, d = a * b, math.sqrt(d2)
+    c_over_d = (ab * math.sin(theta)) ** 2 / (d2 * d)
+    scale = (ab + g + ab / d) * abs(math.cos(theta)) + c_over_d
+    slack = 4.0 * math.ulp(2.0 * ab) / d2
+    assert abs(k - ref) <= 8 * math.ulp(scale) + slack * (ab / d + c_over_d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_point())
+@example((1.3, 1.3, 0.1, 0.7))
+@example((1.5, 1.0, 0.1, -0.7))
+def test_tangent_kernel_damping_slope_is_the_fields(point):
+    a, b, g, theta = point
+    assume(a == b or abs(a - b) >= 1e-3)    # not the near-cusp noise
+    p = Params(alpha=a, beta=b, gamma=g, xi=0.5)
+    # v_omega' = -(K + c'*omega)*v_theta at xi = 1/2 and v = (1, 0); at
+    # omega = 2**600 the stiffness lies below the last bit of c'*omega
+    slope = -scalar_tangent_rhs(p)(0.0, theta, 2.0**600, 1.0, 0.0)[3]
+    slope *= 2.0**-600
+    # c varies on the scale D of the radical; so does the step
+    d = math.sqrt(max(_kernel_radicand(a, b, theta), 0.0)) if a != b else 1.0
+    ref = _central(lambda x: float(damping_factor(p, x)), theta,
+                   h=1e-5 * min(1.0, d))
+    assert abs(slope - ref) <= 1e-7 * (abs(ref) + a * b / d)
 
 
 # (alpha, beta, gamma) ranges inside each statics region with a center;
