@@ -431,7 +431,8 @@ def _run_sweep(p: Params, opts) -> list[Dataset]:
                 metadata={"unsettled": len(result.up_unsettled)}),
         Dataset("sweep_down", ("s", "amplitude"), down,
                 metadata={"unsettled": len(result.down_unsettled)}),
-        Dataset("sweep_jumps", ("direction", "s"), jumps),
+        Dataset("sweep_jumps", ("direction", "s"), jumps,
+                metadata={"periods": result.periods}),
     ]
 
 

@@ -14,11 +14,21 @@ a center takes the moment's Taylor coefficients in closed form; about an
 asymmetric center its quadratic term enters eps as the effective cubic
 coefficient, and is reported alongside.  The relation is a cubic in
 u = A^2 whose discriminant gives both the root count and the folds.
+
+The swept response comes from direct integration instead: one
+continuation of the period-1 orbit of the cubic oscillator or of the full
+system over the swept frequencies, by Newton shooting on the period map
+and pseudo-arclength steps around its folds.  The up and down sweeps
+share its orbits and read their jumps off it, assuming an S-shaped
+branch.  Only the first orbit, and a sweep that leaves the branch where
+no stable part of it covers the next frequency, fall back on shots from
+the last state and transients.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +83,7 @@ class SweepResult:
     down_jumps: list[float]
     up_unsettled: list[float]      # s where no stable period-1 orbit was
     down_unsettled: list[float]    # found within the transient cap
+    periods: int                   # drive periods integrated, in all
 
 
 def fit_cubic(p: Params, eq: Equilibrium) -> CubicApprox:
@@ -211,9 +222,10 @@ def frf_curve(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
     return FrfBranch(s_values, amps, phases, folds, bb)
 
 
-# Newton shooting on the period map: at most _NEWTON_ITER iterates per
-# attempt, a transient of _BLOCK periods between attempts, and at most about
-# _MAX_PERIODS periods integrated per sweep point, shots included.
+# Newton on the period map: at most _NEWTON_ITER iterates per attempt.  A
+# transient runs in blocks of _BLOCK periods between attempts, at most about
+# _MAX_PERIODS periods per point; a sweep's trace of its branch stops after
+# _MAX_PERIODS periods per grid point.
 _NEWTON_ITER = 8
 _BLOCK = 20
 _MAX_PERIODS = 1200
@@ -232,26 +244,43 @@ def _monodromy(period, x, px, delta):
             (pt[1] - px[1]) / delta, (po[1] - px[1]) / delta)
 
 
+def _s_column(period_at, x, s, px, rel_tol):
+    """Forward-difference dP/ds at x, with px = P(x; s)."""
+    s_d = s + math.sqrt(rel_tol) * s
+    pd = period_at(s_d)(x)
+    return ((pd[0] - px[0]) / (s_d - s), (pd[1] - px[1]) / (s_d - s))
+
+
 def _stable(m):
     """Both eigenvalues of the 2x2 matrix m inside the unit circle (Jury)."""
     det = m[0] * m[3] - m[1] * m[2]
     return abs(det) < 1.0 and abs(m[0] + m[3]) < 1.0 + det
 
 
-def _shoot(period, x, px, rel_tol):
-    """A point x* of the stable period-1 orbit near x, or None.
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
 
-    Newton on P(x) = x from x and ``px = period(x)``, with a
-    finite-difference monodromy; the tolerance and the difference step
-    scale with the integrator's rel_tol.  An attempt is abandoned as
-    soon as the residual fails to halve.  A converged orbit is accepted
-    only if its Floquet multipliers (the eigenvalues of the monodromy at
-    the last iterate) lie inside the unit circle, which rejects the
-    unstable middle branch.
+
+def _newton(period_at, x, s, px, rel_tol, border=None):
+    """A fixed point P(x; s) = x of the period map near (x, s), or None.
+
+    ``period_at(s)`` is the map x -> P(x; s); ``px`` is P(x; s), or None
+    to compute it.  Without ``border`` s stays fixed.  With
+    ``border = (t, d)`` s is an unknown too, held by the linear condition
+    t . (x, s) = d: the corrector of a pseudo-arclength step, whose extra
+    Jacobian column dP/ds is a forward difference.  The tolerance and the
+    difference steps scale with the integrator's rel_tol.  An attempt is
+    abandoned as soon as the residual fails to halve, or when an iterate
+    escapes.  Returns ``(x, s, P(x; s), m)``, m the finite-difference
+    monodromy at the last iterate.
     """
+    period = period_at(s)
     m = None
     res_prev = math.inf
     try:
+        if px is None:
+            px = period(x)
         for _ in range(_NEWTON_ITER):
             scale = 1.0 + math.hypot(x[0], x[1])
             rt, ro = px[0] - x[0], px[1] - x[1]
@@ -259,21 +288,144 @@ def _shoot(period, x, px, rel_tol):
             if res <= rel_tol * scale:
                 if m is None:
                     m = _monodromy(period, x, px, math.sqrt(rel_tol) * scale)
-                return x if _stable(m) else None
+                return x, s, px, m
             if not res <= 0.5 * res_prev:
                 return None
             res_prev = res
             m = _monodromy(period, x, px, math.sqrt(rel_tol) * scale)
-            a, b, c, d = m[0] - 1.0, m[1], m[2], m[3] - 1.0
-            det = a * d - b * c
+            if border is None:
+                ps, row, rc = (0.0, 0.0), (0.0, 0.0, 1.0), 0.0
+            else:
+                ps = _s_column(period_at, x, s, px, rel_tol)
+                row, d = border
+                rc = row[0] * x[0] + row[1] * x[1] + row[2] * s - d
+            # the bordered Jacobian's inverse, column by column (Cramer)
+            r1, r2 = (m[0] - 1.0, m[1], ps[0]), (m[2], m[3] - 1.0, ps[1])
+            c1, c2, c3 = _cross(r2, row), _cross(row, r1), _cross(r1, r2)
+            det = r1[0] * c1[0] + r1[1] * c1[1] + r1[2] * c1[2]
             if det == 0.0:
                 return None
-            x = (x[0] - (d * rt - b * ro) / det,
-                 x[1] - (a * ro - c * rt) / det)
+            dy = [(rt * a + ro * b + rc * c) / det
+                  for a, b, c in zip(c1, c2, c3)]
+            x = (x[0] - dy[0], x[1] - dy[1])
+            if border is not None:
+                s -= dy[2]
+                if not s > 0.0:
+                    return None
+                period = period_at(s)
             px = period(x)
     except (ArithmeticError, StepUnderflow):
         pass    # a Newton step far off the attractor escaped to infinity
     return None
+
+
+def _shoot(period, x, px, rel_tol):
+    """The stable period-1 orbit near x: ``(x*, P(x*), monodromy)``, or None.
+
+    :func:`_newton` at fixed s from x and ``px = period(x)`` (None to
+    compute it).  A converged orbit is accepted only if its Floquet
+    multipliers (the eigenvalues of the monodromy at the last iterate) lie
+    inside the unit circle, which rejects the unstable middle branch.
+    """
+    got = _newton(lambda s: period, x, None, px, rel_tol)
+    if got is None or not _stable(got[3]):
+        return None
+    return got[0], got[2], got[3]
+
+
+def _tangent(m, ps, ref):
+    """Unit tangent (dx, ds) of the branch P(x; s) = x, pointing along ref.
+
+    The cross product of the rows of [M - I | dP/ds]; its s-component is
+    det(M - I), which changes sign at a fold.
+    """
+    n = _cross((m[0] - 1.0, m[1], ps[0]), (m[2], m[3] - 1.0, ps[1]))
+    norm = math.copysign(math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]),
+                         n[0] * ref[0] + n[1] * ref[1] + n[2] * ref[2])
+    return (n[0] / norm, n[1] / norm, n[2] / norm)
+
+
+def _trace(maps, grid, x):
+    """Stable segments of the period-1 branch through the orbit x at grid[0].
+
+    Continuation of P(x; s) = x in (x, s) from s = grid[0], s increasing
+    (Seydel, *Practical Bifurcation and Stability Analysis*, ch. 4).  From
+    a stable orbit, the next grid value of its segment is taken by a
+    Newton shot at that s from the tangent predictor.  A shot counts only
+    if it finds a stable orbit whose tangent, oriented along the secant
+    from the last orbit, still points the same way in s; a reversal means
+    that it jumped to another branch across a fold.  Where the shot fails,
+    or the grid value is out of reach of the step, a pseudo-arclength step
+    is taken, halved until its corrector converges within the step of its
+    predictor.  Such steps carry the curve around a fold, where the
+    tangent's s-component changes sign, and along an unstable branch.  The trace ends where the curve leaves
+    [grid[0], grid[-1]], where the step falls below the difference step,
+    or after _MAX_PERIODS periods per grid point.  Returns the stable
+    segments in the order of the curve, each a dict from grid index to
+    the orbit's state at that s.
+    """
+    rel_tol = maps.spec.rel_tol
+    n = len(grid)
+    budget = maps.periods + _MAX_PERIODS * n
+
+    def tangent(x, s, px, m, ref):
+        return _tangent(m, _s_column(maps.at, x, s, px, rel_tol), ref)
+
+    x, s, px, m = _newton(maps.at, x, grid[0], None, rel_tol)
+    t = tangent(x, s, px, m, (0.0, 0.0, 1.0))
+    segments = [{0: x}]
+    k, step, stable, s_prev = 1, math.inf, True, s
+    while maps.periods < budget:
+        sigma = 1 if t[2] > 0.0 else -1
+        if (s >= grid[-1]) if sigma > 0 else (s <= grid[0]):
+            break
+        if k is None:
+            # a new segment: its fold lies beyond this orbit and the last
+            # unstable one, so the grid values from the nearer one on are
+            # on it
+            k = (bisect_left(grid, min(s, s_prev)) if sigma > 0
+                 else bisect_right(grid, max(s, s_prev)) - 1)
+        ahead = sigma * (grid[k] - s) if stable and 0 <= k < n else None
+        if ahead is not None and t[2] and ahead <= abs(t[2]) * step:
+            g = grid[k]
+            lam = (g - s) / t[2]
+            shot = _shoot(maps.at(g), (x[0] + lam * t[0], x[1] + lam * t[1]),
+                          None, rel_tol)
+            if shot is not None:
+                xg, pg, mg = shot
+                # the tangent there, oriented along the secant in the
+                # direction of travel
+                d = math.copysign(1.0, lam)
+                t_shot = tangent(xg, g, pg, mg, (
+                    d * (xg[0] - x[0]), d * (xg[1] - x[1]), d * (g - s)))
+                if t_shot[2] * t[2] > 0.0:
+                    segments[-1][k] = xg
+                    k += sigma
+                    x, s, px, m, t = xg, g, pg, mg, t_shot
+                    continue
+            if ahead <= 0.0:
+                k += sigma      # passed without a shot: left uncovered
+            else:
+                step = 0.5 * abs(lam)
+            continue
+        floor = math.sqrt(rel_tol) * (1.0 + math.hypot(x[0], x[1]))
+        if not floor <= step < math.inf:
+            break
+        pred = (x[0] + step * t[0], x[1] + step * t[1], s + step * t[2])
+        got = _newton(maps.at, pred[:2], pred[2], None, rel_tol,
+                      (t, t[0] * pred[0] + t[1] * pred[1] + t[2] * pred[2]))
+        if got is None or math.dist(got[0] + got[1:2], pred) > step:
+            step *= 0.5
+            continue
+        s_prev = s
+        x, s, px, m = got
+        t = tangent(x, s, px, m, t)
+        was_stable, stable = stable, _stable(m)
+        if stable and not was_stable:
+            segments.append({})
+            k = None
+        step *= 2.0
+    return segments
 
 
 def _orbit_amplitude(f, x, one_period):
@@ -297,12 +449,12 @@ def _orbit_amplitude(f, x, one_period):
 def _steady_amplitude(f, state, t_drive, spec):
     """Amplitude and state of the stable period-1 orbit reached from state.
 
-    Shoots from the carried state; when that fails (past a fold the carried
-    branch has vanished) it integrates a transient of _BLOCK periods, which
-    carries its step from period to period, and shoots again, until
-    _MAX_PERIODS periods are spent.  Returns
-    ``(amplitude, state, settled)``; ``settled`` is False when no stable
-    orbit was found within the cap.
+    Shoots from the state; when that fails it integrates a transient of
+    _BLOCK periods, which carries its step from period to period, and
+    shoots again, until _MAX_PERIODS periods are spent.  Returns
+    ``(amplitude, state, settled, periods)``; ``settled`` is False when no
+    stable orbit was found within the cap, and ``periods`` counts every
+    drive period integrated.
     """
     one_period = replace(spec, t_end=t_drive)
     spent = 0
@@ -314,12 +466,50 @@ def _steady_amplitude(f, state, t_drive, spec):
 
     px = period(state)
     while spent < _MAX_PERIODS:
-        x = _shoot(period, state, px, spec.rel_tol)
-        if x is not None:
-            return _orbit_amplitude(f, x, one_period), x, True
+        shot = _shoot(period, state, px, spec.rel_tol)
+        if shot is not None:
+            return (_orbit_amplitude(f, shot[0], one_period), shot[0], True,
+                    spent + 1)
         *_, state, px = _strobe(f, px, t_drive, _BLOCK, spec)
         spent += _BLOCK
-    return _orbit_amplitude(f, state, one_period), px, False
+    return _orbit_amplitude(f, state, one_period), px, False, spent + 1
+
+
+class _PeriodMaps:
+    """The period maps P(x; s) of one sweep, with a count of the drive
+    periods integrated."""
+
+    def __init__(self, rhs_for_s, spec):
+        self.rhs_for_s, self.spec, self.periods = rhs_for_s, spec, 0
+
+    def _setup(self, s):
+        f, drive_freq = self.rhs_for_s(s)
+        return f, replace(self.spec, t_end=2.0 * math.pi / drive_freq)
+
+    def at(self, s):
+        f, one_period = self._setup(s)
+
+        def period(x):
+            self.periods += 1
+            return _period(f, x, one_period)
+
+        return period
+
+    def amplitude(self, s, x):
+        f, one_period = self._setup(s)
+        self.periods += 1
+        return _orbit_amplitude(f, x, one_period)
+
+    def settle(self, s, state):
+        f, one_period = self._setup(s)
+        try:
+            amp, x, settled, spent = _steady_amplitude(f, state,
+                                                       one_period.t_end,
+                                                       self.spec)
+        except (ArithmeticError, StepUnderflow) as e:
+            raise RuntimeError(f"orbit escaped at s = {s:.12g}") from e
+        self.periods += spent
+        return amp, x, settled
 
 
 def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
@@ -336,18 +526,30 @@ def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
 
 def sweep_hysteresis(system, s_lo: float, s_hi: float,
                      n_steps: int) -> SweepResult:
-    """Quasi-static frequency sweep with the attractor carried between steps.
+    """Up and down frequency sweeps read off one traced period-1 branch.
 
     ``system`` is either a full :class:`~clickdyn.model.Params` (swept in
     the ratio s = Omega0 / Omega_n about its interior center) or a tuple
     ``(CubicApprox, kappa, xi, B)`` for the canonical cubic oscillator.
-    The response at each s is the stable period-1 orbit found by Newton
-    shooting from the previous one, with a transient fallback past a fold
-    (:func:`_steady_amplitude`); its amplitude is half the spread of the
-    refined turning angles.  Points where no stable orbit was found within
-    the transient cap are listed in ``up_unsettled``/``down_unsettled``.
-    Jumps are flagged where the amplitude increment between settled points
-    exceeds 5x the sweep's median increment.
+    The orbit at s_lo is found from rest (the center) by Newton shooting
+    on the period map, with transients where shots fail
+    (:func:`_steady_amplitude`).  From it :func:`_trace` continues the
+    period-1 branch over [s_lo, s_hi], around its folds and through its
+    unstable middle branch, and solves each stable segment's orbit at each
+    grid s it covers, once.  The up sweep stays on its stable segment
+    while that segment covers the next grid s; past a fold it takes the
+    stable segment that covers s, the nearest along the curve, which on
+    an S-shaped branch is the other stable branch.  The down sweep starts
+    where the up sweep ended and reads the same orbits.  Where no stable
+    segment covers the next grid s (chaos, or a branch that left
+    [s_lo, s_hi]), the sweep leaves the traced branch: from then on each
+    s gets a shot from the sweep's last state and transients where it
+    fails; where that finds no stable orbit within _MAX_PERIODS periods
+    the point is listed in ``up_unsettled`` / ``down_unsettled``.  Amplitudes are half the
+    spread of the refined turning angles.  Jumps are flagged where the
+    amplitude increment between settled points exceeds 5x the sweep's
+    median increment.  ``periods`` counts every drive period integrated.
+    An orbit that escapes raises RuntimeError naming its s.
     """
     spec = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
     if isinstance(system, Params):
@@ -360,27 +562,44 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
 
         x0 = (0.0, 0.0)
 
-    def run(s_values):
-        # every s starts its drive at t = 0, in the state the last one ended
-        state = x0
-        amps, unsettled = [], []
-        for s in s_values.tolist():
-            f, drive_freq = rhs_for_s(s)
-            amp, state, settled = _steady_amplitude(
-                f, state, 2.0 * math.pi / drive_freq, spec)
-            amps.append(amp)
-            if not settled:
-                unsettled.append(s)
-        return np.asarray(amps), unsettled
-
+    maps = _PeriodMaps(rhs_for_s, spec)
     s_up = np.linspace(s_lo, s_hi, n_steps)
-    up_amps, up_unsettled = run(s_up)
+    grid = s_up.tolist()
+    amp, state, settled = maps.settle(grid[0], x0)
+    segments = _trace(maps, grid, state) if settled else []
+    amplitudes = {(0, 0): amp}
+
+    def walk(order, seg, state):
+        """(amplitude, settled) at the grid indices of order, from the
+        orbit ``state`` on segment seg; None once off the traced branch."""
+        rows = []
+        for k in order:
+            if seg is not None and k not in segments[seg]:
+                near = [i for i, sg in enumerate(segments) if k in sg]
+                seg = min(near, key=lambda i: abs(i - seg), default=None)
+            if seg is None:
+                amp, state, settled = maps.settle(grid[k], state)
+            else:
+                state, settled = segments[seg][k], True
+                if (seg, k) not in amplitudes:
+                    amplitudes[seg, k] = maps.amplitude(grid[k], state)
+                amp = amplitudes[seg, k]
+            rows.append((amp, settled))
+        return rows, seg, state
+
+    up, seg, state = walk(range(1, n_steps), 0 if settled else None, state)
+    up = [(amp, settled)] + up
+    down = up[-1:] + walk(range(n_steps - 2, -1, -1), seg, state)[0]
     s_down = s_up[::-1]
-    down_amps, down_unsettled = run(s_down)
+    up_amps, down_amps = (np.array([a for a, _ in rows])
+                          for rows in (up, down))
+    up_unsettled, down_unsettled = (
+        [s for s, (_, ok) in zip(s_values.tolist(), rows) if not ok]
+        for s_values, rows in ((s_up, up), (s_down, down)))
     return SweepResult(s_up, up_amps, s_down, down_amps,
                        _detect_jumps(s_up, up_amps, up_unsettled),
                        _detect_jumps(s_down, down_amps, down_unsettled),
-                       up_unsettled, down_unsettled)
+                       up_unsettled, down_unsettled, maps.periods)
 
 
 def _full_system_sweep_setup(p: Params):

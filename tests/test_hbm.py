@@ -286,8 +286,59 @@ def test_linear_sweep_no_hysteresis():
     res = sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 1.2, 9)
     assert res.up_jumps == []
     assert res.down_jumps == []
-    np.testing.assert_allclose(res.up_amplitude, res.down_amplitude[::-1],
-                               rtol=1e-2)
+    # both sweeps read the same orbits off one branch
+    np.testing.assert_array_equal(res.up_amplitude, res.down_amplitude[::-1])
+    one = sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 1.2, 1)
+    assert one.up_amplitude.tolist() == one.down_amplitude.tolist() == [
+        res.up_amplitude[0]]
+
+
+def test_a_sweep_off_the_traced_branch_keeps_to_its_own_orbit():
+    # The branch folds near s = 0.91 and its unstable middle part leaves
+    # the range through s_min, so the upper branch is never traced: the up
+    # sweep reaches it by a transient, and the down sweep stays on it at
+    # s = 0.8375 instead of taking the lower branch's traced orbit there.
+    p = Params(alpha=1.66, beta=1.0, xi=0.0345, m_big0=0.0193)
+    res = sweep_hysteresis(p, 0.75, 1.1, 5)
+    assert res.up_amplitude[1] < 0.1 and res.down_amplitude[3] > 0.3
+
+
+def test_an_escaping_orbit_names_its_frequency(tmp_path, capsys):
+    # a softening cubic driven over its barrier at x = sqrt(2)
+    assert main(["sweep", "--alpha", "1", "--epsilon", "-0.5", "--drive",
+                 "0.5", "--n", "4", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error:numeric: orbit escaped at s = 0.5\n")
+
+
+def test_sweep_counts_every_drive_period_it_integrates(monkeypatch,
+                                                        tmp_path):
+    runs = []
+    period, amplitude, strobe = (hbm._period, hbm._orbit_amplitude,
+                                 hbm._strobe)
+    monkeypatch.setattr(hbm, "_period",
+                        lambda *a: runs.append(1) or period(*a))
+    monkeypatch.setattr(hbm, "_orbit_amplitude",
+                        lambda *a: runs.append(1) or amplitude(*a))
+    monkeypatch.setattr(hbm, "_strobe",
+                        lambda *a: runs.append(a[3]) or strobe(*a))
+    monkeypatch.setattr(hbm, "_MAX_PERIODS", 60)
+    # a traced branch with two folds, and cross-well chaos (transients)
+    for system, s_lo, s_hi, n in ((CUBIC08, 0.96, 0.99, 7),
+                                  (Params(alpha=1.5, beta=1.0, xi=0.1,
+                                          m_big0=0.25), 0.8, 0.81, 2)):
+        runs.clear()
+        assert sweep_hysteresis(system, s_lo, s_hi, n).periods == sum(runs)
+    monkeypatch.undo()
+    res = sweep_hysteresis(CUBIC08, 0.96, 0.99, 7)
+    for out in ("a", "b"):
+        assert main(["sweep", "--alpha", "1", "--xi", "0.01", "--drive",
+                     "0.05", "--epsilon", "-0.01", "--s-min", "0.96",
+                     "--s-max", "0.99", "--n", "7",
+                     "--out", str(tmp_path / out)]) == 0
+        files = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert files["files"]["sweep_jumps"]["metadata"] == {
+            "periods": res.periods}
 
 
 # Newton shooting on the period map (hbm._steady_amplitude).  The cubic of
@@ -317,7 +368,7 @@ def sweep08():
 @pytest.mark.parametrize("s, root", [(0.968, 0), (0.976, 0), (0.976, 2)])
 def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
     f, one, period = _period_map(s)
-    amp, x, settled = hbm._steady_amplitude(f, _hbm_state(s, root),
+    amp, x, settled, _ = hbm._steady_amplitude(f, _hbm_state(s, root),
                                             one.t_end, SPEC)
     assert settled
     px = period(x)
@@ -343,7 +394,7 @@ def test_unstable_middle_branch_is_rejected(monkeypatch):
     assert verdicts == [False]
     monkeypatch.undo()
     # ... so the sweep leaves it for one of the stable branches
-    amp, _, settled = hbm._steady_amplitude(f, x, one.t_end, SPEC)
+    amp, _, settled, _ = hbm._steady_amplitude(f, x, one.t_end, SPEC)
     low, mid, high = (a for a, _ in frf_amplitudes(*CUBIC08, s))
     assert settled
     assert min(abs(amp - low), abs(amp - high)) < 0.05 * mid
@@ -366,6 +417,17 @@ def _transient_amplitude(s, periods=1000):
     return 0.5 * (max(turns) - min(turns))
 
 
+def test_sweeps_keep_their_branch_up_to_each_fold(sweep08):
+    # folds at 0.97395 and 0.97798: the grid value 0.975 between them lies
+    # on the low branch going up and on the high branch coming down
+    assert sweep08.up_jumps == [pytest.approx(0.9775)]
+    assert sweep08.down_jumps == [pytest.approx(0.9725)]
+    s = float(sweep08.down_s[3])
+    assert s == pytest.approx(0.975)
+    (high, _) = frf_amplitudes(*CUBIC08, s)[-1]
+    assert sweep08.down_amplitude[3] == pytest.approx(high, rel=0.05)
+
+
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_sweep_amplitude_matches_a_long_transient(sweep08, k):
     # off the folds; the parent's 0.1 % settle rule missed this by ~1e-4
@@ -378,7 +440,7 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
     # the high branch at s = 0.9745 ends at the lower fold 0.97395; the
     # first grid point past it has only the low branch
     f, one, _ = _period_map(0.9745)
-    high, x, _ = hbm._steady_amplitude(f, _hbm_state(0.9745, 2), one.t_end,
+    high, x, *_ = hbm._steady_amplitude(f, _hbm_state(0.9745, 2), one.t_end,
                                        SPEC)
     s = 0.9735
     f, one, period = _period_map(s)
@@ -393,7 +455,7 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
     shoot = hbm._shoot
     monkeypatch.setattr(hbm, "_shoot",
                         lambda *a: shots.append(shoot(*a)) or shots[-1])
-    amp, _, settled = hbm._steady_amplitude(f, x, one.t_end, SPEC)
+    amp, _, settled, _ = hbm._steady_amplitude(f, x, one.t_end, SPEC)
     assert settled and len(shots) > 1 and shots[0] is None
     (low, _), = frf_amplitudes(*CUBIC08, s)
     assert amp == pytest.approx(low, rel=0.05)

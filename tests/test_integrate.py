@@ -300,6 +300,21 @@ def test_segmented_runs_keep_the_state_in_python_floats(monkeypatch):
         seen.clear()
         run()
         assert seen == {types}
+    # A sweep's rhs factories get s and the drive as Python floats, also
+    # where continuation solves for s: numpy's slow scalar arithmetic would
+    # reach every rhs call through the closures.
+    made = set()
+    cubic_rhs, full_rhs = hbm._cubic_rhs, hbm.scalar_rhs
+    monkeypatch.setattr(hbm, "_cubic_rhs", lambda *a: made.add(
+        ("s", type(a[-1]))) or cubic_rhs(*a))
+    monkeypatch.setattr(hbm, "scalar_rhs", lambda q: made.add(
+        ("omega_big0", type(q.omega_big0))) or full_rhs(q))
+    # both trace their branch past a fold or a sharp resonance with
+    # pseudo-arclength steps
+    sweep_hysteresis((CubicApprox(1.0, -0.01, 0.0), 1.0, 0.01, 0.05),
+                     0.96, 0.99, 7)
+    sweep_hysteresis(replace(p, xi=0.0316, m_big0=0.0146), 0.75, 1.1, 5)
+    assert made == {("s", float), ("omega_big0", float)}
 
 
 def _nan_after_half(t, x, v):
