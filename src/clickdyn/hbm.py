@@ -115,7 +115,7 @@ def _discriminant(s, eps, kappa, xi, b_amp):
     c3 = 0.5625 * eps * eps
     c2 = 1.5 * eps * lin
     c1 = lin * lin + (2.0 * xi * s) ** 2
-    c0 = -(b_amp**2)
+    c0 = -(b_amp * b_amp)
     return (18.0 * c3 * c2 * c1 * c0 - 4.0 * c2**3 * c0 + c2 * c2 * c1 * c1
             - 4.0 * c3 * c1**3 - 27.0 * c3 * c3 * c0 * c0)
 
