@@ -549,7 +549,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
     spread of the refined turning angles.  Jumps are flagged where the
     amplitude increment between settled points exceeds 5x the sweep's
     median increment.  ``periods`` counts every drive period integrated.
-    An orbit that escapes raises RuntimeError naming its s.
+    A transient that escapes raises RuntimeError naming its s.
     """
     spec = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
     if isinstance(system, Params):
