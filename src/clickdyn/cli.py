@@ -23,8 +23,8 @@ from . import freevib, hbm, melnikov
 from .dataset import Dataset, emit_dataset, emit_manifest
 from .integrate import (IntegratorSpec, integrate, largest_lyapunov,
                         poincare_section)
-from .model import (Params, barrier_energies, is_smooth_at, moment, potential,
-                    stiffness)
+from .model import (Params, _stiffness_field, barrier_energies, moment,
+                    potential)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -252,9 +252,8 @@ def _run_moment(p: Params, opts) -> list[Dataset]:
 def _run_stiffness(p: Params, opts) -> list[Dataset]:
     """Stiffness on the grid, NaN on the alpha == beta cusps theta = 2*n*pi."""
     thetas = _theta_grid(opts)
-    smooth = is_smooth_at(p, thetas)
-    vals = np.full(thetas.shape, math.nan)
-    vals[smooth] = stiffness(p, thetas[smooth])
+    with np.errstate(invalid="ignore"):     # 0/0 where D = 0
+        vals = _stiffness_field(p.alpha, p.beta, p.gamma, thetas)
     rows = zip(thetas.tolist(), vals.tolist())
     return [Dataset("stiffness", ("theta", "stiffness"), list(rows))]
 

@@ -105,15 +105,21 @@ def interior_angle(p: Params) -> float | None:
     """Positive interior root of the moment on (0, pi), or None.
 
     The root solves ``alpha*beta*(1 - 1/D(theta)) + gamma = 0``, i.e.
-    ``D = D* = alpha*beta/(alpha*beta + gamma)``, so
-    ``cos(theta) = (alpha^2 + beta^2 - D*^2) / (2*alpha*beta)``.  This
-    holds for alpha == beta too, where D vanishes only at the cusp.
+    ``D = D* = alpha*beta/(alpha*beta + gamma)``.  With
+    ``D^2 = (alpha - beta)^2 + 4*alpha*beta*sin(theta/2)^2`` that is
+    ``sin(theta/2)^2 = (D* - |alpha - beta|)*(D* + |alpha - beta|) /
+    (4*alpha*beta)``, a product with no cancellation where the interior
+    centers are born at theta = 0 (an arccos of the cos form loses digits
+    there).  This holds for alpha == beta too, where D vanishes only at the
+    cusp.
     """
     ab = p.alpha * p.beta
-    cos_c = (p.alpha**2 + p.beta**2 - (ab / (ab + p.gamma))**2) / (2.0 * ab)
-    if not -1.0 < cos_c < 1.0:
+    d_star = ab / (ab + p.gamma)
+    d = abs(p.alpha - p.beta)
+    ss = (d_star - d) * (d_star + d) / (4.0 * ab)
+    if not 0.0 < ss < 1.0:
         return None
-    return math.acos(cos_c)
+    return 2.0 * math.asin(math.sqrt(ss))
 
 
 def interior_angle_closed_form(p: Params) -> float | None:

@@ -9,11 +9,14 @@ where c(theta) is the geometry-dependent damping factor and M(theta) the
 irrational restoring moment.  All quantities are dimensionless; the
 conversion from SI parameters is :func:`nondimensionalize`.
 
-The radicand ``alpha**2 + beta**2 - 2*alpha*beta*cos(theta)`` is bounded
-below by ``(alpha - beta)**2``, so the square root is always real.  For
-``alpha == beta`` it vanishes at ``theta = 2*n*pi`` and the moment is
-nonsmooth there; evaluation uses half-angle identities instead of dividing
-near-zero quantities.
+With ``s = sin(theta/2)`` and ``d = alpha - beta``, every field reads the
+radical D from ``D**2 = d*d + 4*alpha*beta*s*s``: a sum of nonnegative
+terms, so D keeps its relative accuracy beside theta = 0, where the cos
+form ``alpha**2 + beta**2 - 2*alpha*beta*cos(theta)`` cancels.  D vanishes
+only on the cusp line ``alpha == beta`` at ``theta = 2*n*pi``, where the
+moment is nonsmooth and the fields take their one-sided convention.  (On
+that line ``s*s`` underflows for ``|sin(theta/2)|`` below about 1e-154,
+where D loses its digits.)
 """
 
 from __future__ import annotations
@@ -38,13 +41,6 @@ __all__ = [
     "scalar_tangent_rhs",
     "is_smooth_at",
 ]
-
-# Radicand values more negative than this, times alpha^2 + beta^2 where
-# that exceeds 1, are treated as floating noise: the radicand rounds by a
-# few ulps of alpha^2 + beta^2, so at alpha == beta >= sqrt(2) it can
-# reach -2e-15 on the cusp when alpha**2 (libm pow) is an ulp low.
-_RADICAND_GUARD = -1e-15
-
 
 def _check_finite(params) -> None:
     for f in fields(params):
@@ -128,32 +124,27 @@ def nondimensionalize(p: PhysicalParams) -> tuple[Params, float]:
     )
 
 
-def _radical(sq, ab, theta):
-    """sqrt(sq - 2*ab*cos(theta)) for sq = alpha^2 + beta^2, ab = alpha*beta.
+def _radicand(alpha, beta, s):
+    """D^2 = (alpha - beta)^2 + 4*alpha*beta*s^2 for s = sin(theta/2).
 
-    Noise-guarded; the arguments broadcast.
+    Squares are products: ``** 2`` squares arrays exactly but calls libm's
+    pow on scalars, which can be an ulp off, so one point and a whole mesh
+    read the same D bits.  The arguments broadcast.
     """
-    r = sq - 2.0 * ab * np.cos(theta)
-    guard = _RADICAND_GUARD * np.maximum(1.0, sq)
-    return np.sqrt(np.where(r < 0.0, np.where(r > guard, 0.0, r), r))
+    d = alpha - beta
+    return d * d + 4.0 * alpha * beta * (s * s)
 
 
 def potential(p: Params, theta):
     """Dimensionless potential energy; even and 2*pi-periodic in theta.
 
-    With ``s = sin(theta/2)`` the radicand is ``(alpha - beta)**2 +
-    4*alpha*beta*s**2`` and the gravity term ``2*gamma*s**2``: sums of
-    nonnegative terms, so V keeps its relative accuracy near theta = 0,
-    where ``alpha**2 + beta**2 - 2*alpha*beta*cos(theta)`` cancels (to
-    about 1e-12 in V beside the alpha == beta cusp).  Squares are
-    products: ``** 2`` squares arrays exactly but calls libm's pow on
-    scalars, which can be an ulp off.
+    With ``s = sin(theta/2)`` the gravity term is ``2*gamma*s**2``, a
+    nonnegative term like the radicand, so V keeps its relative accuracy
+    near theta = 0.
     """
-    d = p.alpha - p.beta
     s = np.sin(0.5 * np.asarray(theta, dtype=float))
-    ss = s * s
-    e = np.sqrt(d * d + 4.0 * p.alpha * p.beta * ss) - 1.0
-    return 0.5 * (e * e) + 2.0 * p.gamma * ss
+    e = np.sqrt(_radicand(p.alpha, p.beta, s)) - 1.0
+    return 0.5 * (e * e) + 2.0 * p.gamma * (s * s)
 
 
 def barrier_energies(p: Params) -> tuple[float, float]:
@@ -174,27 +165,28 @@ def is_smooth_at(p: Params, theta):
     return p.smooth | (np.sin(0.5 * np.asarray(theta, dtype=float)) != 0.0)
 
 
+def _sin_ratio(p: Params, theta):
+    """(sin(theta), D^2, alpha*beta*sin(theta)/D) elementwise, the ratio 0
+    where D = 0."""
+    theta = np.asarray(theta, dtype=float)
+    st = np.sin(theta)
+    d2 = _radicand(p.alpha, p.beta, np.sin(0.5 * theta))
+    ratio = np.divide(p.alpha * p.beta * st, np.sqrt(d2),
+                      out=np.zeros(d2.shape), where=d2 > 0.0)
+    return st, d2, ratio
+
+
 def moment(p: Params, theta):
-    """Restoring moment, the theta-gradient of :func:`potential`.
+    """Restoring moment (alpha*beta + gamma - alpha*beta/D)*sin(theta), the
+    theta-gradient of :func:`potential`.
 
     Odd and 2*pi-periodic.  For ``alpha == beta`` the field is nonsmooth at
-    ``theta = 2*n*pi``; there the one-sided limit consistent with
-    ``sign(sin(theta/2))`` is returned (0 exactly on the cusp).  Check
-    :func:`is_smooth_at` when that matters.
+    ``theta = 2*n*pi``; beside it the same form gives the one-sided limit
+    consistent with ``sign(sin(theta/2))``, and on it (D = 0) the moment is
+    0.  Check :func:`is_smooth_at` when that matters.
     """
-    if p.smooth:
-        d = _radical(p.alpha**2 + p.beta**2, p.alpha * p.beta, theta)
-        return (p.alpha * p.beta * (1.0 - 1.0 / d) + p.gamma) * np.sin(theta)
-    # alpha == beta: D = 2*alpha*|sin(theta/2)|, and
-    # alpha*beta*sin(theta)/D reduces to alpha*sign(sin(theta/2))*cos(theta/2).
-    a = p.alpha
-    half = 0.5 * np.asarray(theta, dtype=float)
-    smooth_part = (a * a + p.gamma) * np.sin(theta)
-    cusp_part = -a * np.sign(np.sin(half)) * np.cos(half)
-    out = smooth_part + cusp_part
-    if np.isscalar(theta):
-        return float(out)
-    return out
+    st, _, ratio = _sin_ratio(p, theta)
+    return ((p.alpha * p.beta + p.gamma) * st - ratio)[()]
 
 
 def stiffness(p: Params, theta):
@@ -212,25 +204,19 @@ def stiffness(p: Params, theta):
 def _stiffness_field(alpha, beta, gamma, theta):
     """:func:`stiffness` over broadcastable arrays of its four arguments.
 
-    Squares and the cube are products: numpy squares arrays exactly but
-    calls libm's pow on scalars, so products give the same bits for one
-    point and for a whole parameter mesh.  On the cusp line ``alpha ==
-    beta``, where the two ~1/D terms cancel beside theta = 0, it is the
-    half-angle form, as in :func:`moment`.  No cusp check.
+    K = (alpha*beta + gamma)*cos(theta) - alpha*beta*w/D^3 with
+    w = (alpha - beta)^2*cos(theta) - 4*alpha*beta*s^4, which is
+    D^2*cos(theta) - alpha*beta*sin(theta)^2 without its cancellation.
+    Products, not ``** 2``, as in :func:`_radicand`.  No cusp check: NaN
+    (an invalid-operation warning) where D = 0.
     """
     ab = alpha * beta
-    d = _radical(alpha * alpha + beta * beta, ab, theta)
-    s = ab * np.sin(theta)
-    cusp = alpha == beta
-    if not np.any(cusp):
-        return (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
-    # the general form divides by D = 0 at the cusps theta = 2*n*pi, where
-    # the half-angle form replaces it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (ab + gamma - ab / d) * np.cos(theta) + s * s / (d * d * d)
-    half = ((alpha * alpha + gamma) * np.cos(theta)
-            + 0.5 * alpha * np.abs(np.sin(0.5 * theta)))
-    return np.where(cusp, half, out)[()]
+    s = np.sin(0.5 * theta)
+    d2 = _radicand(alpha, beta, s)
+    ct = np.cos(theta)
+    d = alpha - beta
+    w = d * d * ct - 4.0 * ab * (s * s) * (s * s)
+    return (ab + gamma) * ct - ab * w / d2 / np.sqrt(d2)
 
 
 def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
@@ -239,14 +225,14 @@ def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
     With P = alpha*beta, c, s = cos, sin(theta), f = P + gamma - P/D,
     k3 = P^2/D^3 and x = P*s^2/D^2, differentiating M = f*s gives
     M'' = s*(3*k3*(c - x) - f) and
-    M''' = k3*(3*c^2 - 4*s^2 - 18*c*x + 15*x^2) - f*c.  D^2 is taken as
-    (alpha - beta)^2 + 4*P*sin(theta/2)^2, which does not cancel beside
-    theta = 0.  The terms cancel only where D is small and x is not, beside
-    the cusp; at a center x = 0 (a pole) or D = P/(P + gamma) (a well).
+    M''' = k3*(3*c^2 - 4*s^2 - 18*c*x + 15*x^2) - f*c, with D^2 from
+    :func:`_radicand`.  The terms cancel only where D is small and x is
+    not, beside the cusp; at a center x = 0 (a pole) or D = P/(P + gamma)
+    (a well).
     """
     ab = p.alpha * p.beta
-    c, s, sh = math.cos(theta), math.sin(theta), math.sin(0.5 * theta)
-    d2 = (p.alpha - p.beta) ** 2 + 4.0 * ab * sh * sh
+    c, s = math.cos(theta), math.sin(theta)
+    d2 = _radicand(p.alpha, p.beta, math.sin(0.5 * theta))
     f = ab + p.gamma - ab / math.sqrt(d2)
     k3 = ab * ab / (d2 * math.sqrt(d2))
     x = ab * s * s / d2
@@ -258,13 +244,11 @@ def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
 def damping_factor(p: Params, theta):
     """Geometry factor (alpha*beta*sin(theta))^2 / D^2 of the damping term.
 
-    For ``alpha == beta`` the half-angle form ``alpha^2 * cos(theta/2)^2`` is
-    used, which is the continuous limit at the cusps.
+    Where D = 0 (``alpha == beta``, ``theta = 2*n*pi``) it is alpha*beta,
+    the continuous limit along the cusp line.
     """
-    if p.smooth:
-        d2 = p.alpha**2 + p.beta**2 - 2.0 * p.alpha * p.beta * np.cos(theta)
-        return (p.alpha * p.beta * np.sin(theta)) ** 2 / d2
-    return p.alpha**2 * np.cos(0.5 * np.asarray(theta, dtype=float)) ** 2
+    _, d2, ratio = _sin_ratio(p, theta)
+    return np.where(d2 > 0.0, ratio * ratio, p.alpha * p.beta)[()]
 
 
 def hamiltonian(p: Params, state) -> float:
@@ -298,45 +282,29 @@ def scalar_rhs(p: Params):
     """Closure ``f(t, theta, omega) -> (theta', omega')`` of the full system.
 
     The float-arithmetic form of :func:`moment`, :func:`damping_factor` and
-    the drive, for the integrator's inner loop; one closure on the cusp
-    line alpha == beta, one off it, each with only float operations.
+    the drive, for the integrator's inner loop: with r = alpha*beta*
+    sin(theta)/D, M = (alpha*beta + gamma)*sin(theta) - r and c = r*r, and
+    where D = 0 the fields' M = 0 and c = alpha*beta.
     """
     a, b, g = p.alpha, p.beta, p.gamma
     kap, m0, om0, phi = p.kappa, p.m_big0, p.omega_big0, p.phi
     ab = a * b
     abg = ab + g
-    sq = a * a + b * b
-    two_ab = 2.0 * ab
+    dd = (a - b) * (a - b)
+    four_ab = 4.0 * a * b
     neg_two_xi = -2.0 * p.xi
-    cos, sin, sqrt, copysign = math.cos, math.sin, math.sqrt, math.copysign
-
-    if a == b:
-        def f(t, theta, omega):
-            st = sin(theta)
-            half = 0.5 * theta
-            sh, ch = sin(half), cos(half)
-            mom = abg * st - a * copysign(1.0, sh) * ch if sh != 0.0 \
-                else abg * st
-            torque = neg_two_xi * (ab * ch * ch) * omega - mom
-            if m0:
-                torque += m0 * sin(om0 * t + phi)
-            return omega, torque / kap
-
-        return f
+    sin, sqrt = math.sin, math.sqrt
 
     def f(t, theta, omega):
         st = sin(theta)
-        d2 = sq - two_ab * cos(theta)
-        try:
-            mom = (ab * (1.0 - 1.0 / sqrt(d2)) + g) * st
-            damp = (ab * st) ** 2 / d2
-        except (ValueError, ZeroDivisionError):
-            # beside the cusp line, near theta = 0, the radicand rounds to
-            # 0 or below: take the fields' guarded values
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mom = float(moment(p, theta))
-                damp = float(damping_factor(p, theta))
-        torque = neg_two_xi * damp * omega - mom
+        s = sin(0.5 * theta)
+        d2 = dd + four_ab * (s * s)
+        if d2:
+            r = ab * st / sqrt(d2)
+            damp = r * r
+        else:
+            r, damp = 0.0, ab
+        torque = neg_two_xi * damp * omega - (abg * st - r)
         if m0:
             torque += m0 * sin(om0 * t + phi)
         return omega, torque / kap
@@ -348,74 +316,48 @@ def scalar_tangent_rhs(p: Params):
     """Closure ``f(t, theta, omega, v_theta, v_omega)`` of the system and
     one tangent vector, returning the four derivatives.
 
-    The first two are :func:`scalar_rhs`'s, by the same operations (the
-    near-cusp guard included), so they have the same bits.  The tangent
-    obeys the linearised system v' = J v with the closed-form Jacobian
-    [[0, 1], [-(K + 2*xi*c'*omega)/kappa, -2*xi*c/kappa]]: K is the
-    :func:`stiffness`, c the :func:`damping_factor` and c' its derivative,
-    2*alpha*beta*(alpha*beta*sin(theta))*(cos(theta) - c/(alpha*beta))/D^2
-    off the cusp line and -alpha^2*cos(theta/2)*sin(theta/2) on it.  On the
-    cusp line J is continuous but the moment jumps by 2*alpha at
-    theta = 2*n*pi; the integrator adds that jump's saltation.
+    The first two are :func:`scalar_rhs`'s, by the same operations, so they
+    have the same bits.  The tangent obeys the linearised system v' = J v
+    with the closed-form Jacobian
+    [[0, 1], [-(K + 2*xi*c'*omega)/kappa, -2*xi*c/kappa]]: with r as in
+    :func:`scalar_rhs` and q = alpha*beta*w/D^3 (w as in
+    :func:`_stiffness_field`), the stiffness is
+    K = (alpha*beta + gamma)*cos(theta) - q and c' = 2*r*q.  Where D = 0,
+    r = q = 0: K and c' take their limits along the cusp line, where J is
+    continuous but the moment jumps by 2*alpha at theta = 2*n*pi; the
+    integrator adds that jump's saltation.
     """
     a, b, g = p.alpha, p.beta, p.gamma
     kap, m0, om0, phi = p.kappa, p.m_big0, p.omega_big0, p.phi
     ab = a * b
     abg = ab + g
-    sq = a * a + b * b
-    two_ab = 2.0 * ab
+    dd = (a - b) * (a - b)
+    four_ab = 4.0 * a * b
     neg_two_xi = -2.0 * p.xi
-    cos, sin, sqrt, copysign = math.cos, math.sin, math.sqrt, math.copysign
+    neg_four_xi = 2.0 * neg_two_xi
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
     # slope = kappa * d(omega')/d(theta) = -(K + 2*xi*c'*omega) and
     # damping = kappa * d(omega')/d(omega) = -2*xi*c
-
-    if a == b:
-        half_a = 0.5 * a
-        two_xi_ab = -neg_two_xi * ab
-
-        def f(t, theta, omega, v_theta, v_omega):
-            st = sin(theta)
-            half = 0.5 * theta
-            sh, ch = sin(half), cos(half)
-            mom = abg * st - a * copysign(1.0, sh) * ch if sh != 0.0 \
-                else abg * st
-            damping = neg_two_xi * (ab * ch * ch)
-            torque = damping * omega - mom
-            if m0:
-                torque += m0 * sin(om0 * t + phi)
-            slope = (two_xi_ab * ch * sh * omega - abg * cos(theta)
-                     - half_a * abs(sh))
-            return (omega, torque / kap, v_omega,
-                    (slope * v_theta + damping * v_omega) / kap)
-
-        return f
-
-    neg_four_xi = 2.0 * neg_two_xi
 
     def f(t, theta, omega, v_theta, v_omega):
         st = sin(theta)
         ct = cos(theta)
-        d2 = sq - two_ab * ct
-        try:
-            inv_d = 1.0 / sqrt(d2)
-            spring = ab * (1.0 - inv_d) + g
-            abst = ab * st
-            damp = abst ** 2 / d2
-        except (ValueError, ZeroDivisionError):
-            # as in scalar_rhs; the 1/D terms of the Jacobian have no
-            # value where the radicand rounded to 0 or below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mom = float(moment(p, theta))
-                damp = float(damping_factor(p, theta))
-            slope = math.nan
+        s = sin(0.5 * theta)
+        ss = s * s
+        d2 = dd + four_ab * ss
+        if d2:
+            dist = sqrt(d2)
+            r = ab * st / dist
+            q = ab * (dd * ct - four_ab * ss * ss) / d2 / dist
+            damp = r * r
         else:
-            mom = spring * st
-            slope = (neg_four_xi * abst / d2 * (ab * ct - damp) * omega
-                     - spring * ct - damp * inv_d)
+            r = q = 0.0
+            damp = ab
         damping = neg_two_xi * damp
-        torque = damping * omega - mom
+        torque = damping * omega - (abg * st - r)
         if m0:
             torque += m0 * sin(om0 * t + phi)
+        slope = neg_four_xi * r * q * omega + q - abg * ct
         return (omega, torque / kap, v_omega,
                 (slope * v_theta + damping * v_omega) / kap)
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -67,6 +68,17 @@ def test_interior_angle_alpha_beta_symmetry():
     pa = Params(alpha=1.4, beta=0.9)
     pb = Params(alpha=0.9, beta=1.4)
     assert interior_angle(pa) == pytest.approx(interior_angle(pb), abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(1.9999999, 1.0), (0.5, 1.4999)])
+def test_interior_angle_where_the_centers_are_born(a, b):
+    # beside the B1 set the interior centers are born at theta = 0, where
+    # an arccos of the cos form was 1.1e-9 and 3.5e-13 off
+    with mpmath.workdps(50):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        ref = float(mpmath.acos((ma * ma + mb * mb - 1) / (2 * ma * mb)))
+    th = interior_angle(Params(alpha=a, beta=b))
+    assert abs(th - ref) <= 1e-15 * ref
 
 
 def test_eigenvalues_match_jacobian():

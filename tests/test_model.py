@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import mpmath
@@ -115,39 +114,48 @@ def test_stiffness_raises_on_cusp():
 
 
 def test_cusp_line_stiffness_beside_theta_zero():
-    # the general formula's two ~1/D terms cancel here: it was 1.1e-9 off
+    # the cos form's two ~1/D terms cancelled here: it was 1.1e-9 off
     p = Params(alpha=0.99918, beta=0.99918, gamma=0.00157)
     th = 1.57e-3
     dmom = _central(lambda x: float(moment(p, x)), th)
     assert abs(float(stiffness(p, th)) - dmom) <= 1e-10 * abs(dmom)
-    # a mesh that crosses the cusp line takes the half-angle form on it
+    # a mesh that crosses the cusp line has each point's own bits
     field = _stiffness_field(np.array([0.99918, 1.2]), 0.99918, 0.00157, th)
     assert field[0] == stiffness(p, th)
     assert field[1] == stiffness(replace(p, alpha=1.2), th)
 
 
-def test_cusp_line_stiffness_field_does_not_warn():
-    # The general form is evaluated beside the half-angle one and then
-    # discarded on the cusp line, where it divides by D = 0: no warning.
-    # Checked at a point whose radicand rounds to 0 and on the mesh of the
-    # zero-stiffness set (B0) over an alpha grid that crosses beta.
-    thetas = np.linspace(1e-9, math.pi - 1e-9, 400)
-    alphas = np.array([0.5, 0.99, 1.0, 1.01, 1.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        point = _stiffness_field(1.0, 1.0, 0.0, np.array([1e-9, 0.5]))
-        mesh = _stiffness_field(alphas[:, None], 1.0, 0.1, thetas)
-        rows = [_stiffness_field(a, 1.0, 0.1, thetas) for a in alphas]
-    np.testing.assert_array_equal(
-        point, [float(stiffness(Params(alpha=1.0, beta=1.0), t))
-                for t in (1e-9, 0.5)])
-    # off the cusp line a mesh row has the bits of its own call
-    np.testing.assert_array_equal(mesh, rows)
-    assert np.all(np.isfinite(mesh))
+def test_fields_beside_the_cusp_line():
+    # against 60-digit mpmath derivatives of V; the cos-form radical gave
+    # M = -inf and K = nan at 1e-9, and K = 160,780 at 1e-7
+    p = Params(alpha=1.2, beta=1.2 * (1.0 + 1e-12))
+    assert float(moment(p, 1e-9)) == pytest.approx(-1.1999993984099511,
+                                                   rel=1e-13)
+    assert float(stiffness(p, 1e-9)) == pytest.approx(-1198.8603973576237,
+                                                      rel=1e-13)
+    assert float(stiffness(p, 1e-7)) == pytest.approx(1.4387997278033506,
+                                                      rel=1e-13)
+
+
+def test_kernels_where_the_radical_vanishes():
+    # On the cusp itself (D = 0) the closures take the fields' convention,
+    # M = 0 and c = alpha*beta, and the Jacobian its limit along the cusp
+    # line, where it is continuous: K = alpha*beta + gamma and c' = 0.
+    p = Params(alpha=1.3, beta=1.3, gamma=0.1, xi=0.5)
+    ab = 1.3 * 1.3
+    assert float(moment(p, 0.0)) == 0.0
+    assert float(damping_factor(p, 0.0)) == ab
+    assert scalar_rhs(p)(0.0, 0.0, 1.0) == (1.0, -ab)
+    limit = scalar_tangent_rhs(p)(0.0, 0.0, 1.0, 1.0, 0.0)
+    assert limit == (1.0, -ab, 0.0, -(ab + 0.1))
+    for side in (-1e-8, 1e-8):
+        beside = scalar_tangent_rhs(p)(0.0, side, 1.0, 1.0, 0.0)
+        assert beside[3] == pytest.approx(limit[3], abs=1e-7)
 
 
 def test_damping_factor_limit_at_cusp():
-    # smooth formula tends to alpha^2 * cos(theta/2)^2 as theta -> 0
+    # beside the cusp line c tends to alpha^2 * cos(theta/2)^2 as theta -> 0;
+    # on it, where D = 0, it is that limit, alpha*beta
     p = Params(alpha=1.3, beta=1.3)
     assert float(damping_factor(p, 0.0)) == pytest.approx(1.3**2, abs=1e-15)
     p_near = Params(alpha=1.3, beta=1.3 + 1e-8)
@@ -173,73 +181,93 @@ def test_hamiltonian():
                               abs=1e-15)
 
 
+# 1e-8 <= |theta| <= 3, log-uniform in |theta|
+_angles = st.builds(lambda sign, e: sign * 10.0**e,
+                    st.sampled_from([-1.0, 1.0]),
+                    st.floats(-8.0, math.log10(3.0)))
+
+
 @st.composite
-def _field_point(draw):
-    """(alpha, beta, gamma, theta): a smooth point, one on the cusp line, or
-    one beside it near theta = 0.
-
-    Smooth points keep |alpha - beta| >= 1e-3: closer to the cusp line the
-    radicand near theta = 0 is all rounding noise, which is why alpha ==
-    beta has its own half-angle form.  The third kind,
-    beta = alpha*(1 + 1e-12*u) with |theta| < 1e-6, lands in that noise.
-    """
+def _kernel_point(draw):
+    """(alpha, beta, gamma, theta) with 1e-8 <= |theta| <= 3: alpha and beta
+    generic, about 1e-9*alpha apart (beside the cusp line), or equal."""
     a = draw(st.floats(0.1, 3.0))
-    kind = draw(st.sampled_from(["smooth", "cusp", "near_cusp"]))
-    if kind == "near_cusp":
-        return (a, a * (1.0 + 1e-12 * draw(st.floats(-1.0, 1.0))),
-                draw(st.floats(0.0, 0.5)), draw(st.floats(-1e-6, 1e-6)))
-    b = a if kind == "cusp" else draw(st.floats(0.1, 3.0))
-    assume(a == b or abs(a - b) >= 1e-3)
-    return (a, b, draw(st.floats(0.0, 0.5)),
-            draw(st.floats(-2.0 * math.pi, 2.0 * math.pi)))
+    kind = draw(st.sampled_from(["generic", "near_cusp", "cusp"]))
+    if kind == "generic":
+        b = draw(st.floats(0.1, 3.0))
+    elif kind == "near_cusp":
+        b = a * (1.0 + 1e-9 * draw(st.sampled_from([-1.0, 1.0]))
+                 * draw(st.floats(0.5, 2.0)))
+    else:
+        b = a
+    return a, b, draw(st.floats(0.0, 0.5)), draw(_angles)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_field_point(), st.floats(-1e3, 1e3))
-# one closure for alpha == beta and one off it; each is also run forced below
+def _mpmath_fields(a, b, g, theta):
+    """(M, K, c, c') at a float point: M and K as 50-digit derivatives of
+    V, c = (alpha*beta*sin(theta))^2/D^2 and c' its derivative, each with
+    the cos-form radicand, which 50 digits carry past its cancellation."""
+    with mpmath.workdps(50):
+        a, b, g, t = (mpmath.mpf(x) for x in (a, b, g, theta))
+
+        def d2(x):
+            return a * a + b * b - 2 * a * b * mpmath.cos(x)
+
+        def v(x):
+            return (mpmath.sqrt(d2(x)) - 1) ** 2 / 2 + g * (1 - mpmath.cos(x))
+
+        def c(x):
+            return (a * b * mpmath.sin(x)) ** 2 / d2(x)
+
+        refs = (mpmath.diff(v, t), mpmath.diff(v, t, 2), c(t),
+                mpmath.diff(c, t))
+        return tuple(float(x) for x in refs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_point(), st.floats(-1e3, 1e3))
+# the point of test_fields_beside_the_cusp_line
+@example((1.2, 1.2 * (1.0 + 1e-12), 0.0, 1e-9), 0.0)
+@example((1.2, 1.2 * (1.0 + 1e-12), 0.0, 1e-7), 0.0)
 @example((1.3, 1.3, 0.1, 0.7), 2.5)
 @example((1.5, 1.0, 0.1, -0.7), 2.5)
-def test_scalar_kernels_match_the_fields(point, t):
+def test_fields_and_kernels_match_mpmath(point, t):
     a, b, g, theta = point
-    p = Params(alpha=a, beta=b, gamma=g, kappa=1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):   # beside the cusp
-        ref_m = float(moment(p, theta))
-        ref_c = float(damping_factor(p, theta))
-        ref_v = float(potential(p, theta))
+    p = Params(alpha=a, beta=b, gamma=g)
+    ref_m, ref_k, ref_c, ref_dc = _mpmath_fields(a, b, g, theta)
     # xi = 0 leaves omega' = -M exactly.  At omega = 2**600 the xi = 1/2
-    # rhs is -c(theta) * 2**600 exactly: the moment lies below its last bit.
-    mom = -scalar_rhs(p)(t, theta, 0.0)[1]
-    damp = -scalar_rhs(replace(p, xi=0.5))(t, theta, 2.0**600)[1] * 2.0**-600
-    v = scalar_potential(p)(theta)
-    # both are nan where the radicand rounds below its guard
-    assert (abs(v - ref_v) <= 2 * math.ulp(ref_v)
-            or math.isnan(v) and math.isnan(ref_v))
-    if a == b:
-        # the same operations, except that c(theta) rounds
-        # alpha^2 * cos(theta/2)^2 with libm squares against three products
-        assert abs(mom - ref_m) <= 2 * math.ulp(ref_m)
-        assert abs(damp - ref_c) <= 4 * math.ulp(ref_c)
-    else:
-        # the same operations, except that the radicand squares alpha and
-        # beta as alpha * alpha where the fields call libm's pow, which is
-        # an ulp off for about 0.1 % of inputs; that ulp of the radicand D^2
-        # enters M through 1/D and c through 1/D^2
-        sq = a * a + b * b
-        d2 = sq - 2.0 * a * b * math.cos(theta)
-        if d2 <= 0.0:
-            # beside the cusp line the kernel's radicand rounded to 0 or
-            # below: it returns the fields' guarded values (inf or nan)
-            for xi, omega in ((0.0, 0.0), (0.5, -0.7)):
-                got = scalar_rhs(replace(p, xi=xi))(t, theta, omega)[1]
-                want = -2.0 * xi * ref_c * omega - ref_m
-                assert got == want or math.isnan(got) and math.isnan(want)
-            return
-        # the fields' radicand may round to 0 where the kernel's does not
-        assume(math.isfinite(ref_m) and math.isfinite(ref_c))
-        slack = 2.0 * math.ulp(sq) / d2
-        assert abs(mom - ref_m) <= 2 * math.ulp(ref_m) + 0.5 * slack * abs(
-            a * b * math.sin(theta)) / math.sqrt(d2)
-        assert abs(damp - ref_c) <= 2 * math.ulp(ref_c) + slack * ref_c
+    # rhs is -c * 2**600 exactly: the moment lies below its last bit.  At
+    # omega = 0 and v = (1, 0), v_omega' = -K; at omega = 2**600 and
+    # xi = 1/2 it is -c' * 2**600 to its last bit.
+    damped = replace(p, xi=0.5)
+    big = 2.0**600
+    fields = {
+        "M": (float(moment(p, theta)), -scalar_rhs(p)(t, theta, 0.0)[1],
+              -scalar_tangent_rhs(p)(t, theta, 0.0, 1.0, 0.0)[1]),
+        "K": (float(stiffness(p, theta)),
+              -scalar_tangent_rhs(p)(t, theta, 0.0, 1.0, 0.0)[3]),
+        "c": (float(damping_factor(p, theta)),
+              -scalar_rhs(damped)(t, theta, big)[1] / big),
+        "c'": (-scalar_tangent_rhs(damped)(t, theta, big, 1.0, 0.0)[3]
+               / big,),
+    }
+    # each error is bounded by the sum of the magnitudes of its terms, so
+    # that a zero of K or c' does not inflate it
+    ab, d, s = a * b, a - b, math.sin(0.5 * theta)
+    dist = math.sqrt(d * d + 4.0 * ab * s * s)
+    w = d * d * abs(math.cos(theta)) + 4.0 * ab * s**4
+    scale = {
+        "M": (ab + g + ab / dist) * abs(math.sin(theta)),
+        "K": (ab + g) * abs(math.cos(theta)) + ab * w / dist**3,
+        "c": ref_c,
+        "c'": 2.0 * ab * abs(ab * math.sin(theta)) * w / dist**4,
+    }
+    for name, ref in zip(scale, (ref_m, ref_k, ref_c, ref_dc)):
+        for got in fields[name]:
+            assert abs(got - ref) <= 1e-14 * scale[name], name
+    # scalar_potential takes the same operations as the array potential
+    ref_v = float(potential(p, theta))
+    assert abs(scalar_potential(p)(theta) - ref_v) <= 2 * math.ulp(ref_v)
     # the drive adds M0*sin(Omega0*t + phi) to the torque
     forced = replace(p, xi=0.3, kappa=1.7, m_big0=0.2, omega_big0=1.3,
                      phi=0.4)
@@ -250,23 +278,22 @@ def test_scalar_kernels_match_the_fields(point, t):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_field_point(),
-       st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), max_size=7))
+@given(_kernel_point(), st.lists(_angles, max_size=7))
 def test_scalar_and_array_stiffness_are_bit_equal(point, more):
     a, b, g, theta = point
     p = Params(alpha=a, beta=b, gamma=g)
-    thetas = [t for t in [theta, *more] if is_smooth_at(p, t)]
-    with np.errstate(divide="ignore", invalid="ignore"):   # beside the cusp
-        array = stiffness(p, np.array(thetas, dtype=float))
-        scalar = [float(stiffness(p, t)) for t in thetas]
-    np.testing.assert_array_equal(array, scalar)   # NaN matches NaN
+    thetas = [theta, *more]
+    array = stiffness(p, np.array(thetas, dtype=float))
+    np.testing.assert_array_equal(array, [float(stiffness(p, t))
+                                          for t in thetas])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_field_point(), st.floats(-1e3, 1e3), st.floats(-3.0, 3.0),
+@given(_kernel_point(), st.floats(-1e3, 1e3), st.floats(-3.0, 3.0),
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 @example((1.3, 1.3, 0.1, 0.7), 2.5, -0.7, 1.0, 0.5)
 @example((1.5, 1.0, 0.1, -0.7), 2.5, -0.7, 1.0, 0.5)
+@example((1.3, 1.3, 0.1, 0.0), 2.5, -0.7, 1.0, 0.5)     # D = 0
 def test_tangent_kernel_state_part_is_scalar_rhs(point, t, omega, v_theta,
                                                  v_omega):
     a, b, g, theta = point
@@ -274,68 +301,11 @@ def test_tangent_kernel_state_part_is_scalar_rhs(point, t, omega, v_theta,
     forced = replace(free, xi=0.3, kappa=1.7, m_big0=0.2, omega_big0=1.3,
                      phi=0.4)
     for p in (free, forced):
-        with np.errstate(divide="ignore", invalid="ignore"):  # near cusp
-            got = scalar_tangent_rhs(p)(t, theta, omega, v_theta, v_omega)
-            want = scalar_rhs(p)(t, theta, omega)
-        # bit for bit, NaN payloads and the signs of zeros included
+        got = scalar_tangent_rhs(p)(t, theta, omega, v_theta, v_omega)
+        want = scalar_rhs(p)(t, theta, omega)
+        # bit for bit, the signs of zeros included
         assert np.array(got[:2]).tobytes() == np.array(want).tobytes()
         assert got[2] == v_omega
-
-
-def _kernel_radicand(a, b, theta):
-    return a * a + b * b - 2.0 * a * b * math.cos(theta)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_field_point())
-@example((1.3, 1.3, 0.1, 0.7))
-@example((1.5, 1.0, 0.1, -0.7))
-def test_tangent_kernel_stiffness_is_the_fields(point):
-    a, b, g, theta = point
-    p = Params(alpha=a, beta=b, gamma=g, xi=0.3)
-    assume(is_smooth_at(p, theta))
-    # at omega = 0 and v = (1, 0), v_omega' = -K/kappa exactly
-    k = -scalar_tangent_rhs(p)(0.0, theta, 0.0, 1.0, 0.0)[3]
-    with np.errstate(divide="ignore", invalid="ignore"):   # near cusp
-        ref = float(stiffness(p, theta))
-    if a == b:
-        scale = (a * a + g) + 0.5 * a
-        assert abs(k - ref) <= 4 * math.ulp(scale)
-        return
-    d2 = _kernel_radicand(a, b, theta)
-    if d2 <= 0.0:
-        # the radicand rounded to 0 or below: the Jacobian's 1/D terms
-        # have no value
-        assert math.isnan(k)
-        return
-    assume(math.isfinite(ref))
-    # K = f*cos(theta) + c/D with f = alpha*beta + gamma - alpha*beta/D;
-    # both sides round each term, and their radicands may differ by the
-    # last bits of cos(theta), which move 1/D and 1/D^3
-    ab, d = a * b, math.sqrt(d2)
-    c_over_d = (ab * math.sin(theta)) ** 2 / (d2 * d)
-    scale = (ab + g + ab / d) * abs(math.cos(theta)) + c_over_d
-    slack = 4.0 * math.ulp(2.0 * ab) / d2
-    assert abs(k - ref) <= 8 * math.ulp(scale) + slack * (ab / d + c_over_d)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_field_point())
-@example((1.3, 1.3, 0.1, 0.7))
-@example((1.5, 1.0, 0.1, -0.7))
-def test_tangent_kernel_damping_slope_is_the_fields(point):
-    a, b, g, theta = point
-    assume(a == b or abs(a - b) >= 1e-3)    # not the near-cusp noise
-    p = Params(alpha=a, beta=b, gamma=g, xi=0.5)
-    # v_omega' = -(K + c'*omega)*v_theta at xi = 1/2 and v = (1, 0); at
-    # omega = 2**600 the stiffness lies below the last bit of c'*omega
-    slope = -scalar_tangent_rhs(p)(0.0, theta, 2.0**600, 1.0, 0.0)[3]
-    slope *= 2.0**-600
-    # c varies on the scale D of the radical; so does the step
-    d = math.sqrt(max(_kernel_radicand(a, b, theta), 0.0)) if a != b else 1.0
-    ref = _central(lambda x: float(damping_factor(p, x)), theta,
-                   h=1e-5 * min(1.0, d))
-    assert abs(slope - ref) <= 1e-7 * (abs(ref) + a * b / d)
 
 
 # (alpha, beta, gamma) ranges inside each statics region with a center;
