@@ -277,6 +277,84 @@ def test_fields_and_kernels_match_mpmath(point, t):
         -0.7, (free_torque + 0.2 * math.sin(1.3 * t + 0.4)) / 1.7)
 
 
+def _kernel_scales(a, b, g, theta):
+    """(D, sum of the magnitudes of the terms of M, of K) at a float
+    point, for error bounds that a zero of M or K does not shrink."""
+    ab, d, s = a * b, a - b, math.sin(0.5 * theta)
+    dist = math.sqrt(d * d + 4.0 * ab * s * s)
+    w = d * d * abs(math.cos(theta)) + 4.0 * ab * s**4
+    return (dist, (ab + g + ab / dist) * abs(math.sin(theta)),
+            (ab + g) * abs(math.cos(theta)) + ab * w / dist**3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_point(), st.floats(-1e3, 1e3))
+@example((1.2, 1.2 * (1.0 + 1e-12), 0.0, 1e-9), 0.0)
+@example((1.3, 1.3, 0.1, 0.7), 2.5)
+@example((1.5, 1.0, 0.1, -0.7), 2.5)
+@example((1.3, 1.3, 0.1, 0.0), 2.5)     # D = 0
+def test_scalar_kernels_match_the_fields(point, t):
+    a, b, g, theta = point
+    p = Params(alpha=a, beta=b, gamma=g)
+    ref_m = float(moment(p, theta))
+    ref_c = float(damping_factor(p, theta))
+    # xi = 0 leaves omega' = -M exactly.  At omega = 2**600 the xi = 1/2
+    # rhs is -c * 2**600 exactly: the moment lies below its last bit.
+    big = 2.0**600
+    moms = (-scalar_rhs(p)(t, theta, 0.0)[1],
+            -scalar_tangent_rhs(p)(t, theta, 0.0, 1.0, 0.0)[1])
+    damps = (-scalar_rhs(replace(p, xi=0.5))(t, theta, big)[1] / big,
+             -scalar_tangent_rhs(replace(p, xi=0.5))(
+                 t, theta, big, 1.0, 0.0)[1] / big)
+    if theta == 0.0 and a == b:
+        # D = 0: the one-sided convention M = 0, c = alpha*beta
+        assert ref_m == 0.0 and ref_c == a * b
+        assert moms == (0.0, 0.0) and damps == (a * b, a * b)
+        return
+    # the same operations on one D; numpy's and libm's sin and cos may
+    # differ in their last bit
+    _, m_scale, _ = _kernel_scales(a, b, g, theta)
+    for mom in moms:
+        assert abs(mom - ref_m) <= 8 * math.ulp(m_scale)
+    for damp in damps:
+        assert abs(damp - ref_c) <= 8 * math.ulp(ref_c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_point())
+@example((1.2, 1.2 * (1.0 + 1e-12), 0.0, 1e-9))
+@example((1.2, 1.2 * (1.0 + 1e-12), 0.0, 1e-7))
+@example((1.3, 1.3, 0.1, 0.7))
+@example((1.5, 1.0, 0.1, -0.7))
+def test_tangent_kernel_stiffness_is_the_fields(point):
+    a, b, g, theta = point
+    p = Params(alpha=a, beta=b, gamma=g, xi=0.3)
+    # at omega = 0 and v = (1, 0), v_omega' = -K/kappa exactly
+    k = -scalar_tangent_rhs(p)(0.0, theta, 0.0, 1.0, 0.0)[3]
+    ref = float(stiffness(p, theta))
+    _, _, k_scale = _kernel_scales(a, b, g, theta)
+    assert abs(k - ref) <= 8 * math.ulp(k_scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_point())
+@example((1.2, 1.2 * (1.0 + 1e-12), 0.0, 1e-7))
+@example((1.3, 1.3, 0.1, 0.7))
+@example((1.5, 1.0, 0.1, -0.7))
+def test_tangent_kernel_damping_slope_is_the_fields(point):
+    a, b, g, theta = point
+    p = Params(alpha=a, beta=b, gamma=g, xi=0.5)
+    # v_omega' = -(K + c'*omega)*v_theta at xi = 1/2 and v = (1, 0); at
+    # omega = 2**600 the stiffness lies below the last bit of c'*omega
+    slope = -scalar_tangent_rhs(p)(0.0, theta, 2.0**600, 1.0, 0.0)[3]
+    slope *= 2.0**-600
+    # c varies on the scale D of the radical; so does the step
+    d, _, _ = _kernel_scales(a, b, g, theta)
+    ref = _central(lambda x: float(damping_factor(p, x)), theta,
+                   h=1e-5 * min(1.0, d))
+    assert abs(slope - ref) <= 1e-7 * (abs(ref) + a * b / d)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_kernel_point(), st.lists(_angles, max_size=7))
 def test_scalar_and_array_stiffness_are_bit_equal(point, more):
