@@ -81,6 +81,41 @@ _ERR5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
          1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
          0.08192320648511571, -0.022355307863886294)
 _ERR3 = (-0.18980075407240762, -0.4226823213237919, 0.02265179219836082)
+# The continuous extension of order 7 (Sec. II.6): the nodes and rows of
+# the three extra stages 13-15, each row over the stages 0, 5-12 and the
+# extra ones before it, and the rows of the coefficients 3-6 of the
+# polynomial, over the stages 0, 5-15, in that order.
+_EXTRA = (
+    (0.1, (0.056167502283047954, 0.0, 0.25350021021662483,
+           -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+           0.00820105229563469, 0.007567897660545699, -0.008298)),
+    (0.2, (0.03183464816350214, 0.028300909672366776, 0.053541988307438566,
+           -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932,
+           0.0003825710908356584, -0.00034046500868740456,
+           0.1413124436746325)),
+    (0.7777777777777778, (
+        -0.42889630158379194, -4.697621415361164, 7.683421196062599,
+        4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+        -0.0013990241651590145, 2.9475147891527724, -9.15095847217987)),
+)
+_D_ROWS = (
+    (-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
 
 
 @dataclass(frozen=True)
@@ -522,14 +557,49 @@ def _dot(coeffs, values):
     return sum(map(mul, coeffs, values))
 
 
+def _extension(f, ta, h, ya, yb, k):
+    """Coefficients of DOP853's continuous extension of a step.
+
+    The arguments are those of :class:`_DenseStep`: floats for one step, or
+    arrays over many steps (``k`` then an array of 18 rows).  ``f`` takes
+    the extra stages' arguments of the same kind.  The same operations run
+    in the same order either way, so a step's coefficients come out to the
+    bit whether it is built alone or among others.  Returns, per component,
+    the seven coefficients that :func:`_horner` takes.
+    """
+    (th, om), (th_b, om_b) = ya, yb
+    kt, ko = list(k[0::2]), list(k[1::2])
+    for c, row in _EXTRA:
+        st, so = f(ta + c * h, th + h * _dot(row, kt), om + h * _dot(row, ko))
+        kt.append(st)
+        ko.append(so)
+    poly = []
+    for y, y_b, kc in ((th, th_b, kt), (om, om_b, ko)):
+        dy = y_b - y
+        poly.append((dy, h * kc[0] - dy, 2.0 * dy - h * (kc[8] + kc[0]),
+                     *(h * _dot(row, kc) for row in _D_ROWS)))
+    return poly
+
+
+def _horner(y, coeffs, x, u):
+    """One component at the fraction x = 1 - u of a step, from its value y
+    at the step's start and its seven :func:`_extension` coefficients;
+    floats or arrays."""
+    f0, f1, f2, f3, f4, f5, f6 = coeffs
+    return y + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (
+        f5 + x * f6))))))
+
+
 class _DenseStep:
     """DOP853's 7th-order continuous extension of one accepted step.
 
-    ``dense(t) -> (theta, omega)`` for ta <= t <= tb, where t is a float or
-    an array of them.  The three extra stages and the polynomial are built
-    on the first call only, so a step that holds no event costs one small
-    object.  ``k`` holds the stages 0, 5-11 and 12 (the rhs at tb), each as
-    (theta', omega'); ``h`` is the width the stages were taken with.
+    ``dense(t) -> (theta, omega)`` for ta <= t <= tb, the float path of the
+    event searches (:func:`_refine_crossing`); a whole run is sampled at
+    once by :func:`_sample_dense`.  The three extra stages and the
+    polynomial are built on the first call only, so a step that holds no
+    event costs one small object.  ``k`` holds the stages 0, 5-11 and 12
+    (the rhs at tb), each as (theta', omega'); ``h`` is the width the
+    stages were taken with.
     """
 
     __slots__ = ("f", "ta", "h", "tb", "ya", "yb", "k", "_poly")
@@ -539,66 +609,46 @@ class _DenseStep:
         self.ya, self.yb, self.k = ya, yb, k
         self._poly = None
 
-    def _build(self):
-        # rows 13-15 of the extended tableau and the rows of D, over the
-        # stages 0, 5-12 and the extra ones, in that order
-        extra = (
-            (0.1, (0.056167502283047954, 0.0, 0.25350021021662483,
-                   -0.2462390374708025, -0.12419142326381637,
-                   0.15329179827876568, 0.00820105229563469,
-                   0.007567897660545699, -0.008298)),
-            (0.2, (0.03183464816350214, 0.028300909672366776,
-                   0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
-                   -0.00010834732869724932, 0.0003825710908356584,
-                   -0.00034046500868740456, 0.1413124436746325)),
-            (0.7777777777777778, (
-                -0.42889630158379194, -4.697621415361164, 7.683421196062599,
-                4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
-                -0.0013990241651590145, 2.9475147891527724,
-                -9.15095847217987)),
-        )
-        d_rows = (
-            (-8.428938276109013, 0.5667149535193777, -3.0689499459498917,
-             2.38466765651207, 2.117034582445028, -0.871391583777973,
-             2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
-             18.148505520854727, -9.194632392478356, -4.436036387594894),
-            (10.427508642579134, 242.28349177525817, 165.20045171727028,
-             -374.5467547226902, -22.113666853125306, 7.733432668472264,
-             -30.674084731089398, -9.332130526430229, 15.697238121770845,
-             -31.139403219565178, -9.35292435884448, 35.81684148639408),
-            (19.985053242002433, -387.0373087493518, -189.17813819516758,
-             527.8081592054236, -11.57390253995963, 6.8812326946963,
-             -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
-             -60.19669523126412, 84.32040550667716, 11.99229113618279),
-            (-25.69393346270375, -154.18974869023643, -231.5293791760455,
-             357.6391179106141, 93.40532418362432, -37.45832313645163,
-             104.0996495089623, 29.8402934266605, -43.53345659001114,
-             96.32455395918828, -39.17726167561544, -149.72683625798564),
-        )
-        f, t, h = self.f, self.ta, self.h
-        (th, om), (th_b, om_b) = self.ya, self.yb
-        kt, ko = list(self.k[0::2]), list(self.k[1::2])
-        for c, row in extra:
-            st, so = f(t + c * h, th + h * _dot(row, kt),
-                       om + h * _dot(row, ko))
-            kt.append(st)
-            ko.append(so)
-        poly = []
-        for y, y_b, k in ((th, th_b, kt), (om, om_b, ko)):
-            dy = y_b - y
-            poly.append((dy, h * k[0] - dy, 2.0 * dy - h * (k[8] + k[0]),
-                         *(h * _dot(row, k) for row in d_rows)))
-        return poly
-
     def __call__(self, t):
         if self._poly is None:
-            self._poly = self._build()
+            self._poly = _extension(self.f, self.ta, self.h, self.ya,
+                                    self.yb, self.k)
         x = (t - self.ta) / (self.tb - self.ta)
         u = 1.0 - x
-        return tuple(
-            y + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (
-                f5 + x * f6))))))
-            for y, (f0, f1, f2, f3, f4, f5, f6) in zip(self.ya, self._poly))
+        return tuple(_horner(y, c, x, u) for y, c in zip(self.ya, self._poly))
+
+
+def _sample_dense(steps, t):
+    """(theta, omega) arrays at the times ``t`` on the continuous extension
+    of ``steps``, the consecutive accepted steps of one run.
+
+    Each time belongs to the first step whose tb is not below it, so a time
+    equal to a step's tb is taken on that step, and every time must lie in
+    [steps[0].ta, steps[-1].tb].  The extensions of the steps that hold a
+    time are built in one array pass, with the rhs of the extra stages
+    called one step at a time on Python floats; each value equals, to the
+    bit, the step's own ``dense(time)``.
+    """
+    f = steps[0].f
+    which = np.searchsorted([s.tb for s in steps], t)
+    holds = np.zeros(len(steps), dtype=bool)
+    holds[which] = True
+    at = np.cumsum(holds)[which] - 1        # the index among the held steps
+    held = [steps[i] for i in np.flatnonzero(holds).tolist()]
+    rows = np.array([(s.ta, s.h, s.tb, *s.ya, *s.yb, *s.k) for s in held]).T
+    ta, h, tb = rows[:3]
+    ya, yb, k = rows[3:5], rows[5:7], rows[7:]
+
+    def stepwise(t, th, om):
+        return np.array([f(*args) for args in zip(
+            t.tolist(), th.tolist(), om.tolist())]).T
+
+    poly = np.array(_extension(stepwise, ta, h, ya, yb, k))
+    x = (t - ta[at]) / (tb - ta)[at]
+    u = 1.0 - x
+    # gathered one component at a time, so that at most seven coefficient
+    # arrays the size of t are alive at once
+    return tuple(_horner(y[at], c[:, at], x, u) for y, c in zip(ya, poly))
 
 
 def _refine_crossing(dense, comp, target=0.0):

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import interior_angle, stiffness_at_poles
-from .integrate import IntegratorSpec, _refine_crossing, integrate_rhs
+from .integrate import (IntegratorSpec, _refine_crossing, _sample_dense,
+                        integrate_rhs)
 from .model import Params, stiffness
 
 __all__ = [
@@ -221,8 +222,11 @@ def separatrix(r: ReducedSystem,
     ``closed_form`` evaluates the analytic orbit, with amplitudes fixed by
     energy matching to the reduced Hamiltonian.  ``continued`` shoots from
     the saddle along the unstable eigenvector (offset 1e-8), stops past
-    the closest approach to the target saddle, samples the shot's dense
-    output and errors out if it missed that saddle by more than 1e-6.
+    the closest approach to the target saddle and errors out if it missed
+    that saddle by more than 1e-6.  The grid times inside the shot are
+    sampled on its dense output in one array pass over its steps, to the
+    bit what each step's own dense output gives; the orbit sits on the
+    saddles before and after the shot.
     """
     if source not in ("closed_form", "continued"):
         raise ValueError("source must be 'closed_form' or 'continued'")
@@ -280,23 +284,14 @@ def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbi
         raise ValueError("continued orbit failed to connect to the target "
                          f"saddle (residual {closest:.2e})")
     apex_t = _refine_crossing(apex, comp=apex_comp)[0]
-    # sample the dense output; past the closest approach the shot peels off
-    # the saddle exponentially, so the tail is clamped onto the saddle
-    shifted = np.clip(times + apex_t, 0.0, end_t)
-    thetas = np.empty_like(shifted)
-    omegas = np.empty_like(shifted)
-    lo = 0
-    for step, hi in zip(steps, np.searchsorted(
-            shifted, [s.tb for s in steps], side="right").tolist()):
-        if hi > lo:
-            thetas[lo:hi], omegas[lo:hi] = step(shifted[lo:hi])
-            lo = hi
-    before = times + apex_t < 0.0
-    after = times + apex_t > end_t
-    thetas[before] = saddle
-    omegas[before] = 0.0
-    thetas[after] = target
-    omegas[after] = 0.0
+    # sample the dense output on [0, end_t]; before it the orbit sits on the
+    # saddle, and past the closest approach the shot peels off the target
+    # saddle exponentially, so the tail is clamped onto it
+    shifted = times + apex_t
+    inside = (shifted >= 0.0) & (shifted <= end_t)
+    thetas = np.where(shifted < 0.0, saddle, target)
+    omegas = np.zeros_like(shifted)
+    thetas[inside], omegas[inside] = _sample_dense(steps, shifted[inside])
     return SeparatrixOrbit(kind, "continued", times, thetas, omegas)
 
 

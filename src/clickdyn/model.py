@@ -130,6 +130,11 @@ def _radicand(alpha, beta, s):
     Squares are products: ``** 2`` squares arrays exactly but calls libm's
     pow on scalars, which can be an ulp off, so one point and a whole mesh
     read the same D bits.  The arguments broadcast.
+
+    On the cusp line ``alpha == beta`` only ``4*alpha*beta*s*s`` is left.
+    For ``|theta - 2*n*pi|`` below about 3e-154, ``s*s`` is subnormal and D
+    loses digits; below about 1e-162 it underflows to 0, and the fields
+    take the D = 0 convention of the cusp itself.
     """
     d = alpha - beta
     return d * d + 4.0 * alpha * beta * (s * s)

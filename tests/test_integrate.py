@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 import clickdyn.integrate as integ
+from clickdyn import melnikov
 from clickdyn.integrate import (IntegratorSpec, StepUnderflow,
-                                _refine_crossing, _strobe, integrate,
-                                integrate_rhs, largest_lyapunov,
+                                _refine_crossing, _sample_dense, _strobe,
+                                integrate, integrate_rhs, largest_lyapunov,
                                 measure_free_oscillation, poincare_section)
 from clickdyn.model import (Params, hamiltonian, scalar_rhs,
                             scalar_tangent_rhs)
@@ -399,6 +400,63 @@ def test_dense_output_has_the_order_of_the_pair():
                   step_cb=cb)
     assert max(widths) > 0.5
     assert max(dev) <= 5e-8
+
+
+def _sample_step_by_step(steps, t):
+    # The reference: each step in turn evaluates the sorted times up to its
+    # tb on its own dense output, so a time equal to a step's tb is taken
+    # on that step, not at the start of the next.
+    thetas, omegas = np.empty_like(t), np.empty_like(t)
+    lo = 0
+    for step, hi in zip(steps, np.searchsorted(
+            t, [s.tb for s in steps], side="right").tolist()):
+        if hi > lo:
+            thetas[lo:hi], omegas[lo:hi] = step(t[lo:hi])
+            lo = hi
+    return thetas, omegas
+
+
+def _assert_sampled_step_by_step(steps, t):
+    # the times, the first step's ta and every step's tb, the last of them
+    # the run's end
+    t = np.sort(np.concatenate([t, [steps[0].ta], [s.tb for s in steps]]))
+    got = _sample_dense(steps, t)
+    want = _sample_step_by_step(steps, t)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_run_is_sampled_as_step_by_step():
+    steps, stage_times = [], []
+
+    def f(t, x, v):
+        stage_times.append(t)
+        return v, -x
+
+    integrate_rhs(f, (1.0, 0.0),
+                  IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10, t_end=20.0),
+                  step_cb=lambda *step: steps.append(step[-1]))
+    _assert_sampled_step_by_step(steps, np.linspace(0.0, 20.0, 2001))
+    # The polynomials of two steps meet at their common end to the bit, so
+    # the values cannot tell which one a time at that end was taken on; the
+    # extra stages of the extension built for it can.
+    stage_times.clear()
+    _sample_dense(steps, np.array([steps[0].tb]))
+    assert len(stage_times) == 3
+    assert steps[0].ta < min(stage_times) and max(stage_times) < steps[0].tb
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.8])
+@pytest.mark.parametrize("variant", ["duffing", "pendulum", "soft_cubic"])
+def test_a_continued_shot_is_sampled_as_step_by_step(monkeypatch, variant,
+                                                     alpha):
+    runs = []
+    monkeypatch.setattr(melnikov, "_sample_dense", lambda steps, t: (
+        runs.append((steps, t)) or _sample_dense(steps, t)))
+    melnikov.separatrix(melnikov.reduce_system(Params(alpha=alpha), variant),
+                        "continued")
+    ((steps, t),) = runs
+    _assert_sampled_step_by_step(steps, t)
 
 
 def test_turning_points_are_refined_on_the_dense_output():

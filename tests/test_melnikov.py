@@ -153,6 +153,32 @@ def test_continued_shot_stops_at_the_target_saddle(monkeypatch, variant,
     assert abs(shot.states[-1, 0] - target) <= 1e-6
 
 
+@pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
+def test_continued_orbit_sits_on_the_saddles_outside_the_shot(monkeypatch,
+                                                              variant):
+    # Only the times inside the shot, from its start to its closest
+    # approach, are sampled on the dense output; the orbit sits exactly on
+    # the saddle it left before them and on the target saddle after them.
+    import clickdyn.melnikov as mk
+
+    apexes, sampled = [], []
+    refine, sample = mk._refine_crossing, mk._sample_dense
+    monkeypatch.setattr(mk, "_refine_crossing", lambda *a, **k: apexes.append(
+        refine(*a, **k)) or apexes[-1])
+    monkeypatch.setattr(mk, "_sample_dense", lambda steps, t: sampled.append(
+        t) or sample(steps, t))
+    co = separatrix(reduce_system(P_IV, variant), "continued")
+    ((apex_t, _, _),), (t,) = apexes, sampled
+    shifted = co.times + apex_t
+    before, after = shifted < 0.0, shifted > t[-1]
+    assert np.array_equal(t, shifted[~before & ~after])
+    assert before.any() and after.any()
+    saddle, target = (0.0, 0.0) if variant == DUFFING else (-math.pi, math.pi)
+    assert np.all(co.thetas[before] == saddle)
+    assert np.all(co.thetas[after] == target)
+    assert np.all(co.omegas[before | after] == 0.0)
+
+
 def test_pendulum_forcing_kernel_quadrature():
     # |FT of 2 sech T at 1| = 2*pi*sech(pi/2)
     r = _unit_pendulum()
