@@ -436,6 +436,9 @@ def _run_sweep(p: Params, opts) -> list[Dataset]:
 
 
 def _run_lyapunov(p: Params, opts) -> list[Dataset]:
+    if opts["horizon"] / opts["interval"] == math.inf:
+        raise ConfigError(f"horizon / interval must be finite, got "
+                          f"{opts['horizon']!r} / {opts['interval']!r}")
     est = largest_lyapunov(p, (opts["theta0"], opts["omega0_state"]),
                            horizon=opts["horizon"],
                            renorm_interval=opts["interval"])

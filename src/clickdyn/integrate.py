@@ -7,7 +7,8 @@ controller, so ``scipy.integrate.solve_ivp(method="DOP853")`` takes as many
 steps, of the same sizes up to rounding.  Events (zero crossings of the
 angular velocity, of an angle) are located inside an accepted step on the
 pair's 7th-order dense output, built only for the steps a callback asks it
-of, by Brent's method.
+of, by Brent's method.  A Lyapunov tangent is carried by the derivatives of
+the loop's steps, taken in array passes over the stage states it records.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from operator import mul
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import (Params, hamiltonian, potential, scalar_rhs,
-                    scalar_tangent_rhs)
+from .model import (Params, _jacobian_field, hamiltonian, potential,
+                    scalar_rhs)
 
 __all__ = [
     "IntegratorSpec",
@@ -45,8 +47,8 @@ _H_MIN = 1e-12
 _H_MAX = 1.0
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5,
-# stages counted from 0 as in scipy's ``dop853_coefficients``), read by both
-# step loops into local names: the nodes c1-c10, the rows 1-11 of A without
+# stages counted from 0 as in scipy's ``dop853_coefficients``), read by the
+# step loop into local names: the nodes c1-c10, the rows 1-11 of A without
 # their zeros, the 8th-order weights (row 12) over the stages 0 and 5-11,
 # the 5th-order error row over the same stages, and the 3rd-order error
 # row's entries at stages 0, 8 and 11 (elsewhere it equals the weights).
@@ -81,6 +83,9 @@ _ERR5 = (0.01312004499419488, -1.2251564463762044, -0.4957589496572502,
          1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
          0.08192320648511571, -0.022355307863886294)
 _ERR3 = (-0.18980075407240762, -0.4226823213237919, 0.02265179219836082)
+# The stages that each row of _ROWS, and then _WEIGHTS, runs over.
+_COLUMNS = ((0,), (0, 1), (0, 2), (0, 2, 3),
+            *((0, *range(3, i)) for i in range(5, 12)), (0, *range(5, 12)))
 # The continuous extension of order 7 (Sec. II.6): the nodes and rows of
 # the three extra stages 13-15, each row over the stages 0, 5-12 and the
 # extra ones before it, and the rows of the coefficients 3-6 of the
@@ -182,7 +187,7 @@ class StepUnderflow(RuntimeError):
         self.trajectory = trajectory
 
 
-def _dop853(f, t0, y0, spec, step_cb=None):
+def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
     """Adaptive DOP853 from t0 to spec.t_end.
 
     The state is carried as two Python floats: ``y0`` is converted once
@@ -197,10 +202,13 @@ def _dop853(f, t0, y0, spec, step_cb=None):
     integration.  Returns (times, thetas, omegas, stats, h_next), with
     ``h_next`` the last proposed step before it was clipped to land on
     ``t_end``; a rejected step below ``_H_MIN`` (1e-12) raises
-    :class:`StepUnderflow`.
+    :class:`StepUnderflow`.  A list ``stages`` gets, per accepted step,
+    (h, theta, omega, theta_new, omega_new) and the states Y1-Y11 that
+    ``f`` received at the stages 1-11, as theta, omega pairs: the record
+    :func:`_step_jacobians` takes.
 
-    Stage j of the tableau (counted from 0, see ``_NODES``) is ``kj``;
-    ``ai_j`` is its row i, column j.  The controller is scipy's:
+    Stage j of the tableau (counted from 0, see ``_NODES``) is ``kj``, at
+    the state ``yj``; ``ai_j`` is its row i, column j.  The controller is scipy's:
     the error norm mixes the 5th- and 3rd-order estimates, the step factor
     0.9 * err**(-1/8) is clipped to [0.2, 10], and a step accepted after a
     rejection does not grow.
@@ -236,57 +244,53 @@ def _dop853(f, t0, y0, spec, step_cb=None):
         if t_new > t_end:
             t_new = t_end
             h = t_new - t
-        k1t, k1o = f(t + c1 * h, th + h * a1_0 * k0t, om + h * a1_0 * k0o)
-        k2t, k2o = f(t + c2 * h,
-                     th + h * (a2_0 * k0t + a2_1 * k1t),
-                     om + h * (a2_0 * k0o + a2_1 * k1o))
-        k3t, k3o = f(t + c3 * h,
-                     th + h * (a3_0 * k0t + a3_2 * k2t),
-                     om + h * (a3_0 * k0o + a3_2 * k2o))
-        k4t, k4o = f(t + c4 * h,
-                     th + h * (a4_0 * k0t + a4_2 * k2t + a4_3 * k3t),
-                     om + h * (a4_0 * k0o + a4_2 * k2o + a4_3 * k3o))
-        k5t, k5o = f(t + c5 * h,
-                     th + h * (a5_0 * k0t + a5_3 * k3t + a5_4 * k4t),
-                     om + h * (a5_0 * k0o + a5_3 * k3o + a5_4 * k4o))
-        k6t, k6o = f(t + c6 * h,
-                     th + h * (a6_0 * k0t + a6_3 * k3t + a6_4 * k4t
-                               + a6_5 * k5t),
-                     om + h * (a6_0 * k0o + a6_3 * k3o + a6_4 * k4o
-                               + a6_5 * k5o))
-        k7t, k7o = f(t + c7 * h,
-                     th + h * (a7_0 * k0t + a7_3 * k3t + a7_4 * k4t
-                               + a7_5 * k5t + a7_6 * k6t),
-                     om + h * (a7_0 * k0o + a7_3 * k3o + a7_4 * k4o
-                               + a7_5 * k5o + a7_6 * k6o))
-        k8t, k8o = f(t + c8 * h,
-                     th + h * (a8_0 * k0t + a8_3 * k3t + a8_4 * k4t
-                               + a8_5 * k5t + a8_6 * k6t + a8_7 * k7t),
-                     om + h * (a8_0 * k0o + a8_3 * k3o + a8_4 * k4o
-                               + a8_5 * k5o + a8_6 * k6o + a8_7 * k7o))
-        k9t, k9o = f(t + c9 * h,
-                     th + h * (a9_0 * k0t + a9_3 * k3t + a9_4 * k4t
-                               + a9_5 * k5t + a9_6 * k6t + a9_7 * k7t
-                               + a9_8 * k8t),
-                     om + h * (a9_0 * k0o + a9_3 * k3o + a9_4 * k4o
-                               + a9_5 * k5o + a9_6 * k6o + a9_7 * k7o
-                               + a9_8 * k8o))
-        k10t, k10o = f(t + c10 * h,
-                       th + h * (a10_0 * k0t + a10_3 * k3t + a10_4 * k4t
-                                 + a10_5 * k5t + a10_6 * k6t + a10_7 * k7t
-                                 + a10_8 * k8t + a10_9 * k9t),
-                       om + h * (a10_0 * k0o + a10_3 * k3o + a10_4 * k4o
-                                 + a10_5 * k5o + a10_6 * k6o + a10_7 * k7o
-                                 + a10_8 * k8o + a10_9 * k9o))
-        k11t, k11o = f(t + h,
-                       th + h * (a11_0 * k0t + a11_3 * k3t + a11_4 * k4t
-                                 + a11_5 * k5t + a11_6 * k6t + a11_7 * k7t
-                                 + a11_8 * k8t + a11_9 * k9t
-                                 + a11_10 * k10t),
-                       om + h * (a11_0 * k0o + a11_3 * k3o + a11_4 * k4o
-                                 + a11_5 * k5o + a11_6 * k6o + a11_7 * k7o
-                                 + a11_8 * k8o + a11_9 * k9o
-                                 + a11_10 * k10o))
+        y1t = th + h * a1_0 * k0t
+        y1o = om + h * a1_0 * k0o
+        k1t, k1o = f(t + c1 * h, y1t, y1o)
+        y2t = th + h * (a2_0 * k0t + a2_1 * k1t)
+        y2o = om + h * (a2_0 * k0o + a2_1 * k1o)
+        k2t, k2o = f(t + c2 * h, y2t, y2o)
+        y3t = th + h * (a3_0 * k0t + a3_2 * k2t)
+        y3o = om + h * (a3_0 * k0o + a3_2 * k2o)
+        k3t, k3o = f(t + c3 * h, y3t, y3o)
+        y4t = th + h * (a4_0 * k0t + a4_2 * k2t + a4_3 * k3t)
+        y4o = om + h * (a4_0 * k0o + a4_2 * k2o + a4_3 * k3o)
+        k4t, k4o = f(t + c4 * h, y4t, y4o)
+        y5t = th + h * (a5_0 * k0t + a5_3 * k3t + a5_4 * k4t)
+        y5o = om + h * (a5_0 * k0o + a5_3 * k3o + a5_4 * k4o)
+        k5t, k5o = f(t + c5 * h, y5t, y5o)
+        y6t = th + h * (a6_0 * k0t + a6_3 * k3t + a6_4 * k4t + a6_5 * k5t)
+        y6o = om + h * (a6_0 * k0o + a6_3 * k3o + a6_4 * k4o + a6_5 * k5o)
+        k6t, k6o = f(t + c6 * h, y6t, y6o)
+        y7t = th + h * (a7_0 * k0t + a7_3 * k3t + a7_4 * k4t + a7_5 * k5t
+                        + a7_6 * k6t)
+        y7o = om + h * (a7_0 * k0o + a7_3 * k3o + a7_4 * k4o + a7_5 * k5o
+                        + a7_6 * k6o)
+        k7t, k7o = f(t + c7 * h, y7t, y7o)
+        y8t = th + h * (a8_0 * k0t + a8_3 * k3t + a8_4 * k4t + a8_5 * k5t
+                        + a8_6 * k6t + a8_7 * k7t)
+        y8o = om + h * (a8_0 * k0o + a8_3 * k3o + a8_4 * k4o + a8_5 * k5o
+                        + a8_6 * k6o + a8_7 * k7o)
+        k8t, k8o = f(t + c8 * h, y8t, y8o)
+        y9t = th + h * (a9_0 * k0t + a9_3 * k3t + a9_4 * k4t + a9_5 * k5t
+                        + a9_6 * k6t + a9_7 * k7t + a9_8 * k8t)
+        y9o = om + h * (a9_0 * k0o + a9_3 * k3o + a9_4 * k4o + a9_5 * k5o
+                        + a9_6 * k6o + a9_7 * k7o + a9_8 * k8o)
+        k9t, k9o = f(t + c9 * h, y9t, y9o)
+        y10t = th + h * (a10_0 * k0t + a10_3 * k3t + a10_4 * k4t
+                         + a10_5 * k5t + a10_6 * k6t + a10_7 * k7t
+                         + a10_8 * k8t + a10_9 * k9t)
+        y10o = om + h * (a10_0 * k0o + a10_3 * k3o + a10_4 * k4o
+                         + a10_5 * k5o + a10_6 * k6o + a10_7 * k7o
+                         + a10_8 * k8o + a10_9 * k9o)
+        k10t, k10o = f(t + c10 * h, y10t, y10o)
+        y11t = th + h * (a11_0 * k0t + a11_3 * k3t + a11_4 * k4t
+                         + a11_5 * k5t + a11_6 * k6t + a11_7 * k7t
+                         + a11_8 * k8t + a11_9 * k9t + a11_10 * k10t)
+        y11o = om + h * (a11_0 * k0o + a11_3 * k3o + a11_4 * k4o
+                         + a11_5 * k5o + a11_6 * k6o + a11_7 * k7o
+                         + a11_8 * k8o + a11_9 * k9o + a11_10 * k10o)
+        k11t, k11o = f(t + h, y11t, y11o)
         th_new = th + h * (b0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t
                            + b8 * k8t + b9 * k9t + b10 * k10t + b11 * k11t)
         om_new = om + h * (b0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o
@@ -315,6 +319,11 @@ def _dop853(f, t0, y0, spec, step_cb=None):
             k12t, k12o = f(t + h, th_new, om_new)
             accepted += 1
             stop = False
+            if stages is not None:
+                stages.append((h, th, om, th_new, om_new, y1t, y1o, y2t, y2o,
+                               y3t, y3o, y4t, y4o, y5t, y5o, y6t, y6o, y7t,
+                               y7o, y8t, y8o, y9t, y9o, y10t, y10o, y11t,
+                               y11o))
             if step_cb is not None:
                 ya, yb = (th, om), (th_new, om_new)
                 stop = bool(step_cb(t, ya, t_new, yb, _DenseStep(
@@ -351,197 +360,6 @@ def _dop853(f, t0, y0, spec, step_cb=None):
         if h_max < h:
             h = h_max
     return times, thetas, omegas, StepStats(accepted, rejected), h_next
-
-
-def _dop853_tangent(f, t0, y0, v0, spec, kick=0.0):
-    """:func:`_dop853` for the state and one tangent vector v.
-
-    ``f(t, theta, omega, v_theta, v_omega)`` returns the four derivatives,
-    as :func:`model.scalar_tangent_rhs` does.  The error norm is the plain
-    loop's, over (theta, omega) only, so the state takes the same steps to
-    the bit whenever ``f``'s first two components are the plain rhs; the
-    tangent rides along.  ``kick`` is the jump 2*alpha/kappa of the
-    acceleration at theta = 2*n*pi on the cusp line (0 off it): after an
-    accepted step that crosses such a point, where sin(theta/2) changes
-    sign, v_omega += kick * v_theta / |omega|, the saltation of a
-    transversal crossing (Mueller, Chaos Solitons Fractals 5, 1995).
-    Returns (times, thetas, omegas, (v_theta, v_omega), stats, h_next).
-    """
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _NODES
-    ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3),
-     (a5_0, a5_3, a5_4), (a6_0, a6_3, a6_4, a6_5),
-     (a7_0, a7_3, a7_4, a7_5, a7_6), (a8_0, a8_3, a8_4, a8_5, a8_6, a8_7),
-     (a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9,
-      a11_10)) = _ROWS
-    b0, b5, b6, b7, b8, b9, b10, b11 = _WEIGHTS
-    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _ERR5
-    e3_0, e3_8, e3_11 = _ERR3
-    sqrt, sin = math.sqrt, math.sin
-    t = t0
-    th, om = float(y0[0]), float(y0[1])
-    vt, vo = float(v0[0]), float(v0[1])
-    k0t, k0o, k0u, k0w = f(t, th, om, vt, vo)
-    abs_tol, rel_tol, t_end = spec.abs_tol, spec.rel_tol, spec.t_end
-    h_min, h_max = _H_MIN, _H_MAX
-    h = h_next = spec.h_init
-    accepted = rejected = 0
-    after_reject = False
-    times = [t]
-    thetas = [th]
-    omegas = [om]
-    while t < t_end:
-        t_new = t + h
-        h_next = h
-        if t_new > t_end:
-            t_new = t_end
-            h = t_new - t
-        k1t, k1o, k1u, k1w = f(t + c1 * h, th + h * a1_0 * k0t,
-                               om + h * a1_0 * k0o, vt + h * a1_0 * k0u,
-                               vo + h * a1_0 * k0w)
-        k2t, k2o, k2u, k2w = f(t + c2 * h,
-                               th + h * (a2_0 * k0t + a2_1 * k1t),
-                               om + h * (a2_0 * k0o + a2_1 * k1o),
-                               vt + h * (a2_0 * k0u + a2_1 * k1u),
-                               vo + h * (a2_0 * k0w + a2_1 * k1w))
-        k3t, k3o, k3u, k3w = f(t + c3 * h,
-                               th + h * (a3_0 * k0t + a3_2 * k2t),
-                               om + h * (a3_0 * k0o + a3_2 * k2o),
-                               vt + h * (a3_0 * k0u + a3_2 * k2u),
-                               vo + h * (a3_0 * k0w + a3_2 * k2w))
-        k4t, k4o, k4u, k4w = f(
-            t + c4 * h,
-            th + h * (a4_0 * k0t + a4_2 * k2t + a4_3 * k3t),
-            om + h * (a4_0 * k0o + a4_2 * k2o + a4_3 * k3o),
-            vt + h * (a4_0 * k0u + a4_2 * k2u + a4_3 * k3u),
-            vo + h * (a4_0 * k0w + a4_2 * k2w + a4_3 * k3w))
-        k5t, k5o, k5u, k5w = f(
-            t + c5 * h,
-            th + h * (a5_0 * k0t + a5_3 * k3t + a5_4 * k4t),
-            om + h * (a5_0 * k0o + a5_3 * k3o + a5_4 * k4o),
-            vt + h * (a5_0 * k0u + a5_3 * k3u + a5_4 * k4u),
-            vo + h * (a5_0 * k0w + a5_3 * k3w + a5_4 * k4w))
-        k6t, k6o, k6u, k6w = f(
-            t + c6 * h,
-            th + h * (a6_0 * k0t + a6_3 * k3t + a6_4 * k4t + a6_5 * k5t),
-            om + h * (a6_0 * k0o + a6_3 * k3o + a6_4 * k4o + a6_5 * k5o),
-            vt + h * (a6_0 * k0u + a6_3 * k3u + a6_4 * k4u + a6_5 * k5u),
-            vo + h * (a6_0 * k0w + a6_3 * k3w + a6_4 * k4w + a6_5 * k5w))
-        k7t, k7o, k7u, k7w = f(
-            t + c7 * h,
-            th + h * (a7_0 * k0t + a7_3 * k3t + a7_4 * k4t + a7_5 * k5t
-                      + a7_6 * k6t),
-            om + h * (a7_0 * k0o + a7_3 * k3o + a7_4 * k4o + a7_5 * k5o
-                      + a7_6 * k6o),
-            vt + h * (a7_0 * k0u + a7_3 * k3u + a7_4 * k4u + a7_5 * k5u
-                      + a7_6 * k6u),
-            vo + h * (a7_0 * k0w + a7_3 * k3w + a7_4 * k4w + a7_5 * k5w
-                      + a7_6 * k6w))
-        k8t, k8o, k8u, k8w = f(
-            t + c8 * h,
-            th + h * (a8_0 * k0t + a8_3 * k3t + a8_4 * k4t + a8_5 * k5t
-                      + a8_6 * k6t + a8_7 * k7t),
-            om + h * (a8_0 * k0o + a8_3 * k3o + a8_4 * k4o + a8_5 * k5o
-                      + a8_6 * k6o + a8_7 * k7o),
-            vt + h * (a8_0 * k0u + a8_3 * k3u + a8_4 * k4u + a8_5 * k5u
-                      + a8_6 * k6u + a8_7 * k7u),
-            vo + h * (a8_0 * k0w + a8_3 * k3w + a8_4 * k4w + a8_5 * k5w
-                      + a8_6 * k6w + a8_7 * k7w))
-        k9t, k9o, k9u, k9w = f(
-            t + c9 * h,
-            th + h * (a9_0 * k0t + a9_3 * k3t + a9_4 * k4t + a9_5 * k5t
-                      + a9_6 * k6t + a9_7 * k7t + a9_8 * k8t),
-            om + h * (a9_0 * k0o + a9_3 * k3o + a9_4 * k4o + a9_5 * k5o
-                      + a9_6 * k6o + a9_7 * k7o + a9_8 * k8o),
-            vt + h * (a9_0 * k0u + a9_3 * k3u + a9_4 * k4u + a9_5 * k5u
-                      + a9_6 * k6u + a9_7 * k7u + a9_8 * k8u),
-            vo + h * (a9_0 * k0w + a9_3 * k3w + a9_4 * k4w + a9_5 * k5w
-                      + a9_6 * k6w + a9_7 * k7w + a9_8 * k8w))
-        k10t, k10o, k10u, k10w = f(
-            t + c10 * h,
-            th + h * (a10_0 * k0t + a10_3 * k3t + a10_4 * k4t + a10_5 * k5t
-                      + a10_6 * k6t + a10_7 * k7t + a10_8 * k8t
-                      + a10_9 * k9t),
-            om + h * (a10_0 * k0o + a10_3 * k3o + a10_4 * k4o + a10_5 * k5o
-                      + a10_6 * k6o + a10_7 * k7o + a10_8 * k8o
-                      + a10_9 * k9o),
-            vt + h * (a10_0 * k0u + a10_3 * k3u + a10_4 * k4u + a10_5 * k5u
-                      + a10_6 * k6u + a10_7 * k7u + a10_8 * k8u
-                      + a10_9 * k9u),
-            vo + h * (a10_0 * k0w + a10_3 * k3w + a10_4 * k4w + a10_5 * k5w
-                      + a10_6 * k6w + a10_7 * k7w + a10_8 * k8w
-                      + a10_9 * k9w))
-        k11t, k11o, k11u, k11w = f(
-            t + h,
-            th + h * (a11_0 * k0t + a11_3 * k3t + a11_4 * k4t + a11_5 * k5t
-                      + a11_6 * k6t + a11_7 * k7t + a11_8 * k8t
-                      + a11_9 * k9t + a11_10 * k10t),
-            om + h * (a11_0 * k0o + a11_3 * k3o + a11_4 * k4o + a11_5 * k5o
-                      + a11_6 * k6o + a11_7 * k7o + a11_8 * k8o
-                      + a11_9 * k9o + a11_10 * k10o),
-            vt + h * (a11_0 * k0u + a11_3 * k3u + a11_4 * k4u + a11_5 * k5u
-                      + a11_6 * k6u + a11_7 * k7u + a11_8 * k8u
-                      + a11_9 * k9u + a11_10 * k10u),
-            vo + h * (a11_0 * k0w + a11_3 * k3w + a11_4 * k4w + a11_5 * k5w
-                      + a11_6 * k6w + a11_7 * k7w + a11_8 * k8w
-                      + a11_9 * k9w + a11_10 * k10w))
-        th_new = th + h * (b0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t
-                           + b8 * k8t + b9 * k9t + b10 * k10t + b11 * k11t)
-        om_new = om + h * (b0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o
-                           + b8 * k8o + b9 * k9o + b10 * k10o + b11 * k11o)
-        # the plain loop's error norm, on (theta, omega) alone
-        y_old = th if th >= 0.0 else -th
-        y_new = th_new if th_new >= 0.0 else -th_new
-        sc_t = abs_tol + rel_tol * (y_new if y_new > y_old else y_old)
-        y_old = om if om >= 0.0 else -om
-        y_new = om_new if om_new >= 0.0 else -om_new
-        sc_o = abs_tol + rel_tol * (y_new if y_new > y_old else y_old)
-        e5t = (e5_0 * k0t + e5_5 * k5t + e5_6 * k6t + e5_7 * k7t + e5_8 * k8t
-               + e5_9 * k9t + e5_10 * k10t + e5_11 * k11t) / sc_t
-        e5o = (e5_0 * k0o + e5_5 * k5o + e5_6 * k6o + e5_7 * k7o + e5_8 * k8o
-               + e5_9 * k9o + e5_10 * k10o + e5_11 * k11o) / sc_o
-        e3t = (e3_0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t + e3_8 * k8t
-               + b9 * k9t + b10 * k10t + e3_11 * k11t) / sc_t
-        e3o = (e3_0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o + e3_8 * k8o
-               + b9 * k9o + b10 * k10o + e3_11 * k11o) / sc_o
-        n5 = e5t * e5t + e5o * e5o
-        n3 = e3t * e3t + e3o * e3o
-        err = h * n5 / sqrt(2.0 * (n5 + 0.01 * n3)) if n5 else 0.0
-        if err < 1.0:
-            vt += h * (b0 * k0u + b5 * k5u + b6 * k6u + b7 * k7u + b8 * k8u
-                       + b9 * k9u + b10 * k10u + b11 * k11u)
-            vo += h * (b0 * k0w + b5 * k5w + b6 * k6w + b7 * k7w + b8 * k8w
-                       + b9 * k9w + b10 * k10w + b11 * k11w)
-            if kick and (sin(0.5 * th) < 0.0) != (sin(0.5 * th_new) < 0.0):
-                vo += kick * vt / (om_new if om_new >= 0.0 else -om_new)
-            k0t, k0o, k0u, k0w = f(t + h, th_new, om_new, vt, vo)
-            t = t_new
-            th, om = th_new, om_new
-            accepted += 1
-            times.append(t)
-            thetas.append(th)
-            omegas.append(om)
-            factor = 0.9 * err ** -0.125 if err != 0.0 else 10.0
-            if after_reject:
-                factor = 1.0 if factor > 1.0 else factor
-                after_reject = False
-            h = h * (factor if factor < 10.0 else 10.0)
-            if h < h_min:
-                h = h_min
-        else:
-            rejected += 1
-            after_reject = True
-            factor = 0.9 * err ** -0.125
-            h = h * (factor if factor > 0.2 else 0.2)
-            if h < h_min:
-                raise StepUnderflow(_pack(times, thetas, omegas,
-                                          StepStats(accepted, rejected),
-                                          complete=False))
-        if h_max < h:
-            h = h_max
-    return (times, thetas, omegas, (vt, vo), StepStats(accepted, rejected),
-            h_next)
 
 
 def _pack(times, thetas, omegas, stats, complete=True):
@@ -750,46 +568,106 @@ def poincare_section(p: Params, state0, n_points: int,
     return PoincareMap(p.omega_big0, np.asarray(states[discard:]), discard)
 
 
+def _step_jacobians(p: Params, stages):
+    """The derivative of each recorded step's map y -> y_new, as a list of
+    (phi_00, phi_01, phi_10, phi_11) floats.
+
+    ``stages`` is a :func:`_dop853` record of a run of ``scalar_rhs(p)``.
+    The step's width h is held fixed and the map differentiated through its
+    stages (internal numerical differentiation; Bock, Springer Ser. Chem.
+    Phys. 18, 1981): with J_i the Jacobian [[0, 1], [-(K + 2*xi*c'*omega),
+    -2*xi*c]]/kappa at stage i (:func:`model._jacobian_field`), the stage
+    derivatives are V_i = I + h*sum_j a_ij*J_j*V_j and the step's
+    Phi = I + h*sum_i b_i*J_i*V_i, the DOP853 step of the linearised
+    system, in one array pass over all steps.  On the cusp line alpha ==
+    beta the moment jumps by 2*alpha at theta = 2*n*pi: a step whose ends
+    lie on both sides of such a point, where sin(theta/2) changes sign, is
+    followed by the saltation [[1, 0], [2*alpha/(kappa*|omega_new|), 1]]
+    of a transversal crossing (Mueller, Chaos Solitons Fractals 5, 1995).
+    """
+    # rows: h, theta, omega, theta_new, omega_new, Y1-Y11; columns: steps
+    rec = np.array(stages).T
+    h = rec[0]
+    thetas, omegas = rec[[1, *range(5, 27, 2)]], rec[[2, *range(6, 27, 2)]]
+    k, c, dc = _jacobian_field(p, thetas)
+    slope = -(k + 2.0 * p.xi * dc * omegas) / p.kappa
+    damping = -2.0 * p.xi * c / p.kappa
+    eye = np.eye(2)[:, :, None]
+
+    def times_j(i, v):
+        """J_i V for V of shape (2, 2, steps); J's first row is (0, 1)."""
+        return np.stack((v[1], slope[i] * v[0] + damping[i] * v[1]))
+
+    jv = [times_j(0, np.broadcast_to(eye, (2, 2, h.size)))]
+    for i, (row, cols) in enumerate(zip(_ROWS, _COLUMNS), start=1):
+        jv.append(times_j(i, eye + h * _dot(row, [jv[j] for j in cols])))
+    phi = eye + h * _dot(_WEIGHTS, [jv[j] for j in _COLUMNS[-1]])
+    if not p.smooth:
+        cross = (np.sin(0.5 * rec[1]) < 0.0) != (np.sin(0.5 * rec[3]) < 0.0)
+        kick = np.divide(2.0 * p.alpha, p.kappa * np.abs(rec[4]),
+                         out=np.zeros(h.size), where=cross)
+        phi[1] += kick * phi[0]
+    return phi.reshape(4, -1).T.tolist()
+
+
+# Steps of a Lyapunov run's stage record per :func:`_step_jacobians` pass:
+# enough to spread numpy's per-call cost, few enough that the record (about
+# 1 kB a step) stays small on a long run.
+_LYAPUNOV_BLOCK = 512
+
+
 def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
                      renorm_interval: float = 5.0) -> LyapunovEstimate:
     """Largest Lyapunov exponent by the tangent-vector method.
 
-    One run integrates the state with a tangent vector v, which starts as
-    (1, 0) and obeys the linearised system with the closed-form Jacobian
-    (:func:`model.scalar_tangent_rhs`; Benettin et al., Meccanica 15,
-    1980).  The run lasts max(4, round(horizon / renorm_interval))
-    intervals, so it can be longer than ``horizon``.  After each interval
-    the rate log|v| / renorm_interval is recorded and v is scaled back to
-    length 1; the exponent is the mean rate.  The step controller measures
-    the error of the state only, at rel_tol 1e-9: the state takes the steps
-    of a plain run, and the tangent follows them.  On the cusp line
-    alpha == beta the tangent gets the saltation of the moment's jump at
-    each crossing of theta = 2*n*pi.  Each interval starts with the step
-    the last one would have taken next.  Raises RuntimeError when |v|
-    leaves the range of normal floats (inf, NaN, subnormal or 0) within
-    an interval.
+    A tangent vector v starts as (1, 0) and follows the linearised system
+    (Benettin et al., Meccanica 15, 1980).  The state runs in the plain
+    step loop on :func:`model.scalar_rhs`, at rel_tol 1e-9, which records
+    its stage states; v is carried through each accepted step by that
+    step's derivative, from :func:`_step_jacobians` (with the saltation of
+    each cusp-line crossing), in one array pass over every block of about
+    ``_LYAPUNOV_BLOCK`` steps.  The run lasts
+    max(4, round(horizon / renorm_interval)) intervals, so it can be longer
+    than ``horizon``.  After each interval the rate log|v| /
+    renorm_interval is recorded and v is scaled back to length 1; the
+    exponent is the mean rate.  Each interval starts with the step the last
+    one would have taken next.  Raises ValueError when horizon /
+    renorm_interval is not finite, and RuntimeError when |v| leaves the
+    range of normal floats (inf, NaN, subnormal or 0) within an interval.
     """
     if not (0.0 < horizon < math.inf and 0.0 < renorm_interval < math.inf):
         raise ValueError("horizon and renorm_interval must be finite and > 0")
+    if horizon / renorm_interval == math.inf:
+        raise ValueError(f"horizon / renorm_interval must be finite, got "
+                         f"{horizon!r} / {renorm_interval!r}")
     spec = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
-    f = scalar_tangent_rhs(p)
-    kick = 0.0 if p.smooth else 2.0 * p.alpha / p.kappa
+    f = scalar_rhs(p)
     n_seg = max(4, int(round(horizon / renorm_interval)))
-    t, h, y, v = 0.0, spec.h_init, state0, (1.0, 0.0)
-    rates = []
+    h, y, (vt, vo) = spec.h_init, state0, (1.0, 0.0)
+    stages, segments, rates = [], [], []
     for k in range(1, n_seg + 1):
-        t_end = k * renorm_interval
-        _, ths, oms, (vt, vo), _, h = _dop853_tangent(
-            f, t, y, v, replace(spec, h_init=h, t_end=t_end), kick)
-        t, y = t_end, (ths[-1], oms[-1])
-        norm = math.hypot(vt, vo)
-        # below the normal floats |v| has lost digits; stuck at 5e-324 it
-        # would read a rate of log(5e-324) / interval whatever the decay
-        if not sys.float_info.min <= norm < math.inf:
-            raise RuntimeError(f"tangent norm {norm} left the range of "
-                               f"normal floats by t = {t:g}")
-        rates.append(math.log(norm) / renorm_interval)
-        v = (vt / norm, vo / norm)
+        t, t_end = (k - 1) * renorm_interval, k * renorm_interval
+        _, ths, oms, stats, h = _dop853(
+            f, t, y, replace(spec, h_init=h, t_end=t_end), stages=stages)
+        y = (ths[-1], oms[-1])
+        segments.append((stats.accepted, t_end))
+        if len(stages) < _LYAPUNOV_BLOCK and k < n_seg:
+            continue
+        maps = iter(_step_jacobians(p, stages))
+        for n, t_end in segments:
+            for p00, p01, p10, p11 in islice(maps, n):
+                vt, vo = p00 * vt + p01 * vo, p10 * vt + p11 * vo
+            norm = math.hypot(vt, vo)
+            # below the normal floats |v| has lost digits; stuck at 5e-324
+            # it would read a rate of log(5e-324) / interval whatever the
+            # decay
+            if not sys.float_info.min <= norm < math.inf:
+                raise RuntimeError(f"tangent norm {norm} left the range of "
+                                   f"normal floats by t = {t_end:g}")
+            rates.append(math.log(norm) / renorm_interval)
+            vt, vo = vt / norm, vo / norm
+        stages.clear()
+        segments.clear()
     rates = np.asarray(rates)
     n_tail = max(1, len(rates) // 4)
     return LyapunovEstimate(

@@ -309,7 +309,12 @@ def melnikov_numeric(r: ReducedSystem, orbit: SeparatrixOrbit,
     """
     if omega0 <= 0.0:
         raise ValueError("drive frequency must be positive")
-    t = orbit.times
+    return _damping_integral(orbit), _forcing_amplitude(orbit, omega0)
+
+
+def _damping_integral(orbit: SeparatrixOrbit) -> float:
+    """2 * integral of omega(T)^2 dT, after checking that omega decays at
+    both ends of the grid."""
     om = orbit.omegas
     peak = float(np.max(np.abs(om)))
     tail = max(abs(om[0]), abs(om[-1]))
@@ -318,10 +323,14 @@ def melnikov_numeric(r: ReducedSystem, orbit: SeparatrixOrbit,
             "orbit velocity does not decay at the grid boundary; "
             "not a separatrix orbit"
         )
-    damping = 2.0 * float(np.trapezoid(om * om, t))
-    kernel = om * np.exp(-1j * omega0 * t)
-    forcing = abs(np.trapezoid(kernel, t))
-    return damping, float(forcing)
+    return 2.0 * float(np.trapezoid(om * om, orbit.times))
+
+
+def _forcing_amplitude(orbit: SeparatrixOrbit, omega0: float) -> float:
+    """|integral of omega(T) * exp(-i*omega0*T) dT|."""
+    t = orbit.times
+    return float(abs(np.trapezoid(orbit.omegas * np.exp(-1j * omega0 * t),
+                                  t)))
 
 
 def threshold_numeric(r: ReducedSystem, xi0: float, omega0: float) -> float:
@@ -350,10 +359,11 @@ def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
     """Numeric and printed thresholds over (xi0, omega0) grids.
 
     Rows follow ``xi_grid``, columns follow ``omega_grid``.  One orbit is
-    built and the quadrature runs once per omega0; each ``m0_crit`` cell
-    equals :func:`threshold_numeric` at it.  The printed expressions are
-    internally inconsistent reference shapes, not thresholds; a cell's
-    deviation is |printed - m0_crit| / m0_crit, taken as 0 at xi0 = 0.
+    built, its damping integral taken once and the forcing quadrature once
+    per omega0; each ``m0_crit`` cell equals :func:`threshold_numeric` at
+    it.  The printed expressions are internally inconsistent reference
+    shapes, not thresholds; a cell's deviation is |printed - m0_crit| /
+    m0_crit, taken as 0 at xi0 = 0.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -364,9 +374,9 @@ def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
     shape = (xi_grid.size, omega_grid.size)
     m0 = np.empty(shape)
     orbit = separatrix(r, "closed_form")
+    damping = _damping_integral(orbit)
     for j, om in enumerate(omega_grid.tolist()):
-        damping, forcing = melnikov_numeric(r, orbit, om)
-        m0[:, j] = xi_grid * damping / forcing
+        m0[:, j] = xi_grid * damping / _forcing_amplitude(orbit, om)
     printed = np.empty(shape)
     agrees = np.empty(shape, dtype=bool)
     for i, xi in enumerate(xi_grid.tolist()):

@@ -38,7 +38,6 @@ __all__ = [
     "hamiltonian",
     "scalar_potential",
     "scalar_rhs",
-    "scalar_tangent_rhs",
     "is_smooth_at",
 ]
 
@@ -256,6 +255,32 @@ def damping_factor(p: Params, theta):
     return np.where(d2 > 0.0, ratio * ratio, p.alpha * p.beta)[()]
 
 
+def _jacobian_field(p: Params, theta):
+    """(K, c, c') elementwise: the stiffness, the damping factor and its
+    slope dc/dtheta, from which the Jacobian's second row is
+    [-(K + 2*xi*c'*omega)/kappa, -2*xi*c/kappa].
+
+    K takes the operations of :func:`_stiffness_field` and c those of
+    :func:`damping_factor`, so both have their bits; with r and q the two
+    ratios alpha*beta*sin(theta)/D and alpha*beta*w/D^3 (w as in
+    :func:`_stiffness_field`), c' = 2*r*q.  Where D = 0 they take their
+    limits along the cusp line, K = alpha*beta + gamma, c = alpha*beta and
+    c' = 0, with no division by 0.
+    """
+    ab = p.alpha * p.beta
+    theta = np.asarray(theta, dtype=float)
+    st, ct, s = np.sin(theta), np.cos(theta), np.sin(0.5 * theta)
+    d2 = _radicand(p.alpha, p.beta, s)
+    smooth = d2 > 0.0
+    d2 = np.where(smooth, d2, 1.0)          # any value; masked below
+    dist = np.sqrt(d2)
+    d = p.alpha - p.beta
+    w = d * d * ct - 4.0 * ab * (s * s) * (s * s)
+    r = np.where(smooth, ab * st / dist, 0.0)
+    q = np.where(smooth, ab * w / d2 / dist, 0.0)
+    return (ab + p.gamma) * ct - q, np.where(smooth, r * r, ab), 2.0 * r * q
+
+
 def hamiltonian(p: Params, state) -> float:
     """Total energy 0.5*kappa*omega^2 + potential(theta)."""
     theta, omega = state
@@ -313,57 +338,5 @@ def scalar_rhs(p: Params):
         if m0:
             torque += m0 * sin(om0 * t + phi)
         return omega, torque / kap
-
-    return f
-
-
-def scalar_tangent_rhs(p: Params):
-    """Closure ``f(t, theta, omega, v_theta, v_omega)`` of the system and
-    one tangent vector, returning the four derivatives.
-
-    The first two are :func:`scalar_rhs`'s, by the same operations, so they
-    have the same bits.  The tangent obeys the linearised system v' = J v
-    with the closed-form Jacobian
-    [[0, 1], [-(K + 2*xi*c'*omega)/kappa, -2*xi*c/kappa]]: with r as in
-    :func:`scalar_rhs` and q = alpha*beta*w/D^3 (w as in
-    :func:`_stiffness_field`), the stiffness is
-    K = (alpha*beta + gamma)*cos(theta) - q and c' = 2*r*q.  Where D = 0,
-    r = q = 0: K and c' take their limits along the cusp line, where J is
-    continuous but the moment jumps by 2*alpha at theta = 2*n*pi; the
-    integrator adds that jump's saltation.
-    """
-    a, b, g = p.alpha, p.beta, p.gamma
-    kap, m0, om0, phi = p.kappa, p.m_big0, p.omega_big0, p.phi
-    ab = a * b
-    abg = ab + g
-    dd = (a - b) * (a - b)
-    four_ab = 4.0 * a * b
-    neg_two_xi = -2.0 * p.xi
-    neg_four_xi = 2.0 * neg_two_xi
-    cos, sin, sqrt = math.cos, math.sin, math.sqrt
-    # slope = kappa * d(omega')/d(theta) = -(K + 2*xi*c'*omega) and
-    # damping = kappa * d(omega')/d(omega) = -2*xi*c
-
-    def f(t, theta, omega, v_theta, v_omega):
-        st = sin(theta)
-        ct = cos(theta)
-        s = sin(0.5 * theta)
-        ss = s * s
-        d2 = dd + four_ab * ss
-        if d2:
-            dist = sqrt(d2)
-            r = ab * st / dist
-            q = ab * (dd * ct - four_ab * ss * ss) / d2 / dist
-            damp = r * r
-        else:
-            r = q = 0.0
-            damp = ab
-        damping = neg_two_xi * damp
-        torque = damping * omega - (abg * st - r)
-        if m0:
-            torque += m0 * sin(om0 * t + phi)
-        slope = neg_four_xi * r * q * omega + q - abg * ct
-        return (omega, torque / kap, v_omega,
-                (slope * v_theta + damping * v_omega) / kap)
 
     return f

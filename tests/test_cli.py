@@ -209,6 +209,9 @@ def test_phase_portrait_points_lie_on_their_levels(case):
     ("lyapunov", "--theta0", "inf"),
     ("poincare", "--xi", "0.1"),                  # no drive
     ("poincare", "--m0", "0.02"),                 # no drive frequency
+    # round(horizon / interval) intervals: infinitely many
+    ("lyapunov", "--xi", "0.1", "--m0", "0.1", "--omega0", "0.8",
+     "--horizon", "1e300", "--interval", "1e-300"),
 ])
 def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
                                                         argv):

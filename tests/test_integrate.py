@@ -12,8 +12,7 @@ from clickdyn.integrate import (IntegratorSpec, StepUnderflow,
                                 _refine_crossing, _sample_dense, _strobe,
                                 integrate, integrate_rhs, largest_lyapunov,
                                 measure_free_oscillation, poincare_section)
-from clickdyn.model import (Params, hamiltonian, scalar_rhs,
-                            scalar_tangent_rhs)
+from clickdyn.model import Params, hamiltonian, scalar_rhs
 
 
 def test_spec_validation():
@@ -235,6 +234,7 @@ def test_carried_step_is_a_valid_h_init(monkeypatch):
     {"renorm_interval": math.nan}, {"renorm_interval": math.inf},
     {"horizon": 0.0}, {"horizon": -10.0}, {"horizon": math.nan},
     {"horizon": math.inf},
+    {"horizon": 1e300, "renorm_interval": 1e-300},  # too many intervals
 ])
 def test_lyapunov_rejects_a_bad_run_length(kwargs):
     with pytest.raises(ValueError):
@@ -282,17 +282,17 @@ def test_segmented_runs_keep_the_state_in_python_floats(monkeypatch):
     from clickdyn.hbm import CubicApprox, sweep_hysteresis
 
     seen = set()
-    for mod, name in ((integ, "scalar_rhs"), (integ, "scalar_tangent_rhs"),
-                      (hbm, "scalar_rhs"), (hbm, "_cubic_rhs")):
+    for mod, name in ((integ, "scalar_rhs"), (hbm, "scalar_rhs"),
+                      (hbm, "_cubic_rhs")):
         monkeypatch.setattr(mod, name, _recording(getattr(mod, name), seen))
     p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
     cubic = CubicApprox(omega_n=1.0, epsilon=0.1, origin_theta=0.0)
     state = (float, float)
     runs = [
         (lambda: poincare_section(p, (0.7227, 0.0), 3, discard=2), state),
-        # the state and the tangent (v_theta, v_omega), from numpy floats
+        # from numpy floats
         (lambda: largest_lyapunov(p, np.array([0.7227, 0.0]), horizon=20.0),
-         (float,) * 4),
+         state),
         (lambda: sweep_hysteresis(p, 0.8, 0.9, 2), state),
         (lambda: sweep_hysteresis((cubic, 1.0, 0.1, 0.1), 0.8, 0.9, 2),
          state),
@@ -484,10 +484,6 @@ _CUSP = Params(alpha=1.3, beta=1.3, xi=0.05, m_big0=0.2, omega_big0=1.1)
 _CUSP_LYAP = Params(alpha=1.2, beta=1.2, xi=0.1, m_big0=0.5, omega_big0=1.0)
 
 
-def _kick(p):
-    return 0.0 if p.smooth else 2.0 * p.alpha / p.kappa
-
-
 def _cusp_crossings(thetas):
     return sum((math.sin(0.5 * a) < 0.0) != (math.sin(0.5 * b) < 0.0)
                for a, b in zip(thetas, thetas[1:]))
@@ -500,15 +496,42 @@ def _cusp_crossings(thetas):
     (_CUSP_LYAP, (0.4, 0.0),
      IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=200.0)),
 ], ids=["forced", "cusp", "cusp_lyapunov"])
-def test_tangent_loop_takes_the_plain_loops_steps(p, state0, spec):
-    # The error norm covers (theta, omega) only and the tangent closure's
-    # state part is scalar_rhs's, so the state path is the same to the bit.
-    plain = integ._dop853(scalar_rhs(p), 0.0, state0, spec)
-    times, thetas, omegas, _, stats, h_next = integ._dop853_tangent(
-        scalar_tangent_rhs(p), 0.0, state0, (1.0, 0.0), spec, _kick(p))
+def test_stage_record_holds_the_states_the_rhs_received(p, state0, spec):
+    # Recording the stages leaves the run as it is, to the bit.
+    calls, f = [], scalar_rhs(p)
+
+    def recording(t, theta, omega):
+        calls.append((theta, omega))
+        return f(t, theta, omega)
+
+    plain = integ._dop853(f, 0.0, state0, spec)
+    stages = []
+    times, thetas, omegas, stats, h_next = integ._dop853(
+        recording, 0.0, state0, spec, stages=stages)
     assert (times, thetas, omegas, h_next) == (*plain[:3], plain[4])
     assert stats == plain[3]
+    assert len(stages) == stats.accepted
     assert p.smooth or _cusp_crossings(thetas) >= 3
+    # After the call at the start, every step tried calls f at the stages
+    # 1-11, and an accepted one at its end too; a rejected one takes no
+    # more calls.
+    pos = 1
+    for n, rec in enumerate(stages):
+        assert rec[1:5] == (thetas[n], omegas[n], thetas[n + 1],
+                            omegas[n + 1])
+        want = np.array(list(zip(rec[5::2], rec[6::2]))).tobytes()
+        while np.array(calls[pos:pos + 11]).tobytes() != want:
+            pos += 11
+            assert pos < len(calls)
+        assert calls[pos + 11] == rec[3:5]
+        pos += 12
+    assert pos == len(calls)
+
+
+def _fold(p, stages, v):
+    for p00, p01, p10, p11 in integ._step_jacobians(p, stages):
+        v = (p00 * v[0] + p01 * v[1], p10 * v[0] + p11 * v[1])
+    return np.array(v)
 
 
 @pytest.mark.parametrize("p, state0", [
@@ -518,11 +541,13 @@ def test_tangent_loop_takes_the_plain_loops_steps(p, state0, spec):
 ])
 @pytest.mark.parametrize("v0", [(1.0, 0.0), (0.0, 1.0)])
 def test_tangent_is_the_derivative_of_the_flow(p, state0, v0):
-    # Over one interval the tangent from v0 is the flow map's derivative
-    # along v0; on the cusp line only with the saltation of each crossing.
+    # Over one interval the product of the steps' derivatives is the flow
+    # map's; on the cusp line only with the saltation of each crossing.
     spec = IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13, t_end=5.0)
-    _, thetas, _, v, _, _ = integ._dop853_tangent(
-        scalar_tangent_rhs(p), 0.0, state0, v0, spec, _kick(p))
+    stages = []
+    _, thetas, _, _, _ = integ._dop853(scalar_rhs(p), 0.0, state0, spec,
+                                       stages=stages)
+    v = _fold(p, stages, v0)
     delta, ends = 1e-5, []
     for sign in (1.0, -1.0):
         y0 = (state0[0] + sign * delta * v0[0],
@@ -531,6 +556,22 @@ def test_tangent_is_the_derivative_of_the_flow(p, state0, v0):
     fd = (ends[0] - ends[1]) / (2.0 * delta)
     assert math.hypot(*(v - fd)) <= 1e-5 * math.hypot(*fd)
     assert _cusp_crossings(thetas) == (0 if p.smooth else 1)
+
+
+def test_lyapunov_passes_blocks_of_bounded_length(monkeypatch):
+    # The stage record goes to the pass after the interval that brings it
+    # to _LYAPUNOV_BLOCK steps, so a block holds fewer than that plus one
+    # interval's steps, whatever the horizon.
+    segments = _counting_dop853(monkeypatch)
+    blocks, jacobians = [], integ._step_jacobians
+    monkeypatch.setattr(integ, "_step_jacobians", lambda p, stages: (
+        blocks.append(len(stages)) or jacobians(p, stages)))
+    est = largest_lyapunov(_PERIODIC, (0.7227, 0.0), horizon=7000.0)
+    assert est.segment_rates.size == len(segments) == 1400
+    steps = [a for a, _ in segments]
+    assert sum(blocks) == sum(steps) and len(blocks) > 1
+    assert min(blocks[:-1]) >= integ._LYAPUNOV_BLOCK
+    assert max(blocks) < integ._LYAPUNOV_BLOCK + max(steps)
 
 
 def _two_trajectory_lyapunov(p, state0, horizon, interval, d0=1e-8):

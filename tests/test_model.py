@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from clickdyn.model import (Params, PhysicalParams, barrier_energies,
                             damping_factor, hamiltonian, is_smooth_at, moment,
                             nondimensionalize, potential, scalar_potential,
-                            scalar_rhs, scalar_tangent_rhs, stiffness)
+                            scalar_rhs, stiffness)
 from clickdyn.equilibria import (REGION_DEGENERATE, REGION_DOUBLE_WELL,
                                  REGION_SINGLE_WELL_HARD,
                                  REGION_SINGLE_WELL_SOFT, classify_region,
                                  working_center)
-from clickdyn.model import _moment_curvature, _stiffness_field
+from clickdyn.model import (_jacobian_field, _moment_curvature,
+                            _stiffness_field)
 
 
 def _central(f, x, h=1e-5):
@@ -126,19 +127,22 @@ def test_cusp_line_stiffness_beside_theta_zero():
 
 
 def test_kernels_where_the_radical_vanishes():
-    # On the cusp itself (D = 0) the closures take the fields' convention,
-    # M = 0 and c = alpha*beta, and the Jacobian its limit along the cusp
-    # line, where it is continuous: K = alpha*beta + gamma and c' = 0.
+    # On the cusp itself (D = 0) the closure and the fields take the
+    # fields' convention, M = 0 and c = alpha*beta, and the Jacobian its
+    # limit along the cusp line, where it is continuous:
+    # K = alpha*beta + gamma and c' = 0.
     p = Params(alpha=1.3, beta=1.3, gamma=0.1, xi=0.5)
     ab = 1.3 * 1.3
     assert float(moment(p, 0.0)) == 0.0
     assert float(damping_factor(p, 0.0)) == ab
     assert scalar_rhs(p)(0.0, 0.0, 1.0) == (1.0, -ab)
-    limit = scalar_tangent_rhs(p)(0.0, 0.0, 1.0, 1.0, 0.0)
-    assert limit == (1.0, -ab, 0.0, -(ab + 0.1))
+    limit = _jacobian_field(p, 0.0)
+    assert limit == (ab + 0.1, ab, 0.0)
     for side in (-1e-8, 1e-8):
-        beside = scalar_tangent_rhs(p)(0.0, side, 1.0, 1.0, 0.0)
-        assert beside[3] == pytest.approx(limit[3], abs=1e-7)
+        # kappa times the Jacobian's (2, 1) entry, -(K + 2*xi*c'*omega),
+        # at xi = 1/2 and omega = 1
+        k, _, dc = _jacobian_field(p, side)
+        assert k + dc == pytest.approx(limit[0] + limit[2], abs=1e-7)
 
 
 def test_damping_factor_limit_at_cusp():
@@ -238,20 +242,16 @@ def test_fields_and_kernels_match_mpmath(point, t):
     p = Params(alpha=a, beta=b, gamma=g)
     ref_m, ref_k, ref_c, ref_dc = _mpmath_fields(a, b, g, theta)
     # xi = 0 leaves omega' = -M exactly.  At omega = 2**600 the xi = 1/2
-    # rhs is -c * 2**600 exactly: the moment lies below its last bit.  At
-    # omega = 0 and v = (1, 0), v_omega' = -K; at omega = 2**600 and
-    # xi = 1/2 it is -c' * 2**600 to its last bit.
+    # rhs is -c * 2**600 exactly: the moment lies below its last bit.
     damped = replace(p, xi=0.5)
     big = 2.0**600
+    k, c, dc = (float(x) for x in _jacobian_field(p, theta))
     fields = {
-        "M": (float(moment(p, theta)), -scalar_rhs(p)(t, theta, 0.0)[1],
-              -scalar_tangent_rhs(p)(t, theta, 0.0, 1.0, 0.0)[1]),
-        "K": (float(stiffness(p, theta)),
-              -scalar_tangent_rhs(p)(t, theta, 0.0, 1.0, 0.0)[3]),
+        "M": (float(moment(p, theta)), -scalar_rhs(p)(t, theta, 0.0)[1]),
+        "K": (float(stiffness(p, theta)), k),
         "c": (float(damping_factor(p, theta)),
-              -scalar_rhs(damped)(t, theta, big)[1] / big),
-        "c'": (-scalar_tangent_rhs(damped)(t, theta, big, 1.0, 0.0)[3]
-               / big,),
+              -scalar_rhs(damped)(t, theta, big)[1] / big, c),
+        "c'": (dc,),
     }
     # each error is bounded by the sum of the magnitudes of its terms, so
     # that a zero of K or c' does not inflate it
@@ -285,18 +285,13 @@ def test_scalar_kernels_match_the_fields(point, t):
     # xi = 0 leaves omega' = -M exactly.  At omega = 2**600 the xi = 1/2
     # rhs is -c * 2**600 exactly: the moment lies below its last bit.
     big = 2.0**600
-    moms = (-scalar_rhs(p)(t, theta, 0.0)[1],
-            -scalar_tangent_rhs(p)(t, theta, 0.0, 1.0, 0.0)[1])
-    damps = (-scalar_rhs(replace(p, xi=0.5))(t, theta, big)[1] / big,
-             -scalar_tangent_rhs(replace(p, xi=0.5))(
-                 t, theta, big, 1.0, 0.0)[1] / big)
+    mom = -scalar_rhs(p)(t, theta, 0.0)[1]
+    damp = -scalar_rhs(replace(p, xi=0.5))(t, theta, big)[1] / big
     # the same operations on one D; numpy's and libm's sin and cos may
     # differ in their last bit
     _, m_scale, _, _ = _kernel_scales(a, b, g, theta)
-    for mom in moms:
-        assert abs(mom - ref_m) <= 8 * math.ulp(m_scale)
-    for damp in damps:
-        assert abs(damp - ref_c) <= 8 * math.ulp(ref_c)
+    assert abs(mom - ref_m) <= 8 * math.ulp(m_scale)
+    assert abs(damp - ref_c) <= 8 * math.ulp(ref_c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,9 +302,8 @@ def test_scalar_kernels_match_the_fields(point, t):
 @example((1.5, 1.0, 0.1, -0.7))
 def test_tangent_kernel_stiffness_is_the_fields(point):
     a, b, g, theta = point
-    p = Params(alpha=a, beta=b, gamma=g, xi=0.3)
-    # at omega = 0 and v = (1, 0), v_omega' = -K/kappa exactly
-    k = -scalar_tangent_rhs(p)(0.0, theta, 0.0, 1.0, 0.0)[3]
+    p = Params(alpha=a, beta=b, gamma=g)
+    k = float(_jacobian_field(p, theta)[0])
     ref = float(stiffness(p, theta))
     _, _, k_scale, _ = _kernel_scales(a, b, g, theta)
     assert abs(k - ref) <= 8 * math.ulp(k_scale)
@@ -322,11 +316,8 @@ def test_tangent_kernel_stiffness_is_the_fields(point):
 @example((1.5, 1.0, 0.1, -0.7))
 def test_tangent_kernel_damping_slope_is_the_fields(point):
     a, b, g, theta = point
-    p = Params(alpha=a, beta=b, gamma=g, xi=0.5)
-    # v_omega' = -(K + c'*omega)*v_theta at xi = 1/2 and v = (1, 0); at
-    # omega = 2**600 the stiffness lies below the last bit of c'*omega
-    slope = -scalar_tangent_rhs(p)(0.0, theta, 2.0**600, 1.0, 0.0)[3]
-    slope *= 2.0**-600
+    p = Params(alpha=a, beta=b, gamma=g)
+    slope = float(_jacobian_field(p, theta)[2])
     # c varies on the scale D of the radical off the cusp line and on the
     # scale 1 on it, where c = alpha*beta*cos(theta/2)**2; so does the step
     d = _kernel_scales(a, b, g, theta)[0] if a != b else 1.0
@@ -347,26 +338,6 @@ def test_scalar_and_array_stiffness_are_bit_equal(point, more):
     array = stiffness(p, np.array(thetas, dtype=float))
     np.testing.assert_array_equal(array, [float(stiffness(p, t))
                                           for t in thetas])
-
-
-@settings(max_examples=300, deadline=None)
-@given(_kernel_point(), st.floats(-1e3, 1e3), st.floats(-3.0, 3.0),
-       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
-@example((1.3, 1.3, 0.1, 0.7), 2.5, -0.7, 1.0, 0.5)
-@example((1.5, 1.0, 0.1, -0.7), 2.5, -0.7, 1.0, 0.5)
-@example((1.3, 1.3, 0.1, 0.0), 2.5, -0.7, 1.0, 0.5)     # D = 0
-def test_tangent_kernel_state_part_is_scalar_rhs(point, t, omega, v_theta,
-                                                 v_omega):
-    a, b, g, theta = point
-    free = Params(alpha=a, beta=b, gamma=g)
-    forced = replace(free, xi=0.3, kappa=1.7, m_big0=0.2, omega_big0=1.3,
-                     phi=0.4)
-    for p in (free, forced):
-        got = scalar_tangent_rhs(p)(t, theta, omega, v_theta, v_omega)
-        want = scalar_rhs(p)(t, theta, omega)
-        # bit for bit, the signs of zeros included
-        assert np.array(got[:2]).tobytes() == np.array(want).tobytes()
-        assert got[2] == v_omega
 
 
 # (alpha, beta, gamma) ranges inside each statics region with a center;
