@@ -21,8 +21,8 @@ import numpy as np
 from . import equilibria as eq
 from . import freevib, hbm, melnikov
 from .dataset import Dataset, emit_dataset, emit_manifest
-from .integrate import (IntegratorSpec, integrate, largest_lyapunov,
-                        poincare_section)
+from .integrate import (_MAX_INTERVALS, IntegratorSpec, integrate,
+                        largest_lyapunov, poincare_section)
 from .model import (Params, _stiffness_field, barrier_energies, moment,
                     potential)
 
@@ -87,6 +87,18 @@ def _numbers_or_empty(v, o):
     return None if v == "" else _numbers(v, o)
 
 
+def _nonnegative_numbers(v, o):
+    return _numbers(v, o) or (None if min(_float_list(v)) >= 0.0
+                              else "must all be >= 0")
+
+
+def _few_intervals(v, o):
+    """A Lyapunov interval: at most _MAX_INTERVALS of them in the horizon."""
+    return _positive(v, o) or (
+        None if o["horizon"] / v <= _MAX_INTERVALS
+        else f"must leave horizon / interval <= {_MAX_INTERVALS:,}")
+
+
 def _any(v, o):
     return None
 
@@ -134,7 +146,7 @@ _OPTIONS: dict[str, dict] = {
         "omega_min": (float, 0.2, _positive),
         "omega_max": (float, 3.0, _above("omega_min")),
         "n_omega": (int, 30, _at_least(1)),
-        "xi_values": (str, "0.1,0.2,0.4", _numbers),
+        "xi_values": (str, "0.1,0.2,0.4", _nonnegative_numbers),
     },
     "simulate": {
         **_STATE_OPTS,
@@ -152,7 +164,7 @@ _OPTIONS: dict[str, dict] = {
     "lyapunov": {
         **_STATE_OPTS,
         "horizon": (float, 2000.0, _positive),
-        "interval": (float, 5.0, _positive),
+        "interval": (float, 5.0, _few_intervals),
     },
     "poincare": {
         **_STATE_OPTS,
@@ -411,6 +423,8 @@ def _run_simulate(p: Params, opts) -> list[Dataset]:
 
 
 def _run_sweep(p: Params, opts) -> list[Dataset]:
+    if p.xi <= 0.0:
+        raise ConfigError("sweep requires damping: xi > 0")
     if opts["epsilon"] != 0.0:
         cubic = hbm.CubicApprox(omega_n=1.0 / math.sqrt(p.kappa),
                                 epsilon=opts["epsilon"], origin_theta=0.0)
@@ -436,9 +450,6 @@ def _run_sweep(p: Params, opts) -> list[Dataset]:
 
 
 def _run_lyapunov(p: Params, opts) -> list[Dataset]:
-    if opts["horizon"] / opts["interval"] == math.inf:
-        raise ConfigError(f"horizon / interval must be finite, got "
-                          f"{opts['horizon']!r} / {opts['interval']!r}")
     est = largest_lyapunov(p, (opts["theta0"], opts["omega0_state"]),
                            horizon=opts["horizon"],
                            renorm_interval=opts["interval"])

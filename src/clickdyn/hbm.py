@@ -231,11 +231,6 @@ _BLOCK = 20
 _MAX_PERIODS = 1200
 
 
-def _period(f, x, one_period):
-    """The period map P(x)."""
-    return tuple(integrate_rhs(f, x, one_period).states[-1].tolist())
-
-
 def _monodromy(period, x, px, delta):
     """Finite-difference Jacobian of P at x, row-major (a, b, c, d)."""
     pt = period((x[0] + delta, x[1]))
@@ -428,88 +423,83 @@ def _trace(maps, grid, x):
     return segments
 
 
-def _orbit_amplitude(f, x, one_period):
-    """Half the spread of theta over one period from x.
-
-    The extremes are the turning points (zeros of omega), located on the
-    dense output of the steps that hold them, so they do not depend on
-    where the steps land.
-    """
-    turns = []
-
-    def cb(ta, ya, tb, yb, dense):
-        if ya[1] * yb[1] < 0.0:
-            turns.append(_refine_crossing(dense, comp=1)[1])
-
-    traj = integrate_rhs(f, x, one_period, step_cb=cb)
-    thetas = traj.states[:, 0].tolist() + turns
-    return 0.5 * (max(thetas) - min(thetas))
-
-
-def _steady_amplitude(f, state, t_drive, spec):
-    """Amplitude and state of the stable period-1 orbit reached from state.
-
-    Shoots from the state; when that fails it integrates a transient of
-    _BLOCK periods, which carries its step from period to period, and
-    shoots again, until _MAX_PERIODS periods are spent.  Returns
-    ``(amplitude, state, settled, periods)``; ``settled`` is False when no
-    stable orbit was found within the cap, and ``periods`` counts every
-    drive period integrated.
-    """
-    one_period = replace(spec, t_end=t_drive)
-    spent = 0
-
-    def period(x):
-        nonlocal spent
-        spent += 1
-        return _period(f, x, one_period)
-
-    px = period(state)
-    while spent < _MAX_PERIODS:
-        shot = _shoot(period, state, px, spec.rel_tol)
-        if shot is not None:
-            return (_orbit_amplitude(f, shot[0], one_period), shot[0], True,
-                    spent + 1)
-        *_, state, px = _strobe(f, px, t_drive, _BLOCK, spec)
-        spent += _BLOCK
-    return _orbit_amplitude(f, state, one_period), px, False, spent + 1
-
-
 class _PeriodMaps:
-    """The period maps P(x; s) of one sweep, with a count of the drive
-    periods integrated."""
+    """The period maps P(x; s) of one sweep of ``system`` (as in
+    :func:`sweep_hysteresis`) from its state ``rest``, with a count of the
+    drive periods integrated."""
 
-    def __init__(self, rhs_for_s, spec):
-        self.rhs_for_s, self.spec, self.periods = rhs_for_s, spec, 0
+    def __init__(self, system, spec):
+        full = isinstance(system, Params)
+        if not (system.xi if full else system[2]) > 0.0:
+            raise ValueError("a sweep needs damping: xi > 0")
+        self.system, self.spec, self.periods = system, spec, 0
+        self.omega_n, self.rest = 1.0, (0.0, 0.0)
+        if full:
+            center = working_center(system)
+            self.omega_n = math.sqrt(center.k_local / system.kappa)
+            self.rest = (center.theta, 0.0)
 
     def _setup(self, s):
-        f, drive_freq = self.rhs_for_s(s)
-        return f, replace(self.spec, t_end=2.0 * math.pi / drive_freq)
+        """The rhs at s and the spec of one drive period."""
+        drive = s * self.omega_n
+        f = (scalar_rhs(replace(self.system, omega_big0=drive))
+             if isinstance(self.system, Params)
+             else _cubic_rhs(*self.system, s))
+        return f, replace(self.spec, t_end=2.0 * math.pi / drive)
 
-    def at(self, s):
-        f, one_period = self._setup(s)
-
+    def _map(self, f, one_period):
         def period(x):
             self.periods += 1
-            return _period(f, x, one_period)
+            return tuple(integrate_rhs(f, x, one_period).states[-1].tolist())
 
         return period
 
-    def amplitude(self, s, x):
-        f, one_period = self._setup(s)
+    def at(self, s):
+        """The period map x -> P(x; s)."""
+        return self._map(*self._setup(s))
+
+    def _amplitude(self, f, one_period, x):
+        """Half the spread of theta over one period from x.  The extremes
+        are the turning points (zeros of omega), located on the dense
+        output of the steps that hold them, so they do not depend on where
+        the steps land."""
+        turns = []
+
+        def cb(ta, ya, tb, yb, dense):
+            if ya[1] * yb[1] < 0.0:
+                turns.append(_refine_crossing(dense, comp=1)[1])
+
         self.periods += 1
-        return _orbit_amplitude(f, x, one_period)
+        traj = integrate_rhs(f, x, one_period, step_cb=cb)
+        thetas = traj.states[:, 0].tolist() + turns
+        return 0.5 * (max(thetas) - min(thetas))
+
+    def amplitude(self, s, x):
+        return self._amplitude(*self._setup(s), x)
 
     def settle(self, s, state):
+        """``(amplitude, state, settled)`` of the stable period-1 orbit
+        reached from state at s.  Shoots from the state; when that fails it
+        integrates a transient of _BLOCK periods, which carries its step
+        from period to period, and shoots again, until _MAX_PERIODS periods
+        are spent (then ``settled`` is False).  A transient that escapes
+        raises RuntimeError naming s."""
         f, one_period = self._setup(s)
+        period = self._map(f, one_period)
+        budget = self.periods + _MAX_PERIODS
         try:
-            amp, x, settled, spent = _steady_amplitude(f, state,
-                                                       one_period.t_end,
-                                                       self.spec)
+            px = period(state)
+            while self.periods < budget:
+                shot = _shoot(period, state, px, self.spec.rel_tol)
+                if shot is not None:
+                    return (self._amplitude(f, one_period, shot[0]), shot[0],
+                            True)
+                *_, state, px = _strobe(f, px, one_period.t_end, _BLOCK,
+                                        self.spec)
+                self.periods += _BLOCK
+            return self._amplitude(f, one_period, state), px, False
         except (ArithmeticError, StepUnderflow) as e:
             raise RuntimeError(f"orbit escaped at s = {s:.12g}") from e
-        self.periods += spent
-        return amp, x, settled
 
 
 def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
@@ -533,7 +523,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
     ``(CubicApprox, kappa, xi, B)`` for the canonical cubic oscillator.
     The orbit at s_lo is found from rest (the center) by Newton shooting
     on the period map, with transients where shots fail
-    (:func:`_steady_amplitude`).  From it :func:`_trace` continues the
+    (:meth:`_PeriodMaps.settle`).  From it :func:`_trace` continues the
     period-1 branch over [s_lo, s_hi], around its folds and through its
     unstable middle branch, and solves each stable segment's orbit at each
     grid s it covers, once.  The up sweep stays on its stable segment
@@ -549,23 +539,14 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
     spread of the refined turning angles.  Jumps are flagged where the
     amplitude increment between settled points exceeds 5x the sweep's
     median increment.  ``periods`` counts every drive period integrated.
-    A transient that escapes raises RuntimeError naming its s.
+    A transient that escapes raises RuntimeError naming its s; a system
+    without damping (xi <= 0) raises ValueError, since no orbit of its
+    area-preserving period map is asymptotically stable.
     """
-    spec = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
-    if isinstance(system, Params):
-        rhs_for_s, x0 = _full_system_sweep_setup(system)
-    else:
-        cubic, kappa, xi, b_amp = system
-
-        def rhs_for_s(s):
-            return _cubic_rhs(cubic, kappa, xi, b_amp, s), s
-
-        x0 = (0.0, 0.0)
-
-    maps = _PeriodMaps(rhs_for_s, spec)
+    maps = _PeriodMaps(system, IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10))
     s_up = np.linspace(s_lo, s_hi, n_steps)
     grid = s_up.tolist()
-    amp, state, settled = maps.settle(grid[0], x0)
+    amp, state, settled = maps.settle(grid[0], maps.rest)
     segments = _trace(maps, grid, state) if settled else []
     amplitudes = {(0, 0): amp}
 
@@ -600,17 +581,6 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
                        _detect_jumps(s_up, up_amps, up_unsettled),
                        _detect_jumps(s_down, down_amps, down_unsettled),
                        up_unsettled, down_unsettled, maps.periods)
-
-
-def _full_system_sweep_setup(p: Params):
-    center = working_center(p)
-    omega_n = math.sqrt(center.k_local / p.kappa)
-
-    def rhs_for_s(s):
-        drive = s * omega_n
-        return scalar_rhs(replace(p, omega_big0=drive)), drive
-
-    return rhs_for_s, (center.theta, 0.0)
 
 
 def _detect_jumps(s_values, amps, unsettled) -> list[float]:

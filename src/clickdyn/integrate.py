@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -541,16 +540,18 @@ def measure_free_oscillation(p: Params, state0,
     raise ValueError("no oscillation detected within t_max")
 
 
-def _strobe(f, state, t_step, n, spec):
+def _strobe(f, state, t_step, n, spec, stages=None):
     """Yield the states at t = k * t_step, k = 1..n, from ``state`` at t = 0.
 
     Each segment starts with the step the last one would have taken next,
-    so only the first climbs from ``spec.h_init``."""
+    so only the first climbs from ``spec.h_init``.  ``stages`` is passed
+    on to :func:`_dop853`, so it holds the record of every segment so far
+    when a state is yielded."""
     t, h = 0.0, spec.h_init
     for k in range(1, n + 1):
         t_end = k * t_step
         _, ths, oms, _, h = _dop853(
-            f, t, state, replace(spec, h_init=h, t_end=t_end))
+            f, t, state, replace(spec, h_init=h, t_end=t_end), stages=stages)
         t, state = t_end, (ths[-1], oms[-1])
         yield state
 
@@ -612,8 +613,10 @@ def _step_jacobians(p: Params, stages):
 
 # Steps of a Lyapunov run's stage record per :func:`_step_jacobians` pass:
 # enough to spread numpy's per-call cost, few enough that the record (about
-# 1 kB a step) stays small on a long run.
+# 1 kB a step) stays small on a long run.  A run takes at most
+# _MAX_INTERVALS renormalisation intervals.
 _LYAPUNOV_BLOCK = 512
+_MAX_INTERVALS = 10**6
 
 
 def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
@@ -622,40 +625,37 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
 
     A tangent vector v starts as (1, 0) and follows the linearised system
     (Benettin et al., Meccanica 15, 1980).  The state runs in the plain
-    step loop on :func:`model.scalar_rhs`, at rel_tol 1e-9, which records
-    its stage states; v is carried through each accepted step by that
-    step's derivative, from :func:`_step_jacobians` (with the saltation of
-    each cusp-line crossing), in one array pass over every block of about
+    step loop on :func:`model.scalar_rhs`, at rel_tol 1e-9, one
+    :func:`_strobe` segment per interval, which records its stage states;
+    v is carried through each accepted step by that step's derivative,
+    from :func:`_step_jacobians` (with the saltation of each cusp-line
+    crossing), in one array pass over every block of about
     ``_LYAPUNOV_BLOCK`` steps.  The run lasts
     max(4, round(horizon / renorm_interval)) intervals, so it can be longer
     than ``horizon``.  After each interval the rate log|v| /
     renorm_interval is recorded and v is scaled back to length 1; the
-    exponent is the mean rate.  Each interval starts with the step the last
-    one would have taken next.  Raises ValueError when horizon /
-    renorm_interval is not finite, and RuntimeError when |v| leaves the
+    exponent is the mean rate.  Raises ValueError unless horizon and
+    renorm_interval are positive and finite and horizon / renorm_interval
+    is at most ``_MAX_INTERVALS``, and RuntimeError when |v| leaves the
     range of normal floats (inf, NaN, subnormal or 0) within an interval.
     """
-    if not (0.0 < horizon < math.inf and 0.0 < renorm_interval < math.inf):
-        raise ValueError("horizon and renorm_interval must be finite and > 0")
-    if horizon / renorm_interval == math.inf:
-        raise ValueError(f"horizon / renorm_interval must be finite, got "
-                         f"{horizon!r} / {renorm_interval!r}")
-    spec = IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)
-    f = scalar_rhs(p)
+    if not (0.0 < horizon < math.inf and 0.0 < renorm_interval < math.inf
+            and horizon / renorm_interval <= _MAX_INTERVALS):
+        raise ValueError(f"need finite horizon, renorm_interval > 0 and "
+                         f"horizon / renorm_interval <= {_MAX_INTERVALS:,}, "
+                         f"got {horizon!r} / {renorm_interval!r}")
     n_seg = max(4, int(round(horizon / renorm_interval)))
-    h, y, (vt, vo) = spec.h_init, state0, (1.0, 0.0)
-    stages, segments, rates = [], [], []
-    for k in range(1, n_seg + 1):
-        t, t_end = (k - 1) * renorm_interval, k * renorm_interval
-        _, ths, oms, stats, h = _dop853(
-            f, t, y, replace(spec, h_init=h, t_end=t_end), stages=stages)
-        y = (ths[-1], oms[-1])
-        segments.append((stats.accepted, t_end))
+    vt, vo = 1.0, 0.0
+    stages, ends, rates = [], [], []
+    run = _strobe(scalar_rhs(p), state0, renorm_interval, n_seg,
+                  IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11), stages)
+    for k, _ in enumerate(run, start=1):
+        ends.append(len(stages))    # the record's length at interval k's end
         if len(stages) < _LYAPUNOV_BLOCK and k < n_seg:
             continue
-        maps = iter(_step_jacobians(p, stages))
-        for n, t_end in segments:
-            for p00, p01, p10, p11 in islice(maps, n):
+        maps = _step_jacobians(p, stages)
+        for start, end in zip([0, *ends], ends):
+            for p00, p01, p10, p11 in maps[start:end]:
                 vt, vo = p00 * vt + p01 * vo, p10 * vt + p11 * vo
             norm = math.hypot(vt, vo)
             # below the normal floats |v| has lost digits; stuck at 5e-324
@@ -663,11 +663,12 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
             # decay
             if not sys.float_info.min <= norm < math.inf:
                 raise RuntimeError(f"tangent norm {norm} left the range of "
-                                   f"normal floats by t = {t_end:g}")
+                                   f"normal floats by t = "
+                                   f"{(len(rates) + 1) * renorm_interval:g}")
             rates.append(math.log(norm) / renorm_interval)
             vt, vo = vt / norm, vo / norm
         stages.clear()
-        segments.clear()
+        ends.clear()
     rates = np.asarray(rates)
     n_tail = max(1, len(rates) // 4)
     return LyapunovEstimate(

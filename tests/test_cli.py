@@ -181,6 +181,8 @@ def test_phase_portrait_points_lie_on_their_levels(case):
     ("phase-portrait", "--levels", "0.1,inf"),
     ("melnikov", "--xi-values", ","),
     ("melnikov", "--xi-values", "0.1,nan"),
+    ("melnikov", "--xi-values", "-0.1"),
+    ("melnikov", "--xi-values", "0.1,-0.2"),
     ("energy", "--gamma", "nan"),
     ("equilibria", "--kappa", "inf"),
     ("simulate", "--phi", "nan"),
@@ -209,9 +211,15 @@ def test_phase_portrait_points_lie_on_their_levels(case):
     ("lyapunov", "--theta0", "inf"),
     ("poincare", "--xi", "0.1"),                  # no drive
     ("poincare", "--m0", "0.02"),                 # no drive frequency
+    ("sweep", "--m0", "0.01", "--n", "3"),        # no damping (xi = 0)
+    ("sweep", "--xi", "0", "--epsilon", "-0.01"),
     # round(horizon / interval) intervals: infinitely many
     ("lyapunov", "--xi", "0.1", "--m0", "0.1", "--omega0", "0.8",
      "--horizon", "1e300", "--interval", "1e-300"),
+    # more than integrate._MAX_INTERVALS intervals
+    ("lyapunov", "--xi", "0.1", "--m0", "0.1", "--omega0", "0.8",
+     "--horizon", "1", "--interval", "1e-300"),
+    ("lyapunov", "--horizon", "1000001", "--interval", "1"),
 ])
 def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
                                                         argv):
@@ -238,15 +246,22 @@ def _bad_value(check, opts):
         return st.text(st.characters(codec="ascii",
                                      exclude_categories=["Cc"])).filter(
             lambda v: v not in cell)
-    if kind in ("_numbers", "_numbers_or_empty"):   # one bad entry
+    if kind in ("_numbers", "_numbers_or_empty",
+                "_nonnegative_numbers"):    # one bad entry
+        bad = ["nan", "inf", "-inf", "x", "", "1e"]
+        if kind == "_nonnegative_numbers":
+            bad += ["-0.1", "-5e-324"]
         return st.tuples(
             st.lists(st.floats(-1e3, 1e3).map(repr), max_size=3),
-            st.sampled_from(["nan", "inf", "-inf", "x", "", "1e"]),
+            st.sampled_from(bad),
             st.integers(0, 3),
         ).map(lambda t: ",".join(t[0][:t[2]] + [t[1]] + t[0][t[2]:])
               ).filter(lambda v: v != "")
     if kind == "_positive":
         values = st.one_of(below.map(lambda d: -d), non_finite)
+    elif kind == "_few_intervals":  # or too many in the default horizon
+        values = st.one_of(below.map(lambda d: -d), non_finite, st.floats(
+            0.0, 0.5 * opts["horizon"][1] / cli._MAX_INTERVALS))
     elif kind == "_nonnegative":
         values = st.one_of(below.map(lambda d: -math.ulp(0.0) - d),
                            non_finite)

@@ -308,21 +308,37 @@ def test_a_sweep_off_the_traced_branch_keeps_to_its_own_orbit():
 
 def test_an_escaping_orbit_names_its_frequency(tmp_path, capsys):
     # a softening cubic driven over its barrier at x = sqrt(2)
-    assert main(["sweep", "--alpha", "1", "--epsilon", "-0.5", "--drive",
-                 "0.5", "--n", "4", "--out", str(tmp_path)]) == 3
+    assert main(["sweep", "--alpha", "1", "--xi", "0.01", "--epsilon", "-0.5",
+                 "--drive", "0.5", "--n", "4", "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err == (
         "error:numeric: orbit escaped at s = 0.5\n")
 
 
+@pytest.mark.parametrize("system", [
+    Params(alpha=1.5, beta=1.0, m_big0=0.01),
+    (CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0), 1.0, 0.0,
+     0.05),
+])
+def test_an_undamped_sweep_is_refused(system, monkeypatch):
+    # xi = 0: the period map preserves area, so no orbit is asymptotically
+    # stable and the stability verdict would rest on rounding; refused
+    # before a period is integrated
+    def integrated(*args, **kwargs):
+        raise AssertionError("a period was integrated")
+
+    monkeypatch.setattr(hbm, "integrate_rhs", integrated)
+    with pytest.raises(ValueError, match="xi > 0"):
+        sweep_hysteresis(system, 0.9, 1.0, 3)
+
+
 def test_sweep_counts_every_drive_period_it_integrates(monkeypatch,
                                                         tmp_path):
+    # one drive period per integrate_rhs run (period maps, amplitudes),
+    # n per _strobe transient
     runs = []
-    period, amplitude, strobe = (hbm._period, hbm._orbit_amplitude,
-                                 hbm._strobe)
-    monkeypatch.setattr(hbm, "_period",
-                        lambda *a: runs.append(1) or period(*a))
-    monkeypatch.setattr(hbm, "_orbit_amplitude",
-                        lambda *a: runs.append(1) or amplitude(*a))
+    one_run, strobe = hbm.integrate_rhs, hbm._strobe
+    monkeypatch.setattr(hbm, "integrate_rhs",
+                        lambda *a, **k: runs.append(1) or one_run(*a, **k))
     monkeypatch.setattr(hbm, "_strobe",
                         lambda *a: runs.append(a[3]) or strobe(*a))
     monkeypatch.setattr(hbm, "_MAX_PERIODS", 60)
@@ -344,7 +360,7 @@ def test_sweep_counts_every_drive_period_it_integrates(monkeypatch,
             "periods": res.periods}
 
 
-# Newton shooting on the period map (hbm._steady_amplitude).  The cubic of
+# Newton shooting on the period map (hbm._PeriodMaps.settle).  The cubic of
 # acceptance check 08: folds at s = 0.97395 and 0.97798.
 CUBIC08 = (CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0),
            1.0, 0.01, 0.05)
@@ -352,9 +368,9 @@ SPEC = IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10)
 
 
 def _period_map(s):
-    f = hbm._cubic_rhs(*CUBIC08, s)
-    one = replace(SPEC, t_end=2.0 * math.pi / s)
-    return f, one, (lambda x: hbm._period(f, x, one))
+    """The period maps of a sweep of CUBIC08, and its map at s."""
+    maps = hbm._PeriodMaps(CUBIC08, SPEC)
+    return maps, maps.at(s)
 
 
 def _hbm_state(s, root):
@@ -370,9 +386,8 @@ def sweep08():
 
 @pytest.mark.parametrize("s, root", [(0.968, 0), (0.976, 0), (0.976, 2)])
 def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
-    f, one, period = _period_map(s)
-    amp, x, settled, _ = hbm._steady_amplitude(f, _hbm_state(s, root),
-                                            one.t_end, SPEC)
+    maps, period = _period_map(s)
+    amp, x, settled = maps.settle(s, _hbm_state(s, root))
     assert settled
     px = period(x)
     scale = 1.0 + math.hypot(*x)
@@ -386,7 +401,7 @@ def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
 
 def test_unstable_middle_branch_is_rejected(monkeypatch):
     s = 0.976
-    f, one, period = _period_map(s)
+    maps, period = _period_map(s)
     x = _hbm_state(s, 1)
     # Newton converges on the middle branch, a saddle of P ...
     verdicts = []
@@ -397,7 +412,7 @@ def test_unstable_middle_branch_is_rejected(monkeypatch):
     assert verdicts == [False]
     monkeypatch.undo()
     # ... so the sweep leaves it for one of the stable branches
-    amp, _, settled, _ = hbm._steady_amplitude(f, x, one.t_end, SPEC)
+    amp, _, settled = maps.settle(s, x)
     low, mid, high = (a for a, _ in frf_amplitudes(*CUBIC08, s))
     assert settled
     assert min(abs(amp - low), abs(amp - high)) < 0.05 * mid
@@ -442,11 +457,10 @@ def test_sweep_amplitude_matches_a_long_transient(sweep08, k):
 def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
     # the high branch at s = 0.9745 ends at the lower fold 0.97395; the
     # first grid point past it has only the low branch
-    f, one, _ = _period_map(0.9745)
-    high, x, *_ = hbm._steady_amplitude(f, _hbm_state(0.9745, 2), one.t_end,
-                                       SPEC)
+    maps, _ = _period_map(0.9745)
+    high, x, _ = maps.settle(0.9745, _hbm_state(0.9745, 2))
     s = 0.9735
-    f, one, period = _period_map(s)
+    maps, period = _period_map(s)
     px = period(x)
     calls = []
     assert hbm._shoot(lambda y: calls.append(y) or period(y), x, px,
@@ -458,7 +472,7 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
     shoot = hbm._shoot
     monkeypatch.setattr(hbm, "_shoot",
                         lambda *a: shots.append(shoot(*a)) or shots[-1])
-    amp, _, settled, _ = hbm._steady_amplitude(f, x, one.t_end, SPEC)
+    amp, _, settled = maps.settle(s, x)
     assert settled and len(shots) > 1 and shots[0] is None
     (low, _), = frf_amplitudes(*CUBIC08, s)
     assert amp == pytest.approx(low, rel=0.05)
@@ -513,7 +527,7 @@ def test_full_system_sweep_drives_with_the_configured_phase(tmp_path):
     p = Params(alpha=1.5, beta=1.0, xi=0.05, m_big0=0.015)
 
     def accel_at_t0(phi):
-        f, _ = hbm._full_system_sweep_setup(replace(p, phi=phi))[0](0.9)
+        f, _ = hbm._PeriodMaps(replace(p, phi=phi), SPEC)._setup(0.9)
         return f(0.0, 0.5, 0.0)[1]
 
     assert accel_at_t0(1.3) - accel_at_t0(0.0) == pytest.approx(

@@ -235,8 +235,17 @@ def test_carried_step_is_a_valid_h_init(monkeypatch):
     {"horizon": 0.0}, {"horizon": -10.0}, {"horizon": math.nan},
     {"horizon": math.inf},
     {"horizon": 1e300, "renorm_interval": 1e-300},  # too many intervals
+    {"horizon": 1.0, "renorm_interval": 1e-300},
+    {"horizon": 1e6 + 1.0, "renorm_interval": 1.0},
+    {"horizon": 1e-3, "renorm_interval": 1e-3 / (1e6 + 1.0)},
 ])
-def test_lyapunov_rejects_a_bad_run_length(kwargs):
+def test_lyapunov_rejects_a_bad_run_length(kwargs, monkeypatch):
+    # refused before the first step: with a step loop that raises, a run
+    # that is not refused fails fast instead of running for ever
+    def integrated(*args, **kwargs):
+        raise AssertionError("the step loop ran")
+
+    monkeypatch.setattr(integ, "_dop853", integrated)
     with pytest.raises(ValueError):
         largest_lyapunov(_PERIODIC, (0.7227, 0.0), **kwargs)
 
