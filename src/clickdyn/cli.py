@@ -21,7 +21,7 @@ import numpy as np
 from . import equilibria as eq
 from . import freevib, hbm, melnikov
 from .dataset import Dataset, emit_dataset, emit_manifest
-from .integrate import (_MAX_INTERVALS, IntegratorSpec, integrate,
+from .integrate import (_MAX_INTERVALS, _T_MAX, IntegratorSpec, integrate,
                         largest_lyapunov, poincare_section)
 from .model import (Params, _stiffness_field, barrier_energies, moment,
                     potential)
@@ -92,11 +92,18 @@ def _nonnegative_numbers(v, o):
                               else "must all be >= 0")
 
 
+def _duration(v, o):
+    return None if 0.0 < v <= _T_MAX else f"must be in (0, {_T_MAX:g}]"
+
+
 def _few_intervals(v, o):
-    """A Lyapunov interval: at most _MAX_INTERVALS of them in the horizon."""
+    """A Lyapunov interval: at most _MAX_INTERVALS of them in the horizon,
+    and the run's max(4, horizon / interval) of them end by _T_MAX."""
     return _positive(v, o) or (
         None if o["horizon"] / v <= _MAX_INTERVALS
-        else f"must leave horizon / interval <= {_MAX_INTERVALS:,}")
+        and max(4, round(o["horizon"] / v)) * v <= _T_MAX
+        else f"must leave horizon / interval <= {_MAX_INTERVALS:,} and "
+             f"max(4, horizon / interval) * interval <= {_T_MAX:g}")
 
 
 def _any(v, o):
@@ -150,7 +157,7 @@ _OPTIONS: dict[str, dict] = {
     },
     "simulate": {
         **_STATE_OPTS,
-        "t_end": (float, 100.0, _positive),
+        "t_end": (float, 100.0, _duration),
         "rel_tol": (float, 1e-10, _positive),
         "abs_tol": (float, 1e-12, _positive),
     },
@@ -463,6 +470,10 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
 def _run_poincare(p: Params, opts) -> list[Dataset]:
     if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
         raise ConfigError("poincare requires a drive: m0 > 0 and omega0 > 0")
+    if (opts["discard"] + opts["n_points"]) * 2.0 * math.pi / p.omega_big0 \
+            > _T_MAX:
+        raise ConfigError(f"poincare integrates discard + n_points drive "
+                          f"periods, which must end by t = {_T_MAX:g}")
     pm = poincare_section(p, (opts["theta0"], opts["omega0_state"]),
                           opts["n_points"], opts["discard"])
     rows = [(float(th), float(om)) for th, om in pm.points]

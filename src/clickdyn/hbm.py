@@ -15,14 +15,11 @@ asymmetric center its quadratic term enters eps as the effective cubic
 coefficient, and is reported alongside.  The relation is a cubic in
 u = A^2 whose discriminant gives both the root count and the folds.
 
-The swept response comes from direct integration instead: one
-continuation of the period-1 orbit of the cubic oscillator or of the full
-system over the swept frequencies, by Newton shooting on the period map
-and pseudo-arclength steps around its folds.  The up and down sweeps
-share its orbits and read their jumps off it, assuming an S-shaped
-branch.  Only the first orbit, and a sweep that leaves the branch where
-no stable part of it covers the next frequency, fall back on shots from
-the last state and transients.
+The swept response comes from direct integration instead: continuation of
+the period-1 orbits of the cubic oscillator or of the full system, by
+Newton shooting on the period map and pseudo-arclength steps around its
+folds.  The sweeps read their orbits off the stable segments of the
+branches they settle on, and a jump is a change of segment.
 """
 
 from __future__ import annotations
@@ -224,8 +221,8 @@ def frf_curve(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
 
 # Newton on the period map: at most _NEWTON_ITER iterates per attempt.  A
 # transient runs in blocks of _BLOCK periods between attempts, at most about
-# _MAX_PERIODS periods per point; a sweep's trace of its branch stops after
-# _MAX_PERIODS periods per grid point.
+# _MAX_PERIODS periods per point; a sweep's traces of its branches stop once
+# it has spent _MAX_PERIODS periods per grid point.
 _NEWTON_ITER = 8
 _BLOCK = 20
 _MAX_PERIODS = 1200
@@ -340,36 +337,39 @@ def _tangent(m, ps, ref):
     return (n[0] / norm, n[1] / norm, n[2] / norm)
 
 
-def _trace(maps, grid, x):
-    """Stable segments of the period-1 branch through the orbit x at grid[0].
+def _trace(maps, grid, x, k, sigma):
+    """Stable segments of the period-1 branch through the orbit x at grid[k].
 
-    Continuation of P(x; s) = x in (x, s) from s = grid[0], s increasing
-    (Seydel, *Practical Bifurcation and Stability Analysis*, ch. 4).  From
-    a stable orbit, the next grid value of its segment is taken by a
-    Newton shot at that s from the tangent predictor.  A shot counts only
-    if it finds a stable orbit whose tangent, oriented along the secant
-    from the last orbit, still points the same way in s; a reversal means
-    that it jumped to another branch across a fold.  Where the shot fails,
-    or the grid value is out of reach of the step, a pseudo-arclength step
-    is taken, halved until its corrector converges within the step of its
-    predictor.  Such steps carry the curve around a fold, where the
-    tangent's s-component changes sign, and along an unstable branch.  The trace ends where the curve leaves
+    Continuation of P(x; s) = x in (x, s) from s = grid[k], s moving in the
+    direction sigma = +1 or -1 (Seydel, *Practical Bifurcation and
+    Stability Analysis*, ch. 4).  From a stable orbit, the next grid value
+    of its segment is taken by a Newton shot at that s from the tangent
+    predictor.  A shot counts only if it finds a stable orbit whose
+    tangent, oriented along the secant from the last orbit, still points
+    the same way in s; a reversal means that it jumped to another branch
+    across a fold.  Where the shot fails, or the grid value is out of reach
+    of the step, a pseudo-arclength step is taken, halved until its
+    corrector converges within the step of its predictor.  Such steps carry
+    the curve around a fold, where the tangent's s-component changes sign,
+    and along an unstable branch.  The trace ends where the curve leaves
     [grid[0], grid[-1]], where the step falls below the difference step,
-    or after _MAX_PERIODS periods per grid point.  Returns the stable
-    segments in the order of the curve, each a dict from grid index to
-    the orbit's state at that s.
+    or once the sweep has spent _MAX_PERIODS periods per grid point.
+    Returns the stable segments in the order of the curve, each a dict
+    from grid index to the orbit's state at that s, the first holding x.
     """
     rel_tol = maps.spec.rel_tol
     n = len(grid)
-    budget = maps.periods + _MAX_PERIODS * n
+    if not 0 <= k + sigma < n:
+        return [{k: x}]
+    budget = _MAX_PERIODS * n
 
     def tangent(x, s, px, m, ref):
         return _tangent(m, _s_column(maps.at, x, s, px, rel_tol), ref)
 
-    x, s, px, m = _newton(maps.at, x, grid[0], None, rel_tol)
-    t = tangent(x, s, px, m, (0.0, 0.0, 1.0))
-    segments = [{0: x}]
-    k, step, stable, s_prev = 1, math.inf, True, s
+    x, s, px, m = _newton(maps.at, x, grid[k], None, rel_tol)
+    t = tangent(x, s, px, m, (0.0, 0.0, sigma))
+    segments = [{k: x}]
+    k, step, stable, s_prev = k + sigma, math.inf, True, s
     while maps.periods < budget:
         sigma = 1 if t[2] > 0.0 else -1
         if (s >= grid[-1]) if sigma > 0 else (s <= grid[0]):
@@ -458,11 +458,11 @@ class _PeriodMaps:
         """The period map x -> P(x; s)."""
         return self._map(*self._setup(s))
 
-    def _amplitude(self, f, one_period, x):
-        """Half the spread of theta over one period from x.  The extremes
-        are the turning points (zeros of omega), located on the dense
-        output of the steps that hold them, so they do not depend on where
-        the steps land."""
+    def amplitude(self, f, one_period, x):
+        """Half the spread of theta over one period from x (f, one_period
+        as from :meth:`_setup`).  The extremes are the turning points (zeros
+        of omega), located on the dense output of the steps that hold them,
+        so they do not depend on where the steps land."""
         turns = []
 
         def cb(ta, ya, tb, yb, dense):
@@ -473,9 +473,6 @@ class _PeriodMaps:
         traj = integrate_rhs(f, x, one_period, step_cb=cb)
         thetas = traj.states[:, 0].tolist() + turns
         return 0.5 * (max(thetas) - min(thetas))
-
-    def amplitude(self, s, x):
-        return self._amplitude(*self._setup(s), x)
 
     def settle(self, s, state):
         """``(amplitude, state, settled)`` of the stable period-1 orbit
@@ -492,12 +489,12 @@ class _PeriodMaps:
             while self.periods < budget:
                 shot = _shoot(period, state, px, self.spec.rel_tol)
                 if shot is not None:
-                    return (self._amplitude(f, one_period, shot[0]), shot[0],
+                    return (self.amplitude(f, one_period, shot[0]), shot[0],
                             True)
                 *_, state, px = _strobe(f, px, one_period.t_end, _BLOCK,
                                         self.spec)
                 self.periods += _BLOCK
-            return self._amplitude(f, one_period, state), px, False
+            return self.amplitude(f, one_period, state), px, False
         except (ArithmeticError, StepUnderflow) as e:
             raise RuntimeError(f"orbit escaped at s = {s:.12g}") from e
 
@@ -516,90 +513,92 @@ def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
 
 def sweep_hysteresis(system, s_lo: float, s_hi: float,
                      n_steps: int) -> SweepResult:
-    """Up and down frequency sweeps read off one traced period-1 branch.
+    """Up and down frequency sweeps on the stable segments of the traced
+    period-1 branches they settle on.
 
-    ``system`` is either a full :class:`~clickdyn.model.Params` (swept in
-    the ratio s = Omega0 / Omega_n about its interior center) or a tuple
-    ``(CubicApprox, kappa, xi, B)`` for the canonical cubic oscillator.
-    The orbit at s_lo is found from rest (the center) by Newton shooting
-    on the period map, with transients where shots fail
-    (:meth:`_PeriodMaps.settle`).  From it :func:`_trace` continues the
-    period-1 branch over [s_lo, s_hi], around its folds and through its
-    unstable middle branch, and solves each stable segment's orbit at each
-    grid s it covers, once.  The up sweep stays on its stable segment
-    while that segment covers the next grid s; past a fold it takes the
-    stable segment that covers s, the nearest along the curve, which on
-    an S-shaped branch is the other stable branch.  The down sweep starts
-    where the up sweep ended and reads the same orbits.  Where no stable
-    segment covers the next grid s (chaos, or a branch that left
-    [s_lo, s_hi]), the sweep leaves the traced branch: from then on each
-    s gets a shot from the sweep's last state and transients where it
-    fails; where that finds no stable orbit within _MAX_PERIODS periods
-    the point is listed in ``up_unsettled`` / ``down_unsettled``.  Amplitudes are half the
-    spread of the refined turning angles.  Jumps are flagged where the
-    amplitude increment between settled points exceeds 5x the sweep's
-    median increment.  ``periods`` counts every drive period integrated.
-    A transient that escapes raises RuntimeError naming its s; a system
-    without damping (xi <= 0) raises ValueError, since no orbit of its
-    area-preserving period map is asymptotically stable.
+    ``system`` is a full :class:`~clickdyn.model.Params` (swept in the ratio
+    s = Omega0 / Omega_n about its interior center) or a tuple
+    ``(CubicApprox, kappa, xi, B)`` for the canonical cubic oscillator.  A
+    sweep keeps to its stable segment while it covers the next grid s, then
+    takes the one that covers s, the nearest in the order of the traces.
+    Where none does, from rest (the center) at the start and after an
+    unsettled point, it settles an orbit from its last state
+    (:meth:`_PeriodMaps.settle`).  The segment that holds that orbit to
+    within the difference step takes it, or :func:`_trace` traces its
+    branch both ways; a segment traced twice is merged.  The down sweep
+    starts where the up sweep ended.  A jump is a change of segment between
+    settled points (:func:`_jumps`).  Points where no stable orbit settles
+    within _MAX_PERIODS periods are listed in ``up_unsettled`` /
+    ``down_unsettled``.  Amplitudes are half the spread of the refined
+    turning angles; ``periods`` counts every drive period integrated.  A
+    transient that escapes raises RuntimeError naming its s; xi <= 0 raises
+    ValueError, as no orbit of an area-preserving map is asymptotically
+    stable.
     """
     maps = _PeriodMaps(system, IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10))
-    s_up = np.linspace(s_lo, s_hi, n_steps)
-    grid = s_up.tolist()
-    amp, state, settled = maps.settle(grid[0], maps.rest)
-    segments = _trace(maps, grid, state) if settled else []
-    amplitudes = {(0, 0): amp}
+    grid = np.linspace(s_lo, s_hi, n_steps).tolist()
+    segments, amplitudes = [], {}
+
+    def held(new):
+        """The first segment holding an orbit of new, to the difference step."""
+        return next((i for i, sg in enumerate(segments) if any(
+            k in sg and math.dist(sg[k], x)
+            <= math.sqrt(maps.spec.rel_tol) * (1.0 + math.hypot(*x))
+            for k, x in new.items())), None)
+
+    def add(new):
+        """Index of new, merged into a segment that holds one of its orbits."""
+        i = held(new)
+        if i is None:
+            segments.append(new)
+            return len(segments) - 1
+        segments[i] = new | segments[i]
+        return i
+
+    def land(k, state):
+        """(segment, amplitude, orbit) settled from state at grid[k], the
+        segment None if unsettled; an orbit no segment held is traced."""
+        amp, x, settled = maps.settle(grid[k], state)
+        if not settled:
+            return None, amp, x
+        seg = held({k: x})
+        if seg is None:
+            back, ahead = (_trace(maps, grid, x, k, sigma)
+                           for sigma in (-1, 1))
+            seg = [add(new) for new in back[:0:-1] + [back[0] | ahead[0]]
+                   + ahead[1:]][len(back) - 1]
+        return seg, amplitudes.setdefault((seg, k), amp), segments[seg][k]
 
     def walk(order, seg, state):
-        """(amplitude, settled) at the grid indices of order, from the
-        orbit ``state`` on segment seg; None once off the traced branch."""
+        """(s, amplitude, segment) rows of order, from state on segment seg."""
         rows = []
         for k in order:
-            if seg is not None and k not in segments[seg]:
-                near = [i for i, sg in enumerate(segments) if k in sg]
-                seg = min(near, key=lambda i: abs(i - seg), default=None)
-            if seg is None:
-                amp, state, settled = maps.settle(grid[k], state)
+            near = [i for i, sg in enumerate(segments) if k in sg]
+            if seg is None or not near:
+                seg, amp, state = land(k, state)
             else:
-                state, settled = segments[seg][k], True
+                seg = min(near, key=lambda i: abs(i - seg))
+                state = segments[seg][k]
                 if (seg, k) not in amplitudes:
-                    amplitudes[seg, k] = maps.amplitude(grid[k], state)
+                    amplitudes[seg, k] = maps.amplitude(*maps._setup(grid[k]),
+                                                        state)
                 amp = amplitudes[seg, k]
-            rows.append((amp, settled))
+            rows.append((grid[k], amp, seg))
         return rows, seg, state
 
-    up, seg, state = walk(range(1, n_steps), 0 if settled else None, state)
-    up = [(amp, settled)] + up
+    up, seg, state = walk(range(n_steps), None, maps.rest)
     down = up[-1:] + walk(range(n_steps - 2, -1, -1), seg, state)[0]
-    s_down = s_up[::-1]
-    up_amps, down_amps = (np.array([a for a, _ in rows])
-                          for rows in (up, down))
-    up_unsettled, down_unsettled = (
-        [s for s, (_, ok) in zip(s_values.tolist(), rows) if not ok]
-        for s_values, rows in ((s_up, up), (s_down, down)))
-    return SweepResult(s_up, up_amps, s_down, down_amps,
-                       _detect_jumps(s_up, up_amps, up_unsettled),
-                       _detect_jumps(s_down, down_amps, down_unsettled),
-                       up_unsettled, down_unsettled, maps.periods)
+    up_s, up_a, down_s, down_a = (np.array(column) for rows in (up, down)
+                                  for column in list(zip(*rows))[:2])
+    return SweepResult(up_s, up_a, down_s, down_a, _jumps(up), _jumps(down),
+                       *([s for s, _, seg in rows if seg is None]
+                         for rows in (up, down)), maps.periods)
 
 
-def _detect_jumps(s_values, amps, unsettled) -> list[float]:
-    """Midpoints of the amplitude jumps of a sweep.
-
-    An unsettled point holds no steady amplitude, so increments are taken
-    between consecutive settled points; a jump is one above 5x their
-    median (and 1e-6), placed midway between its two settled points.
-    """
-    settled = ~np.isin(s_values, unsettled)
-    s_values, amps = s_values[settled], amps[settled]
-    increments = np.abs(np.diff(amps))
-    if increments.size == 0:
-        return []
-    ref = np.median(increments)
-    if ref <= 0.0:
-        ref = increments.mean() or 1.0
-    jumps = []
-    for i, inc in enumerate(increments):
-        if inc > 5.0 * ref and inc > 1e-6:
-            jumps.append(0.5 * (s_values[i] + s_values[i + 1]))
-    return jumps
+def _jumps(rows) -> list[float]:
+    """Midpoints between consecutive settled points of a sweep's rows
+    (s, amplitude, segment) on different segments; unsettled points
+    (segment None) are skipped, so a jump across them is read once."""
+    settled = [(s, seg) for s, _, seg in rows if seg is not None]
+    return [0.5 * (s0 + s1) for (s0, g0), (s1, g1)
+            in zip(settled, settled[1:]) if g0 != g1]

@@ -45,6 +45,11 @@ __all__ = [
 _H_MIN = 1e-12
 _H_MAX = 1.0
 
+# The longest time any run integrates: 10**6 Lyapunov intervals of the
+# default length 5, and then some.  A run past it would not end in any
+# useful time, so it is refused before the first step.
+_T_MAX = 1e7
+
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5,
 # stages counted from 0 as in scipy's ``dop853_coefficients``), read by the
 # step loop into local names: the nodes c1-c10, the rows 1-11 of A without
@@ -137,6 +142,8 @@ class IntegratorSpec:
             raise ValueError("tolerances must be positive")
         if not _H_MIN <= self.h_init <= _H_MAX:
             raise ValueError(f"need {_H_MIN:g} <= h_init <= {_H_MAX:g}")
+        if self.t_end > _T_MAX:
+            raise ValueError(f"need t_end <= {_T_MAX:g}, got {self.t_end!r}")
 
 
 @dataclass
@@ -558,11 +565,17 @@ def _strobe(f, state, t_step, n, spec, stages=None):
 
 def poincare_section(p: Params, state0, n_points: int,
                      discard: int = 200) -> PoincareMap:
-    """Stroboscopic samples at the drive period, after a transient discard."""
+    """Stroboscopic samples at the drive period, after a transient discard.
+
+    Raises ValueError unless M0 > 0, Omega0 > 0, discard >= 0, n_points >= 1
+    and the run's discard + n_points drive periods end by ``_T_MAX``."""
     if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
         raise ValueError("Poincare section requires M0 > 0 and Omega0 > 0")
     if discard < 0 or n_points < 1:
         raise ValueError("need discard >= 0 and n_points >= 1")
+    if (discard + n_points) * 2.0 * math.pi / p.omega_big0 > _T_MAX:
+        raise ValueError(f"need (discard + n_points) drive periods <= "
+                         f"{_T_MAX:g}")
     states = list(_strobe(scalar_rhs(p), tuple(state0),
                           2.0 * math.pi / p.omega_big0, discard + n_points,
                           IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)))
@@ -614,7 +627,7 @@ def _step_jacobians(p: Params, stages):
 # Steps of a Lyapunov run's stage record per :func:`_step_jacobians` pass:
 # enough to spread numpy's per-call cost, few enough that the record (about
 # 1 kB a step) stays small on a long run.  A run takes at most
-# _MAX_INTERVALS renormalisation intervals.
+# _MAX_INTERVALS renormalisation intervals, and ends by _T_MAX.
 _LYAPUNOV_BLOCK = 512
 _MAX_INTERVALS = 10**6
 
@@ -635,9 +648,10 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
     than ``horizon``.  After each interval the rate log|v| /
     renorm_interval is recorded and v is scaled back to length 1; the
     exponent is the mean rate.  Raises ValueError unless horizon and
-    renorm_interval are positive and finite and horizon / renorm_interval
-    is at most ``_MAX_INTERVALS``, and RuntimeError when |v| leaves the
-    range of normal floats (inf, NaN, subnormal or 0) within an interval.
+    renorm_interval are positive and finite, horizon / renorm_interval
+    is at most ``_MAX_INTERVALS`` and the run ends by ``_T_MAX``, and
+    RuntimeError when |v| leaves the range of normal floats (inf, NaN,
+    subnormal or 0) within an interval.
     """
     if not (0.0 < horizon < math.inf and 0.0 < renorm_interval < math.inf
             and horizon / renorm_interval <= _MAX_INTERVALS):
@@ -645,6 +659,9 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
                          f"horizon / renorm_interval <= {_MAX_INTERVALS:,}, "
                          f"got {horizon!r} / {renorm_interval!r}")
     n_seg = max(4, int(round(horizon / renorm_interval)))
+    if n_seg * renorm_interval > _T_MAX:
+        raise ValueError(f"need {n_seg} intervals of {renorm_interval!r} "
+                         f"<= {_T_MAX:g}")
     vt, vo = 1.0, 0.0
     stages, ends, rates = [], [], []
     run = _strobe(scalar_rhs(p), state0, renorm_interval, n_seg,

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clickdyn.integrate as integ
 from clickdyn import cli
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, format_value, read_csv
@@ -228,6 +229,32 @@ def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error:config:")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("lyapunov", "--xi", "0.1", "--m0", "0.1", "--omega0", "0.8",
+      "--interval", "1e300"), 2),
+    (("lyapunov", "--xi", "0.1", "--m0", "0.1", "--omega0", "0.8",
+      "--horizon", "1e300", "--interval", "1e295"), 2),
+    (("simulate", "--t-end", "1e300"), 2),
+    (("poincare", "--xi", "0.1", "--m0", "0.1", "--omega0", "1e-300",
+      "--n-points", "1", "--discard", "0"), 2),
+    # a drive period of 6e300 at s_min
+    (("sweep", "--xi", "0.1", "--m0", "0.01", "--s-min", "1e-300",
+      "--s-max", "1", "--n", "2"), 3),
+])
+def test_a_run_past_the_time_bound_is_refused_before_a_step(
+        argv, code, tmp_path, capsys, monkeypatch):
+    # every run integrates at most integrate._T_MAX; with a step loop that
+    # raises, a run that is not refused fails fast instead of never ending
+    def integrated(*args, **kwargs):
+        raise AssertionError("the step loop ran")
+
+    monkeypatch.setattr(integ, "_dop853", integrated)
+    assert run_cli(*argv, "--alpha", "1.5", "--out", str(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:" if code == 2 else "error:numeric:")
+    assert "1e+07" in err
+
+
 def _bad_value(check, opts):
     """Strategy of values the validator ``check`` of an ``opts`` table
     rejects, as flag text.
@@ -259,6 +286,9 @@ def _bad_value(check, opts):
               ).filter(lambda v: v != "")
     if kind == "_positive":
         values = st.one_of(below.map(lambda d: -d), non_finite)
+    elif kind == "_duration":       # or past integrate._T_MAX
+        values = st.one_of(below.map(lambda d: -d), non_finite,
+                           st.floats(cli._T_MAX, 1e300, exclude_min=True))
     elif kind == "_few_intervals":  # or too many in the default horizon
         values = st.one_of(below.map(lambda d: -d), non_finite, st.floats(
             0.0, 0.5 * opts["horizon"][1] / cli._MAX_INTERVALS))

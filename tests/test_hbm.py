@@ -298,12 +298,36 @@ def test_linear_sweep_no_hysteresis():
 
 def test_a_sweep_off_the_traced_branch_keeps_to_its_own_orbit():
     # The branch folds near s = 0.91 and its unstable middle part leaves
-    # the range through s_min, so the upper branch is never traced: the up
-    # sweep reaches it by a transient, and the down sweep stays on it at
-    # s = 0.8375 instead of taking the lower branch's traced orbit there.
+    # the range through s_min, so the trace from s_min never reaches the
+    # upper branch: the up sweep reaches it by a transient at s = 0.925
+    # and traces it both ways, and the down sweep stays on it down to
+    # s_min, where the upper orbit (amplitude 0.41) still exists.
     p = Params(alpha=1.66, beta=1.0, xi=0.0345, m_big0=0.0193)
     res = sweep_hysteresis(p, 0.75, 1.1, 5)
     assert res.up_amplitude[1] < 0.1 and res.down_amplitude[3] > 0.3
+    assert res.up_jumps == [pytest.approx(0.88125)] and res.down_jumps == []
+    assert res.down_amplitude[4] > 0.3
+
+
+def test_a_sweep_without_hysteresis_has_no_jumps():
+    # one stable branch over the whole range: the up and down sweeps read
+    # the same orbits, however much the amplitude changes between them
+    p = Params(alpha=1.5, beta=1.0, xi=0.05, m_big0=0.015)
+    res = sweep_hysteresis(p, 0.5, 1.5, 60)
+    assert res.up_jumps == [] and res.down_jumps == []
+    np.testing.assert_array_equal(res.up_amplitude, res.down_amplitude[::-1])
+
+
+def test_the_down_sweep_keeps_the_upper_branch_to_its_fold():
+    # the upper branch of this softening well holds from s = 1.05 down to
+    # its fold between 0.7 and 0.75; the lower one up to its fold between
+    # 0.9 and 0.95
+    p = Params(alpha=1.5, beta=1.0, xi=0.01, m_big0=0.016)
+    res = sweep_hysteresis(p, 0.5, 1.05, 12)
+    assert res.up_jumps == [pytest.approx(0.925)]
+    assert res.down_jumps == [pytest.approx(0.725)]
+    assert float(res.down_s[6]) == pytest.approx(0.75)
+    assert res.down_amplitude[6] > 0.5
 
 
 def test_an_escaping_orbit_names_its_frequency(tmp_path, capsys):
@@ -492,6 +516,31 @@ def test_up_and_down_sweeps_agree_outside_the_hysteresis_band(sweep08):
     assert sweep08.up_unsettled == [] and sweep08.down_unsettled == []
 
 
+def test_a_branch_traced_twice_is_one_segment(sweep08, monkeypatch):
+    # The first trace leaves s = 0.965 uncovered, so the up sweep settles
+    # an orbit there and traces its branch again.  Its segments hold the
+    # orbits of the first trace's, so they merge into them: the sweep
+    # keeps its jumps and amplitudes, at the cost of the second trace.
+    trace, starts = hbm._trace, []
+
+    def gapped(maps, grid, x, k, sigma):
+        segments = trace(maps, grid, x, k, sigma)
+        if (k, sigma) == (0, 1):
+            del segments[0][1]
+        starts.append(k)
+        return segments
+
+    monkeypatch.setattr(hbm, "_trace", gapped)
+    res = sweep_hysteresis(CUBIC08, 0.960, 0.990, 7)
+    assert starts == [0, 0, 1, 1]
+    assert res.up_jumps == sweep08.up_jumps
+    assert res.down_jumps == sweep08.down_jumps
+    for got, want in ((res.up_amplitude, sweep08.up_amplitude),
+                      (res.down_amplitude, sweep08.down_amplitude)):
+        np.testing.assert_allclose(got, want, rtol=1e-6)
+    assert res.periods > sweep08.periods
+
+
 def test_unsettled_points_are_flagged(monkeypatch, tmp_path):
     # Cross-well chaos (largest Lyapunov exponent about +0.08): no stable
     # period-1 orbit, so no shot is accepted however long the transient.
@@ -509,16 +558,18 @@ def test_unsettled_points_are_flagged(monkeypatch, tmp_path):
     assert files["sweep_down"]["metadata"] == {"unsettled": 2}
 
 
-def test_an_unsettled_point_does_not_split_a_jump():
-    # one fold between s = 0.94 and 0.96; the unsettled point 0.95 holds a
-    # halfway amplitude, which once counted as two jumps
-    s = np.linspace(0.9, 1.0, 11)
-    amps = np.array([1.0, 1.01, 1.02, 1.03, 1.04, 2.0,
-                     3.05, 3.06, 3.07, 3.08, 3.09])
-    assert hbm._detect_jumps(s, amps, [s.tolist()[5]]) == [
+def test_a_jump_is_read_between_the_settled_points_beside_it():
+    # the sweep changes segment across the unsettled point 0.95: one jump,
+    # midway between its settled neighbours; no settled point, no jump
+    s = np.linspace(0.9, 1.0, 11).tolist()
+
+    def rows(segs):
+        return [(sk, 1.0, seg) for sk, seg in zip(s, segs)]
+
+    assert hbm._jumps(rows([0] * 5 + [None] + [2] * 5)) == [
         0.5 * (s[4] + s[6])]
-    assert len(hbm._detect_jumps(s, amps, [])) == 2
-    assert hbm._detect_jumps(s, amps, s.tolist()) == []
+    assert hbm._jumps(rows([0] * 5 + [None] + [0] * 5)) == []
+    assert hbm._jumps(rows([None] * 11)) == []
 
 
 def test_full_system_sweep_drives_with_the_configured_phase(tmp_path):

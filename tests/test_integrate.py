@@ -28,6 +28,7 @@ def test_spec_validation():
     ("rel_tol", math.nan), ("abs_tol", math.nan), ("abs_tol", math.inf),
     ("h_init", math.nan), ("h_init", 0.0), ("h_init", 1e-13),
     ("h_init", 1.5), ("t_end", math.nan), ("t_end", math.inf),
+    ("t_end", math.nextafter(integ._T_MAX, math.inf)), ("t_end", 1e300),
 ])
 def test_spec_rejects_a_bad_field(field, value):
     with pytest.raises(ValueError):
@@ -238,6 +239,10 @@ def test_carried_step_is_a_valid_h_init(monkeypatch):
     {"horizon": 1.0, "renorm_interval": 1e-300},
     {"horizon": 1e6 + 1.0, "renorm_interval": 1.0},
     {"horizon": 1e-3, "renorm_interval": 1e-3 / (1e6 + 1.0)},
+    # past integrate._T_MAX: four intervals at least, or a long horizon
+    {"renorm_interval": 1e300},
+    {"renorm_interval": 2.5e6 + 1.0},
+    {"horizon": 1e300, "renorm_interval": 1e295},
 ])
 def test_lyapunov_rejects_a_bad_run_length(kwargs, monkeypatch):
     # refused before the first step: with a step loop that raises, a run
@@ -254,6 +259,19 @@ def test_lyapunov_rejects_a_bad_run_length(kwargs, monkeypatch):
 def test_poincare_rejects_an_empty_section(n_points):
     with pytest.raises(ValueError):
         poincare_section(_PERIODIC, (0.7227, 0.0), n_points)
+
+
+@pytest.mark.parametrize("omega, n_points, discard", [
+    (1e-300, 1, 0), (2.0 * math.pi * 299 / 1e7, 100, 200)])
+def test_poincare_rejects_a_run_past_the_time_bound(omega, n_points, discard,
+                                                    monkeypatch):
+    def integrated(*args, **kwargs):
+        raise AssertionError("the step loop ran")
+
+    monkeypatch.setattr(integ, "_dop853", integrated)
+    with pytest.raises(ValueError, match="1e\\+07"):
+        poincare_section(replace(_PERIODIC, omega_big0=omega), (0.7227, 0.0),
+                         n_points, discard)
 
 
 def test_lyapunov_stderr_is_the_standard_error_of_the_segments():
