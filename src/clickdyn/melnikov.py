@@ -305,11 +305,13 @@ def melnikov_numeric(r: ReducedSystem, orbit: SeparatrixOrbit,
         forcing_amplitude = |integral of omega(T) * exp(-i*omega0*T) dT|
 
     so the Melnikov function has a simple zero iff
-    ``M0 * forcing_amplitude > xi0 * damping_integral``.
+    ``M0 * forcing_amplitude > xi0 * damping_integral``.  Raises
+    ValueError where the forcing amplitude is lost to the rounding of its
+    quadrature, at high omega0.
     """
     if omega0 <= 0.0:
         raise ValueError("drive frequency must be positive")
-    return _damping_integral(orbit), _forcing_amplitude(orbit, omega0)
+    return _damping_integral(orbit), _forcing_amplitudes(orbit, [omega0])[0]
 
 
 def _damping_integral(orbit: SeparatrixOrbit) -> float:
@@ -326,11 +328,37 @@ def _damping_integral(orbit: SeparatrixOrbit) -> float:
     return 2.0 * float(np.trapezoid(om * om, orbit.times))
 
 
-def _forcing_amplitude(orbit: SeparatrixOrbit, omega0: float) -> float:
-    """|integral of omega(T) * exp(-i*omega0*T) dT|."""
-    t = orbit.times
-    return float(abs(np.trapezoid(orbit.omegas * np.exp(-1j * omega0 * t),
-                                  t)))
+def _forcing_amplitudes(orbit: SeparatrixOrbit, omegas) -> list[float]:
+    """|integral of omega(T) * exp(-i*Omega*T) dT| for each Omega given.
+
+    The trapezoid rule in real arithmetic, to the bit numpy's complex
+    ``abs(np.trapezoid(omega * np.exp(-1j*Omega*T), T))``: exp of an
+    imaginary argument is its (cos, sin), a real-by-complex product is two
+    real products, and the terms are summed as one complex array.
+
+    Raises ValueError at an Omega whose transform is at most 1e6 times
+    eps * sum |w_k * omega_k| (trapezoid weights w_k), the bound on the
+    rounding of the sum: a threshold from it would be too small by as much
+    as the rounding makes the transform too large.
+    """
+    t, om = orbit.times, orbit.omegas
+    d = np.diff(t)
+    noise = np.finfo(float).eps * float(np.trapezoid(np.abs(om), t))
+    z = np.empty(d.size, dtype=complex)
+    amplitudes = []
+    for w in omegas:
+        ph = (-w) * t
+        for part, wave in ((z.real, np.cos(ph)), (z.imag, np.sin(ph))):
+            wave *= om
+            np.divide(d * (wave[1:] + wave[:-1]), 2.0, out=part)
+        forcing = float(abs(z.sum()))
+        if noise > 1e-6 * forcing:
+            raise ValueError(
+                f"forcing transform at Omega = {w:g} ({forcing:.2e}) is "
+                f"within 1e6 times its rounding bound ({noise:.2e}); "
+                "lower the drive frequency")
+        amplitudes.append(forcing)
+    return amplitudes
 
 
 def threshold_numeric(r: ReducedSystem, xi0: float, omega0: float) -> float:
@@ -372,11 +400,10 @@ def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
     if np.any(omega_grid <= 0.0) or np.any(xi_grid < 0.0):
         raise ValueError("grids must be positive (xi0 may be zero)")
     shape = (xi_grid.size, omega_grid.size)
-    m0 = np.empty(shape)
     orbit = separatrix(r, "closed_form")
     damping = _damping_integral(orbit)
-    for j, om in enumerate(omega_grid.tolist()):
-        m0[:, j] = xi_grid * damping / _forcing_amplitude(orbit, om)
+    forcing = np.asarray(_forcing_amplitudes(orbit, omega_grid.tolist()))
+    m0 = xi_grid[:, None] * damping / forcing
     printed = np.empty(shape)
     agrees = np.empty(shape, dtype=bool)
     for i, xi in enumerate(xi_grid.tolist()):

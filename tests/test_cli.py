@@ -470,6 +470,18 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:numeric:")
 
 
+def test_melnikov_refuses_thresholds_from_rounding_noise(tmp_path, capsys):
+    # at alpha = 1.5 the duffing transform loses its digits to rounding
+    # from Omega of about 12 up; at Omega = 30 it is 3e10 times the exact one
+    out = tmp_path / "m"
+    assert run_cli("melnikov", "--alpha", "1.5", "--beta", "1",
+                   "--xi", "0.1", "--omega-max", "30",
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:numeric:") and "Omega = " in err
+    assert not (out / "melnikov_threshold.csv").exists()
+
+
 def test_io_failure_exit_code(capsys):
     assert run_cli("energy", "--alpha", "1.5",
                    "--out", "/proc/no/such/dir") == 4

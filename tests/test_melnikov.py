@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from clickdyn.melnikov import (DUFFING, PENDULUM, SOFT_CUBIC, ReducedSystem,
-                               SeparatrixOrbit, melnikov_numeric,
-                               reduce_system, separatrix, threshold_grid,
-                               threshold_numeric)
+                               SeparatrixOrbit, _forcing_amplitudes,
+                               melnikov_numeric, reduce_system, separatrix,
+                               threshold_grid, threshold_numeric)
 from clickdyn.model import Params
 
 
@@ -186,6 +186,91 @@ def test_pendulum_forcing_kernel_quadrature():
     _damping, forcing = melnikov_numeric(r, orbit, 1.0)
     assert forcing == pytest.approx(2.0 * math.pi / math.cosh(math.pi / 2.0),
                                     rel=1e-12)
+
+
+@pytest.mark.parametrize("omega0", [0.2, 0.8, 3.0])
+def test_duffing_and_soft_cubic_forcing_kernel_quadrature(omega0):
+    # |FT| of the duffing velocity is sqrt(2)*theta3*pi*W/w*sech(pi*W/2w)
+    # with w = theta3/sqrt(kappa); of the soft cubic's, pi^2*W/w*csch(pi*W/2w)
+    # with w = sqrt(k_center/(2*kappa))
+    r = reduce_system(P_IV, DUFFING)
+    w = r.theta3 / math.sqrt(r.kappa)
+    expect = (math.sqrt(2.0) * r.theta3 * math.pi * omega0 / w
+              / math.cosh(math.pi * omega0 / (2.0 * w)))
+    _damping, forcing = melnikov_numeric(r, separatrix(r), omega0)
+    assert forcing == pytest.approx(expect, rel=1e-12)
+    r = reduce_system(P_IV, SOFT_CUBIC)
+    w = math.sqrt(r.k_center / (2.0 * r.kappa))
+    expect = (math.pi**2 * omega0 / w
+              / math.sinh(math.pi * omega0 / (2.0 * w)))
+    _damping, forcing = melnikov_numeric(r, separatrix(r), omega0)
+    assert forcing == pytest.approx(expect, rel=1e-12)
+
+
+def _complex_trapezoid(orbit, omega0):
+    """The forcing transform as the complex trapezoid of numpy."""
+    t = orbit.times
+    return float(abs(np.trapezoid(orbit.omegas * np.exp(-1j * omega0 * t),
+                                  t)))
+
+
+# the drive frequencies of `clickdyn melnikov` by default
+_CLI_OMEGAS = np.linspace(0.2, 3.0, 30).tolist()
+
+
+@pytest.mark.parametrize("source", ["closed_form", "continued"])
+@pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
+def test_forcing_transform_is_the_complex_trapezoid_to_the_bit(variant,
+                                                               source):
+    # The real-arithmetic quadrature keeps every bit of the complex one,
+    # over one pass of a whole grid and at one drive frequency alone.
+    r = reduce_system(P_IV, variant)
+    orbit = separatrix(r, source)
+    omegas = [0.2, 0.8, 3.0, 10.0, *_CLI_OMEGAS]
+    assert _forcing_amplitudes(orbit, omegas) == [
+        _complex_trapezoid(orbit, om) for om in omegas]
+    for om in (0.2, 0.8, 3.0, 10.0):
+        assert melnikov_numeric(r, orbit, om)[1] == \
+            _complex_trapezoid(orbit, om)
+
+
+@pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
+def test_grid_thresholds_are_the_complex_trapezoid_to_the_bit(variant):
+    r = reduce_system(P_IV, variant)
+    orbit = separatrix(r, "closed_form")
+    damping, _ = melnikov_numeric(r, orbit, 1.0)
+    xi_grid = [0.1, 0.2, 0.4]
+    grid = threshold_grid(r, _CLI_OMEGAS, xi_grid)
+    assert grid.m0_crit.tolist() == [
+        [xi0 * damping / _complex_trapezoid(orbit, om) for om in _CLI_OMEGAS]
+        for xi0 in xi_grid]
+
+
+def test_acceptance_10_threshold_keeps_its_bits():
+    # Acceptance 10's chaotic run counts its Poincare points at 1.5 times
+    # this threshold, and a shift of 2 ulps takes the count to its gate.
+    r = reduce_system(P_IV, DUFFING)
+    orbit = separatrix(r, "closed_form")
+    damping, _ = melnikov_numeric(r, orbit, 0.8)
+    thr = threshold_numeric(r, 0.1, 0.8)
+    assert thr == 0.1 * damping / _complex_trapezoid(orbit, 0.8)
+    assert thr == 0.08307104396260871
+
+
+@pytest.mark.parametrize("variant, omega0", [
+    (DUFFING, 20.0), (DUFFING, 30.0), (DUFFING, 60.0), (SOFT_CUBIC, 20.0),
+    (SOFT_CUBIC, 30.0), (SOFT_CUBIC, 60.0), (PENDULUM, 30.0),
+    (PENDULUM, 60.0)])
+def test_a_transform_within_its_rounding_is_refused(variant, omega0):
+    # At alpha = 1.5 the duffing transform computed at Omega = 20, 30 and
+    # 60 is 16, 3e10 and 2e38 times the exact one: the phases cancel it
+    # down to the rounding of the sum, and the threshold would be too
+    # small by those factors.
+    r = reduce_system(P_IV, variant)
+    with pytest.raises(ValueError, match=f"Omega = {omega0:g} "):
+        threshold_numeric(r, 0.1, omega0)
+    with pytest.raises(ValueError, match=f"Omega = {omega0:g} "):
+        threshold_grid(r, [1.0, omega0], [0.1])
 
 
 def test_pendulum_damping_integral():
