@@ -16,7 +16,7 @@ Submodules:
 * :mod:`clickdyn.cli` — command-line front end and dataset emission.
 """
 
-from .model import Params, PhysicalParams, nondimensionalize
+from .model import InputError, Params, PhysicalParams, nondimensionalize
 
-__all__ = ["Params", "PhysicalParams", "nondimensionalize"]
+__all__ = ["InputError", "Params", "PhysicalParams", "nondimensionalize"]
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 Subcommands map one-to-one onto the analysis modules and each writes one
 CSV per curve plus a JSON manifest.  Parameters come from an INI-style
 config file ([params] section plus one section per subcommand) and/or
-flags; flags override the file.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure, 4 I/O failure.
+flags; flags override the file.  Exit codes: 0 success, 2 a refused input
+(any :class:`~clickdyn.model.InputError`, the config file's included), 3 no
+solution or divergence (any other ValueError, RuntimeError or
+ArithmeticError), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -21,20 +23,15 @@ import numpy as np
 from . import equilibria as eq
 from . import freevib, hbm, melnikov
 from .dataset import Dataset, emit_dataset, emit_manifest
-from .integrate import (_MAX_INTERVALS, _T_MAX, IntegratorSpec, integrate,
-                        largest_lyapunov, poincare_section)
-from .model import (Params, _stiffness_field, barrier_energies, moment,
-                    potential)
+from .integrate import (IntegratorSpec, integrate, largest_lyapunov,
+                        poincare_section)
+from .model import (InputError, Params, _stiffness_field, barrier_energies,
+                    moment, potential)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-
-class ConfigError(ValueError):
-    pass
-
 
 _PARAM_KEYS = ("alpha", "beta", "gamma", "kappa", "xi", "m0", "omega0", "phi")
 
@@ -92,20 +89,6 @@ def _nonnegative_numbers(v, o):
                               else "must all be >= 0")
 
 
-def _duration(v, o):
-    return None if 0.0 < v <= _T_MAX else f"must be in (0, {_T_MAX:g}]"
-
-
-def _few_intervals(v, o):
-    """A Lyapunov interval: at most _MAX_INTERVALS of them in the horizon,
-    and the run's max(4, horizon / interval) of them end by _T_MAX."""
-    return _positive(v, o) or (
-        None if o["horizon"] / v <= _MAX_INTERVALS
-        and max(4, round(o["horizon"] / v)) * v <= _T_MAX
-        else f"must leave horizon / interval <= {_MAX_INTERVALS:,} and "
-             f"max(4, horizon / interval) * interval <= {_T_MAX:g}")
-
-
 def _any(v, o):
     return None
 
@@ -157,7 +140,7 @@ _OPTIONS: dict[str, dict] = {
     },
     "simulate": {
         **_STATE_OPTS,
-        "t_end": (float, 100.0, _duration),
+        "t_end": (float, 100.0, _positive),
         "rel_tol": (float, 1e-10, _positive),
         "abs_tol": (float, 1e-12, _positive),
     },
@@ -171,7 +154,7 @@ _OPTIONS: dict[str, dict] = {
     "lyapunov": {
         **_STATE_OPTS,
         "horizon": (float, 2000.0, _positive),
-        "interval": (float, 5.0, _few_intervals),
+        "interval": (float, 5.0, _positive),
     },
     "poincare": {
         **_STATE_OPTS,
@@ -191,8 +174,8 @@ def _ini_value(kind, section: str, key: str, val: str):
     try:
         return kind(val)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {val!r}: "
-                          f"not a valid {kind.__name__}") from None
+        raise InputError(f"[{section}] {key} = {val!r}: "
+                         f"not a valid {kind.__name__}") from None
 
 
 def parse_config(command: str, args) -> dict:
@@ -202,29 +185,31 @@ def parse_config(command: str, args) -> dict:
     file_opts: dict = {}
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read {path}: {e}") from None
         ini = configparser.ConfigParser()
         try:
-            ini.read_string(path.read_text())
+            ini.read_string(text)
         except configparser.Error as e:
-            raise ConfigError(f"config parse failure: {e}") from None
+            raise InputError(f"config parse failure: {e}") from None
         for section in ini.sections():
             if section == "params":
                 for key, val in ini.items(section):
                     if key not in _PARAM_KEYS:
-                        raise ConfigError(
+                        raise InputError(
                             f"[params]: {_nearest(key, _PARAM_KEYS)}")
                     file_params[key] = _ini_value(float, section, key, val)
             elif section == command:
                 for key, val in ini.items(section):
                     if key not in valid_opts:
-                        raise ConfigError(
+                        raise InputError(
                             f"[{section}]: {_nearest(key, valid_opts)}")
                     file_opts[key] = _ini_value(valid_opts[key][0], section,
                                                 key, val)
             elif section not in _OPTIONS:
-                raise ConfigError(
+                raise InputError(
                     f"{_nearest(section, list(_OPTIONS) + ['params'])}")
     params_kw = dict(file_params)
     for key in _PARAM_KEYS:
@@ -232,12 +217,9 @@ def parse_config(command: str, args) -> dict:
         if flag is not None:
             params_kw[key] = flag
     if "alpha" not in params_kw:
-        raise ConfigError("alpha is required (flag --alpha or [params] alpha)")
+        raise InputError("alpha is required (flag --alpha or [params] alpha)")
     rename = {"m0": "m_big0", "omega0": "omega_big0"}
-    try:
-        params = Params(**{rename.get(k, k): v for k, v in params_kw.items()})
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    params = Params(**{rename.get(k, k): v for k, v in params_kw.items()})
     opts = {key: spec[1] for key, spec in valid_opts.items()}
     opts.update(file_opts)
     for key in valid_opts:
@@ -247,7 +229,7 @@ def parse_config(command: str, args) -> dict:
     for key, (_kind, _default, check) in valid_opts.items():
         problem = check(opts[key], opts)
         if problem:
-            raise ConfigError(f"{key} {problem}, got {opts[key]!r}")
+            raise InputError(f"{key} {problem}, got {opts[key]!r}")
     return {"command": command, "params": params_kw, "options": opts,
             "_params_obj": params}
 
@@ -362,7 +344,7 @@ def _run_freevib(p: Params, opts) -> list[Dataset]:
     out = []
     for branch in branches:
         if branch not in bands:
-            raise ConfigError(
+            raise InputError(
                 f"branch {branch!r} not available; have {sorted(bands)}")
         rows = []
         for pt in freevib.amplitude_frequency_curve(p, branch, opts["n"]):
@@ -373,7 +355,8 @@ def _run_freevib(p: Params, opts) -> list[Dataset]:
         out.append(Dataset(f"freevib_{branch}",
                            ("energy", "theta_ini", "theta_fin",
                             "amplitude", "period", "frequency"), rows,
-                           metadata={"band": list(bands[branch])}))
+                           metadata={"band": list(bands[branch]),
+                                     "dropped": opts["n"] - len(rows)}))
     return out
 
 
@@ -430,8 +413,6 @@ def _run_simulate(p: Params, opts) -> list[Dataset]:
 
 
 def _run_sweep(p: Params, opts) -> list[Dataset]:
-    if p.xi <= 0.0:
-        raise ConfigError("sweep requires damping: xi > 0")
     if opts["epsilon"] != 0.0:
         cubic = hbm.CubicApprox(omega_n=1.0 / math.sqrt(p.kappa),
                                 epsilon=opts["epsilon"], origin_theta=0.0)
@@ -468,12 +449,6 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
 
 
 def _run_poincare(p: Params, opts) -> list[Dataset]:
-    if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
-        raise ConfigError("poincare requires a drive: m0 > 0 and omega0 > 0")
-    if (opts["discard"] + opts["n_points"]) * 2.0 * math.pi / p.omega_big0 \
-            > _T_MAX:
-        raise ConfigError(f"poincare integrates discard + n_points drive "
-                          f"periods, which must end by t = {_T_MAX:g}")
     pm = poincare_section(p, (opts["theta0"], opts["omega0_state"]),
                           opts["n_points"], opts["discard"])
     rows = [(float(th), float(om)) for th, om in pm.points]
@@ -562,13 +537,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         config = parse_config(args.command, args)
-    except ConfigError as e:
-        print(f"error:config: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         written = run(args.command, config, Path(args.out),
                       keep_partial=args.keep_partial)
-    except ConfigError as e:
+    except InputError as e:
         print(f"error:config: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as e:

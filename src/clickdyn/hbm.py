@@ -33,7 +33,8 @@ import numpy as np
 from .equilibria import CENTER, Equilibrium, _grid_zeros, working_center
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
                         _strobe, integrate_rhs)
-from .model import Params, _moment_curvature, scalar_rhs, stiffness
+from .model import (InputError, Params, _moment_curvature, scalar_rhs,
+                    stiffness)
 
 __all__ = [
     "CubicApprox",
@@ -431,7 +432,7 @@ class _PeriodMaps:
     def __init__(self, system, spec):
         full = isinstance(system, Params)
         if not (system.xi if full else system[2]) > 0.0:
-            raise ValueError("a sweep needs damping: xi > 0")
+            raise InputError("a sweep needs damping: xi > 0")
         self.system, self.spec, self.periods = system, spec, 0
         self.omega_n, self.rest = 1.0, (0.0, 0.0)
         if full:
@@ -532,7 +533,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
     ``down_unsettled``.  Amplitudes are half the spread of the refined
     turning angles; ``periods`` counts every drive period integrated.  A
     transient that escapes raises RuntimeError naming its s; xi <= 0 raises
-    ValueError, as no orbit of an area-preserving map is asymptotically
+    InputError, as no orbit of an area-preserving map is asymptotically
     stable.
     """
     maps = _PeriodMaps(system, IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10))

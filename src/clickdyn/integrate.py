@@ -21,8 +21,8 @@ from operator import mul
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import (Params, _jacobian_field, hamiltonian, potential,
-                    scalar_rhs)
+from .model import (InputError, Params, _jacobian_field, hamiltonian,
+                    potential, scalar_rhs)
 
 __all__ = [
     "IntegratorSpec",
@@ -137,13 +137,13 @@ class IntegratorSpec:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "h_init", "t_end"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InputError(f"{name} must be finite")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise InputError("tolerances must be positive")
         if not _H_MIN <= self.h_init <= _H_MAX:
-            raise ValueError(f"need {_H_MIN:g} <= h_init <= {_H_MAX:g}")
+            raise InputError(f"need {_H_MIN:g} <= h_init <= {_H_MAX:g}")
         if self.t_end > _T_MAX:
-            raise ValueError(f"need t_end <= {_T_MAX:g}, got {self.t_end!r}")
+            raise InputError(f"need t_end <= {_T_MAX:g}, got {self.t_end!r}")
 
 
 @dataclass
@@ -567,14 +567,14 @@ def poincare_section(p: Params, state0, n_points: int,
                      discard: int = 200) -> PoincareMap:
     """Stroboscopic samples at the drive period, after a transient discard.
 
-    Raises ValueError unless M0 > 0, Omega0 > 0, discard >= 0, n_points >= 1
+    Raises InputError unless M0 > 0, Omega0 > 0, discard >= 0, n_points >= 1
     and the run's discard + n_points drive periods end by ``_T_MAX``."""
     if p.m_big0 <= 0.0 or p.omega_big0 <= 0.0:
-        raise ValueError("Poincare section requires M0 > 0 and Omega0 > 0")
+        raise InputError("Poincare section requires M0 > 0 and Omega0 > 0")
     if discard < 0 or n_points < 1:
-        raise ValueError("need discard >= 0 and n_points >= 1")
+        raise InputError("need discard >= 0 and n_points >= 1")
     if (discard + n_points) * 2.0 * math.pi / p.omega_big0 > _T_MAX:
-        raise ValueError(f"need (discard + n_points) drive periods <= "
+        raise InputError(f"need (discard + n_points) drive periods <= "
                          f"{_T_MAX:g}")
     states = list(_strobe(scalar_rhs(p), tuple(state0),
                           2.0 * math.pi / p.omega_big0, discard + n_points,
@@ -647,7 +647,7 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
     max(4, round(horizon / renorm_interval)) intervals, so it can be longer
     than ``horizon``.  After each interval the rate log|v| /
     renorm_interval is recorded and v is scaled back to length 1; the
-    exponent is the mean rate.  Raises ValueError unless horizon and
+    exponent is the mean rate.  Raises InputError unless horizon and
     renorm_interval are positive and finite, horizon / renorm_interval
     is at most ``_MAX_INTERVALS`` and the run ends by ``_T_MAX``, and
     RuntimeError when |v| leaves the range of normal floats (inf, NaN,
@@ -655,12 +655,12 @@ def largest_lyapunov(p: Params, state0, horizon: float = 2000.0,
     """
     if not (0.0 < horizon < math.inf and 0.0 < renorm_interval < math.inf
             and horizon / renorm_interval <= _MAX_INTERVALS):
-        raise ValueError(f"need finite horizon, renorm_interval > 0 and "
+        raise InputError(f"need finite horizon, renorm_interval > 0 and "
                          f"horizon / renorm_interval <= {_MAX_INTERVALS:,}, "
                          f"got {horizon!r} / {renorm_interval!r}")
     n_seg = max(4, int(round(horizon / renorm_interval)))
     if n_seg * renorm_interval > _T_MAX:
-        raise ValueError(f"need {n_seg} intervals of {renorm_interval!r} "
+        raise InputError(f"need {n_seg} intervals of {renorm_interval!r} "
                          f"<= {_T_MAX:g}")
     vt, vo = 1.0, 0.0
     stages, ends, rates = [], [], []

@@ -247,9 +247,9 @@ def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbi
     else:
         saddle = -math.pi
         target = math.pi
-    # unstable eigenvector of the saddle is (1, +lambda)
-    lam = r.decay_rate if r.variant != SOFT_CUBIC else \
-        math.sqrt(2.0 * r.k_center / r.kappa)
+    # unstable eigenvector of the saddle is (1, +lambda), lambda the
+    # saddle eigenvalue, which is the decay rate of every reduction
+    lam = r.decay_rate
     offset = 1e-8
     state = (saddle + offset, offset * lam)
     # the shot leaves the saddle and returns to within the offset of it in

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 __all__ = [
+    "InputError",
     "PhysicalParams",
     "Params",
     "nondimensionalize",
@@ -41,10 +42,16 @@ __all__ = [
     "is_smooth_at",
 ]
 
+
+class InputError(ValueError):
+    """An argument outside the domain a function accepts: a refused input,
+    as against a ValueError for a valid input that has no solution."""
+
+
 def _check_finite(params) -> None:
     for f in fields(params):
         if not math.isfinite(getattr(params, f.name)):
-            raise ValueError(f"{f.name} must be finite")
+            raise InputError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,10 +73,10 @@ class PhysicalParams:
         _check_finite(self)
         for name in ("m", "k", "a", "b", "l", "d"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise InputError(f"{name} must be positive")
         for name in ("c", "m0", "omega0", "g"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InputError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -88,12 +95,12 @@ class Params:
     def __post_init__(self):
         _check_finite(self)
         if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("alpha and beta must be positive")
+            raise InputError("alpha and beta must be positive")
         if self.kappa <= 0.0:
-            raise ValueError("kappa must be positive")
+            raise InputError("kappa must be positive")
         for name in ("gamma", "xi", "m_big0", "omega_big0"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InputError(f"{name} must be nonnegative")
 
     @property
     def smooth(self) -> bool:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clickdyn.integrate as integ
-from clickdyn import cli
+from clickdyn import InputError, cli, hbm, melnikov
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, format_value, read_csv
 from clickdyn.model import Params, moment, potential, stiffness
@@ -239,7 +239,7 @@ def test_bad_list_and_portrait_inputs_are_config_errors(tmp_path, capsys,
       "--n-points", "1", "--discard", "0"), 2),
     # a drive period of 6e300 at s_min
     (("sweep", "--xi", "0.1", "--m0", "0.01", "--s-min", "1e-300",
-      "--s-max", "1", "--n", "2"), 3),
+      "--s-max", "1", "--n", "2"), 2),
 ])
 def test_a_run_past_the_time_bound_is_refused_before_a_step(
         argv, code, tmp_path, capsys, monkeypatch):
@@ -286,12 +286,6 @@ def _bad_value(check, opts):
               ).filter(lambda v: v != "")
     if kind == "_positive":
         values = st.one_of(below.map(lambda d: -d), non_finite)
-    elif kind == "_duration":       # or past integrate._T_MAX
-        values = st.one_of(below.map(lambda d: -d), non_finite,
-                           st.floats(cli._T_MAX, 1e300, exclude_min=True))
-    elif kind == "_few_intervals":  # or too many in the default horizon
-        values = st.one_of(below.map(lambda d: -d), non_finite, st.floats(
-            0.0, 0.5 * opts["horizon"][1] / cli._MAX_INTERVALS))
     elif kind == "_nonnegative":
         values = st.one_of(below.map(lambda d: -math.ulp(0.0) - d),
                            non_finite)
@@ -452,6 +446,47 @@ def test_bad_config_file_values_are_config_errors(tmp_path, capsys, ini):
     assert capsys.readouterr().err.startswith("error:config:")
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_unreadable_config_files_are_config_errors(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.ini"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf-8":
+        cfg.write_bytes(b"[params]\nalpha = 1.5\xff\n")
+    assert run_cli("energy", "--config", str(cfg), "--alpha", "1.5",
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:config:") and str(cfg) in err
+
+
+_RULE_CASES = {
+    "t_end": (lambda: integ.IntegratorSpec(t_end=1e300), True),
+    "alpha": (lambda: Params(alpha=0.0), True),
+    "no drive": (lambda: integ.poincare_section(
+        Params(alpha=1.5, xi=0.1), (0.1, 0.0), 1), True),
+    "intervals": (lambda: integ.largest_lyapunov(
+        Params(alpha=1.5), (0.1, 0.0), horizon=10**6 + 1,
+        renorm_interval=1.0), True),
+    "no damping": (lambda: hbm.sweep_hysteresis(
+        Params(alpha=1.5, m_big0=0.01), 0.5, 1.5, 3), True),
+    "single well": (lambda: melnikov.reduce_system(
+        Params(alpha=2.5), melnikov.DUFFING), False),
+    "forcing rounding": (lambda: melnikov.threshold_numeric(
+        melnikov.reduce_system(Params(alpha=1.5), melnikov.DUFFING),
+        0.1, 30.0), False),
+}
+
+
+@pytest.mark.parametrize("call, refused", _RULE_CASES.values(),
+                         ids=list(_RULE_CASES))
+def test_refused_inputs_raise_input_error_and_no_solution_a_value_error(
+        call, refused):
+    # the CLI maps InputError to exit 2 and any other ValueError to exit 3
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert isinstance(caught.value, InputError) == refused
+
+
 def test_missing_alpha_is_config_error(capsys):
     assert run_cli("energy") == 2
     assert capsys.readouterr().err.startswith("error:config:")
@@ -486,6 +521,19 @@ def test_io_failure_exit_code(capsys):
     assert run_cli("energy", "--alpha", "1.5",
                    "--out", "/proc/no/such/dir") == 4
     assert capsys.readouterr().err.startswith("error:io:")
+
+
+def test_freevib_manifest_counts_dropped_samples(tmp_path):
+    # beta just above alpha - 1: the AF3 band (0, 5e-13) lies within the
+    # 1e-12 barrier tolerance, so none of its 30 energies has a period
+    out = tmp_path / "fv"
+    assert run_cli("freevib", "--alpha", "1.5", "--beta", "0.500001",
+                   "--out", str(out)) == 0
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert {name: (f["rows"], f["metadata"]["dropped"])
+            for name, f in files.items()} == {
+        "freevib_AF3": (0, 30), "freevib_AF4": (30, 0),
+        "freevib_AF5": (30, 0)}
 
 
 def test_melnikov_subcommand(tmp_path):
