@@ -5,7 +5,6 @@ Submodules:
 * :mod:`clickdyn.model` — dimensionless fields (potential, moment,
   stiffness, damping factor) and right-hand sides;
 * :mod:`clickdyn.equilibria` — equilibria, stability, bifurcation sets;
-* :mod:`clickdyn.elliptic` — Jacobi elliptic functions via the AGM;
 * :mod:`clickdyn.integrate` — adaptive integration, events, Poincare
   sections, Lyapunov estimates;
 * :mod:`clickdyn.freevib` — exact free-vibration periods and
@@ -13,7 +12,8 @@ Submodules:
 * :mod:`clickdyn.hbm` — harmonic balance of the cubic approximation,
   frequency response, folds, sweeps;
 * :mod:`clickdyn.melnikov` — chaos thresholds by the Melnikov method;
-* :mod:`clickdyn.cli` — command-line front end and dataset emission.
+* :mod:`clickdyn.dataset` — CSV datasets and the JSON manifest;
+* :mod:`clickdyn.cli` — command-line front end.
 """
 
 from .model import InputError, Params, PhysicalParams, nondimensionalize

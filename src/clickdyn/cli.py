@@ -288,7 +288,7 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
     v = np.asarray(potential(p, grid))
     rows = []
     for top in map(float, levels):
-        floor = top - 0.5 * p.kappa * omega_max**2
+        floor = top - 0.5 * p.kappa * (omega_max * omega_max)
         crossings, v_cross = [], []
         for bound in (top, floor):
             roots = freevib.level_angles(p, bound)
@@ -343,9 +343,6 @@ def _run_freevib(p: Params, opts) -> list[Dataset]:
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
     out = []
     for branch in branches:
-        if branch not in bands:
-            raise InputError(
-                f"branch {branch!r} not available; have {sorted(bands)}")
         rows = []
         for pt in freevib.amplitude_frequency_curve(p, branch, opts["n"]):
             rows.append((pt.energy,
@@ -364,20 +361,23 @@ def _run_hbm(p: Params, opts) -> list[Dataset]:
     cubic = hbm.fit_cubic(p, eq.working_center(p))
     b_amp = opts["drive"]
     s_values = np.linspace(opts["s_min"], opts["s_max"], opts["n"])
-    branch = hbm.frf_curve(cubic, p.kappa, p.xi, b_amp, s_values)
-    frf_rows = []
-    for s, amps, phases in zip(branch.s_values, branch.amplitudes,
-                               branch.phases):
-        for i, (a, ph) in enumerate(zip(amps, phases)):
-            frf_rows.append((float(s), i, float(a), float(ph)))
+    roots = hbm.frf_amplitudes(cubic, p.kappa, p.xi, b_amp, s_values)
+    frf_rows = [(s, i, a, ph) for s, pairs in zip(s_values.tolist(), roots)
+                for i, (a, ph) in enumerate(pairs)]
+    folds = hbm.fold_frequencies(cubic, p.kappa, p.xi, b_amp,
+                                 float(s_values[0]), float(s_values[-1]))
+    # pairs ascend in A, so the last of a row is its largest amplitude
+    a_max = max((pairs[-1][0] for pairs in roots if pairs), default=1.0)
+    bb = hbm.backbone(cubic, p.kappa,
+                      np.linspace(1e-3, max(a_max, 1e-2), 200))
     meta = {"epsilon": cubic.epsilon, "quad_coeff": cubic.quad_coeff,
             "omega_n": cubic.omega_n, "origin_theta": cubic.origin_theta}
     return [
         Dataset("hbm_frf", ("s", "root", "amplitude", "phase"), frf_rows,
                 metadata=meta),
         Dataset("hbm_backbone", ("amplitude", "s", "s_unit_kappa"),
-                [tuple(float(v) for v in row) for row in branch.backbone]),
-        Dataset("hbm_folds", ("s",), [(float(s),) for s in branch.folds]),
+                [tuple(row) for row in bb.tolist()]),
+        Dataset("hbm_folds", ("s",), [(s,) for s in folds]),
     ]
 
 
@@ -494,7 +494,6 @@ def _build_parser(commands=tuple(_OPTIONS)) -> argparse.ArgumentParser:
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--keep-partial", action="store_true")
         for key in _PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
         for key, (typ, _default, _check) in _OPTIONS[command].items():
@@ -503,9 +502,11 @@ def _build_parser(commands=tuple(_OPTIONS)) -> argparse.ArgumentParser:
     return parser
 
 
-def run(command: str, config: dict, out_dir: Path,
-        keep_partial: bool = False) -> list[Path]:
-    """Execute one subcommand and write its datasets plus the manifest."""
+def run(command: str, config: dict, out_dir: Path) -> list[Path]:
+    """Execute one subcommand and write its datasets plus the manifest.
+
+    On a failure the files written so far are removed.
+    """
     p = config["_params_obj"]
     datasets = _RUNNERS[command](p, config["options"])
     out_dir = Path(out_dir)
@@ -518,9 +519,8 @@ def run(command: str, config: dict, out_dir: Path,
         written.append(emit_manifest(datasets, public,
                                      out_dir / "manifest.json"))
     except BaseException:
-        if not keep_partial:
-            for path in written:
-                path.unlink(missing_ok=True)
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
     return written
 
@@ -537,8 +537,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         config = parse_config(args.command, args)
-        written = run(args.command, config, Path(args.out),
-                      keep_partial=args.keep_partial)
+        written = run(args.command, config, Path(args.out))
     except InputError as e:
         print(f"error:config: {e}", file=sys.stderr)
         return EXIT_CONFIG

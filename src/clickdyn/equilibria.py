@@ -65,7 +65,6 @@ class Equilibrium:
 
 @dataclass
 class BifurcationCurve:
-    variant: str                 # "B0", "B1" or "B2"
     columns: tuple[str, ...]
     samples: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
@@ -244,7 +243,7 @@ def bifurcation_set(variant: str, gamma: float, alpha_grid,
                                np.asarray(alpha_grid, dtype=float),
                                np.asarray(beta_grid, dtype=float))
     samples = np.column_stack(np.broadcast_arrays(roots, betas, gamma))
-    return BifurcationCurve(variant, ("alpha", "beta", "gamma"), samples)
+    return BifurcationCurve(("alpha", "beta", "gamma"), samples)
 
 
 def zero_stiffness_set(beta: float, gamma: float,
@@ -260,4 +259,4 @@ def zero_stiffness_set(beta: float, gamma: float,
         np.linspace(1e-9, math.pi - 1e-9, 400),
         np.asarray(alpha_grid, dtype=float))
     samples = np.column_stack(np.broadcast_arrays(roots, alphas, beta, gamma))
-    return BifurcationCurve("B0", ("theta", "alpha", "beta", "gamma"), samples)
+    return BifurcationCurve(("theta", "alpha", "beta", "gamma"), samples)

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .equilibria import CENTER, equilibria_in_period, interior_angle
-from .model import Params, barrier_energies, potential, scalar_potential
+from .model import (InputError, Params, barrier_energies, potential,
+                    scalar_potential)
 
 __all__ = [
     "FreeVibPoint",
@@ -44,7 +45,6 @@ class FreeVibPoint:
     amplitude: float
     period: float
     frequency: float
-    branch: str
 
 
 def level_angles(p: Params, h: float) -> list[float]:
@@ -189,13 +189,13 @@ def amplitude_frequency_curve(p: Params, branch: str,
     """Sampled (amplitude, frequency) points of one AF branch.
 
     Energies are log-spaced toward the band edges, where the period
-    diverges (separatrix) or the orbit shrinks onto the center.  An empty
-    list is returned when the branch band does not exist for these
-    parameters.
+    diverges (separatrix) or the orbit shrinks onto the center.  A branch
+    whose band these parameters lack raises InputError.
     """
     bands = energy_bands(p)
     if branch not in bands:
-        return []
+        raise InputError(
+            f"branch {branch!r} not available; have {sorted(bands)}")
     lo, hi = bands[branch]
     if math.isinf(hi):
         fractions = np.geomspace(1e-3, 30.0, n_samples)
@@ -218,7 +218,6 @@ def amplitude_frequency_curve(p: Params, branch: str,
                 amplitude=amplitude,
                 period=period,
                 frequency=2.0 * math.pi / period,
-                branch=branch,
             )
         )
     return points

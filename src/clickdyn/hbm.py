@@ -38,11 +38,9 @@ from .model import (InputError, Params, _moment_curvature, scalar_rhs,
 
 __all__ = [
     "CubicApprox",
-    "FrfBranch",
     "SweepResult",
     "fit_cubic",
     "frf_amplitudes",
-    "frf_curve",
     "fold_frequencies",
     "backbone",
     "sweep_hysteresis",
@@ -54,21 +52,11 @@ class CubicApprox:
     omega_n: float        # linearized frequency at the expansion center
     epsilon: float        # effective cubic coefficient, normalized by k
     origin_theta: float   # expansion center
-    k_linear: float = 1.0       # stiffness at the center
     quad_coeff: float = 0.0     # quadratic Taylor coefficient of the moment
 
     def __post_init__(self):
         if self.omega_n <= 0.0:
             raise ValueError("omega_n must be positive")
-
-
-@dataclass
-class FrfBranch:
-    s_values: np.ndarray
-    amplitudes: list[np.ndarray]     # 1-3 positive roots per s
-    phases: list[np.ndarray]
-    folds: list[float]
-    backbone: np.ndarray             # columns (s, a)
 
 
 @dataclass
@@ -100,7 +88,7 @@ def fit_cubic(p: Params, eq: Equilibrium) -> CubicApprox:
     q = m2 / (2.0 * k)
     return CubicApprox(omega_n=math.sqrt(k / p.kappa),
                        epsilon=m3 / (6.0 * k) - (10.0 / 9.0) * q * q,
-                       origin_theta=eq.theta, k_linear=k, quad_coeff=0.5 * m2)
+                       origin_theta=eq.theta, quad_coeff=0.5 * m2)
 
 
 def _discriminant(s, eps, kappa, xi, b_amp):
@@ -204,20 +192,6 @@ def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:
     val = 1.0 + 0.75 * cubic.epsilon * a * a
     a, val = a[~(val < 0.0)], val[~(val < 0.0)]
     return np.column_stack((a, np.sqrt(val / kappa), val))
-
-
-def frf_curve(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
-              s_values) -> FrfBranch:
-    """Full frequency-response branch data over a frequency grid."""
-    s_values = np.asarray(s_values, dtype=float)
-    rows = frf_amplitudes(cubic, kappa, xi, b_amp, s_values)
-    amps = [np.asarray([a for a, _ in pairs]) for pairs in rows]
-    phases = [np.asarray([ph for _, ph in pairs]) for pairs in rows]
-    folds = fold_frequencies(cubic, kappa, xi, b_amp,
-                             float(s_values[0]), float(s_values[-1]))
-    a_max = max((a.max() for a in amps if a.size), default=1.0)
-    bb = backbone(cubic, kappa, np.linspace(1e-3, max(a_max, 1e-2), 200))
-    return FrfBranch(s_values, amps, phases, folds, bb)
 
 
 # Newton on the period map: at most _NEWTON_ITER iterates per attempt.  A

@@ -158,7 +158,6 @@ class Trajectory:
     states: np.ndarray            # shape (n, 2): columns theta, omega
     step_stats: StepStats
     energy_drift: float | None = None   # max |H(t) - H(0)|, conservative runs
-    complete: bool = True         # False after step-size underflow
 
 
 @dataclass
@@ -361,19 +360,17 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
             h = h * (factor if factor > 0.2 else 0.2)
             if h < h_min:
                 raise StepUnderflow(_pack(times, thetas, omegas,
-                                          StepStats(accepted, rejected),
-                                          complete=False))
+                                          StepStats(accepted, rejected)))
         if h_max < h:
             h = h_max
     return times, thetas, omegas, StepStats(accepted, rejected), h_next
 
 
-def _pack(times, thetas, omegas, stats, complete=True):
+def _pack(times, thetas, omegas, stats):
     return Trajectory(
         times=np.asarray(times),
         states=np.column_stack([thetas, omegas]),
         step_stats=stats,
-        complete=complete,
     )
 
 

@@ -109,9 +109,6 @@ class SeparatrixOrbit:
     times: np.ndarray
     thetas: np.ndarray
     omegas: np.ndarray
-    theta_fn: object = None       # closed-form callables, when available
-    omega_fn: object = None
-    domega_fn: object = None
 
 
 @dataclass
@@ -171,7 +168,8 @@ def reduce_system(p: Params, variant: str) -> ReducedSystem:
 
 
 def _closed_form(r: ReducedSystem):
-    """(kind, theta(T), omega(T), domega(T)) of the separatrix."""
+    """(kind, theta(T), omega(T), domega(T)) of the separatrix; domega, the
+    angular acceleration, is there to check the orbit against the ODE."""
     kap = r.kappa
     if r.variant == DUFFING:
         w = r.theta3 / math.sqrt(kap)
@@ -233,10 +231,9 @@ def separatrix(r: ReducedSystem,
     # e^{-rate*T} must reach ~1e-14 at the truncation boundary
     span = max(40.0, 33.0 / r.decay_rate)
     times = np.linspace(-span, span, 2 * int(math.ceil(span / 0.005)) + 1)
-    kind, theta_fn, omega_fn, domega_fn = _closed_form(r)
+    kind, theta, omega, _ = _closed_form(r)
     if source == "closed_form":
-        return SeparatrixOrbit(kind, source, times, theta_fn(times),
-                               omega_fn(times), theta_fn, omega_fn, domega_fn)
+        return SeparatrixOrbit(kind, source, times, theta(times), omega(times))
     return _continued(r, kind, times)
 
 

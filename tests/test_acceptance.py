@@ -13,7 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from clickdyn.cli import main as cli_main
-from clickdyn.elliptic import complete_k, jacobi_sn_cn_dn
 from clickdyn.equilibria import (CENTER, SADDLE, equilibria_in_period,
                                  interior_angle, interior_angle_closed_form)
 from clickdyn.freevib import energy_bands, period_of_energy
@@ -139,22 +138,6 @@ def test_acceptance_05_period_quadrature_vs_integration(capsys):
     ok = worst <= 1e-4 and diverges and n_checked >= 60 and elapsed < 30.0
     _report(capsys, 5, "free-vibration period quadrature vs integration", ok,
             f"{n_checked} energies, worst rel={worst:.2e}, {elapsed:.1f}s")
-
-
-def test_acceptance_06_elliptic_function_identities(capsys):
-    worst = 0.0
-    for k in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
-        bigk = complete_k(k)
-        for u in np.linspace(-3.0 * bigk, 3.0 * bigk, 1301):
-            sn, cn, dn = jacobi_sn_cn_dn(float(u), k)
-            worst = max(worst, abs(sn * sn + cn * cn - 1.0),
-                        abs(dn * dn + k * k * sn * sn - 1.0))
-    worst_qtr = max(abs(jacobi_sn_cn_dn(complete_k(k), k)[0] - 1.0)
-                    for k in np.arange(0.1, 0.95, 0.1))
-    ok = (worst <= 1e-12 and abs(complete_k(0.0) - math.pi / 2.0) <= 1e-15
-          and worst_qtr <= 1e-12)
-    _report(capsys, 6, "elliptic identities and quarter-period values", ok,
-            f"worst identity dev={worst:.2e}")
 
 
 def test_acceptance_07_hbm_roots(capsys):

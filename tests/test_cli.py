@@ -113,6 +113,18 @@ def test_phase_portrait_emits_separatrix_level(tmp_path):
     assert any(abs(lv - 0.125) < 1e-12 for lv in levels)
 
 
+def test_phase_portrait_omega_max_past_the_square_of_a_float(tmp_path):
+    # omega_max**2 overflows past 1.34e154; the window then holds every level
+    # from its top down, as it does at any large omega_max
+    csv = []
+    for omega_max in ("1e10", "1e200"):
+        out = tmp_path / omega_max
+        assert run_cli("phase-portrait", "--alpha", "1.5", "--n", "101",
+                       "--omega-max", omega_max, "--out", str(out)) == 0
+        csv.append((out / "phase_portrait.csv").read_bytes())
+    assert csv[0] == csv[1]
+
+
 @st.composite
 def _portrait_case(draw):
     """A parameter point in one of the four statics regions, plus options."""
@@ -521,6 +533,28 @@ def test_io_failure_exit_code(capsys):
     assert run_cli("energy", "--alpha", "1.5",
                    "--out", "/proc/no/such/dir") == 4
     assert capsys.readouterr().err.startswith("error:io:")
+
+
+def test_a_failed_write_leaves_no_partial_output(tmp_path, capsys,
+                                                 monkeypatch):
+    def refuse(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "emit_manifest", refuse)
+    out = tmp_path / "hbm"
+    assert run_cli("hbm", "--alpha", "1.5", "--xi", "0.05", "--n", "20",
+                   "--out", str(out)) == 4
+    assert capsys.readouterr().err.startswith("error:io:")
+    assert list(out.glob("*.csv")) == []
+
+
+def test_freevib_missing_branch_is_config_error(tmp_path, capsys):
+    # a double well has no AF1 band
+    assert run_cli("freevib", "--alpha", "1.5", "--branch", "AF1",
+                   "--out", str(tmp_path / "fv")) == 2
+    assert capsys.readouterr().err == (
+        "error:config: branch 'AF1' not available; "
+        "have ['AF3', 'AF4', 'AF5']\n")
 
 
 def test_freevib_manifest_counts_dropped_samples(tmp_path):

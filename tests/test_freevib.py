@@ -14,7 +14,7 @@ from clickdyn.freevib import (amplitude_frequency_curve, energy_bands,
                               level_angles, period_of_energy)
 from clickdyn.hbm import fit_cubic
 from clickdyn.integrate import measure_free_oscillation
-from clickdyn.model import Params, potential
+from clickdyn.model import InputError, Params, potential
 
 
 P_IV = Params(alpha=1.5, beta=1.0)
@@ -154,7 +154,6 @@ def test_amplitude_frequency_curve():
     pts = amplitude_frequency_curve(P_IV, "AF3", n_samples=12)
     assert len(pts) > 0
     for pt in pts:
-        assert pt.branch == "AF3"
         assert pt.frequency == pytest.approx(2.0 * math.pi / pt.period,
                                              rel=1e-14)
         assert 0.0 < pt.amplitude < math.pi
@@ -162,8 +161,9 @@ def test_amplitude_frequency_curve():
     rot = amplitude_frequency_curve(P_IV, "AF5", n_samples=6)
     assert all(pt.theta_ini is None and pt.amplitude == math.pi
                for pt in rot)
-    # absent branch yields empty list
-    assert amplitude_frequency_curve(P_IV, "AF1") == []
+    # a branch these parameters lack is refused
+    with pytest.raises(InputError, match="'AF1' not available"):
+        amplitude_frequency_curve(P_IV, "AF1")
 
 
 # (alpha, beta, gamma) ranges inside each statics region; beta None means

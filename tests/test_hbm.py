@@ -13,7 +13,7 @@ from clickdyn.equilibria import (CENTER, equilibria_in_period,
                                  working_center)
 from clickdyn.freevib import _orbit
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic, fold_frequencies,
-                          frf_amplitudes, frf_curve, sweep_hysteresis)
+                          frf_amplitudes, sweep_hysteresis)
 from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
 from clickdyn.model import Params, potential
 
@@ -35,7 +35,6 @@ def test_fit_cubic_softening_well():
     center = _center(P_IV)
     cubic = fit_cubic(P_IV, center)
     assert cubic.epsilon < 0.0
-    assert cubic.k_linear == center.k_local
     assert cubic.omega_n == math.sqrt(center.k_local / P_IV.kappa)
 
 
@@ -262,12 +261,13 @@ def test_array_call_matches_the_companion_matrix_roots(eps, sign, xi, b,
                                    rtol=1e-9)
 
 
-def test_frf_curve_bundles_everything():
+def test_frf_roots_folds_and_backbone():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
-    branch = frf_curve(cubic, 1.0, 0.015, 0.1, np.linspace(0.9, 1.0, 21))
-    assert len(branch.amplitudes) == 21
-    assert len(branch.folds) == 2
-    assert branch.backbone.shape[0] > 0
+    rows = frf_amplitudes(cubic, 1.0, 0.015, 0.1, np.linspace(0.9, 1.0, 21))
+    assert len(rows) == 21
+    assert len(fold_frequencies(cubic, 1.0, 0.015, 0.1, 0.9, 1.0)) == 2
+    a_max = max(pairs[-1][0] for pairs in rows if pairs)
+    assert backbone(cubic, 1.0, np.linspace(1e-3, a_max, 200)).shape[0] > 0
 
 
 def test_frf_input_validation():

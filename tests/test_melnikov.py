@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from clickdyn.melnikov import (DUFFING, PENDULUM, SOFT_CUBIC, ReducedSystem,
-                               SeparatrixOrbit, _forcing_amplitudes,
+                               SeparatrixOrbit, _closed_form,
+                               _forcing_amplitudes,
                                melnikov_numeric, reduce_system, separatrix,
                                threshold_grid, threshold_numeric)
 from clickdyn.model import Params
@@ -62,31 +63,29 @@ def test_pendulum_reduction_rejects_the_cusp():
 
 def test_pendulum_closed_form_orbit_exact():
     # theta = 2*arctan(sinh T), omega = 2*sech T solves the unit pendulum
-    r = _unit_pendulum()
-    orbit = separatrix(r, "closed_form")
+    _, theta, omega, domega = _closed_form(_unit_pendulum())
     ts = np.linspace(-5.0, 5.0, 101)
-    np.testing.assert_allclose(orbit.theta_fn(ts),
-                               2.0 * np.arctan(np.sinh(ts)), atol=1e-14)
-    np.testing.assert_allclose(orbit.omega_fn(ts), 2.0 / np.cosh(ts),
+    np.testing.assert_allclose(theta(ts), 2.0 * np.arctan(np.sinh(ts)),
                                atol=1e-14)
+    np.testing.assert_allclose(omega(ts), 2.0 / np.cosh(ts), atol=1e-14)
     # residuals of the reduced ODE at the closed form
-    dom = orbit.domega_fn(ts)
-    np.testing.assert_allclose(dom, -np.sin(orbit.theta_fn(ts)), atol=1e-8)
+    np.testing.assert_allclose(domega(ts), -np.sin(theta(ts)), atol=1e-8)
 
 
 def test_closed_form_orbits_satisfy_ode_and_hamiltonian():
     for variant in (DUFFING, PENDULUM, SOFT_CUBIC):
         r = reduce_system(P_IV, variant)
         orbit = separatrix(r, "closed_form")
+        _, theta, omega, domega = _closed_form(r)
         ts = orbit.times
-        resid = r.kappa * orbit.domega_fn(ts) + np.asarray(
-            [float(r.moment(th)) for th in orbit.theta_fn(ts)])
+        resid = r.kappa * domega(ts) + np.asarray(
+            [float(r.moment(th)) for th in theta(ts)])
         assert np.max(np.abs(resid)) <= 1e-8
         # omega is the time derivative of theta
         h = 1e-6
         mid = ts[np.abs(ts) < 10.0]
-        fd = (orbit.theta_fn(mid + h) - orbit.theta_fn(mid - h)) / (2.0 * h)
-        np.testing.assert_allclose(fd, orbit.omega_fn(mid), atol=1e-7)
+        fd = (theta(mid + h) - theta(mid - h)) / (2.0 * h)
+        np.testing.assert_allclose(fd, omega(mid), atol=1e-7)
         # constant reduced Hamiltonian along the orbit
         ham = 0.5 * r.kappa * orbit.omegas**2 + np.asarray(
             r.potential(orbit.thetas))
@@ -296,12 +295,12 @@ def test_pendulum_threshold_closed_form_oracle():
 def test_time_shift_invariance():
     r = _unit_pendulum()
     orbit = separatrix(r, "closed_form")
+    _, theta, omega, _ = _closed_form(r)
     base = melnikov_numeric(r, orbit, 1.3)
     for shift in (-5.0, -1.7, 2.4, 5.0):
         ts = orbit.times
         shifted = SeparatrixOrbit(orbit.kind, "closed_form", ts,
-                                  orbit.theta_fn(ts - shift),
-                                  orbit.omega_fn(ts - shift))
+                                  theta(ts - shift), omega(ts - shift))
         got = melnikov_numeric(r, shifted, 1.3)
         assert got[0] == pytest.approx(base[0], abs=1e-10)
         assert got[1] == pytest.approx(base[1], abs=1e-10)
