@@ -341,10 +341,11 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
 def _run_freevib(p: Params, opts) -> list[Dataset]:
     bands = freevib.energy_bands(p)
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
+    curves = freevib.amplitude_frequency_curve(p, branches, opts["n"])
     out = []
-    for branch in branches:
+    for branch, points in curves.items():
         rows = []
-        for pt in freevib.amplitude_frequency_curve(p, branch, opts["n"]):
+        for pt in points:
             rows.append((pt.energy,
                          math.nan if pt.theta_ini is None else pt.theta_ini,
                          math.nan if pt.theta_fin is None else pt.theta_fin,

@@ -8,22 +8,28 @@ Hamiltonian,
     T = sqrt(kappa/2) * closed-loop integral of d(theta)/sqrt(H - PEN(theta)),
 
 which carries the inertia ratio kappa that the bare energy integral omits.
-Square-root endpoint singularities at the turning angles are removed by the
-substitution theta = turning_point -+ s**2 before quadrature.
+It is taken by one fixed 96-node Gauss-Legendre rule for every energy of a
+call, in one array pass.  Each half of an orbit's angle range is mapped
+from its end: theta = turning_point -+ s**2 removes the square-root
+singularity at a turning angle, and theta = pole +- s**4 grades the nodes
+toward a pole, where the period diverges logarithmically as H nears that
+pole's barrier.  The gap H - PEN is taken in a difference form measured
+from the end, so it keeps its digits near a well bottom.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
-from .equilibria import CENTER, equilibria_in_period, interior_angle
-from .model import (InputError, Params, barrier_energies, potential,
-                    scalar_potential)
+from .equilibria import (CENTER, _grid_zeros, equilibria_in_period,
+                         interior_angle)
+from .model import (InputError, Params, _radicand, barrier_energies,
+                    potential, scalar_potential)
 
 __all__ = [
     "FreeVibPoint",
@@ -34,7 +40,9 @@ __all__ = [
 ]
 
 _BARRIER_TOL = 1e-12
-_QUAD_ABS = 1e-10
+_NODES = 96
+_NO_ORBIT = ("energy must be positive", "energy at a barrier: infinite period",
+             "no closed orbit at this energy")
 
 
 @dataclass(frozen=True)
@@ -76,86 +84,115 @@ def level_angles(p: Params, h: float) -> list[float]:
     return roots
 
 
-def _quad_segment(p: Params, energy: float, a: float, b: float,
-                  singular_a: bool, singular_b: bool) -> float:
-    """integral of d(theta)/sqrt(H - PEN) over [a, b] with endpoint care."""
-
-    v = scalar_potential(p)
-
-    def integrand(theta):
-        # rounding can put V at or above H right beside a turning angle,
-        # where the exact integrand is finite after the substitution
-        gap = energy - v(theta)
-        return 1.0 / math.sqrt(gap) if gap > 0.0 else 0.0
-
-    total = 0.0
-    if singular_a and singular_b:
-        mid = 0.5 * (a + b)
-        total += _quad_segment(p, energy, a, mid, True, False)
-        total += _quad_segment(p, energy, mid, b, False, True)
-        return total
-    with warnings.catch_warnings():
-        # near a barrier the period diverges logarithmically; the slow-
-        # convergence warning is expected there and the value still usable
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if singular_a:
-            s_max = math.sqrt(b - a)
-            val, _ = quad(lambda s: 2.0 * s * integrand(a + s * s), 0.0, s_max,
-                          epsabs=_QUAD_ABS, epsrel=1e-11, limit=200)
-        elif singular_b:
-            s_max = math.sqrt(b - a)
-            val, _ = quad(lambda s: 2.0 * s * integrand(b - s * s), 0.0, s_max,
-                          epsabs=_QUAD_ABS, epsrel=1e-11, limit=200)
-        else:
-            val, _ = quad(integrand, a, b, epsabs=_QUAD_ABS, epsrel=1e-11,
-                          limit=200)
-    return val
-
-
 def period_of_energy(p: Params, energy: float) -> float:
     """Exact period of the closed orbit at total energy H.
 
     Handles all orbit bands: intra-well libration, inter-well libration
     around the theta = 0 barrier, libration around theta = pi, and full
     rotation.  Raises for energies within 1e-12 of a barrier, where the
-    period diverges.
+    period diverges.  The same pass as :func:`amplitude_frequency_curve`,
+    with one energy, so both give the same bits.
     """
-    return _orbit(p, energy)[0]
+    period, _, _, why = _orbits(p, np.array([float(energy)]))
+    if why[0] >= 0:
+        raise ValueError(_NO_ORBIT[why[0]])
+    return float(period[0])
 
 
-def _orbit(p: Params,
-           energy: float) -> tuple[float, float | None, float | None]:
-    """``(period, theta_ini, theta_fin)`` of the closed orbit at energy H.
+@functools.cache
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """The period rule on x in (0, 1): Gauss-Legendre nodes under the maps
+    theta = anchor +- width*x**q, q = 2 at a turning angle and q = 4 at a
+    pole.  Rows q = 2 and q = 4 of x**q and of weight*q*x**(q - 1)."""
+    x, weight = np.polynomial.legendre.leggauss(_NODES)
+    x, weight = 0.5 * (x + 1.0), 0.5 * weight
+    x2 = x * x
+    return (np.array([x2, x2 * x2]),
+            np.array([2.0 * x * weight, 4.0 * x2 * x * weight]))
 
-    The turning angles come from one :func:`level_angles` solve; they are
-    None for a rotation.  Raises as :func:`period_of_energy` does.
+
+def _drop(p: Params, anchor, sign, delta):
+    """V(anchor) - V(theta) at theta = anchor + sign*delta, elementwise, with
+    no difference of nearly equal energies taken.
+
+    dc = cos(theta) - cos(anchor) is taken as the product of sines
+    -2*sign*sin(anchor + sign*delta/2)*sin(delta/2).  The radical D then
+    has D**2 = D_a**2 - 2*alpha*beta*dc, so D_a - D = 2*alpha*beta*dc/(D_a
+    + D) and V(anchor) - V(theta) = dc*(alpha*beta*(D_a + D - 2)/(D_a + D)
+    + gamma).  D_a**2 - 2*alpha*beta*dc cancels only where D << D_a,
+    which a point at most halfway across its orbit from the anchor is not.
     """
-    if energy <= 0.0:
-        raise ValueError("energy must be positive")
+    d2_a = _radicand(p.alpha, p.beta, np.sin(0.5 * anchor))
+    dcos = ((-2.0 * sign) * np.sin(anchor + sign * (0.5 * delta))
+            * np.sin(0.5 * delta))
+    ab = p.alpha * p.beta
+    total = np.sqrt(d2_a) + np.sqrt(d2_a - 2.0 * ab * dcos)
+    return dcos * (ab * (total - 2.0) / total + p.gamma)
+
+
+def _orbits(p: Params, energies: np.ndarray):
+    """``(period, theta_ini, theta_fin, why)`` of the closed orbits at an
+    array of energies, in one pass.
+
+    The turning angles are those of :func:`level_angles`, bit for bit; both
+    are NaN for a rotation.  Where no period exists, ``why`` indexes the
+    reason in ``_NO_ORBIT`` and the period is NaN; elsewhere it is -1.
+
+    Each orbit's angle range [a, b] is split at its middle, and each half
+    is taken by :func:`_rule` from its end, with the gap H - V(theta) as
+    offset + V(end) - V(theta) by :func:`_drop`.  The offset is 0 at a
+    turning angle, so no H - V(theta_t) rounding term enters.
+    """
     h1, h2 = barrier_energies(p)
-    for barrier in (h1, h2):
-        if abs(energy - barrier) <= _BARRIER_TOL:
-            raise ValueError("energy at a barrier: infinite period")
-    scale = math.sqrt(0.5 * p.kappa)
-    roots = level_angles(p, energy)
-    if len(roots) == 2:
-        # libration inside one well on (0, pi)
-        return 2.0 * scale * _quad_segment(p, energy, roots[0], roots[1],
-                                           True, True), roots[0], roots[1]
-    if len(roots) == 1:
-        r = roots[0]
-        if energy > h1:
-            # symmetric orbit across theta = 0: (-r, r)
-            return 4.0 * scale * _quad_segment(p, energy, 0.0, r,
-                                               False, True), -r, r
-        # orbit around theta = pi: (r, 2*pi - r), symmetric about pi
-        return 4.0 * scale * _quad_segment(p, energy, r, math.pi,
-                                           True, False), r, 2.0 * math.pi - r
-    if energy > max(h1, h2):
-        # rotation: one full revolution
-        return 2.0 * scale * _quad_segment(p, energy, 0.0, math.pi,
-                                           False, False), None, None
-    raise ValueError("no closed orbit at this energy")
+    theta_c = interior_angle(p)
+    ends = np.array([0.0, math.pi] if theta_c is None
+                    else [0.0, theta_c, math.pi])
+    row, root = _grid_zeros(lambda x, h: potential(p, x) - h, ends, energies)
+    # level_angles takes only strict straddles, not an end where V == H
+    keep = ~(np.isin(root, ends) & (potential(p, root) == energies[row]))
+    row, root = row[keep], root[keep]
+    n_roots = np.bincount(row, minlength=energies.size)
+    first = np.searchsorted(row, np.arange(energies.size))
+    root = np.append(root, [math.nan, math.nan])
+    r0 = np.where(n_roots > 0, root[first], math.nan)
+    r1 = np.where(n_roots > 1, root[first + 1], math.nan)
+    why = np.select(
+        [energies <= 0.0,
+         (np.abs(energies - h1) <= _BARRIER_TOL)
+         | (np.abs(energies - h2) <= _BARRIER_TOL),
+         (n_roots == 0) & ~(energies > max(h1, h2))], [0, 1, 2], -1)
+    across_0 = (n_roots == 1) & (energies > h1)    # orbit (-r, r)
+    theta_ini = np.where(across_0, -r0, r0)
+    theta_fin = np.where(n_roots == 2, r1,
+                         np.where(across_0, r0, 2.0 * math.pi - r0))
+    ok = why < 0
+    h, n, across_0 = energies[ok], n_roots[ok], across_0[ok]
+    rotation = n == 0
+    pole_a, pole_b = across_0 | rotation, (n == 1) & ~across_0 | rotation
+    a = np.where(pole_a, 0.0, r0[ok])
+    b = np.where(n == 2, r1[ok], np.where(across_0, r0[ok], math.pi))
+    anchor = np.concatenate([a, b])
+    sign = np.repeat([1.0, -1.0], h.size)
+    at_pole = np.concatenate([pole_a, pole_b])
+    width = 0.5 * np.concatenate([b - a, b - a])
+    # At a pole the offset is H - V(pole) on a rotation or across a double
+    # well's saddle.  At a single well's center, whose rounded V would
+    # swamp the small gaps near the well bottom, it is V(theta_t) - V(pole):
+    # the other half's drop to the middle less this half's.
+    to_middle = _drop(p, anchor, sign, width)
+    from_h = np.concatenate([rotation, rotation]) | (theta_c is not None)
+    offset = np.where(at_pole, np.where(
+        from_h, np.concatenate([h - h1, h - h2]),
+        np.roll(to_middle, h.size) - to_middle), 0.0)
+    powers, weights = _rule()
+    q = at_pole.astype(int)
+    gap = offset[:, None] + _drop(p, anchor[:, None], sign[:, None],
+                                  width[:, None] * powers[q])
+    halves = np.sum(width[:, None] * weights[q] / np.sqrt(gap), axis=-1)
+    period = np.full(energies.size, math.nan)
+    period[ok] = (np.where(n == 1, 4.0, 2.0) * math.sqrt(0.5 * p.kappa)
+                  * (halves[:h.size] + halves[h.size:]))
+    return period, theta_ini, theta_fin, why
 
 
 def energy_bands(p: Params) -> dict[str, tuple[float, float]]:
@@ -184,40 +221,44 @@ def energy_bands(p: Params) -> dict[str, tuple[float, float]]:
     return {"AF1": (v_min, barrier), "AF2": (barrier, math.inf)}
 
 
-def amplitude_frequency_curve(p: Params, branch: str,
-                              n_samples: int = 30) -> list[FreeVibPoint]:
-    """Sampled (amplitude, frequency) points of one AF branch.
+def amplitude_frequency_curve(
+        p: Params, branches: Sequence[str],
+        n_samples: int = 30) -> dict[str, list[FreeVibPoint]]:
+    """Sampled (amplitude, frequency) points of the AF branches named, all
+    in one pass.
 
     Energies are log-spaced toward the band edges, where the period
-    diverges (separatrix) or the orbit shrinks onto the center.  A branch
-    whose band these parameters lack raises InputError.
+    diverges (separatrix) or the orbit shrinks onto the center.  A sampled
+    energy with no period (see :func:`period_of_energy`) gives no point.
+    A branch whose band these parameters lack raises InputError.
     """
     bands = energy_bands(p)
-    if branch not in bands:
-        raise InputError(
-            f"branch {branch!r} not available; have {sorted(bands)}")
-    lo, hi = bands[branch]
-    if math.isinf(hi):
-        fractions = np.geomspace(1e-3, 30.0, n_samples)
-        energies = lo * (1.0 + fractions) if lo > 0 else fractions
-    else:
-        fractions = np.geomspace(1e-4, 0.999, n_samples)
-        energies = lo + (hi - lo) * fractions
-    points = []
-    for h in energies:
-        try:
-            period, t_ini, t_fin = _orbit(p, float(h))
-        except ValueError:
-            continue
-        amplitude = math.pi if t_ini is None else 0.5 * abs(t_fin - t_ini)
-        points.append(
-            FreeVibPoint(
-                energy=float(h),
-                theta_ini=t_ini,
-                theta_fin=t_fin,
-                amplitude=amplitude,
-                period=period,
-                frequency=2.0 * math.pi / period,
-            )
-        )
-    return points
+    samples = []
+    for branch in branches:
+        if branch not in bands:
+            raise InputError(
+                f"branch {branch!r} not available; have {sorted(bands)}")
+        lo, hi = bands[branch]
+        if math.isinf(hi):
+            fractions = np.geomspace(1e-3, 30.0, n_samples)
+            samples.append(lo * (1.0 + fractions) if lo > 0 else fractions)
+        else:
+            fractions = np.geomspace(1e-4, 0.999, n_samples)
+            samples.append(lo + (hi - lo) * fractions)
+    energies = np.ravel(samples)
+    period, theta_ini, theta_fin, why = _orbits(p, energies)
+    ok = why < 0
+    curves = {branch: [] for branch in branches}
+    for i, h, t_ini, t_fin, t in zip(
+            np.nonzero(ok)[0].tolist(), energies[ok].tolist(),
+            theta_ini[ok].tolist(), theta_fin[ok].tolist(),
+            period[ok].tolist()):
+        rotation = math.isnan(t_ini)
+        curves[branches[i // n_samples]].append(FreeVibPoint(
+            energy=h,
+            theta_ini=None if rotation else t_ini,
+            theta_fin=None if rotation else t_fin,
+            amplitude=math.pi if rotation else 0.5 * abs(t_fin - t_ini),
+            period=t,
+            frequency=2.0 * math.pi / t))
+    return curves

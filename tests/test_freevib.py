@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -14,7 +15,7 @@ from clickdyn.freevib import (amplitude_frequency_curve, energy_bands,
                               level_angles, period_of_energy)
 from clickdyn.hbm import fit_cubic
 from clickdyn.integrate import measure_free_oscillation
-from clickdyn.model import InputError, Params, potential
+from clickdyn.model import InputError, Params, barrier_energies, potential
 
 
 P_IV = Params(alpha=1.5, beta=1.0)
@@ -140,7 +141,7 @@ def test_periods_near_a_well_bottom_stay_finite(a, b, g):
     # periods of 1e136
     p = Params(alpha=a, beta=b, gamma=g)
     t_lin = _linear_period(p)
-    for pt in amplitude_frequency_curve(p, "AF3")[:10]:
+    for pt in amplitude_frequency_curve(p, ["AF3"])["AF3"][:10]:
         assert pt.period == pytest.approx(t_lin, rel=1e-3)
 
 
@@ -151,19 +152,19 @@ def test_kappa_scaling():
 
 
 def test_amplitude_frequency_curve():
-    pts = amplitude_frequency_curve(P_IV, "AF3", n_samples=12)
+    pts = amplitude_frequency_curve(P_IV, ["AF3"], n_samples=12)["AF3"]
     assert len(pts) > 0
     for pt in pts:
         assert pt.frequency == pytest.approx(2.0 * math.pi / pt.period,
                                              rel=1e-14)
         assert 0.0 < pt.amplitude < math.pi
     # rotation branch reports amplitude pi and no turning pair
-    rot = amplitude_frequency_curve(P_IV, "AF5", n_samples=6)
+    rot = amplitude_frequency_curve(P_IV, ["AF5"], n_samples=6)["AF5"]
     assert all(pt.theta_ini is None and pt.amplitude == math.pi
                for pt in rot)
     # a branch these parameters lack is refused
     with pytest.raises(InputError, match="'AF1' not available"):
-        amplitude_frequency_curve(P_IV, "AF1")
+        amplitude_frequency_curve(P_IV, ["AF3", "AF1"])
 
 
 # (alpha, beta, gamma) ranges inside each statics region; beta None means
@@ -178,14 +179,21 @@ _SCAN = 20_000
 
 
 @st.composite
-def _level_case(draw):
-    """(params, h, potential on a dense grid of [0, pi]), h in [min, max]."""
+def _region_params(draw):
+    """Params inside one of the four statics regions."""
     region = draw(st.sampled_from(sorted(_REGION_DRAWS)))
     alphas, betas, gammas = _REGION_DRAWS[region]
     a = draw(st.floats(*alphas))
     b = a if betas is None else draw(st.floats(*betas))
     p = Params(alpha=a, beta=b, gamma=draw(st.floats(*gammas)))
     assume(classify_region(p) == region)
+    return p
+
+
+@st.composite
+def _level_case(draw):
+    """(params, h, potential on a dense grid of [0, pi]), h in [min, max]."""
+    p = draw(_region_params())
     v = np.asarray(potential(p, np.linspace(0.0, math.pi, _SCAN + 1)))
     return p, draw(st.floats(float(v.min()), float(v.max()))), v
 
@@ -215,3 +223,124 @@ def test_level_angles_are_every_crossing(case):
     assume(all(abs(x - c) > step for x in [*roots, *(cells * step)]
                for c in critical))
     assert len(roots) == cells.size
+
+
+def _sampled_energies(lo, hi, n):
+    """The energies amplitude_frequency_curve samples in the band (lo, hi)."""
+    if math.isinf(hi):
+        fractions = np.geomspace(1e-3, 30.0, n)
+        return (lo * (1.0 + fractions) if lo > 0 else fractions).tolist()
+    return (lo + (hi - lo) * np.geomspace(1e-4, 0.999, n)).tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_region_params(), st.integers(1, 16))
+# AF3's band (0, 5e-13) lies within the barrier tolerance: all 30 dropped
+@example(Params(alpha=1.5, beta=0.500001), 30)
+def test_curves_are_the_one_energy_pass_point_by_point(p, n):
+    # a period does not depend on which energies share its pass, the
+    # turning angles are level_angles' floats, and the points missing are
+    # exactly the energies where period_of_energy raises
+    try:
+        bands = energy_bands(p)
+    except ValueError:              # a cusp point with no center
+        reject()
+    curves = amplitude_frequency_curve(p, list(bands), n)
+    h1, _ = barrier_energies(p)
+    for branch, (lo, hi) in bands.items():
+        points = iter(curves[branch])
+        dropped = 0
+        for h in _sampled_energies(lo, hi, n):
+            try:
+                period = period_of_energy(p, h)
+            except ValueError:
+                dropped += 1
+                continue
+            pt = next(points)
+            assert (pt.energy, pt.period) == (h, period)
+            roots = level_angles(p, h)
+            if len(roots) == 2:
+                expected = tuple(roots)
+            elif len(roots) == 1:
+                r = roots[0]
+                expected = (-r, r) if h > h1 else (r, 2.0 * math.pi - r)
+            else:
+                expected = (None, None)
+            assert (pt.theta_ini, pt.theta_fin) == expected
+        assert next(points, None) is None
+        assert n - len(curves[branch]) == dropped
+
+
+def _mp_period(p, h):
+    """40-digit period at energy h, the quadrature's reference.
+
+    Turning angles come from ``mp.findroot`` started at level_angles'; a
+    libration over (lo, hi) is integrated under theta = m + r*sin(phi),
+    which removes the square-root ends, with a breakpoint where it crosses
+    a pole.  Returns (period, error estimate of mp.quad).
+    """
+    h1, _ = barrier_energies(p)
+    roots = level_angles(p, h)
+    with mp.workdps(40):
+        a, b, g, big_h = (mp.mpf(x) for x in (p.alpha, p.beta, p.gamma, h))
+
+        def v(t):
+            s = mp.sin(t / 2)
+            return ((mp.sqrt((a - b) ** 2 + 4 * a * b * s * s) - 1) ** 2 / 2
+                    + 2 * g * s * s)
+
+        def inverse_speed(t):
+            gap = big_h - v(t)
+            return 1 / mp.sqrt(gap) if gap > 0 else mp.mpf(0)
+
+        scale = 2 * mp.sqrt(mp.mpf(p.kappa) / 2)
+        if not roots:
+            theta_c = interior_angle(p)
+            points = [mp.mpf(0), *([] if theta_c is None else [theta_c]),
+                      mp.pi]
+            value, err = mp.quad(inverse_speed, points, maxdegree=6,
+                                 error=True)
+            return scale * value, scale * err
+        if len(roots) == 2:
+            ends = roots
+        else:
+            r = roots[0]
+            ends = [-r, r] if h > h1 else [r, 2.0 * math.pi - r]
+        lo, hi = (mp.findroot(lambda t: v(t) - big_h, mp.mpf(x))
+                  for x in ends)
+        m, r = (lo + hi) / 2, (hi - lo) / 2
+        points = [-mp.pi / 2,
+                  *(mp.asin((pole - m) / r) for pole in (mp.mpf(0), mp.pi)
+                    if lo < pole < hi),
+                  mp.pi / 2]
+        value, err = mp.quad(
+            lambda phi: r * mp.cos(phi) * inverse_speed(m + r * mp.sin(phi)),
+            points, maxdegree=6, error=True)
+        return scale * value, scale * err
+
+
+@pytest.mark.parametrize("abg, branch", [
+    ((1.789, 0.848, 0.0627), "AF3"), ((1.789, 0.848, 0.0627), "AF4"),
+    ((1.789, 0.848, 0.0627), "AF5"),
+    ((1.0, 1.0, 0.02), "AF3"), ((1.0, 1.0, 0.02), "AF4"),
+    ((1.0, 1.0, 0.02), "AF5"),
+    ((0.3, 0.5, 0.0), "AF1"),                       # libration about pi
+    ((2.5, 1.0, 0.05), "AF1"), ((2.5, 1.0, 0.05), "AF2"),
+])
+def test_period_matches_a_40_digit_reference(abg, branch):
+    # 1e-10 near a well bottom, mid-band and 1e-4 of the band from a
+    # barrier; 1e-9 at 1e-8 from a barrier, where the period diverges
+    p = Params(*abg)
+    lo, hi = energy_bands(p)[branch]
+    cases = [(0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo, 1e-10)]
+    if branch in ("AF1", "AF3"):              # lo is a well bottom
+        cases += [(lo + d, 1e-10) for d in (1e-4, 1e-6, 1e-9, 1e-11)]
+    else:
+        step = 1e-4 * lo if math.isinf(hi) else 1e-4 * (hi - lo)
+        cases += [(lo + step, 1e-10), (lo + 1e-8, 1e-9)]
+    if math.isfinite(hi):
+        cases += [(hi - 1e-4 * (hi - lo), 1e-10), (hi - 1e-8, 1e-9)]
+    for h, gate in cases:
+        reference, err = _mp_period(p, h)
+        assert err < 1e-15 * reference
+        assert abs(period_of_energy(p, h) - reference) <= gate * reference, h

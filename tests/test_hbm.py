@@ -11,7 +11,7 @@ import clickdyn.hbm as hbm
 from clickdyn.cli import main
 from clickdyn.equilibria import (CENTER, equilibria_in_period,
                                  working_center)
-from clickdyn.freevib import _orbit
+from clickdyn.freevib import _orbits
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic, fold_frequencies,
                           frf_amplitudes, sweep_hysteresis)
 from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
@@ -52,7 +52,7 @@ def test_backbone_matches_the_exact_free_vibration(alpha, beta, gamma):
     cubic = fit_cubic(p, center)
     assert cubic.quad_coeff != 0.0
     energy = float(potential(p, center.theta)) + 0.5 * center.k_local * 1e-4
-    period, lo, hi = _orbit(p, energy)
+    (period,), (lo,), (hi,), _ = _orbits(p, np.array([energy]))
     amp = 0.5 * (hi - lo)
     exact = (2.0 * math.pi / period / cubic.omega_n - 1.0) / amp**2
     (_a, _s, s2), = backbone(cubic, p.kappa, [amp])

@@ -1,6 +1,9 @@
 """Tooling guards over the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import clickdyn
@@ -28,3 +31,16 @@ def test_every_module_has_a_caller_in_the_package():
                                 for other, imported in imports.items()
                                 if other != name))
     assert unused == []
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # nothing in the package uses it, and its import costs 30-100 ms of
+    # every run's set-up
+    src = str(Path(clickdyn.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, clickdyn.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
