@@ -341,11 +341,10 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
 def _run_freevib(p: Params, opts) -> list[Dataset]:
     bands = freevib.energy_bands(p)
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
-    curves = freevib.amplitude_frequency_curve(p, branches, opts["n"])
     out = []
-    for branch, points in curves.items():
+    for branch in branches:
         rows = []
-        for pt in points:
+        for pt in freevib.amplitude_frequency_curve(p, branch, opts["n"]):
             rows.append((pt.energy,
                          math.nan if pt.theta_ini is None else pt.theta_ini,
                          math.nan if pt.theta_fin is None else pt.theta_fin,

@@ -205,29 +205,27 @@ def _grid_zeros(f, x, r):
     f is sampled on the whole (r, x) mesh at once.  A sample that is 0 is
     a zero; all intervals whose ends have strictly opposite signs (NaN has
     none) are bisected together to adjacent floats, as in
-    ``freevib.level_angles``.  Returns (index into r, zero) pairs as two
-    arrays.
+    ``freevib.level_angles``.  Returns (r, zero) pairs as two arrays.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = f(x, r[:, None])
         sign = np.sign(vals)
         zero_j, zero_i = np.nonzero(vals == 0.0)
         j, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-        lo, hi, r_j = x[i], x[i + 1], r[j]
+        lo, hi = x[i], x[i + 1]
         lo_above = sign[j, i] > 0.0
         while True:
             mid = 0.5 * (lo + hi)
-            if not ((mid != lo) & (mid != hi)).any():
+            open_ = (mid != lo) & (mid != hi)
+            if not open_.any():
                 break
-            # a closed interval (mid == lo or hi) keeps that mid: a step
-            # either leaves it or shrinks it onto the mid
-            to_lo = (f(mid, r_j) > 0.0) == lo_above
+            to_lo = open_ & ((f(mid, r[j]) > 0.0) == lo_above)
             lo = np.where(to_lo, mid, lo)
-            hi = np.where(to_lo, hi, mid)
+            hi = np.where(open_ & ~to_lo, mid, hi)
     # an exact zero at grid point i comes before the interval (i, i+1)
     rows = np.concatenate([zero_j, j])
     order = np.lexsort((np.concatenate([2 * zero_i, 2 * i + 1]), rows))
-    return rows[order], np.concatenate([x[zero_i], mid])[order]
+    return r[rows[order]], np.concatenate([x[zero_i], mid])[order]
 
 
 def bifurcation_set(variant: str, gamma: float, alpha_grid,
@@ -241,10 +239,9 @@ def bifurcation_set(variant: str, gamma: float, alpha_grid,
     if variant not in ("B1", "B2"):
         raise ValueError("variant must be 'B1' or 'B2'")
     residual = _b1_residual if variant == "B1" else _b2_residual
-    beta_grid = np.asarray(beta_grid, dtype=float)
-    rows, roots = _grid_zeros(lambda a, b: residual(a, b, gamma),
-                              np.asarray(alpha_grid, dtype=float), beta_grid)
-    betas = beta_grid[rows]
+    betas, roots = _grid_zeros(lambda a, b: residual(a, b, gamma),
+                               np.asarray(alpha_grid, dtype=float),
+                               np.asarray(beta_grid, dtype=float))
     samples = np.column_stack(np.broadcast_arrays(roots, betas, gamma))
     return BifurcationCurve(("alpha", "beta", "gamma"), samples)
 
@@ -257,10 +254,9 @@ def zero_stiffness_set(beta: float, gamma: float,
     400 angles of (0, pi) and each bracket bisected to adjacent floats.  The
     set is symmetric under theta -> -theta: only the positive half is emitted.
     """
-    alpha_grid = np.asarray(alpha_grid, dtype=float)
-    rows, roots = _grid_zeros(
+    alphas, roots = _grid_zeros(
         lambda th, a: _stiffness_field(a, beta, gamma, th),
-        np.linspace(1e-9, math.pi - 1e-9, 400), alpha_grid)
-    alphas = alpha_grid[rows]
+        np.linspace(1e-9, math.pi - 1e-9, 400),
+        np.asarray(alpha_grid, dtype=float))
     samples = np.column_stack(np.broadcast_arrays(roots, alphas, beta, gamma))
     return BifurcationCurve(("theta", "alpha", "beta", "gamma"), samples)

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import (CENTER, _grid_zeros, equilibria_in_period,
-                         interior_angle)
+from .equilibria import CENTER, equilibria_in_period, interior_angle
 from .model import (InputError, Params, _radicand, barrier_energies,
                     potential, scalar_potential)
 
@@ -132,10 +130,10 @@ def _drop(p: Params, anchor, sign, delta):
 
 def _orbits(p: Params, energies: np.ndarray):
     """``(period, theta_ini, theta_fin, why)`` of the closed orbits at an
-    array of energies, in one pass.
+    array of energies, the periods in one array pass.
 
-    The turning angles are those of :func:`level_angles`, bit for bit; both
-    are NaN for a rotation.  Where no period exists, ``why`` indexes the
+    The turning angles are the roots :func:`level_angles` bisects for each
+    energy; both are NaN for a rotation.  Where no period exists, ``why`` indexes the
     reason in ``_NO_ORBIT`` and the period is NaN; elsewhere it is -1.
 
     Each orbit's angle range [a, b] is split at its middle, and each half
@@ -144,18 +142,10 @@ def _orbits(p: Params, energies: np.ndarray):
     turning angle, so no H - V(theta_t) rounding term enters.
     """
     h1, h2 = barrier_energies(p)
-    theta_c = interior_angle(p)
-    ends = np.array([0.0, math.pi] if theta_c is None
-                    else [0.0, theta_c, math.pi])
-    row, root = _grid_zeros(lambda x, h: potential(p, x) - h, ends, energies)
-    # level_angles takes only strict straddles, not an end where V == H
-    keep = ~(np.isin(root, ends) & (potential(p, root) == energies[row]))
-    row, root = row[keep], root[keep]
-    n_roots = np.bincount(row, minlength=energies.size)
-    first = np.searchsorted(row, np.arange(energies.size))
-    root = np.append(root, [math.nan, math.nan])
-    r0 = np.where(n_roots > 0, root[first], math.nan)
-    r1 = np.where(n_roots > 1, root[first + 1], math.nan)
+    roots = [level_angles(p, h) for h in energies.tolist()]
+    n_roots = np.array([len(r) for r in roots], dtype=int)
+    r0, r1 = np.array([(r + [math.nan, math.nan])[:2] for r in roots],
+                      dtype=float).reshape(-1, 2).T
     why = np.select(
         [energies <= 0.0,
          (np.abs(energies - h1) <= _BARRIER_TOL)
@@ -180,7 +170,8 @@ def _orbits(p: Params, energies: np.ndarray):
     # swamp the small gaps near the well bottom, it is V(theta_t) - V(pole):
     # the other half's drop to the middle less this half's.
     to_middle = _drop(p, anchor, sign, width)
-    from_h = np.concatenate([rotation, rotation]) | (theta_c is not None)
+    from_h = (np.concatenate([rotation, rotation])
+              | (interior_angle(p) is not None))
     offset = np.where(at_pole, np.where(
         from_h, np.concatenate([h - h1, h - h2]),
         np.roll(to_middle, h.size) - to_middle), 0.0)
@@ -221,11 +212,10 @@ def energy_bands(p: Params) -> dict[str, tuple[float, float]]:
     return {"AF1": (v_min, barrier), "AF2": (barrier, math.inf)}
 
 
-def amplitude_frequency_curve(
-        p: Params, branches: Sequence[str],
-        n_samples: int = 30) -> dict[str, list[FreeVibPoint]]:
-    """Sampled (amplitude, frequency) points of the AF branches named, all
-    in one pass.
+def amplitude_frequency_curve(p: Params, branch: str,
+                              n_samples: int = 30) -> list[FreeVibPoint]:
+    """Sampled (amplitude, frequency) points of one AF branch, in one
+    :func:`_orbits` pass.
 
     Energies are log-spaced toward the band edges, where the period
     diverges (separatrix) or the orbit shrinks onto the center.  A sampled
@@ -233,32 +223,28 @@ def amplitude_frequency_curve(
     A branch whose band these parameters lack raises InputError.
     """
     bands = energy_bands(p)
-    samples = []
-    for branch in branches:
-        if branch not in bands:
-            raise InputError(
-                f"branch {branch!r} not available; have {sorted(bands)}")
-        lo, hi = bands[branch]
-        if math.isinf(hi):
-            fractions = np.geomspace(1e-3, 30.0, n_samples)
-            samples.append(lo * (1.0 + fractions) if lo > 0 else fractions)
-        else:
-            fractions = np.geomspace(1e-4, 0.999, n_samples)
-            samples.append(lo + (hi - lo) * fractions)
-    energies = np.ravel(samples)
+    if branch not in bands:
+        raise InputError(
+            f"branch {branch!r} not available; have {sorted(bands)}")
+    lo, hi = bands[branch]
+    if math.isinf(hi):
+        fractions = np.geomspace(1e-3, 30.0, n_samples)
+        energies = lo * (1.0 + fractions) if lo > 0 else fractions
+    else:
+        fractions = np.geomspace(1e-4, 0.999, n_samples)
+        energies = lo + (hi - lo) * fractions
     period, theta_ini, theta_fin, why = _orbits(p, energies)
     ok = why < 0
-    curves = {branch: [] for branch in branches}
-    for i, h, t_ini, t_fin, t in zip(
-            np.nonzero(ok)[0].tolist(), energies[ok].tolist(),
-            theta_ini[ok].tolist(), theta_fin[ok].tolist(),
-            period[ok].tolist()):
+    points = []
+    for h, t_ini, t_fin, t in zip(
+            energies[ok].tolist(), theta_ini[ok].tolist(),
+            theta_fin[ok].tolist(), period[ok].tolist()):
         rotation = math.isnan(t_ini)
-        curves[branches[i // n_samples]].append(FreeVibPoint(
+        points.append(FreeVibPoint(
             energy=h,
             theta_ini=None if rotation else t_ini,
             theta_fin=None if rotation else t_fin,
             amplitude=math.pi if rotation else 0.5 * abs(t_fin - t_ini),
             period=t,
             frequency=2.0 * math.pi / t))
-    return curves
+    return points

@@ -141,7 +141,7 @@ def test_periods_near_a_well_bottom_stay_finite(a, b, g):
     # periods of 1e136
     p = Params(alpha=a, beta=b, gamma=g)
     t_lin = _linear_period(p)
-    for pt in amplitude_frequency_curve(p, ["AF3"])["AF3"][:10]:
+    for pt in amplitude_frequency_curve(p, "AF3")[:10]:
         assert pt.period == pytest.approx(t_lin, rel=1e-3)
 
 
@@ -152,19 +152,19 @@ def test_kappa_scaling():
 
 
 def test_amplitude_frequency_curve():
-    pts = amplitude_frequency_curve(P_IV, ["AF3"], n_samples=12)["AF3"]
+    pts = amplitude_frequency_curve(P_IV, "AF3", n_samples=12)
     assert len(pts) > 0
     for pt in pts:
         assert pt.frequency == pytest.approx(2.0 * math.pi / pt.period,
                                              rel=1e-14)
         assert 0.0 < pt.amplitude < math.pi
     # rotation branch reports amplitude pi and no turning pair
-    rot = amplitude_frequency_curve(P_IV, ["AF5"], n_samples=6)["AF5"]
+    rot = amplitude_frequency_curve(P_IV, "AF5", n_samples=6)
     assert all(pt.theta_ini is None and pt.amplitude == math.pi
                for pt in rot)
     # a branch these parameters lack is refused
     with pytest.raises(InputError, match="'AF1' not available"):
-        amplitude_frequency_curve(P_IV, ["AF3", "AF1"])
+        amplitude_frequency_curve(P_IV, "AF1")
 
 
 # (alpha, beta, gamma) ranges inside each statics region; beta None means
@@ -245,10 +245,10 @@ def test_curves_are_the_one_energy_pass_point_by_point(p, n):
         bands = energy_bands(p)
     except ValueError:              # a cusp point with no center
         reject()
-    curves = amplitude_frequency_curve(p, list(bands), n)
     h1, _ = barrier_energies(p)
     for branch, (lo, hi) in bands.items():
-        points = iter(curves[branch])
+        curve = amplitude_frequency_curve(p, branch, n)
+        points = iter(curve)
         dropped = 0
         for h in _sampled_energies(lo, hi, n):
             try:
@@ -268,7 +268,7 @@ def test_curves_are_the_one_energy_pass_point_by_point(p, n):
                 expected = (None, None)
             assert (pt.theta_ini, pt.theta_fin) == expected
         assert next(points, None) is None
-        assert n - len(curves[branch]) == dropped
+        assert n - len(curve) == dropped
 
 
 def _mp_period(p, h):
