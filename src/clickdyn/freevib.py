@@ -133,8 +133,9 @@ def _orbits(p: Params, energies: np.ndarray):
     array of energies, the periods in one array pass.
 
     The turning angles are the roots :func:`level_angles` bisects for each
-    energy; both are NaN for a rotation.  Where no period exists, ``why`` indexes the
-    reason in ``_NO_ORBIT`` and the period is NaN; elsewhere it is -1.
+    energy; both are NaN for a rotation.  Where no period exists, ``why``
+    indexes the reason in ``_NO_ORBIT`` and the period is NaN; elsewhere
+    it is -1.
 
     Each orbit's angle range [a, b] is split at its middle, and each half
     is taken by :func:`_rule` from its end, with the gap H - V(theta) as
