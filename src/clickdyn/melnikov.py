@@ -11,11 +11,18 @@ reductions with known separatrix structure:
 * ``soft_cubic``: softening cubic with center at 0 and saddles pinned at
   +-pi, linear stiffness matched to the interior center.
 
-The normative chaos threshold is the numerical Melnikov quadrature
-(trapezoid on a uniform grid, spectrally accurate for the exponentially
-decaying kernels here):
+The chaos threshold is the Melnikov threshold of the reduction,
 
-    m0_crit = xi0 * (2 * integral of omega(T)^2 dT) / |FT of omega at Omega0|
+    m0_crit = xi0 * D / F,   D = 2 * integral of omega(T)^2 dT,
+                             F = |integral of omega(T) * exp(-i*Omega0*T) dT|,
+
+with both orbit integrals in closed form (Guckenheimer & Holmes, *Nonlinear
+Oscillations, Dynamical Systems, and Bifurcations of Vector Fields*, §4.5).
+With w the rate of the orbit in :func:`_closed_form` and A = sqrt(2)*theta3:
+
+    duffing      D = 4*A^2*w/3     F = A*pi*Omega0/w * sech(pi*Omega0/(2w))
+    pendulum     D = 16*w          F = 2*pi * sech(pi*Omega0/(2w))
+    soft_cubic   D = 8*pi^2*w/3    F = pi^2*Omega0/w * csch(pi*Omega0/(2w))
 
 The damping coefficient along the reduced orbits is the constant 2*xi0, not
 the angle-dependent factor of the full system.  Commonly quoted closed-form
@@ -44,7 +51,6 @@ __all__ = [
     "ThresholdGrid",
     "reduce_system",
     "separatrix",
-    "melnikov_numeric",
     "threshold_numeric",
     "threshold_grid",
 ]
@@ -56,7 +62,6 @@ SOFT_CUBIC = "soft_cubic"
 _VARIANTS = (DUFFING, PENDULUM, SOFT_CUBIC)
 # shape of each variant's printed closed-form threshold
 _PRINTED_FORM = {DUFFING: "cosh", PENDULUM: "coth", SOFT_CUBIC: "csch"}
-_TAIL_TOL = 1e-12
 _CONNECT_TOL = 1e-6
 _CONNECT_TMAX = 50.0
 
@@ -115,10 +120,10 @@ class SeparatrixOrbit:
 class ThresholdGrid:
     """Thresholds over (xi0, omega0); rows follow xi_grid, columns omega_grid.
 
-    ``m0_crit`` is the numeric quadrature.  ``m0_printed`` is the printed
-    closed form of shape ``printed_form`` (cosh for duffing, coth for
-    pendulum, csch for soft cubic), and ``printed_agrees`` says whether it
-    is within 5 % of ``m0_crit``.
+    ``m0_crit`` is xi0 * D / F from the closed-form orbit integrals.
+    ``m0_printed`` is the printed closed form of shape ``printed_form``
+    (cosh for duffing, coth for pendulum, csch for soft cubic), and
+    ``printed_agrees`` says whether it is within 5 % of ``m0_crit``.
     """
     variant: str
     omega_grid: np.ndarray
@@ -292,79 +297,50 @@ def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbi
     return SeparatrixOrbit(kind, "continued", times, thetas, omegas)
 
 
-def melnikov_numeric(r: ReducedSystem, orbit: SeparatrixOrbit,
-                     omega0: float) -> tuple[float, float]:
-    """Melnikov damping integral and forcing amplitude along an orbit.
+def _m0_crit(r: ReducedSystem, omega_grid: np.ndarray,
+             xi_grid: np.ndarray) -> np.ndarray:
+    """xi0 * D / F of the module docstring; rows follow ``xi_grid``,
+    columns ``omega_grid``.
 
-    Returns ``(damping_integral, forcing_amplitude)`` with
-
-        damping_integral  = 2 * integral of omega(T)^2 dT
-        forcing_amplitude = |integral of omega(T) * exp(-i*omega0*T) dT|
-
-    so the Melnikov function has a simple zero iff
-    ``M0 * forcing_amplitude > xi0 * damping_integral``.  Raises
-    ValueError where the forcing amplitude is lost to the rounding of its
-    quadrature, at high omega0.
+    The one expression of every threshold, so a grid cell and the
+    single-point threshold are the same bits.  Raises ValueError at an
+    Omega where a threshold is not finite: sech(pi*Omega/(2w)) and
+    csch(...) underflow as cosh and sinh overflow, past about 710.
     """
-    if omega0 <= 0.0:
-        raise ValueError("drive frequency must be positive")
-    return _damping_integral(orbit), _forcing_amplitudes(orbit, [omega0])[0]
+    if np.any(omega_grid <= 0.0) or np.any(xi_grid < 0.0):
+        raise ValueError("drive frequencies must be positive and xi0 "
+                         "nonnegative")
+    w = r.decay_rate / 2.0 if r.variant == SOFT_CUBIC else r.decay_rate
+    with np.errstate(all="ignore"):
+        x = math.pi * omega_grid / (2.0 * w)
+        if r.variant == DUFFING:
+            a = math.sqrt(2.0) * r.theta3
+            damping = 4.0 * a**2 * w / 3.0
+            forcing = a * math.pi * omega_grid / w / np.cosh(x)
+        elif r.variant == PENDULUM:
+            damping = 16.0 * w
+            forcing = 2.0 * math.pi / np.cosh(x)
+        else:
+            damping = 8.0 * math.pi**2 * w / 3.0
+            forcing = math.pi**2 * omega_grid / w / np.sinh(x)
+        m0 = xi_grid[:, None] * damping / forcing
+    _refuse_overflow(omega_grid, np.isfinite(m0))
+    return m0
 
 
-def _damping_integral(orbit: SeparatrixOrbit) -> float:
-    """2 * integral of omega(T)^2 dT, after checking that omega decays at
-    both ends of the grid."""
-    om = orbit.omegas
-    peak = float(np.max(np.abs(om)))
-    tail = max(abs(om[0]), abs(om[-1]))
-    if peak == 0.0 or tail > _TAIL_TOL * max(1.0, peak):
+def _refuse_overflow(omega_grid: np.ndarray, finite: np.ndarray) -> None:
+    """Raise ValueError at the first Omega with a cell not finite."""
+    bad = ~finite.all(axis=0)
+    if bad.any():
         raise ValueError(
-            "orbit velocity does not decay at the grid boundary; "
-            "not a separatrix orbit"
-        )
-    return 2.0 * float(np.trapezoid(om * om, orbit.times))
-
-
-def _forcing_amplitudes(orbit: SeparatrixOrbit, omegas) -> list[float]:
-    """|integral of omega(T) * exp(-i*Omega*T) dT| for each Omega given.
-
-    The trapezoid rule in real arithmetic, to the bit numpy's complex
-    ``abs(np.trapezoid(omega * np.exp(-1j*Omega*T), T))``: exp of an
-    imaginary argument is its (cos, sin), a real-by-complex product is two
-    real products, and the terms are summed as one complex array.
-
-    Raises ValueError at an Omega whose transform is at most 1e6 times
-    eps * sum |w_k * omega_k| (trapezoid weights w_k), the bound on the
-    rounding of the sum: a threshold from it would be too small by as much
-    as the rounding makes the transform too large.
-    """
-    t, om = orbit.times, orbit.omegas
-    d = np.diff(t)
-    noise = np.finfo(float).eps * float(np.trapezoid(np.abs(om), t))
-    z = np.empty(d.size, dtype=complex)
-    amplitudes = []
-    for w in omegas:
-        ph = (-w) * t
-        for part, wave in ((z.real, np.cos(ph)), (z.imag, np.sin(ph))):
-            wave *= om
-            np.divide(d * (wave[1:] + wave[:-1]), 2.0, out=part)
-        forcing = float(abs(z.sum()))
-        if noise > 1e-6 * forcing:
-            raise ValueError(
-                f"forcing transform at Omega = {w:g} ({forcing:.2e}) is "
-                f"within 1e6 times its rounding bound ({noise:.2e}); "
-                "lower the drive frequency")
-        amplitudes.append(forcing)
-    return amplitudes
+            f"threshold at Omega = {omega_grid[bad][0]:g} is not finite "
+            "(cosh or sinh overflows); lower the drive frequency")
 
 
 def threshold_numeric(r: ReducedSystem, xi0: float, omega0: float) -> float:
-    """Critical forcing amplitude from the numerical Melnikov quadrature."""
-    if xi0 < 0.0:
-        raise ValueError("xi0 must be nonnegative")
-    damping, forcing = melnikov_numeric(r, separatrix(r, "closed_form"),
-                                        omega0)
-    return xi0 * damping / forcing
+    """Critical forcing amplitude xi0 * D / F at one (xi0, omega0)."""
+    return float(_m0_crit(r, np.array([omega0], dtype=float),
+                          np.array([xi0], dtype=float))[0, 0])
 
 
 def _printed(r: ReducedSystem, xi0: float, omega0: float) -> float:
@@ -381,33 +357,31 @@ def _printed(r: ReducedSystem, xi0: float, omega0: float) -> float:
 
 
 def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
-    """Numeric and printed thresholds over (xi0, omega0) grids.
+    """Closed-form and printed thresholds over (xi0, omega0) grids.
 
-    Rows follow ``xi_grid``, columns follow ``omega_grid``.  One orbit is
-    built, its damping integral taken once and the forcing quadrature once
-    per omega0; each ``m0_crit`` cell equals :func:`threshold_numeric` at
-    it.  The printed expressions are internally inconsistent reference
-    shapes, not thresholds; a cell's deviation is |printed - m0_crit| /
-    m0_crit, taken as 0 at xi0 = 0.
+    Rows follow ``xi_grid``, columns follow ``omega_grid``; each
+    ``m0_crit`` cell equals :func:`threshold_numeric` at it.  The printed
+    expressions are internally inconsistent reference shapes, not
+    thresholds; a cell's deviation is |printed - m0_crit| / m0_crit, taken
+    as 0 at xi0 = 0.  An Omega at which a cell of either is not finite is
+    refused with ValueError.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
     if omega_grid.size == 0 or xi_grid.size == 0:
         raise ValueError("grids must be nonempty")
-    if np.any(omega_grid <= 0.0) or np.any(xi_grid < 0.0):
-        raise ValueError("grids must be positive (xi0 may be zero)")
-    shape = (xi_grid.size, omega_grid.size)
-    orbit = separatrix(r, "closed_form")
-    damping = _damping_integral(orbit)
-    forcing = np.asarray(_forcing_amplitudes(orbit, omega_grid.tolist()))
-    m0 = xi_grid[:, None] * damping / forcing
-    printed = np.empty(shape)
-    agrees = np.empty(shape, dtype=bool)
+    m0 = _m0_crit(r, omega_grid, xi_grid)
+    printed = np.empty(m0.shape)
+    agrees = np.empty(m0.shape, dtype=bool)
     for i, xi in enumerate(xi_grid.tolist()):
         for j, (om, crit) in enumerate(zip(omega_grid.tolist(),
                                            m0[i].tolist())):
-            value = _printed(r, xi, om)
+            try:
+                value = _printed(r, xi, om)
+            except OverflowError:
+                value = math.inf
             printed[i, j] = value
             agrees[i, j] = xi == 0.0 or abs(value - crit) / crit <= 0.05
+    _refuse_overflow(omega_grid, np.isfinite(printed))
     return ThresholdGrid(r.variant, omega_grid, xi_grid, m0, printed,
                          _PRINTED_FORM[r.variant], agrees)

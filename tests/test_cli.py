@@ -483,9 +483,9 @@ _RULE_CASES = {
         Params(alpha=1.5, m_big0=0.01), 0.5, 1.5, 3), True),
     "single well": (lambda: melnikov.reduce_system(
         Params(alpha=2.5), melnikov.DUFFING), False),
-    "forcing rounding": (lambda: melnikov.threshold_numeric(
+    "threshold overflow": (lambda: melnikov.threshold_numeric(
         melnikov.reduce_system(Params(alpha=1.5), melnikov.DUFFING),
-        0.1, 30.0), False),
+        0.1, 400.0), False),
 }
 
 
@@ -517,12 +517,17 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:numeric:")
 
 
-def test_melnikov_refuses_thresholds_from_rounding_noise(tmp_path, capsys):
-    # at alpha = 1.5 the duffing transform loses its digits to rounding
-    # from Omega of about 12 up; at Omega = 30 it is 3e10 times the exact one
+def test_melnikov_refuses_thresholds_past_overflow(tmp_path, capsys):
+    # at alpha = 1.5 the duffing threshold is finite up to Omega of about
+    # 327, where cosh(pi*Omega/(2w)) overflows
     out = tmp_path / "m"
     assert run_cli("melnikov", "--alpha", "1.5", "--beta", "1",
                    "--xi", "0.1", "--omega-max", "30",
+                   "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "m400"
+    assert run_cli("melnikov", "--alpha", "1.5", "--beta", "1",
+                   "--xi", "0.1", "--omega-max", "400",
                    "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:numeric:") and "Omega = " in err

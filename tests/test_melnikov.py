@@ -1,13 +1,13 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from clickdyn.melnikov import (DUFFING, PENDULUM, SOFT_CUBIC, ReducedSystem,
-                               SeparatrixOrbit, _closed_form,
-                               _forcing_amplitudes,
-                               melnikov_numeric, reduce_system, separatrix,
-                               threshold_grid, threshold_numeric)
+                               SeparatrixOrbit, _closed_form, reduce_system,
+                               separatrix, threshold_grid, threshold_numeric)
 from clickdyn.model import Params
 
 
@@ -178,11 +178,18 @@ def test_continued_orbit_sits_on_the_saddles_outside_the_shot(monkeypatch,
     assert np.all(co.omegas[before | after] == 0.0)
 
 
+def _trapezoid_integrals(orbit, omega0):
+    """(2 * integral of omega^2 dT, |integral of omega*exp(-i*omega0*T) dT|)
+    along an orbit by the trapezoid rule on its time grid."""
+    t, om = orbit.times, orbit.omegas
+    return (2.0 * float(np.trapezoid(om * om, t)),
+            float(abs(np.trapezoid(om * np.exp(-1j * omega0 * t), t))))
+
+
 def test_pendulum_forcing_kernel_quadrature():
     # |FT of 2 sech T at 1| = 2*pi*sech(pi/2)
-    r = _unit_pendulum()
-    orbit = separatrix(r, "closed_form")
-    _damping, forcing = melnikov_numeric(r, orbit, 1.0)
+    orbit = separatrix(_unit_pendulum(), "closed_form")
+    _damping, forcing = _trapezoid_integrals(orbit, 1.0)
     assert forcing == pytest.approx(2.0 * math.pi / math.cosh(math.pi / 2.0),
                                     rel=1e-12)
 
@@ -196,88 +203,158 @@ def test_duffing_and_soft_cubic_forcing_kernel_quadrature(omega0):
     w = r.theta3 / math.sqrt(r.kappa)
     expect = (math.sqrt(2.0) * r.theta3 * math.pi * omega0 / w
               / math.cosh(math.pi * omega0 / (2.0 * w)))
-    _damping, forcing = melnikov_numeric(r, separatrix(r), omega0)
+    _damping, forcing = _trapezoid_integrals(separatrix(r), omega0)
     assert forcing == pytest.approx(expect, rel=1e-12)
     r = reduce_system(P_IV, SOFT_CUBIC)
     w = math.sqrt(r.k_center / (2.0 * r.kappa))
     expect = (math.pi**2 * omega0 / w
               / math.sinh(math.pi * omega0 / (2.0 * w)))
-    _damping, forcing = melnikov_numeric(r, separatrix(r), omega0)
+    _damping, forcing = _trapezoid_integrals(separatrix(r), omega0)
     assert forcing == pytest.approx(expect, rel=1e-12)
 
 
-def _complex_trapezoid(orbit, omega0):
-    """The forcing transform as the complex trapezoid of numpy."""
-    t = orbit.times
-    return float(abs(np.trapezoid(orbit.omegas * np.exp(-1j * omega0 * t),
-                                  t)))
+def test_pendulum_damping_integral():
+    # 2 * int (2 sech T)^2 dT = 16
+    orbit = separatrix(_unit_pendulum(), "closed_form")
+    damping, _ = _trapezoid_integrals(orbit, 1.0)
+    assert damping == pytest.approx(16.0, rel=1e-12)
+
+
+def test_time_shift_invariance():
+    r = _unit_pendulum()
+    orbit = separatrix(r, "closed_form")
+    _, theta, omega, _ = _closed_form(r)
+    base = _trapezoid_integrals(orbit, 1.3)
+    for shift in (-5.0, -1.7, 2.4, 5.0):
+        ts = orbit.times
+        shifted = SeparatrixOrbit(orbit.kind, "closed_form", ts,
+                                  theta(ts - shift), omega(ts - shift))
+        got = _trapezoid_integrals(shifted, 1.3)
+        assert got[0] == pytest.approx(base[0], abs=1e-10)
+        assert got[1] == pytest.approx(base[1], abs=1e-10)
 
 
 # the drive frequencies of `clickdyn melnikov` by default
 _CLI_OMEGAS = np.linspace(0.2, 3.0, 30).tolist()
+_XI_GRID = [0.1, 0.2, 0.4]
+
+
+def _reference(r, xi0, omega0):
+    """xi0 * D / F of the module docstring's table in 40 digits, from the
+    rate of the orbit and theta3 as stored."""
+    with mp.workdps(40):
+        xi0, om = mp.mpf(xi0), mp.mpf(omega0)
+        w = mp.mpf(r.decay_rate) / (2 if r.variant == SOFT_CUBIC else 1)
+        x = mp.pi * om / (2 * w)
+        if r.variant == DUFFING:
+            a = mp.sqrt(2) * mp.mpf(r.theta3)
+            damping = 4 * a**2 * w / 3
+            forcing = a * mp.pi * om / w * mp.sech(x)
+        elif r.variant == PENDULUM:
+            damping, forcing = 16 * w, 2 * mp.pi * mp.sech(x)
+        else:
+            damping = 8 * mp.pi**2 * w / 3
+            forcing = mp.pi**2 * om / w * mp.csch(x)
+        return xi0 * damping / forcing
+
+
+@pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
+def test_grid_thresholds_match_mpmath(variant):
+    # Measured worst over these points: 2.1e-15 (duffing at alpha = 1.9),
+    # 1.2e-15 (pendulum) and 1.3e-15 (soft cubic); the relative error
+    # grows with pi*Omega/(2w), the condition number of sech and csch.
+    worst = 0.0
+    for alpha in (1.05, 1.2, 1.5, 1.9):
+        r = reduce_system(Params(alpha=alpha), variant)
+        grid = threshold_grid(r, _CLI_OMEGAS, _XI_GRID)
+        for i, xi0 in enumerate(_XI_GRID):
+            for j, om in enumerate(_CLI_OMEGAS):
+                got = grid.m0_crit[i, j]
+                assert got == threshold_numeric(r, xi0, om)
+                ref = _reference(r, xi0, om)
+                worst = max(worst, abs(float((got - ref) / ref)))
+    assert worst <= 2e-14
 
 
 @pytest.mark.parametrize("source", ["closed_form", "continued"])
 @pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
-def test_forcing_transform_is_the_complex_trapezoid_to_the_bit(variant,
-                                                               source):
-    # The real-arithmetic quadrature keeps every bit of the complex one,
-    # over one pass of a whole grid and at one drive frequency alone.
-    r = reduce_system(P_IV, variant)
-    orbit = separatrix(r, source)
-    omegas = [0.2, 0.8, 3.0, 10.0, *_CLI_OMEGAS]
-    assert _forcing_amplitudes(orbit, omegas) == [
-        _complex_trapezoid(orbit, om) for om in omegas]
-    for om in (0.2, 0.8, 3.0, 10.0):
-        assert melnikov_numeric(r, orbit, om)[1] == \
-            _complex_trapezoid(orbit, om)
-
-
-@pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
-def test_grid_thresholds_are_the_complex_trapezoid_to_the_bit(variant):
-    r = reduce_system(P_IV, variant)
-    orbit = separatrix(r, "closed_form")
-    damping, _ = melnikov_numeric(r, orbit, 1.0)
-    xi_grid = [0.1, 0.2, 0.4]
-    grid = threshold_grid(r, _CLI_OMEGAS, xi_grid)
-    assert grid.m0_crit.tolist() == [
-        [xi0 * damping / _complex_trapezoid(orbit, om) for om in _CLI_OMEGAS]
-        for xi0 in xi_grid]
+def test_thresholds_match_the_trapezoid_on_the_orbit(variant, source):
+    # The trapezoid rule on an orbit's time grid is an independent
+    # reference: on the closed-form orbit (worst measured 1.1e-13, duffing
+    # at gamma = 0.05) and on the DOP853 continued orbit (worst measured
+    # 4.6e-7, soft cubic at alpha = 1.2), whose own error it carries.
+    if source == "closed_form":
+        points, gate = [Params(alpha=alpha) for alpha in (1.05, 1.2, 1.5)] \
+            + [Params(alpha=1.5, beta=1.0, gamma=0.05)], 1e-12
+    else:
+        points, gate = [Params(alpha=alpha) for alpha in (1.2, 1.5)], 5e-6
+    worst = 0.0
+    for p in points:
+        r = reduce_system(p, variant)
+        orbit = separatrix(r, source)
+        grid = threshold_grid(r, _CLI_OMEGAS, [0.1])
+        for om, got in zip(_CLI_OMEGAS, grid.m0_crit[0].tolist()):
+            damping, forcing = _trapezoid_integrals(orbit, om)
+            worst = max(worst, abs(0.1 * damping / forcing - got) / got)
+    assert worst <= gate
 
 
 def test_acceptance_10_threshold_keeps_its_bits():
     # Acceptance 10's chaotic run counts its Poincare points at 1.5 times
     # this threshold, and a shift of 2 ulps takes the count to its gate.
     r = reduce_system(P_IV, DUFFING)
-    orbit = separatrix(r, "closed_form")
-    damping, _ = melnikov_numeric(r, orbit, 0.8)
-    thr = threshold_numeric(r, 0.1, 0.8)
-    assert thr == 0.1 * damping / _complex_trapezoid(orbit, 0.8)
-    assert thr == 0.08307104396260871
+    assert threshold_numeric(r, 0.1, 0.8) == 0.08307104396260899
 
 
 @pytest.mark.parametrize("variant, omega0", [
     (DUFFING, 20.0), (DUFFING, 30.0), (DUFFING, 60.0), (SOFT_CUBIC, 20.0),
     (SOFT_CUBIC, 30.0), (SOFT_CUBIC, 60.0), (PENDULUM, 30.0),
     (PENDULUM, 60.0)])
-def test_a_transform_within_its_rounding_is_refused(variant, omega0):
-    # At alpha = 1.5 the duffing transform computed at Omega = 20, 30 and
-    # 60 is 16, 3e10 and 2e38 times the exact one: the phases cancel it
-    # down to the rounding of the sum, and the threshold would be too
-    # small by those factors.
+def test_a_threshold_once_lost_to_rounding_is_kept(variant, omega0):
+    # A transform on the orbit's time grid cancelled down to its rounding
+    # at these drive frequencies (alpha = 1.5) and had to be refused; the
+    # closed forms cancel nothing.  Measured worst against 40-digit mpmath:
+    # 2.0e-14 (duffing at Omega = 60, where pi*Omega/(2w) is about 130).
     r = reduce_system(P_IV, variant)
-    with pytest.raises(ValueError, match=f"Omega = {omega0:g} "):
-        threshold_numeric(r, 0.1, omega0)
-    with pytest.raises(ValueError, match=f"Omega = {omega0:g} "):
-        threshold_grid(r, [1.0, omega0], [0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = threshold_numeric(r, 0.1, omega0)
+        grid = threshold_grid(r, [1.0, omega0], [0.1])
+    assert grid.m0_crit[0, 1] == got
+    ref = _reference(r, 0.1, omega0)
+    assert abs(float((got - ref) / ref)) <= 2e-13
 
 
-def test_pendulum_damping_integral():
-    # 2 * int (2 sech T)^2 dT = 16
-    r = _unit_pendulum()
-    orbit = separatrix(r, "closed_form")
-    damping, _ = melnikov_numeric(r, orbit, 1.0)
-    assert damping == pytest.approx(16.0, rel=1e-12)
+@pytest.mark.parametrize("variant, below, above", [
+    (DUFFING, 326.89, 326.9), (PENDULUM, 553.95, 553.96),
+    (SOFT_CUBIC, 317.31, 317.32)])
+def test_a_threshold_past_overflow_is_refused(variant, below, above):
+    # At alpha = 1.5 cosh (duffing, pendulum) or sinh (soft cubic) of
+    # pi*Omega/(2w) overflows between these drive frequencies; the
+    # threshold beyond would be infinite.  No overflow warning escapes.
+    r = reduce_system(P_IV, variant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(threshold_numeric(r, 0.1, below))
+        grid = threshold_grid(r, [1.0, below], [0.0, 0.1])
+        assert np.all(np.isfinite(grid.m0_crit))
+        assert np.all(np.isfinite(grid.m0_printed))
+        with pytest.raises(ValueError, match=f"Omega = {above:g} "):
+            threshold_numeric(r, 0.1, above)
+        with pytest.raises(ValueError, match=f"Omega = {above:g} "):
+            threshold_grid(r, [1.0, above], [0.0, 0.1])
+
+
+def test_a_printed_form_that_overflows_refuses_the_grid():
+    # The soft cubic's printed form takes sinh(pi*Omega/2), which overflows
+    # from Omega of about 452 whatever the parameters; at kappa = 0.25 the
+    # threshold itself stays finite to Omega of about 635.
+    r = reduce_system(Params(alpha=1.5, kappa=0.25), SOFT_CUBIC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(threshold_numeric(r, 0.1, 460.0))
+        with pytest.raises(ValueError, match="Omega = 460 "):
+            threshold_grid(r, [1.0, 460.0], [0.1])
 
 
 def test_pendulum_threshold_closed_form_oracle():
@@ -290,20 +367,6 @@ def test_pendulum_threshold_closed_form_oracle():
                 math.pi * omega0 / (2.0 * w0))
             got = threshold_numeric(r, xi0, omega0)
             assert got == pytest.approx(expect, rel=1e-10)
-
-
-def test_time_shift_invariance():
-    r = _unit_pendulum()
-    orbit = separatrix(r, "closed_form")
-    _, theta, omega, _ = _closed_form(r)
-    base = melnikov_numeric(r, orbit, 1.3)
-    for shift in (-5.0, -1.7, 2.4, 5.0):
-        ts = orbit.times
-        shifted = SeparatrixOrbit(orbit.kind, "closed_form", ts,
-                                  theta(ts - shift), omega(ts - shift))
-        got = melnikov_numeric(r, shifted, 1.3)
-        assert got[0] == pytest.approx(base[0], abs=1e-10)
-        assert got[1] == pytest.approx(base[1], abs=1e-10)
 
 
 def test_threshold_linear_in_xi0():
@@ -322,12 +385,13 @@ def test_threshold_grows_with_frequency():
 
 
 def test_non_decaying_orbit_rejected():
-    r = _unit_pendulum()
-    ts = np.linspace(-40.0, 40.0, 1001)
-    rotating = SeparatrixOrbit("heteroclinic", "closed_form", ts,
-                               ts.copy(), np.ones_like(ts))
-    with pytest.raises(ValueError):
-        melnikov_numeric(r, rotating, 1.0)
+    # a separatrix with rate 0 never decays: D and F are both 0
+    r = ReducedSystem(PENDULUM, kappa=1.0, k1=0.0, char_angle=math.pi,
+                      decay_rate=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Omega = 1 "):
+            threshold_numeric(r, 0.1, 1.0)
 
 
 def test_printed_reference_forms():
@@ -380,10 +444,10 @@ def _printed_form(r, xi0, omega0):
 
 @pytest.mark.parametrize("variant", [DUFFING, PENDULUM, SOFT_CUBIC])
 def test_grid_cells_equal_the_single_point_thresholds(variant):
-    # One quadrature per omega0 gives, bit for bit, what the single-point
-    # threshold gives.  xi0 = 0 agrees by definition; soft_cubic's printed
-    # form is within 5 % only for omega0 in about (0.7296, 0.7634), so
-    # 0.728 and 0.765 sit just outside.
+    # A grid cell is, bit for bit, what the single-point threshold gives.
+    # xi0 = 0 agrees by definition; soft_cubic's printed form is within
+    # 5 % only for omega0 in about (0.7296, 0.7634), so 0.728 and 0.765
+    # sit just outside.
     r = reduce_system(P_IV, variant)
     omega_grid = [0.2, 0.728, 0.745, 0.765, 1.6, 3.0]
     xi_grid = [0.0, 0.1, 0.37]
