@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import difflib
+import functools
 import math
 import sys
 from pathlib import Path
@@ -334,7 +335,7 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
     else:
         b_grid = np.linspace(opts["beta_min"], opts["beta_max"], opts["n"])
         curve = eq.bifurcation_set(variant, p.gamma, a_grid, b_grid)
-    rows = [tuple(float(v) for v in row) for row in curve.samples]
+    rows = list(map(tuple, curve.samples.tolist()))
     return [Dataset(f"bifurcation_{variant}", curve.columns, rows)]
 
 
@@ -344,7 +345,7 @@ def _run_freevib(p: Params, opts) -> list[Dataset]:
     out = []
     for branch in branches:
         rows = []
-        for pt in freevib.amplitude_frequency_curve(p, branch, opts["n"]):
+        for pt in freevib._branch_curve(p, bands, branch, opts["n"]):
             rows.append((pt.energy,
                          math.nan if pt.theta_ini is None else pt.theta_ini,
                          math.nan if pt.theta_fin is None else pt.theta_fin,
@@ -474,8 +475,10 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser(commands=tuple(_OPTIONS)) -> argparse.ArgumentParser:
-    """The parser with the subparsers of ``commands`` (default: all).
+    """The parser with the subparsers of ``commands`` (default: all), built
+    once per process: parsing keeps no state in it.
 
     A subset keeps the usage line of the full parser, which argparse also
     prints for an unrecognized argument after a subcommand.  The full parser
@@ -529,7 +532,7 @@ def main(argv=None) -> int:
     # Build only the named subcommand's parser; help, a missing or unknown
     # subcommand and an option before the subcommand get all of them.
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[:1] if argv and argv[0] in _OPTIONS
+    parser = _build_parser(tuple(argv[:1]) if argv and argv[0] in _OPTIONS
                            else tuple(_OPTIONS))
     try:
         args = parser.parse_args(argv)

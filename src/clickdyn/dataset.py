@@ -33,12 +33,12 @@ class Dataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError(
-                    f"dataset {self.name!r}: row width {len(row)} != "
-                    f"{len(self.columns)} columns"
-                )
+        wrong = set(map(len, self.rows)) - {len(self.columns)}
+        if wrong:
+            raise ValueError(
+                f"dataset {self.name!r}: row width {min(wrong)} != "
+                f"{len(self.columns)} columns"
+            )
 
 
 def format_value(v) -> str:

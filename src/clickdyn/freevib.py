@@ -223,7 +223,13 @@ def amplitude_frequency_curve(p: Params, branch: str,
     energy with no period (see :func:`period_of_energy`) gives no point.
     A branch whose band these parameters lack raises InputError.
     """
-    bands = energy_bands(p)
+    return _branch_curve(p, energy_bands(p), branch, n_samples)
+
+
+def _branch_curve(p: Params, bands: dict, branch: str,
+                  n_samples: int) -> list[FreeVibPoint]:
+    """:func:`amplitude_frequency_curve` with the ``energy_bands(p)`` of a
+    caller that already has them."""
     if branch not in bands:
         raise InputError(
             f"branch {branch!r} not available; have {sorted(bands)}")

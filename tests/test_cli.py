@@ -79,6 +79,12 @@ def test_emitted_rows_are_format_value_joins(ds):
 def test_dataset_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Dataset("t", ("x", "y"), [(1.0,)])
+    for at in (0, 2, 4):            # the wrong row first, middle, last
+        rows = [(float(i), 1.0) for i in range(5)]
+        rows[at] = (1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match=r"^dataset 'curve': "
+                                             r"row width 3 != 2 columns$"):
+            Dataset("curve", ("x", "y"), rows)
 
 
 def test_equilibria_subcommand(tmp_path):
@@ -371,6 +377,50 @@ def test_consecutive_calls_are_independent(tmp_path):
                    "--out", str(tmp_path / "b")) == 0
     assert len(read_csv(tmp_path / "a" / "energy.csv")[1]) == 5
     assert len(read_csv(tmp_path / "b" / "energy.csv")[1]) == 401
+
+
+def _energy_run(out, *flags):
+    """Exit code, manifest options and CSV bytes of one energy run."""
+    code = run_cli("energy", "--alpha", "1.5", *flags, "--out", str(out))
+    options = json.loads((out / "manifest.json").read_text())[
+        "config"]["options"]
+    return code, options, (out / "energy.csv").read_bytes()
+
+
+def test_repeated_calls_match_calls_on_a_fresh_parser(tmp_path):
+    flags = [("--n", "5", "--theta-min", "-1"), ("--n", "7")]
+    got = [_energy_run(tmp_path / f"cached{i}", *f)
+           for i, f in enumerate(flags)]
+    fresh = []
+    for i, f in enumerate(flags):
+        cli._build_parser.cache_clear()
+        fresh.append(_energy_run(tmp_path / f"fresh{i}", *f))
+    assert got == fresh
+    assert [(g[1]["n"], g[1]["theta_min"]) for g in got] == \
+        [(5, -1.0), (7, -math.pi)]
+
+
+@pytest.mark.parametrize("bad", [["--alpha", "x"], ["--bogus", "1"],
+                                 ["--n"]])
+def test_a_parse_error_leaves_the_next_call_unchanged(tmp_path, bad, capsys):
+    assert run_cli("energy", "--beta", "1", *bad) == 2
+    assert capsys.readouterr().err.startswith("usage: clickdyn ")
+    code, options, csv = _energy_run(tmp_path / "o", "--n", "3")
+    assert (code, options["n"], csv.count(b"\n")) == (0, 3, 4)
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["config"]["params"] == {"alpha": 1.5}
+
+
+def test_full_and_subcommand_parsers_in_either_order(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    assert main([]) == 2
+    fresh_err = capsys.readouterr().err
+    for out in ("a", "b"):
+        assert _energy_run(tmp_path / out, "--n", "3")[0] == 0
+        assert main([]) == 2
+        assert capsys.readouterr().err == fresh_err
+    assert (tmp_path / "a" / "energy.csv").read_bytes() == \
+        (tmp_path / "b" / "energy.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
