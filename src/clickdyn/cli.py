@@ -241,14 +241,14 @@ def _theta_grid(opts) -> np.ndarray:
 
 def _run_energy(p: Params, opts) -> list[Dataset]:
     thetas = _theta_grid(opts)
-    rows = zip(thetas.tolist(), potential(p, thetas).tolist())
-    return [Dataset("energy", ("theta", "potential"), list(rows))]
+    rows = np.column_stack((thetas, potential(p, thetas)))
+    return [Dataset("energy", ("theta", "potential"), rows)]
 
 
 def _run_moment(p: Params, opts) -> list[Dataset]:
     thetas = _theta_grid(opts)
-    rows = zip(thetas.tolist(), moment(p, thetas).tolist())
-    return [Dataset("moment", ("theta", "moment"), list(rows))]
+    rows = np.column_stack((thetas, moment(p, thetas)))
+    return [Dataset("moment", ("theta", "moment"), rows)]
 
 
 def _run_stiffness(p: Params, opts) -> list[Dataset]:
@@ -256,8 +256,8 @@ def _run_stiffness(p: Params, opts) -> list[Dataset]:
     thetas = _theta_grid(opts)
     with np.errstate(invalid="ignore"):     # 0/0 where D = 0
         vals = _stiffness_field(p.alpha, p.beta, p.gamma, thetas)
-    rows = zip(thetas.tolist(), vals.tolist())
-    return [Dataset("stiffness", ("theta", "stiffness"), list(rows))]
+    rows = np.column_stack((thetas, vals))
+    return [Dataset("stiffness", ("theta", "stiffness"), rows)]
 
 
 def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
@@ -304,13 +304,14 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
         theta, omega, inside = theta[order], omega[order], inside[order]
         k = np.nonzero(inside[:-1] & inside[1:])[0]
         # upper branch, then lower; 0.0 - omega keeps omega = 0 unsigned
-        segs = [seg for w in (omega, 0.0 - omega)
-                for seg in zip(theta[k].tolist(), w[k].tolist(),
-                               theta[k + 1].tolist(), w[k + 1].tolist())]
-        rows += [(top, j, *seg) for j, seg in enumerate(segs)]
+        w0, w1 = omega[k], omega[k + 1]
+        rows.append(np.column_stack((
+            np.full(2 * k.size, top), np.arange(2.0 * k.size),
+            np.tile(theta[k], 2), np.concatenate((w0, 0.0 - w0)),
+            np.tile(theta[k + 1], 2), np.concatenate((w1, 0.0 - w1)))))
     return [Dataset("phase_portrait",
                     ("level", "segment", "theta0", "omega0_v",
-                     "theta1", "omega1_v"), rows)]
+                     "theta1", "omega1_v"), np.vstack(rows))]
 
 
 def _run_equilibria(p: Params, opts) -> list[Dataset]:
@@ -335,8 +336,7 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
     else:
         b_grid = np.linspace(opts["beta_min"], opts["beta_max"], opts["n"])
         curve = eq.bifurcation_set(variant, p.gamma, a_grid, b_grid)
-    rows = list(map(tuple, curve.samples.tolist()))
-    return [Dataset(f"bifurcation_{variant}", curve.columns, rows)]
+    return [Dataset(f"bifurcation_{variant}", curve.columns, curve.samples)]
 
 
 def _run_freevib(p: Params, opts) -> list[Dataset]:
@@ -344,12 +344,12 @@ def _run_freevib(p: Params, opts) -> list[Dataset]:
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
     out = []
     for branch in branches:
-        rows = []
-        for pt in freevib._branch_curve(p, bands, branch, opts["n"]):
-            rows.append((pt.energy,
-                         math.nan if pt.theta_ini is None else pt.theta_ini,
-                         math.nan if pt.theta_fin is None else pt.theta_fin,
-                         pt.amplitude, pt.period, pt.frequency))
+        # a rotation's turning angles, None, become nan
+        rows = np.array([(pt.energy, pt.theta_ini, pt.theta_fin,
+                          pt.amplitude, pt.period, pt.frequency)
+                         for pt in freevib._branch_curve(p, bands, branch,
+                                                         opts["n"])],
+                        dtype=float).reshape(-1, 6)
         out.append(Dataset(f"freevib_{branch}",
                            ("energy", "theta_ini", "theta_fin",
                             "amplitude", "period", "frequency"), rows,
@@ -363,8 +363,10 @@ def _run_hbm(p: Params, opts) -> list[Dataset]:
     b_amp = opts["drive"]
     s_values = np.linspace(opts["s_min"], opts["s_max"], opts["n"])
     roots = hbm.frf_amplitudes(cubic, p.kappa, p.xi, b_amp, s_values)
-    frf_rows = [(s, i, a, ph) for s, pairs in zip(s_values.tolist(), roots)
-                for i, (a, ph) in enumerate(pairs)]
+    frf_rows = np.array([(s, i, a, ph)
+                         for s, pairs in zip(s_values.tolist(), roots)
+                         for i, (a, ph) in enumerate(pairs)],
+                        dtype=float).reshape(-1, 4)
     folds = hbm.fold_frequencies(cubic, p.kappa, p.xi, b_amp,
                                  float(s_values[0]), float(s_values[-1]))
     # pairs ascend in A, so the last of a row is its largest amplitude
@@ -376,9 +378,8 @@ def _run_hbm(p: Params, opts) -> list[Dataset]:
     return [
         Dataset("hbm_frf", ("s", "root", "amplitude", "phase"), frf_rows,
                 metadata=meta),
-        Dataset("hbm_backbone", ("amplitude", "s", "s_unit_kappa"),
-                [tuple(row) for row in bb.tolist()]),
-        Dataset("hbm_folds", ("s",), [(s,) for s in folds]),
+        Dataset("hbm_backbone", ("amplitude", "s", "s_unit_kappa"), bb),
+        Dataset("hbm_folds", ("s",), np.array(folds, float).reshape(-1, 1)),
     ]
 
 
@@ -404,7 +405,7 @@ def _run_simulate(p: Params, opts) -> list[Dataset]:
     spec = IntegratorSpec(rel_tol=opts["rel_tol"], abs_tol=opts["abs_tol"],
                           t_end=opts["t_end"])
     traj = integrate(p, (opts["theta0"], opts["omega0_state"]), spec)
-    rows = list(zip(traj.times.tolist(), *traj.states.T.tolist()))
+    rows = np.column_stack((traj.times, traj.states))
     meta = {"accepted": traj.step_stats.accepted,
             "rejected": traj.step_stats.rejected}
     if traj.energy_drift is not None:
@@ -422,10 +423,8 @@ def _run_sweep(p: Params, opts) -> list[Dataset]:
         system = p
     result = hbm.sweep_hysteresis(system, opts["s_min"], opts["s_max"],
                                   opts["n"])
-    up = [(float(s), float(a))
-          for s, a in zip(result.up_s, result.up_amplitude)]
-    down = [(float(s), float(a))
-            for s, a in zip(result.down_s, result.down_amplitude)]
+    up = np.column_stack((result.up_s, result.up_amplitude))
+    down = np.column_stack((result.down_s, result.down_amplitude))
     jumps = [("up", float(s)) for s in result.up_jumps] + \
             [("down", float(s)) for s in result.down_jumps]
     return [
@@ -442,7 +441,8 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
     est = largest_lyapunov(p, (opts["theta0"], opts["omega0_state"]),
                            horizon=opts["horizon"],
                            renorm_interval=opts["interval"])
-    rows = [(i, float(r)) for i, r in enumerate(est.segment_rates)]
+    rates = est.segment_rates
+    rows = np.column_stack((np.arange(float(rates.size)), rates))
     return [Dataset("lyapunov", ("segment", "rate"), rows,
                     metadata={"exponent": est.exponent,
                               "exponent_stderr": est.stderr,
@@ -452,8 +452,7 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
 def _run_poincare(p: Params, opts) -> list[Dataset]:
     pm = poincare_section(p, (opts["theta0"], opts["omega0_state"]),
                           opts["n_points"], opts["discard"])
-    rows = [(float(th), float(om)) for th, om in pm.points]
-    return [Dataset("poincare", ("theta", "omega"), rows,
+    return [Dataset("poincare", ("theta", "omega"), pm.points,
                     metadata={"discard": pm.discard,
                               "omega0": pm.omega_big0})]
 

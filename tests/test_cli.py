@@ -4,14 +4,16 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import clickdyn.integrate as integ
-from clickdyn import InputError, cli, hbm, melnikov
+from clickdyn import InputError, cli, dataset, hbm, melnikov
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, format_value, read_csv
 from clickdyn.model import Params, moment, potential, stiffness
@@ -27,9 +29,14 @@ def test_csv_round_trip(tmp_path):
     path = emit_dataset(ds, tmp_path / "t.csv")
     cols, back = read_csv(path)
     assert cols == ("x", "y")
+    assert len(back) == len(rows)
     for row, orig in zip(back, rows):
         for a, b in zip(row, orig):
             assert a == b          # bit-exact
+    # a row whose text is empty is a row
+    rows = [("",), ("a",), ("",)]
+    path = emit_dataset(Dataset("s", ("name",), rows), tmp_path / "s.csv")
+    assert read_csv(path) == (("name",), rows)
 
 
 # Cells of every kind format_value handles, with the edge values of each.
@@ -85,6 +92,99 @@ def test_dataset_rejects_ragged_rows():
         with pytest.raises(ValueError, match=r"^dataset 'curve': "
                                              r"row width 3 != 2 columns$"):
             Dataset("curve", ("x", "y"), rows)
+    # array rows: 2-D float64 with one column per name
+    with pytest.raises(ValueError, match=r"^dataset 'curve': row width 3 "
+                                         r"!= 2 columns$"):
+        Dataset("curve", ("x", "y"), np.zeros((5, 3)))
+    for rows in (np.zeros(4), np.zeros((2, 2), dtype=np.float32),
+                 np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match=r"^dataset 'curve': array rows "
+                                             r"must be 2-D float64"):
+            Dataset("curve", ("x", "y"), rows)
+
+
+def test_an_empty_array_writes_the_header_only(tmp_path):
+    ds = Dataset("t", ("x", "y"), np.empty((0, 2)))
+    assert emit_dataset(ds, tmp_path / "t.csv").read_bytes() == b"x,y\n"
+    assert read_csv(tmp_path / "t.csv") == (("x", "y"), [])
+    assert len(ds.rows) == 0
+
+
+# Float64 cells: every class the array pass treats apart (the range
+# [1e-10, 1e15), its edges, 0, -0, nan, inf, subnormals and values outside).
+_ARRAY_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(1e-10, 1e15, exclude_max=True).flatmap(
+        lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     5e-324, 1e-10, np.nextafter(1e-10, 0.0), 1e15,
+                     np.nextafter(1e15, 0.0), -1e15, 1e16, 2.0**53]),
+    st.integers(-2**53, 2**53).map(float))
+
+
+@st.composite
+def _array_datasets(draw):
+    """Arrays of 0-40 rows and 1-4 columns."""
+    cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(0, 40))
+    rows = draw(hnp.arrays(np.float64, (n_rows, cols), elements=_ARRAY_CELLS))
+    return Dataset("t", tuple(f"c{j}" for j in range(cols)), rows)
+
+
+def _format_value_joins(ds):
+    lines = [",".join(ds.columns)]
+    lines += [",".join(map(format_value, row)) for row in ds.rows.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=_array_datasets())
+def test_array_rows_are_format_value_joins(ds):
+    """An array's CSV lines are the ``format_value`` joins of its rows, on
+    either side of ``_ARRAY_MIN`` cells."""
+    for array_min in (dataset._ARRAY_MIN, 0):
+        with mock.patch.object(dataset, "_ARRAY_MIN", array_min), \
+                tempfile.TemporaryDirectory() as tmp:
+            data = emit_dataset(ds, Path(tmp) / "t.csv").read_bytes()
+        assert data == _format_value_joins(ds)
+
+
+def _bulk_values(rng) -> np.ndarray:
+    """About 2e5 floats where a 17-digit writer goes wrong, if it does."""
+    bits = rng.integers(0, 2**64, 60000, dtype=np.uint64, endpoint=False)
+    log_uniform = 10.0 ** rng.uniform(-12.0, 17.0, 70000)
+    edges = np.array([1e-10, 1e15, 5e-324, 2.2250738585072014e-308])
+    powers = np.array([10.0**k for k in range(-12, 18)]
+                      + [float(f"1e{k}") for k in range(-12, 18)])
+    # exact ties: a/2**(17 - X), a odd, with a*5**(16 - X) in [2e16, 2e17),
+    # lie halfway between two 17-digit decimals of exponent X
+    ties = []
+    for x in range(-8, 15):
+        f = 5 ** (16 - x)
+        odd = rng.integers(-(-2 * 10**16 // f), min(2 * 10**17 // f, 2**53),
+                           1500) | 1
+        ties.append(odd / 2.0 ** (17 - x))
+    integers = rng.integers(0, 2**53, 35000, endpoint=True).astype(float)
+    values = np.concatenate([
+        log_uniform,
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        *ties, integers])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    return np.concatenate([bits.view(np.float64), values])
+
+
+def test_array_pass_is_exact_on_hard_values(tmp_path):
+    """Byte-equal to ``format_value`` on about 2e5 values: random bit
+    patterns, 1e-12..1e17 log-uniform, the range edges and powers of ten
+    with their neighbours, exact decimal ties and integers up to 2**53."""
+    values = _bulk_values(np.random.default_rng(2805))
+    assert values.size > 3 * dataset._BLOCK     # several blocks
+    for cols in (1, 3):
+        ds = Dataset("t", tuple("xyz"[:cols]),
+                     values[:values.size // cols * cols].reshape(-1, cols))
+        data = emit_dataset(ds, tmp_path / "t.csv").read_bytes()
+        assert data == _format_value_joins(ds)
 
 
 def test_equilibria_subcommand(tmp_path):

@@ -44,3 +44,17 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
          "import sys, clickdyn.cli; print('scipy.integrate' in sys.modules)"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_importing_the_cli_builds_no_csv_tables():
+    # the array pass of clickdyn.dataset builds its lookup tables on first
+    # use, so importing the CLI (every run's set-up) pays nothing for them
+    src = str(Path(clickdyn.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import clickdyn.cli, clickdyn.dataset as d; "
+         "print(d._tables.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "0"
