@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Params, _stiffness_field, stiffness
+from .model import Params, _curvature_field, _stiffness_field, stiffness
 
 __all__ = [
     "Equilibrium",
@@ -173,8 +173,21 @@ def _b1_residual(alpha, beta, gamma):
                     alpha * beta + gamma - alpha * beta / np.abs(alpha - beta))
 
 
+def _b1_slope(alpha, beta):
+    """d/dalpha of the B1 residual: beta + beta^2*sign(d)/d^2, d = alpha -
+    beta (NaN on alpha == beta)."""
+    d = alpha - beta
+    return beta + beta * beta * np.sign(d) / (d * d)
+
+
 def _b2_residual(alpha, beta, gamma):
     return alpha * beta - alpha * beta / (alpha + beta) - gamma
+
+
+def _b2_slope(alpha, beta):
+    """d/dalpha of the B2 residual: beta - beta^2/(alpha + beta)^2."""
+    t = alpha + beta
+    return beta - beta * beta / (t * t)
 
 
 def classify_region(p: Params) -> str:
@@ -199,27 +212,94 @@ def classify_region(p: Params) -> str:
     return REGION_SINGLE_WELL_SOFT
 
 
-def _grid_zeros(f, x, r):
+# _grid_zeros: mesh rows per scan block; Newton steps and their stopping
+# size in ulps; ladder rungs w*4**k, and which probes (est - rungs, est,
+# est + rungs) may narrow the low and the high end.
+_SCAN_ROWS = 32
+_NEWTON_STEPS = 8
+_NEWTON_ULPS = 64
+_LADDER = 8
+_RUNGS = 4.0 ** np.arange(_LADDER)
+_BELOW = np.arange(2 * _LADDER + 1) <= _LADDER
+_ABOVE = np.arange(2 * _LADDER + 1) >= _LADDER
+
+
+def _grid_zeros(f, slope, x, r):
     """Zeros of ``f(x, r)`` along the grid x, for each r in order.
 
-    f is sampled on the whole (r, x) mesh at once.  A sample that is 0 is
-    a zero; all intervals whose ends have strictly opposite signs (NaN has
-    none) are bisected together to adjacent floats, as in
-    ``freevib.level_angles``.  Returns (r, zero) pairs as two arrays.
+    f is sampled and sign-scanned on the (r, x) mesh in blocks of
+    _SCAN_ROWS rows, whose temporaries stay in cache.  A sample that is 0
+    is a zero; every interval whose ends have strictly opposite signs (NaN
+    has none) is a bracket.  Each root is 0.5*(lo + hi) of an
+    adjacent-float pair across which the predicate f > 0 changes; every
+    point evaluated narrows its bracket by that predicate.
+
+    All brackets are narrowed together by a safeguarded Newton iteration
+    (``rtsafe``, Press et al., *Numerical Recipes* sec. 9.4) with
+    ``slope(x, r)`` = df/dx, from the linear interpolation of the
+    bracket's two samples.  A point outside the closed bracket, or not
+    finite, becomes its midpoint (a bisection step), and so does a start
+    where the slope is not finite: with no usable slope this is plain
+    bisection.  It stops when every step is within _NEWTON_ULPS ulps, or
+    after _NEWTON_STEPS steps.  Then one call of f on a ladder of probes
+    at w*4**k on each side of the estimate (w its last step plus 2 ulps,
+    k < _LADDER) keeps, on each side, the innermost probe whose predicate
+    agrees with that side; the ladder reaches past residuals that are
+    rounding noise over many ulps.  Bisection closes the brackets to
+    adjacent floats.  A wrong slope costs steps, not the contract.
+    Returns (r, zero) pairs as two arrays.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = f(x, r[:, None])
-        sign = np.sign(vals)
-        zero_j, zero_i = np.nonzero(vals == 0.0)
-        j, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-        lo, hi = x[i], x[i + 1]
-        lo_above = sign[j, i] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scans = []
+        for k in range(0, max(len(r), 1), _SCAN_ROWS):   # one if r is empty
+            vals = f(x, r[k:k + _SCAN_ROWS, None])
+            pos, neg = vals > 0.0, vals < 0.0
+            # flat indices: np.nonzero of a 2-D mask costs several times more
+            zero_j, zero_i = np.divmod(np.flatnonzero(vals == 0.0), len(x))
+            j, i = np.divmod(np.flatnonzero(pos[:, :-1] & neg[:, 1:]
+                                            | neg[:, :-1] & pos[:, 1:]),
+                             len(x) - 1)
+            scans.append((zero_j + k, zero_i, j + k, i, pos[j, i],
+                          vals[j, i], vals[j, i + 1]))
+        zero_j, zero_i, j, i, pos0, f0, f1 = map(np.concatenate,
+                                                 zip(*scans))
+        rr = r[j]
+        x0, x1 = x[i], x[i + 1]
+        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+        lo_above = pos0 == (x0 < x1)
+
+        est = x0 + (x1 - x0) * (f0 / (f0 - f1))
+        d = slope(est, rr)
+        ok = np.isfinite(d) & (lo <= est) & (est <= hi)
+        if not ok.all():
+            est = np.where(ok, est, 0.5 * (lo + hi))
+            d = slope(est, rr)
+        for n in range(1, _NEWTON_STEPS + 1):
+            fx = f(est, rr)
+            to_lo = (fx > 0.0) == lo_above
+            lo, hi = np.where(to_lo, est, lo), np.where(to_lo, hi, est)
+            new = est - fx / d
+            prev, est = est, np.where((lo <= new) & (new <= hi), new,
+                                      0.5 * (lo + hi))
+            step = np.abs(est - prev)
+            if n == _NEWTON_STEPS or np.all(
+                    step <= _NEWTON_ULPS * np.spacing(est)):
+                break
+            d = slope(est, rr)
+        rungs = (step + 2.0 * np.spacing(est))[:, None] * _RUNGS
+        probes = np.concatenate([est[:, None] - rungs, est[:, None],
+                                 est[:, None] + rungs], axis=1)
+        agree = (f(probes, rr[:, None]) > 0.0) == lo_above[:, None]
+        lo = np.maximum(lo, np.where(agree & _BELOW, probes, -np.inf)
+                        .max(axis=1))
+        hi = np.minimum(hi, np.where(~agree & _ABOVE, probes, np.inf)
+                        .min(axis=1))
         while True:
             mid = 0.5 * (lo + hi)
             open_ = (mid != lo) & (mid != hi)
             if not open_.any():
                 break
-            to_lo = open_ & ((f(mid, r[j]) > 0.0) == lo_above)
+            to_lo = open_ & ((f(mid, rr) > 0.0) == lo_above)
             lo = np.where(to_lo, mid, lo)
             hi = np.where(open_ & ~to_lo, mid, hi)
     # an exact zero at grid point i comes before the interval (i, i+1)
@@ -233,13 +313,14 @@ def bifurcation_set(variant: str, gamma: float, alpha_grid,
     """Sampled zero set of the B1 or B2 residual over an (alpha, beta) grid.
 
     For each beta the residual is sign-scanned over alpha_grid and every
-    bracket bisected to adjacent floats; a curve may contribute several
-    alpha roots per beta.
+    bracket refined to adjacent floats by :func:`_grid_zeros`; a curve may
+    contribute several alpha roots per beta.
     """
     if variant not in ("B1", "B2"):
         raise ValueError("variant must be 'B1' or 'B2'")
-    residual = _b1_residual if variant == "B1" else _b2_residual
-    betas, roots = _grid_zeros(lambda a, b: residual(a, b, gamma),
+    residual, slope = ((_b1_residual, _b1_slope) if variant == "B1"
+                       else (_b2_residual, _b2_slope))
+    betas, roots = _grid_zeros(lambda a, b: residual(a, b, gamma), slope,
                                np.asarray(alpha_grid, dtype=float),
                                np.asarray(beta_grid, dtype=float))
     samples = np.column_stack(np.broadcast_arrays(roots, betas, gamma))
@@ -251,11 +332,13 @@ def zero_stiffness_set(beta: float, gamma: float,
     """Numerically continued zero set of the stiffness over (theta, alpha).
 
     No closed form exists; for each alpha the stiffness is sign-scanned on
-    400 angles of (0, pi) and each bracket bisected to adjacent floats.  The
-    set is symmetric under theta -> -theta: only the positive half is emitted.
+    400 angles of (0, pi) and each bracket refined to adjacent floats by
+    :func:`_grid_zeros`, with dK/dtheta = M'' as the slope.  The set is
+    symmetric under theta -> -theta: only the positive half is emitted.
     """
     alphas, roots = _grid_zeros(
         lambda th, a: _stiffness_field(a, beta, gamma, th),
+        lambda th, a: _curvature_field(a, beta, gamma, th),
         np.linspace(1e-9, math.pi - 1e-9, 400),
         np.asarray(alpha_grid, dtype=float))
     samples = np.column_stack(np.broadcast_arrays(roots, alphas, beta, gamma))

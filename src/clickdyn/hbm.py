@@ -91,19 +91,33 @@ def fit_cubic(p: Params, eq: Equilibrium) -> CubicApprox:
                        origin_theta=eq.theta, quad_coeff=0.5 * m2)
 
 
+def _coefficients(s, eps, kappa, xi, b_amp):
+    """(c3, c2, c1, c0) of the amplitude cubic c3*u^3 + c2*u^2 + c1*u + c0
+    in u = A^2, and lin = 1 - kappa*s^2."""
+    lin = 1.0 - kappa * s * s
+    return (0.5625 * eps * eps, 1.5 * eps * lin,
+            lin * lin + (2.0 * xi * s) ** 2, -(b_amp * b_amp), lin)
+
+
 def _discriminant(s, eps, kappa, xi, b_amp):
     """Discriminant of the amplitude cubic c3*u^3 + c2*u^2 + c1*u + c0.
 
     The cubic in u = A^2 has no root u <= 0: three positive roots where
     this is positive, one where it is negative.  s may be an array.
     """
-    lin = 1.0 - kappa * s * s
-    c3 = 0.5625 * eps * eps
-    c2 = 1.5 * eps * lin
-    c1 = lin * lin + (2.0 * xi * s) ** 2
-    c0 = -(b_amp * b_amp)
+    c3, c2, c1, c0, _ = _coefficients(s, eps, kappa, xi, b_amp)
     return (18.0 * c3 * c2 * c1 * c0 - 4.0 * c2**3 * c0 + c2 * c2 * c1 * c1
             - 4.0 * c3 * c1**3 - 27.0 * c3 * c3 * c0 * c0)
+
+
+def _discriminant_slope(s, eps, kappa, xi, b_amp):
+    """d/ds of :func:`_discriminant` by the chain rule through c2 and c1,
+    with dc2/ds = -3*eps*kappa*s and dc1/ds = 4*s*(2*xi^2 - kappa*lin)."""
+    c3, c2, c1, c0, lin = _coefficients(s, eps, kappa, xi, b_amp)
+    by_c2 = 18.0 * c3 * c1 * c0 - 12.0 * c2 * c2 * c0 + 2.0 * c2 * c1 * c1
+    by_c1 = 18.0 * c3 * c2 * c0 + 2.0 * c2 * c2 * c1 - 12.0 * c3 * c1 * c1
+    return (by_c2 * (-3.0 * eps * kappa * s)
+            + by_c1 * (4.0 * s * (2.0 * xi * xi - kappa * lin)))
 
 
 def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
@@ -168,12 +182,14 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
     """Frequencies where the HBM root count changes (fold points).
 
     The zeros of :func:`_discriminant` on a 2001-point grid of
-    [s_lo, s_hi], each sign change bisected to adjacent floats by
+    [s_lo, s_hi]: each sign change is refined by Newton steps on
+    :func:`_discriminant_slope` and closed to adjacent floats by
     :func:`~clickdyn.equilibria._grid_zeros`.
     """
     eps = cubic.epsilon
     _, folds = _grid_zeros(
         lambda s, b: _discriminant(s, eps, kappa, xi, b),
+        lambda s, b: _discriminant_slope(s, eps, kappa, xi, b),
         np.linspace(s_lo, s_hi, 2001), np.array([b_amp]))
     return folds.tolist()
 
@@ -196,8 +212,8 @@ def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:
 
 # Newton on the period map: at most _NEWTON_ITER iterates per attempt.  A
 # transient runs in blocks of _BLOCK periods between attempts, at most about
-# _MAX_PERIODS periods per point; a sweep's traces of its branches stop once
-# it has spent _MAX_PERIODS periods per grid point.
+# _MAX_PERIODS periods per point; a trace of a branch stops once it has
+# spent _MAX_PERIODS periods per grid point.
 _NEWTON_ITER = 8
 _BLOCK = 20
 _MAX_PERIODS = 1200
@@ -328,7 +344,8 @@ def _trace(maps, grid, x, k, sigma):
     the curve around a fold, where the tangent's s-component changes sign,
     and along an unstable branch.  The trace ends where the curve leaves
     [grid[0], grid[-1]], where the step falls below the difference step,
-    or once the sweep has spent _MAX_PERIODS periods per grid point.
+    or once it has spent _MAX_PERIODS periods per grid point, counted from
+    its entry (settles elsewhere in the sweep do not draw on it).
     Returns the stable segments in the order of the curve, each a dict
     from grid index to the orbit's state at that s, the first holding x.
     """
@@ -336,7 +353,7 @@ def _trace(maps, grid, x, k, sigma):
     n = len(grid)
     if not 0 <= k + sigma < n:
         return [{k: x}]
-    budget = _MAX_PERIODS * n
+    budget = maps.periods + _MAX_PERIODS * n
 
     def tangent(x, s, px, m, ref):
         return _tangent(m, _s_column(maps.at, x, s, px, rel_tol), ref)

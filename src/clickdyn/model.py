@@ -230,6 +230,20 @@ def _stiffness_field(alpha, beta, gamma, theta):
     return (ab + gamma) * ct - ab * w / d2 / np.sqrt(d2)
 
 
+def _curvature_field(alpha, beta, gamma, theta):
+    """M'' = dK/dtheta over broadcastable arrays of its four arguments:
+    the first entry of :func:`_moment_curvature` as an array.  NaN where
+    D = 0."""
+    ab = alpha * beta
+    s = np.sin(theta)
+    d2 = _radicand(alpha, beta, np.sin(0.5 * theta))
+    d = np.sqrt(d2)
+    f = ab + gamma - ab / d
+    k3 = ab * ab / (d2 * d)
+    x = ab * s * s / d2
+    return s * (3.0 * k3 * (np.cos(theta) - x) - f)
+
+
 def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
     """(M'', M''') at one float theta, closed form.
 

@@ -7,12 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from clickdyn.equilibria import (CENTER, SADDLE, bifurcation_set,
-                                 classify_region, equilibria_in_period,
-                                 interior_angle, interior_angle_closed_form,
+from clickdyn.equilibria import (CENTER, SADDLE, _b1_residual, _b1_slope,
+                                 _b2_residual, _b2_slope, _grid_zeros,
+                                 bifurcation_set, classify_region,
+                                 equilibria_in_period, interior_angle,
+                                 interior_angle_closed_form,
                                  equilibria_in_period as _eq,
                                  stiffness_at_poles, zero_stiffness_set)
-from clickdyn.model import Params, moment, stiffness
+from clickdyn.hbm import _discriminant
+from clickdyn.model import (Params, _curvature_field, _stiffness_field,
+                            moment, stiffness)
 
 
 def _random_double_well(rng):
@@ -289,3 +293,179 @@ def test_bifurcation_rows_match_per_bracket_brentq(variant, gamma):
     assert samples.shape[0] == ref.shape[0]
     np.testing.assert_array_equal(samples[:, 1], ref[:, 1])
     assert np.max(np.abs(samples[:, 0] - ref[:, 0])) <= 1e-10
+
+
+def _bisection_zeros(f, x, r):
+    """The whole-mesh scan with plain bisection to adjacent floats, the
+    oracle of _grid_zeros without a usable slope."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = f(x, r[:, None])
+        sign = np.sign(vals)
+        zero_j, zero_i = np.nonzero(vals == 0.0)
+        j, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+        lo, hi = x[i], x[i + 1]
+        lo_above = sign[j, i] > 0.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            open_ = (mid != lo) & (mid != hi)
+            if not open_.any():
+                break
+            to_lo = open_ & ((f(mid, r[j]) > 0.0) == lo_above)
+            lo = np.where(to_lo, mid, lo)
+            hi = np.where(open_ & ~to_lo, mid, hi)
+    rows = np.concatenate([zero_j, j])
+    order = np.lexsort((np.concatenate([2 * zero_i, 2 * i + 1]), rows))
+    return r[rows[order]], np.concatenate([x[zero_i], mid])[order]
+
+
+# fold_frequencies cases of tests/test_hbm.py: (eps, kappa, xi, B, s_lo,
+# s_hi), the second with a fold on a scan point, the third with three folds
+_FOLD_CASES = [
+    (-0.01, 1.0, 0.015, 0.1, 0.9, 1.0),
+    (-0.010632020785712019, 1.0, 0.010880235353209176, 0.05497346246006739,
+     0.9693228975247328, 0.9782562734510281),
+    (-0.014884142476537928, 1.4529764684064155, 0.002380237425780928,
+     0.011983769044454876, 0.24888112678865743, 1.6592075119243828),
+]
+
+
+def _scan(case):
+    """(f, x, r) of the _grid_zeros call behind a (variant, gamma) case on
+    the CLI grids, or behind a fold case."""
+    if len(case) == 6:
+        eps, kappa, xi, b, s_lo, s_hi = case
+        return (lambda s, bb: _discriminant(s, eps, kappa, xi, bb),
+                np.linspace(s_lo, s_hi, 2001), np.array([b]))
+    variant, gamma = case
+    if variant == "B0":
+        return (lambda th, a: _stiffness_field(a, 1.0, gamma, th),
+                _B0_THETAS, _CLI_GRID)
+    residual = _b1_residual if variant == "B1" else _b2_residual
+    return lambda a, b: residual(a, b, gamma), _CLI_GRID, _CLI_GRID
+
+
+@pytest.mark.parametrize("case", _VARIANT_GAMMAS + _FOLD_CASES, ids=[
+    f"{v}-{g}" for v, g in _VARIANT_GAMMAS] + ["folds-0.9", "folds-on-scan",
+                                              "folds-three"])
+def test_without_a_slope_the_refinement_is_plain_bisection(case):
+    # a NaN slope makes every point a midpoint: the bisection's rows, bit
+    # for bit, including those where the rounded residual changes sign
+    # more than once near a root
+    f, x, r = _scan(case)
+    got = _grid_zeros(f, lambda x, r: np.full(np.broadcast(x, r).shape,
+                                              np.nan), x, r)
+    ref = _bisection_zeros(f, x, r)
+    assert len(ref[0]) > 0
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
+
+# (alpha, beta, gamma) ranges of the four statics regions: double well,
+# hard single well, soft single well, and the cusp line beta = alpha
+_REGIONS = [((1.2, 1.8), (0.9, 1.1), (0.0, 0.05)),
+            ((2.3, 2.8), (1.0, 1.0), (0.0, 0.1)),
+            ((0.25, 0.35), (0.45, 0.55), (0.0, 0.0)),
+            ((0.8, 1.2), None, (0.0, 0.05))]
+
+
+def _region_points(seed, n):
+    """n seeded (alpha, beta, gamma) points, the four regions in turn."""
+    rng = np.random.default_rng(seed)
+    for k in range(n):
+        a_range, b_range, g_range = _REGIONS[k % 4]
+        a = rng.uniform(*a_range)
+        yield (a, a if b_range is None else rng.uniform(*b_range),
+               rng.uniform(*g_range)), rng
+
+
+def _mp_stiffness(a, b, g):
+    """K(theta) at the working precision, and the sum of the magnitudes of
+    its terms."""
+    a, b, g = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(g)
+    ab = a * b
+
+    def terms(t):
+        s, c = mpmath.sin(t / 2), mpmath.cos(t)
+        d2 = (a - b) ** 2 + 4 * ab * s * s
+        return ((ab + g) * c, -ab * (a - b) ** 2 * c / d2 ** 1.5,
+                4 * ab * ab * s ** 4 / d2 ** 1.5)
+
+    return (lambda t: mpmath.fsum(terms(t)),
+            lambda t: mpmath.fsum(map(abs, terms(t))))
+
+
+@pytest.mark.parametrize("variant", ["B0", "B1", "B2"])
+def test_each_slope_is_the_derivative_of_its_residual(variant):
+    # along the scanned variable: theta for B0, alpha for B1 and B2; to
+    # 1e-12 of the sum of the magnitudes of the slope's terms
+    with mpmath.workdps(40):
+        for (a, b, g), rng in _region_points(29, 200):
+            if variant == "B0":
+                th = rng.uniform(0.0, math.pi)
+                ref = mpmath.diff(_mp_stiffness(a, b, g)[0], th)
+                got = float(_curvature_field(a, b, g, th))
+                s, c = math.sin(th), math.cos(th)
+                d2 = a * a + b * b - 2.0 * a * b * c
+                k3, x = (a * b) ** 2 / d2 ** 1.5, a * b * s * s / d2
+                scale = abs(s) * (3.0 * k3 * (abs(c) + x) + a * b + g
+                                  + a * b / math.sqrt(d2))
+            else:
+                x = rng.uniform(0.05, 3.0)
+                B, G = mpmath.mpf(b), mpmath.mpf(g)
+                if variant == "B1":
+                    ref = mpmath.diff(
+                        lambda t: t * B + G - t * B / abs(t - B), x)
+                    got, scale = _b1_slope(x, b), b + b * b / (x - b) ** 2
+                else:
+                    ref = mpmath.diff(
+                        lambda t: t * B - t * B / (t + B) - G, x)
+                    got, scale = _b2_slope(x, b), b + b * b / (x + b) ** 2
+            assert abs(got - ref) <= 1e-12 * scale
+
+
+# |root - ref|*|slope|/(eps*S), S the sum of the magnitudes of the
+# residual's terms at the root: the measured worst over _VARIANT_GAMMAS is
+# 3.59 (B0), 1.36 (B1) and 0.50 (B2); each gate is about ten times that
+_ROUNDING_GATES = {"B0": 40.0, "B1": 15.0, "B2": 5.0}
+
+
+def _b_reference(variant, gamma, beta, root):
+    """The 40-digit root of the B1 or B2 quadratic in alpha at beta nearest
+    root, and the residual and the sum of its terms' magnitudes there."""
+    B, G = mpmath.mpf(beta), mpmath.mpf(gamma)
+    if variant == "B1":
+        # (alpha*beta + gamma)*|alpha - beta| = alpha*beta, on each side
+        refs = [r for r in mpmath.polyroots([B, G - B * B - B, -G * B])
+                if mpmath.im(r) == 0 and mpmath.re(r) > B] + [
+            r for r in mpmath.polyroots([B, G + B - B * B, -G * B])
+            if mpmath.im(r) == 0 and 0 < mpmath.re(r) < B]
+        f = lambda t: t * B + G - t * B / abs(t - B)
+        scale = lambda t: t * B + G + t * B / abs(t - B)
+    else:
+        # (alpha*beta - gamma)*(alpha + beta) = alpha*beta
+        refs = [r for r in mpmath.polyroots([B, B * B - G - B, -G * B])
+                if mpmath.im(r) == 0 and mpmath.re(r) > 0]
+        f = lambda t: t * B - t * B / (t + B) - G
+        scale = lambda t: t * B + t * B / (t + B) + G
+    ref = min((mpmath.re(r) for r in refs), key=lambda r: abs(r - root))
+    return ref, f, scale
+
+
+@pytest.mark.parametrize("variant, gamma", _VARIANT_GAMMAS)
+def test_bifurcation_roots_match_40_digit_references(variant, gamma):
+    # B1 and B2: the roots of the quadratics in alpha the residuals become
+    # at each beta; B0: mpmath.findroot on K(theta) from the root, inside
+    # its bracket
+    worst = 0.0
+    with mpmath.workdps(40):
+        for row in _curve(variant, gamma).samples:
+            root, other = row[0], row[1]
+            if variant == "B0":
+                f, scale = _mp_stiffness(other, 1.0, gamma)
+                ref = mpmath.findroot(f, mpmath.mpf(root))
+                i = np.searchsorted(_B0_THETAS, root)
+                assert _B0_THETAS[i - 1] <= ref <= _B0_THETAS[i]
+            else:
+                ref, f, scale = _b_reference(variant, gamma, other, root)
+            worst = max(worst, float(abs(root - ref) * abs(mpmath.diff(f, ref))
+                                     / (np.finfo(float).eps * scale(ref))))
+    assert worst <= _ROUNDING_GATES[variant]

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -240,6 +241,40 @@ def test_root_count_beside_a_fold_follows_the_discriminant():
     assert len(folds) == 3
 
 
+def test_discriminant_slope_is_its_s_derivative():
+    # at the cubic fits of seeded points of the four statics regions
+    # (double well, hard and soft single well, cusp line), with the hbm
+    # job's drive ranges; the terms of the slope cancel (1.7e-12 of it
+    # seen), so the gate is 1e-12 of the sum of their magnitudes
+    rng = np.random.default_rng(29)
+    regions = [((1.2, 1.8), (0.9, 1.1), (0.0, 0.05)),
+               ((2.3, 2.8), (1.0, 1.0), (0.0, 0.1)),
+               ((0.25, 0.35), (0.45, 0.55), (0.0, 0.0)),
+               ((0.8, 1.2), None, (0.0, 0.05))]
+    with mpmath.workdps(40):
+        for k in range(200):
+            a_range, b_range, g_range = regions[k % 4]
+            a = rng.uniform(*a_range)
+            p = Params(alpha=a, beta=a if b_range is None
+                       else rng.uniform(*b_range), gamma=rng.uniform(*g_range))
+            eps = fit_cubic(p, working_center(p)).epsilon
+            kappa, xi, b = (rng.uniform(0.5, 2.0), rng.uniform(0.03, 0.08),
+                            rng.uniform(0.005, 0.02))
+            s = rng.uniform(0.1, 2.0)
+            ref = mpmath.diff(lambda t: hbm._discriminant(
+                t, *map(mpmath.mpf, (eps, kappa, xi, b))), s)
+            got = hbm._discriminant_slope(s, eps, kappa, xi, b)
+            lin = 1.0 - kappa * s * s
+            c3, c2, c1, c0 = (0.5625 * eps * eps, 1.5 * eps * lin,
+                              lin * lin + (2.0 * xi * s) ** 2, -b * b)
+            scale = ((18.0 * abs(c3 * c1 * c0) + 12.0 * c2 * c2 * abs(c0)
+                      + 2.0 * abs(c2) * c1 * c1) * 3.0 * abs(eps) * kappa * s
+                     + (18.0 * abs(c3 * c2 * c0) + 2.0 * c2 * c2 * c1
+                        + 12.0 * c3 * c1 * c1)
+                     * 4.0 * s * (2.0 * xi * xi + kappa * abs(lin)))
+            assert abs(got - ref) <= 1e-12 * scale
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.01, 0.5), st.sampled_from([-1.0, 1.0]),
        st.floats(0.005, 0.1), st.floats(0.01, 0.5), st.floats(0.5, 2.0))
@@ -401,6 +436,23 @@ def _hbm_state(s, root):
     """State at t = 0 of the HBM orbit A*sin(s*t - phi) of the given root."""
     a, phi = frf_amplitudes(*CUBIC08, s)[root]
     return (-a * math.sin(phi), a * s * math.cos(phi))
+
+
+def test_a_trace_spends_only_its_own_budget():
+    # The periods the sweep spent before a trace (settles across chaos)
+    # must not cut it short: with the counter far past _MAX_PERIODS per
+    # grid point, the trace from a settled orbit still carries the branch
+    # around both folds, as from a fresh counter.
+    grid = np.linspace(0.96, 0.99, 7).tolist()
+    traced = []
+    for spent in (0, 10**6):
+        maps = hbm._PeriodMaps(CUBIC08, SPEC)
+        _, x, settled = maps.settle(grid[0], maps.rest)
+        assert settled
+        maps.periods += spent
+        traced.append(hbm._trace(maps, grid, x, 0, 1))
+    assert traced[0] == traced[1]
+    assert [sorted(sg) for sg in traced[1]] == [[0, 1, 2, 3], [3, 4, 5, 6]]
 
 
 @pytest.fixture(scope="module")
