@@ -287,16 +287,19 @@ def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
     extrema = [0.0] if theta_c is None else [0.0, -theta_c, theta_c]
     grid = np.union1d(np.linspace(-math.pi, math.pi, n), extrema)
     v = np.asarray(potential(p, grid))
+    tops = np.array(levels, dtype=float)
+    floors = tops - 0.5 * p.kappa * (omega_max * omega_max)
+    at, roots = freevib.level_angles(p, np.unique(np.append(tops, floors)))
+    # a bound's roots are the run at[i:j] of its value in the sorted at
+    first, last = (np.searchsorted(at, np.stack([tops, floors]), side)
+                   .T.tolist() for side in ("left", "right"))
     rows = []
-    for top in map(float, levels):
-        floor = top - 0.5 * p.kappa * (omega_max * omega_max)
-        crossings, v_cross = [], []
-        for bound in (top, floor):
-            roots = freevib.level_angles(p, bound)
-            crossings += [-r for r in reversed(roots)] + roots
-            v_cross += [bound] * (2 * len(roots))
-        theta = np.concatenate([grid, crossings])
-        v_all = np.concatenate([v, v_cross])
+    for top, floor, (i, k), (j, m) in zip(tops.tolist(), floors.tolist(),
+                                          first, last):
+        crossings = np.concatenate([roots[i:j], roots[k:m]])
+        v_cross = np.concatenate([at[i:j], at[k:m]])
+        theta = np.concatenate([grid, -crossings[::-1], crossings])
+        v_all = np.concatenate([v, v_cross[::-1], v_cross])
         inside = (v_all <= top) & (v_all >= floor)
         omega = np.minimum(np.sqrt(2.0 * np.maximum(top - v_all, 0.0)
                                    / p.kappa), omega_max)

@@ -212,9 +212,9 @@ def classify_region(p: Params) -> str:
     return REGION_SINGLE_WELL_SOFT
 
 
-# _grid_zeros: mesh rows per scan block; Newton steps and their stopping
-# size in ulps; ladder rungs w*4**k, and which probes (est - rungs, est,
-# est + rungs) may narrow the low and the high end.
+# _grid_zeros: mesh rows per scan block.  _refine: Newton steps and their
+# stopping size in ulps; ladder rungs w*4**k, and which probes (est -
+# rungs, est, est + rungs) may narrow the low and the high end.
 _SCAN_ROWS = 32
 _NEWTON_STEPS = 8
 _NEWTON_ULPS = 64
@@ -225,29 +225,14 @@ _ABOVE = np.arange(2 * _LADDER + 1) >= _LADDER
 
 
 def _grid_zeros(f, slope, x, r):
-    """Zeros of ``f(x, r)`` along the grid x, for each r in order.
+    """Zeros of ``f(x, r)`` along the grid x, for each r in order, as
+    (r, zero) arrays.
 
     f is sampled and sign-scanned on the (r, x) mesh in blocks of
     _SCAN_ROWS rows, whose temporaries stay in cache.  A sample that is 0
-    is a zero; every interval whose ends have strictly opposite signs (NaN
-    has none) is a bracket.  Each root is 0.5*(lo + hi) of an
-    adjacent-float pair across which the predicate f > 0 changes; every
-    point evaluated narrows its bracket by that predicate.
-
-    All brackets are narrowed together by a safeguarded Newton iteration
-    (``rtsafe``, Press et al., *Numerical Recipes* sec. 9.4) with
-    ``slope(x, r)`` = df/dx, from the linear interpolation of the
-    bracket's two samples.  A point outside the closed bracket, or not
-    finite, becomes its midpoint (a bisection step), and so does a start
-    where the slope is not finite: with no usable slope this is plain
-    bisection.  It stops when every step is within _NEWTON_ULPS ulps, or
-    after _NEWTON_STEPS steps.  Then one call of f on a ladder of probes
-    at w*4**k on each side of the estimate (w its last step plus 2 ulps,
-    k < _LADDER) keeps, on each side, the innermost probe whose predicate
-    agrees with that side; the ladder reaches past residuals that are
-    rounding noise over many ulps.  Bisection closes the brackets to
-    adjacent floats.  A wrong slope costs steps, not the contract.
-    Returns (r, zero) pairs as two arrays.
+    is a zero.  Every interval whose ends have strictly opposite signs (NaN
+    has none) is a bracket, closed by :func:`_refine` from the linear
+    interpolation of its two samples.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scans = []
@@ -263,49 +248,76 @@ def _grid_zeros(f, slope, x, r):
                           vals[j, i], vals[j, i + 1]))
         zero_j, zero_i, j, i, pos0, f0, f1 = map(np.concatenate,
                                                  zip(*scans))
-        rr = r[j]
         x0, x1 = x[i], x[i + 1]
-        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
-        lo_above = pos0 == (x0 < x1)
+        roots = _refine(f, slope, r[j], np.minimum(x0, x1),
+                        np.maximum(x0, x1), pos0 == (x0 < x1),
+                        x0 + (x1 - x0) * (f0 / (f0 - f1)))
+    # an exact zero at grid point i comes before the interval (i, i+1)
+    rows = np.concatenate([zero_j, j])
+    order = np.lexsort((np.concatenate([2 * zero_i, 2 * i + 1]), rows))
+    return r[rows[order]], np.concatenate([x[zero_i], roots])[order]
 
-        est = x0 + (x1 - x0) * (f0 / (f0 - f1))
-        d = slope(est, rr)
+
+def _refine(f, slope, r, lo, hi, lo_above, est):
+    """The zero of ``f(x, r)`` in each bracket [lo, hi] from the start est,
+    over arrays of brackets; f > 0 holds at lo where lo_above, and at hi
+    where not.  Each root is 0.5*(lo + hi) of an adjacent-float pair across
+    which f > 0 changes, and depends on its own bracket's arguments only.
+
+    Safeguarded Newton steps (``rtsafe``, Press et al., *Numerical Recipes*
+    sec. 9.4) with ``slope(x, r)`` = df/dx narrow each bracket by the
+    predicate at every point evaluated; a point outside the closed bracket
+    or not finite, and a start where the slope is not finite, becomes the
+    midpoint (with no usable slope, plain bisection).  A bracket stops when
+    its step is within _NEWTON_ULPS ulps, or after _NEWTON_STEPS steps.
+    One call of f on probes at w*4**k on each side of the estimate (w its
+    last step plus 2 ulps, k < _LADDER), which reach past rounding noise
+    over many ulps, keeps on each side the innermost probe that agrees with
+    that side.  Bisection closes the brackets still open to adjacent
+    floats.  A wrong slope costs steps, not the contract.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d = slope(est, r)
         ok = np.isfinite(d) & (lo <= est) & (est <= hi)
         if not ok.all():
             est = np.where(ok, est, 0.5 * (lo + hi))
-            d = slope(est, rr)
+            d = slope(est, r)
+        est, step = np.array(est, dtype=float), np.zeros(lo.size)
+        live = np.arange(lo.size)
         for n in range(1, _NEWTON_STEPS + 1):
-            fx = f(est, rr)
-            to_lo = (fx > 0.0) == lo_above
-            lo, hi = np.where(to_lo, est, lo), np.where(to_lo, hi, est)
-            new = est - fx / d
-            prev, est = est, np.where((lo <= new) & (new <= hi), new,
-                                      0.5 * (lo + hi))
-            step = np.abs(est - prev)
-            if n == _NEWTON_STEPS or np.all(
-                    step <= _NEWTON_ULPS * np.spacing(est)):
+            x, rl, a, b = est[live], r[live], lo[live], hi[live]
+            fx = f(x, rl)
+            to_lo = (fx > 0.0) == lo_above[live]
+            a, b = np.where(to_lo, x, a), np.where(to_lo, b, x)
+            lo[live], hi[live] = a, b
+            new = x - fx / d
+            new = np.where((a <= new) & (new <= b), new, 0.5 * (a + b))
+            dx = np.abs(new - x)
+            est[live], step[live] = new, dx
+            live = live[dx > _NEWTON_ULPS * np.spacing(new)]
+            if n == _NEWTON_STEPS or not live.size:
                 break
-            d = slope(est, rr)
+            d = slope(est[live], r[live])
         rungs = (step + 2.0 * np.spacing(est))[:, None] * _RUNGS
         probes = np.concatenate([est[:, None] - rungs, est[:, None],
                                  est[:, None] + rungs], axis=1)
-        agree = (f(probes, rr[:, None]) > 0.0) == lo_above[:, None]
+        agree = (f(probes, r[:, None]) > 0.0) == lo_above[:, None]
         lo = np.maximum(lo, np.where(agree & _BELOW, probes, -np.inf)
                         .max(axis=1))
         hi = np.minimum(hi, np.where(~agree & _ABOVE, probes, np.inf)
                         .min(axis=1))
+        live = np.arange(lo.size)
         while True:
-            mid = 0.5 * (lo + hi)
-            open_ = (mid != lo) & (mid != hi)
-            if not open_.any():
-                break
-            to_lo = open_ & ((f(mid, rr) > 0.0) == lo_above)
-            lo = np.where(to_lo, mid, lo)
-            hi = np.where(open_ & ~to_lo, mid, hi)
-    # an exact zero at grid point i comes before the interval (i, i+1)
-    rows = np.concatenate([zero_j, j])
-    order = np.lexsort((np.concatenate([2 * zero_i, 2 * i + 1]), rows))
-    return r[rows[order]], np.concatenate([x[zero_i], mid])[order]
+            a, b = lo[live], hi[live]
+            mid = 0.5 * (a + b)
+            open_ = (mid != a) & (mid != b)
+            live, mid = live[open_], mid[open_]
+            if not live.size:
+                return 0.5 * (lo + hi)
+            to_lo = (f(mid, r[live]) > 0.0) == lo_above[live]
+            lo[live[to_lo]] = mid[to_lo]
+            hi[live[~to_lo]] = mid[~to_lo]
 
 
 def bifurcation_set(variant: str, gamma: float, alpha_grid,

@@ -1,9 +1,10 @@
 """Exact free-vibration analysis of the conservative system.
 
 Turning angles, period quadrature and the amplitude-frequency branches
-AF1..AF5.  The turning angles, roots of potential(theta) = H, are bisected
-between the critical points of the potential.  The period follows from the
-Hamiltonian,
+AF1..AF5.  The turning angles, roots of potential(theta) = H, lie between
+the critical points of the potential; all of a call's energies are solved
+together by the safeguarded Newton refinement that also closes the
+bifurcation sets' brackets.  The period follows from the Hamiltonian,
 
     T = sqrt(kappa/2) * closed-loop integral of d(theta)/sqrt(H - PEN(theta)),
 
@@ -25,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibria import CENTER, equilibria_in_period, interior_angle
-from .model import (InputError, Params, _radicand, barrier_energies,
-                    potential, scalar_potential)
+from .equilibria import (CENTER, _refine, equilibria_in_period,
+                         interior_angle)
+from .model import (InputError, Params, _radicand, _stiffness_field,
+                    barrier_energies, moment, potential)
 
 __all__ = [
     "FreeVibPoint",
@@ -53,33 +55,34 @@ class FreeVibPoint:
     frequency: float
 
 
-def level_angles(p: Params, h: float) -> list[float]:
-    """Roots of potential(theta) = h on (0, pi), ascending.
+def level_angles(p: Params, levels) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of potential(theta) = h on (0, pi) for an array of levels h,
+    as (level, angle) arrays: by level in the order given, ascending
+    within a level.
 
-    On (0, pi) the moment vanishes only at the interior angle theta_c, so
     V is monotone on [0, theta_c] and [theta_c, pi] (on [0, pi] without
-    theta_c) and each piece holds at most one root.  A piece whose ends
-    straddle h strictly is bisected until its ends are adjacent floats.
+    the interior angle theta_c), so each piece holds at most one root.  A
+    piece whose ends straddle h strictly is closed by
+    :func:`~clickdyn.equilibria._refine` with slope V' = M, from
+    e +- sqrt(2*|h - V(e)|/|K(e)|): the root of V's quadratic about the
+    piece end e nearer h in energy.
     """
-    v = scalar_potential(p)
+    levels = np.asarray(levels, dtype=float)
     theta_c = interior_angle(p)
-    ends = [0.0, math.pi] if theta_c is None else [0.0, theta_c, math.pi]
-    roots = []
-    for lo, hi in zip(ends, ends[1:]):
-        gap_lo = v(lo) - h
-        if not gap_lo * (v(hi) - h) < 0.0:
-            continue
-        lo_above = gap_lo > 0.0
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if (v(mid) > h) == lo_above:
-                lo = mid
-            else:
-                hi = mid
-        roots.append(mid)
-    return roots
+    ends = np.array([0.0, math.pi] if theta_c is None
+                    else [0.0, theta_c, math.pi])
+    gap = potential(p, ends) - levels[:, None]
+    pos, neg = gap > 0.0, gap < 0.0
+    j, i = np.nonzero(pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:])
+    near = np.abs(gap[j, i]) <= np.abs(gap[j, i + 1])
+    end = np.where(near, i, i + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):   # K = 0 or NaN
+        curvature = _stiffness_field(p.alpha, p.beta, p.gamma, ends)
+        est = ends[end] + np.where(near, 1.0, -1.0) * np.sqrt(
+            2.0 * np.abs(gap[j, end]) / np.abs(curvature[end]))
+    return levels[j], _refine(lambda th, h: potential(p, th) - h,
+                              lambda th, h: moment(p, th), levels[j],
+                              ends[i], ends[i + 1], pos[j, i], est)
 
 
 def period_of_energy(p: Params, energy: float) -> float:
@@ -132,10 +135,10 @@ def _orbits(p: Params, energies: np.ndarray):
     """``(period, theta_ini, theta_fin, why)`` of the closed orbits at an
     array of energies, the periods in one array pass.
 
-    The turning angles are the roots :func:`level_angles` bisects for each
-    energy; both are NaN for a rotation.  Where no period exists, ``why``
-    indexes the reason in ``_NO_ORBIT`` and the period is NaN; elsewhere
-    it is -1.
+    The turning angles are the roots of one :func:`level_angles` call over
+    the distinct energies; both are NaN for a rotation.  Where no period
+    exists, ``why`` indexes the reason in ``_NO_ORBIT`` and the period is
+    NaN; elsewhere it is -1.
 
     Each orbit's angle range [a, b] is split at its middle, and each half
     is taken by :func:`_rule` from its end, with the gap H - V(theta) as
@@ -143,10 +146,13 @@ def _orbits(p: Params, energies: np.ndarray):
     turning angle, so no H - V(theta_t) rounding term enters.
     """
     h1, h2 = barrier_energies(p)
-    roots = [level_angles(p, h) for h in energies.tolist()]
-    n_roots = np.array([len(r) for r in roots], dtype=int)
-    r0, r1 = np.array([(r + [math.nan, math.nan])[:2] for r in roots],
-                      dtype=float).reshape(-1, 2).T
+    levels, inverse = np.unique(energies, return_inverse=True)
+    at, roots = level_angles(p, levels)
+    first = np.searchsorted(at, levels)[inverse]
+    n_roots = np.searchsorted(at, levels, side="right")[inverse] - first
+    k = np.arange(2)[:, None]     # rows r0 and r1, NaN past a level's roots
+    r0, r1 = np.where(k < n_roots, np.append(roots, [math.nan] * 2)[first + k],
+                      math.nan)
     why = np.select(
         [energies <= 0.0,
          (np.abs(energies - h1) <= _BARRIER_TOL)

@@ -37,7 +37,6 @@ __all__ = [
     "stiffness",
     "damping_factor",
     "hamiltonian",
-    "scalar_potential",
     "scalar_rhs",
     "is_smooth_at",
 ]
@@ -306,27 +305,6 @@ def hamiltonian(p: Params, state) -> float:
     """Total energy 0.5*kappa*omega^2 + potential(theta)."""
     theta, omega = state
     return 0.5 * p.kappa * omega**2 + float(potential(p, theta))
-
-
-def scalar_potential(p: Params):
-    """Closure ``V(theta)`` of :func:`potential` for one Python float.
-
-    Same operations in the same order as :func:`potential`, so it returns
-    the same bits, without the cost of numpy-scalar arithmetic.
-    """
-    d = p.alpha - p.beta
-    d2 = d * d
-    four_ab = 4.0 * p.alpha * p.beta
-    two_g = 2.0 * p.gamma
-    sin, sqrt = math.sin, math.sqrt
-
-    def v(theta):
-        s = sin(0.5 * theta)
-        ss = s * s
-        e = sqrt(d2 + four_ab * ss) - 1.0
-        return 0.5 * (e * e) + two_g * ss
-
-    return v
 
 
 def scalar_rhs(p: Params):

@@ -31,8 +31,10 @@ def _linear_period(p):
 
 
 def test_turning_angles_match_root_finding():
-    for h in (0.01, 0.05, 0.1, 0.12):
-        lo, hi = level_angles(P_IV, h)
+    levels = [0.01, 0.05, 0.1, 0.12]
+    at, roots = level_angles(P_IV, levels)
+    assert at.tolist() == sorted(levels + levels)
+    for h, (lo, hi) in zip(levels, roots.reshape(-1, 2).tolist()):
         theta3 = _center(P_IV).theta
         lo_rf = brentq(lambda t: float(potential(P_IV, t)) - h, 1e-12, theta3,
                        xtol=1e-14)
@@ -46,30 +48,42 @@ def test_turning_angles_match_root_finding():
 
 
 def test_turning_angles_reference_point():
-    lo, hi = level_angles(P_IV, 0.1)
+    _, (lo, hi) = level_angles(P_IV, [0.1])
     assert lo == pytest.approx(0.19277834578761, abs=1e-11)
     assert hi == pytest.approx(1.17538161167872, abs=1e-11)
 
 
 def test_turning_angle_approaches_saddle():
     h1 = float(potential(P_IV, 0.0))
-    lo, _ = level_angles(P_IV, h1 - 1e-12)
+    _, (lo, _) = level_angles(P_IV, [h1 - 1e-12])
     assert lo <= 1e-5
 
 
 def test_turning_angles_barrier_crossed():
-    # above the barrier only the outer turning angle is left in (0, pi)
-    h1 = float(potential(P_IV, 0.0))   # 0.125
-    assert len(level_angles(P_IV, h1 + 0.01)) == 1
-    assert level_angles(P_IV, -0.1) == []
+    # above the barrier only the outer turning angle is left in (0, pi);
+    # a level equal to V at a piece end, V(0), V(theta_c) or V(pi), does
+    # not straddle that piece strictly, so it has no root at that end
+    theta_c = interior_angle(P_IV)
+    h1, v_c, h2 = potential(P_IV, [0.0, theta_c, math.pi]).tolist()
+    at, roots = level_angles(P_IV, [h1 + 0.01, -0.1, h1, v_c, h2])
+    assert at.tolist() == [h1 + 0.01, h1]
+    assert all(theta_c < r < math.pi for r in roots)
 
 
 def test_turning_angles_gamma_positive():
     p = Params(alpha=1.5, beta=1.0, gamma=0.1)
-    lo, hi = level_angles(p, 0.05)
+    _, (lo, hi) = level_angles(p, [0.05])
     assert float(potential(p, lo)) == pytest.approx(0.05, abs=1e-12)
     assert float(potential(p, hi)) == pytest.approx(0.05, abs=1e-12)
     assert lo < hi
+    # the piece ends' levels, as in the double well without gravity; at
+    # V(theta_c) there is no orbit, not a one-root one
+    theta_c = interior_angle(p)
+    v_0, v_c, v_pi = potential(p, [0.0, theta_c, math.pi]).tolist()
+    at, roots = level_angles(p, [v_c, v_0, v_pi])
+    assert at.tolist() == [v_0] and theta_c < roots[0] < math.pi
+    with pytest.raises(ValueError, match="no closed orbit"):
+        period_of_energy(p, v_c)
 
 
 def test_energy_bands_region_iv():
@@ -109,7 +123,7 @@ def test_period_matches_integration_all_bands():
     for h in (0.05, 0.5, 2.0):     # intra-well, inter-well, rotation
         t_quad = period_of_energy(P_IV, h)
         if h < 0.125:
-            _, theta0 = level_angles(P_IV, h)
+            _, (_, theta0) = level_angles(P_IV, [h])
             state0 = (theta0, 0.0)
         else:
             omega0 = math.sqrt(2.0 * (h - float(potential(P_IV, 0.0))))
@@ -192,37 +206,46 @@ def _region_params(draw):
 
 @st.composite
 def _level_case(draw):
-    """(params, h, potential on a dense grid of [0, pi]), h in [min, max]."""
+    """(params, distinct levels in [min, max], potential on a dense grid
+    of [0, pi])."""
     p = draw(_region_params())
     v = np.asarray(potential(p, np.linspace(0.0, math.pi, _SCAN + 1)))
-    return p, draw(st.floats(float(v.min()), float(v.max()))), v
+    levels = draw(st.lists(st.floats(float(v.min()), float(v.max())),
+                           min_size=1, max_size=8, unique=True))
+    return p, levels, v
 
 
 @settings(max_examples=200, deadline=None)
 @given(_level_case())
 def test_level_angles_are_every_crossing(case):
-    p, h, v = case
-    roots = level_angles(p, h)
-    assert roots == sorted(roots)
-    assert all(0.0 < r < math.pi for r in roots)
-
-    def above(theta):
-        return float(potential(p, theta)) > h
-
-    for r in roots:
-        # V - h changes sign between r and a neighbouring float
-        assert (above(r) != above(math.nextafter(r, 0.0))
-                or above(r) != above(math.nextafter(r, math.pi)))
-    # a dense scan counts the same crossings, unless one lies within a
-    # scan step of a critical point, where it can miss or add a pair
-    scan_above = v > h
-    cells = np.nonzero(scan_above[1:] != scan_above[:-1])[0]
+    # all levels in one call: each level's roots are its own crossings
+    p, levels, v = case
+    at, all_roots = level_angles(p, levels)
+    counts = [int(np.count_nonzero(at == h)) for h in levels]
+    assert at.tolist() == [h for h, n in zip(levels, counts)
+                           for _ in range(n)]
     step = math.pi / _SCAN
     theta_c = interior_angle(p)
     critical = [0.0, math.pi] + ([] if theta_c is None else [theta_c])
-    assume(all(abs(x - c) > step for x in [*roots, *(cells * step)]
-               for c in critical))
-    assert len(roots) == cells.size
+    for h in levels:
+        roots = all_roots[at == h].tolist()
+        assert roots == sorted(roots)
+        assert all(0.0 < r < math.pi for r in roots)
+
+        def above(theta):
+            return float(potential(p, theta)) > h
+
+        for r in roots:
+            # V - h changes sign between r and a neighbouring float
+            assert (above(r) != above(math.nextafter(r, 0.0))
+                    or above(r) != above(math.nextafter(r, math.pi)))
+        # a dense scan counts the same crossings, unless one lies within a
+        # scan step of a critical point, where it can miss or add a pair
+        scan_above = v > h
+        cells = np.nonzero(scan_above[1:] != scan_above[:-1])[0]
+        if all(abs(x - c) > step for x in [*roots, *(cells * step)]
+               for c in critical):
+            assert len(roots) == cells.size
 
 
 def _sampled_energies(lo, hi, n):
@@ -258,7 +281,7 @@ def test_curves_are_the_one_energy_pass_point_by_point(p, n):
                 continue
             pt = next(points)
             assert (pt.energy, pt.period) == (h, period)
-            roots = level_angles(p, h)
+            roots = level_angles(p, [h])[1].tolist()
             if len(roots) == 2:
                 expected = tuple(roots)
             elif len(roots) == 1:
@@ -280,7 +303,7 @@ def _mp_period(p, h):
     a pole.  Returns (period, error estimate of mp.quad).
     """
     h1, _ = barrier_energies(p)
-    roots = level_angles(p, h)
+    roots = level_angles(p, [h])[1].tolist()
     with mp.workdps(40):
         a, b, g, big_h = (mp.mpf(x) for x in (p.alpha, p.beta, p.gamma, h))
 

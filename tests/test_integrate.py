@@ -122,7 +122,7 @@ def test_measure_free_oscillation_libration():
     # amplitude = half the spread between the two turning angles
     h = hamiltonian(p, (1.1, 0.0))
     from clickdyn.freevib import level_angles
-    lo, hi = level_angles(p, h)
+    _, (lo, hi) = level_angles(p, [h])
     assert osc.amplitude == pytest.approx(0.5 * (hi - lo), abs=1e-6)
 
 

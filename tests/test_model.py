@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from clickdyn.model import (Params, PhysicalParams, barrier_energies,
                             damping_factor, hamiltonian, is_smooth_at, moment,
-                            nondimensionalize, potential, scalar_potential,
-                            scalar_rhs, stiffness)
+                            nondimensionalize, potential, scalar_rhs,
+                            stiffness)
 from clickdyn.equilibria import (REGION_DEGENERATE, REGION_DOUBLE_WELL,
                                  REGION_SINGLE_WELL_HARD,
                                  REGION_SINGLE_WELL_SOFT, classify_region,
@@ -83,7 +83,7 @@ def test_cusp_barrier_when_the_radicand_rounds_below_zero():
     # the radicand rounds to -1.8e-15, which once made V(0) nan
     a = 2.044789837252913
     p = Params(alpha=a, beta=a)
-    assert barrier_energies(p)[0] == 0.5 == scalar_potential(p)(0.0)
+    assert barrier_energies(p)[0] == 0.5 == float(potential(p, 0.0))
 
 
 def test_nonsmooth_moment_cusp():
@@ -260,9 +260,6 @@ def test_fields_and_kernels_match_mpmath(point, t):
     for name, ref in zip(scale, (ref_m, ref_k, ref_c, ref_dc)):
         for got in fields[name]:
             assert abs(got - ref) <= 1e-14 * scale[name], name
-    # scalar_potential takes the same operations as the array potential
-    ref_v = float(potential(p, theta))
-    assert abs(scalar_potential(p)(theta) - ref_v) <= 2 * math.ulp(ref_v)
     # the drive adds M0*sin(Omega0*t + phi) to the torque
     forced = replace(p, xi=0.3, kappa=1.7, m_big0=0.2, omega_big0=1.3,
                      phi=0.4)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,49 @@ def test_every_module_has_a_caller_in_the_package():
                                 for other, imported in imports.items()
                                 if other != name))
     assert unused == []
+
+
+def _public_names(tree: ast.Module) -> list[str]:
+    """The literal ``__all__`` of a module, empty if it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "__all__"):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _used_names(node: ast.AST, inside: frozenset = frozenset()) -> set:
+    """The names the AST under node uses (loaded names, attributes and
+    from-imports), each outside any function or class of its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside |= {node.name}
+    names = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        names.update(alias.name for alias in node.names)
+    names -= inside
+    for child in ast.iter_child_nodes(node):
+        names |= _used_names(child, inside)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a module's __all__ that no module of the package, the
+    # README or the benchmark uses is a public wrapper without a caller
+    src = Path(clickdyn.__file__).parent
+    root = src.parent.parent
+    trees = [ast.parse(path.read_text()) for path in src.glob("*.py")]
+    used = set().union(*map(_used_names, trees))
+    texts = [(root / "README.md").read_text(),
+             *(path.read_text() for path in (root / "perfbench").glob("*.py"))]
+    orphans = sorted(
+        name for tree in trees for name in _public_names(tree)
+        if name not in used
+        and not any(re.search(rf"\b{name}\b", text) for text in texts))
+    assert orphans == []
 
 
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
