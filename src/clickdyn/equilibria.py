@@ -167,44 +167,20 @@ def stiffness_at_poles(p: Params) -> tuple[float, float]:
     return k1, k2
 
 
-def _b1_residual(alpha, beta, gamma):
-    """-inf on the cusp line alpha == beta, its limit from both sides."""
-    return np.where(alpha == beta, -math.inf,
-                    alpha * beta + gamma - alpha * beta / np.abs(alpha - beta))
-
-
-def _b1_slope(alpha, beta):
-    """d/dalpha of the B1 residual: beta + beta^2*sign(d)/d^2, d = alpha -
-    beta (NaN on alpha == beta)."""
-    d = alpha - beta
-    return beta + beta * beta * np.sign(d) / (d * d)
-
-
-def _b2_residual(alpha, beta, gamma):
-    return alpha * beta - alpha * beta / (alpha + beta) - gamma
-
-
-def _b2_slope(alpha, beta):
-    """d/dalpha of the B2 residual: beta - beta^2/(alpha + beta)^2."""
-    t = alpha + beta
-    return beta - beta * beta / (t * t)
-
-
 def classify_region(p: Params) -> str:
     """Coarse parameter-plane label from pole stiffness and interior centers.
 
     The three soft single-well sub-regions of the parameter plane share one
-    label; their mutual boundaries are not analytic and are published as the
-    B1/B2 curves instead.
+    label; their mutual boundaries are the B1 curve (K1 = 0) and the B2
+    curve, which :func:`bifurcation_set` gives in closed form.
     """
     if p.alpha == p.beta:
         return REGION_DEGENERATE
-    if (
-        abs(_b1_residual(p.alpha, p.beta, p.gamma)) < _BOUNDARY_TOL
-        or abs(_b2_residual(p.alpha, p.beta, p.gamma)) < _BOUNDARY_TOL
-    ):
-        return REGION_BOUNDARY
+    ab = p.alpha * p.beta
     k1, _ = stiffness_at_poles(p)
+    if (abs(k1) < _BOUNDARY_TOL
+            or abs(ab - ab / (p.alpha + p.beta) - p.gamma) < _BOUNDARY_TOL):
+        return REGION_BOUNDARY
     if k1 < 0.0 and interior_angle(p) is not None:
         return REGION_DOUBLE_WELL
     if k1 > 0.0:
@@ -212,10 +188,9 @@ def classify_region(p: Params) -> str:
     return REGION_SINGLE_WELL_SOFT
 
 
-# _grid_zeros: mesh rows per scan block.  _refine: Newton steps and their
-# stopping size in ulps; ladder rungs w*4**k, and which probes (est -
-# rungs, est, est + rungs) may narrow the low and the high end.
-_SCAN_ROWS = 32
+# _refine: Newton steps and their stopping size in ulps; ladder rungs
+# w*4**k, and which probes (est - rungs, est, est + rungs) may narrow the
+# low and the high end.
 _NEWTON_STEPS = 8
 _NEWTON_ULPS = 64
 _LADDER = 8
@@ -225,37 +200,19 @@ _ABOVE = np.arange(2 * _LADDER + 1) >= _LADDER
 
 
 def _grid_zeros(f, slope, x, r):
-    """Zeros of ``f(x, r)`` along the grid x, for each r in order, as
-    (r, zero) arrays.
-
-    f is sampled and sign-scanned on the (r, x) mesh in blocks of
-    _SCAN_ROWS rows, whose temporaries stay in cache.  A sample that is 0
-    is a zero.  Every interval whose ends have strictly opposite signs (NaN
-    has none) is a bracket, closed by :func:`_refine` from the linear
-    interpolation of its two samples.
+    """Zeros of ``f(x, r)`` along the ascending grid x at one parameter r,
+    ascending: each sample that is 0, and the root of each interval whose
+    ends have strictly opposite signs (NaN has none), closed by
+    :func:`_refine` from the linear interpolation of its two samples.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scans = []
-        for k in range(0, max(len(r), 1), _SCAN_ROWS):   # one if r is empty
-            vals = f(x, r[k:k + _SCAN_ROWS, None])
-            pos, neg = vals > 0.0, vals < 0.0
-            # flat indices: np.nonzero of a 2-D mask costs several times more
-            zero_j, zero_i = np.divmod(np.flatnonzero(vals == 0.0), len(x))
-            j, i = np.divmod(np.flatnonzero(pos[:, :-1] & neg[:, 1:]
-                                            | neg[:, :-1] & pos[:, 1:]),
-                             len(x) - 1)
-            scans.append((zero_j + k, zero_i, j + k, i, pos[j, i],
-                          vals[j, i], vals[j, i + 1]))
-        zero_j, zero_i, j, i, pos0, f0, f1 = map(np.concatenate,
-                                                 zip(*scans))
-        x0, x1 = x[i], x[i + 1]
-        roots = _refine(f, slope, r[j], np.minimum(x0, x1),
-                        np.maximum(x0, x1), pos0 == (x0 < x1),
+        vals = f(x, r)
+        pos, neg = vals > 0.0, vals < 0.0
+        i = np.flatnonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])
+        x0, x1, f0, f1 = x[i], x[i + 1], vals[i], vals[i + 1]
+        roots = _refine(f, slope, np.full(i.size, r), x0, x1, pos[i],
                         x0 + (x1 - x0) * (f0 / (f0 - f1)))
-    # an exact zero at grid point i comes before the interval (i, i+1)
-    rows = np.concatenate([zero_j, j])
-    order = np.lexsort((np.concatenate([2 * zero_i, 2 * i + 1]), rows))
-    return r[rows[order]], np.concatenate([x[zero_i], roots])[order]
+    return np.sort(np.concatenate([x[vals == 0.0], roots]))
 
 
 def _refine(f, slope, r, lo, hi, lo_above, est):
@@ -322,36 +279,72 @@ def _refine(f, slope, r, lo, hi, lo_above, est):
 
 def bifurcation_set(variant: str, gamma: float, alpha_grid,
                     beta_grid) -> BifurcationCurve:
-    """Sampled zero set of the B1 or B2 residual over an (alpha, beta) grid.
+    """Zero set of the B1 or B2 residual: for each beta in order, its roots
+    in [min alpha_grid, max alpha_grid], ascending.
 
-    For each beta the residual is sign-scanned over alpha_grid and every
-    bracket refined to adjacent floats by :func:`_grid_zeros`; a curve may
-    contribute several alpha roots per beta.
+    Cleared of its denominator, each residual is beta*alpha^2 + b*alpha -
+    gamma*beta, a quadratic in alpha (one per side of the cusp line for
+    B1) whose roots multiply to -gamma.  The root that can be positive is
+    the larger of q/beta and -gamma*beta/q, q = -(b + sign(b)*sqrt(b^2 +
+    4*gamma*beta^2))/2: the stable formula, with no iteration.
     """
     if variant not in ("B1", "B2"):
         raise ValueError("variant must be 'B1' or 'B2'")
-    residual, slope = ((_b1_residual, _b1_slope) if variant == "B1"
-                       else (_b2_residual, _b2_slope))
-    betas, roots = _grid_zeros(lambda a, b: residual(a, b, gamma), slope,
-                               np.asarray(alpha_grid, dtype=float),
-                               np.asarray(beta_grid, dtype=float))
-    samples = np.column_stack(np.broadcast_arrays(roots, betas, gamma))
+    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    beta = np.asarray(beta_grid, dtype=float)[:, None]
+    # B1 below the cusp line, then above it; B2
+    b = (np.hstack([gamma + beta * (1.0 - beta), gamma - beta * beta - beta])
+         if variant == "B1" else beta * (beta - 1.0) - gamma)
+    with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 at gamma = 0
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * gamma * beta * beta),
+                                    b))
+        roots = np.maximum(q / beta, -gamma * beta / q)
+        keep = ((0.0 < roots) & (alpha_grid.min() <= roots)
+                & (roots <= alpha_grid.max()))
+    if variant == "B1":   # each B1 root on its own side of the cusp line
+        keep &= (roots > beta) == [False, True]
+    j, i = np.nonzero(keep)
+    samples = np.column_stack(np.broadcast_arrays(roots[j, i], beta[j, 0],
+                                                  gamma))
     return BifurcationCurve(("alpha", "beta", "gamma"), samples)
 
 
 def zero_stiffness_set(beta: float, gamma: float,
                        alpha_grid) -> BifurcationCurve:
-    """Numerically continued zero set of the stiffness over (theta, alpha).
+    """Zero set of the stiffness: for each alpha in order, its angles in
+    [1e-9, pi - 1e-9], ascending (the set is even in theta).
 
-    No closed form exists; for each alpha the stiffness is sign-scanned on
-    400 angles of (0, pi) and each bracket refined to adjacent floats by
-    :func:`_grid_zeros`, with dK/dtheta = M'' as the slope.  The set is
-    symmetric under theta -> -theta: only the positive half is emitted.
+    With P = alpha*beta, S = alpha^2 + beta^2 and d = alpha - beta,
+    4*P*K*D^3 = -2*(P + gamma)*D^5 + P*D^4 + 2*(P + gamma)*S*D^3 -
+    P*d^2*(alpha + beta)^2 in the chord D.  The quintic's roots in (|d|,
+    alpha + beta), as real parts of companion-matrix eigenvalues, map to
+    angles as in :func:`interior_angle`.  Midpoints between consecutive
+    angles bound one bracket per angle, closed by :func:`_refine` (slope
+    dK/dtheta = M'') where K has strictly opposite signs at its ends.
     """
-    alphas, roots = _grid_zeros(
-        lambda th, a: _stiffness_field(a, beta, gamma, th),
-        lambda th, a: _curvature_field(a, beta, gamma, th),
-        np.linspace(1e-9, math.pi - 1e-9, 400),
-        np.asarray(alpha_grid, dtype=float))
-    samples = np.column_stack(np.broadcast_arrays(roots, alphas, beta, gamma))
+    lo, hi = 1e-9, math.pi - 1e-9
+    a = np.asarray(alpha_grid, dtype=float)[:, None]
+    p, t, d = a * beta, a + beta, np.abs(a - beta)
+    lead = 2.0 * (p + gamma)
+    companion = np.zeros((a.size, 5, 5))
+    companion[:, 1:, :-1] = np.eye(4)
+    companion[:, 0, [0, 1, 4]] = np.hstack([p / lead, a * a + beta * beta,
+                                            -p * (d * d) * (t * t) / lead])
+    chord = np.linalg.eigvals(companion).real
+    ss = np.clip((chord - d) * (chord + d) / (4.0 * p), 0.0, 1.0)
+    theta = np.where(d < chord, 2.0 * np.arcsin(np.sqrt(ss)), hi)
+    # the ends are angles too, twice: the midpoints start and end on them,
+    # and an end where K rounds to 0 leaves the next angle its own bracket
+    pad = np.full((a.size, 4), [lo, lo, hi, hi])
+    theta = np.sort(np.clip(np.hstack([theta, pad]), lo, hi))
+    ends = 0.5 * (theta[:, :-1] + theta[:, 1:])
+    vals = _stiffness_field(a, beta, gamma, ends)
+    pos, neg = vals > 0.0, vals < 0.0
+    j, i = np.nonzero(pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:])
+    roots = _refine(lambda th, r: _stiffness_field(r, beta, gamma, th),
+                    lambda th, r: _curvature_field(r, beta, gamma, th),
+                    a[j, 0], ends[j, i], ends[j, i + 1], pos[j, i],
+                    theta[j, i + 1])
+    samples = np.column_stack(np.broadcast_arrays(roots, a[j, 0], beta,
+                                                  gamma))
     return BifurcationCurve(("theta", "alpha", "beta", "gamma"), samples)

@@ -65,7 +65,8 @@ def level_angles(p: Params, levels) -> tuple[np.ndarray, np.ndarray]:
     piece whose ends straddle h strictly is closed by
     :func:`~clickdyn.equilibria._refine` with slope V' = M, from
     e +- sqrt(2*|h - V(e)|/|K(e)|): the root of V's quadratic about the
-    piece end e nearer h in energy.
+    piece end e nearer h in energy; on the cusp, where V is linear,
+    |h - V(0)|/alpha.
     """
     levels = np.asarray(levels, dtype=float)
     theta_c = interior_angle(p)
@@ -77,9 +78,12 @@ def level_angles(p: Params, levels) -> tuple[np.ndarray, np.ndarray]:
     near = np.abs(gap[j, i]) <= np.abs(gap[j, i + 1])
     end = np.where(near, i, i + 1)
     with np.errstate(divide="ignore", invalid="ignore"):   # K = 0 or NaN
-        curvature = _stiffness_field(p.alpha, p.beta, p.gamma, ends)
-        est = ends[end] + np.where(near, 1.0, -1.0) * np.sqrt(
-            2.0 * np.abs(gap[j, end]) / np.abs(curvature[end]))
+        curvature = np.abs(_stiffness_field(p.alpha, p.beta, p.gamma, ends))
+        drop = np.abs(gap[j, end])
+        # K is NaN only on the cusp at 0, where V = V(0) - alpha*|theta|
+        est = ends[end] + np.where(near, 1.0, -1.0) * np.where(
+            np.isnan(curvature[end]), drop / p.alpha,
+            np.sqrt(2.0 * drop / curvature[end]))
     return levels[j], _refine(lambda th, h: potential(p, th) - h,
                               lambda th, h: moment(p, th), levels[j],
                               ends[i], ends[i + 1], pos[j, i], est)

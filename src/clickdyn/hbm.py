@@ -181,17 +181,15 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
                      b_amp: float, s_lo: float, s_hi: float) -> list[float]:
     """Frequencies where the HBM root count changes (fold points).
 
-    The zeros of :func:`_discriminant` on a 2001-point grid of
-    [s_lo, s_hi]: each sign change is refined by Newton steps on
-    :func:`_discriminant_slope` and closed to adjacent floats by
-    :func:`~clickdyn.equilibria._grid_zeros`.
+    The zeros of :func:`_discriminant` along a 2001-point grid of [s_lo,
+    s_hi] by :func:`~clickdyn.equilibria._grid_zeros`, with slope
+    :func:`_discriminant_slope`; two folds within one grid step are missed.
     """
     eps = cubic.epsilon
-    _, folds = _grid_zeros(
+    return _grid_zeros(
         lambda s, b: _discriminant(s, eps, kappa, xi, b),
         lambda s, b: _discriminant_slope(s, eps, kappa, xi, b),
-        np.linspace(s_lo, s_hi, 2001), np.array([b_amp]))
-    return folds.tolist()
+        np.linspace(s_lo, s_hi, 2001), b_amp).tolist()
 
 
 def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:

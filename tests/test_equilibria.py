@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -7,8 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from clickdyn.equilibria import (CENTER, SADDLE, _b1_residual, _b1_slope,
-                                 _b2_residual, _b2_slope, _grid_zeros,
+from clickdyn.equilibria import (CENTER, SADDLE, _grid_zeros,
                                  bifurcation_set, classify_region,
                                  equilibria_in_period, interior_angle,
                                  interior_angle_closed_form,
@@ -161,6 +161,19 @@ def test_bifurcation_b2_gamma_zero_is_alpha_plus_beta_one():
         assert a + b == pytest.approx(1.0, abs=1e-10)
 
 
+def test_bifurcation_b1_gamma_zero_is_alpha_minus_beta_one():
+    # at gamma = 0, B1 is |alpha - beta| = 1: alpha = beta + 1, and
+    # alpha = beta - 1 where beta > 1.  Each root takes three roundings:
+    # within 1 ulp on the subcommand's default grid, 1.5 beyond it
+    wide = np.linspace(0.01, 10.0, 2001)
+    for betas, ulps in ((_CLI_GRID, 1.0), (wide, 1.5)):
+        samples = bifurcation_set("B1", 0.0, [0.001, 20.0], betas).samples
+        assert len(samples) == len(betas) + np.sum(betas - 1.0 >= 0.001)
+        for a, b, _g in samples:
+            ref = Fraction(b) + (1 if a > b else -1)
+            assert abs(Fraction(a) - ref) <= ulps * np.spacing(a)
+
+
 def test_zero_stiffness_set():
     curve = zero_stiffness_set(1.0, 0.0, np.linspace(1.1, 2.0, 10))
     assert curve.samples.shape[0] > 0
@@ -198,14 +211,15 @@ _VARIANT_GAMMAS = [("B0", 0.0), ("B0", 0.0627), ("B1", 0.0), ("B1", 0.1),
 
 
 def _exact_b0_zero():
-    """(theta, alpha) with theta on the scan grid and stiffness exactly 0.
+    """(theta, alpha) with theta inside (1e-9, pi - 1e-9), the stiffness
+    exactly 0 there and not 0 at the floats beside it.
 
-    At each grid angle alpha is bisected to adjacent floats between 1.05
-    and 3, where the stiffness at beta = 1 changes sign; some of those
+    At each inner grid angle alpha is bisected to adjacent floats between
+    1.05 and 3, where the stiffness at beta = 1 changes sign; some of those
     ends give 0 exactly.
     """
-    for th in _B0_THETAS:
-        k = lambda a: float(stiffness(Params(alpha=a, beta=1.0), th))
+    for th in _B0_THETAS[1:-1]:
+        k = lambda a, t=th: float(stiffness(Params(alpha=a, beta=1.0), t))
         lo, hi = 1.05, 3.0
         if not k(lo) * k(hi) < 0.0:
             continue
@@ -216,18 +230,20 @@ def _exact_b0_zero():
             else:
                 hi = mid
         for a in (lo, hi):
-            if k(a) == 0.0:
+            beside = (k(a, math.nextafter(th, to)) for to in (0.0, 4.0))
+            if k(a) == 0.0 and 0.0 not in beside:
                 return float(th), a
-    raise AssertionError("no exact zero of the stiffness on the scan grid")
+    raise AssertionError("no exact zero of the stiffness inside the range")
 
 
 @pytest.mark.parametrize("variant", ["B0", "B1", "B2"])
 def test_exact_grid_zero_is_emitted_once(variant):
-    # a root on a grid point ends both intervals beside it; it is one root
+    # a root where the residual is exactly 0 is one root
     if variant == "B0":
         th, a = _exact_b0_zero()
         samples = zero_stiffness_set(1.0, 0.0, [a]).samples
-        assert samples[:, 0].tolist().count(th) == 1
+        near = np.abs(samples[:, 0] - th) <= np.spacing(th)
+        assert near.sum() == 1
         assert np.unique(samples[:, 0]).size == len(samples)
         return
     # at gamma = 0, B1 is |alpha - beta| = 1 and B2 is alpha + beta = 1
@@ -237,9 +253,11 @@ def test_exact_grid_zero_is_emitted_once(variant):
     assert samples.tolist() == [[root, beta, 0.0]]
 
 
-@pytest.mark.parametrize("variant, gamma", _VARIANT_GAMMAS)
+@pytest.mark.parametrize("variant, gamma",
+                         [c for c in _VARIANT_GAMMAS if c[0] == "B0"])
 def test_bifurcation_roots_are_sign_changes_at_adjacent_floats(variant,
                                                                gamma):
+    # B0 only: a B1 or B2 root is the quadratic's, by the stable formula
     samples = _curve(variant, gamma).samples
     assert len(samples) > 0
     for row in samples:
@@ -254,7 +272,8 @@ def test_bifurcation_roots_are_sign_changes_at_adjacent_floats(variant,
 
 def test_b1_roots_beside_the_cusp_line_are_kept():
     # the residual tends to -inf on alpha == beta: at beta = 0.06475, a
-    # grid point, the interval below it holds a root a NaN sample hid
+    # grid point, one root lies on each side of the cusp line, the one
+    # below it within one grid step
     beta = _CLI_GRID[1]
     roots = bifurcation_set("B1", 0.3, _CLI_GRID, [beta]).samples[:, 0]
     a = np.linspace(0.05, 3.0, 200_001)
@@ -263,6 +282,35 @@ def test_b1_roots_beside_the_cusp_line_are_kept():
     i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)[0]
     assert len(roots) == len(i) == 2
     assert np.all((a[i] <= roots) & (roots <= a[i + 1]))
+
+
+def _quintic_terms(alpha, beta, gamma, chord):
+    """The terms of 4*P*K*D^3 as a quintic in the chord D."""
+    p, s, d, t = alpha * beta, alpha**2 + beta**2, alpha - beta, alpha + beta
+    return (-2.0 * (p + gamma) * chord**5, p * chord**4,
+            2.0 * (p + gamma) * s * chord**3, -p * d * d * t * t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.1, 3.0), st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+       st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4),
+       st.booleans())
+def test_b0_loses_no_root(beta, gamma, alphas, cusp):
+    # every strict sign change of K on a dense grid holds exactly one row,
+    # and each row's chord is a root of the quintic to rounding
+    alphas = np.unique(alphas + [beta] * cusp)
+    samples = zero_stiffness_set(beta, gamma, alphas).samples
+    theta = np.linspace(1e-9, math.pi - 1e-9, 20_001)
+    for a in alphas:
+        roots = samples[samples[:, 1] == a, 0]
+        vals = _stiffness_field(a, beta, gamma, theta)
+        for i in np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]:
+            assert np.sum((theta[i] <= roots) & (roots <= theta[i + 1])) == 1
+        chord = np.sqrt((a - beta) ** 2 + 4.0 * a * beta
+                        * np.sin(0.5 * roots) ** 2)
+        terms = _quintic_terms(a, beta, gamma, chord)
+        assert np.all(np.abs(sum(terms)) <= 16.0 * np.finfo(float).eps
+                      * sum(map(np.abs, terms)))
 
 
 def _brentq_rows(variant, gamma):
@@ -340,8 +388,11 @@ def _scan(case):
     if variant == "B0":
         return (lambda th, a: _stiffness_field(a, 1.0, gamma, th),
                 _B0_THETAS, _CLI_GRID)
-    residual = _b1_residual if variant == "B1" else _b2_residual
-    return lambda a, b: residual(a, b, gamma), _CLI_GRID, _CLI_GRID
+    if variant == "B1":   # -inf on alpha == beta, its limit from both sides
+        return (lambda a, b: np.where(
+            a == b, -np.inf, a * b + gamma - a * b / np.abs(a - b)),
+                _CLI_GRID, _CLI_GRID)
+    return lambda a, b: a * b - a * b / (a + b) - gamma, _CLI_GRID, _CLI_GRID
 
 
 @pytest.mark.parametrize("case", _VARIANT_GAMMAS + _FOLD_CASES, ids=[
@@ -352,8 +403,10 @@ def test_without_a_slope_the_refinement_is_plain_bisection(case):
     # for bit, including those where the rounded residual changes sign
     # more than once near a root
     f, x, r = _scan(case)
-    got = _grid_zeros(f, lambda x, r: np.full(np.broadcast(x, r).shape,
-                                              np.nan), x, r)
+    roots = [_grid_zeros(f, lambda x, r: np.full(np.broadcast(x, r).shape,
+                                                 np.nan), x, rr)
+             for rr in r.tolist()]
+    got = np.repeat(r, list(map(len, roots))), np.concatenate(roots)
     ref = _bisection_zeros(f, x, r)
     assert len(ref[0]) > 0
     assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
@@ -393,38 +446,26 @@ def _mp_stiffness(a, b, g):
             lambda t: mpmath.fsum(map(abs, terms(t))))
 
 
-@pytest.mark.parametrize("variant", ["B0", "B1", "B2"])
+@pytest.mark.parametrize("variant", ["B0"])
 def test_each_slope_is_the_derivative_of_its_residual(variant):
-    # along the scanned variable: theta for B0, alpha for B1 and B2; to
-    # 1e-12 of the sum of the magnitudes of the slope's terms
+    # dK/dtheta, to 1e-12 of the sum of the magnitudes of the slope's terms
     with mpmath.workdps(40):
         for (a, b, g), rng in _region_points(29, 200):
-            if variant == "B0":
-                th = rng.uniform(0.0, math.pi)
-                ref = mpmath.diff(_mp_stiffness(a, b, g)[0], th)
-                got = float(_curvature_field(a, b, g, th))
-                s, c = math.sin(th), math.cos(th)
-                d2 = a * a + b * b - 2.0 * a * b * c
-                k3, x = (a * b) ** 2 / d2 ** 1.5, a * b * s * s / d2
-                scale = abs(s) * (3.0 * k3 * (abs(c) + x) + a * b + g
-                                  + a * b / math.sqrt(d2))
-            else:
-                x = rng.uniform(0.05, 3.0)
-                B, G = mpmath.mpf(b), mpmath.mpf(g)
-                if variant == "B1":
-                    ref = mpmath.diff(
-                        lambda t: t * B + G - t * B / abs(t - B), x)
-                    got, scale = _b1_slope(x, b), b + b * b / (x - b) ** 2
-                else:
-                    ref = mpmath.diff(
-                        lambda t: t * B - t * B / (t + B) - G, x)
-                    got, scale = _b2_slope(x, b), b + b * b / (x + b) ** 2
+            th = rng.uniform(0.0, math.pi)
+            ref = mpmath.diff(_mp_stiffness(a, b, g)[0], th)
+            got = float(_curvature_field(a, b, g, th))
+            s, c = math.sin(th), math.cos(th)
+            d2 = a * a + b * b - 2.0 * a * b * c
+            k3, x = (a * b) ** 2 / d2 ** 1.5, a * b * s * s / d2
+            scale = abs(s) * (3.0 * k3 * (abs(c) + x) + a * b + g
+                              + a * b / math.sqrt(d2))
             assert abs(got - ref) <= 1e-12 * scale
 
 
 # |root - ref|*|slope|/(eps*S), S the sum of the magnitudes of the
 # residual's terms at the root: the measured worst over _VARIANT_GAMMAS is
-# 3.59 (B0), 1.36 (B1) and 0.50 (B2); each gate is about ten times that
+# 3.59 (B0), 1.77 (B1) and 0.49 (B2); the gates were set at about ten
+# times the mesh scan's 3.59, 1.36 and 0.50
 _ROUNDING_GATES = {"B0": 40.0, "B1": 15.0, "B2": 5.0}
 
 
@@ -462,8 +503,6 @@ def test_bifurcation_roots_match_40_digit_references(variant, gamma):
             if variant == "B0":
                 f, scale = _mp_stiffness(other, 1.0, gamma)
                 ref = mpmath.findroot(f, mpmath.mpf(root))
-                i = np.searchsorted(_B0_THETAS, root)
-                assert _B0_THETAS[i - 1] <= ref <= _B0_THETAS[i]
             else:
                 ref, f, scale = _b_reference(variant, gamma, other, root)
             worst = max(worst, float(abs(root - ref) * abs(mpmath.diff(f, ref))

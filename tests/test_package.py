@@ -77,6 +77,30 @@ def test_every_public_name_has_a_caller():
     assert orphans == []
 
 
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level private functions and constants of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_helper_has_a_caller():
+    # a private function or constant that no module of the package uses
+    # (its own body aside) is code that no program path reaches
+    src = Path(clickdyn.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in src.glob("*.py")]
+    used = set().union(*map(_used_names, trees))
+    unused = sorted(set().union(*map(_private_definitions, trees)) - used)
+    assert unused == []
+
+
 def test_importing_the_cli_leaves_scipy_integrate_unloaded():
     # nothing in the package uses it, and its import costs 30-100 ms of
     # every run's set-up
