@@ -4,7 +4,11 @@ One adaptive step loop for the planar systems of this package: the
 Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
 Secs. II.5-II.6), with the state in two Python floats and scipy's step
 controller, so ``scipy.integrate.solve_ivp(method="DOP853")`` takes as many
-steps, of the same sizes up to rounding.  Events (zero crossings of the
+steps, of the same sizes up to rounding.  The loop is generated from the
+tableau as text, in two forms compiled on first use: one calls the rhs at
+each stage, the other runs the full system's float kernel
+(``model._KERNEL``) inline there, for the closures of
+:func:`model.scalar_rhs`.  Events (zero crossings of the
 angular velocity, of an angle) are located inside an accepted step on the
 pair's 7th-order dense output, built only for the steps a callback asks it
 of, by Brent's method.  A Lyapunov tangent is carried by the derivatives of
@@ -13,16 +17,18 @@ the loop's steps, taken in array passes over the stage states it records.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import textwrap
 from dataclasses import dataclass, field, replace
 from operator import mul
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .model import (InputError, Params, _jacobian_field, hamiltonian,
-                    potential, scalar_rhs)
+from .model import (_KERNEL, _KERNEL_CONSTANTS, InputError, Params,
+                    _jacobian_field, hamiltonian, potential, scalar_rhs)
 
 __all__ = [
     "IntegratorSpec",
@@ -51,11 +57,12 @@ _H_MAX = 1.0
 _T_MAX = 1e7
 
 # The DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.5,
-# stages counted from 0 as in scipy's ``dop853_coefficients``), read by the
-# step loop into local names: the nodes c1-c10, the rows 1-11 of A without
-# their zeros, the 8th-order weights (row 12) over the stages 0 and 5-11,
-# the 5th-order error row over the same stages, and the 3rd-order error
-# row's entries at stages 0, 8 and 11 (elsewhere it equals the weights).
+# stages counted from 0 as in scipy's ``dop853_coefficients``), written
+# into the text of the step loop as literals: the nodes c1-c10, the rows
+# 1-11 of A without their zeros, the 8th-order weights (row 12) over the
+# stages 0 and 5-11, the 5th-order error row over the same stages, and the
+# 3rd-order error row's entries at stages 0, 8 and 11 (elsewhere it equals
+# the weights).
 _NODES = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
           0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
           0.6512820512820513, 0.6, 0.8571428571428571)
@@ -200,7 +207,11 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
     (``numpy.float64`` scalars) without the whole loop running in the much
     slower numpy-scalar arithmetic.  ``f(t, theta, omega)`` receives floats;
     it should return floats too, or the state turns into numpy scalars
-    after the first step.
+    after the first step.  A closure of :func:`model.scalar_rhs` is not
+    called in the loop: its kernel runs inline, on the constants the
+    closure carries, with the same operations in the same order, so the
+    run is the same to the bit.  ``f`` is still called for the extra
+    stages of a :class:`_DenseStep`.
 
     ``step_cb(ta, ya, tb, yb, dense) -> bool`` runs on every accepted step,
     with ``dense`` the step's :class:`_DenseStep`; returning True stops the
@@ -208,31 +219,31 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
     ``h_next`` the last proposed step before it was clipped to land on
     ``t_end``; a rejected step below ``_H_MIN`` (1e-12) raises
     :class:`StepUnderflow`.  A list ``stages`` gets, per accepted step,
-    (h, theta, omega, theta_new, omega_new) and the states Y1-Y11 that
-    ``f`` received at the stages 1-11, as theta, omega pairs: the record
-    :func:`_step_jacobians` takes.
+    (h, theta, omega, theta_new, omega_new) and the states Y1-Y11 at which
+    the rhs was evaluated at the stages 1-11, as theta, omega pairs: the
+    record :func:`_step_jacobians` takes.
 
-    Stage j of the tableau (counted from 0, see ``_NODES``) is ``kj``, at
-    the state ``yj``; ``ai_j`` is its row i, column j.  The controller is scipy's:
-    the error norm mixes the 5th- and 3rd-order estimates, the step factor
-    0.9 * err**(-1/8) is clipped to [0.2, 10], and a step accepted after a
-    rejection does not grow.
+    The controller is scipy's: the error norm mixes the 5th- and 3rd-order
+    estimates, the step factor 0.9 * err**(-1/8) is clipped to [0.2, 10],
+    and a step accepted after a rejection does not grow.
     """
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _NODES
-    ((a1_0,), (a2_0, a2_1), (a3_0, a3_2), (a4_0, a4_2, a4_3),
-     (a5_0, a5_3, a5_4), (a6_0, a6_3, a6_4, a6_5),
-     (a7_0, a7_3, a7_4, a7_5, a7_6), (a8_0, a8_3, a8_4, a8_5, a8_6, a8_7),
-     (a9_0, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
-     (a10_0, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
-     (a11_0, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9,
-      a11_10)) = _ROWS
-    b0, b5, b6, b7, b8, b9, b10, b11 = _WEIGHTS
-    e5_0, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11 = _ERR5
-    e3_0, e3_8, e3_11 = _ERR3
-    sqrt = math.sqrt
+    constants = getattr(f, "kernel_constants", ())
+    return _step_loop(bool(constants))(f, t0, y0, spec, step_cb, stages,
+                                       *constants)
+
+
+# The step loop of _dop853, as text.  {rhs0} evaluates the rhs at the start
+# and {rhs12} at the end of an accepted step (stage 12, the next step's
+# stage 0, the pair's FSAL stage); {stages} computes the stage states
+# y1-y11 and their derivatives k1-k11, stage j at the state ``yj`` with
+# the derivatives ``kjt, kjo`` (see ``_NODES``).  The rest is filled in
+# from the tableau by _step_loop.
+_LOOP = """\
+def loop(f, t0, y0, spec, step_cb, stages{constants}):
+    sin, sqrt = math.sin, math.sqrt
     t = t0
     th, om = float(y0[0]), float(y0[1])
-    k0t, k0o = f(t, th, om)
+{rhs0}
     abs_tol, rel_tol, t_end = spec.abs_tol, spec.rel_tol, spec.t_end
     h_min, h_max = _H_MIN, _H_MAX
     h = h_next = spec.h_init
@@ -249,57 +260,9 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
         if t_new > t_end:
             t_new = t_end
             h = t_new - t
-        y1t = th + h * a1_0 * k0t
-        y1o = om + h * a1_0 * k0o
-        k1t, k1o = f(t + c1 * h, y1t, y1o)
-        y2t = th + h * (a2_0 * k0t + a2_1 * k1t)
-        y2o = om + h * (a2_0 * k0o + a2_1 * k1o)
-        k2t, k2o = f(t + c2 * h, y2t, y2o)
-        y3t = th + h * (a3_0 * k0t + a3_2 * k2t)
-        y3o = om + h * (a3_0 * k0o + a3_2 * k2o)
-        k3t, k3o = f(t + c3 * h, y3t, y3o)
-        y4t = th + h * (a4_0 * k0t + a4_2 * k2t + a4_3 * k3t)
-        y4o = om + h * (a4_0 * k0o + a4_2 * k2o + a4_3 * k3o)
-        k4t, k4o = f(t + c4 * h, y4t, y4o)
-        y5t = th + h * (a5_0 * k0t + a5_3 * k3t + a5_4 * k4t)
-        y5o = om + h * (a5_0 * k0o + a5_3 * k3o + a5_4 * k4o)
-        k5t, k5o = f(t + c5 * h, y5t, y5o)
-        y6t = th + h * (a6_0 * k0t + a6_3 * k3t + a6_4 * k4t + a6_5 * k5t)
-        y6o = om + h * (a6_0 * k0o + a6_3 * k3o + a6_4 * k4o + a6_5 * k5o)
-        k6t, k6o = f(t + c6 * h, y6t, y6o)
-        y7t = th + h * (a7_0 * k0t + a7_3 * k3t + a7_4 * k4t + a7_5 * k5t
-                        + a7_6 * k6t)
-        y7o = om + h * (a7_0 * k0o + a7_3 * k3o + a7_4 * k4o + a7_5 * k5o
-                        + a7_6 * k6o)
-        k7t, k7o = f(t + c7 * h, y7t, y7o)
-        y8t = th + h * (a8_0 * k0t + a8_3 * k3t + a8_4 * k4t + a8_5 * k5t
-                        + a8_6 * k6t + a8_7 * k7t)
-        y8o = om + h * (a8_0 * k0o + a8_3 * k3o + a8_4 * k4o + a8_5 * k5o
-                        + a8_6 * k6o + a8_7 * k7o)
-        k8t, k8o = f(t + c8 * h, y8t, y8o)
-        y9t = th + h * (a9_0 * k0t + a9_3 * k3t + a9_4 * k4t + a9_5 * k5t
-                        + a9_6 * k6t + a9_7 * k7t + a9_8 * k8t)
-        y9o = om + h * (a9_0 * k0o + a9_3 * k3o + a9_4 * k4o + a9_5 * k5o
-                        + a9_6 * k6o + a9_7 * k7o + a9_8 * k8o)
-        k9t, k9o = f(t + c9 * h, y9t, y9o)
-        y10t = th + h * (a10_0 * k0t + a10_3 * k3t + a10_4 * k4t
-                         + a10_5 * k5t + a10_6 * k6t + a10_7 * k7t
-                         + a10_8 * k8t + a10_9 * k9t)
-        y10o = om + h * (a10_0 * k0o + a10_3 * k3o + a10_4 * k4o
-                         + a10_5 * k5o + a10_6 * k6o + a10_7 * k7o
-                         + a10_8 * k8o + a10_9 * k9o)
-        k10t, k10o = f(t + c10 * h, y10t, y10o)
-        y11t = th + h * (a11_0 * k0t + a11_3 * k3t + a11_4 * k4t
-                         + a11_5 * k5t + a11_6 * k6t + a11_7 * k7t
-                         + a11_8 * k8t + a11_9 * k9t + a11_10 * k10t)
-        y11o = om + h * (a11_0 * k0o + a11_3 * k3o + a11_4 * k4o
-                         + a11_5 * k5o + a11_6 * k6o + a11_7 * k7o
-                         + a11_8 * k8o + a11_9 * k9o + a11_10 * k10o)
-        k11t, k11o = f(t + h, y11t, y11o)
-        th_new = th + h * (b0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t
-                           + b8 * k8t + b9 * k9t + b10 * k10t + b11 * k11t)
-        om_new = om + h * (b0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o
-                           + b8 * k8o + b9 * k9o + b10 * k10o + b11 * k11o)
+{stages}
+        th_new = th + h * ({weights_t})
+        om_new = om + h * ({weights_o})
         # max(|y|, |y_new|) but for the sign of a zero or NaN, unseen here
         y_old = th if th >= 0.0 else -th
         y_new = th_new if th_new >= 0.0 else -th_new
@@ -307,34 +270,25 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
         y_old = om if om >= 0.0 else -om
         y_new = om_new if om_new >= 0.0 else -om_new
         sc_o = abs_tol + rel_tol * (y_new if y_new > y_old else y_old)
-        e5t = (e5_0 * k0t + e5_5 * k5t + e5_6 * k6t + e5_7 * k7t + e5_8 * k8t
-               + e5_9 * k9t + e5_10 * k10t + e5_11 * k11t) / sc_t
-        e5o = (e5_0 * k0o + e5_5 * k5o + e5_6 * k6o + e5_7 * k7o + e5_8 * k8o
-               + e5_9 * k9o + e5_10 * k10o + e5_11 * k11o) / sc_o
-        e3t = (e3_0 * k0t + b5 * k5t + b6 * k6t + b7 * k7t + e3_8 * k8t
-               + b9 * k9t + b10 * k10t + e3_11 * k11t) / sc_t
-        e3o = (e3_0 * k0o + b5 * k5o + b6 * k6o + b7 * k7o + e3_8 * k8o
-               + b9 * k9o + b10 * k10o + e3_11 * k11o) / sc_o
+        e5t = ({err5_t}) / sc_t
+        e5o = ({err5_o}) / sc_o
+        e3t = ({err3_t}) / sc_t
+        e3o = ({err3_o}) / sc_o
         n5 = e5t * e5t + e5o * e5o
         n3 = e3t * e3t + e3o * e3o
         # n5 = 0 makes the error 0 whatever n3 is; with n3 tiny too (the
         # stages of a settled orbit underflow) the norm's sqrt would be 0
         err = h * n5 / sqrt(2.0 * (n5 + 0.01 * n3)) if n5 else 0.0
         if err < 1.0:
-            k12t, k12o = f(t + h, th_new, om_new)
+{rhs12}
             accepted += 1
             stop = False
             if stages is not None:
-                stages.append((h, th, om, th_new, om_new, y1t, y1o, y2t, y2o,
-                               y3t, y3o, y4t, y4o, y5t, y5o, y6t, y6o, y7t,
-                               y7o, y8t, y8o, y9t, y9o, y10t, y10o, y11t,
-                               y11o))
+                stages.append((h, th, om, th_new, om_new, {stage_states}))
             if step_cb is not None:
                 ya, yb = (th, om), (th_new, om_new)
                 stop = bool(step_cb(t, ya, t_new, yb, _DenseStep(
-                    f, t, h, t_new, ya, yb,
-                    (k0t, k0o, k5t, k5o, k6t, k6o, k7t, k7o, k8t, k8o, k9t,
-                     k9o, k10t, k10o, k11t, k11o, k12t, k12o))))
+                    f, t, h, t_new, ya, yb, ({dense_stages}))))
             t = t_new
             th, om = th_new, om_new
             k0t, k0o = k12t, k12o
@@ -364,6 +318,66 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
         if h_max < h:
             h = h_max
     return times, thetas, omegas, StepStats(accepted, rejected), h_next
+"""
+
+
+def _combination(coeffs, stages, comp):
+    """The text of sum_j coeffs_j * k_j for one component ("t" or "o"),
+    left to right."""
+    return " + ".join(f"{c!r} * k{j}{comp}" for c, j in zip(coeffs, stages))
+
+
+@functools.cache
+def _step_loop(fused):
+    """The step loop of :func:`_dop853`, compiled from ``_LOOP`` on first
+    use.
+
+    The call loop evaluates stage j as ``kjt, kjo = f(t_j, yjt, yjo)``;
+    the fused loop writes ``model._KERNEL`` there and takes the kernel's
+    constants as arguments after ``stages``.  Stage j runs at the time
+    ``t + c_j * h`` (``t + h`` for the stages 11 and 12) and the state
+    ``y + h * (a_j0 * k0 + ...)``, ``y + h * a_10 * k0`` for stage 1; sums
+    run left to right.  The kernel is the closure's body, so a
+    :func:`model.scalar_rhs` closure runs the same float operations, in
+    the same order, in either loop.
+    """
+    if fused:
+        def rhs(t, th, om, j):
+            return _KERNEL.format(t=t, th=th, om=om, out=f"k{j}t, k{j}o = ")
+        constants = "".join(f", {name}" for name in _KERNEL_CONSTANTS)
+    else:
+        def rhs(t, th, om, j):
+            return f"k{j}t, k{j}o = f({t}, {th}, {om})\n"
+        constants = ""
+    lines = []
+    node_times = [f"(t + {c!r} * h)" for c in _NODES] + ["(t + h)"]
+    for j, (row, cols, t) in enumerate(zip(_ROWS, _COLUMNS, node_times),
+                                       start=1):
+        for comp, y in (("t", "th"), ("o", "om")):
+            step = _combination(row, cols, comp)
+            lines.append(f"y{j}{comp} = {y} + h * "
+                         + (step if len(row) == 1 else f"({step})") + "\n")
+        lines.append(rhs(t, f"y{j}t", f"y{j}o", j))
+    final = _COLUMNS[-1]
+    err3 = (_ERR3[0], *_WEIGHTS[1:4], _ERR3[1], *_WEIGHTS[5:7], _ERR3[2])
+    src = _LOOP.format(
+        constants=constants,
+        rhs0=textwrap.indent(rhs("t", "th", "om", 0), " " * 4).rstrip(),
+        stages=textwrap.indent("".join(lines), " " * 8).rstrip(),
+        rhs12=textwrap.indent(rhs("(t + h)", "th_new", "om_new", 12),
+                              " " * 12).rstrip(),
+        weights_t=_combination(_WEIGHTS, final, "t"),
+        weights_o=_combination(_WEIGHTS, final, "o"),
+        err5_t=_combination(_ERR5, final, "t"),
+        err5_o=_combination(_ERR5, final, "o"),
+        err3_t=_combination(err3, final, "t"),
+        err3_o=_combination(err3, final, "o"),
+        stage_states=", ".join(f"y{j}t, y{j}o" for j in range(1, 12)),
+        dense_stages=", ".join(f"k{j}t, k{j}o" for j in (*final, 12)))
+    names = {}
+    exec(compile(src, f"<clickdyn.integrate._LOOP fused={fused}>", "exec"),
+         globals(), names)
+    return names["loop"]
 
 
 def _pack(times, thetas, omegas, stats):

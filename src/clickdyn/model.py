@@ -21,7 +21,9 @@ where D loses its digits.)
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -307,35 +309,60 @@ def hamiltonian(p: Params, state) -> float:
     return 0.5 * p.kappa * omega**2 + float(potential(p, theta))
 
 
+# The full system's float kernel: the float arithmetic of moment,
+# damping_factor and the drive at the time {t} and the state ({th}, {om}),
+# ending in ``{out}theta', omega'``, over the constants named in
+# _KERNEL_CONSTANTS.  With r = alpha*beta*sin(theta)/D,
+# M = (alpha*beta + gamma)*sin(theta) - r and c = r*r; where D = 0 the
+# fields' M = 0 and c = alpha*beta.  scalar_rhs compiles it as its
+# closure's body, {out} a return; the integrator's step loop writes it in
+# place of each rhs call, {out} an assignment.
+_KERNEL = """\
+st = sin({th})
+s = sin(0.5 * {th})
+d2 = dd + four_ab * (s * s)
+if d2:
+    r = ab * st / sqrt(d2)
+    damp = r * r
+else:
+    r, damp = 0.0, ab
+torque = neg_two_xi * damp * {om} - (abg * st - r)
+if m0:
+    torque += m0 * sin(om0 * {t} + phi)
+{out}{om}, torque / kap
+"""
+_KERNEL_CONSTANTS = ("ab", "abg", "dd", "four_ab", "neg_two_xi", "kap", "m0",
+                     "om0", "phi")
+
+
+@functools.cache
+def _closure_maker():
+    """``make(*constants) -> f``, the maker of :func:`scalar_rhs`'s
+    closures, compiled from ``_KERNEL`` on first use."""
+    body = _KERNEL.format(t="t", th="theta", om="omega", out="return ")
+    src = (f"def make({', '.join(_KERNEL_CONSTANTS)}):\n"
+           f"    sin, sqrt = math.sin, math.sqrt\n"
+           f"    def f(t, theta, omega):\n{textwrap.indent(body, ' ' * 8)}"
+           f"    return f\n")
+    names = {}
+    exec(compile(src, "<clickdyn.model._KERNEL>", "exec"), {"math": math},
+         names)
+    return names["make"]
+
+
 def scalar_rhs(p: Params):
     """Closure ``f(t, theta, omega) -> (theta', omega')`` of the full system.
 
-    The float-arithmetic form of :func:`moment`, :func:`damping_factor` and
-    the drive, for the integrator's inner loop: with r = alpha*beta*
-    sin(theta)/D, M = (alpha*beta + gamma)*sin(theta) - r and c = r*r, and
-    where D = 0 the fields' M = 0 and c = alpha*beta.
+    Its body is ``_KERNEL``, the float-arithmetic form of :func:`moment`,
+    :func:`damping_factor` and the drive.  The closure carries the
+    kernel's constants, in the order of ``_KERNEL_CONSTANTS``, as
+    ``f.kernel_constants``: the integrator's step loop runs the kernel
+    inline on them instead of calling ``f``.
     """
-    a, b, g = p.alpha, p.beta, p.gamma
-    kap, m0, om0, phi = p.kappa, p.m_big0, p.omega_big0, p.phi
+    a, b = p.alpha, p.beta
     ab = a * b
-    abg = ab + g
-    dd = (a - b) * (a - b)
-    four_ab = 4.0 * a * b
-    neg_two_xi = -2.0 * p.xi
-    sin, sqrt = math.sin, math.sqrt
-
-    def f(t, theta, omega):
-        st = sin(theta)
-        s = sin(0.5 * theta)
-        d2 = dd + four_ab * (s * s)
-        if d2:
-            r = ab * st / sqrt(d2)
-            damp = r * r
-        else:
-            r, damp = 0.0, ab
-        torque = neg_two_xi * damp * omega - (abg * st - r)
-        if m0:
-            torque += m0 * sin(om0 * t + phi)
-        return omega, torque / kap
-
+    constants = (ab, ab + p.gamma, (a - b) * (a - b), 4.0 * a * b,
+                 -2.0 * p.xi, p.kappa, p.m_big0, p.omega_big0, p.phi)
+    f = _closure_maker()(*constants)
+    f.kernel_constants = constants
     return f

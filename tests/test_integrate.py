@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -36,15 +37,18 @@ def test_spec_rejects_a_bad_field(field, value):
 
 
 def test_h_max_is_honoured():
-    # theta'' = -theta at rel_tol 1e-6 would take steps above 1.0; the
-    # fixed cap holds them at 1.0
-    traj = integrate_rhs(lambda t, x, v: (v, -x), (1.0, 0.0),
-                         IntegratorSpec(rel_tol=1e-6, abs_tol=1e-8,
-                                        t_end=40.0))
-    widths = np.diff(traj.times)
-    # differences of accumulated times carry rounding of order 1e-16
-    assert widths.max() <= 1.0 + 1e-12
-    assert np.sum(widths > 1.0 - 1e-12) >= 20
+    # theta'' = -theta, and a small oscillation in a well of the full
+    # system, at rel_tol 1e-6 would take steps above 1.0; the fixed cap
+    # holds them at 1.0, in the loop that calls the rhs and in the one that
+    # runs the full system's kernel inline
+    for f, state0 in ((lambda t, x, v: (v, -x), (1.0, 0.0)),
+                      (scalar_rhs(Params(alpha=2.5)), (0.05, 0.0))):
+        traj = integrate_rhs(f, state0, IntegratorSpec(
+            rel_tol=1e-6, abs_tol=1e-8, t_end=40.0))
+        widths = np.diff(traj.times)
+        # differences of accumulated times carry rounding of order 1e-16
+        assert widths.max() <= 1.0 + 1e-12
+        assert np.sum(widths > 1.0 - 1e-12) >= 20
 
 
 def test_underflow_keeps_only_accurate_steps():
@@ -512,29 +516,45 @@ def _cusp_crossings(thetas):
                for a, b in zip(thetas, thetas[1:]))
 
 
+def _bytes(values):
+    return np.array(values).tobytes()
+
+
 @pytest.mark.parametrize("p, state0, spec", [
     (Params(alpha=1.5, xi=0.1, m_big0=0.3, omega_big0=0.8), (0.7227, 0.0),
      IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=60.0)),
+    (Params(alpha=1.5), (1.2, -0.3), IntegratorSpec(t_end=40.0)),
+    (Params(alpha=1.5, gamma=0.2, kappa=1.7, xi=0.05, m_big0=0.4,
+            omega_big0=1.3, phi=0.7), (0.3, 0.1), IntegratorSpec(t_end=60.0)),
     (_CUSP, (0.4, 0.0), IntegratorSpec(t_end=60.0)),
+    (_CUSP, (0.0, 0.0), IntegratorSpec(t_end=60.0)),
     (_CUSP_LYAP, (0.4, 0.0),
      IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11, t_end=200.0)),
-], ids=["forced", "cusp", "cusp_lyapunov"])
+], ids=["forced", "conservative", "gravity_inertia_phase", "cusp",
+        "cusp_from_the_cusp", "cusp_lyapunov"])
 def test_stage_record_holds_the_states_the_rhs_received(p, state0, spec):
-    # Recording the stages leaves the run as it is, to the bit.
+    # A wrapper around the closure takes the loop that calls it; the closure
+    # itself, the loop that runs its kernel inline.  Both runs, and their
+    # stage records, are the same to the bit.
     calls, f = [], scalar_rhs(p)
 
     def recording(t, theta, omega):
         calls.append((theta, omega))
         return f(t, theta, omega)
 
-    plain = integ._dop853(f, 0.0, state0, spec)
-    stages = []
+    fused_stages, stages = [], []
+    fused = integ._dop853(f, 0.0, state0, spec, stages=fused_stages)
     times, thetas, omegas, stats, h_next = integ._dop853(
         recording, 0.0, state0, spec, stages=stages)
-    assert (times, thetas, omegas, h_next) == (*plain[:3], plain[4])
-    assert stats == plain[3]
+    assert _bytes((times, thetas, omegas)) == _bytes(fused[:3])
+    assert stats == fused[3]
+    assert _bytes(h_next) == _bytes(fused[4])
+    assert _bytes(stages) == _bytes(fused_stages)
     assert len(stages) == stats.accepted
     assert p.smooth or _cusp_crossings(thetas) >= 3
+    if state0[0] == 0.0 and not p.smooth:
+        # the first stages sit on the cusp itself, where D = 0
+        assert stages[0][5] == 0.0
     # After the call at the start, every step tried calls f at the stages
     # 1-11, and an accepted one at its end too; a rejected one takes no
     # more calls.
@@ -549,6 +569,44 @@ def test_stage_record_holds_the_states_the_rhs_received(p, state0, spec):
         assert calls[pos + 11] == rec[3:5]
         pos += 12
     assert pos == len(calls)
+
+
+def test_the_full_systems_closure_is_not_called_per_step():
+    # The step loop runs scalar_rhs's kernel inline: the closure's code
+    # runs no more often in a long run than in a short one.
+    p = Params(alpha=1.5, xi=0.1, m_big0=0.3, omega_big0=0.8)
+    code = scalar_rhs(p).__code__       # shared by every such closure
+
+    def closure_calls(run):
+        n = 0
+
+        def profile(frame, event, arg):
+            nonlocal n
+            n += event == "call" and frame.f_code is code
+
+        sys.setprofile(profile)
+        try:
+            result = run()
+        finally:
+            sys.setprofile(None)
+        return n, result
+
+    (short, short_run), (long, long_run) = [closure_calls(
+        lambda: integrate_rhs(scalar_rhs(p), (0.7227, 0.0),
+                              IntegratorSpec(t_end=t_end)))
+        for t_end in (10.0, 40.0)]
+    assert long_run.step_stats.accepted > 2 * short_run.step_stats.accepted
+    assert long == short
+    sections = [closure_calls(lambda: poincare_section(p, (0.7227, 0.0), n,
+                                                       discard=0))[0]
+                for n in (2, 8)]
+    assert sections[0] == sections[1]
+    # a wrapper is called, 12 times per accepted step
+    f = scalar_rhs(p)
+    wrapped = closure_calls(lambda: integrate_rhs(
+        lambda t, x, v: f(t, x, v), (0.7227, 0.0),
+        IntegratorSpec(t_end=10.0)))[0]
+    assert wrapped >= 12 * short_run.step_stats.accepted
 
 
 def _fold(p, stages, v):
