@@ -207,11 +207,14 @@ def _dop853(f, t0, y0, spec, step_cb=None, stages=None):
     (``numpy.float64`` scalars) without the whole loop running in the much
     slower numpy-scalar arithmetic.  ``f(t, theta, omega)`` receives floats;
     it should return floats too, or the state turns into numpy scalars
-    after the first step.  A closure of :func:`model.scalar_rhs` is not
-    called in the loop: its kernel runs inline, on the constants the
-    closure carries, with the same operations in the same order, so the
-    run is the same to the bit.  ``f`` is still called for the extra
-    stages of a :class:`_DenseStep`.
+    after the first step.  A callable that carries ``kernel_constants``,
+    as a closure of :func:`model.scalar_rhs` does, is not called in the
+    loop: the full system's kernel runs inline on those constants, with
+    the same operations in the same order, so the run is the same to the
+    bit.  That holds for a wrapper made with ``functools.wraps`` around
+    such a closure too, since ``wraps`` copies the attribute; the wrapper
+    is then not called.  ``f`` is still called for the extra stages of a
+    :class:`_DenseStep`.
 
     ``step_cb(ta, ya, tb, yb, dense) -> bool`` runs on every accepted step,
     with ``dense`` the step's :class:`_DenseStep`; returning True stops the

@@ -535,7 +535,8 @@ def _bytes(values):
 def test_stage_record_holds_the_states_the_rhs_received(p, state0, spec):
     # A wrapper around the closure takes the loop that calls it; the closure
     # itself, the loop that runs its kernel inline.  Both runs, and their
-    # stage records, are the same to the bit.
+    # stage records, are the same to the bit, and recording the stages
+    # leaves the run as it is without a record.
     calls, f = [], scalar_rhs(p)
 
     def recording(t, theta, omega):
@@ -543,7 +544,11 @@ def test_stage_record_holds_the_states_the_rhs_received(p, state0, spec):
         return f(t, theta, omega)
 
     fused_stages, stages = [], []
+    plain = integ._dop853(f, 0.0, state0, spec)
     fused = integ._dop853(f, 0.0, state0, spec, stages=fused_stages)
+    assert _bytes(plain[:3]) == _bytes(fused[:3])
+    assert plain[3] == fused[3]
+    assert _bytes(plain[4]) == _bytes(fused[4])
     times, thetas, omegas, stats, h_next = integ._dop853(
         recording, 0.0, state0, spec, stages=stages)
     assert _bytes((times, thetas, omegas)) == _bytes(fused[:3])
