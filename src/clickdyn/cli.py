@@ -345,35 +345,28 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
 def _run_freevib(p: Params, opts) -> list[Dataset]:
     bands = freevib.energy_bands(p)
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
-    out = []
-    for branch in branches:
-        # a rotation's turning angles, None, become nan
-        rows = np.array([(pt.energy, pt.theta_ini, pt.theta_fin,
-                          pt.amplitude, pt.period, pt.frequency)
-                         for pt in freevib._branch_curve(p, bands, branch,
-                                                         opts["n"])],
-                        dtype=float).reshape(-1, 6)
-        out.append(Dataset(f"freevib_{branch}",
-                           ("energy", "theta_ini", "theta_fin",
-                            "amplitude", "period", "frequency"), rows,
-                           metadata={"band": list(bands[branch]),
-                                     "dropped": opts["n"] - len(rows)}))
-    return out
+    curves = freevib._branch_curves(p, bands, branches, opts["n"])
+    return [Dataset(f"freevib_{branch}",
+                    ("energy", "theta_ini", "theta_fin",
+                     "amplitude", "period", "frequency"), rows,
+                    metadata={"band": list(bands[branch]),
+                              "dropped": opts["n"] - len(rows)})
+            for branch, rows in zip(branches, curves)]
 
 
 def _run_hbm(p: Params, opts) -> list[Dataset]:
     cubic = hbm.fit_cubic(p, eq.working_center(p))
     b_amp = opts["drive"]
     s_values = np.linspace(opts["s_min"], opts["s_max"], opts["n"])
-    roots = hbm.frf_amplitudes(cubic, p.kappa, p.xi, b_amp, s_values)
-    frf_rows = np.array([(s, i, a, ph)
-                         for s, pairs in zip(s_values.tolist(), roots)
-                         for i, (a, ph) in enumerate(pairs)],
-                        dtype=float).reshape(-1, 4)
+    amplitude, phase = hbm._frf_roots(cubic, p.kappa, p.xi, b_amp, s_values)
+    # a row's roots ascend in A and its missing roots (NaN) come last, so
+    # a root's column is its index
+    i, root = np.nonzero(~np.isnan(amplitude))
+    frf_rows = np.column_stack([s_values[i], root, amplitude[i, root],
+                                phase[i, root]])
     folds = hbm.fold_frequencies(cubic, p.kappa, p.xi, b_amp,
                                  float(s_values[0]), float(s_values[-1]))
-    # pairs ascend in A, so the last of a row is its largest amplitude
-    a_max = max((pairs[-1][0] for pairs in roots if pairs), default=1.0)
+    a_max = frf_rows[:, 2].max() if len(frf_rows) else 1.0
     bb = hbm.backbone(cubic, p.kappa,
                       np.linspace(1e-3, max(a_max, 1e-2), 200))
     meta = {"epsilon": cubic.epsilon, "quad_coeff": cubic.quad_coeff,

@@ -4,7 +4,9 @@ Turning angles, period quadrature and the amplitude-frequency branches
 AF1..AF5.  The turning angles, roots of potential(theta) = H, lie between
 the critical points of the potential; all of a call's energies are solved
 together by the safeguarded Newton refinement that also closes the
-bifurcation sets' brackets.  The period follows from the Hamiltonian,
+bifurcation sets' brackets.  A ``freevib`` run makes one call for all its
+bands: their energies are sampled together and share one turning-angle
+solve and one period pass.  The period follows from the Hamiltonian,
 
     T = sqrt(kappa/2) * closed-loop integral of d(theta)/sqrt(H - PEN(theta)),
 
@@ -137,7 +139,10 @@ def _drop(p: Params, anchor, sign, delta):
 
 def _orbits(p: Params, energies: np.ndarray):
     """``(period, theta_ini, theta_fin, why)`` of the closed orbits at an
-    array of energies, the periods in one array pass.
+    array of energies, the periods in one array pass.  Its fixed cost, some
+    hundred small numpy calls, is paid once per call: once per ``freevib``
+    run, whose bands share one call (:func:`_branch_curves`), but once per
+    energy where :func:`period_of_energy` is called energy by energy.
 
     The turning angles are the roots of one :func:`level_angles` call over
     the distinct energies; both are NaN for a rotation.  Where no period
@@ -231,37 +236,45 @@ def amplitude_frequency_curve(p: Params, branch: str,
     Energies are log-spaced toward the band edges, where the period
     diverges (separatrix) or the orbit shrinks onto the center.  A sampled
     energy with no period (see :func:`period_of_energy`) gives no point.
-    A branch whose band these parameters lack raises InputError.
+    A branch whose band these parameters lack raises InputError.  The
+    points are the rows of :func:`_branch_curves`, bit for bit.
     """
-    return _branch_curve(p, energy_bands(p), branch, n_samples)
+    (rows,) = _branch_curves(p, energy_bands(p), [branch], n_samples)
+    return [FreeVibPoint(energy=h,
+                         theta_ini=None if math.isnan(t_ini) else t_ini,
+                         theta_fin=None if math.isnan(t_fin) else t_fin,
+                         amplitude=a, period=t, frequency=f)
+            for h, t_ini, t_fin, a, t, f in rows.tolist()]
 
 
-def _branch_curve(p: Params, bands: dict, branch: str,
-                  n_samples: int) -> list[FreeVibPoint]:
-    """:func:`amplitude_frequency_curve` with the ``energy_bands(p)`` of a
-    caller that already has them."""
-    if branch not in bands:
-        raise InputError(
-            f"branch {branch!r} not available; have {sorted(bands)}")
-    lo, hi = bands[branch]
-    if math.isinf(hi):
-        fractions = np.geomspace(1e-3, 30.0, n_samples)
-        energies = lo * (1.0 + fractions) if lo > 0 else fractions
-    else:
-        fractions = np.geomspace(1e-4, 0.999, n_samples)
-        energies = lo + (hi - lo) * fractions
+def _branch_curves(p: Params, bands: dict, branches: list[str],
+                   n_samples: int) -> list[np.ndarray]:
+    """Rows (energy, theta_ini, theta_fin, amplitude, period, frequency) of
+    each AF branch named, given the ``energy_bands(p)``, from one
+    :func:`_orbits` pass over the energies of all of them.
+
+    A rotation's turning angles are NaN and its amplitude is pi.  Each
+    bracket of the turning-angle solve stops on its own and each period is
+    summed on its own, so a branch's rows do not depend on the others.
+    """
+    sampled = []
+    for branch in branches:
+        if branch not in bands:
+            raise InputError(
+                f"branch {branch!r} not available; have {sorted(bands)}")
+        lo, hi = bands[branch]
+        if math.isinf(hi):
+            fractions = np.geomspace(1e-3, 30.0, n_samples)
+            sampled.append(lo * (1.0 + fractions) if lo > 0 else fractions)
+        else:
+            fractions = np.geomspace(1e-4, 0.999, n_samples)
+            sampled.append(lo + (hi - lo) * fractions)
+    energies = np.concatenate(sampled)
     period, theta_ini, theta_fin, why = _orbits(p, energies)
-    ok = why < 0
-    points = []
-    for h, t_ini, t_fin, t in zip(
-            energies[ok].tolist(), theta_ini[ok].tolist(),
-            theta_fin[ok].tolist(), period[ok].tolist()):
-        rotation = math.isnan(t_ini)
-        points.append(FreeVibPoint(
-            energy=h,
-            theta_ini=None if rotation else t_ini,
-            theta_fin=None if rotation else t_fin,
-            amplitude=math.pi if rotation else 0.5 * abs(t_fin - t_ini),
-            period=t,
-            frequency=2.0 * math.pi / t))
-    return points
+    amplitude = np.where(np.isnan(theta_ini), math.pi,
+                         0.5 * np.abs(theta_fin - theta_ini))
+    rows = np.column_stack([energies, theta_ini, theta_fin, amplitude,
+                            period, 2.0 * math.pi / period])
+    ok = (why < 0).reshape(len(branches), n_samples)
+    return [band[keep] for band, keep in zip(
+        rows.reshape(len(branches), n_samples, 6), ok)]

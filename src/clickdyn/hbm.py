@@ -133,7 +133,17 @@ def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
     kept only where it lowers the residual, which beside a double root it
     need not.
     """
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    amplitude, phase = _frf_roots(cubic, kappa, xi, b_amp,
+                                  np.atleast_1d(np.asarray(s, dtype=float)))
+    rows = [[(a, ph) for a, ph in zip(ar, pr) if a == a]
+            for ar, pr in zip(amplitude.tolist(), phase.tolist())]
+    return rows if np.ndim(s) else rows[0]
+
+
+def _frf_roots(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
+               s_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`frf_amplitudes` at a 1-D array of s as arrays (A, phi), one
+    row per s, each row ascending in A with NaN past its roots."""
     if np.any(s_arr <= 0.0):
         raise ValueError("frequency ratio s must be positive")
     if b_amp < 0.0:
@@ -171,10 +181,8 @@ def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
             u = np.where(np.abs(residual(newton)) < np.abs(residual(u)),
                          newton, u)
     u = np.sort(np.where(u > 0.0, u, np.nan), axis=1)
-    phase = np.arctan2(2.0 * xi * s_arr[:, None], lin + 0.75 * eps * u)
-    rows = [[(a, ph) for a, ph in zip(ar, pr) if a == a]
-            for ar, pr in zip(np.sqrt(u).tolist(), phase.tolist())]
-    return rows if np.ndim(s) else rows[0]
+    return np.sqrt(u), np.arctan2(2.0 * xi * s_arr[:, None],
+                                  lin + 0.75 * eps * u)
 
 
 def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,

@@ -16,6 +16,8 @@ import clickdyn.integrate as integ
 from clickdyn import InputError, cli, dataset, hbm, melnikov
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, format_value, read_csv
+from clickdyn.equilibria import working_center
+from clickdyn.freevib import amplitude_frequency_curve, energy_bands
 from clickdyn.model import Params, moment, potential, stiffness
 
 
@@ -723,6 +725,65 @@ def test_freevib_manifest_counts_dropped_samples(tmp_path):
             for name, f in files.items()} == {
         "freevib_AF3": (0, 30), "freevib_AF4": (30, 0),
         "freevib_AF5": (30, 0)}
+
+
+def _param_flags(params: dict) -> list[str]:
+    return [arg for key, value in params.items()
+            for arg in (f"--{key}", repr(value))]
+
+
+@pytest.mark.parametrize("params", [
+    {"alpha": 1.5},                                    # double well
+    {"alpha": 1.5, "beta": 0.500001},                  # AF3 all dropped
+    {"alpha": 1.1, "beta": 1.1, "gamma": 0.02},        # cusp point
+    {"alpha": 2.5, "gamma": 0.05, "kappa": 0.8},       # single well
+])
+def test_freevib_rows_are_the_library_curves(tmp_path, params):
+    # each band's CSV holds amplitude_frequency_curve's points, as floats
+    out = tmp_path / "fv"
+    assert run_cli("freevib", *_param_flags(params), "--n", "12",
+                   "--out", str(out)) == 0
+    p = Params(**params)
+    bands = sorted(path.stem for path in out.glob("freevib_*.csv"))
+    assert bands == [f"freevib_{b}" for b in sorted(energy_bands(p))]
+    for name in bands:
+        cols, rows = read_csv(out / f"{name}.csv")
+        assert cols == ("energy", "theta_ini", "theta_fin", "amplitude",
+                        "period", "frequency")
+        curve = [(pt.energy, math.nan if pt.theta_ini is None
+                  else pt.theta_ini,
+                  math.nan if pt.theta_fin is None else pt.theta_fin,
+                  pt.amplitude, pt.period, pt.frequency)
+                 for pt in amplitude_frequency_curve(p, name[8:], 12)]
+        np.testing.assert_array_equal(np.array(rows).reshape(-1, 6),
+                                      np.array(curve).reshape(-1, 6))
+    if params.get("beta") == 0.500001:
+        assert read_csv(out / "freevib_AF3.csv")[1] == []
+
+
+@pytest.mark.parametrize("params, drive, most_roots", [
+    ({"alpha": 1.5, "xi": 0.02}, 0.05, 3),
+    ({"alpha": 1.1, "beta": 1.1, "gamma": 0.02, "xi": 0.02}, 0.05, 3),
+    ({"alpha": 2.5, "kappa": 0.8, "xi": 0.1}, 0.05, 1),
+    ({"alpha": 1.5, "xi": 0.02}, 0.0, 0),              # no roots at all
+])
+def test_hbm_rows_are_the_library_roots(tmp_path, params, drive,
+                                        most_roots):
+    out = tmp_path / "hbm"
+    assert run_cli("hbm", *_param_flags(params), "--drive", repr(drive),
+                   "--s-min", "0.5", "--s-max", "1.5", "--n", "101",
+                   "--out", str(out)) == 0
+    p = Params(**params)
+    cubic = hbm.fit_cubic(p, working_center(p))
+    s_values = np.linspace(0.5, 1.5, 101)
+    roots = hbm.frf_amplitudes(cubic, p.kappa, p.xi, drive, s_values)
+    expected = [(s, float(i), a, ph)
+                for s, pairs in zip(s_values.tolist(), roots)
+                for i, (a, ph) in enumerate(pairs)]
+    cols, rows = read_csv(out / "hbm_frf.csv")
+    assert cols == ("s", "root", "amplitude", "phase")
+    assert rows == expected
+    assert max(map(len, roots)) == most_roots
 
 
 def test_melnikov_subcommand(tmp_path):
