@@ -345,11 +345,13 @@ def _run_bifurcation_set(p: Params, opts) -> list[Dataset]:
 def _run_freevib(p: Params, opts) -> list[Dataset]:
     bands = freevib.energy_bands(p)
     branches = list(bands) if opts["branch"] == "all" else [opts["branch"]]
-    curves = freevib._branch_curves(p, bands, branches, opts["n"])
+    curves = freevib.amplitude_frequency_curve(p, bands, branches, opts["n"])
+    # an open band end (inf) is null: JSON has no infinity
     return [Dataset(f"freevib_{branch}",
                     ("energy", "theta_ini", "theta_fin",
                      "amplitude", "period", "frequency"), rows,
-                    metadata={"band": list(bands[branch]),
+                    metadata={"band": [v if math.isfinite(v) else None
+                                       for v in bands[branch]],
                               "dropped": opts["n"] - len(rows)})
             for branch, rows in zip(branches, curves)]
 
@@ -358,7 +360,8 @@ def _run_hbm(p: Params, opts) -> list[Dataset]:
     cubic = hbm.fit_cubic(p, eq.working_center(p))
     b_amp = opts["drive"]
     s_values = np.linspace(opts["s_min"], opts["s_max"], opts["n"])
-    amplitude, phase = hbm._frf_roots(cubic, p.kappa, p.xi, b_amp, s_values)
+    amplitude, phase = hbm.frf_amplitudes(cubic, p.kappa, p.xi, b_amp,
+                                          s_values)
     # a row's roots ascend in A and its missing roots (NaN) come last, so
     # a root's column is its index
     i, root = np.nonzero(~np.isnan(amplitude))
@@ -375,7 +378,7 @@ def _run_hbm(p: Params, opts) -> list[Dataset]:
         Dataset("hbm_frf", ("s", "root", "amplitude", "phase"), frf_rows,
                 metadata=meta),
         Dataset("hbm_backbone", ("amplitude", "s", "s_unit_kappa"), bb),
-        Dataset("hbm_folds", ("s",), np.array(folds, float).reshape(-1, 1)),
+        Dataset("hbm_folds", ("s",), folds.reshape(-1, 1)),
     ]
 
 
@@ -471,24 +474,15 @@ _RUNNERS = {
 
 
 @functools.cache
-def _build_parser(commands=tuple(_OPTIONS)) -> argparse.ArgumentParser:
-    """The parser with the subparsers of ``commands`` (default: all), built
-    once per process: parsing keeps no state in it.
-
-    A subset keeps the usage line of the full parser, which argparse also
-    prints for an unrecognized argument after a subcommand.  The full parser
-    sets no metavar, so its errors still name ``argument command``.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="clickdyn",
         description="Static and dynamic analysis of the bistable "
                     "click-mechanism rotational oscillator.",
     )
-    metavar = (None if len(commands) == len(_OPTIONS)
-               else "{%s}" % ",".join(_OPTIONS))
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=metavar)
-    for command in commands:
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in _OPTIONS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=".")
@@ -524,13 +518,8 @@ def run(command: str, config: dict, out_dir: Path) -> list[Path]:
 
 
 def main(argv=None) -> int:
-    # Build only the named subcommand's parser; help, a missing or unknown
-    # subcommand and an option before the subcommand get all of them.
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(tuple(argv[:1]) if argv and argv[0] in _OPTIONS
-                           else tuple(_OPTIONS))
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:

@@ -10,7 +10,7 @@ in one of two forms: a list of tuples, written cell by cell through
 it.  ``read_csv`` is the round-trip reader of this format.
 The manifest echoes the fully-resolved configuration together with a
 content hash of it, so identical configurations produce byte-identical
-artifacts.
+artifacts.  It is strict JSON: a non-finite value in it raises ValueError.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
-    if isinstance(v, complex):
-        return f"{v.real:.17g}{v.imag:+.17g}j"
     return str(v)
 
 
@@ -239,8 +237,8 @@ def emit_manifest(datasets: list[Dataset], config: dict, path: Path) -> Path:
         },
     }
     path = Path(path)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                    newline="\n")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n", newline="\n")
     return path
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .model import (InputError, Params, _radicand, _stiffness_field,
                     barrier_energies, moment, potential)
 
 __all__ = [
-    "FreeVibPoint",
     "level_angles",
     "period_of_energy",
     "amplitude_frequency_curve",
@@ -45,16 +43,6 @@ _BARRIER_TOL = 1e-12
 _NODES = 96
 _NO_ORBIT = ("energy must be positive", "energy at a barrier: infinite period",
              "no closed orbit at this energy")
-
-
-@dataclass(frozen=True)
-class FreeVibPoint:
-    energy: float
-    theta_ini: float | None
-    theta_fin: float | None
-    amplitude: float
-    period: float
-    frequency: float
 
 
 def level_angles(p: Params, levels) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +129,9 @@ def _orbits(p: Params, energies: np.ndarray):
     """``(period, theta_ini, theta_fin, why)`` of the closed orbits at an
     array of energies, the periods in one array pass.  Its fixed cost, some
     hundred small numpy calls, is paid once per call: once per ``freevib``
-    run, whose bands share one call (:func:`_branch_curves`), but once per
-    energy where :func:`period_of_energy` is called energy by energy.
+    run, whose bands share one :func:`amplitude_frequency_curve` call, but
+    once per energy where :func:`period_of_energy` is called energy by
+    energy.
 
     The turning angles are the roots of one :func:`level_angles` call over
     the distinct energies; both are NaN for a rotation.  Where no period
@@ -228,34 +217,19 @@ def energy_bands(p: Params) -> dict[str, tuple[float, float]]:
     return {"AF1": (v_min, barrier), "AF2": (barrier, math.inf)}
 
 
-def amplitude_frequency_curve(p: Params, branch: str,
-                              n_samples: int = 30) -> list[FreeVibPoint]:
-    """Sampled (amplitude, frequency) points of one AF branch, in one
-    :func:`_orbits` pass.
-
-    Energies are log-spaced toward the band edges, where the period
-    diverges (separatrix) or the orbit shrinks onto the center.  A sampled
-    energy with no period (see :func:`period_of_energy`) gives no point.
-    A branch whose band these parameters lack raises InputError.  The
-    points are the rows of :func:`_branch_curves`, bit for bit.
-    """
-    (rows,) = _branch_curves(p, energy_bands(p), [branch], n_samples)
-    return [FreeVibPoint(energy=h,
-                         theta_ini=None if math.isnan(t_ini) else t_ini,
-                         theta_fin=None if math.isnan(t_fin) else t_fin,
-                         amplitude=a, period=t, frequency=f)
-            for h, t_ini, t_fin, a, t, f in rows.tolist()]
-
-
-def _branch_curves(p: Params, bands: dict, branches: list[str],
-                   n_samples: int) -> list[np.ndarray]:
+def amplitude_frequency_curve(p: Params, bands: dict, branches: list[str],
+                              n_samples: int) -> list[np.ndarray]:
     """Rows (energy, theta_ini, theta_fin, amplitude, period, frequency) of
     each AF branch named, given the ``energy_bands(p)``, from one
     :func:`_orbits` pass over the energies of all of them.
 
-    A rotation's turning angles are NaN and its amplitude is pi.  Each
-    bracket of the turning-angle solve stops on its own and each period is
-    summed on its own, so a branch's rows do not depend on the others.
+    Energies are log-spaced toward the band edges, where the period
+    diverges (separatrix) or the orbit shrinks onto the center.  A sampled
+    energy with no period (see :func:`period_of_energy`) gives no row.  A
+    rotation's turning angles are NaN and its amplitude is pi.  A branch
+    whose band these parameters lack raises InputError.  Each bracket of
+    the turning-angle solve stops on its own and each period is summed on
+    its own, so a branch's rows do not depend on the others.
     """
     sampled = []
     for branch in branches:

@@ -121,29 +121,21 @@ def _discriminant_slope(s, eps, kappa, xi, b_amp):
 
 
 def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
-                   b_amp: float, s: float | np.ndarray) -> list:
-    """All positive-amplitude HBM roots (A, phi) at frequency ratio s.
+                   b_amp: float, s) -> tuple[np.ndarray, np.ndarray]:
+    """All positive-amplitude HBM roots at a 1-D array of frequency ratios
+    s, as arrays (A, phi) of one row per s, each row ascending in A with
+    NaN past its roots.
 
-    A list of (A, phi) pairs ascending in A; for an array of s, one such
-    list per entry.  In w = 0.75*eps*u, u = A^2, the amplitude relation is
-    the monic cubic w^3 + 2*lin*w^2 + (lin^2 + d2)*w = 0.75*eps*B^2.  After
-    the shift w = t - 2*lin/3 it has three roots in trigonometric form
-    where :func:`_discriminant` is positive, one by Cardano where it is
+    In w = 0.75*eps*u, u = A^2, the amplitude relation is the monic cubic
+    w^3 + 2*lin*w^2 + (lin^2 + d2)*w = 0.75*eps*B^2.  After the shift
+    w = t - 2*lin/3 it has three roots in trigonometric form where
+    :func:`_discriminant` is positive, one by Cardano where it is
     negative.  A Newton step on the residual polishes each root; it is
     kept only where it lowers the residual, which beside a double root it
-    need not.
+    need not.  Each row is computed on its own, so it does not depend on
+    the other s of the call.
     """
-    amplitude, phase = _frf_roots(cubic, kappa, xi, b_amp,
-                                  np.atleast_1d(np.asarray(s, dtype=float)))
-    rows = [[(a, ph) for a, ph in zip(ar, pr) if a == a]
-            for ar, pr in zip(amplitude.tolist(), phase.tolist())]
-    return rows if np.ndim(s) else rows[0]
-
-
-def _frf_roots(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
-               s_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`frf_amplitudes` at a 1-D array of s as arrays (A, phi), one
-    row per s, each row ascending in A with NaN past its roots."""
+    s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr <= 0.0):
         raise ValueError("frequency ratio s must be positive")
     if b_amp < 0.0:
@@ -186,7 +178,7 @@ def _frf_roots(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
 
 
 def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
-                     b_amp: float, s_lo: float, s_hi: float) -> list[float]:
+                     b_amp: float, s_lo: float, s_hi: float) -> np.ndarray:
     """Frequencies where the HBM root count changes (fold points).
 
     The zeros of :func:`_discriminant` along a 2001-point grid of [s_lo,
@@ -197,7 +189,7 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
     return _grid_zeros(
         lambda s, b: _discriminant(s, eps, kappa, xi, b),
         lambda s, b: _discriminant_slope(s, eps, kappa, xi, b),
-        np.linspace(s_lo, s_hi, 2001), b_amp).tolist()
+        np.linspace(s_lo, s_hi, 2001), b_amp)
 
 
 def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:

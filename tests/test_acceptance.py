@@ -144,25 +144,22 @@ def test_acceptance_07_hbm_roots(capsys):
     t0 = time.perf_counter()
     lin = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
     kappa, xi, b = 1.3, 0.07, 0.4
-    worst_lin = 0.0
-    for s in np.linspace(0.05, 2.5, 60):
-        (a, _phi), = frf_amplitudes(lin, kappa, xi, b, float(s))
-        expect = b / math.hypot(1.0 - kappa * s * s, 2.0 * xi * s)
-        worst_lin = max(worst_lin, abs(a - expect))
+    s = np.linspace(0.05, 2.5, 60)
+    (a,) = frf_amplitudes(lin, kappa, xi, b, s)[0].T    # one root per s
+    expect = b / np.hypot(1.0 - kappa * s * s, 2.0 * xi * s)
+    worst_lin = float(np.max(np.abs(a - expect)))
     soft = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
-    worst_res = worst_bal = 0.0
-    band = []
-    for s in np.linspace(0.2, 1.5, 200):
-        roots = frf_amplitudes(soft, 1.0, 0.05, 0.3, float(s))
-        if len(roots) == 3:
-            band.append(float(s))
-        for a, phi in roots:
-            g = 1.0 - s * s + 0.75 * soft.epsilon * a * a
-            worst_res = max(worst_res, abs((g * g + (0.1 * s) ** 2) * a * a
-                                           - 0.3 ** 2))
-            worst_bal = max(worst_bal,
-                            abs(g * a - 0.3 * math.cos(phi)),
-                            abs(0.1 * s * a - 0.3 * math.sin(phi)))
+    s = np.linspace(0.2, 1.5, 200)
+    a, phi = frf_amplitudes(soft, 1.0, 0.05, 0.3, s)
+    root = ~np.isnan(a)
+    band = s[root.sum(axis=1) == 3].tolist()
+    s = s[:, None]
+    g = 1.0 - s * s + 0.75 * soft.epsilon * a * a
+    worst_res = float(np.max(np.abs((g * g + (0.1 * s) ** 2) * a * a
+                                    - 0.3 ** 2)[root]))
+    worst_bal = float(np.max(np.maximum(
+        np.abs(g * a - 0.3 * np.cos(phi)),
+        np.abs(0.1 * s * a - 0.3 * np.sin(phi)))[root]))
     elapsed = time.perf_counter() - t0
     ok = (worst_lin <= 1e-12 and worst_res <= 1e-10 and worst_bal <= 1e-8
           and band and max(band) < 1.0 and elapsed < 5.0)

@@ -52,13 +52,12 @@ _INT_CELLS = st.one_of(st.integers(-2**70, 2**70),
 _STR_CELLS = st.text(st.characters(min_codepoint=32, max_codepoint=126),
                      max_size=8)
 _BOOL_CELLS = st.booleans()
-_COMPLEX_CELLS = st.complex_numbers(allow_nan=True, allow_infinity=True)
 _NUMPY_CELLS = _FLOAT_CELLS.map(np.float64)
 _COLUMN_CELLS = st.sampled_from([
     _FLOAT_CELLS, _INT_CELLS, _STR_CELLS,                   # one type each
-    _BOOL_CELLS, _COMPLEX_CELLS, _NUMPY_CELLS,
+    _BOOL_CELLS, _NUMPY_CELLS,
     st.one_of(_FLOAT_CELLS, _INT_CELLS, _STR_CELLS,         # mixed
-              _BOOL_CELLS, _COMPLEX_CELLS, _NUMPY_CELLS)])
+              _BOOL_CELLS, _NUMPY_CELLS)])
 
 
 @st.composite
@@ -73,9 +72,6 @@ def _datasets(draw):
 @given(ds=_datasets())
 @example(ds=Dataset("t", ("flag",), [(True,), (False,)]))
 @example(ds=Dataset("t", ("n", "x"), [(10**17, -0.0), (-2**60, math.nan)]))
-@example(ds=Dataset("t", ("z", "x", "y"),
-                    [(1 - 2j, np.float64(0.1), "a"),
-                     (3j, np.float64(-0.0), "b")]))
 def test_emitted_rows_are_format_value_joins(ds):
     """Each CSV line is ``",".join(map(format_value, row))``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -727,6 +723,33 @@ def test_freevib_manifest_counts_dropped_samples(tmp_path):
         "freevib_AF5": (30, 0)}
 
 
+# the flags, beside --alpha 1.5, that a run needs; otherwise the defaults
+_RUN_FLAGS = {command: () for command in cli._OPTIONS} | {
+    "sweep": ("--xi", "0.1"),
+    "poincare": ("--xi", "0.1", "--m0", "0.02", "--omega0", "0.8")}
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("command", list(cli._OPTIONS))
+def test_every_manifest_is_strict_json(tmp_path, command):
+    # an open band end (AF5 of a double well) is null, not Infinity
+    assert run_cli(command, "--alpha", "1.5", *_RUN_FLAGS[command],
+                   "--out", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=_not_json)
+    if command == "freevib":
+        assert manifest["files"]["freevib_AF5"]["metadata"]["band"][1] is None
+
+
+def test_a_manifest_refuses_a_non_finite_value(tmp_path):
+    ds = Dataset("t", ("x",), [], metadata={"drift": math.nan})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataset.emit_manifest([ds], {}, tmp_path / "manifest.json")
+
+
 def _param_flags(params: dict) -> list[str]:
     return [arg for key, value in params.items()
             for arg in (f"--{key}", repr(value))]
@@ -739,24 +762,21 @@ def _param_flags(params: dict) -> list[str]:
     {"alpha": 2.5, "gamma": 0.05, "kappa": 0.8},       # single well
 ])
 def test_freevib_rows_are_the_library_curves(tmp_path, params):
-    # each band's CSV holds amplitude_frequency_curve's points, as floats
+    # each band's CSV holds the rows of amplitude_frequency_curve called
+    # on that band alone, as floats
     out = tmp_path / "fv"
     assert run_cli("freevib", *_param_flags(params), "--n", "12",
                    "--out", str(out)) == 0
     p = Params(**params)
-    bands = sorted(path.stem for path in out.glob("freevib_*.csv"))
-    assert bands == [f"freevib_{b}" for b in sorted(energy_bands(p))]
-    for name in bands:
+    bands = energy_bands(p)
+    names = sorted(path.stem for path in out.glob("freevib_*.csv"))
+    assert names == [f"freevib_{b}" for b in sorted(bands)]
+    for name in names:
         cols, rows = read_csv(out / f"{name}.csv")
         assert cols == ("energy", "theta_ini", "theta_fin", "amplitude",
                         "period", "frequency")
-        curve = [(pt.energy, math.nan if pt.theta_ini is None
-                  else pt.theta_ini,
-                  math.nan if pt.theta_fin is None else pt.theta_fin,
-                  pt.amplitude, pt.period, pt.frequency)
-                 for pt in amplitude_frequency_curve(p, name[8:], 12)]
-        np.testing.assert_array_equal(np.array(rows).reshape(-1, 6),
-                                      np.array(curve).reshape(-1, 6))
+        (curve,) = amplitude_frequency_curve(p, bands, [name[8:]], 12)
+        np.testing.assert_array_equal(np.array(rows).reshape(-1, 6), curve)
     if params.get("beta") == 0.500001:
         assert read_csv(out / "freevib_AF3.csv")[1] == []
 
@@ -776,14 +796,18 @@ def test_hbm_rows_are_the_library_roots(tmp_path, params, drive,
     p = Params(**params)
     cubic = hbm.fit_cubic(p, working_center(p))
     s_values = np.linspace(0.5, 1.5, 101)
-    roots = hbm.frf_amplitudes(cubic, p.kappa, p.xi, drive, s_values)
-    expected = [(s, float(i), a, ph)
-                for s, pairs in zip(s_values.tolist(), roots)
-                for i, (a, ph) in enumerate(pairs)]
+    amplitude, phase = hbm.frf_amplitudes(cubic, p.kappa, p.xi, drive,
+                                          s_values)
+    # the roots of each s in turn, ascending
+    k, root = np.nonzero(~np.isnan(amplitude))
     cols, rows = read_csv(out / "hbm_frf.csv")
     assert cols == ("s", "root", "amplitude", "phase")
-    assert rows == expected
-    assert max(map(len, roots)) == most_roots
+    np.testing.assert_array_equal(
+        np.array(rows).reshape(-1, 4),
+        np.column_stack([s_values[k], root, amplitude[k, root],
+                         phase[k, root]]))
+    assert np.count_nonzero(~np.isnan(amplitude), axis=1).max() == \
+        most_roots
 
 
 def test_melnikov_subcommand(tmp_path):

@@ -155,8 +155,9 @@ def test_periods_near_a_well_bottom_stay_finite(a, b, g):
     # periods of 1e136
     p = Params(alpha=a, beta=b, gamma=g)
     t_lin = _linear_period(p)
-    for pt in amplitude_frequency_curve(p, "AF3")[:10]:
-        assert pt.period == pytest.approx(t_lin, rel=1e-3)
+    (rows,) = amplitude_frequency_curve(p, energy_bands(p), ["AF3"], 30)
+    for period in rows[:10, 4].tolist():
+        assert period == pytest.approx(t_lin, rel=1e-3)
 
 
 def test_kappa_scaling():
@@ -166,19 +167,19 @@ def test_kappa_scaling():
 
 
 def test_amplitude_frequency_curve():
-    pts = amplitude_frequency_curve(P_IV, "AF3", n_samples=12)
-    assert len(pts) > 0
-    for pt in pts:
-        assert pt.frequency == pytest.approx(2.0 * math.pi / pt.period,
-                                             rel=1e-14)
-        assert 0.0 < pt.amplitude < math.pi
-    # rotation branch reports amplitude pi and no turning pair
-    rot = amplitude_frequency_curve(P_IV, "AF5", n_samples=6)
-    assert all(pt.theta_ini is None and pt.amplitude == math.pi
-               for pt in rot)
+    bands = energy_bands(P_IV)
+    (rows,) = amplitude_frequency_curve(P_IV, bands, ["AF3"], 12)
+    assert len(rows) > 0
+    for _h, _ini, _fin, amplitude, period, frequency in rows.tolist():
+        assert frequency == pytest.approx(2.0 * math.pi / period, rel=1e-14)
+        assert 0.0 < amplitude < math.pi
+    # rotation branch reports amplitude pi and no turning pair (NaN)
+    (rot,) = amplitude_frequency_curve(P_IV, bands, ["AF5"], 6)
+    assert all(math.isnan(theta_ini) and amplitude == math.pi
+               for _h, theta_ini, _fin, amplitude, _t, _f in rot.tolist())
     # a branch these parameters lack is refused
     with pytest.raises(InputError, match="'AF1' not available"):
-        amplitude_frequency_curve(P_IV, "AF1")
+        amplitude_frequency_curve(P_IV, bands, ["AF1"], 30)
 
 
 # (alpha, beta, gamma) ranges inside each statics region; beta None means
@@ -270,8 +271,8 @@ def test_curves_are_the_one_energy_pass_point_by_point(p, n):
         reject()
     h1, _ = barrier_energies(p)
     for branch, (lo, hi) in bands.items():
-        curve = amplitude_frequency_curve(p, branch, n)
-        points = iter(curve)
+        (curve,) = amplitude_frequency_curve(p, bands, [branch], n)
+        points = iter(curve.tolist())
         dropped = 0
         for h in _sampled_energies(lo, hi, n):
             try:
@@ -279,17 +280,18 @@ def test_curves_are_the_one_energy_pass_point_by_point(p, n):
             except ValueError:
                 dropped += 1
                 continue
-            pt = next(points)
-            assert (pt.energy, pt.period) == (h, period)
+            energy, theta_ini, theta_fin, _a, row_period, _f = next(points)
+            assert (energy, row_period) == (h, period)
             roots = level_angles(p, [h])[1].tolist()
             if len(roots) == 2:
                 expected = tuple(roots)
             elif len(roots) == 1:
                 r = roots[0]
                 expected = (-r, r) if h > h1 else (r, 2.0 * math.pi - r)
-            else:
-                expected = (None, None)
-            assert (pt.theta_ini, pt.theta_fin) == expected
+            else:       # a rotation: no turning angles
+                assert math.isnan(theta_ini) and math.isnan(theta_fin)
+                continue
+            assert (theta_ini, theta_fin) == expected
         assert next(points, None) is None
         assert n - len(curve) == dropped
 

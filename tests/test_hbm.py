@@ -32,6 +32,11 @@ def _residual(cubic, kappa, xi, b, s, a):
     return (g * g + (2.0 * xi * s) ** 2) * a * a - b * b
 
 
+def _root_counts(amplitude):
+    """Roots per s of an frf_amplitudes row array (NaN past the roots)."""
+    return np.count_nonzero(~np.isnan(amplitude), axis=-1)
+
+
 def test_fit_cubic_softening_well():
     center = _center(P_IV)
     cubic = fit_cubic(P_IV, center)
@@ -70,10 +75,11 @@ def test_fit_cubic_rejects_saddle():
 def test_linear_reduction_matches_closed_form():
     cubic = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
     kappa, xi, b = 1.3, 0.07, 0.4
-    for s in np.linspace(0.05, 2.5, 100):
-        roots = frf_amplitudes(cubic, kappa, xi, b, float(s))
-        assert len(roots) == 1
-        a, phi = roots[0]
+    s_values = np.linspace(0.05, 2.5, 100)
+    amplitude, phase = frf_amplitudes(cubic, kappa, xi, b, s_values)
+    assert np.all(_root_counts(amplitude) == 1)
+    for s, a, phi in zip(s_values.tolist(), amplitude[:, 0].tolist(),
+                         phase[:, 0].tolist()):
         lin = 1.0 - kappa * s * s
         expect = b / math.hypot(lin, 2.0 * xi * s)
         assert a == pytest.approx(expect, rel=1e-12)
@@ -82,52 +88,56 @@ def test_linear_reduction_matches_closed_form():
 
 def test_linear_resonance_point():
     cubic = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
-    roots = frf_amplitudes(cubic, 1.0, 0.1, 1.0, 1.0)
-    assert len(roots) == 1
-    assert roots[0][0] == pytest.approx(5.0, rel=1e-14)
-    assert roots[0][1] == pytest.approx(math.pi / 2.0, abs=1e-14)
+    amplitude, phase = frf_amplitudes(cubic, 1.0, 0.1, 1.0, [1.0])
+    assert _root_counts(amplitude).tolist() == [1]
+    assert amplitude[0, 0] == pytest.approx(5.0, rel=1e-14)
+    assert phase[0, 0] == pytest.approx(math.pi / 2.0, abs=1e-14)
 
 
 def test_static_limit():
     cubic = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
-    a, _ = frf_amplitudes(cubic, 1.0, 0.1, 0.3, 1e-6)[0]
-    assert a == pytest.approx(0.3, rel=1e-6)
+    amplitude, _ = frf_amplitudes(cubic, 1.0, 0.1, 0.3, [1e-6])
+    assert amplitude[0, 0] == pytest.approx(0.3, rel=1e-6)
 
 
 def test_roots_satisfy_residual_and_unsquared_pair():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
     kappa, xi, b = 1.0, 0.05, 0.3
-    for s in np.linspace(0.2, 1.5, 120):
-        for a, phi in frf_amplitudes(cubic, kappa, xi, b, float(s)):
-            assert abs(_residual(cubic, kappa, xi, b, float(s), a)) <= 1e-10
-            g = 1.0 - kappa * s * s + 0.75 * cubic.epsilon * a * a
-            # the two balance equations before squaring
-            assert abs(g * a - b * math.cos(phi)) <= 1e-8
-            assert abs(2.0 * xi * s * a - b * math.sin(phi)) <= 1e-8
+    s_values = np.linspace(0.2, 1.5, 120)
+    a, phi = frf_amplitudes(cubic, kappa, xi, b, s_values)
+    root = ~np.isnan(a)
+    s = s_values[:, None]
+    assert np.all(np.abs(_residual(cubic, kappa, xi, b, s, a))[root]
+                  <= 1e-10)
+    g = 1.0 - kappa * s * s + 0.75 * cubic.epsilon * a * a
+    # the two balance equations before squaring
+    assert np.all(np.abs(g * a - b * np.cos(phi))[root] <= 1e-8)
+    assert np.all(np.abs(2.0 * xi * s * a - b * np.sin(phi))[root] <= 1e-8)
 
 
 def test_root_count_parity():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
-    for s in np.linspace(0.2, 1.5, 200):
-        n = len(frf_amplitudes(cubic, 1.0, 0.05, 0.3, float(s)))
-        assert n in (1, 3)
+    amplitude, _ = frf_amplitudes(cubic, 1.0, 0.05, 0.3,
+                                  np.linspace(0.2, 1.5, 200))
+    assert set(_root_counts(amplitude).tolist()) <= {1, 3}
 
 
 def test_softening_three_root_band_below_linear_resonance():
     kappa = 1.0
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
-    counts = {float(s): len(frf_amplitudes(cubic, kappa, 0.05, 0.3, float(s)))
-              for s in np.linspace(0.2, 1.5, 200)}
-    band = [s for s, n in counts.items() if n == 3]
-    assert band
-    assert max(band) < 1.0 / math.sqrt(kappa)
+    s_values = np.linspace(0.2, 1.5, 200)
+    amplitude, _ = frf_amplitudes(cubic, kappa, 0.05, 0.3, s_values)
+    band = s_values[_root_counts(amplitude) == 3]
+    assert band.size
+    assert band.max() < 1.0 / math.sqrt(kappa)
 
 
 def test_phase_in_range():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
-    for s in np.linspace(0.2, 1.5, 50):
-        for _a, phi in frf_amplitudes(cubic, 1.0, 0.05, 0.3, float(s)):
-            assert 0.0 < phi < math.pi
+    amplitude, phase = frf_amplitudes(cubic, 1.0, 0.05, 0.3,
+                                      np.linspace(0.2, 1.5, 50))
+    phi = phase[~np.isnan(amplitude)]
+    assert np.all((0.0 < phi) & (phi < math.pi))
 
 
 def test_backbone():
@@ -153,11 +163,9 @@ def test_backbone_drops_negative_radicand():
 def test_backbone_tracks_low_damping_peak():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.05, origin_theta=0.0)
     s_grid = np.linspace(0.5, 1.2, 1401)
-    best_s, best_a = 0.0, 0.0
-    for s in s_grid:
-        for a, _ in frf_amplitudes(cubic, 1.0, 0.01, 0.05, float(s)):
-            if a > best_a:
-                best_s, best_a = float(s), a
+    amplitude, _ = frf_amplitudes(cubic, 1.0, 0.01, 0.05, s_grid)
+    k, root = np.unravel_index(np.nanargmax(amplitude), amplitude.shape)
+    best_s, best_a = s_grid[k], amplitude[k, root]
     s_bb = math.sqrt(1.0 + 0.75 * cubic.epsilon * best_a**2)
     assert abs(best_s - s_bb) <= 0.01
 
@@ -167,9 +175,9 @@ def test_fold_frequencies_bound_three_root_band():
     folds = fold_frequencies(cubic, 1.0, 0.015, 0.1, 0.9, 1.0)
     assert len(folds) == 2
     lo, hi = folds
-    assert len(frf_amplitudes(cubic, 1.0, 0.015, 0.1, 0.5 * (lo + hi))) == 3
-    assert len(frf_amplitudes(cubic, 1.0, 0.015, 0.1, lo - 0.01)) == 1
-    assert len(frf_amplitudes(cubic, 1.0, 0.015, 0.1, hi + 0.01)) == 1
+    amplitude, _ = frf_amplitudes(cubic, 1.0, 0.015, 0.1,
+                                  [0.5 * (lo + hi), lo - 0.01, hi + 0.01])
+    assert _root_counts(amplitude).tolist() == [3, 1, 1]
 
 
 def test_fold_on_a_scan_point_is_reported_once():
@@ -180,20 +188,20 @@ def test_fold_on_a_scan_point_is_reported_once():
     args = (cubic, 1.0, 0.010880235353209176, 0.05497346246006739)
     s_lo, s_hi = 0.9693228975247328, 0.9782562734510281
     on_fold = float(np.linspace(s_lo, s_hi, 2001)[500])
-    assert len(frf_amplitudes(*args, on_fold)) == 3
     folds = fold_frequencies(*args, s_lo, s_hi)
     assert len(folds) == 2
     lo, hi = folds
-    assert len(frf_amplitudes(*args, 0.5 * (lo + hi))) == 3
+    amplitude, _ = frf_amplitudes(*args, [on_fold, 0.5 * (lo + hi)])
+    assert _root_counts(amplitude).tolist() == [3, 3]
 
 
 def _check_folds_separate(cubic, kappa, xi, b, s_lo, s_hi):
     folds = fold_frequencies(cubic, kappa, xi, b, s_lo, s_hi)
     for fold in folds:
         for ds in (1e-7 * fold, 1e-10 * fold):
-            counts = [len(frf_amplitudes(cubic, kappa, xi, b, s))
-                      for s in (fold - ds, fold + ds)]
-            assert sorted(counts) == [1, 3]
+            amplitude, _ = frf_amplitudes(cubic, kappa, xi, b,
+                                          [fold - ds, fold + ds])
+            assert sorted(_root_counts(amplitude).tolist()) == [1, 3]
     return folds
 
 
@@ -212,10 +220,10 @@ def test_each_fold_is_a_root_count_change_at_adjacent_floats(sign, eps, xi,
     args = (cubic, kappa, xi, b)
     for fold in fold_frequencies(*args, 0.5 / math.sqrt(kappa),
                                  1.5 / math.sqrt(kappa)):
-        here = len(frf_amplitudes(*args, fold))
-        beside = {len(frf_amplitudes(*args, np.nextafter(fold, side)))
-                  for side in (-math.inf, math.inf)}
-        assert beside - {here}
+        here, *beside = _root_counts(frf_amplitudes(*args, [
+            fold, np.nextafter(fold, -math.inf),
+            np.nextafter(fold, math.inf)])[0]).tolist()
+        assert set(beside) - {here}
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,41 +290,46 @@ def test_array_call_matches_the_companion_matrix_roots(eps, sign, xi, b,
                                                        kappa):
     cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
     s_values = np.linspace(0.3, 1.7, 57) / math.sqrt(kappa)
-    rows = frf_amplitudes(cubic, kappa, xi, b, s_values)
-    assert len(rows) == s_values.size
-    for s, pairs in zip(s_values.tolist(), rows):
-        assert pairs == frf_amplitudes(cubic, kappa, xi, b, s)
+    amplitude, phase = frf_amplitudes(cubic, kappa, xi, b, s_values)
+    assert len(amplitude) == s_values.size
+    for k, s in enumerate(s_values.tolist()):
+        # a row does not depend on the other s of its call
+        one = frf_amplitudes(cubic, kappa, xi, b, [s])
+        np.testing.assert_array_equal(one[0][0], amplitude[k])
+        np.testing.assert_array_equal(one[1][0], phase[k])
+        a = amplitude[k][~np.isnan(amplitude[k])]
         lin = 1.0 - kappa * s * s
         ref = np.roots([0.5625 * eps * eps, 1.5 * sign * eps * lin,
                         lin * lin + (2.0 * xi * s) ** 2, -b * b])
         real = np.sort(ref.real[np.abs(ref.imag) <= 1e-6 * np.abs(ref)])
-        if len(real) != len(pairs):
+        if len(real) != a.size:
             continue    # a near-double root: the reference cannot tell
-        np.testing.assert_allclose([a * a for a, _ in pairs], real,
-                                   rtol=1e-9)
+        np.testing.assert_allclose(a * a, real, rtol=1e-9)
 
 
 def test_frf_roots_folds_and_backbone():
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
-    rows = frf_amplitudes(cubic, 1.0, 0.015, 0.1, np.linspace(0.9, 1.0, 21))
-    assert len(rows) == 21
+    amplitude, _ = frf_amplitudes(cubic, 1.0, 0.015, 0.1,
+                                  np.linspace(0.9, 1.0, 21))
+    assert len(amplitude) == 21
     assert len(fold_frequencies(cubic, 1.0, 0.015, 0.1, 0.9, 1.0)) == 2
-    a_max = max(pairs[-1][0] for pairs in rows if pairs)
+    a_max = np.nanmax(amplitude)
     assert backbone(cubic, 1.0, np.linspace(1e-3, a_max, 200)).shape[0] > 0
 
 
 def test_frf_input_validation():
     cubic = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
     with pytest.raises(ValueError):
-        frf_amplitudes(cubic, 1.0, 0.1, 0.3, 0.0)
+        frf_amplitudes(cubic, 1.0, 0.1, 0.3, [0.0])
     with pytest.raises(ValueError):
-        frf_amplitudes(cubic, 1.0, 0.1, -0.3, 1.0)
+        frf_amplitudes(cubic, 1.0, 0.1, -0.3, [1.0])
     with pytest.raises(ValueError):
         CubicApprox(omega_n=0.0, epsilon=0.0, origin_theta=0.0)
     # no drive, no positive amplitude
     for eps in (0.0, -0.3):
-        assert frf_amplitudes(replace(cubic, epsilon=eps), 1.0, 0.1, 0.0,
-                              [0.5, 1.0]) == [[], []]
+        amplitude, _ = frf_amplitudes(replace(cubic, epsilon=eps), 1.0, 0.1,
+                                      0.0, [0.5, 1.0])
+        assert _root_counts(amplitude).tolist() == [0, 0]
 
 
 def test_linear_sweep_no_hysteresis():
@@ -434,7 +447,8 @@ def _period_map(s):
 
 def _hbm_state(s, root):
     """State at t = 0 of the HBM orbit A*sin(s*t - phi) of the given root."""
-    a, phi = frf_amplitudes(*CUBIC08, s)[root]
+    amplitude, phase = frf_amplitudes(*CUBIC08, [s])
+    a, phi = float(amplitude[0, root]), float(phase[0, root])
     return (-a * math.sin(phi), a * s * math.cos(phi))
 
 
@@ -471,7 +485,7 @@ def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
     m = hbm._monodromy(period, x, px, math.sqrt(SPEC.rel_tol) * scale)
     assert np.all(np.abs(np.linalg.eigvals(np.reshape(m, (2, 2)))) < 1.0)
     # the low and the high branch of the three-root band
-    assert amp == pytest.approx(frf_amplitudes(*CUBIC08, s)[root][0],
+    assert amp == pytest.approx(frf_amplitudes(*CUBIC08, [s])[0][0, root],
                                 rel=0.05)
 
 
@@ -489,7 +503,7 @@ def test_unstable_middle_branch_is_rejected(monkeypatch):
     monkeypatch.undo()
     # ... so the sweep leaves it for one of the stable branches
     amp, _, settled = maps.settle(s, x)
-    low, mid, high = (a for a, _ in frf_amplitudes(*CUBIC08, s))
+    low, mid, high = frf_amplitudes(*CUBIC08, [s])[0][0]
     assert settled
     assert min(abs(amp - low), abs(amp - high)) < 0.05 * mid
 
@@ -518,7 +532,7 @@ def test_sweeps_keep_their_branch_up_to_each_fold(sweep08):
     assert sweep08.down_jumps == [pytest.approx(0.9725)]
     s = float(sweep08.down_s[3])
     assert s == pytest.approx(0.975)
-    (high, _) = frf_amplitudes(*CUBIC08, s)[-1]
+    high = frf_amplitudes(*CUBIC08, [s])[0][0, -1]
     assert sweep08.down_amplitude[3] == pytest.approx(high, rel=0.05)
 
 
@@ -550,7 +564,8 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
                         lambda *a: shots.append(shoot(*a)) or shots[-1])
     amp, _, settled = maps.settle(s, x)
     assert settled and len(shots) > 1 and shots[0] is None
-    (low, _), = frf_amplitudes(*CUBIC08, s)
+    low, *more = frf_amplitudes(*CUBIC08, [s])[0][0]
+    assert np.isnan(more).all()
     assert amp == pytest.approx(low, rel=0.05)
     assert amp < 0.5 * high
 
