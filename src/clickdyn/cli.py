@@ -104,67 +104,6 @@ _STATE_OPTS = {
     "theta0": (float, 0.1, _finite),
     "omega0_state": (float, 0.0, _finite),
 }
-_OPTIONS: dict[str, dict] = {
-    "energy": dict(_GRID_OPTS),
-    "moment": dict(_GRID_OPTS),
-    "stiffness": dict(_GRID_OPTS),
-    "phase-portrait": {
-        "n": (int, 401, _at_least(2)),
-        "omega_max": (float, 2.0, _positive),
-        "n_levels": (int, 12, _at_least(1)),
-        "levels": (str, "", _numbers_or_empty),
-    },
-    "equilibria": {},
-    "bifurcation-set": {
-        "variant": (str, "B1", _one_of("B0", "B1", "B2")),
-        "alpha_min": (float, 0.05, _positive),
-        "alpha_max": (float, 3.0, _above("alpha_min")),
-        "beta_min": (float, 0.05, _positive),
-        "beta_max": (float, 3.0, _above("beta_min")),
-        "n": (int, 201, _at_least(1)),
-    },
-    "freevib": {"branch": (str, "all", _any), "n": (int, 30, _at_least(1))},
-    "hbm": {
-        "s_min": (float, 0.1, _positive),
-        "s_max": (float, 2.0, _above("s_min")),
-        "n": (int, 400, _at_least(1)),
-        "drive": (float, 0.05, _nonnegative),
-    },
-    "melnikov": {
-        "variant": (str, "duffing",
-                    _one_of(melnikov.DUFFING, melnikov.PENDULUM,
-                            melnikov.SOFT_CUBIC)),
-        "omega_min": (float, 0.2, _positive),
-        "omega_max": (float, 3.0, _above("omega_min")),
-        "n_omega": (int, 30, _at_least(1)),
-        "xi_values": (str, "0.1,0.2,0.4", _nonnegative_numbers),
-    },
-    "simulate": {
-        **_STATE_OPTS,
-        "t_end": (float, 100.0, _positive),
-        "rel_tol": (float, 1e-10, _positive),
-        "abs_tol": (float, 1e-12, _positive),
-    },
-    "sweep": {
-        "s_min": (float, 0.5, _positive),
-        "s_max": (float, 1.5, _above("s_min")),
-        "n": (int, 60, _at_least(1)),
-        "drive": (float, 0.05, _nonnegative),
-        "epsilon": (float, 0.0, _finite),
-    },
-    "lyapunov": {
-        **_STATE_OPTS,
-        "horizon": (float, 2000.0, _positive),
-        "interval": (float, 5.0, _positive),
-    },
-    "poincare": {
-        **_STATE_OPTS,
-        "n_points": (int, 200, _at_least(1)),
-        "discard": (int, 200, _at_least(0)),
-    },
-}
-
-
 def _nearest(key: str, valid) -> str:
     hits = difflib.get_close_matches(key, list(valid), n=1)
     hint = f" (did you mean {hits[0]!r}?)" if hits else ""
@@ -179,9 +118,10 @@ def _ini_value(kind, section: str, key: str, val: str):
                          f"not a valid {kind.__name__}") from None
 
 
-def parse_config(command: str, args) -> dict:
-    """Resolved configuration: file values overridden by flags, then defaults."""
-    valid_opts = _OPTIONS[command]
+def parse_config(command: str, args) -> tuple[Params, dict]:
+    """The parameters and the resolved configuration the manifest records:
+    file values overridden by flags, then defaults."""
+    valid_opts = _COMMANDS[command][1]
     file_params: dict = {}
     file_opts: dict = {}
     if args.config:
@@ -209,9 +149,9 @@ def parse_config(command: str, args) -> dict:
                             f"[{section}]: {_nearest(key, valid_opts)}")
                     file_opts[key] = _ini_value(valid_opts[key][0], section,
                                                 key, val)
-            elif section not in _OPTIONS:
+            elif section not in _COMMANDS:
                 raise InputError(
-                    f"{_nearest(section, list(_OPTIONS) + ['params'])}")
+                    f"{_nearest(section, list(_COMMANDS) + ['params'])}")
     params_kw = dict(file_params)
     for key in _PARAM_KEYS:
         flag = getattr(args, key, None)
@@ -231,33 +171,20 @@ def parse_config(command: str, args) -> dict:
         problem = check(opts[key], opts)
         if problem:
             raise InputError(f"{key} {problem}, got {opts[key]!r}")
-    return {"command": command, "params": params_kw, "options": opts,
-            "_params_obj": params}
+    return params, {"command": command, "params": params_kw,
+                    "options": opts}
 
 
-def _theta_grid(opts) -> np.ndarray:
-    return np.linspace(opts["theta_min"], opts["theta_max"], opts["n"])
-
-
-def _run_energy(p: Params, opts) -> list[Dataset]:
-    thetas = _theta_grid(opts)
-    rows = np.column_stack((thetas, potential(p, thetas)))
-    return [Dataset("energy", ("theta", "potential"), rows)]
-
-
-def _run_moment(p: Params, opts) -> list[Dataset]:
-    thetas = _theta_grid(opts)
-    rows = np.column_stack((thetas, moment(p, thetas)))
-    return [Dataset("moment", ("theta", "moment"), rows)]
-
-
-def _run_stiffness(p: Params, opts) -> list[Dataset]:
-    """Stiffness on the grid, NaN on the alpha == beta cusps theta = 2*n*pi."""
-    thetas = _theta_grid(opts)
-    with np.errstate(invalid="ignore"):     # 0/0 where D = 0
-        vals = _stiffness_field(p.alpha, p.beta, p.gamma, thetas)
-    rows = np.column_stack((thetas, vals))
-    return [Dataset("stiffness", ("theta", "stiffness"), rows)]
+def _field_runner(name: str, column: str, field):
+    """Runner of a field subcommand: ``field(p, theta)`` on the theta grid,
+    NaN where the field is undefined (the stiffness on the alpha == beta
+    cusps theta = 2*n*pi)."""
+    def run(p: Params, opts) -> list[Dataset]:
+        thetas = np.linspace(opts["theta_min"], opts["theta_max"], opts["n"])
+        with np.errstate(invalid="ignore"):     # 0/0 where D = 0
+            rows = np.column_stack((thetas, field(p, thetas)))
+        return [Dataset(name, ("theta", column), rows)]
+    return run
 
 
 def _run_phase_portrait(p: Params, opts) -> list[Dataset]:
@@ -389,15 +316,15 @@ def _run_melnikov(p: Params, opts) -> list[Dataset]:
     xi_grid = np.asarray(_float_list(opts["xi_values"]))
     grid = melnikov.threshold_grid(reduced, omega_grid, xi_grid)
     rows = []
-    for i, xi0 in enumerate(grid.xi_grid.tolist()):
-        for j, om in enumerate(grid.omega_grid.tolist()):
+    for i, xi0 in enumerate(xi_grid.tolist()):
+        for j, om in enumerate(omega_grid.tolist()):
             rows.append((xi0, om, float(grid.m0_crit[i, j]),
                          float(grid.m0_printed[i, j]), grid.printed_form,
                          bool(grid.printed_agrees[i, j])))
     return [Dataset("melnikov_threshold",
                     ("xi0", "omega0", "m0_crit", "m0_printed",
                      "printed_form", "printed_agrees"), rows,
-                    metadata={"variant": grid.variant})]
+                    metadata={"variant": reduced.variant})]
 
 
 def _run_simulate(p: Params, opts) -> list[Dataset]:
@@ -449,27 +376,79 @@ def _run_lyapunov(p: Params, opts) -> list[Dataset]:
 
 
 def _run_poincare(p: Params, opts) -> list[Dataset]:
-    pm = poincare_section(p, (opts["theta0"], opts["omega0_state"]),
-                          opts["n_points"], opts["discard"])
-    return [Dataset("poincare", ("theta", "omega"), pm.points,
-                    metadata={"discard": pm.discard,
-                              "omega0": pm.omega_big0})]
+    points = poincare_section(p, (opts["theta0"], opts["omega0_state"]),
+                              opts["n_points"], opts["discard"])
+    return [Dataset("poincare", ("theta", "omega"), points,
+                    metadata={"discard": opts["discard"],
+                              "omega0": p.omega_big0})]
 
 
-_RUNNERS = {
-    "energy": _run_energy,
-    "moment": _run_moment,
-    "stiffness": _run_stiffness,
-    "phase-portrait": _run_phase_portrait,
-    "equilibria": _run_equilibria,
-    "bifurcation-set": _run_bifurcation_set,
-    "freevib": _run_freevib,
-    "hbm": _run_hbm,
-    "melnikov": _run_melnikov,
-    "simulate": _run_simulate,
-    "sweep": _run_sweep,
-    "lyapunov": _run_lyapunov,
-    "poincare": _run_poincare,
+# subcommand -> (runner(p, options) -> datasets, option table).  The field
+# runners look their field up at call time, as the other runners do.
+_COMMANDS: dict[str, tuple] = {
+    "energy": (_field_runner("energy", "potential",
+                         lambda p, th: potential(p, th)), _GRID_OPTS),
+    "moment": (_field_runner("moment", "moment",
+                         lambda p, th: moment(p, th)), _GRID_OPTS),
+    "stiffness": (_field_runner(
+        "stiffness", "stiffness",
+        lambda p, th: _stiffness_field(p.alpha, p.beta, p.gamma, th)),
+        _GRID_OPTS),
+    "phase-portrait": (_run_phase_portrait, {
+        "n": (int, 401, _at_least(2)),
+        "omega_max": (float, 2.0, _positive),
+        "n_levels": (int, 12, _at_least(1)),
+        "levels": (str, "", _numbers_or_empty),
+    }),
+    "equilibria": (_run_equilibria, {}),
+    "bifurcation-set": (_run_bifurcation_set, {
+        "variant": (str, "B1", _one_of("B0", "B1", "B2")),
+        "alpha_min": (float, 0.05, _positive),
+        "alpha_max": (float, 3.0, _above("alpha_min")),
+        "beta_min": (float, 0.05, _positive),
+        "beta_max": (float, 3.0, _above("beta_min")),
+        "n": (int, 201, _at_least(1)),
+    }),
+    "freevib": (_run_freevib, {
+        "branch": (str, "all", _any), "n": (int, 30, _at_least(1))}),
+    "hbm": (_run_hbm, {
+        "s_min": (float, 0.1, _positive),
+        "s_max": (float, 2.0, _above("s_min")),
+        "n": (int, 400, _at_least(1)),
+        "drive": (float, 0.05, _nonnegative),
+    }),
+    "melnikov": (_run_melnikov, {
+        "variant": (str, "duffing",
+                    _one_of(melnikov.DUFFING, melnikov.PENDULUM,
+                            melnikov.SOFT_CUBIC)),
+        "omega_min": (float, 0.2, _positive),
+        "omega_max": (float, 3.0, _above("omega_min")),
+        "n_omega": (int, 30, _at_least(1)),
+        "xi_values": (str, "0.1,0.2,0.4", _nonnegative_numbers),
+    }),
+    "simulate": (_run_simulate, {
+        **_STATE_OPTS,
+        "t_end": (float, 100.0, _positive),
+        "rel_tol": (float, 1e-10, _positive),
+        "abs_tol": (float, 1e-12, _positive),
+    }),
+    "sweep": (_run_sweep, {
+        "s_min": (float, 0.5, _positive),
+        "s_max": (float, 1.5, _above("s_min")),
+        "n": (int, 60, _at_least(1)),
+        "drive": (float, 0.05, _nonnegative),
+        "epsilon": (float, 0.0, _finite),
+    }),
+    "lyapunov": (_run_lyapunov, {
+        **_STATE_OPTS,
+        "horizon": (float, 2000.0, _positive),
+        "interval": (float, 5.0, _positive),
+    }),
+    "poincare": (_run_poincare, {
+        **_STATE_OPTS,
+        "n_points": (int, 200, _at_least(1)),
+        "discard": (int, 200, _at_least(0)),
+    }),
 }
 
 
@@ -482,33 +461,31 @@ def _build_parser() -> argparse.ArgumentParser:
                     "click-mechanism rotational oscillator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _OPTIONS:
+    for command, (_run, options) in _COMMANDS.items():
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=".")
         for key in _PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
-        for key, (typ, _default, _check) in _OPTIONS[command].items():
+        for key, (typ, _default, _check) in options.items():
             sp.add_argument(f"--{key.replace('_', '-')}", dest=f"opt_{key}",
                             type=typ, default=None)
     return parser
 
 
-def run(command: str, config: dict, out_dir: Path) -> list[Path]:
+def run(command: str, p: Params, config: dict, out_dir: Path) -> list[Path]:
     """Execute one subcommand and write its datasets plus the manifest.
 
     On a failure the files written so far are removed.
     """
-    p = config["_params_obj"]
-    datasets = _RUNNERS[command](p, config["options"])
+    datasets = _COMMANDS[command][0](p, config["options"])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    public = {k: v for k, v in config.items() if not k.startswith("_")}
     try:
         for ds in datasets:
             written.append(emit_dataset(ds, out_dir / f"{ds.name}.csv"))
-        written.append(emit_manifest(datasets, public,
+        written.append(emit_manifest(datasets, config,
                                      out_dir / "manifest.json"))
     except BaseException:
         for path in written:
@@ -523,8 +500,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
-        config = parse_config(args.command, args)
-        written = run(args.command, config, Path(args.out))
+        p, config = parse_config(args.command, args)
+        written = run(args.command, p, config, Path(args.out))
     except InputError as e:
         print(f"error:config: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -342,7 +342,7 @@ def zero_stiffness_set(beta: float, gamma: float,
     pos, neg = vals > 0.0, vals < 0.0
     j, i = np.nonzero(pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:])
     roots = _refine(lambda th, r: _stiffness_field(r, beta, gamma, th),
-                    lambda th, r: _curvature_field(r, beta, gamma, th),
+                    lambda th, r: _curvature_field(r, beta, gamma, th)[0],
                     a[j, 0], ends[j, i], ends[j, i + 1], pos[j, i],
                     theta[j, i + 1])
     samples = np.column_stack(np.broadcast_arrays(roots, a[j, 0], beta,

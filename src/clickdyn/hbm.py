@@ -33,8 +33,7 @@ import numpy as np
 from .equilibria import CENTER, Equilibrium, _grid_zeros, working_center
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
                         _strobe, integrate_rhs)
-from .model import (InputError, Params, _moment_curvature, scalar_rhs,
-                    stiffness)
+from .model import InputError, Params, _curvature_field, scalar_rhs
 
 __all__ = [
     "CubicApprox",
@@ -83,8 +82,8 @@ def fit_cubic(p: Params, eq: Equilibrium) -> CubicApprox:
     """
     if eq.kind != CENTER:
         raise ValueError(f"cubic fit requires a center, got {eq.kind}")
-    k = float(stiffness(p, eq.theta))
-    m2, m3 = _moment_curvature(p, eq.theta)
+    k = eq.k_local
+    m2, m3 = map(float, _curvature_field(p.alpha, p.beta, p.gamma, eq.theta))
     q = m2 / (2.0 * k)
     return CubicApprox(omega_n=math.sqrt(k / p.kappa),
                        epsilon=m3 / (6.0 * k) - (10.0 / 9.0) * q * q,

@@ -34,7 +34,6 @@ __all__ = [
     "IntegratorSpec",
     "StepStats",
     "Trajectory",
-    "PoincareMap",
     "FreeOscillation",
     "LyapunovEstimate",
     "integrate",
@@ -165,13 +164,6 @@ class Trajectory:
     states: np.ndarray            # shape (n, 2): columns theta, omega
     step_stats: StepStats
     energy_drift: float | None = None   # max |H(t) - H(0)|, conservative runs
-
-
-@dataclass
-class PoincareMap:
-    omega_big0: float
-    points: np.ndarray            # shape (n, 2)
-    discard: int
 
 
 @dataclass
@@ -578,8 +570,9 @@ def _strobe(f, state, t_step, n, spec, stages=None):
 
 
 def poincare_section(p: Params, state0, n_points: int,
-                     discard: int = 200) -> PoincareMap:
-    """Stroboscopic samples at the drive period, after a transient discard.
+                     discard: int = 200) -> np.ndarray:
+    """Stroboscopic samples at the drive period, after a transient discard:
+    an (n_points, 2) array of (theta, omega) rows.
 
     Raises InputError unless M0 > 0, Omega0 > 0, discard >= 0, n_points >= 1
     and the run's discard + n_points drive periods end by ``_T_MAX``."""
@@ -593,7 +586,7 @@ def poincare_section(p: Params, state0, n_points: int,
     states = list(_strobe(scalar_rhs(p), tuple(state0),
                           2.0 * math.pi / p.omega_big0, discard + n_points,
                           IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11)))
-    return PoincareMap(p.omega_big0, np.asarray(states[discard:]), discard)
+    return np.asarray(states[discard:])
 
 
 def _step_jacobians(p: Params, stages):

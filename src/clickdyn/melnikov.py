@@ -18,7 +18,7 @@ The chaos threshold is the Melnikov threshold of the reduction,
 
 with both orbit integrals in closed form (Guckenheimer & Holmes, *Nonlinear
 Oscillations, Dynamical Systems, and Bifurcations of Vector Fields*, §4.5).
-With w the rate of the orbit in :func:`_closed_form` and A = sqrt(2)*theta3:
+With w the rate of the orbit (:func:`_orbit_rate`) and A = sqrt(2)*theta3:
 
     duffing      D = 4*A^2*w/3     F = A*pi*Omega0/w * sech(pi*Omega0/(2w))
     pendulum     D = 16*w          F = 2*pi * sech(pi*Omega0/(2w))
@@ -118,16 +118,14 @@ class SeparatrixOrbit:
 
 @dataclass
 class ThresholdGrid:
-    """Thresholds over (xi0, omega0); rows follow xi_grid, columns omega_grid.
+    """Thresholds over the (xi0, omega0) grids of :func:`threshold_grid`;
+    rows follow its xi_grid, columns its omega_grid.
 
     ``m0_crit`` is xi0 * D / F from the closed-form orbit integrals.
     ``m0_printed`` is the printed closed form of shape ``printed_form``
     (cosh for duffing, coth for pendulum, csch for soft cubic), and
     ``printed_agrees`` says whether it is within 5 % of ``m0_crit``.
     """
-    variant: str
-    omega_grid: np.ndarray
-    xi_grid: np.ndarray
     m0_crit: np.ndarray
     m0_printed: np.ndarray
     printed_form: str
@@ -172,12 +170,16 @@ def reduce_system(p: Params, variant: str) -> ReducedSystem:
                          char_angle=math.pi, decay_rate=rate)
 
 
+def _orbit_rate(r: ReducedSystem) -> float:
+    """The separatrix orbit's rate w: decay_rate, halved for soft_cubic."""
+    return r.decay_rate / 2.0 if r.variant == SOFT_CUBIC else r.decay_rate
+
+
 def _closed_form(r: ReducedSystem):
     """(kind, theta(T), omega(T), domega(T)) of the separatrix; domega, the
     angular acceleration, is there to check the orbit against the ODE."""
-    kap = r.kappa
+    w = _orbit_rate(r)
     if r.variant == DUFFING:
-        w = r.theta3 / math.sqrt(kap)
         amp = math.sqrt(2.0) * r.theta3
 
         def theta(t):
@@ -192,8 +194,6 @@ def _closed_form(r: ReducedSystem):
 
         return "homoclinic", theta, omega, domega
     if r.variant == PENDULUM:
-        w = math.sqrt(-r.k1 / kap)
-
         def theta(t):
             return 2.0 * np.arctan(np.sinh(w * t))
 
@@ -204,7 +204,6 @@ def _closed_form(r: ReducedSystem):
             return -2.0 * w * w * np.tanh(w * t) / np.cosh(w * t)
 
         return "heteroclinic", theta, omega, domega
-    w = math.sqrt(r.k_center / (2.0 * kap))
 
     def theta(t):
         return math.pi * np.tanh(w * t)
@@ -310,7 +309,7 @@ def _m0_crit(r: ReducedSystem, omega_grid: np.ndarray,
     if np.any(omega_grid <= 0.0) or np.any(xi_grid < 0.0):
         raise ValueError("drive frequencies must be positive and xi0 "
                          "nonnegative")
-    w = r.decay_rate / 2.0 if r.variant == SOFT_CUBIC else r.decay_rate
+    w = _orbit_rate(r)
     with np.errstate(all="ignore"):
         x = math.pi * omega_grid / (2.0 * w)
         if r.variant == DUFFING:
@@ -383,5 +382,4 @@ def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
             printed[i, j] = value
             agrees[i, j] = xi == 0.0 or abs(value - crit) / crit <= 0.05
     _refuse_overflow(omega_grid, np.isfinite(printed))
-    return ThresholdGrid(r.variant, omega_grid, xi_grid, m0, printed,
-                         _PRINTED_FORM[r.variant], agrees)
+    return ThresholdGrid(m0, printed, _PRINTED_FORM[r.variant], agrees)

@@ -216,37 +216,29 @@ def stiffness(p: Params, theta):
 def _stiffness_field(alpha, beta, gamma, theta):
     """:func:`stiffness` over broadcastable arrays of its four arguments.
 
-    K = (alpha*beta + gamma)*cos(theta) - alpha*beta*w/D^3 with
-    w = (alpha - beta)^2*cos(theta) - 4*alpha*beta*s^4, which is
-    D^2*cos(theta) - alpha*beta*sin(theta)^2 without its cancellation.
-    Products, not ``** 2``, as in :func:`_radicand`.  No cusp check: NaN
-    (an invalid-operation warning) where D = 0.
+    K = (alpha*beta + gamma)*cos(theta) - :func:`_stiffness_ratio`.  No
+    cusp check: NaN (an invalid-operation warning) where D = 0.
     """
     ab = alpha * beta
     s = np.sin(0.5 * theta)
     d2 = _radicand(alpha, beta, s)
     ct = np.cos(theta)
-    d = alpha - beta
+    return (ab + gamma) * ct - _stiffness_ratio(ab, alpha - beta, s, ct, d2,
+                                                np.sqrt(d2))
+
+
+def _stiffness_ratio(ab, d, s, ct, d2, dist):
+    """alpha*beta*w/D^3 from ab = alpha*beta, d = alpha - beta, s =
+    sin(theta/2), ct = cos(theta), d2 = D^2 and dist = D: w = d^2*ct -
+    4*ab*s^4 is D^2*cos(theta) - alpha*beta*sin(theta)^2 without its
+    cancellation.  Products, not ``** 2``, as in :func:`_radicand`."""
     w = d * d * ct - 4.0 * ab * (s * s) * (s * s)
-    return (ab + gamma) * ct - ab * w / d2 / np.sqrt(d2)
+    return ab * w / d2 / dist
 
 
 def _curvature_field(alpha, beta, gamma, theta):
-    """M'' = dK/dtheta over broadcastable arrays of its four arguments:
-    the first entry of :func:`_moment_curvature` as an array.  NaN where
-    D = 0."""
-    ab = alpha * beta
-    s = np.sin(theta)
-    d2 = _radicand(alpha, beta, np.sin(0.5 * theta))
-    d = np.sqrt(d2)
-    f = ab + gamma - ab / d
-    k3 = ab * ab / (d2 * d)
-    x = ab * s * s / d2
-    return s * (3.0 * k3 * (np.cos(theta) - x) - f)
-
-
-def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
-    """(M'', M''') at one float theta, closed form.
+    """(M'', M''') over broadcastable arrays of its four arguments, closed
+    form; NaN where D = 0.
 
     With P = alpha*beta, c, s = cos, sin(theta), f = P + gamma - P/D,
     k3 = P^2/D^3 and x = P*s^2/D^2, differentiating M = f*s gives
@@ -256,11 +248,12 @@ def _moment_curvature(p: Params, theta: float) -> tuple[float, float]:
     not, beside the cusp; at a center x = 0 (a pole) or D = P/(P + gamma)
     (a well).
     """
-    ab = p.alpha * p.beta
-    c, s = math.cos(theta), math.sin(theta)
-    d2 = _radicand(p.alpha, p.beta, math.sin(0.5 * theta))
-    f = ab + p.gamma - ab / math.sqrt(d2)
-    k3 = ab * ab / (d2 * math.sqrt(d2))
+    ab = alpha * beta
+    c, s = np.cos(theta), np.sin(theta)
+    d2 = _radicand(alpha, beta, np.sin(0.5 * theta))
+    d = np.sqrt(d2)
+    f = ab + gamma - ab / d
+    k3 = ab * ab / (d2 * d)
     x = ab * s * s / d2
     return (s * (3.0 * k3 * (c - x) - f),
             k3 * (3.0 * c * c - 4.0 * s * s - 18.0 * c * x + 15.0 * x * x)
@@ -284,10 +277,10 @@ def _jacobian_field(p: Params, theta):
 
     K takes the operations of :func:`_stiffness_field` and c those of
     :func:`damping_factor`, so both have their bits; with r and q the two
-    ratios alpha*beta*sin(theta)/D and alpha*beta*w/D^3 (w as in
-    :func:`_stiffness_field`), c' = 2*r*q.  Where D = 0 they take their
-    limits along the cusp line, K = alpha*beta + gamma, c = alpha*beta and
-    c' = 0, with no division by 0.
+    ratios alpha*beta*sin(theta)/D and :func:`_stiffness_ratio`,
+    c' = 2*r*q.  Where D = 0 they take their limits along the cusp line,
+    K = alpha*beta + gamma, c = alpha*beta and c' = 0, with no division by
+    0.
     """
     ab = p.alpha * p.beta
     theta = np.asarray(theta, dtype=float)
@@ -296,10 +289,9 @@ def _jacobian_field(p: Params, theta):
     smooth = d2 > 0.0
     d2 = np.where(smooth, d2, 1.0)          # any value; masked below
     dist = np.sqrt(d2)
-    d = p.alpha - p.beta
-    w = d * d * ct - 4.0 * ab * (s * s) * (s * s)
     r = np.where(smooth, ab * st / dist, 0.0)
-    q = np.where(smooth, ab * w / d2 / dist, 0.0)
+    q = np.where(smooth, _stiffness_ratio(ab, p.alpha - p.beta, s, ct, d2,
+                                          dist), 0.0)
     return (ab + p.gamma) * ct - q, np.where(smooth, r * r, ab), 2.0 * r * q
 
 

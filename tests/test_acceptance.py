@@ -231,9 +231,9 @@ def test_acceptance_10_threshold_separates_dynamics(capsys):
         pf = replace(p, m_big0=m0, omega_big0=0.8)
         state0 = (th3, 0.0)
         est = largest_lyapunov(pf, state0, horizon=1000.0)
-        pm = poincare_section(pf, state0, n_points=200, discard=100)
+        points = poincare_section(pf, state0, n_points=200, discard=100)
         reps = []
-        for th, om in pm.points:
+        for th, om in points:
             q = (math.remainder(float(th), 2.0 * math.pi), float(om))
             for rp in reps:
                 if math.hypot(q[0] - rp[0], q[1] - rp[1]) <= 1e-2:

@@ -413,7 +413,8 @@ def _bad_value(check, opts):
     return values.map(repr)
 
 
-_REJECTING = [(command, key) for command, opts in cli._OPTIONS.items()
+_REJECTING = [(command, key)
+              for command, (_run, opts) in cli._COMMANDS.items()
               for key, (_kind, _default, check) in opts.items()
               if check is not cli._any]
 
@@ -423,7 +424,7 @@ _REJECTING = [(command, key) for command, opts in cli._OPTIONS.items()
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_every_rejected_option_value_exits_2(command, key, data):
-    opts = cli._OPTIONS[command]
+    opts = cli._COMMANDS[command][1]
     value = data.draw(_bad_value(opts[key][2], opts))
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
@@ -434,32 +435,19 @@ def test_every_rejected_option_value_exits_2(command, key, data):
     assert err.getvalue().startswith("error:config:")
 
 
-def _full_parser_exit(argv):
-    """Exit code of ``main`` for what the parser of all subcommands prints."""
-    with pytest.raises(SystemExit) as stop:
-        cli._build_parser().parse_args(argv)
-    return 0 if stop.value.code in (0, None) else cli.EXIT_CONFIG
-
-
 _HELP_AND_PARSE_ERRORS = [
     [], ["--help"], ["energy", "--help"], ["bogus"], ["energ"],
     ["--alpha", "1.5", "energy"], ["energy", "--bogus", "1"],
     ["energy", "--alpha"], ["energy", "--alpha", "x"]]
 
 
-@pytest.mark.parametrize("argv", _HELP_AND_PARSE_ERRORS,
-                         ids=[" ".join(a) or "no-args"
-                              for a in _HELP_AND_PARSE_ERRORS])
-def test_help_and_parse_errors_are_those_of_the_full_parser(argv, capsys,
-                                                            monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    got = (main(argv), *capsys.readouterr())
-    assert got == (_full_parser_exit(argv), *capsys.readouterr())
-    assert got[0] == (0 if "--help" in argv else 2)
-    assert got[1 if "--help" in argv else 2].startswith("usage: clickdyn ")
-
-
 def test_parse_errors_name_the_command_argument(capsys):
+    # --help exits 0 and a parse error 2, each printing the usage first
+    for argv in _HELP_AND_PARSE_ERRORS:
+        code, out, err = main(argv), *capsys.readouterr()
+        assert code == (0 if "--help" in argv else 2)
+        assert (out if "--help" in argv else err).startswith(
+            "usage: clickdyn ")
     assert main([]) == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: command\n")
@@ -485,15 +473,21 @@ def _energy_run(out, *flags):
     return code, options, (out / "energy.csv").read_bytes()
 
 
-def test_repeated_calls_match_calls_on_a_fresh_parser(tmp_path):
+def test_repeated_calls_match_calls_on_a_fresh_parser(tmp_path, capsys):
+    # a parse error after a run, and one on a fresh parser before it
     flags = [("--n", "5", "--theta-min", "-1"), ("--n", "7")]
-    got = [_energy_run(tmp_path / f"cached{i}", *f)
-           for i, f in enumerate(flags)]
-    fresh = []
+    got, fresh, errors = [], [], []
+    for i, f in enumerate(flags):
+        got.append(_energy_run(tmp_path / f"cached{i}", *f))
+        assert main([]) == 2
+        errors.append(capsys.readouterr().err)
     for i, f in enumerate(flags):
         cli._build_parser.cache_clear()
+        assert main([]) == 2
+        errors.append(capsys.readouterr().err)
         fresh.append(_energy_run(tmp_path / f"fresh{i}", *f))
     assert got == fresh
+    assert len(set(errors)) == 1
     assert [(g[1]["n"], g[1]["theta_min"]) for g in got] == \
         [(5, -1.0), (7, -math.pi)]
 
@@ -509,16 +503,29 @@ def test_a_parse_error_leaves_the_next_call_unchanged(tmp_path, bad, capsys):
     assert manifest["config"]["params"] == {"alpha": 1.5}
 
 
-def test_full_and_subcommand_parsers_in_either_order(tmp_path, capsys):
-    cli._build_parser.cache_clear()
-    assert main([]) == 2
-    fresh_err = capsys.readouterr().err
-    for out in ("a", "b"):
-        assert _energy_run(tmp_path / out, "--n", "3")[0] == 0
-        assert main([]) == 2
-        assert capsys.readouterr().err == fresh_err
-    assert (tmp_path / "a" / "energy.csv").read_bytes() == \
-        (tmp_path / "b" / "energy.csv").read_bytes()
+# (flags of both runs, flags of the second): a value the swept system
+# does not read, recorded in the manifest but not in the curves
+_UNREAD_BY_SWEEP = {
+    "full-drive": (("--m0", "0.02"), ("--drive", "0.9")),
+    "full-omega0": (("--m0", "0.02"), ("--omega0", "2")),
+    "cubic-m0": (("--epsilon", "0.3"), ("--m0", "5")),
+}
+
+
+@pytest.mark.parametrize("flags, other", _UNREAD_BY_SWEEP.values(),
+                         ids=list(_UNREAD_BY_SWEEP))
+def test_sweep_curves_ignore_what_the_swept_system_does_not_read(
+        tmp_path, flags, other):
+    runs = []
+    for extra in ((), other):
+        out = tmp_path / str(len(runs))
+        assert run_cli("sweep", "--alpha", "1.5", "--xi", "0.1", "--n", "5",
+                       *flags, *extra, "--out", str(out)) == 0
+        runs.append(([(out / f"sweep_{k}.csv").read_bytes()
+                      for k in ("up", "down", "jumps")],
+                     json.loads((out / "manifest.json").read_text())))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1]["config"] != runs[1][1]["config"]
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
@@ -724,7 +731,7 @@ def test_freevib_manifest_counts_dropped_samples(tmp_path):
 
 
 # the flags, beside --alpha 1.5, that a run needs; otherwise the defaults
-_RUN_FLAGS = {command: () for command in cli._OPTIONS} | {
+_RUN_FLAGS = {command: () for command in cli._COMMANDS} | {
     "sweep": ("--xi", "0.1"),
     "poincare": ("--xi", "0.1", "--m0", "0.02", "--omega0", "0.8")}
 
@@ -733,7 +740,7 @@ def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-@pytest.mark.parametrize("command", list(cli._OPTIONS))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_every_manifest_is_strict_json(tmp_path, command):
     # an open band end (AF5 of a double well) is null, not Infinity
     assert run_cli(command, "--alpha", "1.5", *_RUN_FLAGS[command],

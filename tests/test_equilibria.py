@@ -453,7 +453,7 @@ def test_each_slope_is_the_derivative_of_its_residual(variant):
         for (a, b, g), rng in _region_points(29, 200):
             th = rng.uniform(0.0, math.pi)
             ref = mpmath.diff(_mp_stiffness(a, b, g)[0], th)
-            got = float(_curvature_field(a, b, g, th))
+            got = float(_curvature_field(a, b, g, th)[0])
             s, c = math.sin(th), math.cos(th)
             d2 = a * a + b * b - 2.0 * a * b * c
             k3, x = (a * b) ** 2 / d2 ** 1.5, a * b * s * s / d2
@@ -508,3 +508,23 @@ def test_bifurcation_roots_match_40_digit_references(variant, gamma):
             worst = max(worst, float(abs(root - ref) * abs(mpmath.diff(f, ref))
                                      / (np.finfo(float).eps * scale(ref))))
     assert worst <= _ROUNDING_GATES[variant]
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8, 1.25, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_b0_roots_off_beta_1_match_40_digit_references(beta, gamma):
+    # the measure above with theta's own rounding |K'|*theta*eps/2 added to
+    # eps*S: where K's terms are small against K' (gamma = 1 beside
+    # theta = pi/2; beta = 0.8, alpha = 0.05 reads 134 on eps*S alone),
+    # a correctly rounded root is no closer than that rounding
+    eps = np.finfo(float).eps
+    worst = 0.0
+    with mpmath.workdps(40):
+        for root, alpha, _b, _g in zero_stiffness_set(beta, gamma,
+                                                      _CLI_GRID).samples:
+            f, scale = _mp_stiffness(alpha, beta, gamma)
+            ref = mpmath.findroot(f, mpmath.mpf(root))
+            slope = abs(mpmath.diff(f, ref))
+            worst = max(worst, float(abs(root - ref) * slope / (
+                eps * scale(ref) + slope * ref * eps / 2)))
+    assert worst <= _ROUNDING_GATES["B0"]

@@ -153,9 +153,9 @@ def test_poincare_requires_forcing():
 
 def test_poincare_periodic_attractor_is_a_point():
     p = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
-    pm = poincare_section(p, (0.7227, 0.0), 20, discard=150)
-    assert pm.points.shape == (20, 2)
-    spread = np.max(np.ptp(pm.points, axis=0))
+    points = poincare_section(p, (0.7227, 0.0), 20, discard=150)
+    assert points.shape == (20, 2)
+    spread = np.max(np.ptp(points, axis=0))
     assert spread <= 1e-4
 
 
@@ -172,7 +172,7 @@ _PERIODIC = Params(alpha=1.5, beta=1.0, xi=0.1, m_big0=0.02, omega_big0=0.8)
 def test_section_matches_fresh_restarts_each_period():
     # The carried step changes where the steps land, not the section: on a
     # periodic attractor it agrees with a restart from h_init every period.
-    pm = poincare_section(_PERIODIC, (0.7227, 0.0), 20, discard=150)
+    points = poincare_section(_PERIODIC, (0.7227, 0.0), 20, discard=150)
     f, t_drive = scalar_rhs(_PERIODIC), 2.0 * math.pi / _PERIODIC.omega_big0
     state, ref = (0.7227, 0.0), []
     for k in range(1, 171):
@@ -180,7 +180,7 @@ def test_section_matches_fresh_restarts_each_period():
         state = integrate_rhs(f, state, spec, t0=(k - 1) * t_drive).states[-1]
         if k > 150:
             ref.append(state)
-    np.testing.assert_allclose(pm.points, ref, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(points, ref, rtol=0.0, atol=1e-8)
 
 
 def _counting_dop853(monkeypatch):

@@ -15,7 +15,7 @@ from clickdyn.equilibria import (REGION_DEGENERATE, REGION_DOUBLE_WELL,
                                  REGION_SINGLE_WELL_HARD,
                                  REGION_SINGLE_WELL_SOFT, classify_region,
                                  working_center)
-from clickdyn.model import (_jacobian_field, _moment_curvature,
+from clickdyn.model import (_curvature_field, _jacobian_field,
                             _stiffness_field)
 
 
@@ -378,7 +378,8 @@ def test_closed_form_taylor_coefficients_match_mpmath(point):
         return ((a * a + g) * mpmath.sin(t)
                 - a * mpmath.sign(mpmath.sin(t / 2)) * mpmath.cos(t / 2))
 
-    got = (float(stiffness(p, theta)), *_moment_curvature(p, theta))
+    got = (float(stiffness(p, theta)),
+           *map(float, _curvature_field(p.alpha, p.beta, p.gamma, theta)))
     with mpmath.workdps(40):
         ref = [float(mpmath.diff(m, mpmath.mpf(theta), n)) for n in (1, 2, 3)]
     for value, want in zip(got, ref):
