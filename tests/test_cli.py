@@ -441,13 +441,27 @@ _HELP_AND_PARSE_ERRORS = [
     ["energy", "--alpha"], ["energy", "--alpha", "x"]]
 
 
+def _full_parser_exit(argv):
+    """Exit code of ``main`` for what a freshly built parser prints."""
+    with pytest.raises(SystemExit) as stop:
+        cli._build_parser.__wrapped__().parse_args(argv)
+    return 0 if stop.value.code in (0, None) else cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_PARSE_ERRORS,
+                         ids=[" ".join(a) or "no-args"
+                              for a in _HELP_AND_PARSE_ERRORS])
+def test_help_and_parse_errors_are_those_of_the_full_parser(argv, capsys,
+                                                            monkeypatch):
+    # main's cached parser prints what an uncached build of it prints
+    monkeypatch.setenv("COLUMNS", "80")
+    got = (main(argv), *capsys.readouterr())
+    assert got == (_full_parser_exit(argv), *capsys.readouterr())
+    assert got[0] == (0 if "--help" in argv else 2)
+    assert got[1 if "--help" in argv else 2].startswith("usage: clickdyn ")
+
+
 def test_parse_errors_name_the_command_argument(capsys):
-    # --help exits 0 and a parse error 2, each printing the usage first
-    for argv in _HELP_AND_PARSE_ERRORS:
-        code, out, err = main(argv), *capsys.readouterr()
-        assert code == (0 if "--help" in argv else 2)
-        assert (out if "--help" in argv else err).startswith(
-            "usage: clickdyn ")
     assert main([]) == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: command\n")
@@ -473,21 +487,15 @@ def _energy_run(out, *flags):
     return code, options, (out / "energy.csv").read_bytes()
 
 
-def test_repeated_calls_match_calls_on_a_fresh_parser(tmp_path, capsys):
-    # a parse error after a run, and one on a fresh parser before it
+def test_repeated_calls_match_calls_on_a_fresh_parser(tmp_path):
     flags = [("--n", "5", "--theta-min", "-1"), ("--n", "7")]
-    got, fresh, errors = [], [], []
-    for i, f in enumerate(flags):
-        got.append(_energy_run(tmp_path / f"cached{i}", *f))
-        assert main([]) == 2
-        errors.append(capsys.readouterr().err)
+    got = [_energy_run(tmp_path / f"cached{i}", *f)
+           for i, f in enumerate(flags)]
+    fresh = []
     for i, f in enumerate(flags):
         cli._build_parser.cache_clear()
-        assert main([]) == 2
-        errors.append(capsys.readouterr().err)
         fresh.append(_energy_run(tmp_path / f"fresh{i}", *f))
     assert got == fresh
-    assert len(set(errors)) == 1
     assert [(g[1]["n"], g[1]["theta_min"]) for g in got] == \
         [(5, -1.0), (7, -math.pi)]
 
@@ -501,6 +509,18 @@ def test_a_parse_error_leaves_the_next_call_unchanged(tmp_path, bad, capsys):
     assert (code, options["n"], csv.count(b"\n")) == (0, 3, 4)
     manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
     assert manifest["config"]["params"] == {"alpha": 1.5}
+
+
+def test_full_and_subcommand_parsers_in_either_order(tmp_path, capsys):
+    cli._build_parser.cache_clear()
+    assert main([]) == 2
+    fresh_err = capsys.readouterr().err
+    for out in ("a", "b"):
+        assert _energy_run(tmp_path / out, "--n", "3")[0] == 0
+        assert main([]) == 2
+        assert capsys.readouterr().err == fresh_err
+    assert (tmp_path / "a" / "energy.csv").read_bytes() == \
+        (tmp_path / "b" / "energy.csv").read_bytes()
 
 
 # (flags of both runs, flags of the second): a value the swept system
