@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Params, _curvature_field, _stiffness_field, stiffness
+from .model import (Params, _curvature_field, _radicand, _stiffness_field,
+                    stiffness)
 
 __all__ = [
     "Equilibrium",
@@ -131,6 +132,14 @@ def interior_angle_closed_form(p: Params) -> float | None:
     return math.acos(c)
 
 
+def _chord_angle(chord, d, ab):
+    """The angle in [0, pi] of the chord D over arrays, clipped to D's range
+    [d, alpha + beta] (d = |alpha - beta|, ab = alpha*beta), as in
+    :func:`interior_angle`."""
+    ss = (chord - d) * (chord + d) / (4.0 * ab)
+    return 2.0 * np.arcsin(np.sqrt(np.clip(ss, 0.0, 1.0)))
+
+
 def equilibria_in_period(p: Params) -> list[Equilibrium]:
     """All equilibria on (-pi, pi], annotated with stiffness and kind."""
     out = [
@@ -172,14 +181,12 @@ def classify_region(p: Params) -> str:
 
     The three soft single-well sub-regions of the parameter plane share one
     label; their mutual boundaries are the B1 curve (K1 = 0) and the B2
-    curve, which :func:`bifurcation_set` gives in closed form.
+    curve (K2 = 0), which :func:`bifurcation_set` gives in closed form.
     """
     if p.alpha == p.beta:
         return REGION_DEGENERATE
-    ab = p.alpha * p.beta
-    k1, _ = stiffness_at_poles(p)
-    if (abs(k1) < _BOUNDARY_TOL
-            or abs(ab - ab / (p.alpha + p.beta) - p.gamma) < _BOUNDARY_TOL):
+    k1, k2 = stiffness_at_poles(p)
+    if abs(k1) < _BOUNDARY_TOL or abs(k2) < _BOUNDARY_TOL:
         return REGION_BOUNDARY
     if k1 < 0.0 and interior_angle(p) is not None:
         return REGION_DOUBLE_WELL
@@ -188,31 +195,15 @@ def classify_region(p: Params) -> str:
     return REGION_SINGLE_WELL_SOFT
 
 
-# _refine: Newton steps and their stopping size in ulps; ladder rungs
-# w*4**k, and which probes (est - rungs, est, est + rungs) may narrow the
-# low and the high end.
+# _refine and _newton_start: Newton steps and their stopping size in ulps;
+# _refine's ladder rungs w*4**k, and which probes (est - rungs, est,
+# est + rungs) may narrow the low and the high end.
 _NEWTON_STEPS = 8
 _NEWTON_ULPS = 64
 _LADDER = 8
 _RUNGS = 4.0 ** np.arange(_LADDER)
 _BELOW = np.arange(2 * _LADDER + 1) <= _LADDER
 _ABOVE = np.arange(2 * _LADDER + 1) >= _LADDER
-
-
-def _grid_zeros(f, slope, x, r):
-    """Zeros of ``f(x, r)`` along the ascending grid x at one parameter r,
-    ascending: each sample that is 0, and the root of each interval whose
-    ends have strictly opposite signs (NaN has none), closed by
-    :func:`_refine` from the linear interpolation of its two samples.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = f(x, r)
-        pos, neg = vals > 0.0, vals < 0.0
-        i = np.flatnonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])
-        x0, x1, f0, f1 = x[i], x[i + 1], vals[i], vals[i + 1]
-        roots = _refine(f, slope, np.full(i.size, r), x0, x1, pos[i],
-                        x0 + (x1 - x0) * (f0 / (f0 - f1)))
-    return np.sort(np.concatenate([x[vals == 0.0], roots]))
 
 
 def _refine(f, slope, r, lo, hi, lo_above, est):
@@ -277,35 +268,65 @@ def _refine(f, slope, r, lo, hi, lo_above, est):
             hi[live[~to_lo]] = mid[~to_lo]
 
 
+def _newton_start(f, lo, hi, lo_above, est):
+    """A start for :func:`_refine` in each bracket [lo, hi], over arrays:
+    ``f(x)`` returns (f, df/dx), and f > 0 holds at lo where lo_above, and
+    at hi where not.
+
+    Safeguarded Newton steps from est narrow each bracket by the sign of f
+    at each iterate; a step that leaves the closed bracket, or is not
+    finite, is a bisection step.  They stop once every step is within
+    _NEWTON_ULPS ulps, or after _NEWTON_STEPS steps.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            fx, slope = f(est)
+            to_lo = (fx > 0.0) == lo_above
+            lo, hi = np.where(to_lo, est, lo), np.where(to_lo, hi, est)
+            new = est - fx / slope
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done = np.all(np.abs(new - est) <= _NEWTON_ULPS * np.spacing(new))
+            est = new
+            if done:
+                break
+    return est
+
+
 def bifurcation_set(variant: str, gamma: float, alpha_grid,
                     beta_grid) -> BifurcationCurve:
     """Zero set of the B1 or B2 residual: for each beta in order, its roots
     in [min alpha_grid, max alpha_grid], ascending.
 
-    Cleared of its denominator, each residual is beta*alpha^2 + b*alpha -
-    gamma*beta, a quadratic in alpha (one per side of the cusp line for
-    B1) whose roots multiply to -gamma.  The root that can be positive is
-    the larger of q/beta and -gamma*beta/q, q = -(b + sign(b)*sqrt(b^2 +
-    4*gamma*beta^2))/2: the stable formula, with no iteration.
+    B1 is K1 = 0 and B2 is K2 = 0 (:func:`stiffness_at_poles`).  Cleared of
+    its denominator, each is a quadratic beta*alpha^2 + b*alpha + k*beta in
+    alpha, k = -gamma for B1 (one quadratic per side of the cusp line) and
+    k = gamma for B2.  Its roots are k*beta/q and q/beta, q = -(b +
+    sign(b)*sqrt(b^2 - 4*k*beta^2))/2: the stable formula, with no
+    iteration.  They multiply to k, so B1 has at most one positive root on
+    each side, and B2 none or two; B2 has none for gamma > 1/16, the
+    largest alpha*beta*(1 - alpha - beta)/(alpha + beta) takes.
     """
     if variant not in ("B1", "B2"):
         raise ValueError("variant must be 'B1' or 'B2'")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
-    beta = np.asarray(beta_grid, dtype=float)[:, None]
+    beta = np.asarray(beta_grid, dtype=float)[:, None, None]
     # B1 below the cusp line, then above it; B2
-    b = (np.hstack([gamma + beta * (1.0 - beta), gamma - beta * beta - beta])
-         if variant == "B1" else beta * (beta - 1.0) - gamma)
+    if variant == "B1":
+        b, k = np.concatenate([gamma + beta * (1.0 - beta),
+                               gamma - beta * beta - beta], axis=1), -gamma
+    else:
+        b, k = beta * (beta - 1.0) + gamma, gamma
     with np.errstate(divide="ignore", invalid="ignore"):   # 0/0 at gamma = 0
-        q = -0.5 * (b + np.copysign(np.sqrt(b * b + 4.0 * gamma * beta * beta),
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * k * beta * beta),
                                     b))
-        roots = np.maximum(q / beta, -gamma * beta / q)
+        roots = np.concatenate([k * beta / q, q / beta], axis=2)
         keep = ((0.0 < roots) & (alpha_grid.min() <= roots)
                 & (roots <= alpha_grid.max()))
     if variant == "B1":   # each B1 root on its own side of the cusp line
-        keep &= (roots > beta) == [False, True]
-    j, i = np.nonzero(keep)
-    samples = np.column_stack(np.broadcast_arrays(roots[j, i], beta[j, 0],
-                                                  gamma))
+        keep &= (roots > beta) == np.array([False, True])[:, None]
+    j, i, r = np.nonzero(keep)
+    samples = np.column_stack(np.broadcast_arrays(roots[j, i, r],
+                                                  beta[j, 0, 0], gamma))
     return BifurcationCurve(("alpha", "beta", "gamma"), samples)
 
 
@@ -314,37 +335,54 @@ def zero_stiffness_set(beta: float, gamma: float,
     """Zero set of the stiffness: for each alpha in order, its angles in
     [1e-9, pi - 1e-9], ascending (the set is even in theta).
 
-    With P = alpha*beta, S = alpha^2 + beta^2 and d = alpha - beta,
-    4*P*K*D^3 = -2*(P + gamma)*D^5 + P*D^4 + 2*(P + gamma)*S*D^3 -
-    P*d^2*(alpha + beta)^2 in the chord D.  The quintic's roots in (|d|,
-    alpha + beta), as real parts of companion-matrix eigenvalues, map to
-    angles as in :func:`interior_angle`.  Midpoints between consecutive
-    angles bound one bracket per angle, closed by :func:`_refine` (slope
-    dK/dtheta = M'') where K has strictly opposite signs at its ends.
+    With P = alpha*beta, L = P + gamma, S = alpha^2 + beta^2 and d = alpha
+    - beta, 4*P*K*D^3 is the quintic p(D) = D^3*q(D) - P*d^2*(alpha +
+    beta)^2 in the chord D, q(D) = D*(P - 2*L*D) + 2*L*S; D rises with
+    theta from |d| to alpha + beta.  Its slope p'(D) = D^2*(-10*L*D^2 +
+    4*P*D + 6*L*S) has one positive root, D* = (2*P + sqrt(4*P^2 +
+    60*L^2*S))/(10*L), so K has at most one zero on each side of D*'s
+    angle (mapped as in :func:`interior_angle`; an end of the range where
+    D* lies outside (|d|, alpha + beta)).  Each of the two brackets whose
+    ends have strictly opposite signs of K holds one zero.  Safeguarded
+    Newton steps on p (:func:`_newton_start`) start where p rises from the
+    chord at which its constant term balances the rest, cbrt(P*d^2*(alpha
+    + beta)^2 / q) with q at the bracket's low end, and where p falls from
+    the root of q.  The angle of the chord they reach starts
+    :func:`_refine` (slope dK/dtheta = M'').
     """
     lo, hi = 1e-9, math.pi - 1e-9
-    a = np.asarray(alpha_grid, dtype=float)[:, None]
-    p, t, d = a * beta, a + beta, np.abs(a - beta)
-    lead = 2.0 * (p + gamma)
-    companion = np.zeros((a.size, 5, 5))
-    companion[:, 1:, :-1] = np.eye(4)
-    companion[:, 0, [0, 1, 4]] = np.hstack([p / lead, a * a + beta * beta,
-                                            -p * (d * d) * (t * t) / lead])
-    chord = np.linalg.eigvals(companion).real
-    ss = np.clip((chord - d) * (chord + d) / (4.0 * p), 0.0, 1.0)
-    theta = np.where(d < chord, 2.0 * np.arcsin(np.sqrt(ss)), hi)
-    # the ends are angles too, twice: the midpoints start and end on them,
-    # and an end where K rounds to 0 leaves the next angle its own bracket
-    pad = np.full((a.size, 4), [lo, lo, hi, hi])
-    theta = np.sort(np.clip(np.hstack([theta, pad]), lo, hi))
-    ends = 0.5 * (theta[:, :-1] + theta[:, 1:])
-    vals = _stiffness_field(a, beta, gamma, ends)
+    a = np.asarray(alpha_grid, dtype=float)
+    p, d = a * beta, np.abs(a - beta)
+    lead, s2 = p + gamma, a * a + beta * beta
+    peak = (2.0 * p + np.sqrt(4.0 * p * p + 60.0 * lead * lead * s2)) / (
+        10.0 * lead)
+    ends = np.column_stack([np.full(a.size, lo),
+                            np.clip(_chord_angle(peak, d, p), lo, hi),
+                            np.full(a.size, hi)])
+    vals = _stiffness_field(a[:, None], beta, gamma, ends)
     pos, neg = vals > 0.0, vals < 0.0
     j, i = np.nonzero(pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:])
+    th_lo, th_hi, lo_above = ends[j, i], ends[j, i + 1], pos[j, i]
+    a, p, d, lead, s2 = a[j], p[j], d[j], lead[j], s2[j]
+    rest = p * (d * (a + beta)) ** 2
+    chord_lo, chord_hi = (np.sqrt(_radicand(a, beta, np.sin(0.5 * th)))
+                          for th in (th_lo, th_hi))
+
+    def q(chord):
+        return chord * (p - 2.0 * lead * chord) + 2.0 * lead * s2
+
+    with np.errstate(divide="ignore"):
+        start = np.where(lo_above, (p + np.sqrt(p * p + 16.0 * lead * lead
+                                                * s2)) / (4.0 * lead),
+                         np.cbrt(rest / q(chord_lo)))
+    chord = _newton_start(
+        lambda x: (x * x * x * q(x) - rest,
+                   x * x * (x * (4.0 * p - 10.0 * lead * x) + 6.0 * lead
+                            * s2)),
+        chord_lo, chord_hi, lo_above, np.clip(start, chord_lo, chord_hi))
     roots = _refine(lambda th, r: _stiffness_field(r, beta, gamma, th),
-                    lambda th, r: _curvature_field(r, beta, gamma, th)[0],
-                    a[j, 0], ends[j, i], ends[j, i + 1], pos[j, i],
-                    theta[j, i + 1])
-    samples = np.column_stack(np.broadcast_arrays(roots, a[j, 0], beta,
-                                                  gamma))
+                    lambda th, r: _curvature_field(r, beta, gamma, th,
+                                                   third=False),
+                    a, th_lo, th_hi, lo_above, _chord_angle(chord, d, p))
+    samples = np.column_stack(np.broadcast_arrays(roots, a, beta, gamma))
     return BifurcationCurve(("theta", "alpha", "beta", "gamma"), samples)

@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibria import CENTER, Equilibrium, _grid_zeros, working_center
+from .equilibria import (CENTER, Equilibrium, _newton_start, _refine,
+                         working_center)
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
                         _strobe, integrate_rhs)
 from .model import InputError, Params, _curvature_field, scalar_rhs
@@ -176,19 +177,99 @@ def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
                                   lin + 0.75 * eps * u)
 
 
+def _locus_cuts(e, c, u_max):
+    """The u in [0, u_max], ascending, between which B^2 and s^2 are
+    monotone along each branch of the double-root locus (as in
+    :func:`fold_frequencies`): the ends, where the branches meet
+    (4*e^2*u^2 - 8*c*e*u + c^2 - 4*c = 0), the cusp ((3/4)*e^2*u^2 -
+    (3/2)*c*e*u - c = 0, where s^2 turns too) and y = c/2 (u = (c/4 -
+    1)/(2*e))."""
+    meet, cusp = math.sqrt(3.0 * c * c + 4.0 * c), math.sqrt(c * c + c / 0.75)
+    cuts = [0.0, u_max, (0.25 * c - 1.0) / (2.0 * e), (c - cusp) / e,
+            (c + cusp) / e, (2.0 * c - meet) / (2.0 * e),
+            (2.0 * c + meet) / (2.0 * e)]
+    return np.unique(np.clip(cuts, 0.0, u_max))
+
+
 def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
                      b_amp: float, s_lo: float, s_hi: float) -> np.ndarray:
-    """Frequencies where the HBM root count changes (fold points).
+    """Frequencies in [s_lo, s_hi] where the HBM root count changes (fold
+    points), ascending.
 
-    The zeros of :func:`_discriminant` along a 2001-point grid of [s_lo,
-    s_hi] by :func:`~clickdyn.equilibria._grid_zeros`, with slope
-    :func:`_discriminant_slope`; two folds within one grid step are missed.
+    A fold is a double root u = A^2 of the amplitude cubic.  With e =
+    0.75*eps, c = 4*xi^2/kappa and y = 1 - kappa*s^2 + e*u, d/du of the
+    amplitude relation gives y^2 + (2*e*u - c)*y + c*(1 + e*u) = 0, whose
+    two roots y(u) are the branches of the double-root locus; on them
+    s^2 = (1 + e*u - y)/kappa and B^2 = -2*e*u^2*y.  No fold at s <= s_hi
+    has u beyond kappa*s_hi^2/e (hardening) or 1/|e| (softening).  Between
+    the points of :func:`_locus_cuts` both are monotone along each branch,
+    so a piece holds a fold at this drive only where B^2(u) - B^2 has
+    strictly opposite signs at its ends, and one in [s_lo, s_hi] only
+    where its s^2 range meets [s_lo^2, s_hi^2].  Safeguarded Newton steps
+    (:func:`~clickdyn.equilibria._newton_start`) estimate each, from the
+    secant's root on cbrt(B^2), on which a power of u is a line.  The
+    estimates' s, ascending, are closed on :func:`_discriminant` by
+    :func:`_refine` (slope :func:`_discriminant_slope`), each in the
+    bracket about it as wide as the nearest of the midpoints to its
+    neighbours, s_lo and s_hi, and its piece's s range, where the
+    discriminant has strictly opposite signs at its ends.  Far from a fold
+    its rounded sign can be noise (at xi = 0 and large s), so the bracket
+    is as local as the neighbours let it be.  Without a cubic term or a
+    drive there is no fold.
     """
     eps = cubic.epsilon
-    return _grid_zeros(
-        lambda s, b: _discriminant(s, eps, kappa, xi, b),
-        lambda s, b: _discriminant_slope(s, eps, kappa, xi, b),
-        np.linspace(s_lo, s_hi, 2001), b_amp)
+    if eps == 0.0 or b_amp == 0.0:
+        return np.empty(0)
+    e, c, bb = 0.75 * eps, 4.0 * xi * xi / kappa, b_amp * b_amp
+    u = _locus_cuts(e, c, (kappa * s_hi * s_hi if e > 0.0 else 1.0) / abs(e))
+
+    def locus(u, sign):
+        """y = (c - 2*e*u + sign*root)/2 on the branch of the sign, B^2,
+        s^2, and root, that of the quadratic's discriminant (0 where the
+        branches meet).  y is the root of larger magnitude by the stable
+        formula, or the other from their product c*(1 + e*u)."""
+        b = 2.0 * e * u - c
+        root = np.sqrt(np.maximum(b * b - 4.0 * c * (1.0 + e * u), 0.0))
+        big = -0.5 * (b + np.copysign(root, b))
+        y = np.where(sign * np.copysign(1.0, b) < 0.0, big,
+                     c * (1.0 + e * u) / np.where(big == 0.0, 1.0, big))
+        return y, -2.0 * e * u * u * y, (1.0 + e * u - y) / kappa, root
+
+    def gap(u, sign):
+        """B^2(u) - B^2 and its slope; dy/du = -e*(2*y + c)/(sign*root)."""
+        y, b2, _, root = locus(u, sign)
+        return b2 - bb, -2.0 * e * u * (2.0 * y - e * u * (2.0 * y + c)
+                                        / (sign * root))
+
+    branch = np.array([[1.0], [-1.0]])
+    _, b2, x2, _ = locus(u, branch)
+    pos, neg = b2 > bb, b2 < bb
+    mid = 0.5 * (u[:-1] + u[1:])
+    k, i = np.nonzero((pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:])
+                      & ((2.0 * e * mid - c) ** 2 > 4.0 * c * (1.0 + e * mid))
+                      & (np.maximum(x2[:, :-1], x2[:, 1:]) >= s_lo * s_lo)
+                      & (np.minimum(x2[:, :-1], x2[:, 1:]) <= s_hi * s_hi))
+    if not k.size:      # no piece holds a fold in [s_lo, s_hi]
+        return np.empty(0)
+    sign, cb = branch[k, 0], np.cbrt(bb)
+    h0, h1 = np.cbrt(b2[k, i]) - cb, np.cbrt(b2[k, i + 1]) - cb
+    root_u = _newton_start(lambda x: gap(x, sign), u[i], u[i + 1], pos[k, i],
+                           u[i] + (u[i + 1] - u[i]) * (h0 / (h0 - h1)))
+    # the estimates' s, ascending, each with the s of its piece's ends
+    x2 = np.vstack([locus(root_u, sign)[2], x2[k, i], x2[k, i + 1]])
+    x2 = x2[:, x2[0] > 0.0]
+    est, s_a, s_b = np.sqrt(x2[:, np.argsort(x2[0])].clip(0.0))
+    edges = np.clip(np.concatenate([[s_lo], 0.5 * (est[:-1] + est[1:]),
+                                    [s_hi]]), s_lo, s_hi)
+    half = np.minimum(est - np.maximum(edges[:-1], np.minimum(s_a, s_b)),
+                      np.minimum(edges[1:], np.maximum(s_a, s_b)) - est)
+    lo, hi = est - half, est + half
+    f_lo, f_hi = (_discriminant(x, eps, kappa, xi, b_amp) for x in (lo, hi))
+    i = np.flatnonzero((np.sign(f_lo) * np.sign(f_hi) < 0.0) & (half > 0.0))
+    return _refine(lambda s, b: _discriminant(s, eps, kappa, xi, b),
+                   lambda s, b: _discriminant_slope(s, eps, kappa, xi, b),
+                   np.full(i.size, b_amp), lo[i], hi[i], f_lo[i] > 0.0,
+                   est[i])
 
 
 def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:

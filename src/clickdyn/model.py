@@ -236,9 +236,10 @@ def _stiffness_ratio(ab, d, s, ct, d2, dist):
     return ab * w / d2 / dist
 
 
-def _curvature_field(alpha, beta, gamma, theta):
+def _curvature_field(alpha, beta, gamma, theta, third=True):
     """(M'', M''') over broadcastable arrays of its four arguments, closed
-    form; NaN where D = 0.
+    form; NaN where D = 0.  With ``third`` False, M'' alone: M''' is not
+    computed.
 
     With P = alpha*beta, c, s = cos, sin(theta), f = P + gamma - P/D,
     k3 = P^2/D^3 and x = P*s^2/D^2, differentiating M = f*s gives
@@ -255,8 +256,10 @@ def _curvature_field(alpha, beta, gamma, theta):
     f = ab + gamma - ab / d
     k3 = ab * ab / (d2 * d)
     x = ab * s * s / d2
-    return (s * (3.0 * k3 * (c - x) - f),
-            k3 * (3.0 * c * c - 4.0 * s * s - 18.0 * c * x + 15.0 * x * x)
+    m2 = s * (3.0 * k3 * (c - x) - f)
+    if not third:
+        return m2
+    return (m2, k3 * (3.0 * c * c - 4.0 * s * s - 18.0 * c * x + 15.0 * x * x)
             - f * c)
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from clickdyn.equilibria import (CENTER, SADDLE, _grid_zeros,
+from clickdyn.equilibria import (CENTER, SADDLE, _refine,
                                  bifurcation_set, classify_region,
                                  equilibria_in_period, interior_angle,
                                  interior_angle_closed_form,
@@ -140,17 +140,42 @@ def test_classify_region():
 
 
 def test_bifurcation_set_residual_zero():
+    # B1 is K1 = 0 and B2 is K2 = 0; B2 has no point at gamma > 1/16
     a_grid = np.linspace(0.1, 3.0, 300)
     b_grid = np.linspace(0.2, 2.0, 10)
-    for variant in ("B1", "B2"):
-        curve = bifurcation_set(variant, 0.1, a_grid, b_grid)
+    for variant, gamma in (("B1", 0.1), ("B2", 0.03)):
+        curve = bifurcation_set(variant, gamma, a_grid, b_grid)
         assert curve.samples.shape[0] > 0
         for a, b, g in curve.samples:
-            if variant == "B1":
-                resid = a * b + g - a * b / abs(a - b)
-            else:
-                resid = a * b - a * b / (a + b) - g
-            assert abs(resid) <= 1e-10
+            k1, k2 = stiffness_at_poles(Params(alpha=a, beta=b, gamma=g))
+            assert abs(k1 if variant == "B1" else k2) <= 1e-10
+
+
+def test_b2_is_where_the_portrait_changes():
+    # at beta = 0.25, gamma = 0.03 K2 = 0 at alpha = 0.05189 and 0.57811:
+    # the interior pair merges into theta = pi there, so the region
+    # changes; where the residual K2 + 2*gamma vanishes (alpha = 0.90321)
+    # nothing does
+    roots = bifurcation_set("B2", 0.03, [0.01, 3.0], [0.25]).samples[:, 0]
+    assert roots == pytest.approx([0.05189, 0.57811], abs=1e-5)
+    for root in roots:
+        kinds = {classify_region(Params(alpha=root * f, beta=0.25,
+                                        gamma=0.03)) for f in (0.99, 1.01)}
+        assert kinds == {"double_well", "single_well_soft"}
+    assert classify_region(Params(alpha=roots[1], beta=0.25,
+                                  gamma=0.03)) == "boundary"
+    assert {classify_region(Params(alpha=0.90321 * f, beta=0.25, gamma=0.03))
+            for f in (0.99, 1.0, 1.01)} == {"double_well"}
+
+
+def test_b2_has_no_point_above_one_sixteenth():
+    # on K2 = 0, gamma = alpha*beta*(1 - alpha - beta)/(alpha + beta), at
+    # most 1/16 (at alpha = beta = 1/4)
+    grid = np.linspace(0.001, 3.0, 3001)
+    for gamma in (0.0627, 0.1, 1.0):
+        assert bifurcation_set("B2", gamma, grid, grid).samples.size == 0
+    below = bifurcation_set("B2", 0.0624, grid, [0.25]).samples[:, 0]
+    assert len(below) == 2 and below[0] < 0.25 < below[1]
 
 
 def test_bifurcation_b2_gamma_zero_is_alpha_plus_beta_one():
@@ -197,7 +222,7 @@ def _residual(variant, gamma, other):
     if variant == "B1":   # -inf on alpha == beta, its limit from both sides
         return lambda a: (-math.inf if a == other
                           else a * other + gamma - a * other / abs(a - other))
-    return lambda a: a * other - a * other / (a + other) - gamma
+    return lambda a: -(a * other + gamma - a * other / (a + other))
 
 
 def _curve(variant, gamma):
@@ -207,7 +232,8 @@ def _curve(variant, gamma):
 
 
 _VARIANT_GAMMAS = [("B0", 0.0), ("B0", 0.0627), ("B1", 0.0), ("B1", 0.1),
-                   ("B1", 0.3), ("B2", 0.0), ("B2", 0.1)]
+                   ("B1", 0.3), ("B2", 0.0), ("B2", 0.01), ("B2", 0.03),
+                   ("B2", 0.06), ("B2", 0.1)]
 
 
 def _exact_b0_zero():
@@ -313,6 +339,27 @@ def test_b0_loses_no_root(beta, gamma, alphas, cusp):
                       * sum(map(np.abs, terms)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 3.0), st.floats(0.05, 3.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+def test_stiffness_changes_sign_at_most_once_beside_the_critical_chord(
+        alpha, beta, gamma):
+    # 4*P*K*D^3 is a quintic in the chord D whose slope has one positive
+    # root D*: on a dense grid K changes sign at most once on each side of
+    # D*'s angle, so at most twice in (0, pi)
+    p, lead, s2 = alpha * beta, alpha * beta + gamma, alpha**2 + beta**2
+    peak = (2.0 * p + math.sqrt(4.0 * p * p + 60.0 * lead * lead * s2)) / (
+        10.0 * lead)
+    d = abs(alpha - beta)
+    ss = (peak - d) * (peak + d) / (4.0 * p)
+    split = 2.0 * math.asin(math.sqrt(min(max(ss, 0.0), 1.0)))
+    theta = np.linspace(1e-9, math.pi - 1e-9, 20_001)
+    vals = _stiffness_field(alpha, beta, gamma, theta)
+    theta, vals = theta[vals != 0.0], vals[vals != 0.0]
+    change = theta[1:][vals[:-1] * vals[1:] < 0.0]
+    assert np.sum(change <= split) <= 1 and np.sum(change > split) <= 1
+
+
 def _brentq_rows(variant, gamma):
     """The scan-and-brentq reference: an exact grid zero once, each strict
     sign change of the sampled residual refined by brentq to xtol 1e-14."""
@@ -331,21 +378,36 @@ def _brentq_rows(variant, gamma):
             elif i + 1 < len(grid) and vals[i] * vals[i + 1] < 0.0:
                 root = brentq(f, x, grid[i + 1], xtol=1e-14, maxiter=200)
                 rows.append((root, other))
-    return rows
+    return np.reshape(rows, (-1, 2))
 
 
 @pytest.mark.parametrize("variant, gamma", _VARIANT_GAMMAS)
 def test_bifurcation_rows_match_per_bracket_brentq(variant, gamma):
     samples = _curve(variant, gamma).samples
-    ref = np.array(_brentq_rows(variant, gamma))
+    ref = _brentq_rows(variant, gamma)
     assert samples.shape[0] == ref.shape[0]
     np.testing.assert_array_equal(samples[:, 1], ref[:, 1])
-    assert np.max(np.abs(samples[:, 0] - ref[:, 0])) <= 1e-10
+    assert np.all(np.abs(samples[:, 0] - ref[:, 0]) <= 1e-10)
+
+
+def _scan_zeros(f, slope, x, r):
+    """Zeros of ``f(x, r)`` along the ascending grid x at one parameter r:
+    each sample that is 0, and the root of each interval whose ends have
+    strictly opposite signs, closed by _refine from the linear
+    interpolation of its two samples."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = f(x, r)
+        pos, neg = vals > 0.0, vals < 0.0
+        i = np.flatnonzero(pos[:-1] & neg[1:] | neg[:-1] & pos[1:])
+        x0, x1, f0, f1 = x[i], x[i + 1], vals[i], vals[i + 1]
+        roots = _refine(f, slope, np.full(i.size, r), x0, x1, pos[i],
+                        x0 + (x1 - x0) * (f0 / (f0 - f1)))
+    return np.sort(np.concatenate([x[vals == 0.0], roots]))
 
 
 def _bisection_zeros(f, x, r):
     """The whole-mesh scan with plain bisection to adjacent floats, the
-    oracle of _grid_zeros without a usable slope."""
+    oracle of _scan_zeros without a usable slope."""
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = f(x, r[:, None])
         sign = np.sign(vals)
@@ -378,8 +440,8 @@ _FOLD_CASES = [
 
 
 def _scan(case):
-    """(f, x, r) of the _grid_zeros call behind a (variant, gamma) case on
-    the CLI grids, or behind a fold case."""
+    """(f, x, r) of the scan of a (variant, gamma) case on the CLI grids,
+    or of a fold case on a 2001-point grid."""
     if len(case) == 6:
         eps, kappa, xi, b, s_lo, s_hi = case
         return (lambda s, bb: _discriminant(s, eps, kappa, xi, bb),
@@ -392,18 +454,23 @@ def _scan(case):
         return (lambda a, b: np.where(
             a == b, -np.inf, a * b + gamma - a * b / np.abs(a - b)),
                 _CLI_GRID, _CLI_GRID)
-    return lambda a, b: a * b - a * b / (a + b) - gamma, _CLI_GRID, _CLI_GRID
+    return (lambda a, b: -(a * b + gamma - a * b / (a + b)), _CLI_GRID,
+            _CLI_GRID)
 
 
-@pytest.mark.parametrize("case", _VARIANT_GAMMAS + _FOLD_CASES, ids=[
-    f"{v}-{g}" for v, g in _VARIANT_GAMMAS] + ["folds-0.9", "folds-on-scan",
-                                              "folds-three"])
+# the cases with a sign change to bisect: K2 = 0 has no root at gamma = 0.1
+_BISECTED = [c for c in _VARIANT_GAMMAS if c != ("B2", 0.1)]
+
+
+@pytest.mark.parametrize("case", _BISECTED + _FOLD_CASES, ids=[
+    f"{v}-{g}" for v, g in _BISECTED] + ["folds-0.9", "folds-on-scan",
+                                         "folds-three"])
 def test_without_a_slope_the_refinement_is_plain_bisection(case):
     # a NaN slope makes every point a midpoint: the bisection's rows, bit
     # for bit, including those where the rounded residual changes sign
     # more than once near a root
     f, x, r = _scan(case)
-    roots = [_grid_zeros(f, lambda x, r: np.full(np.broadcast(x, r).shape,
+    roots = [_scan_zeros(f, lambda x, r: np.full(np.broadcast(x, r).shape,
                                                  np.nan), x, rr)
              for rr in r.tolist()]
     got = np.repeat(r, list(map(len, roots))), np.concatenate(roots)
@@ -453,7 +520,8 @@ def test_each_slope_is_the_derivative_of_its_residual(variant):
         for (a, b, g), rng in _region_points(29, 200):
             th = rng.uniform(0.0, math.pi)
             ref = mpmath.diff(_mp_stiffness(a, b, g)[0], th)
-            got = float(_curvature_field(a, b, g, th)[0])
+            got = float(_curvature_field(a, b, g, th, third=False))
+            assert got == float(_curvature_field(a, b, g, th)[0])
             s, c = math.sin(th), math.cos(th)
             d2 = a * a + b * b - 2.0 * a * b * c
             k3, x = (a * b) ** 2 / d2 ** 1.5, a * b * s * s / d2
@@ -482,11 +550,11 @@ def _b_reference(variant, gamma, beta, root):
         f = lambda t: t * B + G - t * B / abs(t - B)
         scale = lambda t: t * B + G + t * B / abs(t - B)
     else:
-        # (alpha*beta - gamma)*(alpha + beta) = alpha*beta
-        refs = [r for r in mpmath.polyroots([B, B * B - G - B, -G * B])
+        # K2 = 0: (alpha*beta + gamma)*(alpha + beta) = alpha*beta
+        refs = [r for r in mpmath.polyroots([B, B * B - B + G, G * B])
                 if mpmath.im(r) == 0 and mpmath.re(r) > 0]
-        f = lambda t: t * B - t * B / (t + B) - G
-        scale = lambda t: t * B + t * B / (t + B) + G
+        f = lambda t: -(t * B + G - t * B / (t + B))
+        scale = lambda t: t * B + G + t * B / (t + B)
     ref = min((mpmath.re(r) for r in refs), key=lambda r: abs(r - root))
     return ref, f, scale
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import clickdyn.hbm as hbm
@@ -181,8 +181,9 @@ def test_fold_frequencies_bound_three_root_band():
 
 
 def test_fold_on_a_scan_point_is_reported_once():
-    # point 500 of the 2001-point scan lands on the lower fold; the
-    # discriminant there is +6.1e-28, so the count is 3, with a double root
+    # point 500 of a 2001-point grid of the range lands on the lower fold;
+    # the discriminant there is +6.1e-28, so the count is 3, with a double
+    # root
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.010632020785712019,
                         origin_theta=0.0)
     args = (cubic, 1.0, 0.010880235353209176, 0.05497346246006739)
@@ -193,6 +194,118 @@ def test_fold_on_a_scan_point_is_reported_once():
     lo, hi = folds
     amplitude, _ = frf_amplitudes(*args, [on_fold, 0.5 * (lo + hi)])
     assert _root_counts(amplitude).tolist() == [3, 3]
+
+
+def test_a_linear_response_has_no_fold():
+    # with eps = 0 the discriminant is 0 at every s, yet each s has one root
+    cubic = CubicApprox(omega_n=1.0, epsilon=0.0, origin_theta=0.0)
+    assert fold_frequencies(cubic, 1.0, 0.05, 0.05, 0.1, 2.0).size == 0
+    amplitude, _ = frf_amplitudes(cubic, 1.0, 0.05, 0.05,
+                                  np.linspace(0.1, 2.0, 2001))
+    assert set(_root_counts(amplitude).tolist()) == {1}
+
+
+def test_two_folds_closer_than_a_scan_step_are_found():
+    # the pair is 1.5e-4 apart, under the 9.5e-4 step of a 2001-point scan
+    # of [0.1, 2], which saw no sign change of the discriminant
+    cubic = CubicApprox(omega_n=1.0, epsilon=0.163, origin_theta=0.0)
+    args = (cubic, 2.586, 0.0433, 0.0488)
+    folds = fold_frequencies(*args, 0.1, 2.0)
+    assert folds == pytest.approx([0.6524212, 0.6525692], abs=1e-7)
+    amplitude, _ = frf_amplitudes(*args, [folds[0] - 1e-6, folds.mean(),
+                                          folds[1] + 1e-6])
+    assert _root_counts(amplitude).tolist() == [1, 3, 1]
+    for fold in folds:
+        here, *beside = _root_counts(frf_amplitudes(*args, [
+            fold, np.nextafter(fold, -math.inf),
+            np.nextafter(fold, math.inf)])[0]).tolist()
+        assert set(beside) - {here}
+
+
+@pytest.mark.parametrize("case", [
+    (-0.01, 1.0, 0.015, 0.1, 0.9, 1.0),
+    (0.163, 2.586, 0.0433, 0.0488, 0.1, 2.0),
+    (-0.014884142476537928, 1.4529764684064155, 0.002380237425780928,
+     0.011983769044454876, 0.24888112678865743, 1.6592075119243828)])
+def test_folds_match_40_digit_double_roots(case):
+    # the reference is the zero of the discriminant at 40 digits (where the
+    # amplitude cubic has a double root) inside 1e-9 of the fold; the
+    # measure is |fold - ref| over the discriminant's rounding band there,
+    # eps*S/|dDisc/ds| with S the sum of its terms' magnitudes: the worst
+    # measured is 2.09 (0.29 on the first two cases), and the gate is ten
+    # times that
+    eps, kappa, xi, b, s_lo, s_hi = case
+    cubic = CubicApprox(omega_n=1.0, epsilon=eps, origin_theta=0.0)
+    folds = fold_frequencies(cubic, kappa, xi, b, s_lo, s_hi)
+    assert len(folds) >= 2
+    with mpmath.workdps(40):
+        args = [mpmath.mpf(x) for x in (eps, kappa, xi, b)]
+        disc = lambda t: hbm._discriminant(t, *args)
+        worst = 0.0
+        for fold in folds:
+            ref = mpmath.findroot(disc, (fold * (1 - 1e-9), fold * (1 + 1e-9)),
+                                  solver="illinois")
+            c3, c2, c1, c0, _ = hbm._coefficients(ref, *args)
+            scale = (18 * abs(c3 * c2 * c1 * c0) + 4 * abs(c2**3 * c0)
+                     + c2 * c2 * c1 * c1 + 4 * abs(c3 * c1**3)
+                     + 27 * c3 * c3 * c0 * c0)
+            band = np.finfo(float).eps * scale / abs(mpmath.diff(disc, ref))
+            worst = max(worst, float(abs(fold - ref) / band))
+    assert worst <= 20.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.floats(0.005, 1.0),
+       st.floats(0.0, 0.2), st.floats(0.5, 2.0))
+def test_the_fold_locus_turns_only_at_its_cuts(sign, eps, xi, kappa):
+    # on a dense u grid along each branch of the double-root locus, every
+    # extremum of B^2 = -2*e*u^2*y lies within a grid step of a cut, and
+    # every extremum of s^2 = (1 + e*u - y)/kappa at a cusp
+    e, c = 0.75 * sign * eps, 4.0 * xi * xi / kappa
+    top = 4.0 / eps
+    cuts = hbm._locus_cuts(e, c, top)
+    meet = (2.0 * c + math.copysign(math.sqrt(3.0 * c * c + 4.0 * c),
+                                    e)) / (2.0 * e)
+    cusps = [(c + r) / e for r in (math.sqrt(c * c + c / 0.75),
+                                   -math.sqrt(c * c + c / 0.75))]
+    u = np.linspace(max(meet, 0.0), top, 200_001)[1:]
+    step = u[1] - u[0]
+    b = 2.0 * e * u - c
+    root = np.sqrt(np.maximum(b * b - 4.0 * c * (1.0 + e * u), 0.0))
+    big = -0.5 * (b + np.copysign(root, b))   # the stable formula
+    for branch in (1.0, -1.0):
+        y = np.where(branch * np.sign(b) < 0.0, big, c * (1.0 + e * u) / big)
+        for values, at in ((-2.0 * e * u * u * y, cuts),
+                           ((1.0 + e * u - y) / kappa, cusps)):
+            turn = np.diff(np.sign(np.diff(values))) != 0
+            for x in u[1:-1][turn]:
+                assert min(abs(x - t) for t in at) <= 2.0 * step
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.floats(1e-5, 1.0),
+       st.floats(0.2, 5.0), st.floats(1e-4, 0.5), st.floats(0.05, 1.0),
+       st.floats(1.1, 30.0))
+# the fold lies below the range, where a scan read 591 sign changes
+@example(-1.0, 0.01704588104963387, 4.437673276121547,
+         0.00019850254013396179, 0.6530988149086717, 23.741)
+# the discriminant at the range's top is noise of the wrong sign
+@example(-1.0, 2.673625652360741e-05, 3.136403738674363,
+         0.012253967204467996, 0.36862053769784664, 29.022)
+def test_an_undamped_response_has_its_one_closed_form_fold(sign, eps, kappa,
+                                                           b, s_lo, ratio):
+    # at xi = 0 the locus is y = -2*e*u: one fold, at u = cbrt(B^2/(4e^2))
+    # and s^2 = (1 + 3*e*u)/kappa.  Away from it the rounded discriminant
+    # is noise at large s, and no fold is read there
+    e, s_hi = 0.75 * sign * eps, s_lo * ratio
+    x2 = (1.0 + 3.0 * e * np.cbrt(b * b / (4.0 * e * e))) / kappa
+    ref = [math.sqrt(x2)] if x2 > 0.0 else []
+    assume(all(abs(r / edge - 1.0) > 1e-9 for r in ref for edge in (s_lo,
+                                                                     s_hi)))
+    ref = [r for r in ref if s_lo < r < s_hi]
+    cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
+    folds = fold_frequencies(cubic, kappa, 0.0, b, s_lo, s_hi)
+    assert folds.tolist() == pytest.approx(ref, rel=1e-12)
 
 
 def _check_folds_separate(cubic, kappa, xi, b, s_lo, s_hi):
