@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (Params, _curvature_field, _radicand, _stiffness_field,
-                    stiffness)
+from .model import (InputError, Params, _curvature_field, _radicand,
+                    _stiffness_field, stiffness)
 
 __all__ = [
     "Equilibrium",
@@ -195,9 +195,9 @@ def classify_region(p: Params) -> str:
     return REGION_SINGLE_WELL_SOFT
 
 
-# _refine and _newton_start: Newton steps and their stopping size in ulps;
-# _refine's ladder rungs w*4**k, and which probes (est - rungs, est,
-# est + rungs) may narrow the low and the high end.
+# _bracketed_newton: Newton steps and their stopping size in ulps; _refine's
+# ladder rungs w*4**k, and which probes (est - rungs, est, est + rungs) may
+# narrow the low and the high end.
 _NEWTON_STEPS = 8
 _NEWTON_ULPS = 64
 _LADDER = 8
@@ -206,36 +206,28 @@ _BELOW = np.arange(2 * _LADDER + 1) <= _LADDER
 _ABOVE = np.arange(2 * _LADDER + 1) >= _LADDER
 
 
-def _refine(f, slope, r, lo, hi, lo_above, est):
-    """The zero of ``f(x, r)`` in each bracket [lo, hi] from the start est,
-    over arrays of brackets; f > 0 holds at lo where lo_above, and at hi
-    where not.  Each root is 0.5*(lo + hi) of an adjacent-float pair across
-    which f > 0 changes, and depends on its own bracket's arguments only.
-
-    Safeguarded Newton steps (``rtsafe``, Press et al., *Numerical Recipes*
-    sec. 9.4) with ``slope(x, r)`` = df/dx narrow each bracket by the
-    predicate at every point evaluated; a point outside the closed bracket
-    or not finite, and a start where the slope is not finite, becomes the
-    midpoint (with no usable slope, plain bisection).  A bracket stops when
-    its step is within _NEWTON_ULPS ulps, or after _NEWTON_STEPS steps.
-    One call of f on probes at w*4**k on each side of the estimate (w its
-    last step plus 2 ulps, k < _LADDER), which reach past rounding noise
-    over many ulps, keeps on each side the innermost probe that agrees with
-    that side.  Bisection closes the brackets still open to adjacent
-    floats.  A wrong slope costs steps, not the contract.
+def _bracketed_newton(fd, r, lo, hi, lo_above, est):
+    """Safeguarded Newton steps (``rtsafe``, Press et al., *Numerical
+    Recipes* sec. 9.4) in each bracket [lo, hi] from est, over arrays of
+    brackets: ``fd(x, r)`` returns (f, df/dx), and f > 0 holds at lo where
+    lo_above, and at hi where not.  The sign of f at each iterate narrows
+    its bracket; a start outside it or with no finite slope, and a step
+    that leaves it or is not finite, become the midpoint (with no usable
+    slope, plain bisection).  Each bracket stops on its own, once its step
+    is within _NEWTON_ULPS ulps or after _NEWTON_STEPS steps.  Returns
+    (est, lo, hi, step), step the last step's size.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d = slope(est, r)
+        fx, d = fd(est, r)
         ok = np.isfinite(d) & (lo <= est) & (est <= hi)
         if not ok.all():
             est = np.where(ok, est, 0.5 * (lo + hi))
-            d = slope(est, r)
+            fx, d = fd(est, r)
         est, step = np.array(est, dtype=float), np.zeros(lo.size)
         live = np.arange(lo.size)
         for n in range(1, _NEWTON_STEPS + 1):
-            x, rl, a, b = est[live], r[live], lo[live], hi[live]
-            fx = f(x, rl)
+            x, a, b = est[live], lo[live], hi[live]
             to_lo = (fx > 0.0) == lo_above[live]
             a, b = np.where(to_lo, x, a), np.where(to_lo, b, x)
             lo[live], hi[live] = a, b
@@ -245,8 +237,26 @@ def _refine(f, slope, r, lo, hi, lo_above, est):
             est[live], step[live] = new, dx
             live = live[dx > _NEWTON_ULPS * np.spacing(new)]
             if n == _NEWTON_STEPS or not live.size:
-                break
-            d = slope(est[live], r[live])
+                return est, lo, hi, step
+            fx, d = fd(est[live], r[live])
+
+
+def _refine(f, slope, r, lo, hi, lo_above, est):
+    """The zero of ``f(x, r)`` in each bracket [lo, hi] from the start est,
+    over arrays of brackets; f > 0 holds at lo where lo_above, and at hi
+    where not.  Each root is 0.5*(lo + hi) of an adjacent-float pair across
+    which f > 0 changes, and depends on its own bracket's arguments only.
+
+    :func:`_bracketed_newton` with ``slope(x, r)`` = df/dx narrows each
+    bracket first.  One call of f on probes at w*4**k on each side of the
+    estimate (w its last step plus 2 ulps, k < _LADDER), which reach past
+    rounding noise over many ulps, keeps on each side the innermost probe
+    that agrees with that side.  Bisection closes the brackets still open
+    to adjacent floats.  A wrong slope costs steps, not the contract.
+    """
+    est, lo, hi, step = _bracketed_newton(
+        lambda x, r: (f(x, r), slope(x, r)), r, lo, hi, lo_above, est)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rungs = (step + 2.0 * np.spacing(est))[:, None] * _RUNGS
         probes = np.concatenate([est[:, None] - rungs, est[:, None],
                                  est[:, None] + rungs], axis=1)
@@ -268,30 +278,6 @@ def _refine(f, slope, r, lo, hi, lo_above, est):
             hi[live[~to_lo]] = mid[~to_lo]
 
 
-def _newton_start(f, lo, hi, lo_above, est):
-    """A start for :func:`_refine` in each bracket [lo, hi], over arrays:
-    ``f(x)`` returns (f, df/dx), and f > 0 holds at lo where lo_above, and
-    at hi where not.
-
-    Safeguarded Newton steps from est narrow each bracket by the sign of f
-    at each iterate; a step that leaves the closed bracket, or is not
-    finite, is a bisection step.  They stop once every step is within
-    _NEWTON_ULPS ulps, or after _NEWTON_STEPS steps.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            fx, slope = f(est)
-            to_lo = (fx > 0.0) == lo_above
-            lo, hi = np.where(to_lo, est, lo), np.where(to_lo, hi, est)
-            new = est - fx / slope
-            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
-            done = np.all(np.abs(new - est) <= _NEWTON_ULPS * np.spacing(new))
-            est = new
-            if done:
-                break
-    return est
-
-
 def bifurcation_set(variant: str, gamma: float, alpha_grid,
                     beta_grid) -> BifurcationCurve:
     """Zero set of the B1 or B2 residual: for each beta in order, its roots
@@ -307,7 +293,7 @@ def bifurcation_set(variant: str, gamma: float, alpha_grid,
     largest alpha*beta*(1 - alpha - beta)/(alpha + beta) takes.
     """
     if variant not in ("B1", "B2"):
-        raise ValueError("variant must be 'B1' or 'B2'")
+        raise InputError("variant must be 'B1' or 'B2'")
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta = np.asarray(beta_grid, dtype=float)[:, None, None]
     # B1 below the cusp line, then above it; B2
@@ -343,11 +329,11 @@ def zero_stiffness_set(beta: float, gamma: float,
     60*L^2*S))/(10*L), so K has at most one zero on each side of D*'s
     angle (mapped as in :func:`interior_angle`; an end of the range where
     D* lies outside (|d|, alpha + beta)).  Each of the two brackets whose
-    ends have strictly opposite signs of K holds one zero.  Safeguarded
-    Newton steps on p (:func:`_newton_start`) start where p rises from the
+    ends have strictly opposite signs of K holds one zero.
+    :func:`_bracketed_newton` on p in D starts it, where p rises from the
     chord at which its constant term balances the rest, cbrt(P*d^2*(alpha
     + beta)^2 / q) with q at the bracket's low end, and where p falls from
-    the root of q.  The angle of the chord they reach starts
+    the root of q.  The angle of the chord it reaches starts
     :func:`_refine` (slope dK/dtheta = M'').
     """
     lo, hi = 1e-9, math.pi - 1e-9
@@ -368,18 +354,23 @@ def zero_stiffness_set(beta: float, gamma: float,
     chord_lo, chord_hi = (np.sqrt(_radicand(a, beta, np.sin(0.5 * th)))
                           for th in (th_lo, th_hi))
 
-    def q(chord):
-        return chord * (p - 2.0 * lead * chord) + 2.0 * lead * s2
+    l2, ls2 = 2.0 * lead, 2.0 * lead * s2
+    coef = np.column_stack([p, l2, ls2, rest, 4.0 * p, 10.0 * lead,
+                            6.0 * lead * s2])
+
+    def quintic(chord, coef):
+        p, l2, ls2, rest, p4, l10, ls6 = coef.T
+        dd = chord * chord
+        return (dd * chord * (chord * (p - l2 * chord) + ls2) - rest,
+                dd * (chord * (p4 - l10 * chord) + ls6))
 
     with np.errstate(divide="ignore"):
         start = np.where(lo_above, (p + np.sqrt(p * p + 16.0 * lead * lead
                                                 * s2)) / (4.0 * lead),
-                         np.cbrt(rest / q(chord_lo)))
-    chord = _newton_start(
-        lambda x: (x * x * x * q(x) - rest,
-                   x * x * (x * (4.0 * p - 10.0 * lead * x) + 6.0 * lead
-                            * s2)),
-        chord_lo, chord_hi, lo_above, np.clip(start, chord_lo, chord_hi))
+                         np.cbrt(rest / (chord_lo * (p - l2 * chord_lo)
+                                         + ls2)))
+    chord = _bracketed_newton(quintic, coef, chord_lo, chord_hi, lo_above,
+                              np.clip(start, chord_lo, chord_hi))[0]
     roots = _refine(lambda th, r: _stiffness_field(r, beta, gamma, th),
                     lambda th, r: _curvature_field(r, beta, gamma, th,
                                                    third=False),

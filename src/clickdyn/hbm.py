@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibria import (CENTER, Equilibrium, _newton_start, _refine,
+from .equilibria import (CENTER, Equilibrium, _bracketed_newton, _refine,
                          working_center)
 from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
                         _strobe, integrate_rhs)
@@ -56,7 +56,7 @@ class CubicApprox:
 
     def __post_init__(self):
         if self.omega_n <= 0.0:
-            raise ValueError("omega_n must be positive")
+            raise InputError("omega_n must be positive")
 
 
 @dataclass
@@ -136,10 +136,11 @@ def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
     the other s of the call.
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise ValueError("frequency ratio s must be positive")
+    if s_arr.ndim != 1 or not np.all((s_arr > 0.0) & (s_arr < math.inf)):
+        raise InputError("frequency ratios s must be a 1-D array of finite "
+                         "positive values")
     if b_amp < 0.0:
-        raise ValueError("drive amplitude must be nonnegative")
+        raise InputError("drive amplitude must be nonnegative")
     eps = cubic.epsilon
     lin = (1.0 - kappa * s_arr * s_arr)[:, None]
     damp2 = ((2.0 * xi * s_arr) ** 2)[:, None]
@@ -205,18 +206,21 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
     the points of :func:`_locus_cuts` both are monotone along each branch,
     so a piece holds a fold at this drive only where B^2(u) - B^2 has
     strictly opposite signs at its ends, and one in [s_lo, s_hi] only
-    where its s^2 range meets [s_lo^2, s_hi^2].  Safeguarded Newton steps
-    (:func:`~clickdyn.equilibria._newton_start`) estimate each, from the
-    secant's root on cbrt(B^2), on which a power of u is a line.  The
-    estimates' s, ascending, are closed on :func:`_discriminant` by
+    where its s^2 range meets [s_lo^2, s_hi^2].
+    :func:`~clickdyn.equilibria._bracketed_newton` in u estimates each,
+    from the secant's root on cbrt(B^2), on which a power of u is a line.
+    The estimates' s, ascending, are closed on :func:`_discriminant` by
     :func:`_refine` (slope :func:`_discriminant_slope`), each in the
     bracket about it as wide as the nearest of the midpoints to its
     neighbours, s_lo and s_hi, and its piece's s range, where the
     discriminant has strictly opposite signs at its ends.  Far from a fold
     its rounded sign can be noise (at xi = 0 and large s), so the bracket
     is as local as the neighbours let it be.  Without a cubic term or a
-    drive there is no fold.
+    drive there is no fold.  Refuses, with InputError, a range other than
+    finite 0 < s_lo < s_hi, kappa <= 0 and xi < 0.
     """
+    if not (0.0 < s_lo < s_hi < math.inf and kappa > 0.0 and xi >= 0.0):
+        raise InputError("need finite 0 < s_lo < s_hi, kappa > 0, xi >= 0")
     eps = cubic.epsilon
     if eps == 0.0 or b_amp == 0.0:
         return np.empty(0)
@@ -253,8 +257,8 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
         return np.empty(0)
     sign, cb = branch[k, 0], np.cbrt(bb)
     h0, h1 = np.cbrt(b2[k, i]) - cb, np.cbrt(b2[k, i + 1]) - cb
-    root_u = _newton_start(lambda x: gap(x, sign), u[i], u[i + 1], pos[k, i],
-                           u[i] + (u[i + 1] - u[i]) * (h0 / (h0 - h1)))
+    root_u = _bracketed_newton(gap, sign, u[i], u[i + 1], pos[k, i],
+                               u[i] + (u[i + 1] - u[i]) * (h0 / (h0 - h1)))[0]
     # the estimates' s, ascending, each with the s of its piece's ends
     x2 = np.vstack([locus(root_u, sign)[2], x2[k, i], x2[k, i + 1]])
     x2 = x2[:, x2[0] > 0.0]
@@ -282,7 +286,7 @@ def backbone(cubic: CubicApprox, kappa: float, a_grid) -> np.ndarray:
     """
     a = np.asarray(a_grid, dtype=float).reshape(-1)
     if np.any(a <= 0.0):
-        raise ValueError("backbone amplitudes must be positive")
+        raise InputError("backbone amplitudes must be positive")
     val = 1.0 + 0.75 * cubic.epsilon * a * a
     a, val = a[~(val < 0.0)], val[~(val < 0.0)]
     return np.column_stack((a, np.sqrt(val / kappa), val))

@@ -40,7 +40,7 @@ import numpy as np
 from .equilibria import interior_angle, stiffness_at_poles
 from .integrate import (IntegratorSpec, _refine_crossing, _sample_dense,
                         integrate_rhs)
-from .model import Params, stiffness
+from .model import InputError, Params, stiffness
 
 __all__ = [
     "DUFFING",
@@ -140,7 +140,7 @@ def reduce_system(p: Params, variant: str) -> ReducedSystem:
     theta = 0 plus an interior center pair).
     """
     if variant not in _VARIANTS:
-        raise ValueError(f"unknown reduction variant {variant!r}")
+        raise InputError(f"unknown reduction variant {variant!r}")
     k1, _ = stiffness_at_poles(p)
     theta3 = interior_angle(p)
     if variant == PENDULUM:
@@ -231,7 +231,7 @@ def separatrix(r: ReducedSystem,
     saddles before and after the shot.
     """
     if source not in ("closed_form", "continued"):
-        raise ValueError("source must be 'closed_form' or 'continued'")
+        raise InputError("source must be 'closed_form' or 'continued'")
     # e^{-rate*T} must reach ~1e-14 at the truncation boundary
     span = max(40.0, 33.0 / r.decay_rate)
     times = np.linspace(-span, span, 2 * int(math.ceil(span / 0.005)) + 1)
@@ -307,7 +307,7 @@ def _m0_crit(r: ReducedSystem, omega_grid: np.ndarray,
     csch(...) underflow as cosh and sinh overflow, past about 710.
     """
     if np.any(omega_grid <= 0.0) or np.any(xi_grid < 0.0):
-        raise ValueError("drive frequencies must be positive and xi0 "
+        raise InputError("drive frequencies must be positive and xi0 "
                          "nonnegative")
     w = _orbit_rate(r)
     with np.errstate(all="ignore"):
@@ -368,7 +368,7 @@ def threshold_grid(r: ReducedSystem, omega_grid, xi_grid) -> ThresholdGrid:
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi_grid = np.asarray(xi_grid, dtype=float)
     if omega_grid.size == 0 or xi_grid.size == 0:
-        raise ValueError("grids must be nonempty")
+        raise InputError("grids must be nonempty")
     m0 = _m0_crit(r, omega_grid, xi_grid)
     printed = np.empty(m0.shape)
     agrees = np.empty(m0.shape, dtype=bool)

@@ -16,7 +16,7 @@ import clickdyn.integrate as integ
 from clickdyn import InputError, cli, dataset, hbm, melnikov
 from clickdyn.cli import main
 from clickdyn.dataset import Dataset, emit_dataset, format_value, read_csv
-from clickdyn.equilibria import working_center
+from clickdyn.equilibria import bifurcation_set, working_center
 from clickdyn.freevib import amplitude_frequency_curve, energy_bands
 from clickdyn.model import Params, moment, potential, stiffness
 
@@ -646,6 +646,8 @@ def test_unreadable_config_files_are_config_errors(tmp_path, capsys, kind):
     assert err.startswith("error:config:") and str(cfg) in err
 
 
+_CUBIC = hbm.CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
+_DUFFING = melnikov.reduce_system(Params(alpha=1.5), melnikov.DUFFING)
 _RULE_CASES = {
     "t_end": (lambda: integ.IntegratorSpec(t_end=1e300), True),
     "alpha": (lambda: Params(alpha=0.0), True),
@@ -656,6 +658,21 @@ _RULE_CASES = {
         renorm_interval=1.0), True),
     "no damping": (lambda: hbm.sweep_hysteresis(
         Params(alpha=1.5, m_big0=0.01), 0.5, 1.5, 3), True),
+    "frf drive": (lambda: hbm.frf_amplitudes(_CUBIC, 1.0, 0.1, -0.3, [1.0]),
+                  True),
+    "backbone amplitude": (lambda: hbm.backbone(_CUBIC, 1.0, [0.0]), True),
+    "omega_n": (lambda: hbm.CubicApprox(0.0, 0.0, 0.0), True),
+    "B variant": (lambda: bifurcation_set("B0", 0.0, [1.0], [1.0]), True),
+    "reduction variant": (lambda: melnikov.reduce_system(
+        Params(alpha=1.5), "quartic"), True),
+    "separatrix source": (lambda: melnikov.separatrix(_DUFFING, "table"),
+                          True),
+    "grid omega": (lambda: melnikov.threshold_grid(_DUFFING, [0.0], [0.1]),
+                   True),
+    "grid xi0": (lambda: melnikov.threshold_grid(_DUFFING, [1.0], [-0.1]),
+                 True),
+    "grid empty": (lambda: melnikov.threshold_grid(_DUFFING, [], [0.1]),
+                   True),
     "single well": (lambda: melnikov.reduce_system(
         Params(alpha=2.5), melnikov.DUFFING), False),
     "threshold overflow": (lambda: melnikov.threshold_numeric(

@@ -296,6 +296,16 @@ def test_bifurcation_roots_are_sign_changes_at_adjacent_floats(variant,
             for to in (-math.inf, math.inf))
 
 
+@pytest.mark.parametrize("beta", [0.3, 1.6])
+@pytest.mark.parametrize("gamma", [0.0, 0.0627])
+def test_a_b0_row_depends_on_its_own_alpha_only(beta, gamma):
+    # each alpha's angles, bit for bit, whatever other alphas share the call
+    samples = zero_stiffness_set(beta, gamma, _CLI_GRID).samples
+    for a in _CLI_GRID:
+        alone = zero_stiffness_set(beta, gamma, [a]).samples
+        assert samples[samples[:, 1] == a].tobytes() == alone.tobytes(), a
+
+
 def test_b1_roots_beside_the_cusp_line_are_kept():
     # the residual tends to -inf on alpha == beta: at beta = 0.06475, a
     # grid point, one root lies on each side of the cusp line, the one

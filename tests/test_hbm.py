@@ -16,7 +16,7 @@ from clickdyn.freevib import _orbits
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic, fold_frequencies,
                           frf_amplitudes, sweep_hysteresis)
 from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
-from clickdyn.model import Params, potential
+from clickdyn.model import InputError, Params, potential
 
 
 P_IV = Params(alpha=1.5, beta=1.0)
@@ -443,6 +443,52 @@ def test_frf_input_validation():
         amplitude, _ = frf_amplitudes(replace(cubic, epsilon=eps), 1.0, 0.1,
                                       0.0, [0.5, 1.0])
         assert _root_counts(amplitude).tolist() == [0, 0]
+
+
+# (kappa, xi, s_lo, s_hi) of fold_frequencies at eps = -0.01, B = 0.1,
+# each outside the domain in one argument
+_FOLD_REFUSALS = {
+    "s_lo negative": (1.0, 0.015, -1.0, 1.0),
+    "s_lo zero": (1.0, 0.015, 0.0, 1.0),
+    "s_hi at s_lo": (1.0, 0.015, 1.0, 1.0),
+    "s_hi below s_lo": (1.0, 0.015, 1.0, 0.9),
+    "s_hi nan": (1.0, 0.015, 0.1, math.nan),
+    "s_hi inf": (1.0, 0.015, 0.1, math.inf),
+    "s_lo nan": (1.0, 0.015, math.nan, 1.0),
+    "kappa negative": (-1.0, 0.015, 0.1, 1.0),
+    "kappa zero": (0.0, 0.015, 0.1, 1.0),
+    "xi negative": (1.0, -0.015, 0.1, 1.0),
+}
+
+
+@pytest.mark.parametrize("kappa, xi, s_lo, s_hi", _FOLD_REFUSALS.values(),
+                         ids=list(_FOLD_REFUSALS))
+def test_fold_frequencies_refuses_out_of_domain_input(kappa, xi, s_lo, s_hi):
+    # [-1, 1] once returned no fold, though [0.1, 1] holds three
+    cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
+    np.testing.assert_allclose(
+        fold_frequencies(cubic, 1.0, 0.015, 0.1, 0.1, 1.0),
+        [0.30291, 0.95169, 0.96396], atol=5e-6)
+    with pytest.raises(InputError):
+        fold_frequencies(cubic, kappa, xi, 0.1, s_lo, s_hi)
+
+
+_FRF_REFUSALS = {
+    "s zero": [0.0],
+    "s negative": [1.0, -0.5],
+    "s nan": [1.0, math.nan],
+    "s inf": [math.inf],
+    "s scalar": 1.0,
+    "s 2-D": [[0.9, 1.0]],
+}
+
+
+@pytest.mark.parametrize("s", _FRF_REFUSALS.values(),
+                         ids=list(_FRF_REFUSALS))
+def test_frf_amplitudes_refuses_s_outside_its_domain(s):
+    cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
+    with pytest.raises(InputError):
+        frf_amplitudes(cubic, 1.0, 0.015, 0.1, s)
 
 
 def test_linear_sweep_no_hysteresis():
