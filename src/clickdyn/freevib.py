@@ -2,11 +2,11 @@
 
 Turning angles, period quadrature and the amplitude-frequency branches
 AF1..AF5.  The turning angles, roots of potential(theta) = H, lie between
-the critical points of the potential; all of a call's energies are solved
-together by the safeguarded Newton refinement that also closes the
-bifurcation sets' brackets.  A ``freevib`` run makes one call for all its
-bands: their energies are sampled together and share one turning-angle
-solve and one period pass.  The period follows from the Hamiltonian,
+the critical points of the potential; the potential is a quadratic in the
+chord, so each is closed form, and all of a call's energies take them in
+one array pass.  A ``freevib`` run makes one call for all its bands: their
+energies are sampled together and share one turning-angle pass and one
+period pass.  The period follows from the Hamiltonian,
 
     T = sqrt(kappa/2) * closed-loop integral of d(theta)/sqrt(H - PEN(theta)),
 
@@ -27,10 +27,9 @@ import math
 
 import numpy as np
 
-from .equilibria import (CENTER, _refine, equilibria_in_period,
-                         interior_angle)
-from .model import (InputError, Params, _radicand, _stiffness_field,
-                    barrier_energies, moment, potential)
+from .equilibria import CENTER, equilibria_in_period, interior_angle
+from .model import (InputError, Params, _radicand, barrier_energies,
+                    potential)
 
 __all__ = [
     "level_angles",
@@ -51,32 +50,39 @@ def level_angles(p: Params, levels) -> tuple[np.ndarray, np.ndarray]:
     within a level.
 
     V is monotone on [0, theta_c] and [theta_c, pi] (on [0, pi] without
-    the interior angle theta_c), so each piece holds at most one root.  A
-    piece whose ends straddle h strictly is closed by
-    :func:`~clickdyn.equilibria._refine` with slope V' = M, from
-    e +- sqrt(2*|h - V(e)|/|K(e)|): the root of V's quadratic about the
-    piece end e nearer h in energy; on the cusp, where V is linear,
-    |h - V(0)|/alpha.
+    the interior angle theta_c), so a piece whose ends straddle h strictly
+    holds one root, inside it even where it rounds to an end.  In the chord
+    D (D**2 = d**2 + 4*P*sin(theta/2)**2, d = |alpha - beta|, P =
+    alpha*beta) V is V* + (D - D*)**2/(2*D*), D* = P/(P + gamma), so from
+    the chord c of the piece end nearer h in energy D = c - q/((c - D*) +-
+    sqrt((c - D*)**2 - q)), q = 2*(V(c) - h)*D*, the sign the piece's side
+    of D*.  Its angle 2*atan2(sqrt(D**2 - d**2), sqrt((alpha + beta)**2 -
+    D**2)) takes both factors from the distances D - d and alpha + beta -
+    D, which keep their digits beside 0 and pi.
     """
     levels = np.asarray(levels, dtype=float)
     theta_c = interior_angle(p)
+    ab, top, d = p.alpha * p.beta, p.alpha + p.beta, abs(p.alpha - p.beta)
+    d_star = ab / (ab + p.gamma)
     ends = np.array([0.0, math.pi] if theta_c is None
                     else [0.0, theta_c, math.pi])
+    chords = np.array([d, top] if theta_c is None else [d, d_star, top])
     gap = potential(p, ends) - levels[:, None]
     pos, neg = gap > 0.0, gap < 0.0
     j, i = np.nonzero(pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:])
-    near = np.abs(gap[j, i]) <= np.abs(gap[j, i + 1])
-    end = np.where(near, i, i + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):   # K = 0 or NaN
-        curvature = np.abs(_stiffness_field(p.alpha, p.beta, p.gamma, ends))
-        drop = np.abs(gap[j, end])
-        # K is NaN only on the cusp at 0, where V = V(0) - alpha*|theta|
-        est = ends[end] + np.where(near, 1.0, -1.0) * np.where(
-            np.isnan(curvature[end]), drop / p.alpha,
-            np.sqrt(2.0 * drop / curvature[end]))
-    return levels[j], _refine(lambda th, h: potential(p, th) - h,
-                              lambda th, h: moment(p, th), levels[j],
-                              ends[i], ends[i + 1], pos[j, i], est)
+    end = np.where(np.abs(gap[j, i]) <= np.abs(gap[j, i + 1]), i, i + 1)
+    c, q = chords[end], 2.0 * d_star * gap[j, end]
+    u = c - d_star
+    side = chords[i] + chords[i + 1] - 2.0 * d_star
+    with np.errstate(divide="ignore"):   # c = D*, radicand rounded below 0
+        step = -q / (u + np.copysign(np.sqrt(np.maximum(u * u - q, 0.0)),
+                                     side))
+    chord = np.clip(c + step, chords[i], chords[i + 1])
+    rise = np.maximum((c - d) + step, 0.0) * (chord + d)
+    room = np.maximum((top - c) - step, 0.0) * (top + chord)
+    roots = 2.0 * np.arctan2(np.sqrt(rise), np.sqrt(room))
+    return levels[j], np.clip(roots, np.nextafter(ends[i], math.pi),
+                              np.nextafter(ends[i + 1], 0.0))
 
 
 def period_of_energy(p: Params, energy: float) -> float:
@@ -141,7 +147,8 @@ def _orbits(p: Params, energies: np.ndarray):
     Each orbit's angle range [a, b] is split at its middle, and each half
     is taken by :func:`_rule` from its end, with the gap H - V(theta) as
     offset + V(end) - V(theta) by :func:`_drop`.  The offset is 0 at a
-    turning angle, so no H - V(theta_t) rounding term enters.
+    turning angle, so no H - V(theta_t) rounding term enters, and H -
+    V(pole) at a pole.
     """
     h1, h2 = barrier_energies(p)
     levels, inverse = np.unique(energies, return_inverse=True)
@@ -170,16 +177,7 @@ def _orbits(p: Params, energies: np.ndarray):
     sign = np.repeat([1.0, -1.0], h.size)
     at_pole = np.concatenate([pole_a, pole_b])
     width = 0.5 * np.concatenate([b - a, b - a])
-    # At a pole the offset is H - V(pole) on a rotation or across a double
-    # well's saddle.  At a single well's center, whose rounded V would
-    # swamp the small gaps near the well bottom, it is V(theta_t) - V(pole):
-    # the other half's drop to the middle less this half's.
-    to_middle = _drop(p, anchor, sign, width)
-    from_h = (np.concatenate([rotation, rotation])
-              | (interior_angle(p) is not None))
-    offset = np.where(at_pole, np.where(
-        from_h, np.concatenate([h - h1, h - h2]),
-        np.roll(to_middle, h.size) - to_middle), 0.0)
+    offset = np.where(at_pole, np.concatenate([h - h1, h - h2]), 0.0)
     powers, weights = _rule()
     q = at_pole.astype(int)
     gap = offset[:, None] + _drop(p, anchor[:, None], sign[:, None],
@@ -227,9 +225,9 @@ def amplitude_frequency_curve(p: Params, bands: dict, branches: list[str],
     diverges (separatrix) or the orbit shrinks onto the center.  A sampled
     energy with no period (see :func:`period_of_energy`) gives no row.  A
     rotation's turning angles are NaN and its amplitude is pi.  A branch
-    whose band these parameters lack raises InputError.  Each bracket of
-    the turning-angle solve stops on its own and each period is summed on
-    its own, so a branch's rows do not depend on the others.
+    whose band these parameters lack raises InputError.  Each turning
+    angle and each period is computed on its own, so a branch's rows do not
+    depend on the others.
     """
     sampled = []
     for branch in branches:

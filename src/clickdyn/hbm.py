@@ -55,8 +55,9 @@ class CubicApprox:
     quad_coeff: float = 0.0     # quadratic Taylor coefficient of the moment
 
     def __post_init__(self):
-        if self.omega_n <= 0.0:
-            raise InputError("omega_n must be positive")
+        if not (0.0 < self.omega_n < math.inf and math.isfinite(self.epsilon)):
+            raise InputError("omega_n must be finite and positive, epsilon "
+                             "finite")
 
 
 @dataclass
@@ -120,6 +121,14 @@ def _discriminant_slope(s, eps, kappa, xi, b_amp):
             + by_c1 * (4.0 * s * (2.0 * xi * xi - kappa * lin)))
 
 
+def _check_drive(kappa, xi, b_amp):
+    """Refuse, with InputError, kappa outside (0, inf), or xi or the drive
+    amplitude outside [0, inf)."""
+    if not (0.0 < kappa < math.inf and 0.0 <= xi < math.inf
+            and 0.0 <= b_amp < math.inf):
+        raise InputError("need finite kappa > 0, xi >= 0 and drive >= 0")
+
+
 def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
                    b_amp: float, s) -> tuple[np.ndarray, np.ndarray]:
     """All positive-amplitude HBM roots at a 1-D array of frequency ratios
@@ -133,14 +142,15 @@ def frf_amplitudes(cubic: CubicApprox, kappa: float, xi: float,
     negative.  A Newton step on the residual polishes each root; it is
     kept only where it lowers the residual, which beside a double root it
     need not.  Each row is computed on its own, so it does not depend on
-    the other s of the call.
+    the other s of the call.  Refuses, with InputError, s other than a 1-D
+    array of finite positive values, kappa not finite and positive, and xi
+    or b_amp not finite and nonnegative.
     """
     s_arr = np.asarray(s, dtype=float)
     if s_arr.ndim != 1 or not np.all((s_arr > 0.0) & (s_arr < math.inf)):
         raise InputError("frequency ratios s must be a 1-D array of finite "
                          "positive values")
-    if b_amp < 0.0:
-        raise InputError("drive amplitude must be nonnegative")
+    _check_drive(kappa, xi, b_amp)
     eps = cubic.epsilon
     lin = (1.0 - kappa * s_arr * s_arr)[:, None]
     damp2 = ((2.0 * xi * s_arr) ** 2)[:, None]
@@ -217,10 +227,12 @@ def fold_frequencies(cubic: CubicApprox, kappa: float, xi: float,
     its rounded sign can be noise (at xi = 0 and large s), so the bracket
     is as local as the neighbours let it be.  Without a cubic term or a
     drive there is no fold.  Refuses, with InputError, a range other than
-    finite 0 < s_lo < s_hi, kappa <= 0 and xi < 0.
+    finite 0 < s_lo < s_hi, and what :func:`frf_amplitudes` refuses of
+    kappa, xi and the drive.
     """
-    if not (0.0 < s_lo < s_hi < math.inf and kappa > 0.0 and xi >= 0.0):
-        raise InputError("need finite 0 < s_lo < s_hi, kappa > 0, xi >= 0")
+    if not 0.0 < s_lo < s_hi < math.inf:
+        raise InputError("need finite 0 < s_lo < s_hi")
+    _check_drive(kappa, xi, b_amp)
     eps = cubic.epsilon
     if eps == 0.0 or b_amp == 0.0:
         return np.empty(0)

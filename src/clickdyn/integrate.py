@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from operator import mul
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (_KERNEL, _KERNEL_CONSTANTS, InputError, Params,
                     _jacobian_field, hamiltonian, potential, scalar_rhs)
@@ -486,7 +485,11 @@ def _refine_crossing(dense, comp, target=0.0):
 
     The step's ends must bracket the crossing.  The search takes the end
     states as they are, which the polynomial meets only to rounding.
+    scipy.optimize is imported here, so that importing the CLI does not
+    load scipy.
     """
+    from scipy.optimize import brentq
+
     def g(t):
         return (dense.yb if t == dense.tb else dense(t))[comp] - target
 

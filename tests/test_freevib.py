@@ -216,6 +216,50 @@ def _level_case(draw):
     return p, levels, v
 
 
+# Turning-angle error gate, in units of V's rounding band at the root
+# (see _assert_near_mp_roots): ten times the closed form's worst, 1.73,
+# over 9,544 roots of the four statics regions, levels 1e-11 to 1 - 1e-11
+# of each band, and the corners of test_level_angles_at_the_corners.  The
+# bisection of the rounded V = h it replaced reached 1.9 on the same roots.
+_ROOT_GATE = 17.0
+
+
+def _assert_near_mp_roots(p, h, roots):
+    """Each root is within _ROOT_GATE bands of the 50-digit root of V = h
+    nearest it.
+
+    The references are V's quadratic in the chord D, V* + L*(D -
+    D*)**2/(2*P), solved at 50 digits, clamped to D's range [|alpha -
+    beta|, alpha + beta] (to D* below V*), and checked on V itself where
+    not clamped.  The band is the width u*(|D - 1|*D + V)/|V'|, u =
+    2**-53, over which rounded V cannot tell its value from h, plus one
+    float spacing of the root.
+    """
+    with mp.workdps(50):
+        a, b, g, big_h = (mp.mpf(x) for x in (p.alpha, p.beta, p.gamma, h))
+        ab, d = a * b, abs(a - b)
+        lead = ab + g
+        d_star = ab / lead
+        v_star = (d_star - 1) ** 2 / 2 + g * (d_star ** 2 - d * d) / (2 * ab)
+        square = 2 * ab * (big_h - v_star) / lead      # (D - D*)**2
+        spread = mp.sqrt(max(square, 0))
+        refs = []
+        for chord in (d_star - spread, d_star + spread):
+            inside = square >= 0 and d <= chord <= a + b
+            chord = min(max(chord, d), a + b)
+            x = 2 * mp.asin(mp.sqrt((chord - d) * (chord + d) / (4 * ab)))
+            s = mp.sin(x / 2)
+            v = (chord - 1) ** 2 / 2 + 2 * g * s * s
+            if inside:
+                assert abs(v - big_h) < mp.mpf(10) ** -45
+            slope = abs((lead - ab / chord) * mp.sin(x)) if chord else 0
+            refs.append((x, 2.0 ** -53 * (abs(chord - 1) * chord + v), slope))
+        for r in roots:
+            x, dv, slope = min(refs, key=lambda ref: abs(ref[0] - r))
+            assert (abs(r - x) * slope
+                    <= _ROOT_GATE * (dv + math.ulp(r) * slope)), (r, h)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_level_case())
 def test_level_angles_are_every_crossing(case):
@@ -233,13 +277,7 @@ def test_level_angles_are_every_crossing(case):
         assert roots == sorted(roots)
         assert all(0.0 < r < math.pi for r in roots)
 
-        def above(theta):
-            return float(potential(p, theta)) > h
-
-        for r in roots:
-            # V - h changes sign between r and a neighbouring float
-            assert (above(r) != above(math.nextafter(r, 0.0))
-                    or above(r) != above(math.nextafter(r, math.pi)))
+        _assert_near_mp_roots(p, h, roots)
         # a dense scan counts the same crossings, unless one lies within a
         # scan step of a critical point, where it can miss or add a pair
         scan_above = v > h
@@ -247,6 +285,47 @@ def test_level_angles_are_every_crossing(case):
         if all(abs(x - c) > step for x in [*roots, *(cells * step)]
                for c in critical):
             assert len(roots) == cells.size
+
+
+@pytest.mark.parametrize("abg, counts", [
+    # beside B1 (K1 = 0), on its double-well and its hard side
+    ((2.0 - 1e-9, 1.0, 0.0), [0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0]),
+    ((2.0 + 1e-9, 1.0, 0.0), [0, 0, 0, 1, 1, 1, 0, 0, 0, 0]),
+    # beside B2 (K2 = 0), on its soft and its double-well side
+    ((0.3, 0.7 - 1e-9, 0.0), [1, 1, 0, 0, 0, 0, 0, 0, 1, 1]),
+    ((0.3, 0.7 + 1e-9, 0.0), [1, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 1, 1]),
+    # on B2 to rounding: alpha + beta rounds to 1, so V(pi) rounds to 0,
+    # below V(theta_c) = 6e-33; [theta_c, pi] falls, and c = D* there
+    ((0.4292003971678706, 0.5707996028321295, 0.0),
+     [1, 1, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2]),
+    # on the cusp line, and where it crosses B2
+    ((1.0, 1.0, 0.02), [2, 2, 1, 1, 1, 0, 0, 0, 2, 2, 1, 1, 0, 0, 0]),
+    ((0.7, 0.7, 0.0), [1, 1, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 1, 1, 1]),
+    ((0.5, 0.5, 0.0), [1, 1, 0, 0, 0, 0, 0, 0, 1, 1]),
+])
+def test_level_angles_at_the_corners(abg, counts):
+    # levels within 1e-14 of each piece end's energy, where the piece ends
+    # nearly meet: as many roots as the straddle test gives, none NaN, each
+    # inside (0, pi) and near the 50-digit root
+    p = Params(*abg)
+    theta_c = interior_angle(p)
+    ends = [0.0, math.pi] if theta_c is None else [0.0, theta_c, math.pi]
+    levels = [v + dv for v in potential(p, ends).tolist()
+              for dv in (-1e-14, -1e-16, 0.0, 1e-16, 1e-14)]
+    at, roots = level_angles(p, levels)
+    assert [int(np.count_nonzero(at == h)) for h in levels] == counts
+    assert not np.isnan(roots).any()
+    assert all(0.0 < r < math.pi for r in roots.tolist())
+    for h in levels:
+        _assert_near_mp_roots(p, h, roots[at == h].tolist())
+
+
+def test_a_root_that_rounds_to_a_piece_end_stays_inside_the_piece():
+    # at alpha = beta = 0.5 V(pi) = 0, and the root of V = 5.8e-189 lies
+    # 3e-47 below pi, so it rounds to pi; the piece's ends straddle the
+    # level strictly, so the root is the float next to pi
+    _, roots = level_angles(Params(0.5, 0.5), [5.846651224599423e-189])
+    assert roots.tolist() == [math.nextafter(math.pi, 0.0)]
 
 
 def _sampled_energies(lo, hi, n):
@@ -369,3 +448,15 @@ def test_period_matches_a_40_digit_reference(abg, branch):
         reference, err = _mp_period(p, h)
         assert err < 1e-15 * reference
         assert abs(period_of_energy(p, h) - reference) <= gate * reference, h
+
+
+@pytest.mark.parametrize("offset", [1e-6, 1e-8])
+def test_af4_period_beside_h2_matches_a_40_digit_reference(offset):
+    # V(pi) = H2 is exact at alpha = 1.5, beta = 1, so the turning angle
+    # beside the saddle at pi is the only rounding left in the gap
+    _, h2 = energy_bands(P_IV)["AF4"]
+    assert h2 == 1.125
+    reference, err = _mp_period(P_IV, h2 - offset)
+    assert err < 1e-15 * reference
+    assert (abs(period_of_energy(P_IV, h2 - offset) - reference)
+            <= 1e-12 * reference)

@@ -257,10 +257,15 @@ def test_folds_match_40_digit_double_roots(case):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([-1.0, 1.0]), st.floats(0.005, 1.0),
        st.floats(0.0, 0.2), st.floats(0.5, 2.0))
+# c = 4*xi^2/kappa is subnormal
+@example(-1.0, 1.0, 7.881022062892101e-159, 1.0)
+@example(1.0, 0.5, 1e-160, 1.0)
 def test_the_fold_locus_turns_only_at_its_cuts(sign, eps, xi, kappa):
     # on a dense u grid along each branch of the double-root locus, every
     # extremum of B^2 = -2*e*u^2*y lies within a grid step of a cut, and
-    # every extremum of s^2 = (1 + e*u - y)/kappa at a cusp
+    # every extremum of s^2 = (1 + e*u - y)/kappa at a cusp.  On the small
+    # root y = c*(1 + e*u)/big the extrema of B^2 are read from B^2/c,
+    # which turns where B^2 does and keeps its digits where c is subnormal
     e, c = 0.75 * sign * eps, 4.0 * xi * xi / kappa
     top = 4.0 / eps
     cuts = hbm._locus_cuts(e, c, top)
@@ -274,12 +279,18 @@ def test_the_fold_locus_turns_only_at_its_cuts(sign, eps, xi, kappa):
     root = np.sqrt(np.maximum(b * b - 4.0 * c * (1.0 + e * u), 0.0))
     big = -0.5 * (b + np.copysign(root, b))   # the stable formula
     for branch in (1.0, -1.0):
-        y = np.where(branch * np.sign(b) < 0.0, big, c * (1.0 + e * u) / big)
-        for values, at in ((-2.0 * e * u * u * y, cuts),
-                           ((1.0 + e * u - y) / kappa, cusps)):
+        on_big = branch * np.sign(b) < 0.0
+        y = np.where(on_big, big, c * (1.0 + e * u) / big)
+        b2 = -2.0 * e * u * u * np.where(on_big, big, (1.0 + e * u) / big)
+        for values, at in ((b2, cuts), ((1.0 + e * u - y) / kappa, cusps)):
             turn = np.diff(np.sign(np.diff(values))) != 0
             for x in u[1:-1][turn]:
                 assert min(abs(x - t) for t in at) <= 2.0 * step
+    if c < np.finfo(float).tiny:    # the folds are those of xi = 0
+        cubic = CubicApprox(omega_n=1.0, epsilon=sign * eps, origin_theta=0.0)
+        assert (fold_frequencies(cubic, kappa, xi, 0.05, 0.2, 3.0).tolist()
+                == fold_frequencies(cubic, kappa, 0.0, 0.05, 0.2,
+                                    3.0).tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,32 +456,39 @@ def test_frf_input_validation():
         assert _root_counts(amplitude).tolist() == [0, 0]
 
 
-# (kappa, xi, s_lo, s_hi) of fold_frequencies at eps = -0.01, B = 0.1,
-# each outside the domain in one argument
+# (kappa, xi, B, s_lo, s_hi) of fold_frequencies at eps = -0.01, each
+# outside the domain in one argument
 _FOLD_REFUSALS = {
-    "s_lo negative": (1.0, 0.015, -1.0, 1.0),
-    "s_lo zero": (1.0, 0.015, 0.0, 1.0),
-    "s_hi at s_lo": (1.0, 0.015, 1.0, 1.0),
-    "s_hi below s_lo": (1.0, 0.015, 1.0, 0.9),
-    "s_hi nan": (1.0, 0.015, 0.1, math.nan),
-    "s_hi inf": (1.0, 0.015, 0.1, math.inf),
-    "s_lo nan": (1.0, 0.015, math.nan, 1.0),
-    "kappa negative": (-1.0, 0.015, 0.1, 1.0),
-    "kappa zero": (0.0, 0.015, 0.1, 1.0),
-    "xi negative": (1.0, -0.015, 0.1, 1.0),
+    "s_lo negative": (1.0, 0.015, 0.1, -1.0, 1.0),
+    "s_lo zero": (1.0, 0.015, 0.1, 0.0, 1.0),
+    "s_hi at s_lo": (1.0, 0.015, 0.1, 1.0, 1.0),
+    "s_hi below s_lo": (1.0, 0.015, 0.1, 1.0, 0.9),
+    "s_hi nan": (1.0, 0.015, 0.1, 0.1, math.nan),
+    "s_hi inf": (1.0, 0.015, 0.1, 0.1, math.inf),
+    "s_lo nan": (1.0, 0.015, 0.1, math.nan, 1.0),
+    "kappa negative": (-1.0, 0.015, 0.1, 0.1, 1.0),
+    "kappa zero": (0.0, 0.015, 0.1, 0.1, 1.0),
+    "xi negative": (1.0, -0.015, 0.1, 0.1, 1.0),
+    # these returned [] (xi = inf after numpy RuntimeWarnings)
+    "xi inf": (1.0, math.inf, 0.1, 0.1, 1.0),
+    "B nan": (1.0, 0.015, math.nan, 0.1, 1.0),
+    "B inf": (1.0, 0.015, math.inf, 0.1, 1.0),
+    # this returned the folds of B = 0.1, which frf_amplitudes refuses
+    "B negative": (1.0, 0.015, -0.1, 0.1, 1.0),
 }
 
 
-@pytest.mark.parametrize("kappa, xi, s_lo, s_hi", _FOLD_REFUSALS.values(),
+@pytest.mark.parametrize("kappa, xi, b, s_lo, s_hi", _FOLD_REFUSALS.values(),
                          ids=list(_FOLD_REFUSALS))
-def test_fold_frequencies_refuses_out_of_domain_input(kappa, xi, s_lo, s_hi):
+def test_fold_frequencies_refuses_out_of_domain_input(kappa, xi, b, s_lo,
+                                                      s_hi):
     # [-1, 1] once returned no fold, though [0.1, 1] holds three
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
     np.testing.assert_allclose(
         fold_frequencies(cubic, 1.0, 0.015, 0.1, 0.1, 1.0),
         [0.30291, 0.95169, 0.96396], atol=5e-6)
     with pytest.raises(InputError):
-        fold_frequencies(cubic, kappa, xi, 0.1, s_lo, s_hi)
+        fold_frequencies(cubic, kappa, xi, b, s_lo, s_hi)
 
 
 _FRF_REFUSALS = {
@@ -489,6 +507,40 @@ def test_frf_amplitudes_refuses_s_outside_its_domain(s):
     cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
     with pytest.raises(InputError):
         frf_amplitudes(cubic, 1.0, 0.015, 0.1, s)
+
+
+# (kappa, xi, B) of frf_amplitudes at eps = -0.01, s = 1, each outside
+# the domain in one argument; each once returned rows (kappa = -1: A =
+# 0.05; xi = -0.015: A = 2.16 with phi < 0; B = inf: A = inf; NaN: NaN)
+_FRF_DRIVE_REFUSALS = {
+    "kappa negative": (-1.0, 0.015, 0.1),
+    "kappa zero": (0.0, 0.015, 0.1),
+    "kappa inf": (math.inf, 0.015, 0.1),
+    "kappa nan": (math.nan, 0.015, 0.1),
+    "xi negative": (1.0, -0.015, 0.1),
+    "xi inf": (1.0, math.inf, 0.1),
+    "xi nan": (1.0, math.nan, 0.1),
+    "B negative": (1.0, 0.015, -0.1),
+    "B inf": (1.0, 0.015, math.inf),
+    "B nan": (1.0, 0.015, math.nan),
+}
+
+
+@pytest.mark.parametrize("kappa, xi, b", _FRF_DRIVE_REFUSALS.values(),
+                         ids=list(_FRF_DRIVE_REFUSALS))
+def test_frf_amplitudes_refuses_a_drive_outside_its_domain(kappa, xi, b):
+    cubic = CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
+    with pytest.raises(InputError):
+        frf_amplitudes(cubic, kappa, xi, b, [1.0])
+
+
+@pytest.mark.parametrize("omega_n, epsilon", [
+    (0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0), (math.nan, 0.0),
+    (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)])
+def test_cubic_approx_refuses_a_non_finite_or_nonpositive_fit(omega_n,
+                                                              epsilon):
+    with pytest.raises(InputError):
+        CubicApprox(omega_n=omega_n, epsilon=epsilon, origin_theta=0.0)
 
 
 def test_linear_sweep_no_hysteresis():
