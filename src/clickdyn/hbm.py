@@ -32,8 +32,8 @@ import numpy as np
 
 from .equilibria import (CENTER, Equilibrium, _bracketed_newton, _refine,
                          working_center)
-from .integrate import (IntegratorSpec, StepUnderflow, _refine_crossing,
-                        _strobe, integrate_rhs)
+from .integrate import (IntegratorSpec, StepUnderflow, _crossings, _strobe,
+                        integrate_rhs)
 from .model import InputError, Params, _curvature_field, scalar_rhs
 
 __all__ = [
@@ -544,29 +544,26 @@ class _PeriodMaps:
         """The period map x -> P(x; s)."""
         return self._map(*self._setup(s))
 
-    def amplitude(self, f, one_period, x):
-        """Half the spread of theta over one period from x (f, one_period
-        as from :meth:`_setup`).  The extremes are the turning points (zeros
-        of omega), located on the dense output of the steps that hold them,
-        so they do not depend on where the steps land."""
+    def swing(self, f, one_period, x):
+        """(least theta, greatest theta, steps holding a zero of omega) of
+        one period from x (f, one_period from :meth:`_setup`)."""
         turns = []
 
         def cb(ta, ya, tb, yb, dense):
             if ya[1] * yb[1] < 0.0:
-                turns.append(_refine_crossing(dense, comp=1)[1])
+                turns.append(dense)
 
         self.periods += 1
-        traj = integrate_rhs(f, x, one_period, step_cb=cb)
-        thetas = traj.states[:, 0].tolist() + turns
-        return 0.5 * (max(thetas) - min(thetas))
+        thetas = integrate_rhs(f, x, one_period, step_cb=cb).states[:, 0]
+        return float(thetas.min()), float(thetas.max()), turns
 
     def settle(self, s, state):
-        """``(amplitude, state, settled)`` of the stable period-1 orbit
-        reached from state at s.  Shoots from the state; when that fails it
-        integrates a transient of _BLOCK periods, which carries its step
-        from period to period, and shoots again, until _MAX_PERIODS periods
-        are spent (then ``settled`` is False).  A transient that escapes
-        raises RuntimeError naming s."""
+        """``(swing, state, settled)`` of the stable period-1 orbit reached
+        from state at s (:meth:`swing`).  Shoots from the state; when that
+        fails it integrates a transient of _BLOCK periods, which carries its
+        step from period to period, and shoots again, until _MAX_PERIODS
+        periods are spent (then ``settled`` is False).  A transient that
+        escapes raises RuntimeError naming s."""
         f, one_period = self._setup(s)
         period = self._map(f, one_period)
         budget = self.periods + _MAX_PERIODS
@@ -575,14 +572,24 @@ class _PeriodMaps:
             while self.periods < budget:
                 shot = _shoot(period, state, px, self.spec.rel_tol)
                 if shot is not None:
-                    return (self.amplitude(f, one_period, shot[0]), shot[0],
-                            True)
+                    return self.swing(f, one_period, shot[0]), shot[0], True
                 *_, state, px = _strobe(f, px, one_period.t_end, _BLOCK,
                                         self.spec)
                 self.periods += _BLOCK
-            return self.amplitude(f, one_period, state), px, False
+            return self.swing(f, one_period, state), px, False
         except (ArithmeticError, StepUnderflow) as e:
             raise RuntimeError(f"orbit escaped at s = {s:.12g}") from e
+
+
+def _amplitudes(swings):
+    """Half the spread of theta over each :meth:`_PeriodMaps.swing`, with
+    the turning points of all closed in one :func:`integrate._crossings`
+    call, so they do not depend on where the steps land."""
+    steps = [step for *_, turns in swings for step in turns]
+    turned = iter(_crossings(steps, 1)[1].tolist() if steps else ())
+    spreads = [[lo, hi, *(next(turned) for _ in turns)]
+               for lo, hi, turns in swings]
+    return [0.5 * (max(thetas) - min(thetas)) for thetas in spreads]
 
 
 def _cubic_rhs(cubic: CubicApprox, kappa: float, xi: float, b_amp: float,
@@ -616,14 +623,14 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
     settled points (:func:`_jumps`).  Points where no stable orbit settles
     within _MAX_PERIODS periods are listed in ``up_unsettled`` /
     ``down_unsettled``.  Amplitudes are half the spread of the refined
-    turning angles; ``periods`` counts every drive period integrated.  A
-    transient that escapes raises RuntimeError naming its s; xi <= 0 raises
-    InputError, as no orbit of an area-preserving map is asymptotically
-    stable.
+    turning angles, closed after both sweeps (:func:`_amplitudes`);
+    ``periods`` counts every drive period integrated.  A transient that
+    escapes raises RuntimeError naming its s; xi <= 0 raises InputError, as
+    no orbit of an area-preserving map is asymptotically stable.
     """
     maps = _PeriodMaps(system, IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10))
     grid = np.linspace(s_lo, s_hi, n_steps).tolist()
-    segments, amplitudes = [], {}
+    segments, swings = [], {}
 
     def held(new):
         """The first segment holding an orbit of new, to the difference step."""
@@ -642,40 +649,40 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
         return i
 
     def land(k, state):
-        """(segment, amplitude, orbit) settled from state at grid[k], the
+        """(segment, swing, orbit) settled from state at grid[k], the
         segment None if unsettled; an orbit no segment held is traced."""
-        amp, x, settled = maps.settle(grid[k], state)
+        swing, x, settled = maps.settle(grid[k], state)
         if not settled:
-            return None, amp, x
+            return None, swing, x
         seg = held({k: x})
         if seg is None:
             back, ahead = (_trace(maps, grid, x, k, sigma)
                            for sigma in (-1, 1))
             seg = [add(new) for new in back[:0:-1] + [back[0] | ahead[0]]
                    + ahead[1:]][len(back) - 1]
-        return seg, amplitudes.setdefault((seg, k), amp), segments[seg][k]
+        return seg, swings.setdefault((seg, k), swing), segments[seg][k]
 
     def walk(order, seg, state):
-        """(s, amplitude, segment) rows of order, from state on segment seg."""
+        """(s, swing, segment) rows of order, from state on segment seg."""
         rows = []
         for k in order:
             near = [i for i, sg in enumerate(segments) if k in sg]
             if seg is None or not near:
-                seg, amp, state = land(k, state)
+                seg, swing, state = land(k, state)
             else:
                 seg = min(near, key=lambda i: abs(i - seg))
                 state = segments[seg][k]
-                if (seg, k) not in amplitudes:
-                    amplitudes[seg, k] = maps.amplitude(*maps._setup(grid[k]),
-                                                        state)
-                amp = amplitudes[seg, k]
-            rows.append((grid[k], amp, seg))
+                if (seg, k) not in swings:
+                    swings[seg, k] = maps.swing(*maps._setup(grid[k]), state)
+                swing = swings[seg, k]
+            rows.append((grid[k], swing, seg))
         return rows, seg, state
 
     up, seg, state = walk(range(n_steps), None, maps.rest)
     down = up[-1:] + walk(range(n_steps - 2, -1, -1), seg, state)[0]
-    up_s, up_a, down_s, down_a = (np.array(column) for rows in (up, down)
-                                  for column in list(zip(*rows))[:2])
+    up_s, down_s = (np.array([s for s, _, _ in rows]) for rows in (up, down))
+    up_a, down_a = np.split(np.array(_amplitudes(
+        [swing for _, swing, _ in up + down])), [len(up)])
     return SweepResult(up_s, up_a, down_s, down_a, _jumps(up), _jumps(down),
                        *([s for s, _, seg in rows if seg is None]
                          for rows in (up, down)), maps.periods)
@@ -683,7 +690,7 @@ def sweep_hysteresis(system, s_lo: float, s_hi: float,
 
 def _jumps(rows) -> list[float]:
     """Midpoints between consecutive settled points of a sweep's rows
-    (s, amplitude, segment) on different segments; unsettled points
+    (s, swing, segment) on different segments; unsettled points
     (segment None) are skipped, so a jump across them is read once."""
     settled = [(s, seg) for s, _, seg in rows if seg is not None]
     return [0.5 * (s0 + s1) for (s0, g0), (s1, g1)

@@ -8,10 +8,10 @@ steps, of the same sizes up to rounding.  The loop is generated from the
 tableau as text, in two forms compiled on first use: one calls the rhs at
 each stage, the other runs the full system's float kernel
 (``model._KERNEL``) inline there, for the closures of
-:func:`model.scalar_rhs`.  Events (zero crossings of the
-angular velocity, of an angle) are located inside an accepted step on the
-pair's 7th-order dense output, built only for the steps a callback asks it
-of, by Brent's method.  A Lyapunov tangent is carried by the derivatives of
+:func:`model.scalar_rhs`.  Events (zero crossings of the angular velocity,
+of an angle) are closed after a run on the pair's 7th-order dense output of
+the steps that hold them, all in one call of the package's one root finder,
+``equilibria._refine``.  A Lyapunov tangent is carried by the derivatives of
 the loop's steps, taken in array passes over the stage states it records.
 """
 
@@ -21,11 +21,13 @@ import functools
 import math
 import sys
 import textwrap
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from operator import mul
 
 import numpy as np
 
+from .equilibria import _refine
 from .model import (_KERNEL, _KERNEL_CONSTANTS, InputError, Params,
                     _jacobian_field, hamiltonian, potential, scalar_rhs)
 
@@ -130,6 +132,9 @@ _D_ROWS = (
      104.0996495089623, 29.8402934266605, -43.53345659001114,
      96.32455395918828, -39.17726167561544, -149.72683625798564),
 )
+# _EXTRA's rows over the stages 0, 5-12 and _D_ROWS, by stage, for _dot
+_EXTRA_COLUMNS = list(np.array([r[:9] for _, r in _EXTRA]).T[..., None, None])
+_D_COLUMNS = list(np.array(_D_ROWS).T[..., None, None])
 
 
 @dataclass(frozen=True)
@@ -386,65 +391,50 @@ def _dot(coeffs, values):
     return sum(map(mul, coeffs, values))
 
 
-def _extension(f, ta, h, ya, yb, k):
-    """Coefficients of DOP853's continuous extension of a step.
-
-    The arguments are those of :class:`_DenseStep`: floats for one step, or
-    arrays over many steps (``k`` then an array of 18 rows).  ``f`` takes
-    the extra stages' arguments of the same kind.  The same operations run
-    in the same order either way, so a step's coefficients come out to the
-    bit whether it is built alone or among others.  Returns, per component,
-    the seven coefficients that :func:`_horner` takes.
-    """
-    (th, om), (th_b, om_b) = ya, yb
-    kt, ko = list(k[0::2]), list(k[1::2])
-    for c, row in _EXTRA:
-        st, so = f(ta + c * h, th + h * _dot(row, kt), om + h * _dot(row, ko))
-        kt.append(st)
-        ko.append(so)
-    poly = []
-    for y, y_b, kc in ((th, th_b, kt), (om, om_b, ko)):
-        dy = y_b - y
-        poly.append((dy, h * kc[0] - dy, 2.0 * dy - h * (kc[8] + kc[0]),
-                     *(h * _dot(row, kc) for row in _D_ROWS)))
-    return poly
-
-
 def _horner(y, coeffs, x, u):
     """One component at the fraction x = 1 - u of a step, from its value y
-    at the step's start and its seven :func:`_extension` coefficients;
+    at the step's start and its seven :func:`_extensions` coefficients;
     floats or arrays."""
     f0, f1, f2, f3, f4, f5, f6 = coeffs
     return y + x * (f0 + u * (f1 + x * (f2 + u * (f3 + x * (f4 + u * (
         f5 + x * f6))))))
 
 
-class _DenseStep:
-    """DOP853's 7th-order continuous extension of one accepted step.
+def _horner_slope(coeffs, x, u):
+    """d/dx of :func:`_horner`'s polynomial (du/dx = -1)."""
+    v, dv = coeffs[6], 0.0
+    for c, z, dz in zip(coeffs[5::-1], (x, u) * 3, (1.0, -1.0) * 3):
+        v, dv = c + z * v, z * dv + dz * v
+    return v + x * dv
 
-    ``dense(t) -> (theta, omega)`` for ta <= t <= tb, the float path of the
-    event searches (:func:`_refine_crossing`); a whole run is sampled at
-    once by :func:`_sample_dense`.  The three extra stages and the
-    polynomial are built on the first call only, so a step that holds no
-    event costs one small object.  ``k`` holds the stages 0, 5-11 and 12
-    (the rhs at tb), each as (theta', omega'); ``h`` is the width the
-    stages were taken with.
+
+class _DenseStep(namedtuple("_DenseStep", "f ta h tb ya yb k")):
+    """An accepted step, as :func:`_extensions` takes it: ``k`` holds the
+    stages 0, 5-11 and 12 (the rhs at tb) as (theta', omega') pairs, taken
+    with the width ``h``."""
+    __slots__ = ()
+
+
+def _extensions(steps):
+    """(ta, tb, ya, yb, poly) of ``steps``, arrays over the steps: ``ya``
+    and ``yb`` of shape (2, n), ``poly`` (2, 7, n), per component the
+    coefficients that :func:`_horner` takes.  Each step's own rhs runs its
+    extra stages on floats; the rest is elementwise, each sum left to right
+    over the stages, so a step's coefficients do not depend on the others.
     """
-
-    __slots__ = ("f", "ta", "h", "tb", "ya", "yb", "k", "_poly")
-
-    def __init__(self, f, ta, h, tb, ya, yb, k):
-        self.f, self.ta, self.h, self.tb = f, ta, h, tb
-        self.ya, self.yb, self.k = ya, yb, k
-        self._poly = None
-
-    def __call__(self, t):
-        if self._poly is None:
-            self._poly = _extension(self.f, self.ta, self.h, self.ya,
-                                    self.yb, self.k)
-        x = (t - self.ta) / (self.tb - self.ta)
-        u = 1.0 - x
-        return tuple(_horner(y, c, x, u) for y, c in zip(self.ya, self._poly))
+    rhs = [s.f for s in steps]
+    rows = np.array([(s.ta, s.h, s.tb, *s.ya, *s.yb, *s.k) for s in steps]).T
+    (ta, h, tb), ya, yb = rows[:3], rows[3:5], rows[5:7]
+    k = list(rows[7:].reshape(9, 2, -1))    # stages 0, 5-12: theta', omega'
+    # each extra stage sums over the stages 0, 5-12, then the extra ones
+    for (c, row), acc in zip(_EXTRA, _dot(_EXTRA_COLUMNS, k)):
+        y = ya + h * sum(map(mul, row[9:], k[9:]), acc)
+        k.append(np.array([f(t, th, om) for f, t, th, om in zip(
+            rhs, (ta + c * h).tolist(), *y.tolist())]).T)
+    dy = yb - ya
+    poly = np.concatenate([(dy, h * k[0] - dy, 2.0 * dy - h * (k[8] + k[0])),
+                           h * _dot(_D_COLUMNS, k)])
+    return ta, tb, ya, yb, np.ascontiguousarray(poly.swapaxes(0, 1))
 
 
 def _sample_dense(steps, t):
@@ -453,53 +443,59 @@ def _sample_dense(steps, t):
 
     Each time belongs to the first step whose tb is not below it, so a time
     equal to a step's tb is taken on that step, and every time must lie in
-    [steps[0].ta, steps[-1].tb].  The extensions of the steps that hold a
-    time are built in one array pass, with the rhs of the extra stages
-    called one step at a time on Python floats; each value equals, to the
-    bit, the step's own ``dense(time)``.
+    [steps[0].ta, steps[-1].tb].  Only the steps that hold a time are built
+    (:func:`_extensions`).
     """
-    f = steps[0].f
     which = np.searchsorted([s.tb for s in steps], t)
     holds = np.zeros(len(steps), dtype=bool)
     holds[which] = True
     at = np.cumsum(holds)[which] - 1        # the index among the held steps
-    held = [steps[i] for i in np.flatnonzero(holds).tolist()]
-    rows = np.array([(s.ta, s.h, s.tb, *s.ya, *s.yb, *s.k) for s in held]).T
-    ta, h, tb = rows[:3]
-    ya, yb, k = rows[3:5], rows[5:7], rows[7:]
-
-    def stepwise(t, th, om):
-        return np.array([f(*args) for args in zip(
-            t.tolist(), th.tolist(), om.tolist())]).T
-
-    poly = np.array(_extension(stepwise, ta, h, ya, yb, k))
+    ta, tb, ya, _, poly = _extensions(
+        [steps[i] for i in np.flatnonzero(holds).tolist()])
     x = (t - ta[at]) / (tb - ta)[at]
     u = 1.0 - x
     # gathered one component at a time, so that at most seven coefficient
     # arrays the size of t are alive at once
-    return tuple(_horner(y[at], c[:, at], x, u) for y, c in zip(ya, poly))
+    return tuple(_horner(y[at], c.take(at, axis=1), x, u)
+                 for y, c in zip(ya, poly))
 
 
-def _refine_crossing(dense, comp, target=0.0):
-    """(t, theta, omega) where y[comp] = target inside a step of ``dense``.
-
-    The step's ends must bracket the crossing.  The search takes the end
-    states as they are, which the polynomial meets only to rounding.
-    scipy.optimize is imported here, so that importing the CLI does not
-    load scipy.
+def _crossings(steps, comp, target=0.0):
+    """(t, theta, omega) arrays at the crossings y[comp] = target, one in
+    each of ``steps`` (``comp``, ``target``: one, or one per step), closed
+    in one :func:`equilibria._refine` call from the secant time.  Each t
+    is the midpoint of an adjacent-float pair across which y[comp] - target
+    > 0 changes on the step's polynomial, its ends' signs from ya and yb.
     """
-    from scipy.optimize import brentq
+    ta, tb, ya, yb, poly = _extensions(steps)
+    i = np.arange(len(steps))
+    comp, target = (np.broadcast_to(w, i.shape) for w in (comp, target))
+    y0, y1, coeffs = ya[comp, i], yb[comp, i], poly[comp, :, i].T
+    span = tb - ta
 
-    def g(t):
-        return (dense.yb if t == dense.tb else dense(t))[comp] - target
+    def value(t, j):
+        x = (t - ta[j]) / span[j]
+        y = _horner(y0[j], coeffs[:, j], x, 1.0 - x)
+        return np.where(t < tb[j], y, y1[j]) - target[j]
 
-    t_cross = brentq(g, dense.ta, dense.tb, xtol=1e-10)
-    return (t_cross, *dense(t_cross))
+    def slope(t, j):
+        x = (t - ta[j]) / span[j]
+        return _horner_slope(coeffs[:, j], x, 1.0 - x) / span[j]
+
+    t = _refine(value, slope, i, ta, tb, y0 - target > 0.0,
+                ta + (target - y0) / (y1 - y0) * span)
+    x = (t - ta) / span
+    return (t, *(_horner(y, c, x, 1.0 - x) for y, c in zip(ya, poly)))
 
 
 def integrate_rhs(f, state0, spec: IntegratorSpec, t0: float = 0.0,
                   step_cb=None) -> Trajectory:
-    """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``."""
+    """Integrate a generic planar rhs ``f(t, theta, omega) -> (dth, dom)``
+    from t0 to ``spec.t_end``; raises InputError unless t0 is finite and
+    below ``spec.t_end``."""
+    if not -math.inf < t0 < spec.t_end:
+        raise InputError(f"need a finite t0 < t_end = {spec.t_end!r}, "
+                         f"got {t0!r}")
     return _pack(*_dop853(f, t0, state0, spec, step_cb)[:4])
 
 
@@ -522,37 +518,38 @@ def measure_free_oscillation(p: Params, state0,
     The period is taken between successive same-direction zero crossings of
     the angular velocity; the amplitude is half the spread of the turning
     angles.  A non-closed (rotating) orbit is measured by the time for the
-    angle to advance by 2*pi and flagged.
+    angle to advance by 2*pi and flagged.  The crossings are closed after
+    the run (:func:`_crossings`).
     """
     if p.xi != 0.0 or p.m_big0 != 0.0:
         raise ValueError("free oscillation requires xi = 0 and M0 = 0")
     spec = IntegratorSpec(rel_tol=1e-11, abs_tol=1e-13, t_end=t_max)
-    f = scalar_rhs(p)
-    crossings: list[tuple[float, float]] = []        # (time, theta)
-    theta0 = state0[0]
-    wrap: list[float] = []                           # rotation: 2*pi advance
+    theta0 = float(state0[0])
+    start = [(0.0, theta0)] if state0[1] == 0.0 else []
+    events = []     # (step, comp, target): velocity zeros, or a 2*pi advance
 
     def cb(ta, ya, tb, yb, dense):
-        if ya[1] == 0.0 and ta == 0.0:
-            crossings.append((0.0, ya[0]))
         if ya[1] * yb[1] < 0.0:
-            crossings.append(_refine_crossing(dense, comp=1)[:2])
-            if len(crossings) == 3:
+            events.append((dense, 1, 0.0))
+            if len(start) + len(events) == 3:
                 return True
         for sign in (1.0, -1.0):
             target = theta0 + sign * 2.0 * math.pi
             if (ya[0] - target) * (yb[0] - target) < 0.0:
-                wrap.append(_refine_crossing(dense, comp=0, target=target)[0])
+                events.append((dense, 0, target))
                 return True
         return False
 
-    integrate_rhs(f, state0, spec, step_cb=cb)
-    if len(crossings) >= 3:
-        # crossings alternate in direction: same-direction ones are two apart
-        (t1, th1), (_, th2), (t3, _) = crossings[:3]
-        return FreeOscillation(0.5 * abs(th2 - th1), t3 - t1, rotating=False)
-    if wrap:
-        return FreeOscillation(math.pi, wrap[0], rotating=True)
+    integrate_rhs(scalar_rhs(p), state0, spec, step_cb=cb)
+    if events:
+        steps, comps, targets = zip(*events)
+        times, thetas, _ = _crossings(steps, comps, targets)
+        if comps[-1] == 0:
+            return FreeOscillation(math.pi, float(times[-1]), rotating=True)
+        crossings = start + list(zip(times.tolist(), thetas.tolist()))
+        if len(crossings) == 3:     # same-direction ones are two apart
+            (t1, th1), (_, th2), (t3, _) = crossings
+            return FreeOscillation(0.5 * abs(th2 - th1), t3 - t1)
     raise ValueError("no oscillation detected within t_max")
 
 

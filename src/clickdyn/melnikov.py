@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibria import interior_angle, stiffness_at_poles
-from .integrate import (IntegratorSpec, _refine_crossing, _sample_dense,
+from .integrate import (IntegratorSpec, _crossings, _sample_dense,
                         integrate_rhs)
 from .model import InputError, Params, stiffness
 
@@ -284,7 +284,7 @@ def _continued(r: ReducedSystem, kind: str, times: np.ndarray) -> SeparatrixOrbi
     if closest > _CONNECT_TOL:
         raise ValueError("continued orbit failed to connect to the target "
                          f"saddle (residual {closest:.2e})")
-    apex_t = _refine_crossing(apex, comp=apex_comp)[0]
+    apex_t = float(_crossings([apex], apex_comp)[0][0])
     # sample the dense output on [0, end_t]; before it the orbit sits on the
     # saddle, and past the closest approach the shot peels off the target
     # saddle exponentially, so the tail is clamped onto it

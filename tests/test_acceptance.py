@@ -107,15 +107,12 @@ def test_acceptance_04_conservative_energy_drift(capsys):
             f"worst={worst:.2e}, {elapsed:.1f}s")
 
 
-def test_acceptance_05_period_quadrature_vs_integration(capsys):
-    p = P_IV
-    t0 = time.perf_counter()
-    bands = energy_bands(p)
-    h1, h2 = barrier_energies(p)
+def _free_vibrations(p):
+    """(quadrature period, integrated period) at 20 energies of each band,
+    from a start on the band's orbit."""
+    h1 = barrier_energies(p)[0]
     th3 = interior_angle(p)
-    worst = 0.0
-    n_checked = 0
-    for branch, (lo, hi) in bands.items():
+    for branch, (lo, hi) in energy_bands(p).items():
         if math.isinf(hi):
             energies = lo * (1.0 + np.geomspace(0.05, 3.0, 20))
         else:
@@ -128,8 +125,18 @@ def test_acceptance_05_period_quadrature_vs_integration(capsys):
             else:
                 state0 = (th3, math.sqrt(2.0 * h_level / p.kappa))
             osc = measure_free_oscillation(p, state0, t_max=8.0 * period)
-            worst = max(worst, abs(osc.period - period) / period)
-            n_checked += 1
+            yield period, osc.period
+
+
+def test_acceptance_05_period_quadrature_vs_integration(capsys):
+    p = P_IV
+    t0 = time.perf_counter()
+    h1, h2 = barrier_energies(p)
+    worst = 0.0
+    n_checked = 0
+    for period, measured in _free_vibrations(p):
+        worst = max(worst, abs(measured - period) / period)
+        n_checked += 1
     # the period diverges on approach to a barrier
     diverges = (period_of_energy(p, h1 - 1e-8) > period_of_energy(p, h1 - 1e-4)
                 and period_of_energy(p, h2 + 1e-8) >
@@ -138,6 +145,16 @@ def test_acceptance_05_period_quadrature_vs_integration(capsys):
     ok = worst <= 1e-4 and diverges and n_checked >= 60 and elapsed < 30.0
     _report(capsys, 5, "free-vibration period quadrature vs integration", ok,
             f"{n_checked} energies, worst rel={worst:.2e}, {elapsed:.1f}s")
+
+
+def test_event_periods_match_the_quadrature_to_1e_9():
+    # acceptance 05's cases: the event times, closed to adjacent floats on
+    # the dense output of a run at rel_tol 1e-11, leave the period to the
+    # run's own error
+    deviations = [abs(measured - period) / period
+                  for period, measured in _free_vibrations(P_IV)]
+    assert len(deviations) == 60
+    assert max(deviations) <= 1e-9
 
 
 def test_acceptance_07_hbm_roots(capsys):

@@ -650,6 +650,15 @@ _CUBIC = hbm.CubicApprox(omega_n=1.0, epsilon=-0.01, origin_theta=0.0)
 _DUFFING = melnikov.reduce_system(Params(alpha=1.5), melnikov.DUFFING)
 _RULE_CASES = {
     "t_end": (lambda: integ.IntegratorSpec(t_end=1e300), True),
+    "t_end before t0": (lambda: integ.integrate(
+        Params(alpha=1.5), (0.5, 0.0), integ.IntegratorSpec(t_end=-5.0)),
+                        True),
+    "t0 past t_end": (lambda: integ.integrate_rhs(
+        lambda t, x, v: (v, -x), (1.0, 0.0), integ.IntegratorSpec(t_end=1.0),
+        t0=3.0), True),
+    "t0 nan": (lambda: integ.integrate_rhs(
+        lambda t, x, v: (v, -x), (1.0, 0.0), integ.IntegratorSpec(),
+        t0=math.nan), True),
     "alpha": (lambda: Params(alpha=0.0), True),
     "no drive": (lambda: integ.poincare_section(
         Params(alpha=1.5, xi=0.1), (0.1, 0.0), 1), True),

@@ -15,7 +15,7 @@ from clickdyn.equilibria import (CENTER, equilibria_in_period,
 from clickdyn.freevib import _orbits
 from clickdyn.hbm import (CubicApprox, backbone, fit_cubic, fold_frequencies,
                           frf_amplitudes, sweep_hysteresis)
-from clickdyn.integrate import IntegratorSpec, _refine_crossing, integrate_rhs
+from clickdyn.integrate import IntegratorSpec, _crossings, integrate_rhs
 from clickdyn.model import InputError, Params, potential
 
 
@@ -688,7 +688,8 @@ def sweep08():
 @pytest.mark.parametrize("s, root", [(0.968, 0), (0.976, 0), (0.976, 2)])
 def test_accepted_orbit_is_a_stable_fixed_point_of_the_period_map(s, root):
     maps, period = _period_map(s)
-    amp, x, settled = maps.settle(s, _hbm_state(s, root))
+    swing, x, settled = maps.settle(s, _hbm_state(s, root))
+    (amp,) = hbm._amplitudes([swing])
     assert settled
     px = period(x)
     scale = 1.0 + math.hypot(*x)
@@ -713,7 +714,8 @@ def test_unstable_middle_branch_is_rejected(monkeypatch):
     assert verdicts == [False]
     monkeypatch.undo()
     # ... so the sweep leaves it for one of the stable branches
-    amp, _, settled = maps.settle(s, x)
+    swing, _, settled = maps.settle(s, x)
+    (amp,) = hbm._amplitudes([swing])
     low, mid, high = frf_amplitudes(*CUBIC08, [s])[0][0]
     assert settled
     assert min(abs(amp - low), abs(amp - high)) < 0.05 * mid
@@ -728,12 +730,13 @@ def _transient_amplitude(s, periods=1000):
 
     def cb(ta, ya, tb, yb, dense):
         if ta >= (periods - 1) * t_drive and ya[1] * yb[1] < 0.0:
-            turns.append(_refine_crossing(dense, comp=1)[1])
+            turns.append(dense)
 
     integrate_rhs(f, (0.0, 0.0),
                   IntegratorSpec(rel_tol=1e-9, abs_tol=1e-11,
                                  t_end=periods * t_drive), step_cb=cb)
-    return 0.5 * (max(turns) - min(turns))
+    thetas = _crossings(turns, 1)[1]
+    return 0.5 * float(thetas.max() - thetas.min())
 
 
 def test_sweeps_keep_their_branch_up_to_each_fold(sweep08):
@@ -759,7 +762,8 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
     # the high branch at s = 0.9745 ends at the lower fold 0.97395; the
     # first grid point past it has only the low branch
     maps, _ = _period_map(0.9745)
-    high, x, _ = maps.settle(0.9745, _hbm_state(0.9745, 2))
+    swing, x, _ = maps.settle(0.9745, _hbm_state(0.9745, 2))
+    (high,) = hbm._amplitudes([swing])
     s = 0.9735
     maps, period = _period_map(s)
     px = period(x)
@@ -773,7 +777,8 @@ def test_shot_past_a_fold_falls_back_to_the_remaining_branch(monkeypatch):
     shoot = hbm._shoot
     monkeypatch.setattr(hbm, "_shoot",
                         lambda *a: shots.append(shoot(*a)) or shots[-1])
-    amp, _, settled = maps.settle(s, x)
+    swing, _, settled = maps.settle(s, x)
+    (amp,) = hbm._amplitudes([swing])
     assert settled and len(shots) > 1 and shots[0] is None
     low, *more = frf_amplitudes(*CUBIC08, [s])[0][0]
     assert np.isnan(more).all()

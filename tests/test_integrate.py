@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 import clickdyn.integrate as integ
-from clickdyn import melnikov
-from clickdyn.integrate import (IntegratorSpec, StepUnderflow,
-                                _refine_crossing, _sample_dense, _strobe,
+from clickdyn import hbm, melnikov
+from clickdyn.integrate import (IntegratorSpec, StepUnderflow, _crossings,
+                                _sample_dense, _strobe,
                                 integrate, integrate_rhs, largest_lyapunov,
                                 measure_free_oscillation, poincare_section)
 from clickdyn.model import Params, hamiltonian, scalar_rhs
@@ -400,11 +400,11 @@ def test_every_step_and_its_dense_output_are_scipys(f, state0, spec):
         assert solver.t == tb
         np.testing.assert_allclose(solver.y, yb, rtol=0.0, atol=1e-12)
         ref = solver.dense_output()
-        for x in fractions:
-            t = ta + x * (tb - ta)
-            np.testing.assert_allclose(dense(t), ref(t), rtol=0.0,
-                                       atol=1e-12)
-        assert dense(ta) == ya
+        t = ta + np.array(fractions) * (tb - ta)
+        np.testing.assert_allclose(_sample_dense([dense], t), ref(t),
+                                   rtol=0.0, atol=1e-12)
+        (th0,), (om0,) = _sample_dense([dense], np.array([ta]))
+        assert (th0, om0) == ya
     assert len(steps) >= 30
 
 
@@ -412,20 +412,18 @@ def test_dense_output_has_the_order_of_the_pair():
     # Steps of ~0.6 on theta'' = -theta: a cubic Hermite interpolant is off
     # by ~h^4/384 = 3e-4 mid-step; the 7th-order extension follows the
     # exact flow from the step's start to the step's own error, ~rel_tol.
-    dev, widths = [], []
-
-    def cb(ta, ya, tb, yb, dense):
-        widths.append(tb - ta)
-        for x in (0.25, 0.5, 0.75):
-            dt = x * (tb - ta)
-            exact = (ya[0] * math.cos(dt) + ya[1] * math.sin(dt),
-                     ya[1] * math.cos(dt) - ya[0] * math.sin(dt))
-            dev.append(max(abs(a - b) for a, b in zip(dense(ta + dt), exact)))
-
+    steps = []
     integrate_rhs(lambda t, x, v: (v, -x), (1.0, 0.0),
                   IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10, t_end=20.0),
-                  step_cb=cb)
-    assert max(widths) > 0.5
+                  step_cb=lambda *step: steps.append(step[-1]))
+    dev = []
+    for step in steps:
+        (th0, om0), dt = step.ya, np.array([0.25, 0.5, 0.75]) * step.h
+        exact = (th0 * np.cos(dt) + om0 * np.sin(dt),
+                 om0 * np.cos(dt) - th0 * np.sin(dt))
+        got = _sample_dense([step], step.ta + dt)
+        dev.append(max(np.max(np.abs(a - b)) for a, b in zip(got, exact)))
+    assert max(step.h for step in steps) > 0.5
     assert max(dev) <= 5e-8
 
 
@@ -438,7 +436,7 @@ def _sample_step_by_step(steps, t):
     for step, hi in zip(steps, np.searchsorted(
             t, [s.tb for s in steps], side="right").tolist()):
         if hi > lo:
-            thetas[lo:hi], omegas[lo:hi] = step(t[lo:hi])
+            thetas[lo:hi], omegas[lo:hi] = _sample_dense([step], t[lo:hi])
             lo = hi
     return thetas, omegas
 
@@ -489,20 +487,65 @@ def test_a_continued_shot_is_sampled_as_step_by_step(monkeypatch, variant,
 def test_turning_points_are_refined_on_the_dense_output():
     # omega = -sin t vanishes at k*pi; the residual there is the global
     # error of the run (~1e-8 at rel_tol 1e-8), not an interpolation error
-    turns = []
+    steps = []
 
     def cb(ta, ya, tb, yb, dense):
         if ya[1] * yb[1] < 0.0:
-            turns.append(_refine_crossing(dense, comp=1))
+            steps.append(dense)
 
     integrate_rhs(lambda t, x, v: (v, -x), (1.0, 0.0),
                   IntegratorSpec(rel_tol=1e-8, abs_tol=1e-10, t_end=20.0),
                   step_cb=cb)
+    turns = list(zip(*_crossings(steps, 1)))
     assert len(turns) == 6
     for k, (t, theta, omega) in enumerate(turns, start=1):
         assert t == pytest.approx(k * math.pi, abs=1e-7)
         assert theta == pytest.approx((-1) ** k, abs=1e-7)
         assert abs(omega) <= 1e-10
+
+
+def _above(step, comp, target, t):
+    """y[comp] - target > 0 at t on the step's polynomial, with the signs
+    at the step's ends taken from ya and yb."""
+    if t >= step.tb:
+        return step.yb[comp] - target > 0.0
+    _, _, ya, _, poly = integ._extensions([step])
+    x = (t - step.ta) / (step.tb - step.ta)
+    return integ._horner(ya[comp], poly[comp], x, 1.0 - x)[0] - target > 0.0
+
+
+def test_each_event_time_splits_an_adjacent_float_pair_of_its_step(
+        monkeypatch):
+    # every event of a free oscillation (velocity zeros; a 2*pi advance),
+    # of two sweeps (turning points) and of continued separatrices (the
+    # apex) is the midpoint, rounded to one of them, of two adjacent floats
+    # across which its step's polynomial changes sign
+    calls, cross = [], integ._crossings
+    for module in (integ, hbm, melnikov):
+        monkeypatch.setattr(module, "_crossings", lambda *a: calls.append(
+            (a, cross(*a))) or calls[-1][1])
+    p = Params(alpha=1.5)
+    measure_free_oscillation(p, (1.0, 0.0))
+    measure_free_oscillation(p, (0.4, 0.3))
+    measure_free_oscillation(p, (0.0, 3.0))
+    hbm.sweep_hysteresis(replace(p, xi=0.1, m_big0=0.02), 0.9, 1.0, 3)
+    hbm.sweep_hysteresis((hbm.CubicApprox(1.0, -0.01, 0.0), 1.0, 0.01, 0.05),
+                         0.96, 0.99, 3)
+    for variant in ("duffing", "pendulum"):
+        melnikov.separatrix(melnikov.reduce_system(p, variant), "continued")
+    n_events = 0
+    for (steps, *where), (times, _, _) in calls:
+        comps, targets = (np.broadcast_to(w, len(steps)).tolist()
+                          for w in (*where, 0.0)[:2])
+        for step, comp, target, t in zip(steps, comps, targets,
+                                         times.tolist()):
+            assert step.ta <= t <= step.tb
+            assert any(_above(step, comp, target, a)
+                       != _above(step, comp, target, b)
+                       for a, b in ((math.nextafter(t, -math.inf), t),
+                                    (t, math.nextafter(t, math.inf))))
+            n_events += 1
+    assert len(calls) == 7 and n_events >= 20
 
 
 # Cusp-line cases (alpha == beta) whose runs cross theta = 0, where the

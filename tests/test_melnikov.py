@@ -161,13 +161,13 @@ def test_continued_orbit_sits_on_the_saddles_outside_the_shot(monkeypatch,
     import clickdyn.melnikov as mk
 
     apexes, sampled = [], []
-    refine, sample = mk._refine_crossing, mk._sample_dense
-    monkeypatch.setattr(mk, "_refine_crossing", lambda *a, **k: apexes.append(
-        refine(*a, **k)) or apexes[-1])
+    cross, sample = mk._crossings, mk._sample_dense
+    monkeypatch.setattr(mk, "_crossings", lambda *a: apexes.append(
+        cross(*a)) or apexes[-1])
     monkeypatch.setattr(mk, "_sample_dense", lambda steps, t: sampled.append(
         t) or sample(steps, t))
     co = separatrix(reduce_system(P_IV, variant), "continued")
-    ((apex_t, _, _),), (t,) = apexes, sampled
+    (((apex_t,), _, _),), (t,) = apexes, sampled
     shifted = co.times + apex_t
     before, after = shifted < 0.0, shifted > t[-1]
     assert np.array_equal(t, shifted[~before & ~after])

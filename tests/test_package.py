@@ -101,11 +101,33 @@ def test_every_private_helper_has_a_caller():
     assert unused == []
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # no scipy module at all: nothing in the package uses scipy.integrate,
-    # and scipy.optimize is imported by the one function that calls it (a
-    # sweep's crossing search); the import would cost every run's set-up
-    # about 0.5 s
+# Every path that closes an event (the sweeps' turning points, a free
+# oscillation's velocity zeros, a continued separatrix's apex), run with
+# scipy blocked: any import of it raises ImportError.
+_NO_SCIPY_RUN = """\
+import sys
+sys.modules["scipy"] = None
+from clickdyn import cli, integrate, melnikov
+from clickdyn.model import Params
+out = sys.argv[1]
+assert cli.main(["sweep", "--alpha", "1.5", "--xi", "0.1", "--m0", "0.02",
+                 "--s-min", "0.9", "--s-max", "1.0", "--n", "3",
+                 "--out", out + "/full"]) == 0
+assert cli.main(["sweep", "--alpha", "1", "--xi", "0.01", "--drive", "0.05",
+                 "--epsilon", "-0.01", "--s-min", "0.96", "--s-max", "0.99",
+                 "--n", "3", "--out", out + "/cubic"]) == 0
+osc = integrate.measure_free_oscillation(Params(alpha=1.5), (1.0, 0.0))
+assert osc.period > 0.0 and not osc.rotating
+r = melnikov.reduce_system(Params(alpha=1.5), melnikov.DUFFING)
+assert melnikov.separatrix(r, "continued").times.size > 0
+print("ok")
+"""
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded(tmp_path):
+    # no scipy module at all: no module of the package imports scipy, so
+    # importing the CLI loads none, and the runs that close events need
+    # none (the import would cost a run about 0.5 s and 40 MB)
     src = str(Path(clickdyn.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -115,6 +137,10 @@ def test_importing_the_cli_leaves_scipy_integrate_unloaded():
          "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"
 
 
 def test_importing_the_cli_builds_no_csv_tables():
